@@ -3,18 +3,25 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix test race cover bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos tables figures fuzz generate clean
+.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos tables figures fuzz generate clean
 
 all: build vet lint test
 
 # The CI gate: everything must build, vet and wscachelint clean, and
 # pass under the race detector (the resilience paths are
 # concurrency-heavy).
-check:
+check: depguard
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wscachelint ./...
 	$(GO) test -race ./...
+
+# The engine is the bottom of the cache stack and the daemon is the
+# engine behind a protocol: neither may quietly re-grow the imports
+# DESIGN.md §5j removed.
+depguard:
+	! $(GO) list -deps ./internal/engine | grep -E 'repro/internal/(client|rep|core|server|cluster)$$'
+	! $(GO) list -deps ./cmd/wscached | grep -E 'repro/internal/(rep|client)$$'
 
 build:
 	$(GO) build ./...
@@ -42,6 +49,12 @@ race:
 cover:
 	$(GO) test -coverprofile=cover.out -coverpkg=./internal/... ./...
 	$(GO) tool cover -func=cover.out | tail -1
+
+# The referee benchmark (benchmark/README.md): six serving-path
+# workloads end to end and per layer; BENCHMARK.json holds the bounds.
+# The bench-* targets below and their BENCH_*.json files are legacy.
+referee:
+	bash benchmark/run.sh
 
 # Track the cache-core perf trajectory: hit-path microbenchmarks plus
 # the portal concurrency sweep, archived as BENCH_core.json (ns/op,

@@ -10,7 +10,7 @@
 //
 //	dummygoogle -addr :8080                  # full SOAP dispatcher
 //	dummygoogle -addr :8080 -fixed           # precomputed identical responses
-//	dummygoogle -cache                       # server-side response cache (raw bodies)
+//	dummygoogle -cache                       # server-side response cache (raw bodies) over the read-only operations
 //	dummygoogle -cache -cache-rep compact    # ... resident as compact SAX events
 //	dummygoogle -cache -cache-rep xmltmpl    # ... resident as splice templates
 package main
@@ -20,9 +20,9 @@ import (
 	"fmt"
 	"net/http"
 	"os"
+	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/googleapi"
 	"repro/internal/rep"
 	"repro/internal/server"
@@ -43,44 +43,10 @@ func main() {
 }
 
 func run(addr string, fixed bool, ttl time.Duration, useCache bool, cacheRep string) error {
-	if useCache && fixed {
-		return fmt.Errorf("-cache has no effect with -fixed (responses are already precomputed)")
-	}
-	// The flag surface overlaps core.Config's, so validate through it:
-	// a bad -ttl fails at startup with the same message a programmatic
-	// misuse of the cache would get.
-	probe := core.Config{
-		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewCloneCopyStore(),
-		DefaultTTL: ttl,
-	}
-	if err := probe.Validate(); err != nil {
+	soapHandler, err := newSOAPHandler(fixed, ttl, useCache, cacheRep)
+	if err != nil {
 		return err
 	}
-	var soapHandler http.Handler
-	if fixed {
-		soapHandler = googleapi.NewFixedResponseHandler()
-	} else {
-		d, _, err := googleapi.NewDispatcher()
-		if err != nil {
-			return err
-		}
-		if ttl > 0 {
-			d.SetValidatorPolicy(time.Now(), ttl)
-		}
-		soapHandler = d
-		if useCache {
-			body, err := rep.BodyStoreFor(cacheRep)
-			if err != nil {
-				return err
-			}
-			soapHandler = server.NewResponseCache(d, server.ResponseCacheConfig{
-				TTL:  ttl,
-				Body: body,
-			})
-		}
-	}
-
 	mux := http.NewServeMux()
 	mux.Handle("/", soapHandler)
 	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, _ *http.Request) {
@@ -95,4 +61,58 @@ func run(addr string, fixed bool, ttl time.Duration, useCache bool, cacheRep str
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	return srv.ListenAndServe()
+}
+
+// newSOAPHandler builds the SOAP endpoint the flags describe.
+func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep string) (http.Handler, error) {
+	if useCache && fixed {
+		return nil, fmt.Errorf("-cache has no effect with -fixed (responses are already precomputed)")
+	}
+	if ttl < 0 {
+		return nil, fmt.Errorf("-ttl is %v; negative lifetimes are not valid (0 disables)", ttl)
+	}
+	if fixed {
+		return googleapi.NewFixedResponseHandler(), nil
+	}
+	d, _, err := googleapi.NewDispatcher()
+	if err != nil {
+		return nil, err
+	}
+	if ttl > 0 {
+		d.SetValidatorPolicy(time.Now(), ttl)
+	}
+	if !useCache {
+		return d, nil
+	}
+	body, err := bodyStoreFor(cacheRep)
+	if err != nil {
+		return nil, err
+	}
+	// The dispatcher also serves the mutable item operations, and the
+	// server cache has no invalidation: caching doPutItem would swallow
+	// the second identical write, caching doGetItem/doListItems would
+	// serve items stale for -ttl after one. Admit only operations the
+	// item graph declares no read or write set for — the paper's three
+	// read-only ones.
+	graph := googleapi.ItemGraph()
+	return server.NewResponseCache(d, server.ResponseCacheConfig{
+		TTL:       ttl,
+		Body:      body,
+		Cacheable: func(op string) bool { return !graph.Declared(op) },
+	}), nil
+}
+
+// bodyStoreFor resolves -cache-rep: "raw" (nil, the server cache's
+// default), "compact-sax", or "xmltmpl".
+func bodyStoreFor(name string) (server.BodyStore, error) {
+	switch strings.ToLower(name) {
+	case "", "raw":
+		return nil, nil
+	case "compact-sax", "compactsax", "compact":
+		return rep.NewCompactBodyStore(), nil
+	case "xmltmpl", "template", "tmpl":
+		return rep.NewTemplateBodyStore(), nil
+	default:
+		return nil, fmt.Errorf("unknown body representation %q (have raw, compact-sax, xmltmpl)", name)
+	}
 }

@@ -1,6 +1,8 @@
 // Command wscached is the shared L2 cache daemon: a standalone process
-// holding one core.Cache of wire-encoded entries and serving it to
+// holding one engine.Tier of wire-encoded entries and serving it to
 // wsclient fleets over the compact binary protocol in internal/cluster.
+// It is the cache engine behind a protocol and nothing else — no SOAP,
+// no key generation, no representations.
 //
 // Clients route keys to daemons by consistent hashing, so a fleet runs
 // N wscached processes and every client lists all N addresses. The
@@ -30,10 +32,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/invalidate"
 	"repro/internal/obs"
-	"repro/internal/rep"
 )
 
 func main() {
@@ -44,48 +45,31 @@ func main() {
 		maxBytes   = flag.Int("max-bytes", 0, "byte bound for the shared cache (0 = unbounded)")
 		shards     = flag.Int("shards", 0, "shard count (0 picks the default)")
 		maxPayload = flag.Int("max-payload", 0, "request frame payload bound in bytes (0 = 4 MiB default)")
-		ttl        = flag.Duration("ttl", time.Hour, "fallback TTL for entries stored without one")
 		sweep      = flag.Duration("sweep", time.Minute, "expired-entry sweep interval (0 disables sweeping)")
+		_          = flag.Duration("ttl", time.Hour, "ignored, accepted so existing invocations keep starting: entries carry the lifetime their sender set")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *obsAddr, *maxEntries, *maxBytes, *shards, *maxPayload, *ttl, *sweep); err != nil {
+	if err := run(*addr, *obsAddr, *maxEntries, *maxBytes, *shards, *maxPayload, *sweep); err != nil {
 		fmt.Fprintln(os.Stderr, "wscached:", err)
 		os.Exit(1)
 	}
 }
 
-func run(addr, obsAddr string, maxEntries, maxBytes, shards, maxPayload int, ttl, sweep time.Duration) error {
+func run(addr, obsAddr string, maxEntries, maxBytes, shards, maxPayload int, sweep time.Duration) error {
 	reg := obs.NewRegistry()
 	inv := invalidate.New(nil, reg)
 
-	// The daemon never generates keys or decodes values — clients ship
-	// pre-hashed tier keys and pre-encoded wire bytes — so the KeyGen
-	// and Store here only have to satisfy Validate; the tier path never
-	// calls them. Validate runs the same flag checks a programmatic
-	// misuse would hit (negative bounds, negative TTL).
-	cfg := core.Config{
-		KeyGen:      rep.NewStringKey(),
-		Store:       rep.NewCloneCopyStore(),
-		MaxEntries:  maxEntries,
-		MaxBytes:    maxBytes,
-		Shards:      shards,
-		DefaultTTL:  ttl,
-		Invalidator: inv,
-		Obs:         reg,
-	}
+	cfg := engine.Config{MaxEntries: maxEntries, MaxBytes: maxBytes, Shards: shards}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
 	if maxPayload < 0 {
 		return fmt.Errorf("-max-payload is %d; want ≥ 0", maxPayload)
 	}
-	cache, err := core.New(cfg)
-	if err != nil {
-		return err
-	}
+	cache := engine.NewTier(cfg, inv, reg)
 	if sweep > 0 {
-		defer core.NewSweeperContext(context.Background(), cache, sweep).Shutdown()
+		defer engine.NewSweeper(context.Background(), cache.SweepExpired, sweep).Shutdown()
 	}
 
 	srv, err := cluster.NewServer(cluster.ServerConfig{

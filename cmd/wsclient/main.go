@@ -163,10 +163,9 @@ func run(cfg runConfig) error {
 			}
 			coreCfg.Tiers = []tier.Tier{remote}
 		}
-		if err := coreCfg.Validate(); err != nil {
+		if cache, err = core.New(coreCfg); err != nil {
 			return err
 		}
-		cache = core.MustNew(coreCfg)
 		handlers = append(handlers, cache)
 	}
 	if remote != nil {

@@ -135,20 +135,13 @@ type FigureConfig struct {
 	Obs *obs.Registry
 }
 
-// Figure runs the portal-site scenario sweep of Section 5.2: a portal
-// backed by the dummy Google service through the caching client, with
-// the cache-hit ratio artificially controlled by the request mix. The
-// measured operation is doGoogleSearch (the paper's choice: the
+// FigureContext runs the portal-site scenario sweep of Section 5.2: a
+// portal backed by the dummy Google service through the caching client,
+// with the cache-hit ratio artificially controlled by the request mix.
+// The measured operation is doGoogleSearch (the paper's choice: the
 // spread between methods is largest there), keys by string
-// concatenation.
-//
-// Deprecated: Figure cannot be cancelled. Use FigureContext.
-func Figure(cfg FigureConfig) ([]FigureSeries, error) {
-	return FigureContext(context.Background(), cfg)
-}
-
-// FigureContext runs the sweep under the caller's context; cancelling
-// ctx stops the load generator between requests and aborts the sweep.
+// concatenation. Cancelling ctx stops the load generator between
+// requests and aborts the sweep.
 func FigureContext(ctx context.Context, cfg FigureConfig) ([]FigureSeries, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1

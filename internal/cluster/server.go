@@ -17,11 +17,11 @@ import (
 // ServerConfig configures a cluster daemon.
 type ServerConfig struct {
 	// Tier stores and serves the entries — any tier.Tier; wscached uses
-	// a core.Cache. Required.
+	// an engine.Tier. Required.
 	Tier tier.Tier
 	// Inv is the daemon's epoch table, stamped into every response and
 	// served by OpSync/OpBump. It must be the same Invalidator the Tier
-	// checks stamps against (for core.Cache, the one in its Config) or
+	// checks stamps against (for engine.Tier, the one given to NewTier) or
 	// epoch bumps will not invalidate stored entries. Required.
 	Inv *invalidate.Invalidator
 	// MaxPayload bounds request frames; ≤ 0 means DefaultMaxPayload.

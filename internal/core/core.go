@@ -26,26 +26,23 @@
 // default when Config.Rep is set and Config.Store is not — refines
 // that choice online from measured Store/Load cost.
 //
-// Concurrency: the table is sharded (Config.Shards). Keys are reduced
-// to a seeded 128-bit digest; the digest routes the request to one of a
-// power-of-two number of independent shards, each owning its own lock,
-// hash table, LRU list, byte-budget slice, and in-flight coalescing
-// map. Goroutines hitting different shards never contend, so hit
-// throughput scales with cores instead of serializing on one global
-// mutex; see DESIGN.md §5d.
+// Concurrency and structure: the table itself — shards, 128-bit digest
+// keys, LRU and byte budgets, the freshness ladder, sweeping, miss
+// coalescing — is package engine's; this package is the front end that
+// adds per-operation policy, key generation, representation load/store
+// and tier stacking. See DESIGN.md §5d and §5j.
 package core
 
 import (
+	"context"
 	"fmt"
-	"hash/maphash"
 	"net/http"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
 	"repro/internal/clock"
+	"repro/internal/engine"
 	"repro/internal/invalidate"
 	"repro/internal/obs"
 	"repro/internal/rep"
@@ -78,7 +75,10 @@ type Config struct {
 	// per-shard LRU (approximate global LRU; see DESIGN.md §5d).
 	MaxEntries int
 	// MaxBytes bounds the estimated total payload bytes; 0 means
-	// unbounded. Sliced across shards like MaxEntries.
+	// unbounded. Sliced across shards like MaxEntries. Both bounds apply
+	// separately to the L1 table and to the table of wire entries the
+	// cache holds when served as a tier.Tier, so a cache used in both
+	// roles at once can hold twice the budget; a cache serves one role.
 	MaxBytes int
 	// Shards is the number of independent cache shards, rounded up to a
 	// power of two. 0 picks min(64, 4×GOMAXPROCS). A cache with small
@@ -196,75 +196,12 @@ func (s OperationStats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// keyDigest is the fixed-size form a cache key is reduced to: two
-// independently seeded 64-bit maphash values. The low word routes to a
-// shard; the full 128 bits are the table key, so entry lookup verifies
-// both halves and never retains a multi-KB XML-message key verbatim.
-// Two distinct keys alias only if they collide in all 128 bits under
-// both per-cache seeds — with n live keys the probability is about
-// n²/2¹²⁹, far below the error rates of the hardware the cache runs
-// on; see DESIGN.md §5d for the collision-handling rationale.
-type keyDigest struct {
-	hi, lo uint64
-}
-
-// entry is one cache entry, a node in its shard's LRU list.
-type entry struct {
-	digest  keyDigest
+// value is what the cache keeps per entry: the representation's payload
+// and the store that produced it, which is the one that can load it
+// (per-operation stores and tier promotions make it vary by entry).
+type value struct {
 	payload any
-	size    int
-	expires time.Time // zero means never
 	store   rep.ValueStore
-	// ttl is the lifetime the entry was stored with, reused when a 304
-	// refresh arrives without fresh server lifetime headers.
-	ttl time.Duration
-	// lastModified is the response's Last-Modified validator; a stale
-	// entry with a validator can be revalidated instead of refetched.
-	lastModified time.Time
-	// stamps are the entry's dependency epochs, snapshotted before the
-	// backend read that produced the payload (Config.Invalidator). A
-	// stamp that no longer matches its live epoch means a declared
-	// write landed after the snapshot: the entry is write-invalidated
-	// and must never be served — not as a hit, not stale-on-error, not
-	// via 304 refresh. Empty for operations with no declared read set.
-	stamps []invalidate.Stamp
-
-	prev, next *entry
-}
-
-// expired reports whether the entry is past its TTL at now.
-func (e *entry) expired(now time.Time) bool {
-	return !e.expires.IsZero() && now.After(e.expires)
-}
-
-// shard is one independent slice of the cache: its own lock, table,
-// LRU list, byte budget, and coalescing flights. Shards never take each
-// other's locks, so operations on different shards run fully in
-// parallel.
-type shard struct {
-	// limEntries and limBytes are this shard's slice of the global
-	// budgets, fixed at construction (written before the cache is
-	// published, read-only afterwards). -1 means unbounded.
-	limEntries int
-	limBytes   int
-
-	// nbytes and nentries mirror the guarded structure below; they are
-	// updated inside the critical sections but read lock-free by Stats
-	// and Len, so snapshots never contend with the hit path.
-	nbytes   atomic.Int64
-	nentries atomic.Int64
-
-	// flightMu guards flights; it is separate from mu so followers can
-	// wait on a flight without holding the structural lock.
-	flightMu sync.Mutex
-	flights  map[keyDigest]*flight
-
-	mu    sync.Mutex
-	table map[keyDigest]*entry
-	// LRU list: head is most recent, tail least recent. Sentinel-free,
-	// nil-terminated both ways.
-	head *entry
-	tail *entry
 }
 
 // Cache is the response cache. It implements client.Handler.
@@ -274,8 +211,6 @@ type Cache struct {
 	store          rep.ValueStore
 	policy         Policy
 	defaultTTL     time.Duration
-	maxEntries     int
-	maxBytes       int
 	revalidate     bool
 	honorServerTTL bool
 	staleIfError   time.Duration
@@ -290,11 +225,16 @@ type Cache struct {
 	wire  rep.WireSelector
 	tierm []tierCounters
 
-	// seed1/seed2 are the per-cache maphash seeds behind keyDigest;
-	// shardMask selects a shard from a digest's low word.
-	seed1, seed2 maphash.Seed
-	shardMask    uint64
-	shards       []shard
+	// eng is the table of L1 entries. The embedded Tier is the cache's
+	// other role (DESIGN.md §5h): the daemon side of the tier protocol,
+	// exactly as cmd/wscached runs it, over a table of its own — wire
+	// entries are served back as bytes and never mix with L1 entries. A
+	// cache serves one role or the other (a client's L1, or the store
+	// behind a cluster.Server); budgets apply to each table (see
+	// Config.MaxBytes), and Stats, Len, Clear and SweepExpired — which
+	// shadow the Tier's own — cover both.
+	eng *engine.Engine[value]
+	*engine.Tier
 
 	// reg is the metrics registry (never nil; Config.Obs or a private
 	// one). m holds its counters backing Stats, resolved once. timed
@@ -310,101 +250,36 @@ type Cache struct {
 // cacheCounters are the registry counters backing Stats, one per field,
 // resolved once at construction so the hot path never hashes a name.
 type cacheCounters struct {
-	hits          *obs.Counter
-	misses        *obs.Counter
-	stores        *obs.Counter
-	expirations   *obs.Counter
-	evictions     *obs.Counter
-	revalidations *obs.Counter
-	staleServes   *obs.Counter
-	invalidations *obs.Counter
-	staleRefused  *obs.Counter
-	coalesced     *obs.Counter
-	errors        *obs.Counter
-	bypass        *obs.Counter
-	tierHits      *obs.Counter
-	tierErrors    *obs.Counter
-	tierRefused   *obs.Counter
+	engine.Counters // hits, misses, stores, expirations, evictions, invalidations: kept by the engine
+	revalidations   *obs.Counter
+	staleServes     *obs.Counter
+	staleRefused    *obs.Counter
+	coalesced       *obs.Counter
+	errors          *obs.Counter
+	bypass          *obs.Counter
+	tierHits        *obs.Counter
+	tierErrors      *obs.Counter
 }
 
 // newCacheCounters resolves the Stats counters in reg.
 func newCacheCounters(reg *obs.Registry) cacheCounters {
 	return cacheCounters{
-		hits:          reg.Counter("core.hits"),
-		misses:        reg.Counter("core.misses"),
-		stores:        reg.Counter("core.stores"),
-		expirations:   reg.Counter("core.expirations"),
-		evictions:     reg.Counter("core.evictions"),
+		Counters:      engine.CoreCounters(reg),
 		revalidations: reg.Counter("core.revalidations"),
 		staleServes:   reg.Counter("core.stale_serves"),
-		invalidations: reg.Counter("core.invalidations"),
 		staleRefused:  reg.Counter("core.stale_refused"),
 		coalesced:     reg.Counter("core.coalesced"),
 		errors:        reg.Counter("core.errors"),
 		bypass:        reg.Counter("core.bypass"),
 		tierHits:      reg.Counter("core.tier_hits"),
 		tierErrors:    reg.Counter("core.tier_errors"),
-		tierRefused:   reg.Counter("core.tier_put_refused"),
 	}
 }
 
-var _ client.Handler = (*Cache)(nil)
-
-// shardCount resolves the shard count for a config: the requested (or
-// default) count rounded up to a power of two, then clamped down so a
-// bounded cache never has more shards than budget — every shard's
-// slice of MaxEntries must hold at least one entry, or keys routed to
-// a zero-budget shard could never be cached.
-func shardCount(cfg Config) int {
-	n := cfg.Shards
-	if n <= 0 {
-		n = 4 * runtime.GOMAXPROCS(0)
-		if n > 64 {
-			n = 64
-		}
-	}
-	n = ceilPow2(n)
-	if cfg.MaxEntries > 0 && n > cfg.MaxEntries {
-		n = floorPow2(cfg.MaxEntries)
-	}
-	if cfg.MaxBytes > 0 && n > cfg.MaxBytes {
-		n = floorPow2(cfg.MaxBytes)
-	}
-	return n
-}
-
-// ceilPow2 rounds n up to the next power of two (n ≥ 1).
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-// floorPow2 rounds n down to the previous power of two (n ≥ 1).
-func floorPow2(n int) int {
-	p := 1
-	for p*2 <= n {
-		p <<= 1
-	}
-	return p
-}
-
-// sliceBudget splits a global budget across n shards: shard i receives
-// total/n, with the remainder spread one-per-shard from the front so
-// the slices sum exactly to the global bound. A zero total (unbounded)
-// yields -1 (unbounded) for every shard.
-func sliceBudget(total, n, i int) int {
-	if total <= 0 {
-		return -1
-	}
-	b := total / n
-	if i < total%n {
-		b++
-	}
-	return b
-}
+var (
+	_ client.Handler = (*Cache)(nil)
+	_ tier.Tier      = (*Cache)(nil) // through the embedded engine.Tier
+)
 
 // New builds a Cache from cfg.
 func New(cfg Config) (*Cache, error) {
@@ -413,14 +288,15 @@ func New(cfg Config) (*Cache, error) {
 	}
 	now := clock.Or(cfg.Clock)
 	reg := obs.Or(cfg.Obs)
-	nsh := shardCount(cfg)
+	m := newCacheCounters(reg)
+	eng := engine.New[value](cfg.engineConfig(), m.Counters)
 	if cfg.Store == nil {
 		sel, err := rep.NewAdaptiveSelector(rep.SelectorConfig{
 			Registry: cfg.Rep,
 			// Score payload size against one shard's slice of the byte
 			// budget: that is the capacity an entry actually competes
 			// for. Unbounded caches (-1) keep the selector's default.
-			ByteBudget: int64(sliceBudget(cfg.MaxBytes, nsh, 0)),
+			ByteBudget: int64(eng.ShardBytes()),
 			Clock:      cfg.Clock,
 			Obs:        cfg.Obs,
 		})
@@ -434,20 +310,16 @@ func New(cfg Config) (*Cache, error) {
 		store:          cfg.Store,
 		policy:         cfg.Policy,
 		defaultTTL:     cfg.DefaultTTL,
-		maxEntries:     cfg.MaxEntries,
-		maxBytes:       cfg.MaxBytes,
 		revalidate:     cfg.Revalidate,
 		honorServerTTL: cfg.HonorServerTTL,
 		staleIfError:   cfg.StaleIfError,
 		coalesce:       cfg.Coalesce,
 		inval:          cfg.Invalidator,
 		now:            now,
-		seed1:          maphash.MakeSeed(),
-		seed2:          maphash.MakeSeed(),
-		shardMask:      uint64(nsh - 1),
-		shards:         make([]shard, nsh),
+		eng:            eng,
+		Tier:           engine.NewTier(cfg.engineConfig(), cfg.Invalidator, reg),
 		reg:            reg,
-		m:              newCacheCounters(reg),
+		m:              m,
 		tracer:         cfg.Tracer,
 		timed:          cfg.Obs != nil || cfg.Tracer != nil,
 	}
@@ -480,15 +352,6 @@ func New(cfg Config) (*Cache, error) {
 			return out
 		})
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.limEntries = sliceBudget(cfg.MaxEntries, nsh, i)
-		sh.limBytes = sliceBudget(cfg.MaxBytes, nsh, i)
-		//lint:ignore lockguard init-before-publish: the cache is not visible to any other goroutine yet
-		sh.flights = make(map[keyDigest]*flight)
-		//lint:ignore lockguard init-before-publish: the cache is not visible to any other goroutine yet
-		sh.table = make(map[keyDigest]*entry)
-	}
 	return c, nil
 }
 
@@ -503,14 +366,7 @@ func MustNew(cfg Config) *Cache {
 }
 
 // Shards returns the number of shards the cache was built with.
-func (c *Cache) Shards() int { return len(c.shards) }
-
-// shard routes a digest to its shard.
-//
-//lint:hotpath
-func (c *Cache) shard(d keyDigest) *shard {
-	return &c.shards[d.lo&c.shardMask]
-}
+func (c *Cache) Shards() int { return c.eng.Shards() }
 
 // keyBufPool recycles the scratch buffers append-style key generation
 // writes into, so a lookup hashes the key bytes without allocating.
@@ -526,24 +382,24 @@ var keyBufPool = sync.Pool{
 // buffer; otherwise the generator's Key string is hashed and dropped.
 //
 //lint:hotpath
-func (c *Cache) digestFor(ictx *client.Context) (keyDigest, error) {
+func (c *Cache) digestFor(ictx *client.Context) (engine.Key, error) {
 	if c.keyapp != nil {
 		bp := keyBufPool.Get().(*[]byte)
 		b, err := c.keyapp.AppendKey((*bp)[:0], ictx)
 		if err != nil {
 			keyBufPool.Put(bp)
-			return keyDigest{}, err
+			return engine.Key{}, err
 		}
-		d := keyDigest{hi: maphash.Bytes(c.seed1, b), lo: maphash.Bytes(c.seed2, b)}
+		d := c.eng.Digest(b)
 		*bp = b[:0] // keep any growth for the next lookup
 		keyBufPool.Put(bp)
 		return d, nil
 	}
 	key, err := c.keygen.Key(ictx)
 	if err != nil {
-		return keyDigest{}, err
+		return engine.Key{}, err
 	}
-	return keyDigest{hi: maphash.String(c.seed1, key), lo: maphash.String(c.seed2, key)}, nil
+	return c.eng.DigestString(key), nil
 }
 
 // Stats returns a snapshot of the cache counters, read from the
@@ -552,27 +408,24 @@ func (c *Cache) digestFor(ictx *client.Context) (keyDigest, error) {
 // may straddle an update. Stats takes no shard locks, so it never
 // contends with the hit path.
 func (c *Cache) Stats() Stats {
-	s := Stats{
-		Hits:          c.m.hits.Load(),
-		Misses:        c.m.misses.Load(),
-		Stores:        c.m.stores.Load(),
-		Expirations:   c.m.expirations.Load(),
-		Evictions:     c.m.evictions.Load(),
+	return Stats{
+		Hits:          c.m.Hits.Load(),
+		Misses:        c.m.Misses.Load(),
+		Stores:        c.m.Stores.Load(),
+		Expirations:   c.m.Expirations.Load(),
+		Evictions:     c.m.Evictions.Load(),
 		Revalidations: c.m.revalidations.Load(),
 		StaleServes:   c.m.staleServes.Load(),
-		Invalidations: c.m.invalidations.Load(),
+		Invalidations: c.m.Invalidations.Load(),
 		StaleRefused:  c.m.staleRefused.Load(),
 		Coalesced:     c.m.coalesced.Load(),
 		Errors:        c.m.errors.Load(),
 		Bypass:        c.m.bypass.Load(),
 		TierHits:      c.m.tierHits.Load(),
 		TierErrors:    c.m.tierErrors.Load(),
+		Bytes:         c.eng.Bytes() + c.Tier.TierStats().Bytes,
+		Entries:       c.Len(),
 	}
-	for i := range c.shards {
-		s.Bytes += int(c.shards[i].nbytes.Load())
-		s.Entries += int(c.shards[i].nentries.Load())
-	}
-	return s
 }
 
 // StatsByOperation returns a snapshot of per-operation counters, read
@@ -606,27 +459,27 @@ func (c *Cache) observe(op string, stage obs.Stage, rep string, d time.Duration,
 	}
 }
 
-// Len returns the current number of entries, summed from the per-shard
-// mirrors without taking any shard lock.
-func (c *Cache) Len() int {
-	n := 0
-	for i := range c.shards {
-		n += int(c.shards[i].nentries.Load())
-	}
-	return n
-}
+// Len returns the current number of entries, without taking any shard
+// lock.
+func (c *Cache) Len() int { return c.eng.Len() + c.Tier.Len() }
 
 // Clear discards all entries, shard by shard.
 func (c *Cache) Clear() {
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		sh.table = make(map[keyDigest]*entry)
-		sh.head, sh.tail = nil, nil
-		sh.nbytes.Store(0)
-		sh.nentries.Store(0)
-		sh.mu.Unlock()
-	}
+	c.eng.Clear()
+	c.Tier.Clear()
+}
+
+// SweepExpired removes every reclaimable expired or write-invalidated
+// entry now (engine.Engine.Sweep) and returns how many were removed.
+func (c *Cache) SweepExpired() int { return c.eng.Sweep() + c.Tier.SweepExpired() }
+
+// Sweeper runs SweepExpired on an interval; see engine.Sweeper.
+type Sweeper = engine.Sweeper
+
+// NewSweeperContext starts a sweeper over cache that stops on Shutdown
+// or when ctx is cancelled.
+func NewSweeperContext(ctx context.Context, cache *Cache, interval time.Duration) *Sweeper {
+	return engine.NewSweeper(ctx, cache.SweepExpired, interval)
 }
 
 // HandleInvoke implements client.Handler: the cache lookup and fill
@@ -676,7 +529,7 @@ func (c *Cache) HandleInvoke(ictx *client.Context, next client.Invoker) error {
 // invokeMiss drives a miss through the pivot: conditional-request
 // setup, the invocation itself, stale-on-error degradation, 304
 // refresh, and the fill.
-func (c *Cache) invokeMiss(d keyDigest, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+func (c *Cache) invokeMiss(d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
 	// Remote tiers sit between the L1 miss and the origin: another
 	// process may already have paid the backend round trip and the
 	// response processing for this exact request. The tier key is
@@ -710,15 +563,18 @@ func (c *Cache) invokeMiss(d keyDigest, op OperationPolicy, ictx *client.Context
 		tstamps = c.tierStamps(tk, ictx)
 	}
 
-	// A stale entry with a validator turns this miss into a conditional
-	// request (If-Modified-Since): the server may answer 304 instead of
-	// recomputing and shipping the response.
+	// An expired entry retained with a validator turns this miss into a
+	// conditional request (If-Modified-Since): the server may answer 304
+	// instead of recomputing and shipping the response. The lookup
+	// refuses (and drops) a write-invalidated entry: its representation
+	// is known to predate a committed write, so a 304 must not be allowed
+	// to resurrect it — the invocation proceeds unconditional.
 	if c.revalidate {
-		if lm, ok := c.staleValidator(d); ok {
+		if hit, st := c.eng.Lookup(d, engine.Validator); st == engine.Found {
 			if ictx.RequestHeader == nil {
 				ictx.RequestHeader = make(http.Header, 1)
 			}
-			ictx.RequestHeader.Set("If-Modified-Since", lm.UTC().Format(http.TimeFormat))
+			ictx.RequestHeader.Set("If-Modified-Since", hit.LastModified.UTC().Format(http.TimeFormat))
 		}
 	}
 
@@ -781,84 +637,36 @@ func (c *Cache) invokeTimed(ictx *client.Context, next client.Invoker) error {
 	return err
 }
 
-// staleValidator returns the Last-Modified validator of an expired
-// entry for the digest, if one is retained for revalidation. A
-// write-invalidated entry is refused: its representation is known to
-// predate a committed write, so a 304 must not be allowed to resurrect
-// it — the invocation proceeds unconditional and refetches.
-func (c *Cache) staleValidator(d keyDigest) (time.Time, bool) {
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.table[d]
-	if !ok || e.lastModified.IsZero() || !e.expired(c.now()) {
-		return time.Time{}, false
-	}
-	if invalidate.Stale(e.stamps) {
-		sh.removeLocked(e)
-		c.m.invalidations.Add(1)
-		return time.Time{}, false
-	}
-	return e.lastModified, true
-}
-
 // refreshStale extends a stale entry's TTL after a 304 answer and
 // materializes its payload.
-func (c *Cache) refreshStale(d keyDigest, op OperationPolicy, ictx *client.Context) (any, bool) {
-	sh := c.shard(d)
-	sh.mu.Lock()
-	e, ok := sh.table[d]
-	if !ok {
-		sh.mu.Unlock()
+func (c *Cache) refreshStale(d engine.Key, op OperationPolicy, ictx *client.Context) (any, bool) {
+	hit, st := c.eng.Refresh(d, c.entryTTL(op, ictx))
+	if st != engine.Found {
+		if st == engine.Invalidated {
+			// A declared write landed between the conditional-request setup
+			// and the 304 answer; the 304 vouches for the server resource
+			// the validator describes, not for our invalidated dependency
+			// snapshot. The entry is gone and the caller refetches.
+			c.m.staleRefused.Add(1)
+		}
 		return nil, false
 	}
-	if invalidate.Stale(e.stamps) {
-		// A declared write landed between the conditional-request setup
-		// and the 304 answer; the 304 vouches for the server resource
-		// the validator describes, not for our invalidated dependency
-		// snapshot. Drop the entry and let the caller refetch.
-		sh.removeLocked(e)
-		sh.mu.Unlock()
-		c.m.invalidations.Add(1)
-		c.m.staleRefused.Add(1)
-		return nil, false
-	}
-	ttl := c.entryTTL(op, ictx)
-	if ttl == 0 {
-		// A 304 without lifetime headers: extend by the entry's
-		// original lifetime rather than pinning it forever.
-		ttl = e.ttl
-	}
-	if ttl > 0 {
-		e.expires = c.now().Add(ttl)
-	} else {
-		e.expires = time.Time{}
-	}
-	e.ttl = ttl
-	sh.moveToFrontLocked(e)
-	payload, store := e.payload, e.store
-	sh.mu.Unlock()
 	c.m.revalidations.Add(1)
-	c.m.hits.Add(1)
-
-	result, ok := c.loadPayload(ictx.Operation, store, payload)
-	if !ok {
-		c.m.errors.Add(1)
-		return nil, false
-	}
-	return result, true
+	return c.loadPayload(ictx.Operation, hit.Value, c.m.errors)
 }
 
 // loadPayload materializes a stored payload, timing the copy-out stage
-// and counting a per-representation hit (serve) or error.
+// and counting a per-representation hit (serve) or error; a failure is
+// also counted in errs, the caller's Stats counter for it.
 //
 //lint:hotpath
-func (c *Cache) loadPayload(op string, store rep.ValueStore, payload any) (any, bool) {
+func (c *Cache) loadPayload(op string, v value, errs *obs.Counter) (any, bool) {
+	store := v.store
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
-	result, err := store.Load(payload)
+	result, err := store.Load(v.payload)
 	if c.timed {
 		// Per-representation counters feed only the observability
 		// snapshot (Stats never reads them), so like stage timing they
@@ -872,6 +680,7 @@ func (c *Cache) loadPayload(op string, store rep.ValueStore, payload any) (any, 
 		}
 	}
 	if err != nil {
+		errs.Add(1)
 		return nil, false
 	}
 	return result, true
@@ -896,86 +705,33 @@ func (c *Cache) entryTTL(op OperationPolicy, ictx *client.Context) time.Duration
 // a fresh entry exists; op names the operation for stage attribution.
 //
 //lint:hotpath
-func (c *Cache) lookup(d keyDigest, op string) (any, bool) {
+func (c *Cache) lookup(d engine.Key, op string) (any, bool) {
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
-	sh := c.shard(d)
-	//lint:ignore hotpath the per-shard lock is the design: LRU move-to-front mutates on every hit, and sharding bounds contention
-	sh.mu.Lock()
-	e, ok := sh.table[d]
-	if !ok {
-		sh.mu.Unlock()
-		c.m.misses.Add(1)
-		if c.timed {
-			c.observe(op, obs.StageLookup, "", c.now().Sub(start), nil)
-		}
-		return nil, false
-	}
-	if invalidate.Stale(e.stamps) {
-		// A dependency epoch advanced past the entry's stamps: a
-		// declared write committed after this entry's backend read.
-		// Epochs only grow, so the entry can never become fresh again —
-		// drop it outright (unlike TTL expiry there is nothing to
-		// revalidate or serve degraded) and report a miss.
-		sh.removeLocked(e)
-		sh.mu.Unlock()
-		c.m.invalidations.Add(1)
-		c.m.misses.Add(1)
-		if c.timed {
-			c.observe(op, obs.StageLookup, "", c.now().Sub(start), nil)
-		}
-		return nil, false
-	}
-	if now := c.now(); e.expired(now) {
-		// An expired entry may still be useful: with revalidation on, a
-		// validator-bearing entry can be refreshed by a 304; with
-		// StaleIfError set, it can be served in degraded mode until the
-		// grace window passes. Only a useless entry is dropped.
-		if !c.retainStaleLocked(e, now) {
-			sh.removeLocked(e)
-		}
-		sh.mu.Unlock()
-		c.m.expirations.Add(1)
-		c.m.misses.Add(1)
-		if c.timed {
-			c.observe(op, obs.StageLookup, "", c.now().Sub(start), nil)
-		}
-		return nil, false
-	}
-	sh.moveToFrontLocked(e)
-	payload, store := e.payload, e.store
-	sh.mu.Unlock()
-	c.m.hits.Add(1)
+	hit, st := c.eng.Lookup(d, engine.Serve)
 	if c.timed {
 		c.observe(op, obs.StageLookup, "", c.now().Sub(start), nil)
 	}
-
-	// Materialize outside the lock: loads can be arbitrarily expensive
-	// (XML parse for the XML-message representation).
-	result, ok := c.loadPayload(op, store, payload)
-	if !ok {
-		// A payload that no longer loads is dropped; report a miss so
-		// the pivot refills the entry.
-		//lint:ignore hotpath load-failure path only — runs once per corrupt entry, never on a served hit
-		sh.mu.Lock()
-		if cur, ok := sh.table[d]; ok && cur == e {
-			sh.removeLocked(cur)
-		}
-		sh.mu.Unlock()
-		c.m.errors.Add(1)
-		c.m.hits.Add(-1)
-		c.m.misses.Add(1)
+	if st != engine.Found {
 		return nil, false
 	}
-	return result, true
+	// Materialize outside the shard lock: loads can be arbitrarily
+	// expensive (XML parse for the XML-message representation).
+	result, ok := c.loadPayload(op, hit.Value, c.m.errors)
+	if !ok {
+		// A payload that no longer loads is dropped and the hit re-booked
+		// as a miss, so the pivot refills the entry.
+		c.eng.Unhit(d, hit)
+	}
+	return result, ok
 }
 
 // fill stores a completed invocation's response. stamps are the
 // dependency epochs snapshotted before the backend read (nil when no
 // invalidator is configured or the operation declares no read set).
-func (c *Cache) fill(d keyDigest, op OperationPolicy, ictx *client.Context, stamps []invalidate.Stamp) {
+func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, stamps []invalidate.Stamp) {
 	store := c.store
 	if op.Store != nil {
 		store = op.Store
@@ -996,11 +752,6 @@ func (c *Cache) fill(d keyDigest, op OperationPolicy, ictx *client.Context, stam
 		return
 	}
 
-	ttl := c.entryTTL(op, ictx)
-	var expires time.Time
-	if ttl > 0 {
-		expires = c.now().Add(ttl)
-	}
 	var lastModified time.Time
 	if ictx.ResponseHeader != nil {
 		if lm := ictx.ResponseHeader.Get("Last-Modified"); lm != "" {
@@ -1009,90 +760,17 @@ func (c *Cache) fill(d keyDigest, op OperationPolicy, ictx *client.Context, stam
 			}
 		}
 	}
-
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.table[d]; ok {
-		sh.removeLocked(old)
-	}
-	e := &entry{
-		digest: d, payload: payload, size: size,
-		expires: expires, store: store, ttl: ttl, lastModified: lastModified,
-		stamps: stamps,
-	}
-	sh.table[d] = e
-	sh.pushFrontLocked(e)
-	sh.nbytes.Add(int64(size))
-	sh.nentries.Add(1)
-	c.m.stores.Add(1)
+	c.eng.Insert(d, engine.Item[value]{
+		Value:        value{payload: payload, store: store},
+		Size:         size,
+		TTL:          c.entryTTL(op, ictx),
+		LastModified: lastModified,
+		Stamps:       stamps,
+	})
 	c.reg.Op(ictx.Operation).Stores.Add(1)
 	if c.timed {
 		// A fill is the per-representation "miss": the entry was
 		// populated with this representation.
 		c.reg.Rep(store.Name()).Misses.Add(1)
 	}
-	sh.evictLocked(c.m.evictions)
-}
-
-// evictLocked removes least-recently-used entries until the shard is
-// within its budget slice. Callers hold s.mu.
-func (s *shard) evictLocked(evictions *obs.Counter) {
-	for s.tail != nil {
-		over := (s.limEntries >= 0 && int(s.nentries.Load()) > s.limEntries) ||
-			(s.limBytes >= 0 && int(s.nbytes.Load()) > s.limBytes)
-		if !over {
-			return
-		}
-		victim := s.tail
-		s.removeLocked(victim)
-		evictions.Add(1)
-	}
-}
-
-// pushFrontLocked inserts e at the head of the LRU list. Callers hold
-// s.mu.
-func (s *shard) pushFrontLocked(e *entry) {
-	e.prev = nil
-	e.next = s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
-// moveToFrontLocked marks e most recently used. Callers hold s.mu.
-func (s *shard) moveToFrontLocked(e *entry) {
-	if s.head == e {
-		return
-	}
-	s.unlinkLocked(e)
-	s.pushFrontLocked(e)
-}
-
-// removeLocked deletes e from the table and list. Callers hold s.mu.
-func (s *shard) removeLocked(e *entry) {
-	delete(s.table, e.digest)
-	s.unlinkLocked(e)
-	s.nbytes.Add(-int64(e.size))
-	s.nentries.Add(-1)
-	e.payload = nil
-}
-
-// unlinkLocked detaches e from the list. Callers hold s.mu.
-func (s *shard) unlinkLocked(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

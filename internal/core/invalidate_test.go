@@ -323,7 +323,7 @@ func TestRevalidation304RaceFallsBackToRefetch(t *testing.T) {
 	})
 	backend := &validatorNext{f: f, t: t, lastMod: time.Unix(500, 0), answer304: true}
 	// The write lands while the conditional request is in flight: the
-	// entry passed the staleValidator check, the server answers 304, and
+	// entry passed the Validator lookup, the server answers 304, and
 	// refreshStale must notice the bump and force an unconditional
 	// refetch instead of refreshing pre-write data.
 	backend.onCond = func() {

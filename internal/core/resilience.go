@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/invalidate"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/soap"
 )
@@ -15,82 +15,56 @@ import (
 // coalescing (Config.Coalesce). Both extend the paper's cache beyond
 // its always-healthy-backend assumption; see DESIGN.md §5a.
 
-// flight is one in-flight miss invocation other invocations of the
-// same key can wait on.
-type flight struct {
-	done chan struct{} // closed when the leader finishes
-	err  error         // the leader's outcome; written before done closes
-}
-
 // invokeCoalesced collapses concurrent misses on one key into one
-// backend invocation. Flights live in the key's shard, so coalescing
-// bookkeeping on different shards never contends. The first miss
-// becomes the flight leader and runs the normal miss path; later
-// misses wait for it and serve themselves from the cache the leader
-// filled. A follower whose wait yields nothing usable (the leader's
-// response was uncacheable, or its entry was already evicted) falls
-// back to its own invocation rather than fail.
-func (c *Cache) invokeCoalesced(d keyDigest, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
-	sh := c.shard(d)
-	sh.flightMu.Lock()
-	if f, ok := sh.flights[d]; ok {
-		sh.flightMu.Unlock()
+// backend invocation (engine.Engine.Join). The first miss becomes the
+// flight leader and runs the normal miss path; later misses wait for it
+// and serve themselves from the cache the leader filled. A follower
+// whose wait yields nothing usable (the leader's response was
+// uncacheable, or its entry was already evicted) falls back to its own
+// invocation rather than fail.
+func (c *Cache) invokeCoalesced(d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+	f, leader := c.eng.Join(d)
+	if !leader {
 		return c.followFlight(f, d, op, ictx, next)
 	}
-	f := &flight{done: make(chan struct{})}
-	sh.flights[d] = f
-	sh.flightMu.Unlock()
-
-	// Retire the flight in a defer so a dying leader — a panicking
-	// store, handler, or transport anywhere down the chain — still
-	// closes the channel instead of stranding its followers forever.
-	// The panic propagates to the leader's caller; followers observe a
-	// nil flight error, find no entry, and fall back to their own
-	// invocations.
-	defer func() {
-		sh.flightMu.Lock()
-		delete(sh.flights, d)
-		sh.flightMu.Unlock()
-		close(f.done)
-	}()
-	f.err = c.invokeMiss(d, op, ictx, next)
-	return f.err
+	// Land in a defer so a dying leader — a panicking store, handler,
+	// or transport anywhere down the chain — still releases its
+	// followers instead of stranding them forever. The panic propagates
+	// to the leader's caller; followers observe a nil flight error, find
+	// no entry, and fall back to their own invocations.
+	defer c.eng.Land(d, f)
+	f.Err = c.invokeMiss(d, op, ictx, next)
+	return f.Err
 }
 
 // followFlight waits for the flight leader and serves the follower's
 // invocation from the leader's outcome.
-func (c *Cache) followFlight(f *flight, d keyDigest, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+func (c *Cache) followFlight(f *engine.Flight, d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
-	if ictx.Ctx != nil {
-		select {
-		case <-f.done:
-		case <-ictx.Ctx.Done():
-			if c.timed {
-				c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), ictx.Ctx.Err())
-			}
-			return ictx.Ctx.Err()
+	if err := f.Wait(ictx.Ctx); err != nil {
+		if c.timed {
+			c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), err)
 		}
-	} else {
-		<-f.done
+		return err
 	}
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), f.err)
+		c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), f.Err)
 	}
 	c.m.coalesced.Add(1)
 
-	if f.err != nil {
+	if f.Err != nil {
 		// The leader failed. The follower is as entitled to degraded
 		// serving as the leader was; otherwise it shares the error.
-		if result, ok := c.staleOnError(d, ictx.Operation, f.err); ok {
+		if result, ok := c.staleOnError(d, ictx.Operation, f.Err); ok {
 			ictx.Result = result
 			ictx.CacheHit = true
 			ictx.ServedStale = true
 			return nil
 		}
-		return f.err
+		return f.Err
 	}
 	if result, ok := c.lookup(d, ictx.Operation); ok {
 		ictx.Result = result
@@ -108,7 +82,7 @@ func (c *Cache) followFlight(f *flight, d keyDigest, op OperationPolicy, ictx *c
 // window after a backend failure. SOAP faults are excluded: a fault is
 // an application-level answer from a live backend, and masking it with
 // stale data would change program behaviour, not availability.
-func (c *Cache) staleOnError(d keyDigest, op string, err error) (any, bool) {
+func (c *Cache) staleOnError(d engine.Key, op string, err error) (any, bool) {
 	if c.staleIfError <= 0 {
 		return nil, false
 	}
@@ -117,59 +91,20 @@ func (c *Cache) staleOnError(d keyDigest, op string, err error) (any, bool) {
 		return nil, false
 	}
 
-	sh := c.shard(d)
-	sh.mu.Lock()
-	e, ok := sh.table[d]
-	if !ok {
-		sh.mu.Unlock()
+	// ServeStale also serves a fresh entry (one can appear between the
+	// miss and this recovery when another invocation refills the key).
+	hit, st := c.eng.Lookup(d, engine.ServeStale)
+	if st != engine.Found {
+		if st == engine.Invalidated {
+			// Degraded mode must never resurrect a write-invalidated
+			// entry: its data provably predates a committed write, and
+			// serving it would trade an availability gap for a
+			// correctness violation. The refusal is counted so operators
+			// can see degraded serving being denied by invalidation.
+			c.m.staleRefused.Add(1)
+		}
 		return nil, false
 	}
-	if invalidate.Stale(e.stamps) {
-		// Degraded mode must never resurrect a write-invalidated entry:
-		// its data provably predates a committed write, and serving it
-		// would trade an availability gap for a correctness violation.
-		// The refusal is counted so operators can see degraded serving
-		// being denied by invalidation.
-		sh.removeLocked(e)
-		sh.mu.Unlock()
-		c.m.invalidations.Add(1)
-		c.m.staleRefused.Add(1)
-		return nil, false
-	}
-	now := c.now()
-	// Serve a fresh entry too (it can appear between the miss and this
-	// recovery when another invocation refills the key); otherwise the
-	// entry must be within its grace window.
-	if e.expired(now) && !c.withinStaleWindow(e, now) {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.moveToFrontLocked(e)
-	payload, store := e.payload, e.store
-	sh.mu.Unlock()
 	c.m.staleServes.Add(1)
-
-	result, ok := c.loadPayload(op, store, payload)
-	if !ok {
-		c.m.errors.Add(1)
-		return nil, false
-	}
-	return result, true
-}
-
-// withinStaleWindow reports whether an expired entry is still eligible
-// for stale-on-error serving at now.
-func (c *Cache) withinStaleWindow(e *entry, now time.Time) bool {
-	return c.staleIfError > 0 && !now.After(e.expires.Add(c.staleIfError))
-}
-
-// retainStaleLocked reports whether an expired entry must be kept for a
-// later degraded use: 304 revalidation (validator present) or
-// stale-on-error serving (grace window not yet passed). Callers hold
-// the entry's shard lock.
-func (c *Cache) retainStaleLocked(e *entry, now time.Time) bool {
-	if c.revalidate && !e.lastModified.IsZero() {
-		return true
-	}
-	return c.withinStaleWindow(e, now)
+	return c.loadPayload(op, hit.Value, c.m.errors)
 }

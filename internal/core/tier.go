@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
-	"errors"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/invalidate"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/tier"
@@ -24,12 +22,9 @@ import (
 // WireSelector picks (per-tier representation selection: L1 keeps the
 // full Table 3 menu, remote tiers get the byte-oriented subset).
 //
-// Server side: Cache itself implements tier.Tier, so a cluster.Server
-// can expose any ordinary cache as a shared daemon (cmd/wscached).
-// Entries arrive already encoded; the daemon stores the bytes, stamps
-// them against its own epoch table, and refuses fills whose stamps a
-// committed write has overtaken — born-stale entries never enter the
-// shared tier.
+// Server side: Cache embeds engine.Tier — the implementation
+// cmd/wscached serves — so a cluster.Server can expose an in-process
+// cache as a shared daemon.
 
 // tierCounters are the per-tier traffic counters, exposed through the
 // "tiers" inspection alongside each tier's own TierStats. Plain
@@ -44,9 +39,9 @@ type tierCounters struct {
 }
 
 // tierKeyFor computes the cross-process tier key for an invocation.
-// Unlike keyDigest (per-process maphash seeds), tier.KeyOf is a fixed
-// function of the key bytes, so every process sharing a daemon — and
-// the same KeyGen configuration — computes the same key.
+// Unlike the L1 digest (per-process maphash seeds), tier.KeyOf is a
+// fixed function of the key bytes, so every process sharing a daemon —
+// and the same KeyGen configuration — computes the same key.
 func (c *Cache) tierKeyFor(ictx *client.Context) (tier.Key, error) {
 	if c.keyapp != nil {
 		bp := keyBufPool.Get().(*[]byte)
@@ -78,7 +73,7 @@ func (c *Cache) tierKeyFor(ictx *client.Context) (tier.Key, error) {
 // and the next lookup refetches; stamping after the Get instead would
 // mint fresh stamps onto a value the tier served before it learned of
 // that write. Conservative misses, never stale hits.
-func (c *Cache) tierServe(d keyDigest, tk tier.Key, ictx *client.Context) (any, bool) {
+func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any, bool) {
 	ctx := ictx.Ctx
 	stamps := c.readStamps(ictx)
 	for i := range c.tiers {
@@ -111,40 +106,20 @@ func (c *Cache) tierServe(d keyDigest, tk tier.Key, ictx *client.Context) (any, 
 		}
 		c.tierm[i].hits.Add(1)
 		c.m.tierHits.Add(1)
-		c.fillPromoted(d, payload, store, len(e.Value), e.TTL, stamps)
-		result, ok := c.loadPayload(ictx.Operation, store, payload)
-		if !ok {
-			c.m.tierErrors.Add(1)
-			continue
+		// Promote into L1 carrying the tier entry's remaining TTL (zero =
+		// no expiry, matching the daemon).
+		v := value{payload: payload, store: store}
+		c.eng.Insert(d, engine.Item[value]{
+			Value:  v,
+			Size:   len(e.Value),
+			TTL:    e.TTL,
+			Stamps: stamps,
+		})
+		if result, ok := c.loadPayload(ictx.Operation, v, c.m.tierErrors); ok {
+			return result, true
 		}
-		return result, true
 	}
 	return nil, false
-}
-
-// fillPromoted inserts a tier-served payload into L1, carrying the
-// tier entry's remaining TTL (zero = no expiry, matching the daemon).
-func (c *Cache) fillPromoted(d keyDigest, payload any, store rep.ValueStore, size int, ttl time.Duration, stamps []invalidate.Stamp) {
-	var expires time.Time
-	if ttl > 0 {
-		expires = c.now().Add(ttl)
-	}
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.table[d]; ok {
-		sh.removeLocked(old)
-	}
-	e := &entry{
-		digest: d, payload: payload, size: size,
-		expires: expires, store: store, ttl: ttl, stamps: stamps,
-	}
-	sh.table[d] = e
-	sh.pushFrontLocked(e)
-	sh.nbytes.Add(int64(size))
-	sh.nentries.Add(1)
-	c.m.stores.Add(1)
-	sh.evictLocked(c.m.evictions)
 }
 
 // tierStamps snapshots, per configured tier, the epochs that tier is
@@ -207,194 +182,6 @@ func (c *Cache) tierFill(tk tier.Key, op OperationPolicy, ictx *client.Context, 
 			continue
 		}
 		c.tierm[i].stores.Add(1)
-	}
-}
-
-// --- Cache as a tier.Tier (the daemon side) --------------------------
-
-var _ tier.Tier = (*Cache)(nil)
-
-// wirePayload is the payload form of an entry held for remote clients:
-// the chosen representation's name and its encoded bytes, exactly as
-// they travel.
-type wirePayload struct {
-	rep  string
-	data []byte
-}
-
-// wirePayloadStore is the ValueStore attached to wire entries. They
-// are served back over the wire, never materialized in the daemon, so
-// both directions refuse.
-type wirePayloadStore struct{}
-
-func (wirePayloadStore) Name() string { return "wire" }
-
-func (wirePayloadStore) Store(*client.Context) (any, int, error) {
-	return nil, 0, errors.New("core: wire payload store holds only tier entries")
-}
-
-func (wirePayloadStore) Load(any) (any, error) {
-	return nil, errors.New("core: a wire payload cannot be materialized in-process")
-}
-
-// tierDigest maps a cross-process tier key onto the shard structure.
-// Tier keys and client-path digests share the table; both are uniform
-// 128-bit values, so coexistence is collision-safe to the same odds
-// as the digests themselves.
-func tierDigest(k tier.Key) keyDigest { return keyDigest{hi: k.Hi, lo: k.Lo} }
-
-// Name implements tier.Tier.
-func (c *Cache) Name() string { return "l1" }
-
-// Get implements tier.Tier: look up a wire entry by tier key. The
-// freshness ladder matches the in-process lookup — stale stamps drop
-// the entry, TTL expiry retains it only if the resilience config still
-// has a use for it — and the returned TTL is the remaining lifetime,
-// so a promoting client cannot outlive the daemon's own deadline.
-func (c *Cache) Get(_ context.Context, k tier.Key) (tier.Entry, bool, error) {
-	d := tierDigest(k)
-	sh := c.shard(d)
-	sh.mu.Lock()
-	e, ok := sh.table[d]
-	if !ok {
-		sh.mu.Unlock()
-		c.m.misses.Add(1)
-		return tier.Entry{}, false, nil
-	}
-	if invalidate.Stale(e.stamps) {
-		sh.removeLocked(e)
-		sh.mu.Unlock()
-		c.m.invalidations.Add(1)
-		c.m.misses.Add(1)
-		return tier.Entry{}, false, nil
-	}
-	now := c.now()
-	if e.expired(now) {
-		if !c.retainStaleLocked(e, now) {
-			sh.removeLocked(e)
-		}
-		sh.mu.Unlock()
-		c.m.expirations.Add(1)
-		c.m.misses.Add(1)
-		return tier.Entry{}, false, nil
-	}
-	wp, ok := e.payload.(*wirePayload)
-	if !ok {
-		// A client-path entry under a colliding digest; not servable as
-		// bytes.
-		sh.mu.Unlock()
-		c.m.misses.Add(1)
-		return tier.Entry{}, false, nil
-	}
-	var remaining time.Duration
-	if !e.expires.IsZero() {
-		remaining = e.expires.Sub(now)
-	}
-	sh.moveToFrontLocked(e)
-	sh.mu.Unlock()
-	c.m.hits.Add(1)
-	return tier.Entry{Rep: wp.rep, Value: wp.data, TTL: remaining}, true, nil
-}
-
-// PutStamps implements tier.Tier: this cache's current epochs for the
-// keyspaces, the snapshot a client takes (through the cluster
-// protocol, via its mirror) before the backend read it intends to
-// cache.
-func (c *Cache) PutStamps(_ tier.Key, keyspaces []string) []tier.Stamp {
-	stamps := make([]tier.Stamp, len(keyspaces))
-	for i, ks := range keyspaces {
-		stamps[i] = tier.Stamp{Keyspace: ks}
-		if c.inval != nil {
-			stamps[i].Epoch = c.inval.Epoch(invalidate.Keyspace(ks))
-		}
-	}
-	return stamps
-}
-
-// Put implements tier.Tier: store an already-encoded entry under the
-// sender's pre-read epoch snapshot. A snapshot any committed write has
-// overtaken makes the entry born-stale — it is refused (silently;
-// refusal is the protocol working, not an error) rather than stored
-// and filtered later, so a daemon restart or slow client can never
-// park a stale value where the whole fleet would find it.
-func (c *Cache) Put(_ context.Context, k tier.Key, te tier.Entry) error {
-	var stamps []invalidate.Stamp
-	if c.inval != nil && len(te.Stamps) > 0 {
-		stamps = make([]invalidate.Stamp, len(te.Stamps))
-		for i, s := range te.Stamps {
-			stamps[i] = c.inval.StampWith(invalidate.Keyspace(s.Keyspace), s.Epoch)
-		}
-		if invalidate.Stale(stamps) {
-			c.m.tierRefused.Add(1)
-			return nil
-		}
-	}
-	var expires time.Time
-	if te.TTL > 0 {
-		expires = c.now().Add(te.TTL)
-	}
-	d := tierDigest(k)
-	size := len(te.Value) + len(te.Rep)
-	sh := c.shard(d)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if old, ok := sh.table[d]; ok {
-		sh.removeLocked(old)
-	}
-	e := &entry{
-		digest:  d,
-		payload: &wirePayload{rep: te.Rep, data: te.Value},
-		size:    size,
-		expires: expires,
-		store:   wirePayloadStore{},
-		ttl:     te.TTL,
-		stamps:  stamps,
-	}
-	sh.table[d] = e
-	sh.pushFrontLocked(e)
-	sh.nbytes.Add(int64(size))
-	sh.nentries.Add(1)
-	c.m.stores.Add(1)
-	sh.evictLocked(c.m.evictions)
-	return nil
-}
-
-// Delete implements tier.Tier.
-func (c *Cache) Delete(_ context.Context, k tier.Key) error {
-	d := tierDigest(k)
-	sh := c.shard(d)
-	sh.mu.Lock()
-	if e, ok := sh.table[d]; ok {
-		sh.removeLocked(e)
-	}
-	sh.mu.Unlock()
-	return nil
-}
-
-// BumpEpoch implements tier.Tier: apply epoch advances pushed by a
-// remote process. ApplyRemote (not Bump) so the daemon's own OnBump
-// hooks — if any — do not re-broadcast a bump that originated
-// elsewhere.
-func (c *Cache) BumpEpoch(_ context.Context, keyspaces []string) error {
-	if c.inval == nil {
-		return errors.New("core: cache has no invalidator; epoch bumps cannot be applied")
-	}
-	for _, ks := range keyspaces {
-		c.inval.ApplyRemote(invalidate.Keyspace(ks))
-	}
-	return nil
-}
-
-// TierStats implements tier.Tier.
-func (c *Cache) TierStats() tier.Stats {
-	s := c.Stats()
-	return tier.Stats{
-		Hits:    s.Hits,
-		Misses:  s.Misses,
-		Stores:  s.Stores,
-		Errors:  s.Errors,
-		Entries: s.Entries,
-		Bytes:   s.Bytes,
 	}
 }
 

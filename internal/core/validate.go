@@ -3,14 +3,29 @@ package core
 import (
 	"fmt"
 
+	"repro/internal/engine"
 	"repro/internal/rep"
 )
 
+// engineConfig is the slice of the configuration the engine runs on:
+// sizing, the clock, and the stale-retention rule the resilience
+// options imply.
+func (cfg Config) engineConfig() engine.Config {
+	return engine.Config{
+		MaxEntries:      cfg.MaxEntries,
+		MaxBytes:        cfg.MaxBytes,
+		Shards:          cfg.Shards,
+		Clock:           cfg.Clock,
+		RetainValidated: cfg.Revalidate,
+		StaleWindow:     cfg.StaleIfError,
+	}
+}
+
 // Validate checks the configuration without building a cache,
 // returning the first problem found as a descriptive error. New calls
-// it; binaries that assemble a Config from flags (cmd/wscached,
-// cmd/dummygoogle) call it directly so a bad flag fails at startup
-// with the same message a programmatic misuse would get.
+// it, so a Config assembled from flags (cmd/wsclient) fails at startup
+// with the message a programmatic misuse would get. Sizing and the
+// stale window are the engine's to check.
 func (cfg Config) Validate() error {
 	if cfg.KeyGen == nil {
 		return fmt.Errorf("core: Config.KeyGen is required")
@@ -18,20 +33,11 @@ func (cfg Config) Validate() error {
 	if cfg.Store == nil && cfg.Rep == nil {
 		return fmt.Errorf("core: Config.Store is required (or set Config.Rep for the adaptive default)")
 	}
-	if cfg.MaxEntries < 0 {
-		return fmt.Errorf("core: Config.MaxEntries is %d; bounds must be ≥ 0 (0 means unbounded)", cfg.MaxEntries)
-	}
-	if cfg.MaxBytes < 0 {
-		return fmt.Errorf("core: Config.MaxBytes is %d; bounds must be ≥ 0 (0 means unbounded)", cfg.MaxBytes)
-	}
-	if cfg.Shards < 0 {
-		return fmt.Errorf("core: Config.Shards is %d; want ≥ 0 (0 picks the default)", cfg.Shards)
+	if err := cfg.engineConfig().Validate(); err != nil {
+		return err
 	}
 	if cfg.DefaultTTL < 0 {
 		return fmt.Errorf("core: Config.DefaultTTL is %v; negative lifetimes are not valid (0 means never expire)", cfg.DefaultTTL)
-	}
-	if cfg.StaleIfError < 0 {
-		return fmt.Errorf("core: Config.StaleIfError is %v; want ≥ 0 (0 disables degraded serving)", cfg.StaleIfError)
 	}
 	for i, t := range cfg.Tiers {
 		if t == nil {

@@ -114,6 +114,16 @@ func (g *Graph) writeSet(op string, params []soap.Param) []Keyspace {
 	return f(params)
 }
 
+// Declared reports whether op has a declared read or write set: its
+// responses depend on, or its calls change, state the graph tracks. A
+// cache with no invalidator behind it can safely hold only the
+// operations for which this is false.
+func (g *Graph) Declared(op string) bool {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return g.reads[op] != nil || g.writes[op] != nil
+}
+
 // WritesDeclared reports whether op has a declared write set.
 func (g *Graph) WritesDeclared(op string) bool {
 	g.mu.RLock()

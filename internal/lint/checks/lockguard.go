@@ -214,7 +214,14 @@ func checkLockUse(pass *lint.Pass, fn *ast.FuncDecl, groups map[*types.Named][]l
 		if named == nil {
 			return true
 		}
+		// Groups are keyed by the declared struct and its declared
+		// fields; an access through an instantiated generic type (the
+		// engine's shard[V]) resolves to copies of both.
+		named = named.Origin()
 		fieldObj := selection.Obj()
+		if v, ok := fieldObj.(*types.Var); ok {
+			fieldObj = v.Origin()
+		}
 		for _, g := range groups[named] {
 			if !g.fields[fieldObj] || reported[fieldObj] {
 				continue

@@ -76,17 +76,6 @@ func (s *Site) SetFailSoft(on bool) { s.failSoft = on }
 // (unavailable) form since the site was built.
 func (s *Site) DegradedSections() int64 { return s.degraded.Load() }
 
-// Render produces the portal page for a query by invoking every back
-// end through the client middleware.
-//
-// Deprecated: Render severs the page from its caller's cancellation by
-// minting a root context per back-end call. Use RenderContext; HTTP
-// handlers should pass r.Context() so an abandoned request stops
-// invoking back ends.
-func (s *Site) Render(query string) (string, error) {
-	return s.RenderContext(context.Background(), query)
-}
-
 // RenderContext produces the portal page for a query by invoking every
 // back end through the client middleware, under the caller's context:
 // cancelling ctx aborts the remaining back-end invocations.

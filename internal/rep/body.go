@@ -4,78 +4,17 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"strings"
 
 	"repro/internal/sax"
 )
 
-// BodyStore is the server-side analog of ValueStore: a representation
-// for fully encoded response envelopes held by the server response
-// cache. Store converts the encoded body into the cached payload and
-// reports its resident size; Load materializes the bytes to serve a
-// hit. Unlike ValueStore there is no object graph — the server cache
-// sits below deserialization — so the trade is purely memory versus
-// re-materialization cost.
-type BodyStore interface {
-	// Name identifies the representation in reports and flags.
-	Name() string
-	// Store converts an encoded response body into the cached payload.
-	// The body must not be retained; copy whatever is kept.
-	Store(body []byte) (payload any, size int, err error)
-	// Load materializes the encoded body from a payload. The returned
-	// slice is owned by the caller's response path and must not alias
-	// cached state that a later Load would reuse destructively.
-	Load(payload any) ([]byte, error)
-}
-
-// BodyStreamer is the optional BodyStore extension for the zero-copy
-// hit path: WriteBody replays a payload straight into the response
-// writer, skipping Load's []byte materialization. The server cache
-// type-asserts for it and streams when present.
-type BodyStreamer interface {
-	WriteBody(payload any, w io.Writer) (int64, error)
-}
-
-// RawBodyStore keeps the encoded bytes as-is: zero materialization
-// cost on a hit, full body size resident. The server cache's default.
-type RawBodyStore struct{}
-
-var _ BodyStore = RawBodyStore{}
-var _ BodyStreamer = RawBodyStore{}
-
-// NewRawBodyStore returns the identity body representation.
-func NewRawBodyStore() RawBodyStore { return RawBodyStore{} }
-
-// Name implements BodyStore.
-func (RawBodyStore) Name() string { return "Raw bytes" }
-
-// Store implements BodyStore.
-func (RawBodyStore) Store(body []byte) (any, int, error) {
-	cp := make([]byte, len(body))
-	copy(cp, body)
-	return cp, len(cp), nil
-}
-
-// Load implements BodyStore.
-func (RawBodyStore) Load(payload any) ([]byte, error) {
-	body, ok := payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("rep: raw body store: payload is %T", payload)
-	}
-	return body, nil
-}
-
-// WriteBody implements BodyStreamer: one write, no copy.
-//
-//lint:hotpath
-func (RawBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
-	body, ok := payload.([]byte)
-	if !ok {
-		return 0, errRawBodyPayload
-	}
-	n, err := w.Write(body)
-	return int64(n), err
-}
+// This file holds the non-default representations for the server
+// response cache: implementations of server.BodyStore, the server-side
+// analog of ValueStore. The contract is declared once, by its consumer
+// (package server, which must stay independent of the client stack and
+// so cannot be imported from here); these types satisfy it
+// structurally, and the places that hand them to the server cache
+// (cmd/dummygoogle, the server tests) are the compile-time check.
 
 // CompactBodyStore parses the encoded body into a SAX event sequence
 // and keeps it in the string-interned compact form; a hit re-renders
@@ -85,15 +24,13 @@ func (RawBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
 // client cache measures in Table 7.
 type CompactBodyStore struct{}
 
-var _ BodyStore = CompactBodyStore{}
-
 // NewCompactBodyStore returns the compact-events body representation.
 func NewCompactBodyStore() CompactBodyStore { return CompactBodyStore{} }
 
-// Name implements BodyStore.
+// Name implements server.BodyStore.
 func (CompactBodyStore) Name() string { return "SAX events (compact)" }
 
-// Store implements BodyStore.
+// Store implements server.BodyStore.
 func (CompactBodyStore) Store(body []byte) (any, int, error) {
 	events, err := sax.Record(body)
 	if err != nil {
@@ -103,7 +40,7 @@ func (CompactBodyStore) Store(body []byte) (any, int, error) {
 	return seq, seq.MemSize(), nil
 }
 
-// Load implements BodyStore.
+// Load implements server.BodyStore.
 func (CompactBodyStore) Load(payload any) ([]byte, error) {
 	seq, ok := payload.(*sax.CompactSequence)
 	if !ok {
@@ -114,6 +51,18 @@ func (CompactBodyStore) Load(payload any) ([]byte, error) {
 		return nil, fmt.Errorf("rep: compact body store: %w", err)
 	}
 	return []byte(doc), nil
+}
+
+// WriteBody implements server.BodyStore: the events are rendered in
+// full before the first byte goes out, so a payload that no longer
+// renders fails with nothing written.
+func (s CompactBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
+	doc, err := s.Load(payload)
+	if err != nil {
+		return 0, err
+	}
+	n, err := w.Write(doc)
+	return int64(n), err
 }
 
 // TemplateBodyStore is the server-side differential-serialization
@@ -160,18 +109,15 @@ func xmlPrologue(body []byte) string {
 	return string(body[:end])
 }
 
-var _ BodyStore = (*TemplateBodyStore)(nil)
-var _ BodyStreamer = (*TemplateBodyStore)(nil)
-
 // NewTemplateBodyStore returns the splice-template body representation.
 func NewTemplateBodyStore() *TemplateBodyStore {
 	return &TemplateBodyStore{tc: newTemplateCache()}
 }
 
-// Name implements BodyStore.
+// Name implements server.BodyStore.
 func (s *TemplateBodyStore) Name() string { return "XML template (splice)" }
 
-// Store implements BodyStore.
+// Store implements server.BodyStore.
 func (s *TemplateBodyStore) Store(body []byte) (any, int, error) {
 	events, err := sax.Record(body)
 	if err != nil {
@@ -185,7 +131,7 @@ func (s *TemplateBodyStore) Store(body []byte) (any, int, error) {
 	return &splicedBody{prologue: prologue, doc: p}, resident + len(prologue), nil
 }
 
-// Load implements BodyStore.
+// Load implements server.BodyStore.
 func (s *TemplateBodyStore) Load(payload any) ([]byte, error) {
 	p, ok := payload.(*splicedBody)
 	if !ok {
@@ -196,7 +142,7 @@ func (s *TemplateBodyStore) Load(payload any) ([]byte, error) {
 	return p.doc.tpl.AppendSplice(out, p.doc.values), nil
 }
 
-// WriteBody implements BodyStreamer: prologue then spliced document,
+// WriteBody implements server.BodyStore: prologue then spliced document,
 // through the shared splice buffer pool.
 //
 //lint:hotpath
@@ -219,18 +165,3 @@ func (s *TemplateBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
 
 // Stats snapshots the store's template interner.
 func (s *TemplateBodyStore) Stats() TemplateStats { return s.tc.stats() }
-
-// BodyStoreFor resolves a server body representation by name:
-// "raw" (default), "compact-sax", or "xmltmpl".
-func BodyStoreFor(name string) (BodyStore, error) {
-	switch strings.ToLower(name) {
-	case "", "raw":
-		return NewRawBodyStore(), nil
-	case "compact-sax", "compactsax", "compact":
-		return NewCompactBodyStore(), nil
-	case "xmltmpl", "template", "tmpl":
-		return NewTemplateBodyStore(), nil
-	default:
-		return nil, fmt.Errorf("rep: unknown body representation %q (have raw, compact-sax, xmltmpl)", name)
-	}
-}

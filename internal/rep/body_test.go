@@ -1,32 +1,9 @@
 package rep
 
 import (
-	"strings"
+	"bytes"
 	"testing"
 )
-
-func TestRawBodyStoreRoundTrip(t *testing.T) {
-	store := NewRawBodyStore()
-	body := []byte(`<x>hello</x>`)
-	payload, size, err := store.Store(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != len(body) {
-		t.Errorf("size = %d, want %d", size, len(body))
-	}
-	body[1] = '!' // the caller's buffer must not be retained
-	got, err := store.Load(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != `<x>hello</x>` {
-		t.Errorf("load = %q", got)
-	}
-	if _, err := store.Load(42); err == nil {
-		t.Error("bad payload accepted")
-	}
-}
 
 func TestCompactBodyStoreRoundTrip(t *testing.T) {
 	f := newFixture(t)
@@ -55,31 +32,18 @@ func TestCompactBodyStoreRoundTrip(t *testing.T) {
 	if !ok || gi.Name != "x" || len(gi.Tags) != 2 {
 		t.Errorf("decoded %#v", msg.Result())
 	}
+	// The streaming form writes exactly what Load materializes.
+	var streamed bytes.Buffer
+	if n, err := store.WriteBody(payload, &streamed); err != nil || int(n) != len(got) || !bytes.Equal(streamed.Bytes(), got) {
+		t.Errorf("WriteBody wrote %d bytes, err %v; want Load's %d bytes", n, err, len(got))
+	}
 	if _, err := store.Load(42); err == nil {
 		t.Error("bad payload accepted")
 	}
+	if n, err := store.WriteBody(42, &streamed); err == nil || n != 0 {
+		t.Errorf("WriteBody(bad payload) = %d, %v; want 0 bytes and an error", n, err)
+	}
 	if _, _, err := store.Store([]byte("not xml <<<")); err == nil {
 		t.Error("unparseable body accepted")
-	}
-}
-
-func TestBodyStoreFor(t *testing.T) {
-	for name, want := range map[string]string{
-		"":            "Raw bytes",
-		"raw":         "Raw bytes",
-		"compact-sax": "SAX events (compact)",
-		"compact":     "SAX events (compact)",
-	} {
-		s, err := BodyStoreFor(name)
-		if err != nil {
-			t.Errorf("BodyStoreFor(%q): %v", name, err)
-			continue
-		}
-		if s.Name() != want {
-			t.Errorf("BodyStoreFor(%q) = %q, want %q", name, s.Name(), want)
-		}
-	}
-	if _, err := BodyStoreFor("zip"); err == nil || !strings.Contains(err.Error(), "zip") {
-		t.Errorf("err = %v", err)
 	}
 }

@@ -45,7 +45,6 @@ type Streamed interface {
 var (
 	errRawPayload     = errors.New("rep: raw stream store: payload is not *RawResponse")
 	errSplicedPayload = errors.New("rep: template store: payload is not *SplicedResponse")
-	errRawBodyPayload = errors.New("rep: raw body store: payload is not []byte")
 )
 
 // RawResponse is the "raw" payload and hit result: the exact response

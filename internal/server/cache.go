@@ -4,40 +4,41 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/clock"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/soap"
 )
 
-// BodyStore is the resident representation for cached response bodies.
-// It is declared here (consumer-side) rather than imported so the
-// server package stays independent of the client stack; the rep
-// package's body stores (rep.RawBodyStore, rep.CompactBodyStore — see
-// rep.BodyStoreFor) satisfy it structurally.
+// BodyStore is the resident representation for cached response bodies:
+// the server-side analog of rep.ValueStore. The server cache sits below
+// deserialization, so there is no object graph and the trade is purely
+// memory versus re-materialization cost. This is the one declaration of
+// the contract, on the consumer's side so the server package stays
+// independent of the client stack; the non-default implementations
+// (rep.CompactBodyStore, rep.TemplateBodyStore) satisfy it structurally.
 type BodyStore interface {
 	// Name identifies the representation in reports and flags.
 	Name() string
 	// Store converts an encoded response body into the cached payload
-	// and reports its resident size. The body must not be retained.
+	// and reports its resident size. The body must not be retained; copy
+	// whatever is kept.
 	Store(body []byte) (payload any, size int, err error)
-	// Load materializes the encoded body from a payload.
+	// Load materializes the encoded body from a payload, for Handle. The
+	// returned slice is owned by the caller's response path and must not
+	// alias cached state that a later Load would reuse destructively.
 	Load(payload any) ([]byte, error)
+	// WriteBody replays a payload straight into the response writer, for
+	// ServeHTTP: no []byte materialization between the cache and the
+	// wire. An error with n == 0 means nothing was written and the
+	// request can still be served another way.
+	WriteBody(payload any, w io.Writer) (n int64, err error)
 }
 
-// BodyStreamer is the optional BodyStore extension for the zero-copy
-// hit path: WriteBody replays a cached payload straight into the
-// response writer, skipping Load's []byte materialization. Declared
-// consumer-side like BodyStore; rep's body stores satisfy it
-// structurally. When the configured store implements it, ServeHTTP
-// serves hits by streaming.
-type BodyStreamer interface {
-	WriteBody(payload any, w io.Writer) (int64, error)
-}
-
-// rawBody is the default BodyStore: the encoded bytes as-is.
+// rawBody is the default BodyStore: the encoded bytes as-is. Zero
+// materialization cost on a hit, full body size resident.
 type rawBody struct{}
 
 func (rawBody) Name() string { return "Raw bytes" }
@@ -56,36 +57,39 @@ func (rawBody) Load(payload any) ([]byte, error) {
 	return body, nil
 }
 
-// WriteBody implements BodyStreamer: a hit is one write of the cached
-// bytes, so even the default configuration takes the streaming path.
-func (rawBody) WriteBody(payload any, w io.Writer) (int64, error) {
-	body, ok := payload.([]byte)
-	if !ok {
-		return 0, fmt.Errorf("server: raw body payload is %T", payload)
+// WriteBody is one write of the cached bytes, no copy.
+func (r rawBody) WriteBody(payload any, w io.Writer) (int64, error) {
+	body, err := r.Load(payload)
+	if err != nil {
+		return 0, err
 	}
 	n, err := w.Write(body)
 	return int64(n), err
 }
 
 // ResponseCache is the server-side counterpart of the client cache: it
-// stores fully encoded response envelopes keyed by the raw request
-// body, so repeated identical requests skip decoding, the handler, and
-// re-encoding. The paper's related-work section surveys this family
+// stores fully encoded response envelopes keyed by a digest of the raw
+// request body, so repeated identical requests skip decoding, the
+// handler, and re-encoding. The table is an engine.Engine — the same
+// shards, LRU and freshness ladder as the client cache; this type adds
+// only the HTTP/SOAP front end and the body representation
+// (DESIGN.md §5j). The paper's related-work section surveys this family
 // (dynamic Web data caching at the server side); it composes with — and
 // is orthogonal to — the client-side cache that is the paper's focus.
 //
-// Keying on raw request bytes requires byte-identical requests for a
-// hit; SOAP clients (including this repository's) serialize
+// Keying on the request bytes requires byte-identical requests for a
+// hit (the key is the engine's seeded 128-bit digest of them, so the
+// request itself is never retained); SOAP clients (including this repository's) serialize
 // deterministically, so equivalent calls from the same stack match.
 // Clients with different prefix conventions simply miss and are served
 // normally.
 type ResponseCache struct {
-	inner      *Dispatcher
-	ttl        time.Duration
-	maxEntries int
-	cacheable  func(operation string) bool
-	now        func() time.Time
-	body       BodyStore
+	inner     *Dispatcher
+	ttl       time.Duration
+	cacheable func(operation string) bool
+	now       func() time.Time
+	body      BodyStore
+	eng       *engine.Engine[any] // request digest → BodyStore payload
 
 	// reg backs the hit/miss counters (never nil; Config.Obs or a
 	// private registry). timed gates stage latency recording, on only
@@ -95,28 +99,15 @@ type ResponseCache struct {
 	misses *obs.Counter
 	tracer obs.Tracer
 	timed  bool
-
-	mu    sync.Mutex
-	table map[string]*respEntry
-	head  *respEntry
-	tail  *respEntry
-}
-
-// respEntry is one cached encoded response, a node in the LRU list. The
-// payload is whatever the configured BodyStore produced from the
-// encoded body (raw bytes by default).
-type respEntry struct {
-	key        string
-	payload    any
-	expires    time.Time
-	prev, next *respEntry
 }
 
 // ResponseCacheConfig configures NewResponseCache.
 type ResponseCacheConfig struct {
 	// TTL bounds entry freshness; 0 means entries never expire.
 	TTL time.Duration
-	// MaxEntries bounds the table; 0 means 4096.
+	// MaxEntries bounds the table; 0 means 4096. The bound is sliced
+	// across the engine's shards, so a full cache holds at most — and
+	// with unevenly hashed keys fewer than — MaxEntries.
 	MaxEntries int
 	// Cacheable decides per operation; nil caches every operation.
 	Cacheable func(operation string) bool
@@ -133,7 +124,6 @@ type ResponseCacheConfig struct {
 	Tracer obs.Tracer
 	// Body chooses the resident representation for cached response
 	// bodies (paper Table 3 applied server-side); nil keeps raw bytes.
-	// rep.BodyStoreFor resolves the named implementations.
 	Body BodyStore
 }
 
@@ -150,19 +140,21 @@ func NewResponseCache(inner *Dispatcher, cfg ResponseCacheConfig) *ResponseCache
 	if body == nil {
 		body = rawBody{}
 	}
+	hits, misses := reg.Counter("server.hits"), reg.Counter("server.misses")
 	return &ResponseCache{
-		inner:      inner,
-		ttl:        cfg.TTL,
-		maxEntries: maxEntries,
-		cacheable:  cfg.Cacheable,
-		now:        now,
-		body:       body,
-		reg:        reg,
-		hits:       reg.Counter("server.hits"),
-		misses:     reg.Counter("server.misses"),
-		tracer:     cfg.Tracer,
-		timed:      cfg.Obs != nil || cfg.Tracer != nil,
-		table:      make(map[string]*respEntry),
+		inner:     inner,
+		ttl:       cfg.TTL,
+		cacheable: cfg.Cacheable,
+		now:       now,
+		body:      body,
+		eng: engine.New[any](
+			engine.Config{MaxEntries: maxEntries, Clock: cfg.Clock},
+			engine.Counters{Hits: hits, Misses: misses}),
+		reg:    reg,
+		hits:   hits,
+		misses: misses,
+		tracer: cfg.Tracer,
+		timed:  cfg.Obs != nil || cfg.Tracer != nil,
 	}
 }
 
@@ -180,176 +172,94 @@ func (c *ResponseCache) observe(op string, stage obs.Stage, d time.Duration, err
 }
 
 // Len returns the number of cached responses.
-func (c *ResponseCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.table)
+func (c *ResponseCache) Len() int { return c.eng.Len() }
+
+// cacheableOp sniffs the request's operation and reports whether this
+// request goes through the cache at all.
+func (c *ResponseCache) cacheableOp(request []byte) (op string, ok bool) {
+	op, err := soap.SniffOperation(request)
+	return op, err == nil && op != "" && (c.cacheable == nil || c.cacheable(op))
 }
 
 // Handle serves a request, from cache when possible. Faults are never
 // cached.
 func (c *ResponseCache) Handle(request []byte) ([]byte, bool, error) {
-	op, err := soap.SniffOperation(request)
-	if err != nil || op == "" || (c.cacheable != nil && !c.cacheable(op)) {
+	op, ok := c.cacheableOp(request)
+	if !ok {
 		return c.inner.Handle(request)
 	}
-
-	key := string(request)
-	if body, ok := c.lookup(key, op); ok {
-		return body, false, nil
+	key := c.eng.Digest(request)
+	if hit, ok := c.lookup(key, op); ok {
+		// Load outside the shard lock: for non-raw representations this
+		// re-renders the body and must not serialize concurrent hits.
+		body, err := c.body.Load(hit.Value)
+		if err == nil {
+			return body, false, nil
+		}
+		c.eng.Unhit(key, hit)
 	}
+	return c.fill(key, op, request)
+}
 
+// lookup is the one lookup behind Handle and ServeHTTP: the engine's
+// serving ladder, which counts the hit or miss, timed as the lookup
+// stage. A hit whose payload then fails to replay is re-booked with
+// Unhit — the origin gets called, so it must read as a miss.
+func (c *ResponseCache) lookup(key engine.Key, op string) (engine.Hit[any], bool) {
+	var start time.Time
+	if c.timed {
+		start = c.now()
+	}
+	hit, st := c.eng.Lookup(key, engine.Serve)
+	if c.timed {
+		c.observe(op, obs.StageServerLookup, c.now().Sub(start), nil)
+	}
+	return hit, st == engine.Found
+}
+
+// fill runs the handler and caches a successful response.
+func (c *ResponseCache) fill(key engine.Key, op string, request []byte) ([]byte, bool, error) {
 	body, isFault, err := c.inner.Handle(request)
 	if err != nil || isFault {
 		return body, isFault, err
 	}
-	c.store(key, op, body)
-	return body, false, nil
-}
-
-// lookup returns a fresh cached response; op names the operation for
-// stage attribution.
-func (c *ResponseCache) lookup(key, op string) ([]byte, bool) {
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
-	body, ok := c.lookupEntry(key)
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
+	// Bodies the representation cannot hold (e.g. a non-XML payload
+	// under compact SAX) are simply not cached.
+	if payload, size, err := c.body.Store(body); err == nil {
+		c.eng.Insert(key, engine.Item[any]{Value: payload, Size: size, TTL: c.ttl})
 	}
-	if c.timed {
-		c.observe(op, obs.StageServerLookup, c.now().Sub(start), nil)
-	}
-	return body, ok
-}
-
-// lookupEntry finds a fresh entry under the lock and materialises its
-// body from the resident representation.
-func (c *ResponseCache) lookupEntry(key string) ([]byte, bool) {
-	c.mu.Lock()
-	payload, ok := c.lookupPayloadLocked(key)
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	// Load outside the lock: for non-raw representations this re-renders
-	// the body and must not serialize concurrent hits.
-	body, err := c.body.Load(payload)
-	if err != nil {
-		// A payload the store can no longer serve counts as a miss; the
-		// entry is replaced on the refill.
-		return nil, false
-	}
-	return body, true
-}
-
-// lookupPayload returns a fresh entry's resident payload without
-// materializing the body — the streaming hit path's lookup. Counts
-// hits/misses and records the lookup stage like lookup.
-func (c *ResponseCache) lookupPayload(key, op string) (any, bool) {
-	var start time.Time
-	if c.timed {
-		start = c.now()
-	}
-	c.mu.Lock()
-	payload, ok := c.lookupPayloadLocked(key)
-	c.mu.Unlock()
-	if ok {
-		c.hits.Add(1)
-	} else {
-		c.misses.Add(1)
-	}
-	if c.timed {
-		c.observe(op, obs.StageServerLookup, c.now().Sub(start), nil)
-	}
-	return payload, ok
-}
-
-// lookupPayloadLocked returns the resident payload for a fresh entry.
-func (c *ResponseCache) lookupPayloadLocked(key string) (any, bool) {
-	e, ok := c.table[key]
-	if !ok {
-		return nil, false
-	}
-	if !e.expires.IsZero() && c.now().After(e.expires) {
-		c.removeLocked(e)
-		return nil, false
-	}
-	c.moveToFrontLocked(e)
-	return e.payload, true
-}
-
-// store inserts a response; op names the operation for stage
-// attribution.
-func (c *ResponseCache) store(key, op string, body []byte) {
-	var start time.Time
-	if c.timed {
-		start = c.now()
-	}
-	c.storeEntry(key, body)
 	if c.timed {
 		c.observe(op, obs.StageServerStore, c.now().Sub(start), nil)
 	}
-}
-
-// storeEntry converts the response body to its resident representation
-// and inserts it. Bodies the representation cannot hold (e.g. a
-// non-XML payload under compact SAX) are simply not cached.
-func (c *ResponseCache) storeEntry(key string, body []byte) {
-	var expires time.Time
-	if c.ttl > 0 {
-		expires = c.now().Add(c.ttl)
-	}
-	payload, _, err := c.body.Store(body)
-	if err != nil {
-		return
-	}
-
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if old, ok := c.table[key]; ok {
-		c.removeLocked(old)
-	}
-	e := &respEntry{key: key, payload: payload, expires: expires}
-	c.table[key] = e
-	c.pushFrontLocked(e)
-	for len(c.table) > c.maxEntries && c.tail != nil {
-		c.removeLocked(c.tail)
-	}
+	return body, false, nil
 }
 
 // ServeHTTP adapts the caching handler to HTTP, mirroring
-// Dispatcher.ServeHTTP (including validator behaviour). When the body
-// store implements BodyStreamer, hits replay the resident payload
-// straight into the response writer — no []byte materialization
-// between the cache and the wire.
+// Dispatcher.ServeHTTP (including validator behaviour). Hits replay the
+// resident payload straight into the response writer.
 func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	streamer, ok := c.body.(BodyStreamer)
-	if !ok {
-		serveSOAP(w, r, c.inner, c.Handle)
-		return
-	}
 	body, lastMod, ttl, done := soapPreamble(w, r, c.inner)
 	if done {
 		return
 	}
-	op, err := soap.SniffOperation(body)
-	if err != nil || op == "" || (c.cacheable != nil && !c.cacheable(op)) {
+	op, ok := c.cacheableOp(body)
+	if !ok {
 		resp, isFault, herr := c.inner.Handle(body)
 		writeSOAPResponse(w, lastMod, ttl, resp, isFault, herr)
 		return
 	}
-	key := string(body)
-	if payload, hit := c.lookupPayload(key, op); hit {
+	key := c.eng.Digest(body)
+	if hit, ok := c.lookup(key, op); ok {
 		var start time.Time
 		if c.timed {
 			start = c.now()
 		}
 		setSOAPHeaders(w, lastMod, ttl)
-		n, werr := streamer.WriteBody(payload, w)
+		n, werr := c.body.WriteBody(hit.Value, w)
 		if c.timed {
 			c.observe(op, obs.StageServerStream, c.now().Sub(start), werr)
 		}
@@ -359,54 +269,9 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		// The store could not replay the payload and nothing was
-		// written: fall through and refill from the handler.
+		// written: refill from the handler.
+		c.eng.Unhit(key, hit)
 	}
-	resp, isFault, herr := c.inner.Handle(body)
-	if herr == nil && !isFault {
-		c.store(key, op, resp)
-	}
+	resp, isFault, herr := c.fill(key, op, body)
 	writeSOAPResponse(w, lastMod, ttl, resp, isFault, herr)
-}
-
-// LRU plumbing (same shape as the client cache's, duplicated to keep
-// the packages independent).
-
-func (c *ResponseCache) pushFrontLocked(e *respEntry) {
-	e.prev = nil
-	e.next = c.head
-	if c.head != nil {
-		c.head.prev = e
-	}
-	c.head = e
-	if c.tail == nil {
-		c.tail = e
-	}
-}
-
-func (c *ResponseCache) moveToFrontLocked(e *respEntry) {
-	if c.head == e {
-		return
-	}
-	c.unlinkLocked(e)
-	c.pushFrontLocked(e)
-}
-
-func (c *ResponseCache) removeLocked(e *respEntry) {
-	delete(c.table, e.key)
-	c.unlinkLocked(e)
-	e.payload = nil
-}
-
-func (c *ResponseCache) unlinkLocked(e *respEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.head == e {
-		c.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.tail == e {
-		c.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
 }

@@ -132,18 +132,6 @@ func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// serveSOAP adapts a Handle-shaped function to HTTP with the
-// dispatcher's validator policy; shared by Dispatcher and
-// ResponseCache.
-func serveSOAP(w http.ResponseWriter, r *http.Request, d *Dispatcher, handle func([]byte) ([]byte, bool, error)) {
-	body, lastMod, ttl, done := soapPreamble(w, r, d)
-	if done {
-		return
-	}
-	resp, isFault, err := handle(body)
-	writeSOAPResponse(w, lastMod, ttl, resp, isFault, err)
-}
-
 // soapPreamble performs the HTTP boilerplate shared by every SOAP
 // endpoint: the POST-only check, the If-Modified-Since validator
 // answer, and the body read. done reports that the response is already

@@ -1,16 +1,17 @@
 // Package tier defines the cache-tier abstraction behind the L1→L2
 // hierarchy: a Tier stores opaque byte-oriented entries under
 // fixed-size keys, answers epoch-invalidation signals, and reports its
-// counters. Two implementations exist — the in-process sharded cache
-// (core.Cache, the L1) and the remote daemon client (cluster.Remote,
-// the L2 speaking to cmd/wscached) — so a cache stack composes them
+// counters. Two implementations exist — engine.Tier, the in-process
+// table of wire entries that cmd/wscached serves (and core.Cache embeds,
+// so a cache can stand in for a daemon), and cluster.Remote, the client
+// speaking to such a daemon over TCP — so a cache stack composes them
 // without knowing which side of a socket an entry lives on. The shape
 // follows the network cache daemon of Voras & Žagar ("Web-enabling
 // Cache Daemon for Complex Data") with the tiered client→daemon
 // layering of Pfeifer & Lockemann's transactional method caching.
 //
 // Keys are a 128-bit FNV-1a digest of the cache key bytes. Unlike the
-// core's maphash digest — which is deliberately seeded per process so
+// engine's maphash digest — which is deliberately seeded per process so
 // an adversary cannot predict shard routing — tier keys must be STABLE
 // ACROSS PROCESSES: two clients of the same daemon only share entries
 // if they derive identical keys from identical key bytes. Processes
@@ -71,7 +72,7 @@ type Stamp struct {
 	// records it here at snapshot time and sends THIS boot with the
 	// fill, so a fill spanning a restart is refused by the boot check
 	// rather than mis-accepted by a colliding epoch. Tiers without
-	// incarnations (the in-process cache) leave it zero.
+	// incarnations (the in-process engine.Tier) leave it zero.
 	Boot uint64
 }
 
