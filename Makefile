@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos tables figures fuzz generate clean
+.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos cluster-smoke tables figures fuzz generate clean
 
 all: build vet lint test
 
@@ -119,6 +119,28 @@ chaos:
 	$(GO) test -race -run 'Chaos' -v .
 	$(GO) test -race -run 'InvalidationConcurrentStress' -v ./internal/core
 
+# Cross-process smoke over the real binaries (CI runs this target): boot
+# the dummy backend and a wscached daemon, then point two wsclient
+# processes at them. The second process starts with a cold L1, so its
+# very first call saying hit=true proves the response crossed processes
+# through the shared tier (DESIGN.md §5h). One shell, and the EXIT trap
+# is installed right after the two background starts, so both daemons
+# are killed and reaped however the recipe ends — a failing wsclient
+# included.
+SMOKE_DIR ?= .smoke_bin
+SMOKE_ARGS = -endpoint http://127.0.0.1:18080/ -l2 127.0.0.1:17070 doGoogleSearch key=ci q=smoke start=0 maxResults=10 filter=false restrict= safeSearch=false lr= ie= oe=
+cluster-smoke:
+	$(GO) build -o $(SMOKE_DIR)/ ./cmd/dummygoogle ./cmd/wscached ./cmd/wsclient
+	set -e; \
+	$(SMOKE_DIR)/dummygoogle -addr 127.0.0.1:18080 & DG=$$!; \
+	$(SMOKE_DIR)/wscached -addr 127.0.0.1:17070 & WC=$$!; \
+	trap 'kill $$DG $$WC 2>/dev/null; wait' EXIT; \
+	sleep 1; \
+	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS); \
+	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS) > $(SMOKE_DIR)/second.out; \
+	cat $(SMOKE_DIR)/second.out; \
+	grep -q 'hit=true' $(SMOKE_DIR)/second.out
+
 # One-iteration CI smoke: proves the benchmarks and the JSON emitter
 # still run; the numbers are meaningless at -benchtime 1x.
 bench-smoke:
@@ -150,3 +172,4 @@ generate:
 
 clean:
 	rm -f cover.out test_output.txt bench_output.txt
+	rm -rf $(SMOKE_DIR)

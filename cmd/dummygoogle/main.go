@@ -111,7 +111,7 @@ func bodyStoreFor(name string) (server.BodyStore, error) {
 	case "compact-sax", "compactsax", "compact":
 		return rep.NewCompactBodyStore(), nil
 	case "xmltmpl", "template", "tmpl":
-		return rep.NewTemplateBodyStore(), nil
+		return rep.NewStreamBodyStore(rep.NewTemplateStore()), nil
 	default:
 		return nil, fmt.Errorf("unknown body representation %q (have raw, compact-sax, xmltmpl)", name)
 	}

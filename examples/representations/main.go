@@ -116,8 +116,8 @@ func run() error {
 
 	// The Section 6 classifier at work on the three result classes.
 	reps := rep.NewRegistry(env.Reg, env.Codec)
-	auto := rep.NewAutoStore(env.Reg, env.Codec)
-	fmt.Println("\nAutoStore (Section 6 optimal configuration) decisions:")
+	auto := rep.NewStaticSelector(reps)
+	fmt.Println("\nStatic selector (Section 6 optimal configuration) decisions:")
 	for i := range env.Ops {
 		op := &env.Ops[i]
 		fmt.Printf("  %-22s %-24T -> %s\n", op.Op, op.Ctx.Result, auto.Classify(op.Ctx))
@@ -135,7 +135,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	const fills = 33 // past MinSamples probes at the default ProbeEvery
+	const fills = 33 // past the minimum probe rounds at the default 1-in-8 probing
 	for i := range env.Ops {
 		op := &env.Ops[i]
 		for j := 0; j < fills; j++ {

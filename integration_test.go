@@ -5,6 +5,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"net/http"
@@ -74,6 +75,54 @@ func TestIntegrationHTTPCachingClient(t *testing.T) {
 	}
 	if r1 == r2 {
 		t.Error("cache shared a mutable result")
+	}
+}
+
+// TestIntegrationStreamedHitIsTheOriginEnvelope: for a byte-relaying
+// consumer a hit must replay exactly what the origin sent — XML
+// declaration included — whichever streaming representation holds it.
+func TestIntegrationStreamedHitIsTheOriginEnvelope(t *testing.T) {
+	disp, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(disp)
+	defer srv.Close()
+
+	for _, name := range []string{"raw", "xmltmpl"} {
+		store, err := rep.NewRegistry(codec.Registry(), codec).Store(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cache := core.MustNew(core.Config{KeyGen: rep.NewStringKey(), Store: store, DefaultTTL: time.Hour})
+		call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
+			googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
+			client.Options{RecordEvents: true, AcceptStream: true, Handlers: []client.Handler{cache}})
+		params := googleapi.SearchParams("k", "stream identity", 0, 10, false, "", false, "")
+
+		var replay [2]bytes.Buffer
+		for i := range replay {
+			ictx, err := call.InvokeContext(context.Background(), params...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ictx.CacheHit != (i == 1) {
+				t.Fatalf("%s: call %d: hit = %v", name, i, ictx.CacheHit)
+			}
+			stream, ok := ictx.Stream()
+			if !ok {
+				t.Fatalf("%s: call %d: nothing to stream", name, i)
+			}
+			if _, err := stream.WriteTo(&replay[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.HasPrefix(replay[0].Bytes(), []byte("<?xml")) {
+			t.Fatalf("%s: origin envelope has no XML declaration; the test lost its point", name)
+		}
+		if !bytes.Equal(replay[0].Bytes(), replay[1].Bytes()) {
+			t.Errorf("%s: streamed hit diverges from the origin's envelope\n miss: %s\n  hit: %s", name, replay[0].Bytes(), replay[1].Bytes())
+		}
 	}
 }
 

@@ -21,9 +21,9 @@
 // binary-serialized application object, a reflection deep copy, a
 // Cloner deep copy, or a shared reference for read-only/immutable
 // objects. The representations themselves live in package rep;
-// rep.AutoStore picks per result type at run time, implementing the
-// optimal configuration of Section 6, and rep.AdaptiveSelector — the
-// default when Config.Rep is set and Config.Store is not — refines
+// rep.Selector picks per result type at run time: statically ("auto"),
+// implementing the optimal configuration of Section 6, or — the default
+// when Config.Rep is set and Config.Store is not — adaptively, refining
 // that choice online from measured Store/Load cost.
 //
 // Concurrency and structure: the table itself — shards, 128-bit digest
@@ -57,9 +57,9 @@ type Config struct {
 	// scratch buffer without materializing a key string per lookup.
 	KeyGen rep.KeyGenerator
 	// Store is the default value representation. When nil, Rep must be
-	// set and the cache builds a rep.AdaptiveSelector over it — the
-	// measured-cost selector with the static Section 6 classifier as
-	// prior — sized to the per-shard slice of MaxBytes.
+	// set and the cache builds an adaptive rep.Selector over it — the
+	// measured-cost selector with the static Section 6 order as prior —
+	// sized to the per-shard slice of MaxBytes.
 	Store rep.ValueStore
 	// Rep is the representation registry backing the default adaptive
 	// selector when Store is nil. Ignored when Store is set.
@@ -139,8 +139,8 @@ type Config struct {
 	// miss and the backend invocation (DESIGN.md §5h) — typically one
 	// cluster.Remote pointing at shared wscached daemons. Tier entries
 	// travel in a wire-capable representation chosen per fill, so
-	// configuring tiers requires Rep (or a Store implementing
-	// rep.WireSelector). Tier failures degrade to ordinary misses. All
+	// configuring tiers requires Rep (or a Store that is a
+	// *rep.Selector). Tier failures degrade to ordinary misses. All
 	// processes sharing a tier must use the same KeyGen strategy: the
 	// cross-process tier key is derived from the generated key bytes.
 	Tiers []tier.Tier
@@ -222,7 +222,7 @@ type Cache struct {
 	// encoding/decoding entries for it, tierm the per-tier counters
 	// parallel to tiers.
 	tiers []tier.Tier
-	wire  rep.WireSelector
+	wire  *rep.Selector
 	tierm []tierCounters
 
 	// eng is the table of L1 entries. The embedded Tier is the cache's
@@ -377,29 +377,18 @@ var keyBufPool = sync.Pool{
 	},
 }
 
-// digestFor reduces an invocation's cache key to its digest. With an
-// append-capable generator the key bytes live only in a pooled scratch
-// buffer; otherwise the generator's Key string is hashed and dropped.
+// appendKey runs the request's one key-generation pass, appending the
+// cache key to b. An append-capable generator writes straight into the
+// scratch buffer; any other generator's Key string is copied in, so
+// both digests are always taken from bytes the pool owns.
 //
 //lint:hotpath
-func (c *Cache) digestFor(ictx *client.Context) (engine.Key, error) {
+func (c *Cache) appendKey(b []byte, ictx *client.Context) ([]byte, error) {
 	if c.keyapp != nil {
-		bp := keyBufPool.Get().(*[]byte)
-		b, err := c.keyapp.AppendKey((*bp)[:0], ictx)
-		if err != nil {
-			keyBufPool.Put(bp)
-			return engine.Key{}, err
-		}
-		d := c.eng.Digest(b)
-		*bp = b[:0] // keep any growth for the next lookup
-		keyBufPool.Put(bp)
-		return d, nil
+		return c.keyapp.AppendKey(b, ictx)
 	}
 	key, err := c.keygen.Key(ictx)
-	if err != nil {
-		return engine.Key{}, err
-	}
-	return c.eng.DigestString(key), nil
+	return append(b, key...), err
 }
 
 // Stats returns a snapshot of the cache counters, read from the
@@ -497,22 +486,44 @@ func (c *Cache) HandleInvoke(ictx *client.Context, next client.Invoker) error {
 		return err
 	}
 
+	// One key-generation pass per request: the key bytes stay in the
+	// pooled scratch buffer across the L1 lookup, so a miss derives the
+	// cross-process tier key from the very bytes the L1 digest was taken
+	// from. A hit pays neither the FNV pass nor a defer.
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
-	d, err := c.digestFor(ictx)
+	bp := keyBufPool.Get().(*[]byte)
+	key, err := c.appendKey((*bp)[:0], ictx)
+	var d engine.Key
+	if err == nil {
+		d = c.eng.Digest(key)
+	}
 	if c.timed {
 		c.observe(ictx.Operation, obs.StageKeyGen, c.keygen.Name(), c.now().Sub(start), err)
 	}
 	if err != nil {
 		// Fail open: an ungeneratable key means this request cannot be
 		// cached, not that it cannot be served.
+		keyBufPool.Put(bp)
 		c.m.errors.Add(1)
 		return next(ictx)
 	}
 
-	if result, ok := c.lookup(d, ictx.Operation); ok {
+	result, hit := c.lookup(d, ictx.Operation)
+	// Unlike the L1 digest (per-process maphash seeds), tier.KeyOf is a
+	// fixed function of the key bytes, so every process sharing a daemon
+	// — and the same KeyGen configuration — computes the same key. Only
+	// misses need it.
+	var tk tier.Key
+	if !hit && len(c.tiers) > 0 {
+		tk = tier.KeyOf(key)
+	}
+	*bp = key[:0] // keep any growth for the next request
+	keyBufPool.Put(bp)
+
+	if hit {
 		ictx.Result = result
 		ictx.CacheHit = true
 		c.reg.Op(ictx.Operation).Hits.Add(1)
@@ -521,32 +532,25 @@ func (c *Cache) HandleInvoke(ictx *client.Context, next client.Invoker) error {
 	c.reg.Op(ictx.Operation).Misses.Add(1)
 
 	if c.coalesce {
-		return c.invokeCoalesced(d, op, ictx, next)
+		return c.invokeCoalesced(d, tk, op, ictx, next)
 	}
-	return c.invokeMiss(d, op, ictx, next)
+	return c.invokeMiss(d, tk, op, ictx, next)
 }
 
 // invokeMiss drives a miss through the pivot: conditional-request
 // setup, the invocation itself, stale-on-error degradation, 304
-// refresh, and the fill.
-func (c *Cache) invokeMiss(d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+// refresh, and the fill. tk is the request's tier key, meaningful only
+// when tiers are configured.
+func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
 	// Remote tiers sit between the L1 miss and the origin: another
 	// process may already have paid the backend round trip and the
-	// response processing for this exact request. The tier key is
-	// derived lazily — only misses need the cross-process form.
-	var tk tier.Key
+	// response processing for this exact request.
 	haveTiers := len(c.tiers) > 0
 	if haveTiers {
-		k, err := c.tierKeyFor(ictx)
-		if err != nil {
-			haveTiers = false
-		} else {
-			tk = k
-			if result, ok := c.tierServe(d, tk, ictx); ok {
-				ictx.Result = result
-				ictx.CacheHit = true
-				return nil
-			}
+		if result, ok := c.tierServe(d, tk, ictx); ok {
+			ictx.Result = result
+			ictx.CacheHit = true
+			return nil
 		}
 	}
 

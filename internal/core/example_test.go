@@ -62,9 +62,9 @@ func ExampleNewPolicy() {
 	// false
 }
 
-// ExampleAutoStore_Classify shows the Section 6 run-time classifier
+// ExampleSelector_Classify shows the Section 6 run-time classifier
 // choosing a representation per result type.
-func ExampleAutoStore_Classify() {
+func ExampleSelector_Classify() {
 	_, codec, err := googleapi.NewDispatcher()
 	if err != nil {
 		log.Fatal(err)

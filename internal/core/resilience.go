@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/soap"
+	"repro/internal/tier"
 )
 
 // This file holds the cache's fault-tolerance mechanics: stale-on-error
@@ -22,10 +23,10 @@ import (
 // whose wait yields nothing usable (the leader's response was
 // uncacheable, or its entry was already evicted) falls back to its own
 // invocation rather than fail.
-func (c *Cache) invokeCoalesced(d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+func (c *Cache) invokeCoalesced(d engine.Key, tk tier.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
 	f, leader := c.eng.Join(d)
 	if !leader {
-		return c.followFlight(f, d, op, ictx, next)
+		return c.followFlight(f, d, tk, op, ictx, next)
 	}
 	// Land in a defer so a dying leader — a panicking store, handler,
 	// or transport anywhere down the chain — still releases its
@@ -33,13 +34,13 @@ func (c *Cache) invokeCoalesced(d engine.Key, op OperationPolicy, ictx *client.C
 	// to the leader's caller; followers observe a nil flight error, find
 	// no entry, and fall back to their own invocations.
 	defer c.eng.Land(d, f)
-	f.Err = c.invokeMiss(d, op, ictx, next)
+	f.Err = c.invokeMiss(d, tk, op, ictx, next)
 	return f.Err
 }
 
 // followFlight waits for the flight leader and serves the follower's
 // invocation from the leader's outcome.
-func (c *Cache) followFlight(f *engine.Flight, d engine.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
+func (c *Cache) followFlight(f *engine.Flight, d engine.Key, tk tier.Key, op OperationPolicy, ictx *client.Context, next client.Invoker) error {
 	var start time.Time
 	if c.timed {
 		start = c.now()
@@ -75,7 +76,7 @@ func (c *Cache) followFlight(f *engine.Flight, d engine.Key, op OperationPolicy,
 	// The leader succeeded but left nothing loadable (uncacheable
 	// response, store error, or eviction under pressure). Do the work
 	// ourselves; correctness outranks coalescing.
-	return c.invokeMiss(d, op, ictx, next)
+	return c.invokeMiss(d, tk, op, ictx, next)
 }
 
 // staleOnError serves a TTL-expired entry within the StaleIfError grace

@@ -19,7 +19,7 @@ import (
 // the response-processing cost is paid once per fleet instead of once
 // per process. A tier miss falls through to the origin, and the fill
 // then writes through to the tiers in the wire representation the
-// WireSelector picks (per-tier representation selection: L1 keeps the
+// rep.Selector picks (per-tier representation selection: L1 keeps the
 // full Table 3 menu, remote tiers get the byte-oriented subset).
 //
 // Server side: Cache embeds engine.Tier — the implementation
@@ -36,30 +36,6 @@ type tierCounters struct {
 	misses atomic.Uint64
 	errors atomic.Uint64
 	stores atomic.Uint64
-}
-
-// tierKeyFor computes the cross-process tier key for an invocation.
-// Unlike the L1 digest (per-process maphash seeds), tier.KeyOf is a
-// fixed function of the key bytes, so every process sharing a daemon —
-// and the same KeyGen configuration — computes the same key.
-func (c *Cache) tierKeyFor(ictx *client.Context) (tier.Key, error) {
-	if c.keyapp != nil {
-		bp := keyBufPool.Get().(*[]byte)
-		b, err := c.keyapp.AppendKey((*bp)[:0], ictx)
-		if err != nil {
-			keyBufPool.Put(bp)
-			return tier.Key{}, err
-		}
-		k := tier.KeyOf(b)
-		*bp = b[:0]
-		keyBufPool.Put(bp)
-		return k, nil
-	}
-	key, err := c.keygen.Key(ictx)
-	if err != nil {
-		return tier.Key{}, err
-	}
-	return tier.KeyOf([]byte(key)), nil
 }
 
 // tierServe tries each remote tier in order. On a hit it decodes the
@@ -185,16 +161,12 @@ func (c *Cache) tierFill(tk tier.Key, op OperationPolicy, ictx *client.Context, 
 	}
 }
 
-// resolveWire picks the cache's WireSelector: the store itself when it
-// selects wire representations (the adaptive selector), else the
-// static preference walk over the registry. Validate has already
-// guaranteed one of the two exists when tiers are configured.
-func resolveWire(store rep.ValueStore, reg *rep.Registry) rep.WireSelector {
-	if ws, ok := store.(rep.WireSelector); ok {
-		return ws
+// resolveWire picks the selector that encodes and decodes tier entries:
+// the store itself when it is one, else a static selector over the
+// registry (Validate has guaranteed one of the two).
+func resolveWire(store rep.ValueStore, reg *rep.Registry) *rep.Selector {
+	if sel, ok := store.(*rep.Selector); ok {
+		return sel
 	}
-	if reg != nil {
-		return rep.NewStaticWire(reg)
-	}
-	return nil
+	return rep.NewStaticSelector(reg)
 }

@@ -46,12 +46,11 @@ func (cfg Config) Validate() error {
 	}
 	if len(cfg.Tiers) > 0 {
 		// A tier stack ships entries across process boundaries, which
-		// needs a wire-capable representation selector: either the
-		// registry (for the static or adaptive wire selector) or a Store
-		// that selects wire representations itself.
-		_, storeSelects := cfg.Store.(rep.WireSelector)
+		// needs a selector of wire-capable representations: the Store
+		// when it is one, else one built over the registry.
+		_, storeSelects := cfg.Store.(*rep.Selector)
 		if cfg.Rep == nil && !storeSelects {
-			return fmt.Errorf("core: Config.Tiers requires Config.Rep (or a Store implementing rep.WireSelector) to encode entries for the wire")
+			return fmt.Errorf("core: Config.Tiers requires Config.Rep (or a *rep.Selector as Store) to encode entries for the wire")
 		}
 	}
 	return nil

@@ -291,13 +291,6 @@ func (e *Engine[V]) Digest(b []byte) Key {
 	return Key{Hi: maphash.Bytes(e.seed1, b), Lo: maphash.Bytes(e.seed2, b)}
 }
 
-// DigestString is Digest for a key already held as a string.
-//
-//lint:hotpath
-func (e *Engine[V]) DigestString(s string) Key {
-	return Key{Hi: maphash.String(e.seed1, s), Lo: maphash.String(e.seed2, s)}
-}
-
 // shard routes a key to its shard.
 //
 //lint:hotpath

@@ -1,10 +1,10 @@
 package rep
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 
+	"repro/internal/client"
 	"repro/internal/sax"
 )
 
@@ -65,103 +65,57 @@ func (s CompactBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
 	return int64(n), err
 }
 
-// TemplateBodyStore is the server-side differential-serialization
-// representation (DESIGN.md §5i): bodies of the same response shape
-// share one interned splice skeleton, each entry holds only its escaped
-// text values, and a hit streams by memcpy interleave through a pooled
-// buffer. Compared with CompactBodyStore it trades slightly more
-// resident memory for a hit path with no event replay and no escaping
-// scan.
-type TemplateBodyStore struct {
-	tc *templateCache
+// StreamBodyStore adapts a streaming representation — any ValueStore
+// whose hits are Streamed, i.e. "raw" and "xmltmpl" — to
+// server.BodyStore, so the server cache replays bodies with the very
+// code the client cache replays responses with. The body is stored as
+// the captured envelope of a stream-accepting invocation; a hit is the
+// Streamed's WriteTo (ServeHTTP) or Bytes (Handle).
+type StreamBodyStore struct {
+	vs ValueStore
 }
 
-// splicedBody pairs a spliced document with the verbatim prologue (XML
-// declaration plus trailing whitespace) of the original body. The sax
-// event model does not carry the declaration — parse skips it, the
-// writer never emits one — so the prologue is kept here to make a
-// served hit byte-identical to the handler's response.
-type splicedBody struct {
-	prologue string
-	doc      *SplicedResponse
-}
-
-// xmlPrologue returns the leading XML declaration (and any whitespace
-// separating it from the root element) of body, or "" when there is
-// none.
-func xmlPrologue(body []byte) string {
-	if !bytes.HasPrefix(body, []byte("<?xml")) {
-		return ""
-	}
-	end := bytes.Index(body, []byte("?>"))
-	if end < 0 {
-		return ""
-	}
-	end += 2
-	for end < len(body) {
-		switch body[end] {
-		case ' ', '\t', '\r', '\n':
-			end++
-			continue
-		}
-		break
-	}
-	return string(body[:end])
-}
-
-// NewTemplateBodyStore returns the splice-template body representation.
-func NewTemplateBodyStore() *TemplateBodyStore {
-	return &TemplateBodyStore{tc: newTemplateCache()}
-}
+// NewStreamBodyStore returns the server-side form of vs.
+func NewStreamBodyStore(vs ValueStore) StreamBodyStore { return StreamBodyStore{vs: vs} }
 
 // Name implements server.BodyStore.
-func (s *TemplateBodyStore) Name() string { return "XML template (splice)" }
+func (s StreamBodyStore) Name() string { return s.vs.Name() }
 
 // Store implements server.BodyStore.
-func (s *TemplateBodyStore) Store(body []byte) (any, int, error) {
-	events, err := sax.Record(body)
+func (s StreamBodyStore) Store(body []byte) (any, int, error) {
+	return s.vs.Store(&client.Context{ResponseXML: body, AcceptStream: true})
+}
+
+// streamed loads the payload's Streamed.
+func (s StreamBodyStore) streamed(payload any) (Streamed, error) {
+	v, err := s.vs.Load(payload)
 	if err != nil {
-		return nil, 0, fmt.Errorf("rep: template body store: %w", err)
+		return nil, err
 	}
-	p, resident, err := s.tc.spliceFor(events)
-	if err != nil {
-		return nil, 0, fmt.Errorf("rep: template body store: %w", err)
+	st, ok := v.(Streamed)
+	if !ok {
+		return nil, fmt.Errorf("rep: stream body store: %s loaded %T, not a byte stream", s.vs.Name(), v)
 	}
-	prologue := xmlPrologue(body)
-	return &splicedBody{prologue: prologue, doc: p}, resident + len(prologue), nil
+	return st, nil
 }
 
 // Load implements server.BodyStore.
-func (s *TemplateBodyStore) Load(payload any) ([]byte, error) {
-	p, ok := payload.(*splicedBody)
-	if !ok {
-		return nil, fmt.Errorf("rep: template body store: payload is %T", payload)
+func (s StreamBodyStore) Load(payload any) ([]byte, error) {
+	st, err := s.streamed(payload)
+	if err != nil {
+		return nil, err
 	}
-	out := make([]byte, 0, len(p.prologue)+p.doc.Len())
-	out = append(out, p.prologue...)
-	return p.doc.tpl.AppendSplice(out, p.doc.values), nil
+	return st.Bytes(), nil
 }
 
-// WriteBody implements server.BodyStore: prologue then spliced document,
-// through the shared splice buffer pool.
+// WriteBody implements server.BodyStore. A payload that does not load
+// fails with nothing written.
 //
 //lint:hotpath
-func (s *TemplateBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
-	p, ok := payload.(*splicedBody)
-	if !ok {
-		return 0, errSplicedPayload
+func (s StreamBodyStore) WriteBody(payload any, w io.Writer) (int64, error) {
+	st, err := s.streamed(payload)
+	if err != nil {
+		return 0, err
 	}
-	var written int64
-	if p.prologue != "" {
-		n, err := io.WriteString(w, p.prologue)
-		written = int64(n)
-		if err != nil {
-			return written, err
-		}
-	}
-	n, err := p.doc.WriteTo(w)
-	return written + n, err
+	return st.WriteTo(w)
 }
-
-// Stats snapshots the store's template interner.
-func (s *TemplateBodyStore) Stats() TemplateStats { return s.tc.stats() }

@@ -37,10 +37,15 @@ type ValueSpec struct {
 	// cache core records.
 	Stage string
 	// Applicable reports whether the representation can hold this
-	// invocation's result — the Table 3 limitation as a predicate. It
-	// must be cheap (the selector consults it per fill); a
-	// representation may still decline at Store time for concrete
-	// values the type-level check cannot see.
+	// invocation's result — the Table 3 limitation as a predicate, and
+	// the only statement of it the Selector consults. It must be cheap
+	// (consulted per fill). A representation may still decline at Store
+	// time for concrete values the type-level check cannot see; the
+	// converse is an obligation: whenever the predicate rules the result
+	// out, Store returns ErrNotApplicable too, so skipping a candidate
+	// and asking it are the same. (The streaming representations'
+	// predicates also demand the consumer's consent, AcceptStream, which
+	// only the predicate checks.)
 	Applicable func(ictx *client.Context) bool
 }
 
@@ -52,9 +57,10 @@ type ValueSpec struct {
 // concrete stores need.
 //
 // The two selection policies resolve like representations: "auto" is
-// the static Section 6 classifier and "adaptive" the measured-cost
-// selector; Store returns a fresh selector per call so independent
-// caches keep independent cost models.
+// the Selector with sampling off (the static Section 6 order) and
+// "adaptive" the same Selector with sampling on; Store returns a fresh
+// selector per call so independent caches keep independent cost
+// models.
 type Registry struct {
 	types *typemap.Registry
 	codec *soap.Codec
@@ -161,14 +167,14 @@ func (r *Registry) KeySpecFor(name string) (*KeySpec, error) {
 
 // Store resolves a value store by short name or display name
 // (case-insensitive). Two names resolve to selection policies rather
-// than registered representations: "auto" returns the static Section 6
-// classifier and "adaptive" a fresh AdaptiveSelector over this
-// registry's representations (fresh per call, so independent caches
-// keep independent cost models).
+// than registered representations: "auto" returns a static Selector
+// and "adaptive" an adaptive one, both over this registry's
+// representations (fresh per call, so independent caches keep
+// independent cost models).
 func (r *Registry) Store(name string) (ValueStore, error) {
 	switch strings.ToLower(name) {
 	case "auto":
-		return NewAutoStore(r.types, r.codec), nil
+		return NewStaticSelector(r), nil
 	case "adaptive":
 		return NewAdaptiveSelector(SelectorConfig{Registry: r})
 	}
@@ -195,6 +201,20 @@ func (r *Registry) ValueSpecFor(name string) (*ValueSpec, error) {
 	}
 	return nil, fmt.Errorf("rep: registry: unknown value representation %q (have %s, auto, adaptive)",
 		name, strings.Join(r.valueNamesLocked(), ", "))
+}
+
+// ordered returns the registered value specs named by order, in that
+// order; names nothing is registered under are skipped.
+func (r *Registry) ordered(order []string) []*ValueSpec {
+	r.mu.RLock()
+	defer r.mu.RUnlock()
+	out := make([]*ValueSpec, 0, len(order))
+	for _, name := range order {
+		if spec, ok := r.values[name]; ok {
+			out = append(out, spec)
+		}
+	}
+	return out
 }
 
 // Keys returns the registered key specs in registration order.

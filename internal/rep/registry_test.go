@@ -65,22 +65,22 @@ func TestRegistryResolvesSelectionPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := auto.(*AutoStore); !ok {
-		t.Errorf("auto resolved to %T", auto)
+	if sel, ok := auto.(*Selector); !ok || sel.adaptive || sel.reg != r {
+		t.Errorf("auto resolved to %T, want a static *Selector over this registry", auto)
 	}
 	ad1, err := r.Store("adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sel1, ok := ad1.(*AdaptiveSelector)
-	if !ok {
-		t.Fatalf("adaptive resolved to %T", ad1)
+	sel1, ok := ad1.(*Selector)
+	if !ok || !sel1.adaptive {
+		t.Fatalf("adaptive resolved to %T, want an adaptive *Selector", ad1)
 	}
 	ad2, err := r.Store("Adaptive")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel1 == ad2.(*AdaptiveSelector) {
+	if sel1 == ad2.(*Selector) {
 		t.Error("adaptive must resolve to a fresh selector per call (independent cost models)")
 	}
 }

@@ -17,17 +17,19 @@
 //     recorded under in the observability layer. core, the server-side
 //     response cache, and the cmd/* binaries resolve representations
 //     by name here instead of constructing concrete stores.
-//   - Selection: AutoStore is the paper's static Section 6 decision
-//     list; AdaptiveSelector closes the loop the paper leaves open by
-//     scoring each applicable representation from measured Store/Load
-//     latency and payload size (EWMA samples, 1-in-N probing) and
-//     switching per-(operation, result type) choices at run time, with
-//     the static classifier as cold-start prior and permanent
-//     fallback.
+//   - Selection: Selector walks an order over registry names — the
+//     paper's Section 6 decision list for the in-process cache, a wire
+//     preference for remote tiers — and takes the first applicable
+//     representation that accepts the value. With sampling off that is
+//     the static "auto" policy; with sampling on ("adaptive") the same
+//     type closes the loop the paper leaves open, scoring each
+//     applicable representation from measured Store/Load latency and
+//     payload size (EWMA samples, 1-in-N probing) and switching
+//     per-(operation, result type) choices at run time, with the
+//     static order as cold-start prior and permanent fallback.
 //
-// The package was extracted from internal/core; core re-exports thin
-// deprecated aliases so existing call sites keep compiling. New code
-// should import this package directly.
+// The package was extracted from internal/core; every caller imports it
+// directly.
 package rep
 
 import "sync"

@@ -2,6 +2,7 @@ package rep
 
 import (
 	"errors"
+	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -46,28 +47,29 @@ func (s *costedStore) Load(payload any) (any, error) {
 }
 
 // costedRegistry builds a registry whose value catalog is exactly the
-// given costed stores (replacing the builtins), mirroring a crafted
-// workload where measured costs disagree with the static prior.
-func costedRegistry(f *fixture, stores ...*costedStore) *Registry {
+// given scripted stores (replacing the builtins), each always
+// applicable and registered under the next Section 6 name (ref, clone,
+// ...). The static order therefore prefers them in the order given,
+// mirroring a crafted workload where measured costs disagree with the
+// static prior.
+func costedRegistry(f *fixture, stores ...ValueStore) *Registry {
 	r := NewRegistry(f.reg, f.codec)
 	r.mu.Lock()
 	r.values = make(map[string]*ValueSpec)
 	r.valueOrder = nil
 	r.mu.Unlock()
-	for _, s := range stores {
-		_ = r.RegisterValue(ValueSpec{Name: s.name, Store: s})
+	for i, s := range stores {
+		_ = r.RegisterValue(ValueSpec{Name: sectionSix[1+i], Store: s})
 	}
 	return r
 }
 
-func newTestSelector(t *testing.T, r *Registry, clk *fakeClock, mutate func(*SelectorConfig)) *AdaptiveSelector {
+// newTestSelector builds an adaptive selector with the sampling
+// parameters turned down (probe 1-in-4, load sample 1-in-2, warm after
+// two rounds) so a dozen fills converge.
+func newTestSelector(t *testing.T, r *Registry, clk *fakeClock, mutate func(*SelectorConfig)) *Selector {
 	t.Helper()
-	cfg := SelectorConfig{
-		Registry:        r,
-		ProbeEvery:      4,
-		SampleLoadEvery: 2,
-		MinSamples:      2,
-	}
+	cfg := SelectorConfig{Registry: r}
 	if clk != nil {
 		cfg.Clock = clk.Now
 	}
@@ -78,6 +80,7 @@ func newTestSelector(t *testing.T, r *Registry, clk *fakeClock, mutate func(*Sel
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel.probeEvery, sel.sampleLoadEvery, sel.minSamples = 4, 2, 2
 	return sel
 }
 
@@ -173,14 +176,7 @@ func TestSelectorPerTypeDecisions(t *testing.T) {
 		size: 128, loadCosts: map[string]time.Duration{
 			itemT: 500 * time.Microsecond, cloneT: 5 * time.Microsecond,
 		}}
-	r := NewRegistry(f.reg, f.codec)
-	r.mu.Lock()
-	r.values = make(map[string]*ValueSpec)
-	r.valueOrder = nil
-	r.mu.Unlock()
-	_ = r.RegisterValue(ValueSpec{Name: "alpha", Store: alpha})
-	_ = r.RegisterValue(ValueSpec{Name: "beta", Store: beta})
-	sel := newTestSelector(t, r, clk, nil)
+	sel := newTestSelector(t, costedRegistry(f, alpha, beta), clk, nil)
 
 	small := f.ictx(t, "get", &item{Name: "small"})
 	big := f.ictx(t, "get", &cloneableItem{Name: "big"})
@@ -285,10 +281,8 @@ func TestSelectorFallsBackToPriorWhenCold(t *testing.T) {
 	// classifier; payloads still round-trip.
 	f := newFixture(t)
 	r := NewRegistry(f.reg, f.codec)
-	sel := newTestSelector(t, r, nil, func(cfg *SelectorConfig) {
-		cfg.MinSamples = 1000 // never warm
-		cfg.ProbeEvery = 1000
-	})
+	sel := newTestSelector(t, r, nil, nil)
+	sel.minSamples, sel.probeEvery = 1000, 1000 // never warm
 	ictx := f.ictx(t, "get", &item{Name: "bean", Tags: []string{"t"}})
 	var payload any
 	var err error
@@ -361,5 +355,103 @@ func TestSelectorNoApplicableCandidate(t *testing.T) {
 	ictx.Result = &opaqueResult{Name: "o"}
 	if _, _, err := sel.Store(ictx); !errors.Is(err, ErrNotApplicable) {
 		t.Fatalf("err = %v, want ErrNotApplicable", err)
+	}
+}
+
+// replayStore is a scripted streaming representation: Load is free (as
+// for raw and xmltmpl, a type assertion) and the cost is paid when the
+// consumer replays the result.
+type replayStore struct {
+	name       string
+	clk        *fakeClock
+	replayCost time.Duration
+}
+
+func (s *replayStore) Name() string { return s.name }
+
+func (s *replayStore) Store(*client.Context) (any, int, error) {
+	s.clk.advance(10 * time.Microsecond)
+	return &scriptedStream{s}, 256, nil
+}
+
+func (s *replayStore) Load(payload any) (any, error) {
+	//lint:ignore aliascopy scripted fake: the payload is an immutable stream handle
+	return payload, nil
+}
+
+type scriptedStream struct{ from *replayStore }
+
+func (p *scriptedStream) Len() int      { return 256 }
+func (p *scriptedStream) Bytes() []byte { return make([]byte, 256) }
+
+func (p *scriptedStream) WriteTo(w io.Writer) (int64, error) {
+	p.from.clk.advance(p.from.replayCost)
+	n, err := w.Write(p.Bytes())
+	return int64(n), err
+}
+
+// TestSelectorTimesStreamedReplay: two streaming candidates whose Load
+// costs nothing and whose replay costs differ must be told apart — the
+// load sample of a Streamed result is its WriteTo, not its Load. Timing
+// Load alone scores them equal and the first registered wins.
+func TestSelectorTimesStreamedReplay(t *testing.T) {
+	f := newFixture(t)
+	clk := &fakeClock{}
+	splice := &replayStore{name: "splice", clk: clk, replayCost: 350 * time.Nanosecond}
+	replay := &replayStore{name: "replay", clk: clk, replayCost: 7 * time.Nanosecond}
+	sel := newTestSelector(t, costedRegistry(f, splice, replay), clk, nil)
+
+	ictx := f.ictx(t, "get", &item{Name: "s"})
+	for i := 0; i < 12; i++ {
+		payload, _, err := sel.Store(ictx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sel.Load(payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	table := sel.DecisionTable()
+	if len(table) != 1 || table[0].Source != "measured" || table[0].Chosen != "replay" {
+		t.Fatalf("decision = %+v, want the measured choice of the cheap replay", table)
+	}
+	for _, c := range table[0].Costs {
+		if c.LoadNS == 0 {
+			t.Errorf("%s: load estimate is 0; the replay was not timed", c.Rep)
+		}
+	}
+}
+
+// TestSelectorColdFillAllocatesOneWrapper: a cold adaptive fill rides
+// the static order through the same wrapper a static fill gets — what
+// it allocates beyond the representation's own Store is its class
+// lookup and exactly one selPayload.
+func TestSelectorColdFillAllocatesOneWrapper(t *testing.T) {
+	f := newFixture(t)
+	r := NewRegistry(f.reg, f.codec)
+	sel := newTestSelector(t, r, nil, nil)
+	sel.minSamples, sel.probeEvery = 1<<40, 1<<40 // never probe again, never warm
+	ictx := f.ictx(t, "spell", "immutable")
+	if _, _, err := sel.Store(ictx); err != nil { // the class's first fill probes
+		t.Fatal(err)
+	}
+	ref, err := r.Store("ref")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := testing.AllocsPerRun(100, func() { _, _, _ = ref.Store(ictx) })
+	class := testing.AllocsPerRun(100, func() { _ = sel.classFor(ictx) })
+	cold := testing.AllocsPerRun(100, func() {
+		payload, _, err := sel.Store(ictx)
+		if err != nil || storedBy(t, payload) != "Pass by reference" {
+			t.Fatalf("cold fill: %v, %v", payload, err)
+		}
+	})
+	if cold != bare+class+1 {
+		t.Errorf("cold adaptive fill = %v allocs; want %v (store) + %v (class lookup) + 1 wrapper", cold, bare, class)
+	}
+	auto := NewStaticSelector(r)
+	if static := testing.AllocsPerRun(100, func() { _, _, _ = auto.Store(ictx) }); static != bare+1 {
+		t.Errorf("static fill = %v allocs; want %v (store) + 1 wrapper", static, bare)
 	}
 }

@@ -1,6 +1,7 @@
 package rep
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -38,6 +39,9 @@ type Streamed interface {
 	io.WriterTo
 	// Len returns the rendered byte length of the response.
 	Len() int
+	// Bytes returns the rendered response. The slice may be the cached
+	// payload itself: callers must treat it as read-only.
+	Bytes() []byte
 }
 
 // Static errors for the hot replay paths (fmt is banned there by the
@@ -136,9 +140,16 @@ var spliceBufPool = sync.Pool{
 // SplicedResponse is the "xmltmpl" payload and hit result: a shared,
 // interned skeleton plus this entry's escaped text values. Immutable.
 type SplicedResponse struct {
-	tpl    *sax.Template
-	values []string // escaped (sax.EscapeValue), one per template slot
-	size   int      // rendered byte length
+	// prologue is the verbatim XML declaration (plus the whitespace
+	// after it) of the stored envelope. The sax event model does not
+	// carry the declaration — parse skips it, the writer never emits
+	// one — so it is kept here to make a replay byte-identical to the
+	// origin's response. Empty when the envelope had none or only its
+	// events were captured.
+	prologue string
+	tpl      *sax.Template
+	values   []string // escaped (sax.EscapeValue), one per template slot
+	size     int      // rendered byte length, prologue included
 }
 
 var _ Streamed = (*SplicedResponse)(nil)
@@ -148,11 +159,11 @@ func (p *SplicedResponse) Len() int { return p.size }
 
 // Bytes materializes the rendered response into a fresh slice.
 func (p *SplicedResponse) Bytes() []byte {
-	return p.tpl.AppendSplice(make([]byte, 0, p.size), p.values)
+	return p.tpl.AppendSplice(append(make([]byte, 0, p.size), p.prologue...), p.values)
 }
 
-// WriteTo implements io.WriterTo: the splice is assembled in a pooled
-// buffer and written once.
+// WriteTo implements io.WriterTo: prologue and splice are assembled in
+// a pooled buffer and written once.
 //
 //lint:hotpath
 func (p *SplicedResponse) WriteTo(w io.Writer) (int64, error) {
@@ -161,10 +172,33 @@ func (p *SplicedResponse) WriteTo(w io.Writer) (int64, error) {
 	if cap(buf) < p.size {
 		buf = make([]byte, 0, p.size)
 	}
-	n, err := p.tpl.SpliceTo(w, buf[:0], p.values)
+	n, err := p.tpl.SpliceTo(w, append(buf[:0], p.prologue...), p.values)
 	*bp = buf
 	spliceBufPool.Put(bp)
 	return n, err
+}
+
+// xmlPrologue returns the leading XML declaration (and any whitespace
+// separating it from the root element) of body, or "" when there is
+// none.
+func xmlPrologue(body []byte) string {
+	if !bytes.HasPrefix(body, []byte("<?xml")) {
+		return ""
+	}
+	end := bytes.Index(body, []byte("?>"))
+	if end < 0 {
+		return ""
+	}
+	end += 2
+	for end < len(body) {
+		switch body[end] {
+		case ' ', '\t', '\r', '\n':
+			end++
+			continue
+		}
+		break
+	}
+	return string(body[:end])
 }
 
 // TemplateStats is a snapshot of a template interner's differential
@@ -182,9 +216,8 @@ type TemplateStats struct {
 	SkeletonBytes int64 `json:"skeleton_bytes"`
 }
 
-// templateCache interns sax.Templates per 128-bit response shape; it
-// is the shared engine behind TemplateStore (client values) and
-// TemplateBodyStore (server bodies). Counters live in an obs registry
+// templateCache interns sax.Templates per 128-bit response shape, for
+// TemplateStore. Counters live in an obs registry
 // (private until instrument is called) so template hits versus full
 // re-serializations are visible wherever the registry is served.
 type templateCache struct {
@@ -223,11 +256,12 @@ func (tc *templateCache) instrument(reg *obs.Registry, clk clock.Func) {
 	tc.mu.Unlock()
 }
 
-// spliceFor builds the spliced payload for an event sequence, interning
-// (or reusing) the shape's skeleton. The returned resident size counts
-// only the per-entry values — the skeleton is shared and accounted in
-// TemplateStats.SkeletonBytes.
-func (tc *templateCache) spliceFor(events []sax.Event) (*SplicedResponse, int, error) {
+// spliceFor builds the spliced payload for an event sequence and the
+// prologue of the envelope it came from, interning (or reusing) the
+// shape's skeleton. The returned resident size counts only the
+// per-entry values and prologue — the skeleton is shared and accounted
+// in TemplateStats.SkeletonBytes.
+func (tc *templateCache) spliceFor(events []sax.Event, prologue string) (*SplicedResponse, int, error) {
 	var start time.Time
 	if tc.timed {
 		start = tc.now()
@@ -271,7 +305,8 @@ func (tc *templateCache) spliceFor(events []sax.Event) (*SplicedResponse, int, e
 		values[i] = sax.EscapeValue(raw)
 		total += len(values[i])
 	}
-	p := &SplicedResponse{tpl: tpl, values: values, size: tpl.SkeletonSize() + total}
+	p := &SplicedResponse{prologue: prologue, tpl: tpl, values: values,
+		size: len(prologue) + tpl.SkeletonSize() + total}
 
 	if built {
 		tc.builds.Add(1)
@@ -286,7 +321,7 @@ func (tc *templateCache) spliceFor(events []sax.Event) (*SplicedResponse, int, e
 		tc.reg.Stage(stage, "", tc.now().Sub(start), nil)
 	}
 	const stringHeader = 16
-	resident := total + len(values)*stringHeader + 48
+	resident := len(prologue) + total + len(values)*stringHeader + 48
 	return p, resident, nil
 }
 
@@ -340,7 +375,7 @@ func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
 			return nil, 0, fmt.Errorf("rep: template store: %w", err)
 		}
 	}
-	p, resident, err := s.tc.spliceFor(events)
+	p, resident, err := s.tc.spliceFor(events, xmlPrologue(ictx.ResponseXML))
 	if err != nil {
 		return nil, 0, fmt.Errorf("rep: template store: %w", err)
 	}
@@ -378,7 +413,7 @@ func (s *TemplateStore) DecodeWire(data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rep: template store: wire payload: %w", err)
 	}
-	p, _, err := s.tc.spliceFor(events)
+	p, _, err := s.tc.spliceFor(events, xmlPrologue(data))
 	if err != nil {
 		return nil, fmt.Errorf("rep: template store: wire payload: %w", err)
 	}

@@ -84,18 +84,18 @@ func TestTemplateStoreSharesSkeletonAcrossEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 		stream := got.(Streamed)
-		// Byte identity: the spliced document must equal the full
-		// re-serialization of this response's event sequence.
-		want, err := sax.WriteSequence(ictx.ResponseEvents)
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Byte identity: the spliced document must equal the envelope the
+		// origin sent, XML declaration included.
+		want := string(ictx.ResponseXML)
 		var buf bytes.Buffer
-		if _, err := stream.WriteTo(&buf); err != nil {
-			t.Fatal(err)
+		if n, err := stream.WriteTo(&buf); err != nil || int(n) != stream.Len() {
+			t.Fatalf("WriteTo: n=%d err=%v, Len=%d", n, err, stream.Len())
 		}
 		if buf.String() != want {
-			t.Errorf("spliced output diverges from full serialization\n got: %s\nwant: %s", buf.String(), want)
+			t.Errorf("spliced output diverges from the origin's envelope\n got: %s\nwant: %s", buf.String(), want)
+		}
+		if string(stream.Bytes()) != want {
+			t.Errorf("Bytes diverges from the origin's envelope")
 		}
 	}
 
@@ -109,6 +109,27 @@ func TestTemplateStoreSharesSkeletonAcrossEntries(t *testing.T) {
 	}
 	if stats.SkeletonBytes == 0 {
 		t.Error("skeleton bytes not accounted")
+	}
+}
+
+// TestTemplateStoreEventsOnlyHasNoPrologue: with only the recorded
+// events captured there is no declaration to keep, and the replay is
+// the full re-serialization of the event sequence.
+func TestTemplateStoreEventsOnlyHasNoPrologue(t *testing.T) {
+	f := newFixture(t)
+	st := NewTemplateStore()
+	ictx := f.streamCtx(t, "get", &item{Name: "events", Score: 1})
+	ictx.ResponseXML = nil
+	payload, _, err := st.Store(ictx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := sax.WriteSequence(ictx.ResponseEvents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := string(payload.(*SplicedResponse).Bytes()); got != want {
+		t.Errorf("events-only replay\n got: %s\nwant: %s", got, want)
 	}
 }
 

@@ -33,8 +33,8 @@ type ValueStore interface {
 }
 
 // ErrNotApplicable reports that a value store cannot represent a given
-// result; AutoStore and callers use it to fall through to the next
-// candidate.
+// result; the Selector's walk and callers use it to fall through to the
+// next candidate.
 var ErrNotApplicable = errors.New("rep: representation not applicable to this result type")
 
 // XMLMessageStore caches the response XML message itself (Section
@@ -447,5 +447,3 @@ func (s *RefStore) Store(ictx *client.Context) (any, int, error) {
 func (s *RefStore) Load(payload any) (any, error) {
 	return payload, nil
 }
-
-// AutoStore lives in auto.go.

@@ -2,9 +2,7 @@ package rep
 
 import (
 	"fmt"
-	"time"
 
-	"repro/internal/client"
 	"repro/internal/sax"
 )
 
@@ -30,7 +28,8 @@ type WireStore interface {
 }
 
 // wirePreference is the static priority among wire-capable
-// representations, used until the cost model has samples. The
+// representations — the Selector's order for tiers, as sectionSix is
+// its order for L1 — used until the cost model has samples. The
 // streaming representations lead — their wire form is the response
 // itself, so a remote tier ships them with zero transcoding — but
 // both are gated on Context.AcceptStream, so non-stream consumers
@@ -47,109 +46,14 @@ var wirePreference = []string{"raw", "xmltmpl", "binser", "compact-sax", "xml", 
 func (r *Registry) WireSpecs() []*ValueSpec {
 	var out []*ValueSpec
 	seen := make(map[string]bool)
-	for _, name := range wirePreference {
-		if spec, err := r.ValueSpecFor(name); err == nil {
-			if _, ok := spec.Store.(WireStore); ok {
-				out = append(out, spec)
-				seen[spec.Name] = true
-			}
-		}
-	}
-	for _, spec := range r.Values() {
+	for _, spec := range append(r.ordered(wirePreference), r.Values()...) {
 		if _, ok := spec.Store.(WireStore); ok && !seen[spec.Name] {
 			out = append(out, spec)
+			seen[spec.Name] = true
 		}
 	}
 	return out
 }
-
-// WireSelector chooses and decodes the representation for remote
-// (byte-oriented) tiers. Both selection policies implement it: the
-// AdaptiveSelector scores wire candidates with its measured cost
-// models plus the learned network cost, StaticWire walks the fixed
-// preference order. core.Cache resolves one per cache when a tier
-// stack is configured.
-type WireSelector interface {
-	// StoreWire encodes the invocation's result with the chosen
-	// wire-capable representation, returning the representation's short
-	// registry name (what Entry.Rep carries) and the wire bytes.
-	StoreWire(ictx *client.Context) (rep string, data []byte, size int, err error)
-	// LoadWire reconstructs a payload from wire bytes produced under
-	// rep (possibly by another process), returning the payload and the
-	// store that materializes it, ready for an L1 fill.
-	LoadWire(rep string, data []byte) (payload any, store ValueStore, err error)
-	// ObserveNet folds one remote round trip (latency, payload bytes)
-	// into the selector's network cost estimate. No-op for selectors
-	// without a cost model.
-	ObserveNet(d time.Duration, bytes int)
-}
-
-// loadWire resolves rep in reg and decodes data — the shared LoadWire
-// implementation.
-func loadWire(reg *Registry, rep string, data []byte) (any, ValueStore, error) {
-	spec, err := reg.ValueSpecFor(rep)
-	if err != nil {
-		return nil, nil, err
-	}
-	ws, ok := spec.Store.(WireStore)
-	if !ok {
-		return nil, nil, fmt.Errorf("rep: %q is not a wire-capable representation", rep)
-	}
-	payload, err := ws.DecodeWire(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	return payload, spec.Store, nil
-}
-
-// StaticWire is the WireSelector for caches with a fixed ValueStore
-// (no adaptive selector): first applicable representation in the
-// static preference order wins, network cost is not modeled.
-type StaticWire struct {
-	reg *Registry
-}
-
-var _ WireSelector = (*StaticWire)(nil)
-
-// NewStaticWire returns the static wire selector over reg.
-func NewStaticWire(reg *Registry) *StaticWire { return &StaticWire{reg: reg} }
-
-// StoreWire implements WireSelector.
-func (w *StaticWire) StoreWire(ictx *client.Context) (string, []byte, int, error) {
-	var firstErr error
-	for _, spec := range w.reg.WireSpecs() {
-		if !spec.Applicable(ictx) {
-			continue
-		}
-		payload, _, err := spec.Store.Store(ictx)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		data, err := spec.Store.(WireStore).EncodeWire(payload)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		return spec.Name, data, len(data), nil
-	}
-	if firstErr == nil {
-		firstErr = fmt.Errorf("rep: %w: no wire-capable representation holds this result", ErrNotApplicable)
-	}
-	return "", nil, 0, firstErr
-}
-
-// LoadWire implements WireSelector.
-func (w *StaticWire) LoadWire(rep string, data []byte) (any, ValueStore, error) {
-	return loadWire(w.reg, rep, data)
-}
-
-// ObserveNet implements WireSelector (no cost model to feed).
-func (w *StaticWire) ObserveNet(time.Duration, int) {}
 
 // --- WireStore implementations -------------------------------------
 //

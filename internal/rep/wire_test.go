@@ -81,7 +81,7 @@ func TestWireSpecsExcludeObjectReps(t *testing.T) {
 // and the name round-trips through LoadWire.
 func TestStaticWireSelection(t *testing.T) {
 	reg, f := wireFixtureRegistry(t)
-	w := NewStaticWire(reg)
+	w := NewStaticSelector(reg)
 	want := &item{Name: "beta", Score: 2}
 	rep, data, size, err := w.StoreWire(f.ictx(t, "doGetItem", want))
 	if err != nil {
@@ -111,7 +111,7 @@ func TestStaticWireSelection(t *testing.T) {
 // representation instead of failing.
 func TestStaticWireFallsThroughTypeLimits(t *testing.T) {
 	reg, f := wireFixtureRegistry(t)
-	w := NewStaticWire(reg)
+	w := NewStaticSelector(reg)
 	ictx := f.ictx(t, "doGetOpaque", "plain string result")
 	ictx.Result = &opaqueResult{Name: "x", secret: 1}
 	rep, _, _, err := w.StoreWire(ictx)
@@ -128,10 +128,11 @@ func TestStaticWireFallsThroughTypeLimits(t *testing.T) {
 // compact representation even if its load is not the cheapest.
 func TestAdaptiveStoreWireUsesNetCost(t *testing.T) {
 	reg, f := wireFixtureRegistry(t)
-	sel, err := NewAdaptiveSelector(SelectorConfig{Registry: reg, ProbeEvery: 1, MinSamples: 1})
+	sel, err := NewAdaptiveSelector(SelectorConfig{Registry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	sel.probeEvery, sel.minSamples = 1, 1
 	want := &item{Name: "gamma", Score: 3, Tags: []string{"t1", "t2", "t3"}}
 	// Warm the class models through probe rounds.
 	for i := 0; i < 4; i++ {
@@ -187,7 +188,7 @@ func TestAdaptiveStoreWireUsesNetCost(t *testing.T) {
 // object-graph representation is an error, not a panic.
 func TestLoadWireRejectsNonWireRep(t *testing.T) {
 	reg, _ := wireFixtureRegistry(t)
-	w := NewStaticWire(reg)
+	w := NewStaticSelector(reg)
 	if _, _, err := w.LoadWire("ref", []byte("x")); err == nil {
 		t.Fatal("LoadWire(ref) succeeded")
 	}

@@ -79,13 +79,15 @@ func (t *Template) AppendSplice(dst []byte, values []string) []byte {
 	return append(dst, t.skeleton[prev:]...)
 }
 
-// SpliceTo writes the rendered document to w through buf (which must
-// have capacity for RenderedSize bytes to avoid growing); it returns
-// the bytes written. Used by the pooled-buffer replay paths.
+// SpliceTo appends the rendered document to buf (which must have spare
+// capacity for RenderedSize bytes to avoid growing) and writes the
+// whole of buf — whatever prefix the caller put there, then the
+// document — to w in one Write; it returns the bytes written. Used by
+// the pooled-buffer replay paths.
 //
 //lint:hotpath
 func (t *Template) SpliceTo(w io.Writer, buf []byte, values []string) (int64, error) {
-	buf = t.AppendSplice(buf[:0], values)
+	buf = t.AppendSplice(buf, values)
 	n, err := w.Write(buf)
 	return int64(n), err
 }

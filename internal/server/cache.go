@@ -18,7 +18,7 @@ import (
 // memory versus re-materialization cost. This is the one declaration of
 // the contract, on the consumer's side so the server package stays
 // independent of the client stack; the non-default implementations
-// (rep.CompactBodyStore, rep.TemplateBodyStore) satisfy it structurally.
+// (rep.CompactBodyStore, rep.StreamBodyStore) satisfy it structurally.
 type BodyStore interface {
 	// Name identifies the representation in reports and flags.
 	Name() string

@@ -435,8 +435,8 @@ func TestResponseCacheStreamingHTTPHit(t *testing.T) {
 // representation, entries of the same response shape share one spliced
 // skeleton and HTTP hits stream the spliced document.
 func TestResponseCacheTemplateBodyHTTP(t *testing.T) {
-	ts := rep.NewTemplateBodyStore()
-	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: ts})
+	ts := rep.NewTemplateStore()
+	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: rep.NewStreamBodyStore(ts)})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
