@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos cluster-smoke tables figures fuzz generate clean
+.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
 
 all: build vet lint test
 
@@ -124,22 +124,37 @@ chaos:
 # processes at them. The second process starts with a cold L1, so its
 # very first call saying hit=true proves the response crossed processes
 # through the shared tier (DESIGN.md §5h). One shell, and the EXIT trap
-# is installed right after the two background starts, so both daemons
-# are killed and reaped however the recipe ends — a failing wsclient
-# included.
+# is installed before the two background starts, so both daemons are
+# killed and reaped however the recipe ends — a failing wsclient
+# included. /bin/sh may be dash, which skips the EXIT trap when a signal
+# kills the shell (make forwards TERM to it), so INT, TERM and HUP are
+# turned into a plain exit. The EXIT trap must reach its wait, or a
+# daemon still shutting down is orphaned: it ignores further signals
+# (make forwards a second TERM after a group signal) and tolerates a
+# daemon the signal already killed (kill fails, and set -e is on).
 SMOKE_DIR ?= .smoke_bin
 SMOKE_ARGS = -endpoint http://127.0.0.1:18080/ -l2 127.0.0.1:17070 doGoogleSearch key=ci q=smoke start=0 maxResults=10 filter=false restrict= safeSearch=false lr= ie= oe=
 cluster-smoke:
 	$(GO) build -o $(SMOKE_DIR)/ ./cmd/dummygoogle ./cmd/wscached ./cmd/wsclient
-	set -e; \
+	set -e; DG=; WC=; \
+	trap 'trap "" INT TERM HUP; kill $$DG $$WC 2>/dev/null || :; wait' EXIT; \
+	trap 'exit 1' INT TERM HUP; \
 	$(SMOKE_DIR)/dummygoogle -addr 127.0.0.1:18080 & DG=$$!; \
 	$(SMOKE_DIR)/wscached -addr 127.0.0.1:17070 & WC=$$!; \
-	trap 'kill $$DG $$WC 2>/dev/null; wait' EXIT; \
 	sleep 1; \
 	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS); \
 	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS) > $(SMOKE_DIR)/second.out; \
 	cat $(SMOKE_DIR)/second.out; \
 	grep -q 'hit=true' $(SMOKE_DIR)/second.out
+
+# Fails, listing them, if any of the processes the smoke recipe, the
+# verify recipes or the referee benchmark start is still running. Run it
+# last, after anything that backgrounds a daemon.
+leftovers:
+	@left=; for n in wscached dummygoogle wsclient benchmark; do \
+		pids=$$(pgrep -x $$n) && left="$$left $$n[$$(echo $$pids)]"; \
+	done; \
+	if [ -n "$$left" ]; then echo "left running:$$left"; exit 1; fi
 
 # One-iteration CI smoke: proves the benchmarks and the JSON emitter
 # still run; the numbers are meaningless at -benchtime 1x.

@@ -11,7 +11,6 @@
 //	dummygoogle -addr :8080                  # full SOAP dispatcher
 //	dummygoogle -addr :8080 -fixed           # precomputed identical responses
 //	dummygoogle -cache                       # server-side response cache (raw bodies) over the read-only operations
-//	dummygoogle -cache -cache-rep compact    # ... resident as compact SAX events
 //	dummygoogle -cache -cache-rep xmltmpl    # ... resident as splice templates
 package main
 
@@ -23,6 +22,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/googleapi"
 	"repro/internal/rep"
 	"repro/internal/server"
@@ -33,7 +33,7 @@ func main() {
 	fixed := flag.Bool("fixed", false, "serve precomputed fixed responses (cheapest back end)")
 	ttl := flag.Duration("ttl", time.Hour, "Cache-Control max-age stamped on responses (0 disables)")
 	useCache := flag.Bool("cache", false, "wrap the dispatcher in the server-side response cache")
-	cacheRep := flag.String("cache-rep", "raw", `resident representation for cached bodies: "raw", "compact-sax", or "xmltmpl" (shared splice template per response shape)`)
+	cacheRep := flag.String("cache-rep", "raw", `resident representation for cached bodies: "raw" or "xmltmpl" (shared splice template per response shape)`)
 	flag.Parse()
 
 	if err := run(*addr, *fixed, *ttl, *useCache, *cacheRep); err != nil {
@@ -74,7 +74,7 @@ func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep strin
 	if fixed {
 		return googleapi.NewFixedResponseHandler(), nil
 	}
-	d, _, err := googleapi.NewDispatcher()
+	d, codec, err := googleapi.NewDispatcher()
 	if err != nil {
 		return nil, err
 	}
@@ -84,7 +84,7 @@ func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep strin
 	if !useCache {
 		return d, nil
 	}
-	body, err := bodyStoreFor(cacheRep)
+	body, err := cacheRepFor(rep.NewRegistry(codec.Registry(), codec), cacheRep)
 	if err != nil {
 		return nil, err
 	}
@@ -102,17 +102,30 @@ func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep strin
 	}), nil
 }
 
-// bodyStoreFor resolves -cache-rep: "raw" (nil, the server cache's
-// default), "compact-sax", or "xmltmpl".
-func bodyStoreFor(name string) (server.BodyStore, error) {
-	switch strings.ToLower(name) {
-	case "", "raw":
-		return nil, nil
-	case "compact-sax", "compactsax", "compact":
-		return rep.NewCompactBodyStore(), nil
-	case "xmltmpl", "template", "tmpl":
-		return rep.NewStreamBodyStore(rep.NewTemplateStore()), nil
-	default:
-		return nil, fmt.Errorf("unknown body representation %q (have raw, compact-sax, xmltmpl)", name)
+// cacheRepFor resolves -cache-rep through the representation registry.
+// The server cache replays bytes, so it takes only the representations
+// whose hits are byte streams.
+func cacheRepFor(reps *rep.Registry, name string) (rep.ValueStore, error) {
+	var accepted []string
+	for _, spec := range reps.Values() {
+		if streams(spec) {
+			accepted = append(accepted, spec.Name)
+		}
 	}
+	spec, err := reps.ValueSpecFor(name)
+	if err != nil || !streams(spec) {
+		return nil, fmt.Errorf("-cache-rep %q: the server cache needs a representation whose hits are byte streams (have %s)",
+			name, strings.Join(accepted, ", "))
+	}
+	return spec.Store, nil
+}
+
+// streams reports whether a representation's hits are byte streams. The
+// registry gates exactly those on the consumer's consent
+// (client.Context.AcceptStream), so such a representation is applicable
+// to a captured envelope with consent and not without.
+func streams(spec *rep.ValueSpec) bool {
+	envelope := []byte("<x/>")
+	return spec.Applicable(&client.Context{ResponseXML: envelope, AcceptStream: true}) &&
+		!spec.Applicable(&client.Context{ResponseXML: envelope})
 }

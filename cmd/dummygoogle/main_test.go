@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,8 @@ import (
 	"time"
 
 	"repro/internal/googleapi"
+	"repro/internal/rep"
+	"repro/internal/server"
 	"repro/internal/soap"
 )
 
@@ -42,7 +45,7 @@ func call(t *testing.T, codec *soap.Codec, url, op string, params []soap.Param) 
 }
 
 // TestCacheNeverHoldsItemOperations drives put→get→put→get through the
-// -cache endpoint for every body representation: each write must reach
+// -cache endpoint for every accepted body representation: each write must reach
 // the store (including a byte-identical repeat of an earlier one) and
 // each read must see the latest write, -ttl notwithstanding.
 func TestCacheNeverHoldsItemOperations(t *testing.T) {
@@ -50,9 +53,9 @@ func TestCacheNeverHoldsItemOperations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, rep := range []string{"raw", "compact-sax", "xmltmpl"} {
-		t.Run(rep, func(t *testing.T) {
-			h, err := newSOAPHandler(false, time.Hour, true, rep)
+	for _, name := range []string{"raw", "xmltmpl"} {
+		t.Run(name, func(t *testing.T) {
+			h, err := newSOAPHandler(false, time.Hour, true, name)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,9 +90,10 @@ func TestNewSOAPHandlerRejectsBadFlags(t *testing.T) {
 		ttl          time.Duration
 		rep, want    string
 	}{
-		"cache with fixed": {fixed: true, cache: true, rep: "raw", want: "-fixed"},
-		"negative ttl":     {ttl: -time.Second, rep: "raw", want: "-ttl"},
-		"unknown rep":      {cache: true, rep: "zip", want: "zip"},
+		"cache with fixed":  {fixed: true, cache: true, rep: "raw", want: "-fixed"},
+		"negative ttl":      {ttl: -time.Second, rep: "raw", want: "-ttl"},
+		"unknown rep":       {cache: true, rep: "zip", want: "zip"},
+		"non-streaming rep": {cache: true, rep: "clone", want: "have raw, xmltmpl"},
 	} {
 		if _, err := newSOAPHandler(tc.fixed, tc.ttl, tc.cache, tc.rep); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
@@ -97,34 +101,105 @@ func TestNewSOAPHandlerRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestBodyStoreFor pins which representation every -cache-rep spelling
-// resolves to; "" means nil, the server cache's own raw-bytes default.
-func TestBodyStoreFor(t *testing.T) {
+// TestCacheRepFor pins which names -cache-rep accepts: the registry's
+// representations whose hits are byte streams, by short or display
+// name. Every other representation, and the selection policies, are
+// rejected with an error naming the accepted ones.
+func TestCacheRepFor(t *testing.T) {
+	_, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reps := rep.NewRegistry(codec.Registry(), codec)
 	for name, want := range map[string]string{
-		"":            "",
-		"raw":         "",
-		"RAW":         "",
-		"compact-sax": "SAX events (compact)",
-		"compactsax":  "SAX events (compact)",
-		"compact":     "SAX events (compact)",
-		"xmltmpl":     "XML template (splice)",
-		"template":    "XML template (splice)",
-		"tmpl":        "XML template (splice)",
+		"raw":                   "Raw response replay",
+		"RAW":                   "Raw response replay",
+		"xmltmpl":               "XML template (splice)",
+		"XML template (splice)": "XML template (splice)",
 	} {
-		s, err := bodyStoreFor(name)
+		s, err := cacheRepFor(reps, name)
 		if err != nil {
-			t.Errorf("bodyStoreFor(%q): %v", name, err)
+			t.Errorf("cacheRepFor(%q): %v", name, err)
 			continue
 		}
-		got := ""
-		if s != nil {
-			got = s.Name()
-		}
-		if got != want {
-			t.Errorf("bodyStoreFor(%q) = %q, want %q", name, got, want)
+		if s.Name() != want {
+			t.Errorf("cacheRepFor(%q) = %q, want %q", name, s.Name(), want)
 		}
 	}
-	if _, err := bodyStoreFor("zip"); err == nil || !strings.Contains(err.Error(), "zip") {
-		t.Errorf("bodyStoreFor(zip): err = %v, want one naming it", err)
+	for _, name := range []string{"clone", "compact-sax", "xml", "ref", "auto", "adaptive", "zip", ""} {
+		_, err := cacheRepFor(reps, name)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) || !strings.Contains(err.Error(), "have raw, xmltmpl") {
+			t.Errorf("cacheRepFor(%q): err = %v, want one naming it and the accepted raw, xmltmpl", name, err)
+		}
 	}
+}
+
+// TestCacheByteIdentity: on the real service, for every accepted
+// -cache-rep and each of the paper's three operations, a server-side
+// hit is byte-identical to the miss and to the uncached dispatcher's
+// response, on both surfaces — the HTTP hit (WriteTo) and the Handle
+// hit (Bytes).
+func TestCacheByteIdentity(t *testing.T) {
+	d, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := map[string][]soap.Param{
+		googleapi.OpGoogleSearch:       googleapi.SearchParams("k", "byte identity", 0, 10, false, "", false, ""),
+		googleapi.OpSpellingSuggestion: googleapi.SpellingParams("k", "worl peace"),
+		googleapi.OpGetCachedPage:      googleapi.CachedPageParams("k", "http://example.com/"),
+	}
+	for _, name := range []string{"raw", "xmltmpl"} {
+		for op, params := range ops {
+			t.Run(name+"/"+op, func(t *testing.T) {
+				req, err := codec.EncodeRequest(googleapi.Namespace, op, params)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, fault, err := d.Handle(req)
+				if err != nil || fault {
+					t.Fatalf("uncached: fault=%v err=%v", fault, err)
+				}
+				for surface, serve := range map[string]func(*server.ResponseCache) []byte{
+					"http":   func(rc *server.ResponseCache) []byte { return post(t, rc, req) },
+					"handle": func(rc *server.ResponseCache) []byte { return handle(t, rc, req) },
+				} {
+					h, err := newSOAPHandler(false, time.Hour, true, name)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rc := h.(*server.ResponseCache)
+					miss, hit := serve(rc), serve(rc)
+					if hits, misses := rc.Stats(); hits != 1 || misses != 1 {
+						t.Fatalf("%s: stats = %d/%d, want one miss then one hit", surface, hits, misses)
+					}
+					if !bytes.Equal(miss, want) || !bytes.Equal(hit, want) {
+						t.Errorf("%s: miss (%d B) and hit (%d B) must equal the uncached response (%d B)\nhit:  %s\nwant: %s",
+							surface, len(miss), len(hit), len(want), hit, want)
+					}
+				}
+			})
+		}
+	}
+}
+
+// post serves req through the cache's HTTP surface.
+func post(t *testing.T, h http.Handler, req []byte) []byte {
+	t.Helper()
+	w := httptest.NewRecorder()
+	h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(req)))
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	return w.Body.Bytes()
+}
+
+// handle serves req through the cache's Handle surface.
+func handle(t *testing.T, rc *server.ResponseCache, req []byte) []byte {
+	t.Helper()
+	resp, fault, err := rc.Handle(req)
+	if err != nil || fault {
+		t.Fatalf("fault=%v err=%v", fault, err)
+	}
+	return resp
 }

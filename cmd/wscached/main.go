@@ -46,7 +46,6 @@ func main() {
 		shards     = flag.Int("shards", 0, "shard count (0 picks the default)")
 		maxPayload = flag.Int("max-payload", 0, "request frame payload bound in bytes (0 = 4 MiB default)")
 		sweep      = flag.Duration("sweep", time.Minute, "expired-entry sweep interval (0 disables sweeping)")
-		_          = flag.Duration("ttl", time.Hour, "ignored, accepted so existing invocations keep starting: entries carry the lifetime their sender set")
 	)
 	flag.Parse()
 

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"bytes"
@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/client"
 	"repro/internal/server"
 	"repro/internal/soap"
 	"repro/internal/transport"
@@ -23,7 +24,7 @@ type quote struct {
 }
 
 // newFixture wires a client Call directly to an in-process dispatcher.
-func newFixture(t *testing.T, opts Options) (*Call, *soap.Codec, *callCounter) {
+func newFixture(t *testing.T, opts client.Options) (*client.Call, *soap.Codec, *callCounter) {
 	t.Helper()
 	reg := typemap.NewRegistry()
 	if err := reg.Register(typemap.QName{Space: testNS, Local: "Quote"}, quote{}); err != nil {
@@ -41,14 +42,14 @@ func newFixture(t *testing.T, opts Options) (*Call, *soap.Codec, *callCounter) {
 		return &quote{Symbol: sym, Price: 101.25}, nil
 	})
 	tr := &transport.InProcess{Handler: disp}
-	call := NewCall(codec, tr, "http://inproc/quote", testNS, "getQuote", testNS+"#getQuote", opts)
+	call := client.NewCall(codec, tr, "http://inproc/quote", testNS, "getQuote", testNS+"#getQuote", opts)
 	return call, codec, counter
 }
 
 type callCounter struct{ n int }
 
 func TestInvokeEndToEnd(t *testing.T) {
-	call, _, counter := newFixture(t, Options{})
+	call, _, counter := newFixture(t, client.Options{})
 	res, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +64,7 @@ func TestInvokeEndToEnd(t *testing.T) {
 }
 
 func TestInvokeFaultBecomesError(t *testing.T) {
-	call, _, _ := newFixture(t, Options{})
+	call, _, _ := newFixture(t, client.Options{})
 	_, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "FAIL"})
 	var f *soap.Fault
 	if !errors.As(err, &f) {
@@ -75,7 +76,7 @@ func TestInvokeFaultBecomesError(t *testing.T) {
 }
 
 func TestInvokeContextExposesXML(t *testing.T) {
-	call, _, _ := newFixture(t, Options{})
+	call, _, _ := newFixture(t, client.Options{})
 	ictx, err := call.InvokeContext(context.Background(), soap.Param{Name: "symbol", Value: "IBM"})
 	if err != nil {
 		t.Fatal(err)
@@ -95,7 +96,7 @@ func TestInvokeContextExposesXML(t *testing.T) {
 }
 
 func TestRecordEvents(t *testing.T) {
-	call, codec, _ := newFixture(t, Options{RecordEvents: true})
+	call, codec, _ := newFixture(t, client.Options{RecordEvents: true})
 	ictx, err := call.InvokeContext(context.Background(), soap.Param{Name: "symbol", Value: "IBM"})
 	if err != nil {
 		t.Fatal(err)
@@ -116,19 +117,19 @@ func TestRecordEvents(t *testing.T) {
 
 func TestHandlerChainOrderAndShortCircuit(t *testing.T) {
 	var order []string
-	outer := HandlerFunc(func(ictx *Context, next Invoker) error {
+	outer := client.HandlerFunc(func(ictx *client.Context, next client.Invoker) error {
 		order = append(order, "outer-pre")
 		err := next(ictx)
 		order = append(order, "outer-post")
 		return err
 	})
-	short := HandlerFunc(func(ictx *Context, _ Invoker) error {
+	short := client.HandlerFunc(func(ictx *client.Context, _ client.Invoker) error {
 		order = append(order, "short")
 		ictx.Result = &quote{Symbol: "CACHED"}
 		ictx.CacheHit = true
 		return nil
 	})
-	call, _, counter := newFixture(t, Options{Handlers: []Handler{outer, short}})
+	call, _, counter := newFixture(t, client.Options{Handlers: []client.Handler{outer, short}})
 	res, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
 	if err != nil {
 		t.Fatal(err)
@@ -147,10 +148,23 @@ func TestHandlerChainOrderAndShortCircuit(t *testing.T) {
 
 func TestHandlerErrorPropagates(t *testing.T) {
 	boom := errors.New("handler boom")
-	bad := HandlerFunc(func(*Context, Invoker) error { return boom })
-	call, _, _ := newFixture(t, Options{Handlers: []Handler{bad}})
+	bad := client.HandlerFunc(func(*client.Context, client.Invoker) error { return boom })
+	call, _, _ := newFixture(t, client.Options{Handlers: []client.Handler{bad}})
 	if _, err := call.Invoke(context.Background()); !errors.Is(err, boom) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+func TestBreakerIgnoresSOAPFaults(t *testing.T) {
+	// A fault is an application answer from a live backend: it must not
+	// trip the breaker.
+	call, _, _ := newFixture(t, client.Options{Breaker: client.NewBreaker(client.BreakerConfig{Window: 3, MinSamples: 3})})
+	for i := 0; i < 6; i++ {
+		_, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "FAIL"})
+		var f *soap.Fault
+		if !errors.As(err, &f) {
+			t.Fatalf("err = %v, want fault", err)
+		}
 	}
 }
 
@@ -160,7 +174,7 @@ func TestTransportErrorPropagates(t *testing.T) {
 	tr := transport.Func(func(context.Context, *transport.Request) (*transport.Response, error) {
 		return nil, errors.New("network down")
 	})
-	call := NewCall(codec, tr, "ep", testNS, "op", "", Options{})
+	call := client.NewCall(codec, tr, "ep", testNS, "op", "", client.Options{})
 	if _, err := call.Invoke(context.Background()); err == nil || !strings.Contains(err.Error(), "network down") {
 		t.Errorf("err = %v", err)
 	}
@@ -209,7 +223,7 @@ func TestServiceFromWSDL(t *testing.T) {
 	disp.Register("getQuote", func(params []soap.Param) (any, error) {
 		return &quote{Symbol: params[0].Value.(string), Price: 7}, nil
 	})
-	svc, err := NewService(defs, codec, &transport.InProcess{Handler: disp}, ServiceConfig{})
+	svc, err := client.NewService(defs, codec, &transport.InProcess{Handler: disp}, client.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +255,7 @@ func TestServiceEndpointOverride(t *testing.T) {
 		t.Fatal(err)
 	}
 	codec := soap.NewCodec(typemap.NewRegistry())
-	svc, err := NewService(defs, codec, transport.Func(nil), ServiceConfig{Endpoint: "http://override/"})
+	svc, err := client.NewService(defs, codec, transport.Func(nil), client.ServiceConfig{Endpoint: "http://override/"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +269,7 @@ func TestServiceEndpointOverride(t *testing.T) {
 }
 
 func TestCallAccessors(t *testing.T) {
-	call, codec, _ := newFixture(t, Options{})
+	call, codec, _ := newFixture(t, client.Options{})
 	if call.Codec() != codec {
 		t.Error("Codec accessor broken")
 	}
@@ -269,7 +283,7 @@ func TestServiceDefinitionsAccessor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := NewService(defs, soap.NewCodec(typemap.NewRegistry()), transport.Func(nil), ServiceConfig{})
+	svc, err := client.NewService(defs, soap.NewCodec(typemap.NewRegistry()), transport.Func(nil), client.ServiceConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +295,7 @@ func TestServiceDefinitionsAccessor(t *testing.T) {
 // TestAcceptStreamPropagates: Options.AcceptStream must reach the
 // invocation context, where representation Applicable gates read it.
 func TestAcceptStreamPropagates(t *testing.T) {
-	call, _, _ := newFixture(t, Options{AcceptStream: true})
+	call, _, _ := newFixture(t, client.Options{AcceptStream: true})
 	ictx, err := call.InvokeContext(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +303,7 @@ func TestAcceptStreamPropagates(t *testing.T) {
 	if !ictx.AcceptStream {
 		t.Error("AcceptStream not copied onto the invocation context")
 	}
-	plain, _, _ := newFixture(t, Options{})
+	plain, _, _ := newFixture(t, client.Options{})
 	ictx2, err := plain.InvokeContext(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
 	if err != nil {
 		t.Fatal(err)
@@ -304,7 +318,7 @@ func TestAcceptStreamPropagates(t *testing.T) {
 // envelope, so stream consumers get bytes whether or not a streaming
 // representation served them.
 func TestContextStreamFallsBackToResponseXML(t *testing.T) {
-	call, _, _ := newFixture(t, Options{AcceptStream: true})
+	call, _, _ := newFixture(t, client.Options{AcceptStream: true})
 	ictx, err := call.InvokeContext(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
 	if err != nil {
 		t.Fatal(err)
@@ -336,7 +350,7 @@ func (s *streamedResult) WriteTo(w io.Writer) (int64, error) {
 // representation put a replayable payload in Result, Stream returns it
 // rather than re-adapting ResponseXML.
 func TestContextStreamPrefersStreamedResult(t *testing.T) {
-	ictx := &Context{Result: &streamedResult{data: "payload"}, ResponseXML: []byte("envelope")}
+	ictx := &client.Context{Result: &streamedResult{data: "payload"}, ResponseXML: []byte("envelope")}
 	wt, ok := ictx.Stream()
 	if !ok {
 		t.Fatal("no stream")
@@ -354,7 +368,7 @@ func TestContextStreamPrefersStreamedResult(t *testing.T) {
 // neither a WriterTo result nor envelope bytes; Stream must say so
 // instead of fabricating an empty stream.
 func TestContextStreamAbsent(t *testing.T) {
-	ictx := &Context{Result: &quote{Symbol: "GOOG"}}
+	ictx := &client.Context{Result: &quote{Symbol: "GOOG"}}
 	if _, ok := ictx.Stream(); ok {
 		t.Error("Stream reported ok with no streamable source")
 	}

@@ -1,4 +1,4 @@
-package client
+package client_test
 
 import (
 	"context"
@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/faultify"
 	"repro/internal/server"
 	"repro/internal/soap"
@@ -53,7 +54,7 @@ func encodeQuoteResponse(t *testing.T, codec *soap.Codec) []byte {
 
 func newQuoteCodec(t *testing.T) *soap.Codec {
 	t.Helper()
-	call, codec, _ := newFixture(t, Options{})
+	call, codec, _ := newFixture(t, client.Options{})
 	_ = call
 	return codec
 }
@@ -63,7 +64,7 @@ func TestDecodeTruncatedEnvelopeFails(t *testing.T) {
 	body := encodeQuoteResponse(t, codec)
 	for _, cut := range []int{len(body) / 2, len(body) - 1, 1} {
 		tr := respondWith(body[:cut])
-		call := NewCall(codec, tr, "ep", testNS, "getQuote", "", Options{})
+		call := client.NewCall(codec, tr, "ep", testNS, "getQuote", "", client.Options{})
 		if _, err := call.Invoke(context.Background()); err == nil {
 			t.Errorf("truncation at %d bytes: want decode error", cut)
 		}
@@ -80,7 +81,7 @@ func TestDecodeGarbledEnvelopeFails(t *testing.T) {
 			garbled[i] ^= 0x01
 		}
 	}
-	call := NewCall(codec, respondWith(garbled), "ep", testNS, "getQuote", "", Options{})
+	call := client.NewCall(codec, respondWith(garbled), "ep", testNS, "getQuote", "", client.Options{})
 	if _, err := call.Invoke(context.Background()); err == nil {
 		t.Fatal("want decode error for garbled envelope")
 	}
@@ -88,7 +89,7 @@ func TestDecodeGarbledEnvelopeFails(t *testing.T) {
 
 func TestDecodeEmptyBodyFails(t *testing.T) {
 	codec := newQuoteCodec(t)
-	call := NewCall(codec, respondWith(nil), "ep", testNS, "getQuote", "", Options{})
+	call := client.NewCall(codec, respondWith(nil), "ep", testNS, "getQuote", "", client.Options{})
 	if _, err := call.Invoke(context.Background()); err == nil {
 		t.Fatal("want decode error for empty body")
 	}
@@ -99,7 +100,7 @@ func TestDecodeFailureWithRecordEvents(t *testing.T) {
 	// too, not just the plain path.
 	codec := newQuoteCodec(t)
 	body := encodeQuoteResponse(t, codec)
-	call := NewCall(codec, respondWith(body[:len(body)/3]), "ep", testNS, "getQuote", "", Options{RecordEvents: true})
+	call := client.NewCall(codec, respondWith(body[:len(body)/3]), "ep", testNS, "getQuote", "", client.Options{RecordEvents: true})
 	if _, err := call.Invoke(context.Background()); err == nil {
 		t.Fatal("want decode error on teed parse")
 	}
@@ -110,7 +111,7 @@ func TestRetryOptionAbsorbsFlakyTransport(t *testing.T) {
 	// fails twice then recovers yields a successful invocation.
 	codec, disp, counter := quoteBackend(t)
 	faulty := faultify.New(&transport.InProcess{Handler: disp}, faultify.Config{Script: faultify.FailN(2)})
-	call := NewCall(codec, faulty, "http://inproc/quote", testNS, "getQuote", "", Options{
+	call := client.NewCall(codec, faulty, "http://inproc/quote", testNS, "getQuote", "", client.Options{
 		Retry: &transport.RetryPolicy{MaxAttempts: 3, Sleep: func(ctx context.Context, d time.Duration) error { return nil }},
 	})
 	res, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "GOOG"})
@@ -131,7 +132,7 @@ func TestRetryOptionAbsorbsFlakyTransport(t *testing.T) {
 func TestRetryOptionDoesNotRetryFaults(t *testing.T) {
 	// SOAP faults are application answers: the retrying transport never
 	// sees them as errors, so the backend is invoked exactly once.
-	call, _, counter := newFixture(t, Options{
+	call, _, counter := newFixture(t, client.Options{
 		Retry: &transport.RetryPolicy{MaxAttempts: 5},
 	})
 	_, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "FAIL"})

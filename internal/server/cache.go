@@ -1,81 +1,29 @@
 package server
 
 import (
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/engine"
 	"repro/internal/obs"
+	"repro/internal/rep"
 	"repro/internal/soap"
 )
-
-// BodyStore is the resident representation for cached response bodies:
-// the server-side analog of rep.ValueStore. The server cache sits below
-// deserialization, so there is no object graph and the trade is purely
-// memory versus re-materialization cost. This is the one declaration of
-// the contract, on the consumer's side so the server package stays
-// independent of the client stack; the non-default implementations
-// (rep.CompactBodyStore, rep.StreamBodyStore) satisfy it structurally.
-type BodyStore interface {
-	// Name identifies the representation in reports and flags.
-	Name() string
-	// Store converts an encoded response body into the cached payload
-	// and reports its resident size. The body must not be retained; copy
-	// whatever is kept.
-	Store(body []byte) (payload any, size int, err error)
-	// Load materializes the encoded body from a payload, for Handle. The
-	// returned slice is owned by the caller's response path and must not
-	// alias cached state that a later Load would reuse destructively.
-	Load(payload any) ([]byte, error)
-	// WriteBody replays a payload straight into the response writer, for
-	// ServeHTTP: no []byte materialization between the cache and the
-	// wire. An error with n == 0 means nothing was written and the
-	// request can still be served another way.
-	WriteBody(payload any, w io.Writer) (n int64, err error)
-}
-
-// rawBody is the default BodyStore: the encoded bytes as-is. Zero
-// materialization cost on a hit, full body size resident.
-type rawBody struct{}
-
-func (rawBody) Name() string { return "Raw bytes" }
-
-func (rawBody) Store(body []byte) (any, int, error) {
-	cp := make([]byte, len(body))
-	copy(cp, body)
-	return cp, len(cp), nil
-}
-
-func (rawBody) Load(payload any) ([]byte, error) {
-	body, ok := payload.([]byte)
-	if !ok {
-		return nil, fmt.Errorf("server: raw body payload is %T", payload)
-	}
-	return body, nil
-}
-
-// WriteBody is one write of the cached bytes, no copy.
-func (r rawBody) WriteBody(payload any, w io.Writer) (int64, error) {
-	body, err := r.Load(payload)
-	if err != nil {
-		return 0, err
-	}
-	n, err := w.Write(body)
-	return int64(n), err
-}
 
 // ResponseCache is the server-side counterpart of the client cache: it
 // stores fully encoded response envelopes keyed by a digest of the raw
 // request body, so repeated identical requests skip decoding, the
 // handler, and re-encoding. The table is an engine.Engine — the same
 // shards, LRU and freshness ladder as the client cache; this type adds
-// only the HTTP/SOAP front end and the body representation
-// (DESIGN.md §5j). The paper's related-work section surveys this family
-// (dynamic Web data caching at the server side); it composes with — and
-// is orthogonal to — the client-side cache that is the paper's focus.
+// only the HTTP/SOAP front end. Bodies are held by one of the client
+// cache's own streaming representations (rep.ValueStore, DESIGN.md
+// §5j), so both caches replay bytes with the same code. The paper's
+// related-work section surveys this family (dynamic Web data caching at
+// the server side); it composes with — and is orthogonal to — the
+// client-side cache that is the paper's focus.
 //
 // Keying on the request bytes requires byte-identical requests for a
 // hit (the key is the engine's seeded 128-bit digest of them, so the
@@ -88,8 +36,8 @@ type ResponseCache struct {
 	ttl       time.Duration
 	cacheable func(operation string) bool
 	now       func() time.Time
-	body      BodyStore
-	eng       *engine.Engine[any] // request digest → BodyStore payload
+	body      rep.ValueStore
+	eng       *engine.Engine[any] // request digest → body payload
 
 	// reg backs the hit/miss counters (never nil; Config.Obs or a
 	// private registry). timed gates stage latency recording, on only
@@ -123,8 +71,10 @@ type ResponseCacheConfig struct {
 	// stage. Stage timing is on when either Obs or Tracer is set.
 	Tracer obs.Tracer
 	// Body chooses the resident representation for cached response
-	// bodies (paper Table 3 applied server-side); nil keeps raw bytes.
-	Body BodyStore
+	// bodies (paper Table 3 applied server-side): a representation whose
+	// hits are byte streams (rep.Streamed), i.e. "raw" or "xmltmpl". Nil
+	// keeps raw bytes (rep.NewRawStreamStore).
+	Body rep.ValueStore
 }
 
 // NewResponseCache wraps a Dispatcher with server-side response
@@ -138,7 +88,7 @@ func NewResponseCache(inner *Dispatcher, cfg ResponseCacheConfig) *ResponseCache
 	reg := obs.Or(cfg.Obs)
 	body := cfg.Body
 	if body == nil {
-		body = rawBody{}
+		body = rep.NewRawStreamStore()
 	}
 	hits, misses := reg.Counter("server.hits"), reg.Counter("server.misses")
 	return &ResponseCache{
@@ -190,15 +140,31 @@ func (c *ResponseCache) Handle(request []byte) ([]byte, bool, error) {
 	}
 	key := c.eng.Digest(request)
 	if hit, ok := c.lookup(key, op); ok {
-		// Load outside the shard lock: for non-raw representations this
-		// re-renders the body and must not serialize concurrent hits.
-		body, err := c.body.Load(hit.Value)
-		if err == nil {
-			return body, false, nil
+		// Rendered outside the shard lock: for xmltmpl this splices the
+		// body and must not serialize concurrent hits.
+		if st, err := c.streamed(hit.Value); err == nil {
+			return st.Bytes(), false, nil
 		}
 		c.eng.Unhit(key, hit)
 	}
 	return c.fill(key, op, request)
+}
+
+// errNotStreamed reports a Body whose hits are not byte streams.
+var errNotStreamed = errors.New("server: cached body does not load as a byte stream")
+
+// streamed loads a cached payload as the byte stream a hit replays. An
+// error is a failed replay: the caller re-books the hit and refills.
+func (c *ResponseCache) streamed(payload any) (rep.Streamed, error) {
+	v, err := c.body.Load(payload)
+	if err != nil {
+		return nil, err
+	}
+	st, ok := v.(rep.Streamed)
+	if !ok {
+		return nil, errNotStreamed
+	}
+	return st, nil
 }
 
 // lookup is the one lookup behind Handle and ServeHTTP: the engine's
@@ -227,9 +193,11 @@ func (c *ResponseCache) fill(key engine.Key, op string, request []byte) ([]byte,
 	if c.timed {
 		start = c.now()
 	}
-	// Bodies the representation cannot hold (e.g. a non-XML payload
-	// under compact SAX) are simply not cached.
-	if payload, size, err := c.body.Store(body); err == nil {
+	// The body is stored as the captured envelope of a stream-accepting
+	// invocation, exactly as the client cache stores one. Bodies the
+	// representation cannot hold (e.g. non-XML under xmltmpl) are simply
+	// not cached.
+	if payload, size, err := c.body.Store(&client.Context{ResponseXML: body, AcceptStream: true}); err == nil {
 		c.eng.Insert(key, engine.Item[any]{Value: payload, Size: size, TTL: c.ttl})
 	}
 	if c.timed {
@@ -258,8 +226,12 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		if c.timed {
 			start = c.now()
 		}
-		setSOAPHeaders(w, lastMod, ttl)
-		n, werr := c.body.WriteBody(hit.Value, w)
+		var n int64
+		st, werr := c.streamed(hit.Value)
+		if werr == nil {
+			setSOAPHeaders(w, lastMod, ttl)
+			n, werr = st.WriteTo(w)
+		}
 		if c.timed {
 			c.observe(op, obs.StageServerStream, c.now().Sub(start), werr)
 		}
@@ -268,8 +240,8 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			// to do either way).
 			return
 		}
-		// The store could not replay the payload and nothing was
-		// written: refill from the handler.
+		// The payload could not be replayed and nothing was written:
+		// refill from the handler.
 		c.eng.Unhit(key, hit)
 	}
 	resp, isFault, herr := c.fill(key, op, body)

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/soap"
@@ -216,28 +217,26 @@ func TestResponseCacheHitAllocs(t *testing.T) {
 	}
 }
 
-// TestRawBodyRoundTrip covers the default representation's contract:
-// the caller's buffer is not retained, and a foreign payload is refused
-// by both the materializing and the streaming form.
+// TestRawBodyRoundTrip covers the default representation's contract as
+// the server cache uses it: the buffer a miss returns is not retained
+// (scribbling on it leaves the hit intact), and a foreign payload is
+// refused rather than replayed.
 func TestRawBodyRoundTrip(t *testing.T) {
-	body := []byte(`<x>hello</x>`)
-	payload, size, err := rawBody{}.Store(body)
-	if err != nil || size != len(body) {
-		t.Fatalf("size = %d, err = %v", size, err)
+	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{})
+	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
+	miss, _, err := c.Handle(req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	body[1] = '!'
-	if got, err := (rawBody{}).Load(payload); err != nil || string(got) != `<x>hello</x>` {
-		t.Errorf("load = %q, %v", got, err)
+	want := string(miss)
+	for i := range miss {
+		miss[i] = '!'
 	}
-	var w bytes.Buffer
-	if _, err := (rawBody{}).WriteBody(payload, &w); err != nil || w.String() != `<x>hello</x>` {
-		t.Errorf("write = %q, %v", w.String(), err)
+	if hit, _, err := c.Handle(req); err != nil || string(hit) != want || calls.Load() != 1 {
+		t.Errorf("hit = %q, %v after %d handler calls; want the unscribbled miss from 1 call", hit, err, calls.Load())
 	}
-	if _, err := (rawBody{}).Load(42); err == nil {
-		t.Error("Load accepted a bad payload")
-	}
-	if n, err := (rawBody{}).WriteBody(42, &w); err == nil || n != 0 {
-		t.Errorf("WriteBody(bad payload) = %d, %v", n, err)
+	if _, err := c.streamed(42); err == nil {
+		t.Error("a foreign payload replayed")
 	}
 }
 
@@ -322,45 +321,11 @@ func TestSniffOperation(t *testing.T) {
 }
 
 // failingBody declines every store, so nothing is ever cached.
-type failingBody struct{}
+type failingBody struct{ rep.RawStreamStore }
 
-func (failingBody) Name() string                        { return "failing" }
-func (failingBody) Store(body []byte) (any, int, error) { return nil, 0, fmt.Errorf("nope") }
-func (failingBody) Load(payload any) ([]byte, error)    { return nil, fmt.Errorf("nope") }
-func (failingBody) WriteBody(any, io.Writer) (int64, error) {
-	return 0, fmt.Errorf("nope")
-}
+func (failingBody) Store(*client.Context) (any, int, error) { return nil, 0, fmt.Errorf("nope") }
 
-func TestResponseCacheCompactBody(t *testing.T) {
-	// With the compact-SAX resident representation, a hit re-renders the
-	// envelope from the event sequence: the served bytes must still be a
-	// decodable response carrying the same result.
-	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: rep.NewCompactBodyStore()})
-	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "compact"}})
-
-	if _, _, err := c.Handle(req); err != nil {
-		t.Fatal(err)
-	}
-	resp, fault, err := c.Handle(req)
-	if err != nil || fault {
-		t.Fatalf("err=%v fault=%v", err, fault)
-	}
-	if calls.Load() != 1 {
-		t.Errorf("handler calls = %d, want 1 (second request should hit)", calls.Load())
-	}
-	msg, err := codec.DecodeEnvelope(resp)
-	if err != nil {
-		t.Fatalf("re-rendered hit does not decode: %v", err)
-	}
-	if msg.Result().(*pair).Value != "compact" {
-		t.Errorf("result = %+v", msg.Result())
-	}
-	if hits, misses := c.Stats(); hits != 1 || misses != 1 {
-		t.Errorf("stats = %d/%d", hits, misses)
-	}
-}
-
-func TestResponseCacheBodyStoreFailureSkipsCaching(t *testing.T) {
+func TestResponseCacheStoreFailureSkipsCaching(t *testing.T) {
 	// A body the representation cannot hold is served but not cached;
 	// every request reaches the handler.
 	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: failingBody{}})
@@ -394,8 +359,8 @@ func postSOAP(t *testing.T, url string, body []byte) (int, []byte) {
 }
 
 // TestResponseCacheStreamingHTTPHit: an HTTP hit replays the cached
-// bytes straight into the response writer (BodyStore.WriteBody). The streamed hit must be
-// byte-identical to the miss response and attributed to the
+// bytes straight into the response writer (rep.Streamed.WriteTo). The
+// streamed hit must be byte-identical to the miss response and attributed to the
 // server-stream stage.
 func TestResponseCacheStreamingHTTPHit(t *testing.T) {
 	obsReg := obs.NewRegistry()
@@ -436,7 +401,7 @@ func TestResponseCacheStreamingHTTPHit(t *testing.T) {
 // skeleton and HTTP hits stream the spliced document.
 func TestResponseCacheTemplateBodyHTTP(t *testing.T) {
 	ts := rep.NewTemplateStore()
-	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: rep.NewStreamBodyStore(ts)})
+	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: ts})
 	srv := httptest.NewServer(c)
 	defer srv.Close()
 
@@ -463,14 +428,18 @@ func TestResponseCacheTemplateBodyHTTP(t *testing.T) {
 	}
 }
 
-// brokenStreamer stores like the raw body but cannot replay: Load and
-// WriteBody fail before producing anything.
-type brokenStreamer struct{ rawBody }
+// brokenStreamer stores like the raw representation but cannot replay:
+// Load fails, or (notBytes) loads something that is not a byte stream.
+type brokenStreamer struct {
+	rep.RawStreamStore
+	notBytes bool
+}
 
-func (brokenStreamer) Load(any) ([]byte, error) { return nil, fmt.Errorf("replay failed") }
-
-func (brokenStreamer) WriteBody(any, io.Writer) (int64, error) {
-	return 0, fmt.Errorf("replay failed")
+func (b brokenStreamer) Load(any) (any, error) {
+	if b.notBytes {
+		return "not a byte stream", nil
+	}
+	return nil, fmt.Errorf("replay failed")
 }
 
 // TestResponseCacheStreamFailureRefills: a payload the store cannot
@@ -478,34 +447,41 @@ func (brokenStreamer) WriteBody(any, io.Writer) (int64, error) {
 // client still gets a response — and since the origin was called, the
 // request must count as a miss, not a hit, on either surface.
 func TestResponseCacheStreamFailureRefills(t *testing.T) {
-	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: brokenStreamer{}})
-	srv := httptest.NewServer(c)
-	defer srv.Close()
+	for name, body := range map[string]brokenStreamer{
+		"load error": {},
+		"not bytes":  {notBytes: true},
+	} {
+		t.Run(name, func(t *testing.T) {
+			c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: body})
+			srv := httptest.NewServer(c)
+			defer srv.Close()
 
-	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
-	postSOAP(t, srv.URL, req)
-	status, body := postSOAP(t, srv.URL, req)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
-	}
-	if calls.Load() != 2 {
-		t.Errorf("handler calls = %d, want 2 (refill after failed replay)", calls.Load())
-	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 2 {
-		t.Errorf("stats = %d hits / %d misses, want 0/2: a failed replay reached the origin", hits, misses)
-	}
-	msg, err := codec.DecodeEnvelope(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if msg.Result().(*pair).Value != "x" {
-		t.Errorf("result = %+v", msg.Result())
-	}
+			req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
+			postSOAP(t, srv.URL, req)
+			status, resp := postSOAP(t, srv.URL, req)
+			if status != http.StatusOK {
+				t.Fatalf("status = %d", status)
+			}
+			if calls.Load() != 2 {
+				t.Errorf("handler calls = %d, want 2 (refill after failed replay)", calls.Load())
+			}
+			if hits, misses := c.Stats(); hits != 0 || misses != 2 {
+				t.Errorf("stats = %d hits / %d misses, want 0/2: a failed replay reached the origin", hits, misses)
+			}
+			msg, err := codec.DecodeEnvelope(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if msg.Result().(*pair).Value != "x" {
+				t.Errorf("result = %+v", msg.Result())
+			}
 
-	if _, _, err := c.Handle(req); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses := c.Stats(); calls.Load() != 3 || hits != 0 || misses != 3 {
-		t.Errorf("after Handle: calls = %d, stats = %d/%d; want 3 calls, 0/3", calls.Load(), hits, misses)
+			if _, _, err := c.Handle(req); err != nil {
+				t.Fatal(err)
+			}
+			if hits, misses := c.Stats(); calls.Load() != 3 || hits != 0 || misses != 3 {
+				t.Errorf("after Handle: calls = %d, stats = %d/%d; want 3 calls, 0/3", calls.Load(), hits, misses)
+			}
+		})
 	}
 }
