@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-rep bench-diff bench-inval bench-cluster bench-all bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
+.PHONY: all check build vet lint lint-fix depguard test race cover referee bench bench-diff bench-inval bench-cluster bench-all bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
 
 all: build vet lint test
 
@@ -66,16 +66,6 @@ bench:
 	| $(GO) run ./cmd/benchjson -o BENCH_core.json \
 	  -note "checked-in run: single-CPU container (GOMAXPROCS=1), so parallel scaling cannot manifest; pre-shard baseline on the same harness and host: HitSerial 342.4 ns/op 1 alloc/op, HitParallel/16 312.9 ns/op"
 	@cat BENCH_core.json
-
-# Track the adaptive representation selector: a full-stack cache hit
-# under the static Section 6 classifier vs the measured-cost selector,
-# archived as BENCH_rep.json. The selector's steady-state hit must stay
-# within 5% of static (TestRepSelectorHitOverhead enforces it).
-bench-rep:
-	$(GO) test -run NONE -bench 'BenchmarkRepSelector' -benchmem ./ \
-	| $(GO) run ./cmd/benchjson -o BENCH_rep.json \
-	  -note "checked-in run: single-CPU container; steady-state full-stack hit, entry filled by the selector's first probe round"
-	@cat BENCH_rep.json
 
 # Track differential serialization and zero-copy replay (DESIGN.md
 # §5i): a steady-state full-stack hit under the object baselines vs the
@@ -164,7 +154,7 @@ leftovers:
 # still run; the numbers are meaningless at -benchtime 1x.
 bench-smoke:
 	{ $(GO) test -run NONE -bench 'BenchmarkHit' -benchtime 1x -benchmem ./internal/core && \
-	  $(GO) test -run NONE -bench 'BenchmarkPortalConcurrency/users=4|BenchmarkRepSelector|BenchmarkDiffHit' -benchtime 1x ./; } \
+	  $(GO) test -run NONE -bench 'BenchmarkPortalConcurrency/users=4|BenchmarkDiffHit' -benchtime 1x ./; } \
 	| $(GO) run ./cmd/benchjson
 
 # Regenerate every table and figure of the paper's evaluation.

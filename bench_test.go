@@ -726,58 +726,22 @@ func BenchmarkEndToEnd(b *testing.B) {
 }
 
 // repHitCall builds a full middleware stack whose client cache uses
-// either the static Section 6 classifier or the adaptive selector, for
+// core's default selector (the static Section 6 classifier), for
 // steady-state hit-path comparisons.
-func repHitCall(tb testing.TB, adaptive bool) *client.Call {
+func repHitCall(tb testing.TB) *client.Call {
 	tb.Helper()
 	disp, codec, err := googleapi.NewDispatcher()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	cfg := core.Config{
+	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour,
-	}
-	if adaptive {
-		cfg.Rep = rep.NewRegistry(codec.Registry(), codec) // Store nil: core's default selector
-	} else {
-		cfg.Store = rep.NewAutoStore(codec.Registry(), codec)
-	}
-	cache := core.MustNew(cfg)
+	})
 	return client.NewCall(codec, &transport.InProcess{Handler: disp},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
 		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
-}
-
-// BenchmarkRepSelector compares a full-stack cache hit under the static
-// classifier against the adaptive selector in steady state. The
-// selector's hit-path tax is one atomic counter plus a 1-in-N sampled
-// timing, so the two variants must stay within noise of each other;
-// TestRepSelectorHitOverhead enforces the <5% bound.
-func BenchmarkRepSelector(b *testing.B) {
-	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
-	ctx := context.Background()
-	for _, tc := range []struct {
-		name     string
-		adaptive bool
-	}{
-		{"static auto", false},
-		{"adaptive selector", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			call := repHitCall(b, tc.adaptive)
-			if _, err := call.Invoke(ctx, params...); err != nil { // warm: fill the entry
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := call.Invoke(ctx, params...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // diffHitCall builds a full middleware stack whose client cache is
@@ -836,27 +800,19 @@ func BenchmarkDiffHit(b *testing.B) {
 	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
 	ctx := context.Background()
 
-	for _, tc := range []struct {
-		name     string
-		adaptive bool
-	}{
-		{"baseline auto", false},
-		{"baseline adaptive", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			call := repHitCall(b, tc.adaptive)
-			if _, err := call.Invoke(ctx, params...); err != nil { // warm: fill the entry
+	b.Run("baseline auto", func(b *testing.B) {
+		call := repHitCall(b)
+		if _, err := call.Invoke(ctx, params...); err != nil { // warm: fill the entry
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := call.Invoke(ctx, params...); err != nil {
 				b.Fatal(err)
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := call.Invoke(ctx, params...); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 	for _, tc := range []struct {
 		name         string
 		rep          string
@@ -903,53 +859,6 @@ func TestDiffHitAllocs(t *testing.T) {
 				t.Errorf("steady-state %s hit allocates %.1f times per call, want <= 2", tc.rep, allocs)
 			}
 		})
-	}
-}
-
-// TestRepSelectorHitOverhead is the selector's acceptance guard: in
-// steady state a hit through the adaptive selector must cost no more
-// than 5% over the static classifier. Timing is interleaved and the
-// best of several trials is taken to damp scheduler noise.
-func TestRepSelectorHitOverhead(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing guard; skipped in -short")
-	}
-	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
-	ctx := context.Background()
-	static := repHitCall(t, false)
-	adaptive := repHitCall(t, true)
-
-	measure := func(call *client.Call, n int) time.Duration {
-		start := time.Now()
-		for i := 0; i < n; i++ {
-			if _, err := call.Invoke(ctx, params...); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return time.Since(start)
-	}
-	measure(static, 200) // warm both: fill entries, settle allocators
-	measure(adaptive, 200)
-
-	const trials, n, limit = 5, 2000, 1.05
-	best := func() float64 {
-		best := 0.0
-		for i := 0; i < trials; i++ {
-			s := measure(static, n)
-			a := measure(adaptive, n)
-			ratio := float64(a) / float64(s)
-			if i == 0 || ratio < best {
-				best = ratio
-			}
-			if best <= limit {
-				break
-			}
-		}
-		return best
-	}()
-	if best > limit {
-		t.Errorf("adaptive/static hit cost ratio = %.3f in the best of %d trials, want <= %.2f",
-			best, trials, limit)
 	}
 }
 

@@ -11,7 +11,7 @@
 //	portalbench -concurrency 64          # override the figure's user count
 //	portalbench -requests 2000           # heavier run per point
 //	portalbench -figure 3 -store "Pass by Reference"
-//	portalbench -figure 3 -rep adaptive     # the measured-cost selector
+//	portalbench -figure 3 -rep auto      # the Section 6 selector
 //	portalbench -obs-dump                # print the final /debug/wscache snapshot
 //	portalbench -obs-addr :9091          # serve it live while the sweep runs
 package main
@@ -38,7 +38,7 @@ func main() {
 	requests := flag.Int("requests", 1000, "portal page requests per measured point")
 	hot := flag.Int("hot", 4, "distinct pre-warmed (hot) queries")
 	storeFilter := flag.String("store", "", "run only the named cache method (substring match)")
-	repName := flag.String("rep", "", `run a single representation by registry name ("sax", "adaptive", ...); overrides -store`)
+	repName := flag.String("rep", "", `run a single representation by registry name ("sax", "auto", ...); overrides -store`)
 	op := flag.String("op", googleapi.OpGoogleSearch, "back-end operation under load (doGoogleSearch, doSpellingSuggestion, doGetCachedPage)")
 	format := flag.String("format", "text", `output format: "text" or "csv"`)
 	obsDump := flag.Bool("obs-dump", false, "print the sweep's observability snapshot as JSON when done")

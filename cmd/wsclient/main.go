@@ -44,7 +44,7 @@ func main() {
 	endpoint := flag.String("endpoint", "", "endpoint override (default: the WSDL's soap:address)")
 	useCache := flag.Bool("cache", false, "enable the client response cache")
 	l2 := flag.String("l2", "", "comma-separated wscached addresses for a shared L2 tier (implies -cache)")
-	repName := flag.String("rep", "adaptive", `cache value representation: a registry name (sax, dom, gob, raw, xmltmpl, ...), "auto" (static classifier), or "adaptive" (measured-cost selector); pinning a streaming rep (raw, xmltmpl) makes hits yield replayable bytes instead of objects`)
+	repName := flag.String("rep", "auto", `cache value representation: "auto" (the Section 6 selector) or a registry name (sax, dom, gob, raw, xmltmpl, ...); pinning a streaming rep (raw, xmltmpl) makes hits yield replayable bytes instead of objects`)
 	repeat := flag.Int("repeat", 1, "invoke the operation this many times")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-call timeout")
 	retries := flag.Int("retries", 1, "total attempts per call (>1 retries transient transport failures)")
@@ -128,24 +128,20 @@ func run(cfg runConfig) error {
 	var cache *core.Cache
 	var remote *cluster.Remote
 	if useCache {
+		// -rep resolves through the registry, which is also kept as
+		// coreCfg.Rep: a tier stack needs a wire-capable selector even
+		// when the L1 representation is pinned by -rep.
 		reps := rep.NewRegistry(reg, codec)
+		store, err := reps.Store(cfg.rep)
+		if err != nil {
+			return err
+		}
 		coreCfg := core.Config{
 			KeyGen:     rep.NewStringKey(),
+			Store:      store,
+			Rep:        reps,
 			DefaultTTL: time.Hour,
 			Obs:        obsReg,
-		}
-		// "adaptive" rides core's default selector (which sizes its cost
-		// model to the cache's byte budget); anything else resolves
-		// through the registry. The registry is kept as coreCfg.Rep
-		// either way: a tier stack needs a wire-capable selector even
-		// when the L1 representation is pinned by -rep.
-		coreCfg.Rep = reps
-		if !strings.EqualFold(cfg.rep, "adaptive") {
-			store, err := reps.Store(cfg.rep)
-			if err != nil {
-				return err
-			}
-			coreCfg.Store = store
 		}
 		if cfg.l2 != "" {
 			// The invalidator is what carries epoch bumps between this

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/googleapi"
@@ -64,6 +65,21 @@ func TestBuildParamsErrors(t *testing.T) {
 		"filter=false", "restrict=", "safeSearch=false", "lr=", "ie=", "oe=",
 	}); err == nil {
 		t.Error("uncoercible int accepted")
+	}
+}
+
+// TestRepFlagRejectsUnknownNames: -rep resolves through the
+// representation registry before any call is made, so a name it does
+// not know — "adaptive" included — fails with the list it accepts.
+func TestRepFlagRejectsUnknownNames(t *testing.T) {
+	err := run(runConfig{wsdlSrc: "google", operation: "doSpellingSuggestion", useCache: true, rep: "adaptive"})
+	if err == nil {
+		t.Fatal("-rep adaptive accepted")
+	}
+	for _, want := range []string{`"adaptive"`, "clone", "raw", "xmltmpl", "auto"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %s", err, want)
+		}
 	}
 }
 

@@ -1,11 +1,8 @@
 // Representations: the same response cached under every value
 // representation of the paper's Table 3, showing (a) the cost of a
 // cache hit under each, (b) the side-effect behaviour — which
-// representations isolate the cache from client mutations — (c) what
-// the Section 6 run-time classifier picks for each result type, and
-// (d) the adaptive selector's live decision table: the per-candidate
-// Store/Load costs it measured (the run-time analogue of the paper's
-// Table 7) and the representation it chose per operation.
+// representations isolate the cache from client mutations — and (c) what
+// the Section 6 run-time classifier picks for each result type.
 //
 //	go run ./examples/representations
 package main
@@ -14,7 +11,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -115,8 +111,7 @@ func run() error {
 	}
 
 	// The Section 6 classifier at work on the three result classes.
-	reps := rep.NewRegistry(env.Reg, env.Codec)
-	auto := rep.NewStaticSelector(reps)
+	auto := rep.NewStaticSelector(rep.NewRegistry(env.Reg, env.Codec))
 	fmt.Println("\nStatic selector (Section 6 optimal configuration) decisions:")
 	for i := range env.Ops {
 		op := &env.Ops[i]
@@ -127,42 +122,5 @@ func run() error {
 	streamCtx := *search.Ctx
 	streamCtx.AcceptStream = true
 	fmt.Printf("  %-22s %-24s -> %s\n", googleapi.OpGoogleSearch, "(AcceptStream)", auto.Classify(&streamCtx))
-
-	// The adaptive selector measuring the same fixtures: feed it enough
-	// fills and hits per operation to converge, then print the costs it
-	// observed and what it chose.
-	sel, err := rep.NewAdaptiveSelector(rep.SelectorConfig{Registry: reps})
-	if err != nil {
-		return err
-	}
-	const fills = 33 // past the minimum probe rounds at the default 1-in-8 probing
-	for i := range env.Ops {
-		op := &env.Ops[i]
-		for j := 0; j < fills; j++ {
-			payload, _, err := sel.Store(op.Ctx)
-			if err != nil {
-				return fmt.Errorf("adaptive %s: %w", op.Op, err)
-			}
-			if _, err := sel.Load(payload); err != nil {
-				return fmt.Errorf("adaptive %s: %w", op.Op, err)
-			}
-		}
-	}
-
-	fmt.Println("\nAdaptive selector decision table (measured; compare Table 7):")
-	for _, d := range sel.DecisionTable() {
-		fmt.Printf("  %s %s -> %s (%s, %d fills)\n", d.Operation, d.ResultType, d.Chosen, d.Source, d.Stores)
-		fmt.Printf("    %-22s %9s %12s %12s %10s %12s\n",
-			"candidate", "samples", "store", "load", "bytes", "score")
-		for _, c := range d.Costs {
-			fmt.Printf("    %-22s %9d %12v %12v %10.0f %12.0f\n",
-				c.Rep, c.Samples,
-				time.Duration(c.StoreNS).Round(time.Microsecond),
-				time.Duration(c.LoadNS).Round(time.Microsecond),
-				c.Bytes, c.Score)
-		}
-	}
-	fmt.Println(strings.Repeat("-", 72))
-	fmt.Println("score = load + bytes/budget x store: expected cost of serving a hit")
 	return nil
 }

@@ -231,6 +231,32 @@ func TestFigureUnknownOperation(t *testing.T) {
 	}
 }
 
+// TestStoreSpecByName: portalbench -rep takes the paper's legend
+// labels, "auto" and every registry name; anything else, "adaptive"
+// included, fails with the registry's list of names.
+func TestStoreSpecByName(t *testing.T) {
+	for query, want := range map[string]string{
+		"Pass by Reference": "ref",
+		"sax":               "sax",
+		"auto":              "auto",
+		"dom":               "dom",
+	} {
+		spec, err := StoreSpecByName(query)
+		if err != nil || spec.Rep != want {
+			t.Errorf("StoreSpecByName(%q) = %q, %v; want %q", query, spec.Rep, err, want)
+		}
+	}
+	_, err := StoreSpecByName("adaptive")
+	if err == nil {
+		t.Fatal("adaptive accepted")
+	}
+	for _, want := range []string{"clone", "xmltmpl", "auto"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not list %s", err, want)
+		}
+	}
+}
+
 func TestFigureSpellingOperation(t *testing.T) {
 	if testing.Short() {
 		t.Skip("portal sweep is slow")

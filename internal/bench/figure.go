@@ -19,13 +19,12 @@ import (
 )
 
 // StoreSpec names a cache value representation and builds it against a
-// codec, so each figure series runs with a fresh cache (and, for the
-// adaptive selector, a fresh cost model).
+// codec, so each figure series runs with a fresh cache.
 type StoreSpec struct {
 	// Name is the legend label.
 	Name string
-	// Rep is the rep.Registry name the spec resolves ("sax",
-	// "adaptive", ...); informational for hand-built specs.
+	// Rep is the rep.Registry name the spec resolves ("sax", "auto",
+	// ...); informational for hand-built specs.
 	Rep   string
 	Build func(reg *typemap.Registry, codec *soap.Codec) rep.ValueStore
 }
@@ -66,32 +65,25 @@ func FigureStores() []StoreSpec {
 	}
 }
 
-// AdaptiveSpec returns the measured-cost selector as a seventh series:
-// not a paper curve, but the reproduction's own contribution, run
-// against the same sweep for comparison.
-func AdaptiveSpec() StoreSpec {
-	return registrySpec("Adaptive (cost model)", "adaptive")
-}
-
 // StoreSpecByName resolves a series by legend label or registry name
-// (case-insensitive): the six paper series, "adaptive", or any other
-// name the representation registry knows.
+// (case-insensitive): the six paper series, "auto", or any other name
+// the representation registry knows.
 func StoreSpecByName(name string) (StoreSpec, error) {
-	specs := append(FigureStores(), AdaptiveSpec())
-	for _, s := range specs {
+	for _, s := range FigureStores() {
 		if strings.EqualFold(s.Name, name) || strings.EqualFold(s.Rep, name) {
 			return s, nil
 		}
 	}
-	// Fall back to the registry's own namespace ("dom", "gob", ...).
-	probe := rep.NewRegistry(typemap.NewRegistry(), nil)
-	if spec, err := probe.ValueSpecFor(name); err == nil {
-		return registrySpec(spec.Store.Name(), spec.Name), nil
-	}
 	if strings.EqualFold(name, "auto") {
 		return registrySpec("Static classifier (auto)", "auto"), nil
 	}
-	return StoreSpec{}, fmt.Errorf("bench: no cache representation named %q", name)
+	// Fall back to the registry's own namespace ("dom", "gob", ...); its
+	// error lists every name it accepts.
+	spec, err := rep.NewRegistry(typemap.NewRegistry(), nil).ValueSpecFor(name)
+	if err != nil {
+		return StoreSpec{}, fmt.Errorf("bench: %w", err)
+	}
+	return registrySpec(spec.Store.Name(), spec.Name), nil
 }
 
 // FigurePoint is one measurement: a hit ratio and the portal's

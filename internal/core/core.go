@@ -21,10 +21,9 @@
 // binary-serialized application object, a reflection deep copy, a
 // Cloner deep copy, or a shared reference for read-only/immutable
 // objects. The representations themselves live in package rep;
-// rep.Selector picks per result type at run time: statically ("auto"),
-// implementing the optimal configuration of Section 6, or — the default
-// when Config.Rep is set and Config.Store is not — adaptively, refining
-// that choice online from measured Store/Load cost.
+// rep.Selector ("auto", the default when Config.Rep is set and
+// Config.Store is not) picks per result type at run time, implementing
+// the optimal configuration of Section 6.
 //
 // Concurrency and structure: the table itself — shards, 128-bit digest
 // keys, LRU and byte budgets, the freshness ladder, sweeping, miss
@@ -57,12 +56,12 @@ type Config struct {
 	// scratch buffer without materializing a key string per lookup.
 	KeyGen rep.KeyGenerator
 	// Store is the default value representation. When nil, Rep must be
-	// set and the cache builds an adaptive rep.Selector over it — the
-	// measured-cost selector with the static Section 6 order as prior —
-	// sized to the per-shard slice of MaxBytes.
+	// set and the cache builds a rep.Selector over it: the Section 6
+	// order, the same choice as Rep.Store("auto").
 	Store rep.ValueStore
-	// Rep is the representation registry backing the default adaptive
-	// selector when Store is nil. Ignored when Store is set.
+	// Rep is the representation registry backing the default selector
+	// when Store is nil, and the wire representations of Tiers. Ignored
+	// for L1 when Store is set.
 	Rep *rep.Registry
 	// Policy controls per-operation cacheability; zero value caches
 	// every operation with DefaultTTL.
@@ -291,19 +290,7 @@ func New(cfg Config) (*Cache, error) {
 	m := newCacheCounters(reg)
 	eng := engine.New[value](cfg.engineConfig(), m.Counters)
 	if cfg.Store == nil {
-		sel, err := rep.NewAdaptiveSelector(rep.SelectorConfig{
-			Registry: cfg.Rep,
-			// Score payload size against one shard's slice of the byte
-			// budget: that is the capacity an entry actually competes
-			// for. Unbounded caches (-1) keep the selector's default.
-			ByteBudget: int64(eng.ShardBytes()),
-			Clock:      cfg.Clock,
-			Obs:        cfg.Obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		cfg.Store = sel
+		cfg.Store = rep.NewStaticSelector(cfg.Rep)
 	}
 	c := &Cache{
 		keygen:         cfg.KeyGen,

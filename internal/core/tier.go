@@ -54,11 +54,13 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 	stamps := c.readStamps(ictx)
 	for i := range c.tiers {
 		t := c.tiers[i]
-		start := c.now()
-		e, ok, err := t.Get(ctx, tk)
-		dur := c.now().Sub(start)
+		var start time.Time
 		if c.timed {
-			c.observe(ictx.Operation, obs.StageTierGet, t.Name(), dur, err)
+			start = c.now()
+		}
+		e, ok, err := t.Get(ctx, tk)
+		if c.timed {
+			c.observe(ictx.Operation, obs.StageTierGet, t.Name(), c.now().Sub(start), err)
 		}
 		if err != nil {
 			c.m.tierErrors.Add(1)
@@ -69,11 +71,6 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 			c.tierm[i].misses.Add(1)
 			continue
 		}
-		// Feed the measured round trip into the wire cost model: the
-		// selector learns what a remote byte costs and biases future wire
-		// choices toward compact representations when the network is the
-		// bottleneck.
-		c.wire.ObserveNet(dur, len(e.Value))
 		payload, store, err := c.wire.LoadWire(e.Rep, e.Value)
 		if err != nil {
 			c.m.tierErrors.Add(1)

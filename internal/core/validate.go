@@ -31,7 +31,7 @@ func (cfg Config) Validate() error {
 		return fmt.Errorf("core: Config.KeyGen is required")
 	}
 	if cfg.Store == nil && cfg.Rep == nil {
-		return fmt.Errorf("core: Config.Store is required (or set Config.Rep for the adaptive default)")
+		return fmt.Errorf("core: Config.Store is required (or set Config.Rep for the Section 6 selector)")
 	}
 	if err := cfg.engineConfig().Validate(); err != nil {
 		return err

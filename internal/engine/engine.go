@@ -260,10 +260,6 @@ func sliceBudget(total, n, i int) int {
 // Shards returns the number of shards the engine was built with.
 func (e *Engine[V]) Shards() int { return len(e.shards) }
 
-// ShardBytes returns one shard's slice of MaxBytes — the capacity an
-// entry actually competes for — or -1 when unbounded.
-func (e *Engine[V]) ShardBytes() int { return e.shards[0].limBytes }
-
 // Len returns the current number of entries, summed from the per-shard
 // mirrors without taking any shard lock.
 func (e *Engine[V]) Len() int {

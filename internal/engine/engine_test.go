@@ -407,11 +407,11 @@ func TestShardCountRounding(t *testing.T) {
 		t.Errorf("default shard count %d not a power of two in [1,64]", n)
 	}
 	e := New[string](Config{Shards: 5, MaxBytes: 80}, Counters{})
-	if e.Shards() != 8 || e.ShardBytes() != 10 {
-		t.Errorf("Shards() = %d, ShardBytes() = %d; want 8 and 10", e.Shards(), e.ShardBytes())
+	if e.Shards() != 8 || e.shards[0].limBytes != 10 {
+		t.Errorf("Shards() = %d, shard byte budget = %d; want 8 and 10", e.Shards(), e.shards[0].limBytes)
 	}
-	if New[string](Config{}, Counters{}).ShardBytes() != -1 {
-		t.Error("an unbounded engine must report ShardBytes -1")
+	if New[string](Config{}, Counters{}).shards[0].limBytes != -1 {
+		t.Error("an unbounded engine's shards must have byte budget -1")
 	}
 }
 

@@ -93,10 +93,6 @@ const (
 	// reused an interned template and paid only text-value escaping —
 	// the splice wins Figure 7 targets.
 	StageTemplateSplice Stage = "template-splice"
-	// StageRepProbe is one adaptive-selector probe of a candidate value
-	// representation: a Store plus one Load, timed off the fill path
-	// (representation = store name).
-	StageRepProbe Stage = "rep-probe"
 	// StageTierGet is one remote-tier lookup on the miss path, round
 	// trip included (representation = tier name).
 	StageTierGet Stage = "tier-get"

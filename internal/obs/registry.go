@@ -186,8 +186,8 @@ func (r *Registry) SetBreaker(endpoint, state string) {
 }
 
 // SetInspection registers a named live-state callback evaluated at
-// snapshot time — how stateful subsystems (e.g. the adaptive
-// representation selector's decision table) expose their current view
+// snapshot time — how stateful subsystems (e.g. the cache's tier stack)
+// expose their current view
 // through /debug/wscache without the registry knowing their types. The
 // callback must be safe for concurrent use and must return a
 // JSON-serializable value; registering the same name again replaces the

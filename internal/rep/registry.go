@@ -56,11 +56,8 @@ type ValueSpec struct {
 // analysis) and the SOAP codec (message-level representations) the
 // concrete stores need.
 //
-// The two selection policies resolve like representations: "auto" is
-// the Selector with sampling off (the static Section 6 order) and
-// "adaptive" the same Selector with sampling on; Store returns a fresh
-// selector per call so independent caches keep independent cost
-// models.
+// The selection policy resolves like a representation: "auto" is the
+// Selector, the static Section 6 order.
 type Registry struct {
 	types *typemap.Registry
 	codec *soap.Codec
@@ -166,17 +163,12 @@ func (r *Registry) KeySpecFor(name string) (*KeySpec, error) {
 }
 
 // Store resolves a value store by short name or display name
-// (case-insensitive). Two names resolve to selection policies rather
-// than registered representations: "auto" returns a static Selector
-// and "adaptive" an adaptive one, both over this registry's
-// representations (fresh per call, so independent caches keep
-// independent cost models).
+// (case-insensitive). One name resolves to the selection policy rather
+// than a registered representation: "auto" returns a Selector over
+// this registry's representations.
 func (r *Registry) Store(name string) (ValueStore, error) {
-	switch strings.ToLower(name) {
-	case "auto":
+	if strings.EqualFold(name, "auto") {
 		return NewStaticSelector(r), nil
-	case "adaptive":
-		return NewAdaptiveSelector(SelectorConfig{Registry: r})
 	}
 	spec, err := r.ValueSpecFor(name)
 	if err != nil {
@@ -186,8 +178,8 @@ func (r *Registry) Store(name string) (ValueStore, error) {
 }
 
 // ValueSpecFor resolves a value spec by short name or display name.
-// The selection policies ("auto", "adaptive") are not specs; resolve
-// those through Store.
+// The selection policy ("auto") is not a spec; resolve it through
+// Store.
 func (r *Registry) ValueSpecFor(name string) (*ValueSpec, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -199,7 +191,7 @@ func (r *Registry) ValueSpecFor(name string) (*ValueSpec, error) {
 			return spec, nil
 		}
 	}
-	return nil, fmt.Errorf("rep: registry: unknown value representation %q (have %s, auto, adaptive)",
+	return nil, fmt.Errorf("rep: registry: unknown value representation %q (have %s, auto)",
 		name, strings.Join(r.valueNamesLocked(), ", "))
 }
 
@@ -247,8 +239,8 @@ func (r *Registry) KeyNames() []string {
 }
 
 // ValueNames returns the resolvable short value names, sorted. The
-// selection policies "auto" and "adaptive" are additionally accepted
-// by Store but are not listed here.
+// selection policy "auto" is additionally accepted by Store but is not
+// listed here.
 func (r *Registry) ValueNames() []string {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -65,23 +65,22 @@ func TestRegistryResolvesSelectionPolicies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sel, ok := auto.(*Selector); !ok || sel.adaptive || sel.reg != r {
-		t.Errorf("auto resolved to %T, want a static *Selector over this registry", auto)
+	if sel, ok := auto.(*Selector); !ok || sel.reg != r {
+		t.Errorf("auto resolved to %T, want a *Selector over this registry", auto)
 	}
-	ad1, err := r.Store("adaptive")
-	if err != nil {
-		t.Fatal(err)
+	if _, err := r.Store("AUTO"); err != nil {
+		t.Errorf("Store(AUTO): %v; the policy name is case-insensitive", err)
 	}
-	sel1, ok := ad1.(*Selector)
-	if !ok || !sel1.adaptive {
-		t.Fatalf("adaptive resolved to %T, want an adaptive *Selector", ad1)
+	// "auto" is the only policy; any other name must be a representation,
+	// and the error lists every name Store accepts.
+	_, err = r.Store("adaptive")
+	if err == nil {
+		t.Fatal(`Store("adaptive") resolved; there is no adaptive policy`)
 	}
-	ad2, err := r.Store("Adaptive")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sel1 == ad2.(*Selector) {
-		t.Error("adaptive must resolve to a fresh selector per call (independent cost models)")
+	for _, want := range append(r.ValueNames(), "auto") {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not list %q", err, want)
+		}
 	}
 }
 

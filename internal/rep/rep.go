@@ -20,13 +20,9 @@
 //   - Selection: Selector walks an order over registry names — the
 //     paper's Section 6 decision list for the in-process cache, a wire
 //     preference for remote tiers — and takes the first applicable
-//     representation that accepts the value. With sampling off that is
-//     the static "auto" policy; with sampling on ("adaptive") the same
-//     type closes the loop the paper leaves open, scoring each
-//     applicable representation from measured Store/Load latency and
-//     payload size (EWMA samples, 1-in-N probing) and switching
-//     per-(operation, result type) choices at run time, with the
-//     static order as cold-start prior and permanent fallback.
+//     representation that accepts the value. That is the paper's static
+//     classifier, the "auto" policy: nothing is measured at run time,
+//     so the same invocation always gets the same representation.
 //
 // The package was extracted from internal/core; every caller imports it
 // directly.

@@ -345,9 +345,8 @@ func (tc *templateCache) stats() TemplateStats {
 // serializes once and records the splice template; every later fill of
 // the same shape copies only its escaped text values, and every hit
 // replays by memcpy interleave. Front-loaded store cost, near-zero
-// load cost, and per-entry memory that excludes the shared skeleton —
-// exactly the profile the adaptive selector's cost model rewards for
-// repeat-heavy workloads.
+// load cost, and per-entry memory that excludes the shared skeleton,
+// which suits repeat-heavy workloads.
 type TemplateStore struct {
 	tc *templateCache
 }

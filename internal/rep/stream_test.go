@@ -2,7 +2,6 @@ package rep
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -222,42 +221,5 @@ func TestAutoStorePrefersRawForStreamConsumers(t *testing.T) {
 	// representation.
 	if got := auto.Classify(f.ictx(t, "get", &item{Name: "n"})); got == "Raw response replay" {
 		t.Error("non-stream consumer classified to raw replay")
-	}
-}
-
-// TestAdaptiveSelectorPicksStreamingRep drives a repeat-heavy
-// stream-accepting workload through the measured-cost selector and
-// asserts it converges on one of the streaming representations — the
-// acceptance criterion of DESIGN.md §5i. Real clock: the decision must
-// come from genuinely measured costs (a raw replay load is a type
-// assertion; every object representation pays a decode or copy).
-func TestAdaptiveSelectorPicksStreamingRep(t *testing.T) {
-	f := newFixture(t)
-	reg := NewRegistry(f.reg, f.codec)
-	sel, err := NewAdaptiveSelector(SelectorConfig{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	result := &item{Name: "steady", Score: 4.5, Tags: []string{"hot", "path"}}
-	for i := 0; i < 64; i++ {
-		ictx := f.streamCtx(t, "get", result)
-		payload, _, serr := sel.Store(ictx)
-		if serr != nil {
-			t.Fatal(serr)
-		}
-		if _, lerr := sel.Load(payload); lerr != nil {
-			t.Fatal(lerr)
-		}
-	}
-	table := sel.DecisionTable()
-	if len(table) != 1 {
-		t.Fatalf("decision table has %d classes, want 1", len(table))
-	}
-	d := table[0]
-	if d.Source != "measured" {
-		t.Fatalf("decision source = %q after 64 fills, want measured", d.Source)
-	}
-	if !strings.Contains(d.Chosen, "Raw response replay") && !strings.Contains(d.Chosen, "XML template") {
-		t.Errorf("repeat-heavy stream workload chose %q, want a streaming representation", d.Chosen)
 	}
 }

@@ -29,8 +29,7 @@ type WireStore interface {
 
 // wirePreference is the static priority among wire-capable
 // representations — the Selector's order for tiers, as sectionSix is
-// its order for L1 — used until the cost model has samples. The
-// streaming representations lead — their wire form is the response
+// its order for L1. The streaming representations lead — their wire form is the response
 // itself, so a remote tier ships them with zero transcoding — but
 // both are gated on Context.AcceptStream, so non-stream consumers
 // start at binary serialization (compact payloads, cheap decode per

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-	"time"
 )
 
 // wireFixtureRegistry builds the full representation registry over the
@@ -120,67 +119,6 @@ func TestStaticWireFallsThroughTypeLimits(t *testing.T) {
 	}
 	if rep == "binser" {
 		t.Errorf("binser chosen for a non-bean result")
-	}
-}
-
-// TestAdaptiveStoreWireUsesNetCost: with warmed models, a large
-// network cost per byte must steer the wire choice toward the most
-// compact representation even if its load is not the cheapest.
-func TestAdaptiveStoreWireUsesNetCost(t *testing.T) {
-	reg, f := wireFixtureRegistry(t)
-	sel, err := NewAdaptiveSelector(SelectorConfig{Registry: reg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sel.probeEvery, sel.minSamples = 1, 1
-	want := &item{Name: "gamma", Score: 3, Tags: []string{"t1", "t2", "t3"}}
-	// Warm the class models through probe rounds.
-	for i := 0; i < 4; i++ {
-		ictx := f.ictx(t, "doGetItem", want)
-		if _, _, err := sel.Store(ictx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	rep1, data, _, err := sel.StoreWire(f.ictx(t, "doGetItem", want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload, store, err := sel.LoadWire(rep1, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Load(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("adaptive wire round trip: got %+v, want %+v", got, want)
-	}
-	// An absurd net cost: every byte costs a millisecond. The choice
-	// must be the smallest-payload candidate among the warm ones.
-	sel.ObserveNet(time.Second, 1000)
-	rep2, data2, _, err := sel.StoreWire(f.ictx(t, "doGetItem", want))
-	if err != nil {
-		t.Fatal(err)
-	}
-	smallest, smallestName := -1, ""
-	for _, spec := range reg.WireSpecs() {
-		p, n, err := spec.Store.Store(f.ictx(t, "doGetItem", want))
-		if err != nil {
-			continue
-		}
-		d, err := spec.Store.(WireStore).EncodeWire(p)
-		if err != nil {
-			continue
-		}
-		_ = n
-		if smallest < 0 || len(d) < smallest {
-			smallest, smallestName = len(d), spec.Name
-		}
-	}
-	if rep2 != smallestName {
-		t.Errorf("net-dominated choice = %q (%d bytes), want smallest %q (%d bytes)",
-			rep2, len(data2), smallestName, smallest)
 	}
 }
 
