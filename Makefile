@@ -81,7 +81,7 @@ bench-diff:
 
 # Track the invalidation epoch check on the hit path: BenchmarkHitInval
 # is BenchmarkHitSerial with two epoch stamps per entry, archived as
-# BENCH_inval.json. TestInvalHitOverhead holds the delta under 5%.
+# BENCH_inval.json. TestHitAllocs holds both hits at 0 allocations.
 bench-inval:
 	$(GO) test -run NONE -bench 'BenchmarkHitSerial|BenchmarkHitInval' -benchmem ./internal/core \
 	| $(GO) run ./cmd/benchjson -o BENCH_inval.json \

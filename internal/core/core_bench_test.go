@@ -89,18 +89,27 @@ func failNext(*client.Context) error {
 func hitLoop(b testing.TB, c *Cache, qs []any, off, n int) {
 	ictx := benchCtx(qs[0])
 	for i := 0; i < n; i++ {
-		ictx.Params[1].Value = qs[(off+i)%len(qs)]
-		ictx.Result = nil
-		ictx.CacheHit = false
-		if err := c.HandleInvoke(ictx, failNext); err != nil {
-			b.Error(err)
-			return
-		}
-		if !ictx.CacheHit {
-			b.Error("miss on a pre-filled key")
+		if !hit(b, c, ictx, qs[(off+i)%len(qs)]) {
 			return
 		}
 	}
+}
+
+// hit serves query q through the reused context ictx and reports
+// whether it was the hit the caller expects.
+func hit(b testing.TB, c *Cache, ictx *client.Context, q any) bool {
+	ictx.Params[1].Value = q
+	ictx.Result = nil
+	ictx.CacheHit = false
+	if err := c.HandleInvoke(ictx, failNext); err != nil {
+		b.Error(err)
+		return false
+	}
+	if !ictx.CacheHit {
+		b.Error("miss on a pre-filled key")
+		return false
+	}
+	return true
 }
 
 // BenchmarkHitSerial is the single-goroutine hit latency: the number
