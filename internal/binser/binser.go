@@ -370,6 +370,10 @@ func (c *Codec) decodeStruct(data []byte, depth int) (any, []byte, error) {
 	ptr := reflect.New(t)
 	sv := ptr.Elem()
 	for _, f := range info.Fields {
+		if rest, ok := decodeScalarInto(sv.Field(f.Index), data); ok {
+			data = rest
+			continue
+		}
 		v, rest, err := c.decode(data, depth+1)
 		if err != nil {
 			return nil, nil, err
@@ -380,6 +384,40 @@ func (c *Codec) decodeStruct(data []byte, depth int) (any, []byte, error) {
 		}
 	}
 	return ptr.Interface(), data, nil
+}
+
+// decodeScalarInto decodes a string, boolean, integer or float straight
+// into a struct field of the same kind, with no boxed intermediate; it
+// reports false, consuming nothing, for anything else (malformed input
+// included), which the general path then decodes.
+func decodeScalarInto(dst reflect.Value, data []byte) ([]byte, bool) {
+	if len(data) == 0 {
+		return nil, false
+	}
+	tag, body := data[0], data[1:]
+	switch {
+	case tag == tagString && dst.Kind() == reflect.String:
+		s, rest, err := readLenBytes(body)
+		if err != nil {
+			return nil, false
+		}
+		dst.SetString(string(s))
+		return rest, true
+	case (tag == tagTrue || tag == tagFalse) && dst.Kind() == reflect.Bool:
+		dst.SetBool(tag == tagTrue)
+		return body, true
+	case tag == tagInt && dst.CanInt():
+		n, sz := binary.Varint(body)
+		if sz <= 0 {
+			return nil, false
+		}
+		dst.SetInt(n)
+		return body[sz:], true
+	case tag == tagFloat && dst.CanFloat() && len(body) >= 8:
+		dst.SetFloat(math.Float64frombits(binary.BigEndian.Uint64(body)))
+		return body[8:], true
+	}
+	return nil, false
 }
 
 // setField assigns a decoded value into a struct field, adapting

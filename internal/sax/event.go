@@ -112,6 +112,10 @@ func (e Event) String() string {
 type Handler interface {
 	OnStartDocument() error
 	OnEndDocument() error
+	// OnStartElement receives a start tag. attrs is valid only during
+	// the call: the parser reuses its backing array for the next tag,
+	// so a handler that keeps it must copy it (Recorder and
+	// dom.Builder do; the envelope decoder and Writer only read it).
 	OnStartElement(name Name, attrs []Attribute) error
 	OnEndElement(name Name) error
 	OnCharacters(text string) error

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/xmltext"
 )
@@ -26,8 +27,16 @@ type ParseOptions struct {
 
 // Parser is a push parser: it tokenizes a document with
 // xmltext.Scanner, performs namespace resolution, and drives a Handler.
+// It owns its scanner, namespace stack and attribute buffer and reuses
+// them from one document to the next, so a Parser is not safe for
+// concurrent use; Parse draws parsers from a pool.
 type Parser struct {
 	opts ParseOptions
+
+	sc          xmltext.Scanner
+	ns          namespaceStack
+	attrs       []Attribute
+	pendingText []string
 }
 
 // NewParser returns a Parser with the given options.
@@ -36,32 +45,25 @@ func NewParser(opts ParseOptions) *Parser {
 }
 
 // Parse parses the document and delivers its events to h. It returns
-// the first error from the scanner or the handler.
+// the first error from the scanner or the handler. When Parse returns,
+// the parser holds no reference to doc.
 func (p *Parser) Parse(doc []byte, h Handler) error {
-	sc := xmltext.NewScanner(doc)
-	ns := newNamespaceStack()
+	p.sc.Reset(doc)
+	p.ns.reset()
+	err := p.parse(h)
+	p.sc.Reset(nil)
+	clear(p.attrs[:cap(p.attrs)])
+	clear(p.pendingText[:cap(p.pendingText)])
+	p.pendingText = p.pendingText[:0]
+	return err
+}
 
+func (p *Parser) parse(h Handler) error {
 	if err := h.OnStartDocument(); err != nil {
 		return err
 	}
-
-	var pendingText []string
-	flushText := func() error {
-		if len(pendingText) == 0 {
-			return nil
-		}
-		var text string
-		if len(pendingText) == 1 {
-			text = pendingText[0]
-		} else {
-			text = joinStrings(pendingText)
-		}
-		pendingText = pendingText[:0]
-		return h.OnCharacters(text)
-	}
-
 	for {
-		tok, err := sc.Next()
+		tok, err := p.sc.Next()
 		if errors.Is(err, io.EOF) {
 			break
 		}
@@ -71,18 +73,18 @@ func (p *Parser) Parse(doc []byte, h Handler) error {
 		switch tok.Kind {
 		case xmltext.KindCharData:
 			if p.opts.CoalesceText {
-				pendingText = append(pendingText, tok.Text)
+				p.pendingText = append(p.pendingText, tok.Text)
 				continue
 			}
 			if err := h.OnCharacters(tok.Text); err != nil {
 				return err
 			}
 		case xmltext.KindStartElement:
-			if err := flushText(); err != nil {
+			if err := p.flushText(h); err != nil {
 				return err
 			}
-			ns.push(tok.Attrs)
-			name, attrs, err := ns.resolve(tok)
+			p.ns.push(tok.Attrs)
+			name, attrs, err := p.resolve(tok)
 			if err != nil {
 				return err
 			}
@@ -90,19 +92,19 @@ func (p *Parser) Parse(doc []byte, h Handler) error {
 				return err
 			}
 		case xmltext.KindEndElement:
-			if err := flushText(); err != nil {
+			if err := p.flushText(h); err != nil {
 				return err
 			}
-			name, err := ns.resolveName(tok.Name, true)
+			name, err := p.ns.resolveName(tok.Name, true)
 			if err != nil {
 				return err
 			}
 			if err := h.OnEndElement(name); err != nil {
 				return err
 			}
-			ns.pop()
+			p.ns.pop()
 		case xmltext.KindComment:
-			if err := flushText(); err != nil {
+			if err := p.flushText(h); err != nil {
 				return err
 			}
 			if p.opts.ReportComments {
@@ -111,7 +113,7 @@ func (p *Parser) Parse(doc []byte, h Handler) error {
 				}
 			}
 		case xmltext.KindProcInst:
-			if err := flushText(); err != nil {
+			if err := p.flushText(h); err != nil {
 				return err
 			}
 			// The XML declaration is structural, not content.
@@ -127,16 +129,40 @@ func (p *Parser) Parse(doc []byte, h Handler) error {
 			// DOCTYPE declarations are accepted and skipped.
 		}
 	}
-	if err := flushText(); err != nil {
+	if err := p.flushText(h); err != nil {
 		return err
 	}
 	return h.OnEndDocument()
 }
 
+// flushText delivers the character data coalesced since the last
+// markup as one event.
+func (p *Parser) flushText(h Handler) error {
+	if len(p.pendingText) == 0 {
+		return nil
+	}
+	var text string
+	if len(p.pendingText) == 1 {
+		text = p.pendingText[0]
+	} else {
+		text = joinStrings(p.pendingText)
+	}
+	p.pendingText = p.pendingText[:0]
+	return h.OnCharacters(text)
+}
+
+// parserPool holds the parsers Parse uses, each with CoalesceText set.
+var parserPool = sync.Pool{New: func() any {
+	return NewParser(ParseOptions{CoalesceText: true})
+}}
+
 // Parse parses doc with default options (comments skipped, text
 // coalesced) and delivers the events to h.
 func Parse(doc []byte, h Handler) error {
-	return NewParser(ParseOptions{CoalesceText: true}).Parse(doc, h)
+	p := parserPool.Get().(*Parser)
+	err := p.Parse(doc, h)
+	parserPool.Put(p)
+	return err
 }
 
 // joinStrings concatenates parts with a single allocation.
@@ -166,10 +192,10 @@ type binding struct {
 	uri    string
 }
 
-func newNamespaceStack() *namespaceStack {
-	return &namespaceStack{
-		bindings: []binding{{prefix: "xml", uri: XMLNamespaceURI}},
-	}
+// reset empties the stack down to the predeclared xml prefix.
+func (ns *namespaceStack) reset() {
+	ns.bindings = append(ns.bindings[:0], binding{prefix: "xml", uri: XMLNamespaceURI})
+	ns.frames = ns.frames[:0]
 }
 
 // push opens a scope for a start tag, registering any xmlns
@@ -231,16 +257,17 @@ func (ns *namespaceStack) resolveName(raw string, isElement bool) (Name, error) 
 }
 
 // resolve resolves a start-element token: its element name and all its
-// attributes, passing namespace declarations through unresolved.
-func (ns *namespaceStack) resolve(tok xmltext.Token) (Name, []Attribute, error) {
-	name, err := ns.resolveName(tok.Name, true)
+// attributes, passing namespace declarations through unresolved. The
+// attributes are the parser's buffer, valid until the next start tag.
+func (p *Parser) resolve(tok xmltext.Token) (Name, []Attribute, error) {
+	name, err := p.ns.resolveName(tok.Name, true)
 	if err != nil {
 		return Name{}, nil, err
 	}
 	if len(tok.Attrs) == 0 {
 		return name, nil, nil
 	}
-	attrs := make([]Attribute, 0, len(tok.Attrs))
+	attrs := p.attrs[:0]
 	for _, a := range tok.Attrs {
 		prefix, local := xmltext.SplitQName(a.Name)
 		if (prefix == "" && local == "xmlns") || prefix == "xmlns" {
@@ -250,11 +277,12 @@ func (ns *namespaceStack) resolve(tok xmltext.Token) (Name, []Attribute, error) 
 			})
 			continue
 		}
-		rn, err := ns.resolveName(a.Name, false)
+		rn, err := p.ns.resolveName(a.Name, false)
 		if err != nil {
 			return Name{}, nil, err
 		}
 		attrs = append(attrs, Attribute{Name: rn, Value: a.Value})
 	}
+	p.attrs = attrs
 	return name, attrs, nil
 }

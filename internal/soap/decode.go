@@ -113,12 +113,17 @@ const (
 	fNil
 )
 
-// frame is one value element being decoded.
+// frame is one value element being decoded. The decoder's stack holds
+// frames by value and reuses them, buffers included, from one element
+// to the next.
 type frame struct {
-	name     string // element local name
-	kind     fkind
-	goType   reflect.Type // target Go type (element type for fBytes)
-	text     strings.Builder
+	name   string // element local name
+	kind   fkind
+	goType reflect.Type // target Go type (element type for fBytes)
+	// text is the element's character data when it arrived as one
+	// event, the usual case; further events append to buf.
+	text     string
+	buf      []byte
 	ptr      reflect.Value // fStruct: *T under construction
 	info     *typemap.TypeInfo
 	items    []reflect.Value // fArray
@@ -144,7 +149,7 @@ type envelopeDecoder struct {
 	headerDepth int
 	wrapper     sax.Name
 	params      []Param
-	stack       []*frame
+	stack       []frame
 
 	fault      *Fault
 	faultField string
@@ -366,9 +371,9 @@ func (d *envelopeDecoder) OnCharacters(text string) error {
 		if len(d.stack) == 0 {
 			return nil
 		}
-		top := d.stack[len(d.stack)-1]
+		top := &d.stack[len(d.stack)-1]
 		if top.kind == fSimple || top.kind == fBytes {
-			top.text.WriteString(text)
+			top.addText(text)
 		}
 		return nil
 	case stateFault:
@@ -383,47 +388,66 @@ func (d *envelopeDecoder) OnCharacters(text string) error {
 
 // startValue opens a value frame for an element inside the rpc wrapper.
 func (d *envelopeDecoder) startValue(name sax.Name, attrs []sax.Attribute) error {
-	f := &frame{name: name.Local}
+	// The parent context's expectation, read before the push.
+	expected := d.expectedType(name.Local)
+	f := d.push()
+	f.name = name.Local
 
 	if v, ok := attrValue(attrs, InstanceNS, "nil"); ok && (v == "true" || v == "1") {
 		f.kind = fNil
-		d.stack = append(d.stack, f)
 		return nil
 	}
 
 	// Determine the target type: explicit xsi:type wins; otherwise the
 	// expectation from the parent context (struct field or array item).
-	var q typemap.QName
-	var haveQ bool
-	if ref, ok := attrValue(attrs, InstanceNS, "type"); ok {
-		resolved, err := d.resolveRef(ref)
-		if err != nil {
-			return err
-		}
-		q, haveQ = resolved, true
-	}
-
-	expected := d.expectedType(name.Local)
-	if !haveQ {
+	ref, ok := attrValue(attrs, InstanceNS, "type")
+	if !ok {
 		if expected != nil {
-			if err := d.frameFromGoType(f, expected); err != nil {
-				return err
-			}
-			d.stack = append(d.stack, f)
-			return nil
+			return d.frameFromGoType(f, expected)
 		}
 		// No declaration at all: decode as string.
 		f.kind = fSimple
 		f.goType = reflect.TypeOf("")
-		d.stack = append(d.stack, f)
 		return nil
 	}
-
-	if err := d.frameFromQName(f, q, attrs); err != nil {
+	q, err := d.resolveRef(ref)
+	if err != nil {
 		return err
 	}
-	d.stack = append(d.stack, f)
-	return nil
+	return d.frameFromQName(f, q, attrs)
+}
+
+// push opens a frame on the stack, reusing the buffers of the frame
+// that last occupied its slot.
+func (d *envelopeDecoder) push() *frame {
+	if len(d.stack) == cap(d.stack) {
+		d.stack = append(d.stack, frame{})
+	} else {
+		d.stack = d.stack[:len(d.stack)+1]
+	}
+	f := &d.stack[len(d.stack)-1]
+	*f = frame{buf: f.buf[:0], items: f.items[:0], itemNil: f.itemNil[:0]}
+	return f
+}
+
+// addText appends one character-data event to the frame's text.
+func (f *frame) addText(text string) {
+	if f.text == "" && len(f.buf) == 0 {
+		f.text = text
+		return
+	}
+	if len(f.buf) == 0 {
+		f.buf = append(f.buf, f.text...)
+	}
+	f.buf = append(f.buf, text...)
+}
+
+// content returns the frame's character data.
+func (f *frame) content() string {
+	if len(f.buf) > 0 {
+		return string(f.buf)
+	}
+	return f.text
 }
 
 // expectedType returns the Go type the parent context declares for a
@@ -432,7 +456,7 @@ func (d *envelopeDecoder) expectedType(childName string) reflect.Type {
 	if len(d.stack) == 0 {
 		return nil
 	}
-	parent := d.stack[len(d.stack)-1]
+	parent := &d.stack[len(d.stack)-1]
 	switch parent.kind {
 	case fStruct:
 		for _, fld := range parent.info.Fields {
@@ -553,7 +577,8 @@ func (d *envelopeDecoder) goTypeFor(q typemap.QName) (reflect.Type, fkind, error
 
 // endValue finalizes the top frame and assigns it into its parent.
 func (d *envelopeDecoder) endValue() error {
-	f := d.stack[len(d.stack)-1]
+	// f stays valid after the pop: nothing is pushed before it is used.
+	f := &d.stack[len(d.stack)-1]
 	d.stack = d.stack[:len(d.stack)-1]
 
 	v, isNil, err := d.finalize(f)
@@ -571,7 +596,7 @@ func (d *envelopeDecoder) endValue() error {
 		return nil
 	}
 
-	parent := d.stack[len(d.stack)-1]
+	parent := &d.stack[len(d.stack)-1]
 	switch parent.kind {
 	case fStruct:
 		for _, fld := range parent.info.Fields {
@@ -618,13 +643,13 @@ func (d *envelopeDecoder) finalize(f *frame) (reflect.Value, bool, error) {
 	case fNil:
 		return reflect.Value{}, true, nil
 	case fSimple:
-		v, err := parseSimple(f.goType, f.text.String())
+		v, err := parseSimple(f.goType, f.content())
 		if err != nil {
 			return reflect.Value{}, false, fmt.Errorf("soap: element %s: %w", f.name, err)
 		}
 		return v, false, nil
 	case fBytes:
-		raw := strings.Map(dropSpace, f.text.String())
+		raw := strings.Map(dropSpace, f.content())
 		data, err := base64.StdEncoding.DecodeString(raw)
 		if err != nil {
 			return reflect.Value{}, false, fmt.Errorf("soap: element %s: invalid base64: %w", f.name, err)

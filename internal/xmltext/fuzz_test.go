@@ -6,22 +6,24 @@ import (
 	"testing"
 )
 
+// scannerSeeds are the tokenizer fuzz targets' hand-written seeds.
+var scannerSeeds = []string{
+	`<doc><para>Hello, world!</para></doc>`,
+	`<a x="1" y='two'>&lt;&amp;&#65;</a>`,
+	`<?xml version="1.0"?><!DOCTYPE d [<!ELEMENT d ANY>]><d><![CDATA[x]]></d>`,
+	`<s:Envelope xmlns:s="urn:e"><s:Body/></s:Envelope>`,
+	`<a><!-- comment --><?pi body?></a>`,
+	`<a>]]></a>`,
+	`<a`, `</a>`, `<a>&bogus;</a>`, `<日本語 属性="値"/>`,
+	"<a>\xff\xfe</a>", `<a x="1" x="2"/>`,
+}
+
 // FuzzScanner feeds arbitrary bytes to the tokenizer: it must never
 // panic or loop, only return tokens or a SyntaxError. Run longer with:
 //
 //	go test -fuzz FuzzScanner ./internal/xmltext
 func FuzzScanner(f *testing.F) {
-	seeds := []string{
-		`<doc><para>Hello, world!</para></doc>`,
-		`<a x="1" y='two'>&lt;&amp;&#65;</a>`,
-		`<?xml version="1.0"?><!DOCTYPE d [<!ELEMENT d ANY>]><d><![CDATA[x]]></d>`,
-		`<s:Envelope xmlns:s="urn:e"><s:Body/></s:Envelope>`,
-		`<a><!-- comment --><?pi body?></a>`,
-		`<a>]]></a>`,
-		`<a`, `</a>`, `<a>&bogus;</a>`, `<日本語 属性="値"/>`,
-		"<a>\xff\xfe</a>", `<a x="1" x="2"/>`,
-	}
-	for _, s := range seeds {
+	for _, s := range scannerSeeds {
 		f.Add([]byte(s))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -3,12 +3,15 @@ package xmltext
 import (
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
-// collect scans the whole document and returns all tokens.
+// collect scans the whole document and returns all tokens, each with
+// its own copy of the attributes (Token.Attrs is valid only until the
+// next call to Next).
 func collect(t *testing.T, doc string) []Token {
 	t.Helper()
 	sc := NewScanner([]byte(doc))
@@ -21,6 +24,7 @@ func collect(t *testing.T, doc string) []Token {
 		if err != nil {
 			t.Fatalf("Next: %v", err)
 		}
+		tok.Attrs = slices.Clone(tok.Attrs)
 		toks = append(toks, tok)
 	}
 }

@@ -67,6 +67,9 @@ type Attr struct {
 // comment body. For KindProcInst, Name holds the target and Text the
 // instruction. For KindDirective, Text holds the directive body
 // (e.g. a DOCTYPE declaration, excluding the <! and >).
+//
+// Every string is an owned copy of the source bytes. Attrs is the
+// scanner's buffer: it is valid until the next call to Next.
 type Token struct {
 	Kind        Kind
 	Name        string
