@@ -87,7 +87,7 @@ func (e *benchClusterEnv) stack(b *testing.B, withTier bool) (*core.Cache, *clie
 	}
 	call := client.NewCall(e.codec, &transport.HTTP{}, e.originURL, googleapi.Namespace,
 		googleapi.OpGetItem, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: handlers})
+		client.Options{Handlers: handlers})
 	return cache, call
 }
 

@@ -375,8 +375,9 @@ func BenchmarkAblationParseVsReplay(b *testing.B) {
 }
 
 // BenchmarkAblationEventRecordingTee measures the client-side cost of
-// recording the SAX event sequence during the response parse (the
-// RecordEvents option): one parse teed to two consumers vs one.
+// recording the SAX event sequence during the response parse (what a
+// miss pays when its store reads events, client.Context.RecordEvents):
+// one parse teed to two consumers vs one.
 func BenchmarkAblationEventRecordingTee(b *testing.B) {
 	e := env(b)
 	op, _ := e.Fixture(googleapi.OpGoogleSearch)
@@ -524,7 +525,7 @@ func BenchmarkAblationEviction(b *testing.B) {
 			})
 			call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 				googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-				client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+				client.Options{Handlers: []client.Handler{cache}})
 			ctx := context.Background()
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -581,7 +582,7 @@ func BenchmarkAblationServerVsClientCache(b *testing.B) {
 		})
 		call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 		if _, err := call.Invoke(ctx, params...); err != nil {
 			b.Fatal(err)
 		}
@@ -606,7 +607,7 @@ func BenchmarkAblationServerVsClientCache(b *testing.B) {
 		})
 		call := client.NewCall(codec, &transport.InProcess{Handler: cached},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 		if _, err := call.Invoke(ctx, params...); err != nil {
 			b.Fatal(err)
 		}
@@ -643,7 +644,7 @@ func BenchmarkAblationRevalidation(b *testing.B) {
 		})
 		call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 		expire := func() { atomic.AddInt64(nowSec, 120) }
 		return call, expire
 	}
@@ -690,7 +691,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 		}
 		return client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{RecordEvents: true, Handlers: handlers}), nil
+			client.Options{Handlers: handlers}), nil
 	}
 	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
 	ctx := context.Background()
@@ -741,16 +742,17 @@ func repHitCall(tb testing.TB) *client.Call {
 	})
 	return client.NewCall(codec, &transport.InProcess{Handler: disp},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 }
 
 // diffHitCall builds a full middleware stack whose client cache is
 // statically pinned to one streaming representation and whose call
 // opts into streamed hits, for the DESIGN.md §5i differential-
-// serialization benchmarks. recordEvents is set for xmltmpl (template
-// building wants the recorded sequence; raw replay needs only the
-// response bytes).
-func diffHitCall(tb testing.TB, repName string, recordEvents bool) *client.Call {
+// serialization benchmarks. The cache records the response's events
+// itself when the representation reads them (xmltmpl builds its
+// template from the sequence; raw replay needs only the response
+// bytes).
+func diffHitCall(tb testing.TB, repName string) *client.Call {
 	tb.Helper()
 	disp, codec, err := googleapi.NewDispatcher()
 	if err != nil {
@@ -768,8 +770,7 @@ func diffHitCall(tb testing.TB, repName string, recordEvents bool) *client.Call 
 	})
 	return client.NewCall(codec, &transport.InProcess{Handler: disp},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-		client.Options{RecordEvents: recordEvents, AcceptStream: true,
-			Handlers: []client.Handler{cache}})
+		client.Options{AcceptStream: true, Handlers: []client.Handler{cache}})
 }
 
 // streamHit runs one full-stack hit and replays the streamed response
@@ -814,15 +815,14 @@ func BenchmarkDiffHit(b *testing.B) {
 		}
 	})
 	for _, tc := range []struct {
-		name         string
-		rep          string
-		recordEvents bool
+		name string
+		rep  string
 	}{
-		{"raw replay", "raw", false},
-		{"xmltmpl splice", "xmltmpl", true},
+		{"raw replay", "raw"},
+		{"xmltmpl splice", "xmltmpl"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			call := diffHitCall(b, tc.rep, tc.recordEvents)
+			call := diffHitCall(b, tc.rep)
 			streamHit(b, call, ctx, params, io.Discard) // warm: fill entry, grow pool buffer
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -841,15 +841,14 @@ func TestDiffHitAllocs(t *testing.T) {
 	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
 	ctx := context.Background()
 	for _, tc := range []struct {
-		name         string
-		rep          string
-		recordEvents bool
+		name string
+		rep  string
 	}{
-		{"raw", "raw", false},
-		{"xmltmpl", "xmltmpl", true},
+		{"raw", "raw"},
+		{"xmltmpl", "xmltmpl"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			call := diffHitCall(t, tc.rep, tc.recordEvents)
+			call := diffHitCall(t, tc.rep)
 			streamHit(t, call, ctx, params, io.Discard) // fill
 			streamHit(t, call, ctx, params, io.Discard) // settle pools
 			allocs := testing.AllocsPerRun(200, func() {
@@ -884,7 +883,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 		})
 		return client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache},
+			client.Options{Handlers: []client.Handler{cache},
 				Obs: reg, Tracer: tracer}), nil
 	}
 	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")

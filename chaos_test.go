@@ -79,7 +79,7 @@ func newChaosHarness(t *testing.T, fcfg faultify.Config, ttl, staleIfError time.
 	mkCall := func(op string) *client.Call {
 		return client.NewCall(codec, fault, googleapi.Endpoint, googleapi.Namespace,
 			op, "urn:GoogleSearchAction",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 	}
 	return &chaosHarness{
 		store: store,

@@ -124,7 +124,7 @@ func newClusterProcess(t testing.TB, tr transport.Transport, codec *soap.Codec, 
 	mkCall := func(op string) *client.Call {
 		return client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace,
 			op, "urn:GoogleSearchAction",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 	}
 	return &clusterProcess{
 		cache: cache,

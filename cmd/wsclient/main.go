@@ -168,7 +168,7 @@ func run(cfg runConfig) error {
 		defer remote.Close()
 	}
 
-	opts := client.Options{RecordEvents: true, Handlers: handlers, Obs: obsReg}
+	opts := client.Options{Handlers: handlers, Obs: obsReg}
 	if cfg.retries > 1 {
 		opts.Retry = &transport.RetryPolicy{MaxAttempts: cfg.retries, Obs: obsReg}
 	}

@@ -76,7 +76,7 @@ func newProcess(tr transport.Transport, codec *soap.Codec, daemonAddr string) (*
 	mk := func(op string) *client.Call {
 		return client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace,
 			op, "urn:GoogleSearchAction",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 	}
 	return &process{cache: cache, get: mk(googleapi.OpGetItem), put: mk(googleapi.OpPutItem)}, nil
 }

@@ -71,7 +71,7 @@ func run() error {
 		Policy: policy,
 	})
 	tr := &transport.InProcess{Handler: disp}
-	opts := client.Options{RecordEvents: true, Handlers: []client.Handler{cache}}
+	opts := client.Options{Handlers: []client.Handler{cache}}
 	call := func(op string) *client.Call {
 		return client.NewCall(codec, tr, "http://amazon.example/soap", amazonapi.Namespace, op, "", opts)
 	}

@@ -57,7 +57,7 @@ func run(ctx context.Context, addr string) error {
 		Obs:        reg,
 	})
 	tr := &transport.InProcess{Handler: dispatcher, Obs: reg}
-	opts := client.Options{RecordEvents: true, Handlers: []client.Handler{cache}, Obs: reg}
+	opts := client.Options{Handlers: []client.Handler{cache}, Obs: reg}
 	newCall := func(op string) *client.Call {
 		return client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace,
 			op, "urn:GoogleSearchAction", opts)

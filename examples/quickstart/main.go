@@ -48,7 +48,7 @@ func run() error {
 	call := client.NewCall(codec, &transport.InProcess{Handler: dispatcher},
 		googleapi.Endpoint, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("demo-key", "response caching", 0, 10, false, "", false, "")
 

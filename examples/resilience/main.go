@@ -72,9 +72,8 @@ func run() error {
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch,
 		"urn:GoogleSearchAction",
 		client.Options{
-			RecordEvents: true,
-			Handlers:     []client.Handler{cache},
-			Breaker:      breaker,
+			Handlers: []client.Handler{cache},
+			Breaker:  breaker,
 			Retry: &transport.RetryPolicy{
 				MaxAttempts: 2,
 				BaseDelay:   time.Millisecond,

@@ -65,7 +65,7 @@ func run() error {
 	call := client.NewCall(codec, &transport.InProcess{Handler: dispatcher},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch,
 		"urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("demo", "consistency", 0, 10, false, "", false, "")
 	describe := func(step string, ictx *client.Context, took time.Duration) {
@@ -115,7 +115,7 @@ func run() error {
 	itemCall := func(op string) *client.Call {
 		return client.NewCall(codec, &transport.InProcess{Handler: dispatcher},
 			googleapi.Endpoint, googleapi.Namespace, op, "urn:GoogleSearchAction",
-			client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+			client.Options{Handlers: []client.Handler{cache}})
 	}
 	getItem, putItem := itemCall(googleapi.OpGetItem), itemCall(googleapi.OpPutItem)
 

@@ -54,7 +54,7 @@ func TestIntegrationHTTPCachingClient(t *testing.T) {
 	})
 	call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("k", "integration", 0, 10, false, "", false, "")
 	ctx := context.Background()
@@ -97,7 +97,7 @@ func TestIntegrationStreamedHitIsTheOriginEnvelope(t *testing.T) {
 		cache := core.MustNew(core.Config{KeyGen: rep.NewStringKey(), Store: store, DefaultTTL: time.Hour})
 		call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
 			googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-			client.Options{RecordEvents: true, AcceptStream: true, Handlers: []client.Handler{cache}})
+			client.Options{AcceptStream: true, Handlers: []client.Handler{cache}})
 		params := googleapi.SearchParams("k", "stream identity", 0, 10, false, "", false, "")
 
 		var replay [2]bytes.Buffer
@@ -147,7 +147,7 @@ func TestIntegrationHTTPRevalidation(t *testing.T) {
 	})
 	call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 	params := googleapi.SearchParams("k", "reval", 0, 10, false, "", false, "")
 
 	if _, err := call.Invoke(context.Background(), params...); err != nil {

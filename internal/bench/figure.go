@@ -188,7 +188,7 @@ func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio fl
 	call := client.NewCall(codec, &transport.InProcess{Handler: disp, Obs: cfg.Obs},
 		googleapi.Endpoint, googleapi.Namespace, cfg.Operation,
 		"urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}, Obs: cfg.Obs})
+		client.Options{Handlers: []client.Handler{cache}, Obs: cfg.Obs})
 
 	params, _ := operationParams(cfg.Operation)
 	site := portal.New(portal.Backend{

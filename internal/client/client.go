@@ -59,8 +59,16 @@ type Context struct {
 	// cached representation is still valid.
 	NotModified bool
 
-	// ResponseEvents is the recorded SAX event sequence of the response
-	// (set by the pivot when RecordEvents is enabled).
+	// RecordEvents asks the pivot to tee the response parse into a SAX
+	// event recorder, leaving the sequence in ResponseEvents: one
+	// tokenization feeds both the recorder and the deserializer. A cache
+	// whose value representation reads events sets it on a miss; nothing
+	// else needs to (see Events).
+	RecordEvents bool
+
+	// ResponseEvents is the recorded SAX event sequence of the response:
+	// set by the pivot when RecordEvents is set, or by the first call to
+	// Events.
 	ResponseEvents []sax.Event
 
 	// AcceptStream declares that this invocation's consumer can handle
@@ -101,6 +109,23 @@ func (ictx *Context) Stream() (io.WriterTo, bool) {
 	return nil, false
 }
 
+// Events returns the response's SAX event sequence: the one the pivot
+// recorded when RecordEvents was set, or else a recording of
+// ResponseXML made now and kept in ResponseEvents, so every store that
+// reads events during one fill shares a single recording. It returns
+// nil and no error when the invocation captured neither.
+func (ictx *Context) Events() ([]sax.Event, error) {
+	if len(ictx.ResponseEvents) > 0 || len(ictx.ResponseXML) == 0 {
+		return ictx.ResponseEvents, nil
+	}
+	events, err := sax.Record(ictx.ResponseXML)
+	if err != nil {
+		return nil, err
+	}
+	ictx.ResponseEvents = events
+	return events, nil
+}
+
 // bytesStream adapts a raw envelope to io.WriterTo.
 type bytesStream []byte
 
@@ -137,9 +162,12 @@ func (f HandlerFunc) HandleInvoke(ictx *Context, next Invoker) error {
 
 // Options configure a Call.
 type Options struct {
-	// RecordEvents makes the pivot record the response's SAX event
-	// sequence into Context.ResponseEvents during the response parse
-	// (one tokenization, teed to recorder and deserializer).
+	// RecordEvents does nothing.
+	//
+	// Deprecated: whether the pivot records the response's SAX events is
+	// decided per invocation by the cache that stores the response
+	// (Context.RecordEvents): a cache records only when its value
+	// representation reads events.
 	RecordEvents bool
 
 	// AcceptStream marks every invocation of this Call as stream-
@@ -364,10 +392,10 @@ func (c *Call) pivot(ictx *Context) error {
 	if c.timed {
 		start = c.now()
 	}
-	msg, events, err := c.decode(resp.Body)
+	msg, events, err := c.decode(resp.Body, ictx.RecordEvents)
 	if c.timed {
 		// Parse time covers tokenization and deserialization (one
-		// pass, teed when RecordEvents is on).
+		// pass, teed when the invocation records events).
 		c.observe(ictx.Operation, obs.StageParse, "", c.now().Sub(start), err)
 	}
 	if err != nil {
@@ -381,11 +409,11 @@ func (c *Call) pivot(ictx *Context) error {
 	return nil
 }
 
-// decode parses the response envelope, optionally teeing the parse into
-// an event recorder.
-func (c *Call) decode(body []byte) (*soap.DecodedMessage, []sax.Event, error) {
+// decode parses the response envelope, teeing the parse into an event
+// recorder when record is set.
+func (c *Call) decode(body []byte, record bool) (*soap.DecodedMessage, []sax.Event, error) {
 	dh := c.codec.NewDecodeHandler()
-	if !c.opts.RecordEvents {
+	if !record {
 		if err := sax.Parse(body, dh.Handler()); err != nil {
 			return nil, nil, err
 		}

@@ -100,7 +100,8 @@ func TestDecodeFailureWithRecordEvents(t *testing.T) {
 	// too, not just the plain path.
 	codec := newQuoteCodec(t)
 	body := encodeQuoteResponse(t, codec)
-	call := client.NewCall(codec, respondWith(body[:len(body)/3]), "ep", testNS, "getQuote", "", client.Options{RecordEvents: true})
+	call := client.NewCall(codec, respondWith(body[:len(body)/3]), "ep", testNS, "getQuote", "",
+		client.Options{Handlers: []client.Handler{recordHandler}})
 	if _, err := call.Invoke(context.Background()); err == nil {
 		t.Fatal("want decode error on teed parse")
 	}

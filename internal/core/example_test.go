@@ -31,7 +31,7 @@ func Example() {
 	call := client.NewCall(codec, &transport.InProcess{Handler: dispatcher},
 		googleapi.Endpoint, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("key", "caching", 0, 10, false, "", false, "")
 	for i := 0; i < 2; i++ {

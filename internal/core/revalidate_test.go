@@ -58,7 +58,7 @@ func newRevalidationFixture(t *testing.T, cacheTTL time.Duration, honorServerTTL
 
 	call := client.NewCall(codec, countingTransport, googleapi.Endpoint, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	return &revalidationFixture{call: call, cache: cache, disp: disp, nowSec: nowSec, backend: backend}
 }
@@ -162,7 +162,7 @@ func TestRevalidationDisabledDropsExpired(t *testing.T) {
 	})
 	call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-		client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("k", "q", 0, 10, false, "", false, "")
 	if _, err := call.Invoke(context.Background(), params...); err != nil {
@@ -242,7 +242,7 @@ func TestConditionalRequestHeaderFormat(t *testing.T) {
 		return (&transport.InProcess{Handler: disp}).Send(ctx, req)
 	})
 	call := client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace,
-		googleapi.OpGoogleSearch, "", client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		googleapi.OpGoogleSearch, "", client.Options{Handlers: []client.Handler{cache}})
 
 	params := googleapi.SearchParams("k", "q", 0, 10, false, "", false, "")
 	if _, err := call.Invoke(context.Background(), params...); err != nil {
@@ -297,7 +297,7 @@ func TestRevalidation304WithoutLifetimeHeaders(t *testing.T) {
 		return resp, err
 	})
 	call := client.NewCall(codec, stripping, googleapi.Endpoint, googleapi.Namespace,
-		googleapi.OpGoogleSearch, "", client.Options{RecordEvents: true, Handlers: []client.Handler{cache}})
+		googleapi.OpGoogleSearch, "", client.Options{Handlers: []client.Handler{cache}})
 	params := googleapi.SearchParams("k", "q", 0, 10, false, "", false, "")
 
 	if _, err := call.Invoke(context.Background(), params...); err != nil {

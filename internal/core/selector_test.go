@@ -181,7 +181,7 @@ func TestDefaultSelectorGolden(t *testing.T) {
 				})
 				call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 					googleapi.Endpoint, googleapi.Namespace, class.op, "",
-					client.Options{RecordEvents: true, AcceptStream: class.stream, Handlers: []client.Handler{cache}})
+					client.Options{AcceptStream: class.stream, Handlers: []client.Handler{cache}})
 				const fills = 17
 				for i := 1; i <= fills; i++ {
 					if _, err := call.Invoke(context.Background(), class.params(i)...); err != nil {
@@ -215,7 +215,7 @@ func TestDefaultSelectorFillAllocs(t *testing.T) {
 	}
 	call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 		googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-		client.Options{RecordEvents: true})
+		client.Options{})
 	ictx, err := call.InvokeContext(context.Background(),
 		googleapi.SearchParams("k", "alloc query", 0, 10, false, "", false, "")...)
 	if err != nil {

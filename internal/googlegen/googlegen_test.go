@@ -37,7 +37,7 @@ func newTypedClient(t *testing.T, handlers ...client.Handler) *GoogleSearchClien
 		t.Fatal(err)
 	}
 	cl, err := NewGoogleSearchClient(defs, codec, &transport.InProcess{Handler: disp},
-		client.ServiceConfig{Options: client.Options{RecordEvents: true, Handlers: handlers}})
+		client.ServiceConfig{Options: client.Options{Handlers: handlers}})
 	if err != nil {
 		t.Fatal(err)
 	}

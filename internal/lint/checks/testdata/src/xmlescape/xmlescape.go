@@ -3,6 +3,7 @@
 package xmlescape
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -63,4 +64,35 @@ func (w *Writer) WriteVia(text string) {
 func (w *Writer) WriteDirty(text string) {
 	out := text + "!"
 	w.b.WriteString(out) // want "unescaped string written into XML output"
+}
+
+// Encoder is the same convention over a bytes.Buffer, the form a pooled
+// encoder appends into.
+type Encoder struct {
+	b bytes.Buffer
+}
+
+// WriteText escapes character data through the shared helper.
+func (e *Encoder) WriteText(text string) {
+	xmltext.EscapeText(&e.b, text)
+}
+
+// WriteCount appends a number in the buffer's free space.
+func (e *Encoder) WriteCount(n int) {
+	e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), int64(n), 10))
+}
+
+// WriteRaw leaks unescaped data into the document.
+func (e *Encoder) WriteRaw(text string) {
+	e.b.WriteString(text) // want "unescaped string written into XML output"
+}
+
+// WriteRawBytes leaks unescaped bytes into the document.
+func (e *Encoder) WriteRawBytes(text string) {
+	e.b.Write([]byte(text)) // want "unescaped string written into XML output"
+}
+
+// WriteFmt formats straight into the buffer.
+func (e *Encoder) WriteFmt(text string) {
+	fmt.Fprint(&e.b, text) // want "cannot escape"
 }

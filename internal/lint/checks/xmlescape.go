@@ -25,8 +25,10 @@ var xmlWriterScope = map[string]bool{
 var trustedNameRe = regexp.MustCompile(`(?i)(name|prefix|ref|decl|escaped|local)$`)
 
 // XMLEscape enforces output hygiene in the hand-rolled XML writers: any
-// string written into an XML buffer (by convention, a field `b
-// strings.Builder` on a writer/encoder struct) must be one of
+// string written into an XML buffer (by convention, a field `b` of type
+// strings.Builder or bytes.Buffer on a writer/encoder struct), by
+// WriteString or — for bytes appended in the buffer's free space —
+// Write, must be one of
 //
 //   - a constant or string literal (markup the author wrote),
 //   - the result of an xmltext escaping helper, strconv number/bool
@@ -94,8 +96,9 @@ func checkXMLWrite(pass *lint.Pass, cl *cleanliness, call *ast.CallExpr) {
 			return
 		}
 	}
-	// x.b.WriteString(arg) on a writer struct's builder field.
-	if sel.Sel.Name != "WriteString" || !isXMLBuffer(info, sel.X) || len(call.Args) != 1 {
+	// x.b.WriteString(arg) / x.b.Write(arg) on a writer struct's buffer
+	// field.
+	if (sel.Sel.Name != "WriteString" && sel.Sel.Name != "Write") || !isXMLBuffer(info, sel.X) || len(call.Args) != 1 {
 		return
 	}
 	if !cl.clean(call.Args[0]) {
@@ -105,7 +108,8 @@ func checkXMLWrite(pass *lint.Pass, cl *cleanliness, call *ast.CallExpr) {
 }
 
 // isXMLBuffer reports whether e denotes (possibly via &) a field named b
-// of type strings.Builder — the repo's XML-writer convention.
+// of type strings.Builder or bytes.Buffer — the repo's XML-writer
+// convention.
 func isXMLBuffer(info *types.Info, e ast.Expr) bool {
 	e = ast.Unparen(e)
 	if u, ok := e.(*ast.UnaryExpr); ok {
@@ -119,7 +123,11 @@ func isXMLBuffer(info *types.Info, e ast.Expr) bool {
 	if !ok || selection.Kind() != types.FieldVal {
 		return false
 	}
-	return selection.Obj().Type().String() == "strings.Builder"
+	switch selection.Obj().Type().String() {
+	case "strings.Builder", "bytes.Buffer":
+		return true
+	}
+	return false
 }
 
 // cleanliness decides whether an expression is safe to write raw into

@@ -31,7 +31,7 @@ func newPortal(t *testing.T) (*Site, *core.Cache) {
 		DefaultTTL: time.Hour,
 	})
 	tr := &transport.InProcess{Handler: disp}
-	opts := client.Options{RecordEvents: true, Handlers: []client.Handler{cache}}
+	opts := client.Options{Handlers: []client.Handler{cache}}
 
 	searchCall := client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction", opts)

@@ -351,7 +351,7 @@ type TemplateStore struct {
 	tc *templateCache
 }
 
-var _ ValueStore = (*TemplateStore)(nil)
+var _ EventReader = (*TemplateStore)(nil)
 
 // NewTemplateStore returns the template serialization representation.
 func NewTemplateStore() *TemplateStore {
@@ -361,18 +361,18 @@ func NewTemplateStore() *TemplateStore {
 // Name implements ValueStore.
 func (s *TemplateStore) Name() string { return "XML template (splice)" }
 
+// ReadsEvents implements EventReader: templates are derived from the
+// event sequence.
+func (s *TemplateStore) ReadsEvents() bool { return true }
+
 // Store implements ValueStore.
 func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
-	events := ictx.ResponseEvents
+	events, err := ictx.Events()
+	if err != nil {
+		return nil, 0, fmt.Errorf("rep: template store: %w", err)
+	}
 	if len(events) == 0 {
-		if len(ictx.ResponseXML) == 0 {
-			return nil, 0, fmt.Errorf("rep: template store: %w: invocation captured neither events nor XML", ErrNotApplicable)
-		}
-		var err error
-		events, err = sax.Record(ictx.ResponseXML)
-		if err != nil {
-			return nil, 0, fmt.Errorf("rep: template store: %w", err)
-		}
+		return nil, 0, fmt.Errorf("rep: template store: %w: invocation captured neither events nor XML", ErrNotApplicable)
 	}
 	p, resident, err := s.tc.spliceFor(events, xmlPrologue(ictx.ResponseXML))
 	if err != nil {

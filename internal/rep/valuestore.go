@@ -32,6 +32,21 @@ type ValueStore interface {
 	Load(payload any) (any, error)
 }
 
+// EventReader is the optional ValueStore extension of the
+// representations built from the response's SAX event sequence: the
+// SAX stores, the DOM tree and the XML template. A cache whose store
+// (or a per-operation store) reads events asks the pivot to record them
+// during the response parse (client.Context.RecordEvents), so the fill
+// shares that one tokenization; every other store is filled without a
+// recording. A store that reads events without the pivot having
+// recorded them — one a Selector reaches for an untyped result — records
+// from the response XML through client.Context.Events, once per fill.
+type EventReader interface {
+	ValueStore
+	// ReadsEvents reports that Store reads client.Context.Events.
+	ReadsEvents() bool
+}
+
 // ErrNotApplicable reports that a value store cannot represent a given
 // result; the Selector's walk and callers use it to fall through to the
 // next candidate.
@@ -84,12 +99,13 @@ func (s *XMLMessageStore) Load(payload any) (any, error) {
 // SAXEventsStore caches the recorded SAX event sequence of the response
 // (Section 4.2.2, Table 4). Load replays the events through the
 // deserializer: no tokenization, fresh objects every hit, no type
-// limitation. Requires the client option RecordEvents.
+// limitation. It reads events (EventReader), so a cache storing through
+// it has the response parse recorded.
 type SAXEventsStore struct {
 	codec *soap.Codec
 }
 
-var _ ValueStore = (*SAXEventsStore)(nil)
+var _ EventReader = (*SAXEventsStore)(nil)
 
 // NewSAXEventsStore returns the SAX-events representation.
 func NewSAXEventsStore(codec *soap.Codec) *SAXEventsStore {
@@ -99,20 +115,17 @@ func NewSAXEventsStore(codec *soap.Codec) *SAXEventsStore {
 // Name implements ValueStore.
 func (s *SAXEventsStore) Name() string { return "SAX events sequence" }
 
+// ReadsEvents implements EventReader.
+func (s *SAXEventsStore) ReadsEvents() bool { return true }
+
 // Store implements ValueStore.
 func (s *SAXEventsStore) Store(ictx *client.Context) (any, int, error) {
-	events := ictx.ResponseEvents
+	events, err := ictx.Events()
+	if err != nil {
+		return nil, 0, fmt.Errorf("rep: sax store: %w", err)
+	}
 	if len(events) == 0 {
-		if len(ictx.ResponseXML) == 0 {
-			return nil, 0, fmt.Errorf("rep: sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
-		}
-		// The client did not record during the response parse; record
-		// now from the raw message (one extra parse on the miss path).
-		var err error
-		events, err = sax.Record(ictx.ResponseXML)
-		if err != nil {
-			return nil, 0, fmt.Errorf("rep: sax store: %w", err)
-		}
+		return nil, 0, fmt.Errorf("rep: sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
 	}
 	seq := make([]sax.Event, len(events))
 	copy(seq, events)
@@ -145,7 +158,7 @@ type DOMStore struct {
 	codec *soap.Codec
 }
 
-var _ ValueStore = (*DOMStore)(nil)
+var _ EventReader = (*DOMStore)(nil)
 
 // NewDOMStore returns the DOM-tree representation.
 func NewDOMStore(codec *soap.Codec) *DOMStore {
@@ -154,6 +167,10 @@ func NewDOMStore(codec *soap.Codec) *DOMStore {
 
 // Name implements ValueStore.
 func (s *DOMStore) Name() string { return "DOM tree" }
+
+// ReadsEvents implements EventReader: the tree is built from the
+// recorded events when the parse recorded them.
+func (s *DOMStore) ReadsEvents() bool { return true }
 
 // Store implements ValueStore.
 func (s *DOMStore) Store(ictx *client.Context) (any, int, error) {
@@ -224,7 +241,7 @@ type CompactSAXStore struct {
 	codec *soap.Codec
 }
 
-var _ ValueStore = (*CompactSAXStore)(nil)
+var _ EventReader = (*CompactSAXStore)(nil)
 
 // NewCompactSAXStore returns the compact SAX-events representation.
 func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
@@ -234,18 +251,17 @@ func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
 // Name implements ValueStore.
 func (s *CompactSAXStore) Name() string { return "SAX events (compact)" }
 
+// ReadsEvents implements EventReader.
+func (s *CompactSAXStore) ReadsEvents() bool { return true }
+
 // Store implements ValueStore.
 func (s *CompactSAXStore) Store(ictx *client.Context) (any, int, error) {
-	events := ictx.ResponseEvents
+	events, err := ictx.Events()
+	if err != nil {
+		return nil, 0, fmt.Errorf("rep: compact sax store: %w", err)
+	}
 	if len(events) == 0 {
-		if len(ictx.ResponseXML) == 0 {
-			return nil, 0, fmt.Errorf("rep: compact sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
-		}
-		var err error
-		events, err = sax.Record(ictx.ResponseXML)
-		if err != nil {
-			return nil, 0, fmt.Errorf("rep: compact sax store: %w", err)
-		}
+		return nil, 0, fmt.Errorf("rep: compact sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
 	}
 	seq := sax.Compact(events)
 	payload := &compactSAXPayload{seq: seq, multiRef: soap.EventsHaveHref(events)}

@@ -229,7 +229,7 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		var n int64
 		st, werr := c.streamed(hit.Value)
 		if werr == nil {
-			setSOAPHeaders(w, lastMod, ttl)
+			setSOAPHeaders(w, st.Len(), lastMod, ttl)
 			n, werr = st.WriteTo(w)
 		}
 		if c.timed {

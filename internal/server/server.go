@@ -6,8 +6,8 @@ package server
 
 import (
 	"fmt"
-	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"time"
 
@@ -106,9 +106,10 @@ func (d *Dispatcher) dispatch(request []byte) (op string, result any, fault *soa
 
 // ServeHTTP implements http.Handler: POST text/xml in, envelope out.
 // Faults are returned with HTTP 500 per SOAP 1.1 over HTTP. Successful
-// responses are encoded straight into the response writer
-// (soap.Codec.EncodeResponseTo): the envelope is built fully before the
-// first byte goes out, so encode errors still produce a 500.
+// responses are written straight from the encoder's pooled buffer
+// (soap.Codec.WriteResponse): the envelope is built fully before the
+// first byte goes out, so encode errors still produce a 500, and its
+// length is known, so every response carries a Content-Length.
 func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, lastMod, ttl, done := soapPreamble(w, r, d)
 	if done {
@@ -123,11 +124,12 @@ func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeSOAPResponse(w, lastMod, ttl, resp, true, err)
 		return
 	}
-	setSOAPHeaders(w, lastMod, ttl)
-	if n, err := d.codec.EncodeResponseTo(w, d.targetNS, op, result); err != nil && n == 0 {
-		// Build failed before any byte was written; the writer is still
-		// fresh enough for an error status. (A write error with n > 0
-		// means the client is gone — nothing to do.)
+	err := d.codec.WriteResponse(d.targetNS, op, result, func(env []byte) {
+		writeSOAPResponse(w, lastMod, ttl, env, false, nil)
+	})
+	if err != nil {
+		// Nothing was written: the writer is still fresh enough for an
+		// error status.
 		http.Error(w, fmt.Sprintf("server: encode response for %s: %v", op, err), http.StatusInternalServerError)
 	}
 }
@@ -152,7 +154,9 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 		w.WriteHeader(http.StatusNotModified)
 		return nil, lastMod, ttl, true
 	}
-	body, err := io.ReadAll(r.Body)
+	// The request's Content-Length sizes the read; the server sets no
+	// bound of its own on request bodies.
+	body, err := transport.ReadBody(r.Body, r.ContentLength, -1)
 	if err != nil {
 		http.Error(w, "read body", http.StatusBadRequest)
 		return nil, lastMod, ttl, true
@@ -160,12 +164,14 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 	return body, lastMod, ttl, false
 }
 
-// setSOAPHeaders stamps the SOAP content type and the validator policy
-// on a response about to be written.
-func setSOAPHeaders(w http.ResponseWriter, lastMod time.Time, ttl time.Duration) {
-	w.Header().Set("Content-Type", `text/xml; charset=utf-8`)
+// setSOAPHeaders stamps the SOAP content type, the body's length and
+// the validator policy on a response about to be written.
+func setSOAPHeaders(w http.ResponseWriter, n int, lastMod time.Time, ttl time.Duration) {
+	h := w.Header()
+	h.Set("Content-Type", `text/xml; charset=utf-8`)
+	h.Set("Content-Length", strconv.Itoa(n))
 	if !lastMod.IsZero() || ttl > 0 {
-		transport.SetValidators(w.Header(), lastMod, ttl)
+		transport.SetValidators(h, lastMod, ttl)
 	}
 }
 
@@ -176,7 +182,7 @@ func writeSOAPResponse(w http.ResponseWriter, lastMod time.Time, ttl time.Durati
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	setSOAPHeaders(w, lastMod, ttl)
+	setSOAPHeaders(w, len(resp), lastMod, ttl)
 	if isFault {
 		w.WriteHeader(http.StatusInternalServerError)
 	}

@@ -1,77 +1,115 @@
 package soap
 
 import (
+	"bytes"
 	"encoding/base64"
 	"fmt"
-	"io"
 	"reflect"
 	"strconv"
-	"strings"
+	"sync"
 
 	"repro/internal/typemap"
 	"repro/internal/xmltext"
 )
 
-// encoder writes one envelope. It tracks namespace prefixes: the five
-// standard namespaces plus the target (service) namespace are declared
-// on the envelope; any further namespaces get fresh nsN prefixes
-// declared at first use.
+// encoder writes one envelope into b. It tracks namespace prefixes:
+// the five standard namespaces plus the target (service) namespace are
+// declared on the envelope; any further namespaces get fresh nsN
+// prefixes declared at first use, recorded in minted.
+//
+// Encoders are pooled (encoderPool): reset clears the buffer and the
+// minted prefixes, so an envelope never inherits a declaration from the
+// one encoded before it, including one whose encode failed halfway.
 type encoder struct {
-	b        strings.Builder
+	b        bytes.Buffer
 	reg      *typemap.Registry
-	prefixes map[string]string // namespace URI -> prefix
-	nextNS   int
+	targetNS string
+	minted   []mintedPrefix
 }
 
-// newEncoder seeds the prefix table with the standard declarations.
-func (c *Codec) newEncoder(targetNS string) *encoder {
-	e := &encoder{
-		reg: c.reg,
-		prefixes: map[string]string{
-			EnvNS:      envPrefix,
-			EncNS:      encPrefix,
-			SchemaNS:   xsdPrefix,
-			InstanceNS: xsiPrefix,
-		},
-		nextNS: 2,
-	}
-	if targetNS != "" {
-		e.prefixes[targetNS] = targetPrefix
-	}
+// mintedPrefix binds a namespace beyond the standard set to its nsN
+// prefix.
+type mintedPrefix struct {
+	uri, prefix string
+}
+
+// maxPooledEnvelope bounds the buffer an encoder keeps when it goes
+// back to the pool, so one huge envelope does not pin its buffer for
+// the life of the process.
+const maxPooledEnvelope = 256 << 10
+
+var encoderPool = sync.Pool{New: func() any { return new(encoder) }}
+
+// getEncoder takes an encoder from the pool, reset for targetNS.
+func (c *Codec) getEncoder(targetNS string) *encoder {
+	e := encoderPool.Get().(*encoder)
+	e.reset(c.reg, targetNS)
 	return e
+}
+
+// putEncoder returns e to the pool. The caller must no longer use
+// e.b's bytes.
+func putEncoder(e *encoder) {
+	if e.b.Cap() > maxPooledEnvelope {
+		e.b = bytes.Buffer{}
+	}
+	e.reg = nil
+	encoderPool.Put(e)
+}
+
+// reset readies e for a new envelope in targetNS.
+func (e *encoder) reset(reg *typemap.Registry, targetNS string) {
+	e.b.Reset()
+	e.reg = reg
+	e.targetNS = targetNS
+	clear(e.minted)
+	e.minted = e.minted[:0]
 }
 
 // EncodeRequest serializes an rpc/encoded request envelope for the
 // operation in the given target namespace.
 func (c *Codec) EncodeRequest(targetNS, operation string, params []Param) ([]byte, error) {
-	return c.encodeCall(targetNS, operation, params)
+	e := c.getEncoder(targetNS)
+	defer putEncoder(e)
+	if err := e.call(operation, false, params); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(e.b.Bytes()), nil
 }
 
 // EncodeResponse serializes an rpc/encoded response envelope. By
 // convention the wrapper element is operation+"Response" and the single
 // part is named "return".
 func (c *Codec) EncodeResponse(targetNS, operation string, result any) ([]byte, error) {
-	return c.encodeCall(targetNS, operation+"Response", []Param{{Name: "return", Value: result}})
+	e := c.getEncoder(targetNS)
+	defer putEncoder(e)
+	if err := e.response(operation, result); err != nil {
+		return nil, err
+	}
+	return bytes.Clone(e.b.Bytes()), nil
 }
 
-// EncodeResponseTo serializes an rpc/encoded response envelope
-// directly into w, skipping EncodeResponse's []byte materialization.
-// The envelope is built fully before the write, so an encode error
-// reaches the caller before any byte has gone out (the server can
-// still send a fault).
-func (c *Codec) EncodeResponseTo(w io.Writer, targetNS, operation string, result any) (int64, error) {
-	e, err := c.buildCall(targetNS, operation+"Response", []Param{{Name: "return", Value: result}})
-	if err != nil {
-		return 0, err
+// WriteResponse serializes an rpc/encoded response envelope, as
+// EncodeResponse does, and hands it to write without copying it out of
+// the encoder's pooled buffer. The envelope is built fully before write
+// is called, so an encode error reaches the caller before any byte has
+// gone out (a server can still send a fault); write is not called then.
+// The slice is valid only until write returns and must not be retained.
+func (c *Codec) WriteResponse(targetNS, operation string, result any, write func(envelope []byte)) error {
+	e := c.getEncoder(targetNS)
+	defer putEncoder(e)
+	if err := e.response(operation, result); err != nil {
+		return err
 	}
-	n, err := io.WriteString(w, e.b.String())
-	return int64(n), err
+	write(e.b.Bytes())
+	return nil
 }
 
 // EncodeFault serializes a SOAP fault envelope.
 func (c *Codec) EncodeFault(f *Fault) ([]byte, error) {
-	e := c.newEncoder("")
-	e.openEnvelope("")
+	e := c.getEncoder("")
+	defer putEncoder(e)
+	e.openEnvelope()
 	e.b.WriteString("<" + envPrefix + ":Fault>")
 	e.simpleChild("faultcode", f.Code)
 	e.simpleChild("faultstring", f.String)
@@ -83,53 +121,60 @@ func (c *Codec) EncodeFault(f *Fault) ([]byte, error) {
 	}
 	e.b.WriteString("</" + envPrefix + ":Fault>")
 	e.closeEnvelope()
-	return []byte(e.b.String()), nil
+	return bytes.Clone(e.b.Bytes()), nil
 }
 
-// encodeCall writes a full envelope whose Body holds one wrapper
-// element containing the given params.
-func (c *Codec) encodeCall(targetNS, wrapper string, params []Param) ([]byte, error) {
-	e, err := c.buildCall(targetNS, wrapper, params)
-	if err != nil {
-		return nil, err
-	}
-	return []byte(e.b.String()), nil
+// response writes a response envelope: the wrapper element is
+// operation+"Response" and the single part is named "return".
+func (e *encoder) response(operationName string, result any) error {
+	return e.call(operationName, true, []Param{{Name: "return", Value: result}})
 }
 
-// buildCall builds a full envelope whose Body holds one wrapper
-// element containing the given params, returning the encoder for the
-// caller to drain (as bytes or straight into a writer).
-func (c *Codec) buildCall(targetNS, wrapper string, params []Param) (*encoder, error) {
-	e := c.newEncoder(targetNS)
-	e.openEnvelope(targetNS)
-
-	wrapperName := wrapper
-	if targetNS != "" {
-		wrapperName = targetPrefix + ":" + wrapper
-	}
-	e.b.WriteString("<" + wrapperName + " " + envPrefix + `:encodingStyle="` + EncNS + `">`)
+// call writes a full envelope whose Body holds one wrapper element
+// containing the given params: the operation's element, or on a response
+// operation+"Response".
+func (e *encoder) call(operationName string, response bool, params []Param) error {
+	e.openEnvelope()
+	e.b.WriteByte('<')
+	e.wrapperName(operationName, response)
+	e.b.WriteString(" " + envPrefix + `:encodingStyle="` + EncNS + `">`)
 	for _, p := range params {
 		if err := e.value(p.Name, p.Value); err != nil {
-			return nil, fmt.Errorf("soap: encode %s.%s: %w", wrapper, p.Name, err)
+			if response {
+				operationName += "Response"
+			}
+			return fmt.Errorf("soap: encode %s.%s: %w", operationName, p.Name, err)
 		}
 	}
-	e.b.WriteString("</" + wrapperName + ">")
-
+	e.b.WriteString("</")
+	e.wrapperName(operationName, response)
+	e.b.WriteByte('>')
 	e.closeEnvelope()
-	return e, nil
+	return nil
+}
+
+// wrapperName writes the wrapper element's qualified name.
+func (e *encoder) wrapperName(operationName string, response bool) {
+	if e.targetNS != "" {
+		e.b.WriteString(targetPrefix + ":")
+	}
+	e.b.WriteString(operationName)
+	if response {
+		e.b.WriteString("Response")
+	}
 }
 
 // openEnvelope writes the envelope and body start tags with the
 // standard namespace declarations.
-func (e *encoder) openEnvelope(targetNS string) {
+func (e *encoder) openEnvelope() {
 	e.b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
 	e.b.WriteString("<" + envPrefix + ":Envelope")
 	e.decl(envPrefix, EnvNS)
 	e.decl(encPrefix, EncNS)
 	e.decl(xsdPrefix, SchemaNS)
 	e.decl(xsiPrefix, InstanceNS)
-	if targetNS != "" {
-		e.decl(targetPrefix, targetNS)
+	if e.targetNS != "" {
+		e.decl(targetPrefix, e.targetNS)
 	}
 	e.b.WriteString("><" + envPrefix + ":Body>")
 }
@@ -141,92 +186,130 @@ func (e *encoder) closeEnvelope() {
 
 // decl writes an xmlns declaration.
 func (e *encoder) decl(prefix, uri string) {
-	e.b.WriteString(` xmlns:` + prefix + `="`)
+	e.b.WriteString(` xmlns:`)
+	e.b.WriteString(prefix)
+	e.b.WriteString(`="`)
 	xmltext.EscapeAttr(&e.b, uri)
 	e.b.WriteByte('"')
 }
 
 // simpleChild writes an untyped simple element (used in faults).
 func (e *encoder) simpleChild(name, text string) {
-	e.b.WriteString("<" + name + ">")
+	e.startTag(name)
+	e.b.WriteByte('>')
 	xmltext.EscapeText(&e.b, text)
-	e.b.WriteString("</" + name + ">")
+	e.endTag(name)
 }
 
-// prefixFor returns the prefix for a namespace URI, minting and
-// declaring a new one on the current element when unseen. The returned
-// decl string is non-empty when a declaration must be appended to the
-// open tag being built.
-func (e *encoder) prefixFor(uri string) (prefix, decl string) {
-	if p, ok := e.prefixes[uri]; ok {
-		return p, ""
-	}
-	p := "ns" + strconv.Itoa(e.nextNS)
-	e.nextNS++
-	e.prefixes[uri] = p
-	return p, ` xmlns:` + p + `="` + xmltext.EscapeAttrString(uri) + `"`
+// startTag writes "<name", leaving the tag open for attributes.
+func (e *encoder) startTag(name string) {
+	e.b.WriteByte('<')
+	e.b.WriteString(name)
 }
 
-// qref renders a QName as prefix:local, returning any xmlns declaration
-// needed.
-func (e *encoder) qref(q typemap.QName) (ref, decl string) {
-	if q.Space == "" {
-		return q.Local, ""
+// endTag writes "</name>".
+func (e *encoder) endTag(name string) {
+	e.b.WriteString("</")
+	e.b.WriteString(name)
+	e.b.WriteByte('>')
+}
+
+// nilElement writes <name xsi:nil="true"/>.
+func (e *encoder) nilElement(name string) {
+	e.startTag(name)
+	e.b.WriteString(" " + xsiPrefix + `:nil="true"/>`)
+}
+
+// prefixFor returns the prefix for a namespace URI. An unseen one gets
+// a fresh nsN prefix, declared on the start tag being written, which
+// must still be open.
+func (e *encoder) prefixFor(uri string) string {
+	if uri == e.targetNS {
+		return targetPrefix
 	}
-	p, d := e.prefixFor(q.Space)
-	return p + ":" + q.Local, d
+	switch uri {
+	case EnvNS:
+		return envPrefix
+	case EncNS:
+		return encPrefix
+	case SchemaNS:
+		return xsdPrefix
+	case InstanceNS:
+		return xsiPrefix
+	}
+	for _, m := range e.minted {
+		if m.uri == uri {
+			return m.prefix
+		}
+	}
+	prefix := "ns" + strconv.Itoa(len(e.minted)+2)
+	e.minted = append(e.minted, mintedPrefix{uri: uri, prefix: prefix})
+	e.decl(prefix, uri)
+	return prefix
+}
+
+// qref writes a QName as prefix:local. Its prefix must already be
+// bound (see prefixFor).
+func (e *encoder) qref(prefix, local string) {
+	if prefix != "" {
+		e.b.WriteString(prefix)
+		e.b.WriteByte(':')
+	}
+	e.b.WriteString(local)
 }
 
 // value encodes one named value as an element with xsi:type.
 func (e *encoder) value(name string, v any) error {
 	if v == nil {
-		e.b.WriteString("<" + name + " " + xsiPrefix + `:nil="true"/>`)
+		e.nilElement(name)
 		return nil
 	}
 	rv := reflect.ValueOf(v)
 	return e.reflectValue(name, rv)
 }
 
-// reflectValue dispatches on the reflected kind of rv.
+// reflectValue dispatches on the reflected kind of rv. Numbers are
+// appended straight into the buffer's free space, so a simple value
+// costs no string of its own.
 func (e *encoder) reflectValue(name string, rv reflect.Value) error {
 	switch rv.Kind() {
 	case reflect.Pointer, reflect.Interface:
 		if rv.IsNil() {
-			e.b.WriteString("<" + name + " " + xsiPrefix + `:nil="true"/>`)
+			e.nilElement(name)
 			return nil
 		}
 		return e.reflectValue(name, rv.Elem())
 
 	case reflect.String:
-		e.typedSimple(name, "string", xmltext.EscapeTextString(rv.String()))
-		return nil
+		e.openSimple(name, "string")
+		xmltext.EscapeText(&e.b, rv.String())
 	case reflect.Bool:
-		e.typedSimple(name, "boolean", strconv.FormatBool(rv.Bool()))
-		return nil
+		e.openSimple(name, "boolean")
+		e.b.Write(strconv.AppendBool(e.b.AvailableBuffer(), rv.Bool()))
 	case reflect.Int, reflect.Int32:
-		e.typedSimple(name, "int", strconv.FormatInt(rv.Int(), 10))
-		return nil
+		e.openSimple(name, "int")
+		e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), rv.Int(), 10))
 	case reflect.Int8:
-		e.typedSimple(name, "byte", strconv.FormatInt(rv.Int(), 10))
-		return nil
+		e.openSimple(name, "byte")
+		e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), rv.Int(), 10))
 	case reflect.Int16:
-		e.typedSimple(name, "short", strconv.FormatInt(rv.Int(), 10))
-		return nil
+		e.openSimple(name, "short")
+		e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), rv.Int(), 10))
 	case reflect.Int64:
-		e.typedSimple(name, "long", strconv.FormatInt(rv.Int(), 10))
-		return nil
+		e.openSimple(name, "long")
+		e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), rv.Int(), 10))
 	case reflect.Uint, reflect.Uint16, reflect.Uint32:
-		e.typedSimple(name, "unsignedInt", strconv.FormatUint(rv.Uint(), 10))
-		return nil
+		e.openSimple(name, "unsignedInt")
+		e.b.Write(strconv.AppendUint(e.b.AvailableBuffer(), rv.Uint(), 10))
 	case reflect.Uint64:
-		e.typedSimple(name, "unsignedLong", strconv.FormatUint(rv.Uint(), 10))
-		return nil
+		e.openSimple(name, "unsignedLong")
+		e.b.Write(strconv.AppendUint(e.b.AvailableBuffer(), rv.Uint(), 10))
 	case reflect.Float32:
-		e.typedSimple(name, "float", strconv.FormatFloat(rv.Float(), 'g', -1, 32))
-		return nil
+		e.openSimple(name, "float")
+		e.b.Write(strconv.AppendFloat(e.b.AvailableBuffer(), rv.Float(), 'g', -1, 32))
 	case reflect.Float64:
-		e.typedSimple(name, "double", strconv.FormatFloat(rv.Float(), 'g', -1, 64))
-		return nil
+		e.openSimple(name, "double")
+		e.b.Write(strconv.AppendFloat(e.b.AvailableBuffer(), rv.Float(), 'g', -1, 64))
 
 	case reflect.Slice, reflect.Array:
 		if rv.Type().Elem().Kind() == reflect.Uint8 {
@@ -241,14 +324,17 @@ func (e *encoder) reflectValue(name string, rv reflect.Value) error {
 	default:
 		return fmt.Errorf("unsupported kind %s", rv.Kind())
 	}
+	e.endTag(name)
+	return nil
 }
 
-// typedSimple writes <name xsi:type="xsd:local">text</name>. The text
-// must already be escaped.
-func (e *encoder) typedSimple(name, xsdLocal, escaped string) {
-	e.b.WriteString("<" + name + " " + xsiPrefix + `:type="` + xsdPrefix + ":" + xsdLocal + `">`)
-	e.b.WriteString(escaped)
-	e.b.WriteString("</" + name + ">")
+// openSimple writes <name xsi:type="xsd:local">; the caller writes the
+// escaped content and the end tag.
+func (e *encoder) openSimple(name, xsdLocal string) {
+	e.startTag(name)
+	e.b.WriteString(" " + xsiPrefix + `:type="` + xsdPrefix + ":")
+	e.b.WriteString(xsdLocal)
+	e.b.WriteString(`">`)
 }
 
 // encodeBytes writes a base64Binary element.
@@ -260,27 +346,30 @@ func (e *encoder) encodeBytes(name string, rv reflect.Value) {
 		data = make([]byte, rv.Len())
 		reflect.Copy(reflect.ValueOf(data), rv)
 	}
-	e.b.WriteString("<" + name + " " + xsiPrefix + `:type="` + xsdPrefix + `:base64Binary">`)
-	e.b.WriteString(base64.StdEncoding.EncodeToString(data))
-	e.b.WriteString("</" + name + ">")
+	e.openSimple(name, "base64Binary")
+	e.b.Write(base64.StdEncoding.AppendEncode(e.b.AvailableBuffer(), data))
+	e.endTag(name)
 }
 
 // encodeArray writes a SOAP-encoded array with soapenc:arrayType.
 func (e *encoder) encodeArray(name string, rv reflect.Value) error {
-	itemType := rv.Type().Elem()
-	itemRef, decl, err := e.typeRefFor(itemType)
+	e.startTag(name)
+	e.b.WriteString(" " + xsiPrefix + `:type="` + encPrefix + `:Array"`)
+	itemPrefix, itemLocal, err := e.typeRefFor(rv.Type().Elem())
 	if err != nil {
 		return fmt.Errorf("array %s: %w", name, err)
 	}
-	e.b.WriteString("<" + name + " " + xsiPrefix + `:type="` + encPrefix + `:Array"`)
-	e.b.WriteString(decl)
-	e.b.WriteString(" " + encPrefix + `:arrayType="` + itemRef + "[" + strconv.Itoa(rv.Len()) + `]">`)
+	e.b.WriteString(" " + encPrefix + `:arrayType="`)
+	e.qref(itemPrefix, itemLocal)
+	e.b.WriteByte('[')
+	e.b.Write(strconv.AppendInt(e.b.AvailableBuffer(), int64(rv.Len()), 10))
+	e.b.WriteString(`]">`)
 	for i := 0; i < rv.Len(); i++ {
 		if err := e.reflectValue("item", rv.Index(i)); err != nil {
 			return fmt.Errorf("array %s[%d]: %w", name, i, err)
 		}
 	}
-	e.b.WriteString("</" + name + ">")
+	e.endTag(name)
 	return nil
 }
 
@@ -288,63 +377,71 @@ func (e *encoder) encodeArray(name string, rv reflect.Value) error {
 // child elements.
 func (e *encoder) encodeStruct(name string, rv reflect.Value) error {
 	t := rv.Type()
-	q, ok := e.reg.NameFor(rv.Interface())
+	q, ok := e.reg.NameForType(t)
 	if !ok {
 		return fmt.Errorf("struct type %s is not registered", t)
 	}
-	ref, decl := e.qref(q)
-	e.b.WriteString("<" + name)
-	e.b.WriteString(decl)
-	e.b.WriteString(" " + xsiPrefix + `:type="` + ref + `">`)
+	e.startTag(name)
+	typePrefix := ""
+	if q.Space != "" {
+		typePrefix = e.prefixFor(q.Space)
+	}
+	e.b.WriteString(" " + xsiPrefix + `:type="`)
+	e.qref(typePrefix, q.Local)
+	e.b.WriteString(`">`)
 	info := e.reg.InfoForType(t)
 	for _, f := range info.Fields {
 		if err := e.reflectValue(f.XMLName, rv.Field(f.Index)); err != nil {
 			return fmt.Errorf("field %s.%s: %w", t, f.GoName, err)
 		}
 	}
-	e.b.WriteString("</" + name + ">")
+	e.endTag(name)
 	return nil
 }
 
-// typeRefFor renders the xsi type reference for a Go type (used for
-// array item types), returning any xmlns declaration required.
-func (e *encoder) typeRefFor(t reflect.Type) (ref, decl string, err error) {
+// typeRefFor resolves the xsi type reference for a Go type (used for
+// array item types) as a prefix and local name. A struct type in a
+// namespace not yet in scope has its declaration written onto the open
+// start tag.
+func (e *encoder) typeRefFor(t reflect.Type) (prefix, local string, err error) {
 	for t.Kind() == reflect.Pointer {
 		t = t.Elem()
 	}
 	switch t.Kind() {
 	case reflect.String:
-		return xsdPrefix + ":string", "", nil
+		return xsdPrefix, "string", nil
 	case reflect.Bool:
-		return xsdPrefix + ":boolean", "", nil
+		return xsdPrefix, "boolean", nil
 	case reflect.Int, reflect.Int32:
-		return xsdPrefix + ":int", "", nil
+		return xsdPrefix, "int", nil
 	case reflect.Int8:
-		return xsdPrefix + ":byte", "", nil
+		return xsdPrefix, "byte", nil
 	case reflect.Int16:
-		return xsdPrefix + ":short", "", nil
+		return xsdPrefix, "short", nil
 	case reflect.Int64:
-		return xsdPrefix + ":long", "", nil
+		return xsdPrefix, "long", nil
 	case reflect.Uint, reflect.Uint16, reflect.Uint32:
-		return xsdPrefix + ":unsignedInt", "", nil
+		return xsdPrefix, "unsignedInt", nil
 	case reflect.Uint64:
-		return xsdPrefix + ":unsignedLong", "", nil
+		return xsdPrefix, "unsignedLong", nil
 	case reflect.Float32:
-		return xsdPrefix + ":float", "", nil
+		return xsdPrefix, "float", nil
 	case reflect.Float64:
-		return xsdPrefix + ":double", "", nil
+		return xsdPrefix, "double", nil
 	case reflect.Slice:
 		if t.Elem().Kind() == reflect.Uint8 {
-			return xsdPrefix + ":base64Binary", "", nil
+			return xsdPrefix, "base64Binary", nil
 		}
-		return encPrefix + ":Array", "", nil
+		return encPrefix, "Array", nil
 	case reflect.Struct:
 		q, ok := e.reg.NameForType(t)
 		if !ok {
 			return "", "", fmt.Errorf("struct type %s is not registered", t)
 		}
-		r, d := e.qref(q)
-		return r, d, nil
+		if q.Space == "" {
+			return "", q.Local, nil
+		}
+		return e.prefixFor(q.Space), q.Local, nil
 	default:
 		return "", "", fmt.Errorf("unsupported array item kind %s", t.Kind())
 	}

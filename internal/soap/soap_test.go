@@ -508,11 +508,11 @@ func legalXML(s string) bool {
 	return true
 }
 
-// TestEncodeResponseTo: the streaming encoder must produce exactly the
-// bytes of EncodeResponse — it exists so the server can write a
+// TestWriteResponse: the pooled-buffer encoder must hand write exactly
+// the bytes of EncodeResponse — it exists so the server can write a
 // response without an intermediate []byte copy, not to change the wire
 // form.
-func TestEncodeResponseTo(t *testing.T) {
+func TestWriteResponse(t *testing.T) {
 	c := newTestCodec(t)
 	orig := sampleResult()
 	want, err := c.EncodeResponse(testNS, "doGoogleSearch", orig)
@@ -520,30 +520,34 @@ func TestEncodeResponseTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	n, err := c.EncodeResponseTo(&buf, testNS, "doGoogleSearch", orig)
+	calls := 0
+	err = c.WriteResponse(testNS, "doGoogleSearch", orig, func(env []byte) {
+		calls++
+		buf.Write(env)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != int64(buf.Len()) {
-		t.Errorf("n = %d, wrote %d", n, buf.Len())
+	if calls != 1 {
+		t.Errorf("write called %d times, want 1", calls)
 	}
 	if !bytes.Equal(buf.Bytes(), want) {
-		t.Errorf("streamed encoding diverges:\n got: %s\nwant: %s", buf.Bytes(), want)
+		t.Errorf("pooled encoding diverges:\n got: %s\nwant: %s", buf.Bytes(), want)
 	}
 }
 
-// TestEncodeResponseToErrorWritesNothing: an encoding failure must
+// TestWriteResponseErrorWritesNothing: an encoding failure must
 // surface before any byte reaches the writer, so the HTTP layer can
 // still send a clean 500.
-func TestEncodeResponseToErrorWritesNothing(t *testing.T) {
+func TestWriteResponseErrorWritesNothing(t *testing.T) {
 	c := newTestCodec(t)
-	var buf bytes.Buffer
 	type unregistered struct{ X chan int }
-	n, err := c.EncodeResponseTo(&buf, testNS, "op", &unregistered{})
+	calls := 0
+	err := c.WriteResponse(testNS, "op", &unregistered{}, func([]byte) { calls++ })
 	if err == nil {
 		t.Fatal("encoding an unregistered type succeeded")
 	}
-	if n != 0 || buf.Len() != 0 {
-		t.Errorf("failed encode wrote %d bytes (n=%d); must build fully before writing", buf.Len(), n)
+	if calls != 0 {
+		t.Errorf("failed encode called write %d times; must build fully before writing", calls)
 	}
 }

@@ -92,23 +92,63 @@ func (e *ResponseTooLargeError) Error() string {
 	return fmt.Sprintf("transport: response body exceeds %d-byte limit", e.Limit)
 }
 
-// readBody reads a response body under a size limit: max 0 applies
-// DefaultMaxResponseBytes, negative max disables the bound.
-func readBody(r io.Reader, max int64) ([]byte, error) {
-	if max < 0 {
-		return io.ReadAll(r)
-	}
+// maxPresize caps how much ReadBody allocates on the strength of a
+// declared Content-Length alone, before the bytes arrive.
+const maxPresize = 1 << 20
+
+// ReadBody reads a message body under a size limit: max 0 applies
+// DefaultMaxResponseBytes, negative max disables the bound. declared is
+// the sender's Content-Length, negative when unknown (a chunked body).
+//
+// A declared length sizes the buffer up front, so a body arrives in one
+// allocation instead of a chain of doublings, but never more than
+// min(declared, max, 1 MiB) before the bytes are there: a body past
+// that grows as an undeclared one does, so a hostile header cannot make
+// the reader allocate what the sender never sends. A declared length
+// over max fails at once with ResponseTooLargeError, and a body shorter
+// than declared fails with io.ErrUnexpectedEOF.
+func ReadBody(r io.Reader, declared, max int64) ([]byte, error) {
 	if max == 0 {
 		max = DefaultMaxResponseBytes
 	}
-	body, err := io.ReadAll(io.LimitReader(r, max+1))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(body)) > max {
+	if max > 0 && declared > max {
 		return nil, &ResponseTooLargeError{Limit: max}
 	}
-	return body, nil
+	size := int64(512) // io.ReadAll's first buffer
+	if declared >= 0 {
+		size = min(declared, maxPresize)
+	}
+	b := make([]byte, 0, size)
+	for {
+		if len(b) == cap(b) {
+			if int64(len(b)) == declared {
+				// Exactly the declared length: a zero-length read asks
+				// for the EOF without growing the buffer for it.
+				if _, err := r.Read(b[len(b):]); err == io.EOF {
+					return b, nil
+				}
+			}
+			b = append(b, 0)[:len(b)]
+		}
+		p := b[len(b):cap(b)]
+		if room := max + 1 - int64(len(b)); max > 0 && int64(len(p)) > room {
+			p = p[:room] // one byte past max is enough to refuse the body
+		}
+		n, err := r.Read(p)
+		b = b[:len(b)+n]
+		if max > 0 && int64(len(b)) > max {
+			return nil, &ResponseTooLargeError{Limit: max}
+		}
+		if err == io.EOF {
+			if declared >= 0 && int64(len(b)) < declared {
+				return nil, io.ErrUnexpectedEOF
+			}
+			return b, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
 }
 
 // defaultClient backs HTTP transports with no Client configured. Unlike
@@ -162,7 +202,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 		return nil, fmt.Errorf("transport: %w", err)
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := readBody(resp.Body, t.MaxResponseBytes)
+	body, err := ReadBody(resp.Body, resp.ContentLength, t.MaxResponseBytes)
 	if err != nil {
 		return nil, fmt.Errorf("transport: read response: %w", err)
 	}

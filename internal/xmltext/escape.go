@@ -1,6 +1,7 @@
 package xmltext
 
 import (
+	"io"
 	"strings"
 )
 
@@ -8,7 +9,9 @@ import (
 // XML character data ('<', '>', '&') replaced by entity references.
 // Carriage returns are encoded numerically so that round-tripping
 // through an XML parser (which normalizes line ends) preserves them.
-func EscapeText(b *strings.Builder, s string) {
+// b is any string sink — a *strings.Builder, a *bytes.Buffer — so every
+// XML writer shares this one escaping table.
+func EscapeText[W io.StringWriter](b W, s string) {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
@@ -35,7 +38,7 @@ func EscapeText(b *strings.Builder, s string) {
 // attribute value. In addition to the character-data escapes, double
 // quotes, tabs and newlines are escaped so attribute-value
 // normalization cannot corrupt the value.
-func EscapeAttr(b *strings.Builder, s string) {
+func EscapeAttr[W io.StringWriter](b W, s string) {
 	last := 0
 	for i := 0; i < len(s); i++ {
 		var esc string
