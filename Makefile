@@ -172,10 +172,12 @@ figures:
 # regexp that must match exactly one target, hence the anchors.
 fuzz:
 	$(GO) test -fuzz '^FuzzScanner$$' -fuzztime 30s ./internal/xmltext
-	$(GO) test -fuzz '^FuzzScannerMatchesReference$$' -fuzztime 30s ./internal/xmltext
+	$(GO) test -fuzz '^FuzzScannerVsStdlib$$' -fuzztime 30s ./internal/xmltext
 	$(GO) test -fuzz FuzzEscapeRoundTrip -fuzztime 30s ./internal/xmltext
 	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 30s ./internal/soap
 	$(GO) test -fuzz FuzzTemplateSplice -fuzztime 30s ./internal/sax
+	$(GO) test -fuzz FuzzWriterVsStdlib -fuzztime 30s ./internal/sax
+	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/binser
 
 # Regenerate the checked-in WSDL compiler output.
 generate:

@@ -79,7 +79,8 @@ func (c *Codec) Append(buf []byte, v any) ([]byte, error) {
 
 // Unmarshal deserializes one value from data.
 func (c *Codec) Unmarshal(data []byte) (any, error) {
-	v, rest, err := c.decode(data, 0)
+	budget := len(data)
+	v, rest, err := c.decode(data, 0, &budget)
 	if err != nil {
 		return nil, err
 	}
@@ -203,8 +204,10 @@ func (c *Codec) encode(buf []byte, rv reflect.Value, depth int) ([]byte, error) 
 
 // decode reads one value, returning it and the remaining bytes.
 // Structs decode to pointers of their registered Go type; slices of
-// structs to []T; simple values to their natural Go types.
-func (c *Codec) decode(data []byte, depth int) (any, []byte, error) {
+// structs to []T; simple values to their natural Go types. budget is
+// what the slice and map preallocations of this Unmarshal may still
+// reserve (see wireCount).
+func (c *Codec) decode(data []byte, depth int, budget *int) (any, []byte, error) {
 	if depth > maxDepth {
 		return nil, nil, fmt.Errorf("binser: nesting deeper than %d", maxDepth)
 	}
@@ -252,11 +255,11 @@ func (c *Codec) decode(data []byte, depth int) (any, []byte, error) {
 		copy(out, b)
 		return out, rest, nil
 	case tagSlice:
-		return c.decodeSlice(data, depth)
+		return c.decodeSlice(data, depth, budget)
 	case tagMap:
-		return c.decodeMap(data, depth)
+		return c.decodeMap(data, depth, budget)
 	case tagStruct:
-		return c.decodeStruct(data, depth)
+		return c.decodeStruct(data, depth, budget)
 	default:
 		return nil, nil, fmt.Errorf("binser: unknown tag %d", tag)
 	}
@@ -264,15 +267,14 @@ func (c *Codec) decode(data []byte, depth int) (any, []byte, error) {
 
 // decodeSlice reads a tagSlice body. Homogeneous struct slices decode
 // to []T; everything else to []any.
-func (c *Codec) decodeSlice(data []byte, depth int) (any, []byte, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, nil, fmt.Errorf("binser: bad slice length")
+func (c *Codec) decodeSlice(data []byte, depth int, budget *int) (any, []byte, error) {
+	n, prealloc, data, err := wireCount(data, 1, budget, "slice length")
+	if err != nil {
+		return nil, nil, err
 	}
-	data = data[sz:]
-	items := make([]any, 0, n)
-	for i := uint64(0); i < n; i++ {
-		v, rest, err := c.decode(data, depth+1)
+	items := make([]any, 0, prealloc)
+	for i := 0; i < n; i++ {
+		v, rest, err := c.decode(data, depth+1, budget)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -316,19 +318,18 @@ func (c *Codec) normalizeSlice(items []any) any {
 
 // decodeMap reads a tagMap body into a map[string]any (string keys) or
 // map[any]any equivalent; heterogeneous keys decode to []any pairs.
-func (c *Codec) decodeMap(data []byte, depth int) (any, []byte, error) {
-	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
-		return nil, nil, fmt.Errorf("binser: bad map length")
+func (c *Codec) decodeMap(data []byte, depth int, budget *int) (any, []byte, error) {
+	n, prealloc, data, err := wireCount(data, 2, budget, "map length")
+	if err != nil {
+		return nil, nil, err
 	}
-	data = data[sz:]
-	out := make(map[string]any, n)
-	for i := uint64(0); i < n; i++ {
-		k, rest, err := c.decode(data, depth+1)
+	out := make(map[string]any, prealloc)
+	for i := 0; i < n; i++ {
+		k, rest, err := c.decode(data, depth+1, budget)
 		if err != nil {
 			return nil, nil, err
 		}
-		v, rest2, err := c.decode(rest, depth+1)
+		v, rest2, err := c.decode(rest, depth+1, budget)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -344,7 +345,7 @@ func (c *Codec) decodeMap(data []byte, depth int) (any, []byte, error) {
 
 // decodeStruct reads a tagStruct body and reconstructs *T for the
 // registered type.
-func (c *Codec) decodeStruct(data []byte, depth int) (any, []byte, error) {
+func (c *Codec) decodeStruct(data []byte, depth int, budget *int) (any, []byte, error) {
 	nameBytes, rest, err := readLenBytes(data)
 	if err != nil {
 		return nil, nil, err
@@ -374,7 +375,7 @@ func (c *Codec) decodeStruct(data []byte, depth int) (any, []byte, error) {
 			data = rest
 			continue
 		}
-		v, rest, err := c.decode(data, depth+1)
+		v, rest, err := c.decode(data, depth+1, budget)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -464,17 +465,10 @@ func setField(dst reflect.Value, v any) error {
 		for iter.Next() {
 			kv := reflect.New(dst.Type().Key()).Elem()
 			vv := reflect.New(dst.Type().Elem()).Elem()
-			k, v := iter.Key(), iter.Value()
-			if k.Kind() == reflect.Interface {
-				k = k.Elem()
-			}
-			if v.Kind() == reflect.Interface {
-				v = v.Elem()
-			}
-			if err := setField(kv, k.Interface()); err != nil {
+			if err := setField(kv, held(iter.Key())); err != nil {
 				return err
 			}
-			if err := setField(vv, v.Interface()); err != nil {
+			if err := setField(vv, held(iter.Value())); err != nil {
 				return err
 			}
 			out.SetMapIndex(kv, vv)
@@ -486,11 +480,7 @@ func setField(dst reflect.Value, v any) error {
 	if sv.Kind() == reflect.Slice && dst.Kind() == reflect.Slice {
 		out := reflect.MakeSlice(dst.Type(), sv.Len(), sv.Len())
 		for i := 0; i < sv.Len(); i++ {
-			ev := sv.Index(i)
-			if ev.Kind() == reflect.Interface {
-				ev = ev.Elem()
-			}
-			if err := setField(out.Index(i), ev.Interface()); err != nil {
+			if err := setField(out.Index(i), held(sv.Index(i))); err != nil {
 				return err
 			}
 		}
@@ -498,6 +488,38 @@ func setField(dst reflect.Value, v any) error {
 		return nil
 	}
 	return fmt.Errorf("cannot assign %T to %s", v, dst.Type())
+}
+
+// held returns the value an element of a decoded []any or
+// map[string]any holds; nil, which setField leaves as the zero value,
+// for a nil element.
+func held(v reflect.Value) any {
+	if v.Kind() == reflect.Interface && v.IsNil() {
+		return nil
+	}
+	return v.Interface()
+}
+
+// wireCount reads the uvarint count of a slice or map whose elements
+// take at least size bytes each (a tag byte per value), so a count the
+// bytes left cannot hold is refused (sax.DecodeCompactSequence's
+// wireLen rule). Nested counts claim the same bytes, so the
+// preallocation it returns also draws on budget, which Unmarshal sets
+// to the input's length: no input reserves room for more values than
+// it has bytes.
+func wireCount(data []byte, size int, budget *int, what string) (n, prealloc int, rest []byte, err error) {
+	v, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return 0, 0, nil, fmt.Errorf("binser: bad %s", what)
+	}
+	data = data[sz:]
+	if v > uint64(len(data)/size) {
+		return 0, 0, nil, fmt.Errorf("binser: %s %d exceeds the %d bytes left", what, v, len(data))
+	}
+	n = int(v)
+	prealloc = min(n, *budget/size)
+	*budget -= prealloc * size
+	return n, prealloc, data, nil
 }
 
 // readLenBytes reads a uvarint length prefix and that many bytes.

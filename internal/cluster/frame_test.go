@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -320,6 +321,26 @@ func TestMessageRoundTrips(t *testing.T) {
 		p = binary.BigEndian.AppendUint32(p, 1<<30)
 		if _, _, err := decodeTable(p); !errors.Is(err, ErrMalformed) {
 			t.Fatalf("absurd count: %v", err)
+		}
+	})
+
+	t.Run("put refuses absurd stamp count", func(t *testing.T) {
+		p, err := encodePut(1, key, tier.Entry{Rep: "r", Value: []byte("v")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		at := 8 + 16 + 8 + 1 + 1 // boot id, key, ttl, rep name
+		binary.BigEndian.PutUint16(p[at:], 0xFFFF)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, _, err = decodePut(p)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("65535 stamps in %d bytes: %v", len(p), err)
+		}
+		// 65535 stamps would be 1.5 MB.
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 64<<10 {
+			t.Errorf("refusing 65535 stamps in %d bytes allocated %d B", len(p), grew)
 		}
 	})
 

@@ -223,6 +223,11 @@ func decodePut(payload []byte) (uint64, tier.Key, tier.Entry, error) {
 	e := tier.Entry{TTL: time.Duration(c.u64("ttl"))}
 	e.Rep = c.str(int(c.u8("rep length")), "rep name")
 	n := int(c.u16("stamp count"))
+	// Each stamp is at least 10 bytes; a count the payload cannot hold
+	// is refused before it sizes the slice.
+	if c.err == nil && n*10 > len(c.b) {
+		return 0, tier.Key{}, tier.Entry{}, fmt.Errorf("%w: put declares %d stamps in %d bytes", ErrMalformed, n, len(c.b))
+	}
 	if c.err == nil && n > 0 {
 		e.Stamps = make([]tier.Stamp, 0, n)
 		for i := 0; i < n && c.err == nil; i++ {

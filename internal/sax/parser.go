@@ -95,7 +95,8 @@ func (p *Parser) parse(h Handler) error {
 			if err := p.flushText(h); err != nil {
 				return err
 			}
-			name, err := p.ns.resolveName(tok.Name, true)
+			prefix, local := tok.QName()
+			name, err := p.ns.resolveName(tok.Name, prefix, local, true)
 			if err != nil {
 				return err
 			}
@@ -203,7 +204,7 @@ func (ns *namespaceStack) reset() {
 func (ns *namespaceStack) push(attrs []xmltext.Attr) {
 	added := 0
 	for _, a := range attrs {
-		prefix, local := xmltext.SplitQName(a.Name)
+		prefix, local := a.QName()
 		switch {
 		case prefix == "" && local == "xmlns":
 			ns.bindings = append(ns.bindings, binding{prefix: "", uri: a.Value})
@@ -240,12 +241,11 @@ func (ns *namespaceStack) lookup(prefix string) (string, bool) {
 	return "", false
 }
 
-// resolveName resolves a raw (possibly prefixed) name against the
-// current scope. When isElement is true an empty prefix resolves
-// against the default namespace; attributes without a prefix are
-// always unqualified.
-func (ns *namespaceStack) resolveName(raw string, isElement bool) (Name, error) {
-	prefix, local := xmltext.SplitQName(raw)
+// resolveName resolves a raw (possibly prefixed) name, split into
+// prefix and local part, against the current scope. When isElement is
+// true an empty prefix resolves against the default namespace;
+// attributes without a prefix are always unqualified.
+func (ns *namespaceStack) resolveName(raw, prefix, local string, isElement bool) (Name, error) {
 	if prefix == "" && !isElement {
 		return Name{Local: local}, nil
 	}
@@ -260,7 +260,8 @@ func (ns *namespaceStack) resolveName(raw string, isElement bool) (Name, error) 
 // attributes, passing namespace declarations through unresolved. The
 // attributes are the parser's buffer, valid until the next start tag.
 func (p *Parser) resolve(tok xmltext.Token) (Name, []Attribute, error) {
-	name, err := p.ns.resolveName(tok.Name, true)
+	prefix, local := tok.QName()
+	name, err := p.ns.resolveName(tok.Name, prefix, local, true)
 	if err != nil {
 		return Name{}, nil, err
 	}
@@ -269,7 +270,7 @@ func (p *Parser) resolve(tok xmltext.Token) (Name, []Attribute, error) {
 	}
 	attrs := p.attrs[:0]
 	for _, a := range tok.Attrs {
-		prefix, local := xmltext.SplitQName(a.Name)
+		prefix, local := a.QName()
 		if (prefix == "" && local == "xmlns") || prefix == "xmlns" {
 			attrs = append(attrs, Attribute{
 				Name:  Name{Prefix: prefix, Local: local},
@@ -277,7 +278,7 @@ func (p *Parser) resolve(tok xmltext.Token) (Name, []Attribute, error) {
 			})
 			continue
 		}
-		rn, err := p.ns.resolveName(a.Name, false)
+		rn, err := p.ns.resolveName(a.Name, prefix, local, false)
 		if err != nil {
 			return Name{}, nil, err
 		}

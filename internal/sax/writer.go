@@ -64,8 +64,18 @@ func (w *Writer) OnEndDocument() error {
 	return nil
 }
 
-// OnStartElement implements Handler.
+// OnStartElement implements Handler. It refuses, writing nothing, a
+// name that is not a QName and an attribute value that is not legal
+// XML text: no parser would read either back.
 func (w *Writer) OnStartElement(name Name, attrs []Attribute) error {
+	if !isQName(name) {
+		return fmt.Errorf("sax: element name %q is not a QName", name.String())
+	}
+	for _, a := range attrs {
+		if !isQName(a.Name) || !xmltext.IsLegalText(a.Value) {
+			return fmt.Errorf("sax: attribute %s=%q in <%s> is not writable XML", a.Name.String(), a.Value, name.String())
+		}
+	}
 	lex := name.String()
 	w.b.WriteByte('<')
 	w.b.WriteString(lex)
@@ -98,7 +108,10 @@ func (w *Writer) OnEndElement(name Name) error {
 	return nil
 }
 
-// OnCharacters implements Handler.
+// OnCharacters implements Handler. Unlike names and attribute values,
+// text outside the Char production is written, not refused: a
+// template's splice writes its values unchecked, and WriteSequence is
+// the byte-identity oracle for that splice.
 func (w *Writer) OnCharacters(text string) error {
 	xmltext.EscapeText(&w.b, text)
 	return nil
@@ -153,6 +166,13 @@ func validPITarget(target string) bool {
 		}
 	}
 	return true
+}
+
+// isQName reports whether n is a QName: a local name, and an optional
+// prefix, that are XML names without colons (Namespaces in XML §3).
+func isQName(n Name) bool {
+	ncName := func(s string) bool { return xmltext.IsName(s) && !strings.Contains(s, ":") }
+	return ncName(n.Local) && (n.Prefix == "" || ncName(n.Prefix))
 }
 
 // WriteSequence serializes a recorded event sequence to XML text.

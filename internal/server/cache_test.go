@@ -201,19 +201,30 @@ func TestResponseCacheKeyIsDigest(t *testing.T) {
 	runtime.KeepAlive(c) // the measurement above is of a live cache
 }
 
-// TestResponseCacheHitAllocs: a Handle hit allocates nothing beyond
-// what sniffing the operation out of the request costs — in particular
-// no copy of the request to key the table with.
+// TestResponseCacheHitAllocs: sniffing the operation out of a request
+// allocates nothing, and a Handle hit adds nothing to it — in
+// particular no copy of the request to key the table with. The sniff
+// draws its scanner from a pool, which the race detector empties at
+// random, so each count is the least of many single runs: a run that
+// met an empty pool pays for a scanner, but not every run does.
 func TestResponseCacheHitAllocs(t *testing.T) {
 	c, codec, _ := newCachedFixture(t, ResponseCacheConfig{})
 	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
 	if _, _, err := c.Handle(req); err != nil {
 		t.Fatal(err)
 	}
-	sniff := testing.AllocsPerRun(200, func() { _, _ = soap.SniffOperation(req) })
-	hit := testing.AllocsPerRun(200, func() { _, _, _ = c.Handle(req) })
-	if hit > sniff {
-		t.Errorf("Handle hit = %v allocs, sniffing alone = %v; the cache layer must add none", hit, sniff)
+	least := func(f func()) float64 {
+		m := testing.AllocsPerRun(1, f)
+		for i := 0; i < 50 && m > 0; i++ {
+			m = min(m, testing.AllocsPerRun(1, f))
+		}
+		return m
+	}
+	if sniff := least(func() { _, _ = soap.SniffOperation(req) }); sniff != 0 {
+		t.Errorf("SniffOperation = %v allocs, want 0", sniff)
+	}
+	if hit := least(func() { _, _, _ = c.Handle(req) }); hit != 0 {
+		t.Errorf("Handle hit = %v allocs, want 0: the cache layer must add none to the sniff", hit)
 	}
 }
 

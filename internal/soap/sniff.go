@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"repro/internal/xmltext"
 )
@@ -15,8 +16,23 @@ import (
 // deciding whether the request is worth full processing.
 //
 // For a Fault-bearing or empty Body it returns "" with a nil error.
+//
+// The scanner comes from a pool, so its intern table already holds the
+// envelope's names and the sniff allocates nothing; the name it returns
+// is an immutable interned string, safe to keep after the scanner goes
+// back.
 func SniffOperation(doc []byte) (string, error) {
-	sc := xmltext.NewScanner(doc)
+	sc := sniffers.Get().(*xmltext.Scanner)
+	sc.Reset(doc)
+	op, err := sniff(sc)
+	sc.Reset(nil)
+	sniffers.Put(sc)
+	return op, err
+}
+
+var sniffers = sync.Pool{New: func() any { return new(xmltext.Scanner) }}
+
+func sniff(sc *xmltext.Scanner) (string, error) {
 	depth := 0
 	inBody := false
 	for {
@@ -30,7 +46,7 @@ func SniffOperation(doc []byte) (string, error) {
 		switch tok.Kind {
 		case xmltext.KindStartElement:
 			depth++
-			_, local := xmltext.SplitQName(tok.Name)
+			_, local := tok.QName()
 			switch {
 			case depth == 1 && local != "Envelope":
 				return "", fmt.Errorf("soap: sniff: root element %q is not an envelope", tok.Name)

@@ -1,22 +1,66 @@
 package xmltext
 
-import "fmt"
+import "unicode/utf8"
 
-// fmtSprintf exists so that scanner.go's sprintf helper has a single
-// fmt dependency point.
-func fmtSprintf(format string, args ...any) string {
-	return fmt.Sprintf(format, args...)
-}
+// Byte classes. class holds one bitmask per byte value, so each hot
+// loop of the scanner consumes an ASCII run with one table lookup per
+// byte; only bytes >= 0x80 take a UTF-8 decode.
+const (
+	// cNameStart: an ASCII NameStartChar other than ':' (letters, '_').
+	cNameStart = 1 << iota
+	// cName: an ASCII NameChar other than ':' (cNameStart, digits, '-', '.').
+	cName
+	// cSpace: the S production (' ', '\t', '\n', '\r').
+	cSpace
+	// cTextStop ends a plain run of character data: '<', '&', ']', '\r',
+	// the C0 controls XML forbids and every byte >= 0x80.
+	cTextStop
+	// cAttrStop ends a plain run of an attribute value: '<', '&', '\r',
+	// both quotes, the forbidden C0 controls and every byte >= 0x80.
+	cAttrStop
+	// cCDATAStop ends a plain run of a CDATA section: ']', '\r', the
+	// forbidden C0 controls and every byte >= 0x80.
+	cCDATAStop
+	// cDigit and cHexDigit: the digits of a decimal and a hexadecimal
+	// character reference.
+	cDigit
+	cHexDigit
+)
 
-// isSpaceByte reports whether b is XML whitespace (S production).
-func isSpaceByte(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\r' || b == '\n'
-}
+var class = func() (t [256]uint8) {
+	for c := 0; c < 256; c++ {
+		b := byte(c)
+		switch {
+		case 'a' <= b && b <= 'f', 'A' <= b && b <= 'F':
+			t[c] |= cNameStart | cName | cHexDigit
+		case 'g' <= b && b <= 'z', 'G' <= b && b <= 'Z', b == '_':
+			t[c] |= cNameStart | cName
+		case '0' <= b && b <= '9':
+			t[c] |= cName | cDigit | cHexDigit
+		case b == '-', b == '.':
+			t[c] |= cName
+		case b == ' ', b == '\t', b == '\n', b == '\r':
+			t[c] |= cSpace
+		}
+		if b >= 0x80 || (b < 0x20 && b != '\t' && b != '\n') || b == '\r' {
+			t[c] |= cTextStop | cAttrStop | cCDATAStop
+		}
+		switch b {
+		case '<', '&':
+			t[c] |= cTextStop | cAttrStop
+		case ']':
+			t[c] |= cTextStop | cCDATAStop
+		case '"', '\'':
+			t[c] |= cAttrStop
+		}
+	}
+	return t
+}()
 
 // isAllSpace reports whether s consists only of XML whitespace.
 func isAllSpace(s string) bool {
 	for i := 0; i < len(s); i++ {
-		if !isSpaceByte(s[i]) {
+		if class[s[i]]&cSpace == 0 {
 			return false
 		}
 	}
@@ -69,7 +113,7 @@ func isNameRune(r rune) bool {
 
 // IsName reports whether s is a syntactically valid XML name.
 func IsName(s string) bool {
-	if s == "" {
+	if !utf8.ValidString(s) || s == "" {
 		return false
 	}
 	for i, r := range s {
@@ -103,64 +147,13 @@ func isLegalCharRef(r rune) bool {
 }
 
 // IsLegalText reports whether every rune in s is a legal XML character.
-// Serializers use this to reject unencodable strings early.
+// Serializers use this to reject unencodable strings early. Invalid
+// UTF-8 is not legal text.
 func IsLegalText(s string) bool {
 	for _, r := range s {
 		if !isLegalCharRef(r) {
 			return false
 		}
 	}
-	return true
-}
-
-// hasPrefix is strings.HasPrefix over a byte slice without conversion.
-func hasPrefix(b []byte, prefix string) bool {
-	if len(b) < len(prefix) {
-		return false
-	}
-	for i := 0; i < len(prefix); i++ {
-		if b[i] != prefix[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// indexByteFrom returns the index of c in b at or after start, or -1.
-func indexByteFrom(b []byte, c byte, start int) int {
-	for i := start; i < len(b); i++ {
-		if b[i] == c {
-			return i
-		}
-	}
-	return -1
-}
-
-// indexFrom returns the index of sub in b at or after start, or -1.
-// The needles used by the scanner are 2-3 bytes, so a simple scan beats
-// converting the haystack to a string.
-func indexFrom(b []byte, sub string, start int) int {
-	if start < 0 {
-		start = 0
-	}
-	if sub == "" {
-		return start
-	}
-	last := len(b) - len(sub)
-	for i := start; i <= last; i++ {
-		if b[i] != sub[0] {
-			continue
-		}
-		match := true
-		for j := 1; j < len(sub); j++ {
-			if b[i+j] != sub[j] {
-				match = false
-				break
-			}
-		}
-		if match {
-			return i
-		}
-	}
-	return -1
+	return utf8.ValidString(s)
 }

@@ -4,16 +4,6 @@ package xmltext
 // differential test.
 var ScannerSeeds = scannerSeeds
 
-// TokenScanner is what the differential test drives: the scanner under
-// test or the reference.
-type TokenScanner interface {
-	Next() (Token, error)
-}
-
-// NewReferenceScanner returns the reference tokenizer (reference_test.go)
-// reading src.
-func NewReferenceScanner(src []byte) TokenScanner { return newRefScanner(src) }
-
 // InternedOver returns the strings longer than n bytes held in s's
 // intern table.
 func InternedOver(s *Scanner, n int) []string {

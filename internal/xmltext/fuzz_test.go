@@ -21,7 +21,7 @@ var scannerSeeds = []string{
 // FuzzScanner feeds arbitrary bytes to the tokenizer: it must never
 // panic or loop, only return tokens or a SyntaxError. Run longer with:
 //
-//	go test -fuzz FuzzScanner ./internal/xmltext
+//	go test -fuzz '^FuzzScanner$' ./internal/xmltext
 func FuzzScanner(f *testing.F) {
 	for _, s := range scannerSeeds {
 		f.Add([]byte(s))

@@ -2,6 +2,7 @@ package xmltext
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"slices"
 	"strings"
@@ -88,6 +89,10 @@ func TestScannerAttributes(t *testing.T) {
 	}
 	if toks[1].Kind != KindEndElement || toks[1].Name != "a" {
 		t.Errorf("expected synthesized end element, got %+v", toks[1])
+	}
+	// Past eight attributes the duplicate check changes method.
+	if toks = collect(t, `<a a="" b="" c="" d="" e="" f="" g="" h="" i="" j="" k=""/>`); len(toks[0].Attrs) != 11 {
+		t.Errorf("got %d attrs, want 11", len(toks[0].Attrs))
 	}
 }
 
@@ -202,6 +207,17 @@ func TestScannerErrors(t *testing.T) {
 		"garbage before root":     `hello<a/>`,
 		"unterminated self-close": `<a/`,
 		"attribute after slash":   `<a / x="1">`,
+		"NUL in text":             "<a>\x00</a>",
+		"U+FFFE in text":          "<a>\uFFFE</a>",
+		"control in attr value":   "<a x=\"\b\"/>",
+		"invalid UTF-8 in text":   "<a>\xff</a>",
+		"invalid UTF-8 name":      "<\xb8/>",
+		"two colons in a name":    `<a:b:c/>`,
+		"leading colon":           `<:a/>`,
+		"trailing colon":          `<a x:="1"/>`,
+		"upper-case X char ref":   `<a>&#X41;</a>`,
+		"malformed comment open":  `<a><!-x--></a>`,
+		"duplicate past eight":    `<a a="" b="" c="" d="" e="" f="" g="" h="" i="" c=""/>`,
 	}
 	for name, doc := range cases {
 		if err := scanErr(doc); err == nil {
@@ -210,17 +226,41 @@ func TestScannerErrors(t *testing.T) {
 	}
 }
 
+// TestScannerErrorHasPosition pins the offset and line of each error;
+// the goldens are the ones the scanner reported while it still counted
+// lines byte by byte, so the count from the offset must match them.
 func TestScannerErrorHasPosition(t *testing.T) {
-	err := scanErr("<a>\n<b>\n&bad;</b></a>")
-	var se *SyntaxError
-	if !errors.As(err, &se) {
-		t.Fatalf("expected *SyntaxError, got %T: %v", err, err)
-	}
-	if se.Line != 3 {
-		t.Errorf("line = %d, want 3", se.Line)
-	}
-	if !strings.Contains(se.Error(), "line 3") {
-		t.Errorf("Error() = %q", se.Error())
+	for _, c := range []struct {
+		doc          string
+		offset, line int
+	}{
+		{"<a>\n<b>\n&bad;</b></a>", 13, 3},
+		{"<a>\n</b>", 8, 2},
+		{"<a/>\n\n<b/>", 8, 3},
+		{"<a/>\njunk", 9, 2},
+		{"<a\n x=\"1\"\n x=\"2\"/>", 16, 3},
+		{"<a x=\n\"<\"/>", 7, 2},
+		{"<a>\n]]>\n</a>", 4, 2},
+		{"<a>\n<!-- a -- b -->\n</a>", 8, 2},
+		{"<a>\n<![CDATA[never", 13, 2},
+		{"<a>\n<?pi never", 9, 2},
+		{"<a>\n\n<1abc/></a>", 6, 3},
+		{"<a>\n<b>\n</b>", 12, 3},
+		{"<a\nx=1/>", 5, 2},
+		{"<a>\n<b x=\"1", 11, 2},
+		{"\n\n<!DOCTYPE doc", 15, 3},
+		{"<a>\n&lt</a>", 4, 2},
+		{"<a>\n</a\n", 8, 3},
+		{"<a>\n<b\n/x></b></a>", 7, 3},
+		{"<a>\r\n<b>\r\n&bad;</b></a>", 15, 3},
+		{"<r>\n<!-- c\n -->\n<x y='1\n2' z=\"3\">\n<![CDATA[\n]]>\n</x>\n</r>\n<s/>", 60, 10},
+	} {
+		var se *SyntaxError
+		if err := scanErr(c.doc); !errors.As(err, &se) {
+			t.Errorf("%q: error %v, want a *SyntaxError", c.doc, err)
+		} else if se.Offset != c.offset || se.Line != c.line || !strings.Contains(se.Error(), fmt.Sprintf("line %d ", c.line)) {
+			t.Errorf("%q: %v, want offset %d line %d", c.doc, se, c.offset, c.line)
+		}
 	}
 }
 
@@ -253,30 +293,36 @@ func TestIsName(t *testing.T) {
 }
 
 func TestEscapeRoundTripProperty(t *testing.T) {
-	// Property: any legal text survives escape → scan round-trip.
-	f := func(s string) bool {
-		if !IsLegalText(s) {
-			return true // skip strings with illegal XML characters
-		}
-		doc := "<t>" + EscapeTextString(s) + "</t>"
+	// Property: any legal text survives escape → scan, and with its
+	// carriage returns left literal it reads back with normalised line
+	// ends.
+	text := func(doc string) string {
 		sc := NewScanner([]byte(doc))
 		var got strings.Builder
 		for {
 			tok, err := sc.Next()
 			if errors.Is(err, io.EOF) {
-				break
+				return got.String()
 			}
 			if err != nil {
-				return false
+				return "error: " + err.Error()
 			}
-			if tok.Kind == KindCharData {
-				got.WriteString(tok.Text)
-			}
+			got.WriteString(tok.Text)
 		}
-		return got.String() == normalizeNewlines(s)
+	}
+	f := func(s string) bool {
+		if !IsLegalText(s) {
+			return true // skip strings with illegal XML characters
+		}
+		literalCR := strings.ReplaceAll(EscapeTextString(s), "&#13;", "\r")
+		return text("<t>"+EscapeTextString(s)+"</t>") == s &&
+			text("<t>"+literalCR+"</t>") == normalizeNewlines(s)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
+	}
+	if !f("a\r\nb\rc\n\r") {
+		t.Error("CR line ends do not round-trip")
 	}
 }
 
@@ -298,11 +344,11 @@ func TestEscapeAttrRoundTripProperty(t *testing.T) {
 	}
 }
 
-// normalizeNewlines applies the XML line-end normalization a parser
-// performs on literal (unescaped) text. EscapeTextString escapes \r, so
-// the only normalization visible is none; this helper exists to keep
-// the property honest if the escaping policy changes.
-func normalizeNewlines(s string) string { return s }
+// normalizeNewlines applies the XML 1.0 §2.11 line-end normalisation a
+// parser performs on literal text: "\r\n" and a lone "\r" read as "\n".
+func normalizeNewlines(s string) string {
+	return strings.NewReplacer("\r\n", "\n", "\r", "\n").Replace(s)
+}
 
 func TestSplitQName(t *testing.T) {
 	cases := []struct {

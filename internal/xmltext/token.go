@@ -13,6 +13,16 @@
 // sections, the five predefined entities and numeric character
 // references. DTD-defined entities are not supported, matching the
 // behaviour of a non-validating SOAP processor.
+//
+// The scanner's loops read one byte-class table: ASCII runs of names,
+// text and attribute values are consumed by lookup, and only bytes
+// >= 0x80 are decoded as UTF-8. The same lookups enforce well-formedness:
+// line ends are normalised (XML 1.0 §2.11), characters outside the Char
+// production and invalid UTF-8 are errors (§2.2), and names must be
+// QNames (Namespaces in XML §3). An error's line is counted from its
+// offset when the error is built. FuzzScannerVsStdlib holds the scanner
+// to encoding/xml, up to an exception list in which each entry names
+// its spec clause.
 package xmltext
 
 import "fmt"
@@ -56,7 +66,13 @@ func (k Kind) String() string {
 type Attr struct {
 	Name  string
 	Value string
+	colon int32
 }
+
+// QName splits the name of an attribute the Scanner returned into its
+// namespace prefix and local part, at the colon the scan recorded; the
+// prefix is empty when the name has none.
+func (a Attr) QName() (prefix, local string) { return splitAt(a.Name, a.colon) }
 
 // Token is one unit of XML markup or character data.
 //
@@ -76,6 +92,20 @@ type Token struct {
 	Text        string
 	Attrs       []Attr
 	SelfClosing bool
+	colon       int32 // int32 keeps Token at 72 bytes, copied without duffcopy
+}
+
+// QName splits the Name of an element token the Scanner returned into
+// its namespace prefix and local part, at the colon the scan recorded;
+// the prefix is empty when the name has none.
+func (t Token) QName() (prefix, local string) { return splitAt(t.Name, t.colon) }
+
+// splitAt splits name at the colon index colon, 0 meaning none.
+func splitAt(name string, colon int32) (prefix, local string) {
+	if colon == 0 {
+		return "", name
+	}
+	return name[:colon], name[colon+1:]
 }
 
 // SyntaxError describes a well-formedness violation found while
