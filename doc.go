@@ -7,9 +7,7 @@
 //
 // See DESIGN.md for the system inventory, EXPERIMENTS.md for the
 // paper-vs-measured results, and the examples/ directory for runnable
-// entry points. The repository-level benchmarks in bench_test.go
-// regenerate each of the paper's tables and figures:
-//
-//	go test -bench 'BenchmarkTable6' -benchmem
-//	go test -bench 'BenchmarkFigure3' -benchtime 1x
+// entry points. `make tables` regenerates the paper's Tables 6–9,
+// `make figures` its Figures 3 and 4, and `make referee` measures the
+// serving paths end to end and per layer (benchmark/README.md).
 package repro

@@ -65,6 +65,20 @@ func costPerCall(runs int, f func()) cost {
 	return cost{(after.Mallocs - before.Mallocs) / n, (after.TotalAlloc - before.TotalAlloc) / n}
 }
 
+// TestTablesRefuseNoIterations: a timed table with no iterations has
+// no per-call time to report, so it is an error, not a row of +Inf.
+func TestTablesRefuseNoIterations(t *testing.T) {
+	e := testEnv(t)
+	for _, iters := range []int{0, -1} {
+		if _, err := e.Table6(iters); err == nil {
+			t.Errorf("Table6(%d) succeeded", iters)
+		}
+		if _, err := e.Table7(iters); err == nil {
+			t.Errorf("Table7(%d) succeeded", iters)
+		}
+	}
+}
+
 func TestTable6ShapeAndOrdering(t *testing.T) {
 	e := testEnv(t)
 	tab, err := e.Table6(shapeIters)

@@ -59,6 +59,9 @@ func (e *Env) valueStores() []valueStoreRow {
 
 // Table6 measures cache-key generation time per method per operation.
 func (e *Env) Table6(iterations int) (*Table, error) {
+	if iterations < 1 {
+		return nil, fmt.Errorf("bench: table 6: %d iterations, want at least 1", iterations)
+	}
 	t := &Table{
 		ID:    "Table 6",
 		Title: "Processing times for cache key generation",
@@ -92,6 +95,9 @@ func (e *Env) Table6(iterations int) (*Table, error) {
 // Table7 measures cached-data retrieval time (ValueStore.Load) per
 // representation per operation.
 func (e *Env) Table7(iterations int) (*Table, error) {
+	if iterations < 1 {
+		return nil, fmt.Errorf("bench: table 7: %d iterations, want at least 1", iterations)
+	}
 	t := &Table{
 		ID:    "Table 7",
 		Title: "Processing times for cached data retrieval",

@@ -235,8 +235,8 @@ func (s *DOMStore) Load(payload any) (any, error) {
 // CompactSAXStore is SAXEventsStore with the recorded sequence held in
 // the string-interned struct-of-arrays form (sax.CompactSequence). Same
 // semantics and applicability; a fraction of the memory (SOAP event
-// streams are highly repetitive) for slightly more replay work. The
-// BenchmarkAblationEventArena benchmark quantifies the trade.
+// streams are highly repetitive) for slightly more replay work. Ledger
+// rows rep.store.compact-sax.* against rep.store.sax.* price the trade.
 type CompactSAXStore struct {
 	codec *soap.Codec
 }

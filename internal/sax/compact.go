@@ -9,9 +9,9 @@ package sax
 // repeated names, URIs and prefixes are stored once.
 //
 // Replaying a CompactSequence drives a Handler exactly as Replay does
-// for []Event, so it is a drop-in cache payload; the ablation benchmark
-// BenchmarkAblationEventArena quantifies the trade (memory vs replay
-// cost of rebuilding attribute slices).
+// for []Event, so it is a drop-in cache payload; the referee ledger's
+// rep.store.compact-sax rows against its rep.store.sax rows quantify
+// the trade (memory vs replay cost of rebuilding attribute slices).
 type CompactSequence struct {
 	// ops is one byte per event (the EventKind).
 	ops []byte
