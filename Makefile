@@ -130,6 +130,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTemplateSplice -fuzztime 30s ./internal/sax
 	$(GO) test -fuzz FuzzWriterVsStdlib -fuzztime 30s ./internal/sax
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/binser
+	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/cluster
 
 # Regenerate the checked-in WSDL compiler output.
 generate:

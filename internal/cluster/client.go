@@ -356,10 +356,13 @@ func (r *Remote) flush(ctx context.Context, n *node) error {
 	return r.flushLocked(ctx, n)
 }
 
-// flushLocked sends the pending set as one OpBump and applies the
+// flushLocked sends the pending set as OpBump frames and applies each
 // returned table (skipping the local re-application of this process's
 // own single-step bumps — they were already applied locally when the
-// write committed). Pending entries clear only on acknowledgment.
+// write committed). The set is split into frames that respect both the
+// bump request's name count and the frame bound (bumpChunk), and each
+// frame's names leave the pending set when its acknowledgment arrives;
+// a failure leaves the rest pending.
 func (r *Remote) flushLocked(ctx context.Context, n *node) error {
 	if len(n.pending) == 0 {
 		return nil
@@ -369,34 +372,59 @@ func (r *Remote) flushLocked(ctx context.Context, n *node) error {
 		names = append(names, ks)
 	}
 	sort.Strings(names)
+	for len(names) > 0 {
+		chunk := names[:bumpChunk(names, r.cfg.MaxPayload)]
+		names = names[len(chunk):]
+		if err := r.flushChunkLocked(ctx, n, chunk); err != nil {
+			r.deferred.Add(1)
+			return err
+		}
+	}
+	return nil
+}
+
+// flushChunkLocked sends one OpBump frame and, once acknowledged, applies
+// its table and clears its names from the pending set.
+func (r *Remote) flushChunkLocked(ctx context.Context, n *node, names []string) error {
 	payload, err := encodeBump(n.mirrored(), names)
 	if err != nil {
 		return err
 	}
 	op, resp, err := r.roundTrip(ctx, n, OpBump, payload)
 	if err != nil {
-		r.deferred.Add(1)
 		return err
 	}
 	if op != OpTable {
-		r.deferred.Add(1)
 		return r.unexpected("bump", op, resp)
 	}
 	m, table, err := decodeTable(resp)
 	if err != nil {
-		r.deferred.Add(1)
 		r.errors.Add(1)
 		return err
 	}
 	own := make(map[string]bool, len(names))
 	for _, ks := range names {
 		own[ks] = true
-	}
-	for ks := range n.pending {
 		delete(n.pending, ks)
 	}
 	r.applyTable(n, m, table, own)
 	return nil
+}
+
+// bumpChunk returns how many of names, at least one, go in the next
+// bump frame: no more than maxBumpNames, and no more than fit
+// maxPayload in the table reply, which repeats each name with its
+// epoch and so is the larger of the two frames. A single name too long
+// for any frame still goes alone, and its encode error surfaces.
+func bumpChunk(names []string, maxPayload int) int {
+	size := 16 + 4 // reply meta and entry count
+	for i, ks := range names {
+		size += 2 + len(ks) + 8
+		if i == maxBumpNames || (i > 0 && size > maxPayload) {
+			return i
+		}
+	}
+	return len(names)
 }
 
 // mirrored returns the (bootID, version) the node's mirror is complete
@@ -522,19 +550,22 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []by
 			lastErr = err
 			continue
 		}
+		// The deadline stays set when the connection goes back to the
+		// pool: every round trip sets its own before its first I/O.
 		pc.c.SetDeadline(deadline)
 		if err := writeFrame(pc.c, &pc.scratch, op, payload); err != nil {
 			pc.c.Close()
 			lastErr = err
 			continue
 		}
-		respOp, resp, err := readFrame(pc.br, r.cfg.MaxPayload)
+		// A fresh payload: a hit's value aliases it, and the L1 keeps
+		// those bytes (rep's DecodeWire).
+		respOp, resp, err := readFrameInto(pc.br, r.cfg.MaxPayload, nil)
 		if err != nil {
 			pc.c.Close()
 			lastErr = err
 			continue
 		}
-		pc.c.SetDeadline(time.Time{})
 		n.release(pc, r.cfg.PoolSize)
 		return respOp, resp, nil
 	}

@@ -1,9 +1,14 @@
 package cluster
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"errors"
 	"maps"
 	"net"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -461,5 +466,178 @@ func TestServerRefusesGarbage(t *testing.T) {
 	r := newClient(t, addr, nil)
 	if _, ok, err := r.Get(context.Background(), tier.Key{Hi: 1}); err != nil || ok {
 		t.Fatalf("daemon dead after garbage: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestBumpFlushSplitsLargePendingSets: a pending set too large for one
+// bump frame — more names than its u16 count holds, or more bytes than
+// the frame bound — flushes as several frames, and the next Get goes
+// through. A name no frame can carry fails the flush and counts as
+// deferred.
+func TestBumpFlushSplitsLargePendingSets(t *testing.T) {
+	long := strings.Repeat("k", 100)
+	for _, tc := range []struct {
+		name       string
+		maxPayload int
+		names      int
+		prefix     string
+	}{
+		{"more names than a count field holds", 0, 70000, ksFillPrefix},
+		{"more bytes than a frame holds", 4096, 100, long},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dinv := invalidate.New(nil, nil)
+			_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+			r, err := New(Config{Addrs: []string{addr}, MaxPayload: tc.maxPayload})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			n := r.nodes[0]
+			// A daemon outage under write load leaves this behind.
+			n.pendingMu.Lock()
+			for i := 0; i < tc.names; i++ {
+				n.pending[tc.prefix+strconv.Itoa(i)] = struct{}{}
+			}
+			n.pendingMu.Unlock()
+
+			if _, _, err := r.Get(context.Background(), tier.KeyOf([]byte("q"))); err != nil {
+				t.Fatalf("get after %d pending bumps: %v", tc.names, err)
+			}
+			n.pendingMu.Lock()
+			left := len(n.pending)
+			n.pendingMu.Unlock()
+			if left != 0 {
+				t.Fatalf("%d of %d bumps still pending", left, tc.names)
+			}
+			for i := 0; i < tc.names; i++ {
+				if got := dinv.Epoch(invalidate.Keyspace(tc.prefix + strconv.Itoa(i))); got != 1 {
+					t.Fatalf("daemon epoch of name %d = %d, want 1", i, got)
+				}
+			}
+			if got := len(mirrorOf(r)); got != tc.names {
+				t.Fatalf("mirror holds %d keyspaces, want %d", got, tc.names)
+			}
+			if d := r.deferred.Load(); d != 0 {
+				t.Fatalf("deferred = %d after a clean flush", d)
+			}
+		})
+	}
+
+	t.Run("a name no frame can carry counts as deferred", func(t *testing.T) {
+		dinv := invalidate.New(nil, nil)
+		_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+		r := newClient(t, addr, nil)
+		ctx := context.Background()
+		if _, _, err := r.Get(ctx, tier.KeyOf([]byte("warm"))); err != nil {
+			t.Fatal(err)
+		}
+		n := r.nodes[0]
+		n.pendingMu.Lock()
+		n.pending[strings.Repeat("k", 1<<16)] = struct{}{}
+		n.pendingMu.Unlock()
+		if _, _, err := r.Get(ctx, tier.KeyOf([]byte("q"))); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("get with a 64 KiB keyspace pending: %v, want ErrMalformed", err)
+		}
+		if d := r.deferred.Load(); d != 1 {
+			t.Fatalf("deferred = %d, want 1", d)
+		}
+	})
+}
+
+// TestDaemonCopiesPutValues: two puts of equal size, one after the
+// other on one connection, land in the same read buffer. Each stored
+// value must still be its own: the daemon keeps no reference into the
+// buffer it reads requests into.
+func TestDaemonCopiesPutValues(t *testing.T) {
+	dinv := invalidate.New(nil, nil)
+	ft := newFakeTier(dinv)
+	srv, addr, _ := startDaemon(t, ft, dinv)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	br := bufio.NewReader(conn)
+
+	values := map[tier.Key][]byte{
+		tier.KeyOf([]byte("a")): bytes.Repeat([]byte{'a'}, 512),
+		tier.KeyOf([]byte("b")): bytes.Repeat([]byte{'b'}, 512),
+	}
+	for key, v := range values {
+		p, err := encodePut(srv.BootID(), key, tier.Entry{Rep: "raw", Value: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := writeFrame(conn, nil, OpPut, p); err != nil {
+			t.Fatal(err)
+		}
+		if op, _, err := readFrameInto(br, 0, nil); err != nil || op != OpOK {
+			t.Fatalf("put: op %#x err %v", byte(op), err)
+		}
+	}
+	for key, want := range values {
+		e, ok, _ := ft.Get(context.Background(), key)
+		if !ok || !bytes.Equal(e.Value, want) {
+			t.Fatalf("stored value %.8q…, want %.8q…", e.Value, want)
+		}
+		if cap(e.Value) != len(want) {
+			t.Fatalf("stored value has capacity %d for %d bytes", cap(e.Value), len(want))
+		}
+	}
+}
+
+// TestRoundTripAllocs bounds the allocations of one warm round trip,
+// client and daemon together (AllocsPerRun counts the whole process).
+// A hit keeps the client's response payload, which the value aliases,
+// and the rep name; a miss keeps the payload alone; a put encodes its
+// request, and the daemon copies out the rep name, the stamp slice,
+// the stamp's keyspace and the value. Framing, headers and responses
+// allocate nothing on either end. The least of several runs is taken:
+// the race detector's runtime adds allocations now and then.
+func TestRoundTripAllocs(t *testing.T) {
+	dinv := invalidate.New(nil, nil)
+	_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+	r := newClient(t, addr, nil)
+	ctx := context.Background()
+	hit, miss := tier.KeyOf([]byte("hit")), tier.KeyOf([]byte("miss"))
+	if _, _, err := r.Get(ctx, miss); err != nil { // first contact
+		t.Fatal(err)
+	}
+	e := tier.Entry{Rep: "binser", Value: make([]byte, 256), TTL: time.Minute,
+		Stamps: r.PutStamps(hit, []string{string(ksItems)})}
+	put := func() {
+		if err := r.Put(ctx, hit, e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	get := func(key tier.Key) func() {
+		return func() {
+			if _, _, err := r.Get(ctx, key); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	put()
+	least := func(f func()) float64 {
+		m := testing.AllocsPerRun(10, f)
+		for i := 0; i < 20; i++ {
+			m = min(m, testing.AllocsPerRun(10, f))
+		}
+		return m
+	}
+	for _, tc := range []struct {
+		name string
+		f    func()
+		max  float64
+	}{
+		{"get hit", get(hit), 2},
+		{"get miss", get(miss), 1},
+		{"put", put, 6},
+	} {
+		if got := least(tc.f); got > tc.max {
+			t.Errorf("%s: %v allocs per round trip, want ≤ %v", tc.name, got, tc.max)
+		}
 	}
 }

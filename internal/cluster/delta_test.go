@@ -161,3 +161,63 @@ func TestSteadyStateRepliesAreDeltas(t *testing.T) {
 	}
 	converged("after catching up")
 }
+
+// TestFirstContactTableIsNonzeroOnly: a daemon that has stamped many
+// keyspaces but bumped few answers a first-contact SYNC with the bumped
+// ones alone — an absent keyspace reads as epoch 0 at the mirror — and
+// the mirror built from it equals the daemon's nonzero epochs.
+func TestFirstContactTableIsNonzeroOnly(t *testing.T) {
+	const stamped, bumped = 10000, 37
+	dinv := invalidate.New(nil, nil)
+	for i := 0; i < stamped; i++ {
+		dinv.StampWith(invalidate.Keyspace(ksFillPrefix+strconv.Itoa(i)), 0)
+	}
+	_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
+	firstSync := func() map[string]uint64 {
+		t.Helper()
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := writeFrame(conn, nil, OpSync, encodeMetaOnly(respMeta{})); err != nil {
+			t.Fatal(err)
+		}
+		op, resp, err := readFrame(conn, 0)
+		if err != nil || op != OpTable {
+			t.Fatalf("sync reply: op %#x err %v", byte(op), err)
+		}
+		_, table, err := decodeTable(resp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return table
+	}
+	if got := firstSync(); len(got) != 0 {
+		t.Fatalf("first-contact table of a never-bumped daemon holds %d entries, want 0", len(got))
+	}
+
+	for i := 0; i < bumped; i++ {
+		dinv.ApplyRemote(invalidate.Keyspace(ksFillPrefix + strconv.Itoa(i*7)))
+	}
+	nonzero := make(map[string]uint64)
+	for ks, epoch := range dinv.Snapshot() {
+		if epoch != 0 {
+			nonzero[ks] = epoch
+		}
+	}
+	if len(dinv.Snapshot()) != stamped || len(nonzero) != bumped {
+		t.Fatalf("daemon holds %d cells, %d nonzero; want %d, %d", len(dinv.Snapshot()), len(nonzero), stamped, bumped)
+	}
+	if got := firstSync(); !maps.Equal(got, nonzero) {
+		t.Fatalf("first-contact table holds %d entries, want the %d bumped ones", len(got), bumped)
+	}
+	r := newClient(t, addr, invalidate.New(nil, nil))
+	if _, _, err := r.Get(context.Background(), tier.KeyOf([]byte("q"))); err != nil {
+		t.Fatal(err)
+	}
+	if got := mirrorOf(r); !maps.Equal(got, nonzero) {
+		t.Fatalf("mirror holds %d entries, want the daemon's %d nonzero epochs", len(got), len(nonzero))
+	}
+}

@@ -7,6 +7,7 @@
 package cluster
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -83,11 +84,44 @@ var (
 	ErrMalformed = errors.New("cluster: malformed payload")
 )
 
+// maxRetainedBuf caps the per-connection buffers kept between
+// requests: a read or write buffer that one large frame grew past it
+// is dropped once that request is done, so an idle connection never
+// pins a large value or table.
+const maxRetainedBuf = 64 << 10
+
 // AppendFrame appends a complete frame (header + payload) to dst.
 func AppendFrame(dst []byte, op Opcode, payload []byte) []byte {
 	dst = append(dst, ProtocolVersion, byte(op), 0, 0)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
+}
+
+// finishFrame completes a frame built in place: frame starts with the
+// header AppendFrame(dst[:0], 0, nil) wrote, and the payload was
+// appended after it. It sets the header's opcode and payload length.
+func finishFrame(frame []byte, op Opcode) []byte {
+	frame[1] = byte(op)
+	binary.BigEndian.PutUint32(frame[4:headerSize], uint32(len(frame)-headerSize))
+	return frame
+}
+
+// parseHeader validates a frame header and returns its opcode and
+// declared payload length. A length over maxPayload is refused here,
+// before anything is sized by it.
+func parseHeader(h []byte, maxPayload int) (Opcode, int, error) {
+	if h[0] != ProtocolVersion {
+		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrVersionSkew, h[0], ProtocolVersion)
+	}
+	op := Opcode(h[1])
+	if !op.valid() {
+		return 0, 0, fmt.Errorf("%w: %#x", ErrUnknownOpcode, h[1])
+	}
+	n := int(binary.BigEndian.Uint32(h[4:headerSize]))
+	if n > maxPayload {
+		return 0, 0, fmt.Errorf("%w: %d bytes declared, limit %d", ErrFrameTooLarge, n, maxPayload)
+	}
+	return op, n, nil
 }
 
 // DecodeFrame decodes one frame from the front of b, returning the
@@ -100,16 +134,9 @@ func DecodeFrame(b []byte, maxPayload int) (op Opcode, payload, rest []byte, err
 	if len(b) < headerSize {
 		return 0, nil, b, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
 	}
-	if b[0] != ProtocolVersion {
-		return 0, nil, b, fmt.Errorf("%w: got %d, want %d", ErrVersionSkew, b[0], ProtocolVersion)
-	}
-	op = Opcode(b[1])
-	if !op.valid() {
-		return 0, nil, b, fmt.Errorf("%w: %#x", ErrUnknownOpcode, byte(op))
-	}
-	n := int(binary.BigEndian.Uint32(b[4:8]))
-	if n > maxPayload {
-		return 0, nil, b, fmt.Errorf("%w: %d bytes declared, limit %d", ErrFrameTooLarge, n, maxPayload)
+	op, n, err := parseHeader(b, maxPayload)
+	if err != nil {
+		return 0, nil, b, err
 	}
 	if len(b) < headerSize+n {
 		return 0, nil, b, fmt.Errorf("%w: payload declares %d bytes, %d available", ErrTruncated, n, len(b)-headerSize)
@@ -119,7 +146,7 @@ func DecodeFrame(b []byte, maxPayload int) (op Opcode, payload, rest []byte, err
 
 // writeFrame writes one frame to w. scratch, when non-nil, supplies a
 // reusable buffer (per-connection, avoiding a fresh allocation per
-// frame).
+// frame); one grown past maxRetainedBuf is not kept.
 func writeFrame(w io.Writer, scratch *[]byte, op Opcode, payload []byte) error {
 	var buf []byte
 	if scratch != nil {
@@ -127,40 +154,52 @@ func writeFrame(w io.Writer, scratch *[]byte, op Opcode, payload []byte) error {
 	}
 	buf = AppendFrame(buf, op, payload)
 	if scratch != nil {
-		*scratch = buf[:0]
+		*scratch = retain(buf)
 	}
 	_, err := w.Write(buf)
 	return err
 }
 
-// readFrame reads one frame from r. The returned payload is freshly
-// allocated; the caller owns it. Header validation mirrors DecodeFrame:
-// a declared length over maxPayload is refused before any payload read,
-// so a corrupt peer cannot make the reader allocate unboundedly.
-func readFrame(r io.Reader, maxPayload int) (Opcode, []byte, error) {
+// retain returns buf emptied for reuse, or nil when it has grown past
+// maxRetainedBuf.
+func retain(buf []byte) []byte {
+	if cap(buf) > maxRetainedBuf {
+		return nil
+	}
+	return buf[:0]
+}
+
+// readFrameInto reads one frame from br. The header is parsed in
+// place in br's buffer. The payload is read into buf when buf has the
+// capacity, and into a new slice of exactly the declared length
+// otherwise: a caller that passes nil owns the payload outright, one
+// that passes its previous payload back reuses that buffer and must not
+// keep anything aliasing it past the next call. Header validation
+// mirrors DecodeFrame: a declared length over maxPayload is refused
+// before any payload read, so a corrupt peer cannot make the reader
+// allocate more than maxPayload. io.EOF means the stream ended cleanly
+// before a frame began.
+func readFrameInto(br *bufio.Reader, maxPayload int, buf []byte) (Opcode, []byte, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
-	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		if errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: header: %v", ErrTruncated, err)
+	h, err := br.Peek(headerSize)
+	if err != nil {
+		if len(h) > 0 && errors.Is(err, io.EOF) {
+			return 0, nil, fmt.Errorf("%w: header: %d of %d bytes", ErrTruncated, len(h), headerSize)
 		}
 		return 0, nil, err
 	}
-	if h[0] != ProtocolVersion {
-		return 0, nil, fmt.Errorf("%w: got %d, want %d", ErrVersionSkew, h[0], ProtocolVersion)
+	op, n, err := parseHeader(h, maxPayload)
+	if err != nil {
+		return 0, nil, err
 	}
-	op := Opcode(h[1])
-	if !op.valid() {
-		return 0, nil, fmt.Errorf("%w: %#x", ErrUnknownOpcode, h[1])
+	br.Discard(headerSize) // cannot fail: Peek buffered the header
+	if cap(buf) < n {
+		buf = make([]byte, n)
 	}
-	n := int(binary.BigEndian.Uint32(h[4:8]))
-	if n > maxPayload {
-		return 0, nil, fmt.Errorf("%w: %d bytes declared, limit %d", ErrFrameTooLarge, n, maxPayload)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	payload := buf[:n]
+	if _, err := io.ReadFull(br, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
 			return 0, nil, fmt.Errorf("%w: payload: short read", ErrTruncated)
 		}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -20,6 +21,22 @@ func typedDecodeErr(err error) bool {
 	return errors.Is(err, ErrTruncated) || errors.Is(err, ErrFrameTooLarge) ||
 		errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrUnknownOpcode) ||
 		errors.Is(err, ErrMalformed)
+}
+
+// readFrame reads one frame from r into a payload the caller owns, the
+// way the client reads a response. r is wrapped in a bufio.Reader that
+// may read past the frame, so a test reads one frame per stream.
+func readFrame(r io.Reader, maxPayload int) (Opcode, []byte, error) {
+	return readFrameInto(bufio.NewReader(r), maxPayload, nil)
+}
+
+// encodeTable encodes a whole table response from a map.
+func encodeTable(m respMeta, epochs map[string]uint64) ([]byte, error) {
+	t := newTableEncoder(nil)
+	for ks, epoch := range epochs {
+		t.add(ks, epoch)
+	}
+	return t.finish(m)
 }
 
 // TestDecodeFrameMalformed is the malformed-frame table: each corrupt
@@ -135,7 +152,9 @@ func TestRequestSeedsRoundTrip(t *testing.T) {
 
 // FuzzFrameRoundTrip drives both directions: arbitrary bytes through
 // the decoders must never panic and must fail with a typed error, and
-// any payload framed by AppendFrame must decode back intact. The
+// any payload framed by AppendFrame must decode back intact. The same
+// bytes read as one stream through the daemon's buffered reader must
+// yield DecodeFrame's frame sequence (streamFrames). The
 // message-level decoders ride along on the same corpus — they are what
 // a hostile payload reaches next.
 func FuzzFrameRoundTrip(f *testing.F) {
@@ -155,6 +174,14 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	for _, seed := range requestSeeds(f) {
 		f.Add(seed)
 	}
+	// Several frames back to back, the way a connection carries them:
+	// the reused buffer grows, then serves a smaller payload.
+	f.Add(bytes.Join([][]byte{
+		AppendFrame(nil, OpPut, bytes.Repeat([]byte{'v'}, 300)),
+		AppendFrame(nil, OpGet, encodeKey(tier.Key{Hi: 1})),
+		AppendFrame(nil, OpPing, nil),
+		AppendFrame(nil, OpGet, encodeKey(tier.Key{Lo: 2}))[:12],
+	}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: hostile bytes. No panics; errors are typed.
@@ -171,12 +198,7 @@ func FuzzFrameRoundTrip(f *testing.F) {
 				t.Fatalf("DecodeFrame accepted opcode %#x", byte(op))
 			}
 		}
-		if _, _, err := readFrame(bytes.NewReader(data), 1<<16); err != nil &&
-			!typedDecodeErr(err) && !errors.Is(err, io.EOF) {
-			// io.EOF = clean close before any header byte; everything else
-			// must be a typed decode error.
-			t.Fatalf("readFrame: untyped error %v", err)
-		}
+		streamFrames(t, data, 1<<16)
 
 		// The message decoders must be equally total.
 		if _, _, _, err := decodePut(data); err != nil && !errors.Is(err, ErrMalformed) {
@@ -210,6 +232,42 @@ func FuzzFrameRoundTrip(f *testing.F) {
 			t.Fatalf("round trip: op=%v err=%v", op2, err)
 		}
 	})
+}
+
+// streamFrames reads data as one stream the way the daemon does —
+// through a bufio.Reader, into a payload buffer reused from frame to
+// frame — and requires exactly DecodeFrame's frame sequence, then the
+// typed error DecodeFrame stops at (io.EOF when the stream ends between
+// frames). No payload buffer may exceed maxPayload.
+func streamFrames(t *testing.T, data []byte, maxPayload int) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(data))
+	var in []byte
+	for rest, i := data, 0; ; i++ {
+		wantOp, wantPayload, next, wantErr := DecodeFrame(rest, maxPayload)
+		op, payload, err := readFrameInto(br, maxPayload, in)
+		if wantErr != nil {
+			if len(rest) == 0 {
+				if err != io.EOF {
+					t.Fatalf("frame %d: stream read at a clean end = %v, want io.EOF", i, err)
+				}
+				return
+			}
+			for _, sentinel := range []error{ErrTruncated, ErrFrameTooLarge, ErrVersionSkew, ErrUnknownOpcode} {
+				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
+					t.Fatalf("frame %d: stream read error %v, DecodeFrame error %v", i, err, wantErr)
+				}
+			}
+			return
+		}
+		if err != nil || op != wantOp || !bytes.Equal(payload, wantPayload) {
+			t.Fatalf("frame %d: stream read %#x %x (err %v), DecodeFrame %#x %x", i, byte(op), payload, err, byte(wantOp), wantPayload)
+		}
+		if cap(payload) > maxPayload {
+			t.Fatalf("frame %d: payload buffer of %d bytes, bound %d", i, cap(payload), maxPayload)
+		}
+		in, rest = retain(payload), next
+	}
 }
 
 // TestMessageRoundTrips covers each payload codec.
@@ -263,7 +321,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	t.Run("value", func(t *testing.T) {
 		m := respMeta{bootID: 5, version: 77}
 		e := tier.Entry{Rep: "binser", Value: []byte{1, 2, 3}, TTL: time.Minute}
-		p, err := encodeValue(m, e)
+		p, err := appendValue(nil, m, e)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -216,6 +216,10 @@ func encodePut(bootID uint64, key tier.Key, e tier.Entry) ([]byte, error) {
 	return append(b, e.Value...), nil
 }
 
+// decodePut decodes a put request into an entry the caller may keep:
+// every field is copied out of payload — the value at exactly its
+// length — so the daemon's read buffer can be reused for the next
+// request.
 func decodePut(payload []byte) (uint64, tier.Key, tier.Entry, error) {
 	c := cursor{b: payload}
 	bootID := c.u64("boot id")
@@ -235,24 +239,25 @@ func decodePut(payload []byte) (uint64, tier.Key, tier.Entry, error) {
 			e.Stamps = append(e.Stamps, tier.Stamp{Keyspace: ks, Epoch: c.u64("epoch")})
 		}
 	}
-	e.Value = c.rest()
+	value := c.rest()
 	if c.err != nil {
 		return 0, tier.Key{}, tier.Entry{}, c.err
 	}
+	e.Value = make([]byte, len(value))
+	copy(e.Value, value)
 	return bootID, k, e, nil
 }
 
 // --- value response -------------------------------------------------
 
-func encodeValue(m respMeta, e tier.Entry) ([]byte, error) {
-	b := make([]byte, 0, 16+8+1+len(e.Rep)+len(e.Value))
-	b = appendMeta(b, m)
-	b = binary.BigEndian.AppendUint64(b, uint64(e.TTL.Nanoseconds()))
+func appendValue(dst []byte, m respMeta, e tier.Entry) ([]byte, error) {
+	dst = appendMeta(dst, m)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.TTL.Nanoseconds()))
 	var err error
-	if b, err = appendStr8(b, e.Rep, "rep name"); err != nil {
-		return nil, err
+	if dst, err = appendStr8(dst, e.Rep, "rep name"); err != nil {
+		return dst, err
 	}
-	return append(b, e.Value...), nil
+	return append(dst, e.Value...), nil
 }
 
 func decodeValue(payload []byte) (respMeta, tier.Entry, error) {
@@ -284,8 +289,12 @@ func decodeMetaOnly(payload []byte) (respMeta, error) {
 // A sync request is the mirror alone, so it shares the meta-only
 // codec: encodeMetaOnly and decodeMetaOnly.
 
+// maxBumpNames is the most keyspaces one bump request can carry (its
+// count field is a u16).
+const maxBumpNames = 0xFFFF
+
 func encodeBump(mirror respMeta, keyspaces []string) ([]byte, error) {
-	if len(keyspaces) > 0xFFFF {
+	if len(keyspaces) > maxBumpNames {
 		return nil, fmt.Errorf("%w: %d keyspaces", ErrMalformed, len(keyspaces))
 	}
 	b := appendMeta(nil, mirror)
@@ -315,17 +324,18 @@ func decodeBump(payload []byte) (respMeta, []string, error) {
 
 // --- epoch table response -------------------------------------------
 
-// tableEncoder builds a table response whose meta and entry count are
-// known only after the entries have been written: it reserves their
-// 20 bytes up front and finish fills them in.
+// tableEncoder appends a table response whose meta and entry count
+// are known only after the entries have been written: it reserves
+// their 20 bytes up front and finish fills them in.
 type tableEncoder struct {
-	b   []byte
-	n   int
-	err error
+	b     []byte
+	start int
+	n     int
+	err   error
 }
 
-func newTableEncoder(entries int) *tableEncoder {
-	return &tableEncoder{b: make([]byte, 16+4, 16+4+entries*16)}
+func newTableEncoder(dst []byte) tableEncoder {
+	return tableEncoder{b: append(dst, make([]byte, 16+4)...), start: len(dst)}
 }
 
 func (t *tableEncoder) add(ks string, epoch uint64) {
@@ -340,20 +350,13 @@ func (t *tableEncoder) add(ks string, epoch uint64) {
 
 func (t *tableEncoder) finish(m respMeta) ([]byte, error) {
 	if t.err != nil {
-		return nil, t.err
+		return t.b, t.err
 	}
-	binary.BigEndian.PutUint64(t.b[0:], m.bootID)
-	binary.BigEndian.PutUint64(t.b[8:], m.version)
-	binary.BigEndian.PutUint32(t.b[16:], uint32(t.n))
+	h := t.b[t.start:]
+	binary.BigEndian.PutUint64(h[0:], m.bootID)
+	binary.BigEndian.PutUint64(h[8:], m.version)
+	binary.BigEndian.PutUint32(h[16:], uint32(t.n))
 	return t.b, nil
-}
-
-func encodeTable(m respMeta, epochs map[string]uint64) ([]byte, error) {
-	t := newTableEncoder(len(epochs))
-	for ks, epoch := range epochs {
-		t.add(ks, epoch)
-	}
-	return t.finish(m)
 }
 
 func decodeTable(payload []byte) (respMeta, map[string]uint64, error) {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"context"
 	"crypto/rand"
 	"encoding/binary"
@@ -150,9 +151,16 @@ func (s *Server) Close() error {
 }
 
 // serveConn runs the frame loop for one connection: read a request,
-// dispatch, write the response. A decode failure answers OpErr and
-// then drops the connection — after a malformed frame the stream
-// offset can no longer be trusted.
+// dispatch, write the response. Requests are read through one
+// bufio.Reader, so a request costs one read syscall, into a payload
+// buffer reused from request to request; the response is built in
+// place in a write buffer reused the same way. Neither outlives the
+// request that filled it: the daemon never retains its read buffer
+// (everything a request leaves behind is copied out by the decoders),
+// and a buffer one large frame grew past maxRetainedBuf is dropped
+// afterwards. A decode failure answers OpErr and then drops the
+// connection — after a malformed frame the stream offset can no longer
+// be trusted.
 func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -161,24 +169,23 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	var scratch []byte
+	br := bufio.NewReader(conn)
+	var in, out []byte
 	for {
-		op, payload, err := readFrame(conn, s.cfg.MaxPayload)
+		op, payload, err := readFrameInto(br, s.cfg.MaxPayload, in)
 		if err != nil {
 			if isProtocolErr(err) {
 				s.errors.Add(1)
-				writeFrame(conn, &scratch, OpErr, encodeErr(err.Error()))
+				writeFrame(conn, &out, OpErr, encodeErr(err.Error()))
 			}
 			return
 		}
 		s.requests.Add(1)
-		respOp, resp := s.dispatch(ctx, op, payload)
-		if respOp == OpErr {
-			s.errors.Add(1)
-		}
-		if err := writeFrame(conn, &scratch, respOp, resp); err != nil {
+		out = s.respond(ctx, out, op, payload)
+		if _, err := conn.Write(out); err != nil {
 			return
 		}
+		in, out = retain(payload), retain(out)
 	}
 }
 
@@ -195,106 +202,120 @@ func (s *Server) meta() respMeta {
 	return respMeta{bootID: s.bootID, version: s.cfg.Inv.Version()}
 }
 
-// dispatch executes one request and returns its response frame.
-func (s *Server) dispatch(ctx context.Context, op Opcode, payload []byte) (Opcode, []byte) {
+// respond builds the response frame to one request in buf, reusing
+// its storage.
+func (s *Server) respond(ctx context.Context, buf []byte, op Opcode, payload []byte) []byte {
+	frame := AppendFrame(buf[:0], 0, nil)
+	respOp, frame, err := s.dispatch(ctx, frame, op, payload)
+	if err != nil {
+		s.errors.Add(1)
+		respOp, frame = OpErr, append(frame[:headerSize], encodeErr(err.Error())...)
+	}
+	return finishFrame(frame, respOp)
+}
+
+// dispatch executes one request, appending the response payload to b
+// and returning its opcode. An error becomes an OpErr response.
+func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []byte) (Opcode, []byte, error) {
 	switch op {
 	case OpPing:
-		return OpOK, encodeMetaOnly(s.meta())
+		return OpOK, appendMeta(b, s.meta()), nil
 
 	case OpGet:
 		key, err := decodeKey(payload)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
 		e, ok, err := s.cfg.Tier.Get(ctx, key)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
 		if !ok {
-			return OpMiss, encodeMetaOnly(s.meta())
+			return OpMiss, appendMeta(b, s.meta()), nil
 		}
-		resp, err := encodeValue(s.meta(), e)
-		if err != nil {
-			return OpErr, encodeErr(err.Error())
-		}
-		return OpValue, resp
+		b, err = appendValue(b, s.meta(), e)
+		return OpValue, b, err
 
 	case OpPut:
 		bootID, key, e, err := decodePut(payload)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
 		if bootID != s.bootID {
 			// The sender's stamps belong to another incarnation; drop the
 			// fill. The OK response's meta carries the current boot ID, so
 			// the sender resyncs and its next fill sticks.
 			s.staleBoots.Add(1)
-			return OpOK, encodeMetaOnly(s.meta())
+			return OpOK, appendMeta(b, s.meta()), nil
 		}
 		if err := s.cfg.Tier.Put(ctx, key, e); err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
-		return OpOK, encodeMetaOnly(s.meta())
+		return OpOK, appendMeta(b, s.meta()), nil
 
 	case OpDel:
 		key, err := decodeKey(payload)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
 		if err := s.cfg.Tier.Delete(ctx, key); err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
-		return OpOK, encodeMetaOnly(s.meta())
+		return OpOK, appendMeta(b, s.meta()), nil
 
 	case OpBump:
 		mirror, keyspaces, err := decodeBump(payload)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
 		if err := s.cfg.Tier.BumpEpoch(ctx, keyspaces); err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
-		return s.tableResp(mirror)
+		b, err = s.tableResp(b, mirror)
+		return OpTable, b, err
 
 	case OpSync:
 		mirror, err := decodeMetaOnly(payload)
 		if err != nil {
-			return OpErr, encodeErr(err.Error())
+			return 0, b, err
 		}
-		return s.tableResp(mirror)
+		b, err = s.tableResp(b, mirror)
+		return OpTable, b, err
 	}
-	// readFrame validated the opcode, so only a response opcode sent as
-	// a request lands here.
-	return OpErr, encodeErr(fmt.Sprintf("cluster: opcode %#x is not a request", byte(op)))
+	// readFrameInto validated the opcode, so only a response opcode sent
+	// as a request lands here.
+	return 0, b, fmt.Errorf("cluster: opcode %#x is not a request", byte(op))
 }
 
-// tableResp answers a sender whose copy of the epoch table is complete
-// up to mirror. Within this incarnation, and while the journal reaches
-// back that far, that is the keyspaces changed since, stamped with the
-// version the journal read them under. Otherwise (first contact, a
-// restart, a sender that fell behind the journal) it is the whole
-// table, stamped with a version read before it: if a bump lands between
-// the two reads the table is the newer state under an older version
-// number, so the client will sync again — over-syncing is safe, a
-// table newer than its version never hides a bump.
-func (s *Server) tableResp(mirror respMeta) (Opcode, []byte) {
+// tableResp appends the table response for a sender whose copy of the
+// epoch table is complete up to mirror. Within this incarnation, and
+// while the journal reaches back that far, that is the keyspaces
+// changed since, stamped with the version the journal read them under.
+// Otherwise (first contact, a restart, a sender that fell behind the
+// journal) it is the whole table, stamped with a version read before
+// it: if a bump lands between the two reads the table is the newer
+// state under an older version number, so the client will sync again —
+// over-syncing is safe, a table newer than its version never hides a
+// bump. A whole table carries only the nonzero epochs, read straight
+// from the cells: a keyspace absent from a mirror reads as epoch 0
+// there, and within one incarnation a mirror never holds more than the
+// daemon, so a zero entry would change nothing.
+func (s *Server) tableResp(b []byte, mirror respMeta) ([]byte, error) {
+	t := newTableEncoder(b)
 	if mirror.bootID == s.bootID {
-		t := newTableEncoder(4)
 		if now, ok := s.cfg.Inv.Since(mirror.version, func(ks invalidate.Keyspace, epoch uint64) {
 			t.add(string(ks), epoch)
 		}); ok {
 			s.tableDelta.Add(1)
-			return tableOrErr(t.finish(respMeta{bootID: s.bootID, version: now}))
+			return t.finish(respMeta{bootID: s.bootID, version: now})
 		}
 	}
 	s.tableFull.Add(1)
 	m := s.meta()
-	return tableOrErr(encodeTable(m, s.cfg.Inv.Snapshot()))
-}
-
-func tableOrErr(resp []byte, err error) (Opcode, []byte) {
-	if err != nil {
-		return OpErr, encodeErr(err.Error())
-	}
-	return OpTable, resp
+	s.cfg.Inv.Range(func(ks invalidate.Keyspace, epoch uint64) {
+		if epoch != 0 {
+			t.add(string(ks), epoch)
+		}
+	})
+	return t.finish(m)
 }

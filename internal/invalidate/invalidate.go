@@ -132,16 +132,18 @@ func (g *Graph) WritesDeclared(op string) bool {
 }
 
 // epoch is one keyspace's version cell. Cells are created on first
-// touch and live for the Invalidator's lifetime (16 bytes per
-// keyspace); deployments with unbounded per-key keyspaces should prefer
-// coarser families or recycle the Invalidator with the cache.
+// touch and live for the Invalidator's lifetime (the 8-byte cell plus
+// its slot in the cell table, about 60 bytes per keyspace besides the
+// name's own bytes); deployments with unbounded per-key keyspaces
+// should prefer coarser families or recycle the Invalidator with the
+// cache.
 type epoch struct {
 	v atomic.Uint64
 }
 
 // journalCap bounds the journal Since replays: the changes behind the
 // last journalCap epoch mutations. A follower further behind than that
-// gets !ok and falls back to Snapshot.
+// gets !ok and falls back to the whole table.
 const journalCap = 1024
 
 // change is one journaled epoch mutation: keyspace ks's cell advanced
@@ -180,7 +182,15 @@ func Stale(stamps []Stamp) bool {
 // backend).
 type Invalidator struct {
 	graph *Graph
-	cells sync.Map // Keyspace -> *epoch
+
+	// cellsMu guards cells, the keyspace→cell table. A cell is never
+	// removed or replaced once created, so a *epoch handed out in a
+	// Stamp or a journal record is read without any lock (Stale,
+	// Since). Lookups of an existing cell — a stamp snapshot on every
+	// miss, an adopted stamp on every daemon fill — far outnumber
+	// creations, hence the read lock.
+	cellsMu sync.RWMutex
+	cells   map[Keyspace]*epoch
 
 	// version counts every epoch mutation this Invalidator has applied,
 	// local or remote. It is the cheap "has anything changed" cursor the
@@ -196,6 +206,9 @@ type Invalidator struct {
 	// journal. journal is a ring of the changes (floor, version]: the
 	// change that made version x sits in slot x%journalCap. It is
 	// allocated on the first mutation.
+	//
+	// Lock order: mu before cellsMu (a mutation under mu may create the
+	// cell it advances); nothing holding cellsMu takes mu.
 	mu      sync.Mutex
 	journal []change
 	floor   uint64
@@ -226,6 +239,7 @@ func New(graph *Graph, reg *obs.Registry) *Invalidator {
 	}
 	inv := &Invalidator{
 		graph:           graph,
+		cells:           make(map[Keyspace]*epoch),
 		writesCommitted: reg.Counter("invalidate.writes"),
 		bumps:           reg.Counter("invalidate.bumps"),
 		remoteBumps:     reg.Counter("invalidate.remote_bumps"),
@@ -236,11 +250,19 @@ func New(graph *Graph, reg *obs.Registry) *Invalidator {
 
 // cell returns (creating if needed) the epoch cell for a keyspace.
 func (inv *Invalidator) cell(ks Keyspace) *epoch {
-	if v, ok := inv.cells.Load(ks); ok {
-		return v.(*epoch)
+	inv.cellsMu.RLock()
+	c := inv.cells[ks]
+	inv.cellsMu.RUnlock()
+	if c != nil {
+		return c
 	}
-	v, _ := inv.cells.LoadOrStore(ks, &epoch{})
-	return v.(*epoch)
+	inv.cellsMu.Lock()
+	defer inv.cellsMu.Unlock()
+	if c = inv.cells[ks]; c == nil {
+		c = &epoch{}
+		inv.cells[ks] = c
+	}
+	return c
 }
 
 // ReadStamps snapshots the current epochs of op's read keyspaces, nil
@@ -379,12 +401,13 @@ func (inv *Invalidator) ApplyRemote(ks Keyspace) {
 func (inv *Invalidator) InvalidateAll() {
 	n := int64(0)
 	inv.mu.Lock()
-	inv.cells.Range(func(_, v any) bool {
-		v.(*epoch).v.Add(1)
+	inv.cellsMu.RLock()
+	for _, c := range inv.cells {
+		c.v.Add(1)
 		inv.version.Add(1)
 		n++
-		return true
-	})
+	}
+	inv.cellsMu.RUnlock()
 	clear(inv.journal)
 	inv.floor = inv.version.Load()
 	inv.mu.Unlock()
@@ -401,8 +424,9 @@ func (inv *Invalidator) Version() uint64 { return inv.version.Load() }
 // version the report is complete up to. ok is false, and fn is not
 // called, when v is ahead of the current version or older than the
 // journal reaches (more than journalCap mutations ago, or before an
-// InvalidateAll); the caller then needs Snapshot. fn runs with the
-// mutation lock held and must not call back into the Invalidator.
+// InvalidateAll); the caller then needs the whole table (Range). fn
+// runs with the mutation lock held and must not call back into the
+// Invalidator.
 func (inv *Invalidator) Since(v uint64, fn func(ks Keyspace, epoch uint64)) (now uint64, ok bool) {
 	inv.mu.Lock()
 	defer inv.mu.Unlock()
@@ -440,20 +464,31 @@ func (inv *Invalidator) StampWith(ks Keyspace, seen uint64) Stamp {
 
 // Epoch returns a keyspace's current epoch (0 if never touched).
 func (inv *Invalidator) Epoch(ks Keyspace) uint64 {
-	if v, ok := inv.cells.Load(ks); ok {
-		return v.(*epoch).v.Load()
+	inv.cellsMu.RLock()
+	c := inv.cells[ks]
+	inv.cellsMu.RUnlock()
+	if c == nil {
+		return 0
 	}
-	return 0
+	return c.v.Load()
+}
+
+// Range calls fn for every keyspace that has an epoch cell, with its
+// current epoch, in no particular order. fn runs under the cell
+// table's read lock and must not call back into the Invalidator.
+func (inv *Invalidator) Range(fn func(ks Keyspace, epoch uint64)) {
+	inv.cellsMu.RLock()
+	defer inv.cellsMu.RUnlock()
+	for ks, c := range inv.cells {
+		fn(ks, c.v.Load())
+	}
 }
 
 // Snapshot captures the live keyspace→epoch table, sorted-key iteration
 // left to the consumer (JSON objects are unordered anyway).
 func (inv *Invalidator) Snapshot() map[string]uint64 {
 	out := make(map[string]uint64)
-	inv.cells.Range(func(k, v any) bool {
-		out[string(k.(Keyspace))] = v.(*epoch).v.Load()
-		return true
-	})
+	inv.Range(func(ks Keyspace, epoch uint64) { out[string(ks)] = epoch })
 	return out
 }
 
@@ -461,10 +496,7 @@ func (inv *Invalidator) Snapshot() map[string]uint64 {
 // epoch cell, for diagnostics.
 func (inv *Invalidator) Keyspaces() []Keyspace {
 	var out []Keyspace
-	inv.cells.Range(func(k, _ any) bool {
-		out = append(out, k.(Keyspace))
-		return true
-	})
+	inv.Range(func(ks Keyspace, _ uint64) { out = append(out, ks) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }

@@ -191,3 +191,45 @@ func TestConcurrentStampsAndWrites(t *testing.T) {
 		t.Error("stamp taken after all writes completed reports stale")
 	}
 }
+
+// TestConcurrentFirstTouchSharesOneCell: goroutines racing to create
+// the same keyspaces' cells, while another walks the table, must all
+// end up stamped against one cell per keyspace — a stamp bound to a
+// cell that lost the race would never see the bump below.
+func TestConcurrentFirstTouchSharesOneCell(t *testing.T) {
+	inv := New(nil, nil)
+	const goroutines, keyspaces = 8, 64
+	stamps := make([][]Stamp, goroutines)
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := 0; k < keyspaces; k++ {
+				stamps[g] = append(stamps[g], inv.StampWith(Keyspace(fmt.Sprintf("ks%d", k)), 0))
+			}
+		}(g)
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			inv.Range(func(Keyspace, uint64) {})
+		}
+	}()
+	wg.Wait()
+
+	if n := len(inv.Keyspaces()); n != keyspaces {
+		t.Fatalf("%d cells, want %d", n, keyspaces)
+	}
+	for k := 0; k < keyspaces; k++ {
+		inv.Bump(Keyspace(fmt.Sprintf("ks%d", k)))
+	}
+	for g := range stamps {
+		for k, s := range stamps[g] {
+			if !Stale([]Stamp{s}) {
+				t.Fatalf("goroutine %d's stamp on ks%d missed the bump: bound to a cell not in the table", g, k)
+			}
+		}
+	}
+}
