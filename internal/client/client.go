@@ -59,11 +59,11 @@ type Context struct {
 	// cached representation is still valid.
 	NotModified bool
 
-	// RecordEvents asks the pivot to tee the response parse into a SAX
-	// event recorder, leaving the sequence in ResponseEvents: one
-	// tokenization feeds both the recorder and the deserializer. A cache
-	// whose value representation reads events sets it on a miss; nothing
-	// else needs to (see Events).
+	// RecordEvents asks the pivot to record the response's SAX events
+	// and deserialize by replaying them, leaving the sequence in
+	// ResponseEvents: one tokenization feeds both the recorder and the
+	// deserializer. A cache whose value representation reads events sets
+	// it on a miss; nothing else needs to (see Events).
 	RecordEvents bool
 
 	// ResponseEvents is the recorded SAX event sequence of the response:
@@ -232,6 +232,10 @@ type Call struct {
 	// concurrent ones. Building it per call cost 2 allocs on every
 	// cached hit (DESIGN.md §5i's alloc hunt).
 	chain Invoker
+
+	// memo decodes a response whose shape this Call has seen before
+	// without the parser (soap.ResponseMemo, DESIGN.md §5l).
+	memo *soap.ResponseMemo
 }
 
 // NewCall builds a Call. codec must have all complex types of the
@@ -255,6 +259,7 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		handlerNames: names,
 		timed:        opts.Obs != nil || opts.Tracer != nil,
 		now:          clock.Or(opts.Clock),
+		memo:         codec.NewResponseMemo(),
 	}
 	c.chain = c.buildChain()
 	return c
@@ -394,8 +399,8 @@ func (c *Call) pivot(ictx *Context) error {
 	}
 	msg, events, err := c.decode(resp.Body, ictx.RecordEvents)
 	if c.timed {
-		// Parse time covers tokenization and deserialization (one
-		// pass, teed when the invocation records events).
+		// Parse time covers tokenization and deserialization, or a
+		// memo hit's byte compare and field plan.
 		c.observe(ictx.Operation, obs.StageParse, "", c.now().Sub(start), err)
 	}
 	if err != nil {
@@ -409,24 +414,22 @@ func (c *Call) pivot(ictx *Context) error {
 	return nil
 }
 
-// decode parses the response envelope, teeing the parse into an event
-// recorder when record is set.
+// decode decodes the response envelope as soap.Codec.DecodeEnvelope
+// does, through the Call's memo. When record is set it records the
+// events and deserializes their replay instead, so a multi-ref
+// envelope is resolved on both paths.
 func (c *Call) decode(body []byte, record bool) (*soap.DecodedMessage, []sax.Event, error) {
-	dh := c.codec.NewDecodeHandler()
 	if !record {
-		if err := sax.Parse(body, dh.Handler()); err != nil {
-			return nil, nil, err
-		}
-		msg, err := dh.Message()
+		msg, err := c.memo.Decode(body)
 		return msg, nil, err
 	}
-	rec := sax.NewRecorder()
-	if err := sax.Parse(body, sax.Tee(rec, dh.Handler())); err != nil {
-		return nil, nil, err
-	}
-	msg, err := dh.Message()
+	events, err := sax.Record(body)
 	if err != nil {
 		return nil, nil, err
 	}
-	return msg, rec.Sequence(), nil
+	msg, err := c.codec.DecodeEnvelopeEvents(events)
+	if err != nil {
+		return nil, nil, err
+	}
+	return msg, events, nil
 }

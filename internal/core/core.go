@@ -596,7 +596,7 @@ func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *
 	}
 
 	// Only a store that reads the response's SAX events has the pivot
-	// tee its parse into a recorder; every other fill skips recording.
+	// record them; every other fill skips recording.
 	if c.readsEvents(ictx.Operation) {
 		ictx.RecordEvents = true
 	}

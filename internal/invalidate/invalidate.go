@@ -29,12 +29,14 @@
 package invalidate
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/obs"
 	"repro/internal/soap"
+	"repro/internal/tier"
 )
 
 // Keyspace names one unit of dependency: a resource family whose
@@ -100,7 +102,7 @@ func (g *Graph) readSet(op string, params []soap.Param) []Keyspace {
 	if f == nil {
 		return nil
 	}
-	return f(params)
+	return bounded(f(params))
 }
 
 // writeSet resolves op's write keyspaces, nil when undeclared.
@@ -111,7 +113,42 @@ func (g *Graph) writeSet(op string, params []soap.Param) []Keyspace {
 	if f == nil {
 		return nil
 	}
-	return f(params)
+	return bounded(f(params))
+}
+
+// maxKeyspaceName bounds the keyspace names the graph hands out. The
+// shared tier's wire carries a name with a u16 length, so one longer
+// name would leave a bump no frame can carry, and every later flush to
+// that daemon would fail. A name over the bound becomes its first bytes
+// plus '#' and the 128-bit FNV-1a digest of the whole name (tier.KeyOf,
+// a fixed function every process computes alike), maxKeyspaceName bytes
+// in all. Names that collide share one epoch: that invalidates more,
+// never less.
+const maxKeyspaceName = 256
+
+// bounded returns ks with every name over maxKeyspaceName replaced by
+// its bounded form; ks itself when none is, as the SetFunc may share
+// it between calls.
+func bounded(ks []Keyspace) []Keyspace {
+	for i, k := range ks {
+		if len(k) > maxKeyspaceName {
+			out := append([]Keyspace(nil), ks...)
+			for j := i; j < len(out); j++ {
+				out[j] = boundName(out[j])
+			}
+			return out
+		}
+	}
+	return ks
+}
+
+// boundName returns k's bounded form.
+func boundName(k Keyspace) Keyspace {
+	if len(k) <= maxKeyspaceName {
+		return k
+	}
+	d := tier.KeyOf([]byte(k))
+	return Keyspace(fmt.Sprintf("%s#%016x%016x", k[:maxKeyspaceName-33], d.Hi, d.Lo))
 }
 
 // Declared reports whether op has a declared read or write set: its

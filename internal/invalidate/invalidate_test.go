@@ -2,6 +2,7 @@ package invalidate
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -231,5 +232,48 @@ func TestConcurrentFirstTouchSharesOneCell(t *testing.T) {
 				t.Fatalf("goroutine %d's stamp on ks%d missed the bump: bound to a cell not in the table", g, k)
 			}
 		}
+	}
+}
+
+// TestGraphBoundsLongKeyspaceNames: a name over maxKeyspaceName leaves
+// the graph as its prefix plus a digest of the whole name, the same in
+// every call and every process, distinct for names that differ only
+// past the prefix; short names, and the SetFunc's own slice, are left
+// as they are.
+func TestGraphBoundsLongKeyspaceNames(t *testing.T) {
+	long := Keyspace(itemPrefix + strings.Repeat("x", 1000))
+	longer := Keyspace(itemPrefix + strings.Repeat("x", 1001))
+	shared := []Keyspace{ksItems, long}
+	g := NewGraph().
+		Read(opGetItem, func(p []soap.Param) []Keyspace {
+			if p[0].Value == "longer" {
+				return []Keyspace{longer}
+			}
+			return shared
+		})
+	a := g.readSet(opGetItem, []soap.Param{{Value: "long"}})
+	b := g.readSet(opGetItem, []soap.Param{{Value: "long"}})
+	c := g.readSet(opGetItem, []soap.Param{{Value: "longer"}})
+	if a[0] != ksItems || len(a[1]) != maxKeyspaceName || a[1] != b[1] {
+		t.Fatalf("bounded set %q / %q", a, b)
+	}
+	if !strings.HasPrefix(string(a[1]), string(long[:maxKeyspaceName-33])+"#") {
+		t.Errorf("bounded name %q does not keep the prefix", a[1])
+	}
+	if c[0] == a[1] || len(c[0]) != maxKeyspaceName {
+		t.Errorf("names differing past the prefix bound to %q and %q", a[1], c[0])
+	}
+	if shared[1] != long {
+		t.Error("bounding rewrote the SetFunc's own slice")
+	}
+	// The digest is FNV-1a 128 of the whole name, a fixed function: the
+	// bounded form of a given name is a constant across processes.
+	if got, want := string(boundName(Keyspace(strings.Repeat("k", 300)))), "#686b9a0ee396879021966744d53ec509"; !strings.HasSuffix(got, want) {
+		t.Errorf("bounded form %q, want the suffix %q", got, want)
+	}
+	short := []Keyspace{ksItems}
+	g.Read(opListItems, func([]soap.Param) []Keyspace { return short })
+	if got := g.readSet(opListItems, nil); &got[0] != &short[0] {
+		t.Error("a set with no long name was copied")
 	}
 }

@@ -168,7 +168,7 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 // the validator policy on a response about to be written.
 func setSOAPHeaders(w http.ResponseWriter, n int, lastMod time.Time, ttl time.Duration) {
 	h := w.Header()
-	h.Set("Content-Type", `text/xml; charset=utf-8`)
+	transport.SetSOAPContentType(h)
 	h.Set("Content-Length", strconv.Itoa(n))
 	if !lastMod.IsZero() || ttl > 0 {
 		transport.SetValidators(h, lastMod, ttl)

@@ -219,3 +219,16 @@ func TestDispatcherConcurrentRegisterAndHandle(t *testing.T) {
 	}
 	<-done
 }
+
+// TestSetSOAPHeadersAllocs: stamping a response's SOAP headers makes
+// only the Content-Length value and its slice; the Content-Type is one
+// shared value.
+func TestSetSOAPHeadersAllocs(t *testing.T) {
+	w := httptest.NewRecorder()
+	if n := testing.AllocsPerRun(100, func() { setSOAPHeaders(w, 5024, time.Time{}, 0) }); n > 2 {
+		t.Errorf("setSOAPHeaders allocates %v, want <= 2", n)
+	}
+	if got := w.Header().Get("Content-Type"); got != "text/xml; charset=utf-8" {
+		t.Errorf("Content-Type = %q", got)
+	}
+}

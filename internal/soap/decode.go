@@ -48,7 +48,13 @@ func (c *Codec) DecodeEnvelope(doc []byte) (*DecodedMessage, error) {
 		return c.decodeMultiRefDoc(doc)
 	}
 	d := newEnvelopeDecoder(c.reg)
-	if err := sax.Parse(doc, d); err != nil {
+	return d.decode(doc, d)
+}
+
+// decode parses doc through h, a handler that hands d every event, and
+// returns d's message.
+func (d *envelopeDecoder) decode(doc []byte, h sax.Handler) (*DecodedMessage, error) {
+	if err := sax.Parse(doc, h); err != nil {
 		return nil, fmt.Errorf("soap: decode: %w", err)
 	}
 	return d.message()
@@ -157,6 +163,20 @@ type envelopeDecoder struct {
 	faultText  strings.Builder
 
 	err error
+
+	// observer, when set, is told where each finished value frame went;
+	// a response memo learns its field plan from these decisions
+	// (memo.go). It is nil on every other path.
+	observer frameObserver
+}
+
+// frameObserver watches the decoder place finished value frames.
+type frameObserver interface {
+	// placed reports that the frame just popped went to step of its
+	// parent: a struct field index, an array item index, or (at the top
+	// of the stack) a parameter index. item is the index it was appended
+	// at in a slice-typed field, or -1.
+	placed(step, item int)
 }
 
 type prefixBinding struct {
@@ -592,6 +612,9 @@ func (d *envelopeDecoder) endValue() error {
 		if !isNil {
 			val = paramInterface(f, v)
 		}
+		if d.observer != nil {
+			d.observer.placed(len(d.params), -1)
+		}
 		d.params = append(d.params, Param{Name: f.name, Value: val})
 		return nil
 	}
@@ -606,6 +629,9 @@ func (d *envelopeDecoder) endValue() error {
 					return nil // leave zero
 				}
 				if f.appendItem && dst.Kind() == reflect.Slice {
+					if d.observer != nil {
+						d.observer.placed(fld.Index, dst.Len())
+					}
 					item := reflect.New(dst.Type().Elem()).Elem()
 					if err := assign(item, v); err != nil {
 						return fmt.Errorf("soap: element %s item: %w", f.name, err)
@@ -613,12 +639,18 @@ func (d *envelopeDecoder) endValue() error {
 					dst.Set(reflect.Append(dst, item))
 					return nil
 				}
+				if d.observer != nil {
+					d.observer.placed(fld.Index, -1)
+				}
 				return assign(dst, v)
 			}
 		}
 		// Unknown field: tolerated and dropped, as a lenient processor.
 		return nil
 	case fArray:
+		if d.observer != nil {
+			d.observer.placed(len(parent.items), -1)
+		}
 		parent.items = append(parent.items, v)
 		parent.itemNil = append(parent.itemNil, isNil)
 		return nil
@@ -649,8 +681,7 @@ func (d *envelopeDecoder) finalize(f *frame) (reflect.Value, bool, error) {
 		}
 		return v, false, nil
 	case fBytes:
-		raw := strings.Map(dropSpace, f.content())
-		data, err := base64.StdEncoding.DecodeString(raw)
+		data, err := decodeBytes(f.content())
 		if err != nil {
 			return reflect.Value{}, false, fmt.Errorf("soap: element %s: invalid base64: %w", f.name, err)
 		}
@@ -738,59 +769,89 @@ func parseSimple(t reflect.Type, text string) (reflect.Value, error) {
 	case reflect.String:
 		return reflect.ValueOf(text).Convert(t), nil
 	case reflect.Bool:
-		s := strings.TrimSpace(text)
-		switch s {
-		case "true", "1":
-			return reflect.ValueOf(true).Convert(t), nil
-		case "false", "0", "":
-			return reflect.ValueOf(false).Convert(t), nil
+		b, err := parseBool(text)
+		if err != nil {
+			return reflect.Value{}, err
 		}
-		return reflect.Value{}, fmt.Errorf("invalid boolean %q", s)
+		return reflect.ValueOf(b).Convert(t), nil
+	}
+	v := reflect.New(t).Elem()
+	if err := setSimple(v, text); err != nil {
+		return reflect.Value{}, err
+	}
+	return v, nil
+}
+
+// setSimple parses element text into v, a settable value of a simple
+// type, with parseSimple's rules: surrounding space is trimmed from
+// non-strings, empty text is zero, and an integer that overflows v's
+// type is an error.
+func setSimple(v reflect.Value, text string) error {
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(text)
+	case reflect.Bool:
+		b, err := parseBool(text)
+		if err != nil {
+			return err
+		}
+		v.SetBool(b)
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		s := strings.TrimSpace(text)
-		if s == "" {
-			s = "0"
-		}
+		s := numberText(text)
 		n, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
-			return reflect.Value{}, fmt.Errorf("invalid integer %q", s)
+			return fmt.Errorf("invalid integer %q", s)
 		}
-		v := reflect.New(t).Elem()
 		if v.OverflowInt(n) {
-			return reflect.Value{}, fmt.Errorf("integer %q overflows %s", s, t)
+			return fmt.Errorf("integer %q overflows %s", s, v.Type())
 		}
 		v.SetInt(n)
-		return v, nil
 	case reflect.Uint, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		s := strings.TrimSpace(text)
-		if s == "" {
-			s = "0"
-		}
+		s := numberText(text)
 		n, err := strconv.ParseUint(s, 10, 64)
 		if err != nil {
-			return reflect.Value{}, fmt.Errorf("invalid unsigned integer %q", s)
+			return fmt.Errorf("invalid unsigned integer %q", s)
 		}
-		v := reflect.New(t).Elem()
 		if v.OverflowUint(n) {
-			return reflect.Value{}, fmt.Errorf("unsigned %q overflows %s", s, t)
+			return fmt.Errorf("unsigned %q overflows %s", s, v.Type())
 		}
 		v.SetUint(n)
-		return v, nil
 	case reflect.Float32, reflect.Float64:
-		s := strings.TrimSpace(text)
-		if s == "" {
-			s = "0"
-		}
+		s := numberText(text)
 		fv, err := strconv.ParseFloat(s, 64)
 		if err != nil {
-			return reflect.Value{}, fmt.Errorf("invalid float %q", s)
+			return fmt.Errorf("invalid float %q", s)
 		}
-		v := reflect.New(t).Elem()
 		v.SetFloat(fv)
-		return v, nil
 	default:
-		return reflect.Value{}, fmt.Errorf("not a simple type: %s", t)
+		return fmt.Errorf("not a simple type: %s", v.Type())
 	}
+	return nil
+}
+
+// parseBool reads an xsd:boolean.
+func parseBool(text string) (bool, error) {
+	switch s := strings.TrimSpace(text); s {
+	case "true", "1":
+		return true, nil
+	case "false", "0", "":
+		return false, nil
+	default:
+		return false, fmt.Errorf("invalid boolean %q", s)
+	}
+}
+
+// numberText trims a number's text; empty text reads as zero.
+func numberText(text string) string {
+	if s := strings.TrimSpace(text); s != "" {
+		return s
+	}
+	return "0"
+}
+
+// decodeBytes reads xsd:base64Binary text, ignoring XML whitespace.
+func decodeBytes(text string) ([]byte, error) {
+	return base64.StdEncoding.DecodeString(strings.Map(dropSpace, text))
 }
 
 // dropSpace removes XML whitespace from base64 text.

@@ -1,0 +1,665 @@
+package soap
+
+import (
+	"bytes"
+	"fmt"
+	"hash/maphash"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/sax"
+	"repro/internal/xmltext"
+)
+
+// This file is the response memo of the client's miss path (DESIGN.md
+// §5l), after Deltarser: responses of one operation share their markup
+// and differ in the text of their leaf elements. From one full decode
+// of a shape the memo keeps the envelope's fixed byte segments and a
+// plan mapping each text hole to a field path and a simple type. A
+// later response that matches every fixed segment byte for byte is
+// decoded without the parser: each hole is checked as character data,
+// unescaped only when it holds '&' or CR, and set through the plan into
+// a fresh copy of the learnt result. Anything else takes the full
+// decode, which still produces the result or the error; the cost of
+// trying is one prefix compare.
+//
+// The memo is the client's alone. DecodeEnvelope, DecodeEnvelopeEvents,
+// DecodeHandler and the rep stores keep the memo-less parser, so the
+// paper's Table 7 rows still measure what its Xerces did.
+
+const (
+	// memoShapes is how many shapes one memo holds. Once it is full it
+	// learns no more: the shapes it has keep hitting, and a stream of
+	// new shapes pays only the full decode.
+	memoShapes = 4
+	// memoSkeletonCap bounds the fixed bytes one shape keeps.
+	memoSkeletonCap = 64 << 10
+	// memoSeen is how many single sightings the memo remembers. A shape
+	// is learnt on its second sighting, so a document seen once costs
+	// the full decode and a shape key, nothing more.
+	memoSeen = 16
+	// memoParams bounds a shape's parameter count.
+	memoParams = 4
+	// poisoned marks a seen key whose shape the plan cannot express.
+	poisoned = 1 << 63
+)
+
+// ResponseMemo decodes response envelopes exactly as DecodeEnvelope
+// does, memoizing each shape it sees twice. It is safe for concurrent
+// use: the shapes sit behind an atomic pointer and are replaced copy on
+// write when the memo learns one, so a hit takes no lock.
+type ResponseMemo struct {
+	codec  *Codec
+	shapes atomic.Pointer[[]*shape]
+	seen   [memoSeen]atomic.Uint64
+	next   atomic.Uint32
+	mu     sync.Mutex // serializes installs
+}
+
+// NewResponseMemo returns an empty memo decoding with c's registry.
+func (c *Codec) NewResponseMemo() *ResponseMemo { return &ResponseMemo{codec: c} }
+
+// Decode decodes a response envelope. Its result and error are those
+// of DecodeEnvelope. The result never aliases doc.
+func (m *ResponseMemo) Decode(doc []byte) (*DecodedMessage, error) {
+	shapes := m.shapes.Load()
+	if shapes != nil {
+		for _, s := range *shapes {
+			if msg, ok := s.decode(doc); ok {
+				return msg, nil
+			}
+		}
+	}
+	if hasHref(doc) {
+		return m.codec.decodeMultiRefDoc(doc)
+	}
+	key := shapeKey(doc)
+	if (shapes != nil && len(*shapes) >= memoShapes) || !m.sighting(key) {
+		d := newEnvelopeDecoder(m.codec.reg)
+		return d.decode(doc, d)
+	}
+	l := &learner{envelopeDecoder: newEnvelopeDecoder(m.codec.reg)}
+	l.observer = l
+	msg, err := l.decode(doc, l)
+	if err != nil {
+		return nil, err
+	}
+	s := l.shape(doc, msg)
+	if s == nil {
+		m.poison(key)
+		return msg, nil
+	}
+	// The learnt result becomes the shape's prototype, so the caller
+	// gets a copy: the hit path run on the learning document.
+	fresh, ok := s.decode(doc)
+	if !ok {
+		m.poison(key)
+		return msg, nil
+	}
+	m.install(s)
+	return fresh, nil
+}
+
+// Shapes returns how many shapes the memo has learnt.
+func (m *ResponseMemo) Shapes() int {
+	if p := m.shapes.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
+}
+
+// sighting records key and reports whether it was seen before and not
+// poisoned.
+func (m *ResponseMemo) sighting(key uint64) bool {
+	for i := range m.seen {
+		switch m.seen[i].Load() {
+		case key:
+			return true
+		case key | poisoned:
+			return false
+		}
+	}
+	m.seen[m.next.Add(1)%memoSeen].Store(key)
+	return false
+}
+
+// poison marks key as a shape not to learn again.
+func (m *ResponseMemo) poison(key uint64) {
+	for i := range m.seen {
+		m.seen[i].CompareAndSwap(key, key|poisoned)
+	}
+}
+
+// install adds s unless the memo is full or already holds its shape.
+func (m *ResponseMemo) install(s *shape) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var cur []*shape
+	if p := m.shapes.Load(); p != nil {
+		cur = *p
+	}
+	if len(cur) >= memoShapes {
+		return
+	}
+	for _, o := range cur {
+		if o.skel == s.skel && slices.Equal(o.ends, s.ends) {
+			return
+		}
+	}
+	next := append(append(make([]*shape, 0, len(cur)+1), cur...), s)
+	m.shapes.Store(&next)
+}
+
+var shapeSeed = maphash.MakeSeed()
+
+// shapeKey hashes doc's markup runs, skipping every run of text
+// between a '>' and the next '<', so two documents that differ only in
+// their text share a key. It allocates nothing.
+func shapeKey(doc []byte) uint64 {
+	var h maphash.Hash
+	h.SetSeed(shapeSeed)
+	for i := 0; i < len(doc); {
+		lt := bytes.IndexByte(doc[i:], '<')
+		if lt < 0 {
+			break
+		}
+		j := i + lt
+		for {
+			gt := bytes.IndexByte(doc[j:], '>')
+			if gt < 0 {
+				j = len(doc)
+				break
+			}
+			if j += gt + 1; j >= len(doc) || doc[j] != '<' {
+				break
+			}
+		}
+		h.Write(doc[i+lt : j])
+		h.WriteByte(0)
+		i = j
+	}
+	return h.Sum64()&^poisoned | 1
+}
+
+// shape is one memoized response shape: the fixed segments of its
+// envelope, the plan for its text holes, and the learnt result as the
+// prototype every hit copies. A shape is immutable once learnt.
+type shape struct {
+	// skel holds the fixed segments back to back; segment k ends at
+	// ends[k], and hole k lies between segments k and k+1.
+	skel    string
+	ends    []int
+	holes   []hole
+	wrapper sax.Name
+	params  []memoParam
+}
+
+// hole is where one text hole goes: the leaf of parameter param at
+// path, decoded as the full decoder decodes a frame of kind and goType.
+type hole struct {
+	param  int
+	path   []int
+	kind   fkind
+	goType reflect.Type
+	// direct: the destination has goType (or is []byte for base64), so
+	// the text is parsed straight into it; otherwise it is parsed to
+	// goType and assigned, with assign's conversions.
+	direct bool
+}
+
+// memoParam is one parameter of the prototype message.
+type memoParam struct {
+	name  string
+	proto reflect.Value // invalid for a nil parameter
+	// hole is the index of the hole that is the whole value, or -1.
+	hole int
+	// clone lists, parent first, the locations below the prototype's
+	// top-level copy that need fresh memory of their own: pointers and
+	// slices.
+	clone [][]int
+}
+
+// decode decodes doc through the shape, reporting false when doc does
+// not have the shape or a hole does not decode; the caller then takes
+// the full decode. A learnt skeleton holds no href (hasHref sends such
+// documents to the multi-ref decoder before any learning), and the
+// pattern holds neither '<' nor '>', so it cannot straddle a hole's
+// edge: a hole that holds one is the only way doc can, and it falls
+// back too.
+func (s *shape) decode(doc []byte) (*DecodedMessage, bool) {
+	n := s.ends[0]
+	if len(doc) < n || string(doc[:n]) != s.skel[:n] {
+		return nil, false
+	}
+	pos, text := n, 0
+	for k := 1; k < len(s.ends); k++ {
+		lt := bytes.IndexByte(doc[pos:], '<')
+		if lt < 0 {
+			return nil, false
+		}
+		seg := s.skel[s.ends[k-1]:s.ends[k]]
+		pos, text = pos+lt, text+lt
+		if len(doc)-pos < len(seg) || string(doc[pos:pos+len(seg)]) != seg {
+			return nil, false
+		}
+		pos += len(seg)
+	}
+	if pos != len(doc) {
+		return nil, false
+	}
+
+	// One string holds every hole's text.
+	var b strings.Builder
+	b.Grow(text)
+	var params []Param
+	if len(s.params) > 0 {
+		params = make([]Param, len(s.params))
+	}
+	var bases [memoParams]reflect.Value
+	for i := range s.params {
+		params[i].Name = s.params[i].name
+		params[i].Value, bases[i] = s.params[i].fresh()
+	}
+	pos = s.ends[0]
+	for k := range s.holes {
+		lt := bytes.IndexByte(doc[pos:], '<')
+		raw := doc[pos : pos+lt]
+		if bytes.IndexByte(raw, '#') >= 0 && hasHref(raw) {
+			return nil, false
+		}
+		start := b.Len()
+		if xmltext.AppendCharData(&b, raw) != nil {
+			return nil, false
+		}
+		h := &s.holes[k]
+		if !h.set(bases[h.param], b.String()[start:], &params[h.param]) {
+			return nil, false
+		}
+		pos += lt + s.ends[k+1] - s.ends[k]
+	}
+	return &DecodedMessage{Wrapper: s.wrapper, Params: params}, true
+}
+
+// fresh returns a deep copy of the prototype value, and the
+// addressable value hole paths start from.
+func (p *memoParam) fresh() (any, reflect.Value) {
+	var base, top, proto reflect.Value
+	switch {
+	case !p.proto.IsValid() || p.hole >= 0:
+		return nil, reflect.Value{}
+	case p.proto.Kind() == reflect.Pointer:
+		proto = p.proto.Elem()
+		top = reflect.New(proto.Type())
+		base = top.Elem()
+		base.Set(proto)
+	case p.proto.Kind() == reflect.Slice:
+		proto = p.proto
+		top = reflect.MakeSlice(proto.Type(), proto.Len(), proto.Len())
+		reflect.Copy(top, proto)
+		base = top
+	default:
+		return p.proto.Interface(), reflect.Value{}
+	}
+	for _, path := range p.clone {
+		loc := walk(base, path)
+		switch loc.Kind() {
+		case reflect.Pointer:
+			v := reflect.New(loc.Type().Elem())
+			v.Elem().Set(loc.Elem())
+			loc.Set(v)
+		case reflect.Slice:
+			// Grown in place: reflect.MakeSlice would allocate a
+			// header as well as the array.
+			n := loc.Len()
+			loc.SetZero()
+			loc.Grow(n)
+			loc.SetLen(n)
+			reflect.Copy(loc, walk(proto, path))
+		}
+	}
+	return top.Interface(), base
+}
+
+// walk follows path from v: a struct field or slice index per step,
+// through any pointers on the way.
+func walk(v reflect.Value, path []int) reflect.Value {
+	for _, i := range path {
+		for v.Kind() == reflect.Pointer {
+			v = v.Elem()
+		}
+		if v.Kind() == reflect.Struct {
+			v = v.Field(i)
+		} else {
+			v = v.Index(i)
+		}
+	}
+	return v
+}
+
+// leaf is walk followed through any pointers at the destination.
+func leaf(v reflect.Value, path []int) reflect.Value {
+	v = walk(v, path)
+	for v.Kind() == reflect.Pointer {
+		v = v.Elem()
+	}
+	return v
+}
+
+// set decodes one hole's text into its destination under base, or into
+// the parameter itself when the hole is its whole value.
+func (h *hole) set(base reflect.Value, text string, p *Param) bool {
+	if len(h.path) == 0 {
+		v, ok := h.value(text)
+		if ok {
+			p.Value = v.Interface()
+		}
+		return ok
+	}
+	dst := leaf(base, h.path)
+	if h.direct {
+		if h.kind == fBytes {
+			data, err := decodeBytes(text)
+			if err != nil {
+				return false
+			}
+			dst.SetBytes(data)
+			return true
+		}
+		return setSimple(dst, text) == nil
+	}
+	v, ok := h.value(text)
+	return ok && assign(dst, v) == nil
+}
+
+// value decodes text as the full decoder finalizes the hole's frame.
+func (h *hole) value(text string) (reflect.Value, bool) {
+	if h.kind == fBytes {
+		data, err := decodeBytes(text)
+		return reflect.ValueOf(data), err == nil
+	}
+	v, err := parseSimple(h.goType, text)
+	return v, err == nil
+}
+
+// learner drives the full decoder over a response while noting, from
+// the decoder's own frame decisions, which start tag opened each value
+// frame and where the frame's value went.
+type learner struct {
+	*envelopeDecoder
+	tags   int
+	frames []learnFrame
+	open   []int // frames index of each open value frame, by stack depth
+}
+
+// learnFrame is one value frame of the learning decode.
+type learnFrame struct {
+	tag    int // index of the start tag that opened it
+	kind   fkind
+	goType reflect.Type
+	parent int // frames index of the parent frame; -1 for a parameter
+	placed bool
+	step   int // see frameObserver.placed
+	item   int
+}
+
+// OnStartElement counts start tags and notes each value frame opened.
+func (l *learner) OnStartElement(name sax.Name, attrs []sax.Attribute) error {
+	l.tags++
+	depth, value := len(l.stack), l.state == stateParams
+	if err := l.envelopeDecoder.OnStartElement(name, attrs); err != nil {
+		return err
+	}
+	if value {
+		f := &l.stack[depth]
+		parent := -1
+		if depth > 0 {
+			parent = l.open[depth-1]
+		}
+		l.open = append(l.open[:depth], len(l.frames))
+		l.frames = append(l.frames, learnFrame{tag: l.tags - 1, kind: f.kind, goType: f.goType, parent: parent, item: -1})
+	}
+	return nil
+}
+
+// placed implements frameObserver.
+func (l *learner) placed(step, item int) {
+	lf := &l.frames[l.open[len(l.stack)]]
+	lf.placed, lf.step, lf.item = true, step, item
+}
+
+// path returns the parameter and the path from its value to frame i's
+// location, with ok false when the frame or an ancestor was dropped.
+func (l *learner) path(i int) (param int, path []int, ok bool) {
+	for {
+		lf := &l.frames[i]
+		if !lf.placed {
+			return 0, nil, false
+		}
+		if lf.parent < 0 {
+			param = lf.step
+			break
+		}
+		if lf.item >= 0 {
+			path = append(path, lf.item)
+		}
+		path = append(path, lf.step)
+		i = lf.parent
+	}
+	slices.Reverse(path)
+	return param, path, true
+}
+
+// shape builds the memo entry for doc, decoded to msg, or returns nil
+// when the plan cannot express it: a fault, markup other than elements
+// and a leading XML declaration, a location written twice, a value the
+// prototype copy cannot make fresh, or a skeleton over the cap.
+func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
+	if msg.Fault != nil || len(msg.Params) > memoParams {
+		return nil
+	}
+	tags, ok := startTags(doc)
+	if !ok || len(tags) != l.tags {
+		return nil
+	}
+	s := &shape{wrapper: msg.Wrapper, params: make([]memoParam, len(msg.Params))}
+	for i, p := range msg.Params {
+		s.params[i] = memoParam{name: p.Name, proto: reflect.ValueOf(p.Value), hole: -1}
+		if !s.params[i].plan() {
+			return nil
+		}
+	}
+	written := make(map[string]bool)
+	var skel []byte
+	last := 0
+	for i := range l.frames {
+		lf := &l.frames[i]
+		param, path, ok := l.path(i)
+		if !ok {
+			continue
+		}
+		where := fmt.Sprint(param, path)
+		if written[where] {
+			return nil
+		}
+		written[where] = true
+		tag := tags[lf.tag]
+		if (lf.kind != fSimple && lf.kind != fBytes) || tag.selfClosing {
+			continue
+		}
+		end := bytes.IndexByte(doc[tag.end:], '<')
+		if end < 0 || !bytes.HasPrefix(doc[tag.end+end:], []byte("</")) {
+			return nil
+		}
+		end += tag.end
+		skel = append(skel, doc[last:tag.end]...)
+		s.ends = append(s.ends, len(skel))
+		last = end
+		h := hole{param: param, path: path, kind: lf.kind, goType: lf.goType}
+		if len(path) == 0 {
+			s.params[param].hole = len(s.holes)
+		} else {
+			// plan accepted the prototype, so no interface or nil
+			// pointer lies on the path.
+			dst := leaf(s.params[param].proto, path)
+			if lf.kind == fBytes {
+				h.direct = dst.Type() == bytesType
+			} else {
+				h.direct = dst.Type() == lf.goType
+			}
+		}
+		s.holes = append(s.holes, h)
+	}
+	skel = append(skel, doc[last:]...)
+	s.ends = append(s.ends, len(skel))
+	if len(skel) > memoSkeletonCap {
+		return nil
+	}
+	s.skel = string(skel)
+	return s
+}
+
+var bytesType = reflect.TypeOf([]byte(nil))
+
+// plan fills p.clone, reporting false when the prototype holds a value
+// a copy cannot make fresh.
+func (p *memoParam) plan() bool {
+	switch {
+	case !p.proto.IsValid():
+		return true
+	case p.proto.Kind() == reflect.Pointer:
+		return p.proto.Elem().Kind() == reflect.Struct && clonePlan(p.proto.Elem(), nil, &p.clone)
+	case p.proto.Kind() == reflect.Slice:
+		if !clonePlan(p.proto, nil, &p.clone) {
+			return false
+		}
+		p.clone = p.clone[1:] // the top-level copy is fresh's own
+	}
+	return true
+}
+
+// clonePlan appends to plan, parent first, the path of every pointer
+// and slice under v that a copy must make fresh, and reports false when
+// v holds something the copy cannot make fresh: an interface, map,
+// channel or function value, or a pointer to a pointer.
+func clonePlan(v reflect.Value, path []int, plan *[][]int) bool {
+	switch v.Kind() {
+	case reflect.Pointer:
+		if v.IsNil() {
+			return true
+		}
+		if v.Elem().Kind() == reflect.Pointer {
+			return false
+		}
+		*plan = append(*plan, append([]int(nil), path...))
+		return clonePlan(v.Elem(), path, plan)
+	case reflect.Slice:
+		if v.IsNil() {
+			return true
+		}
+		*plan = append(*plan, append([]int(nil), path...))
+		if flat(v.Type().Elem()) {
+			return true
+		}
+		for i := 0; i < v.Len(); i++ {
+			if !clonePlan(v.Index(i), append(path, i), plan) {
+				return false
+			}
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if !clonePlan(v.Field(i), append(path, i), plan) {
+				return false
+			}
+		}
+	case reflect.Array:
+		return flat(v.Type())
+	case reflect.Interface, reflect.Map, reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return v.IsNil()
+	}
+	return true
+}
+
+// flat reports whether a value of type t copies by assignment: it
+// holds no pointer, slice, map, interface, channel or function.
+func flat(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.Slice, reflect.Map, reflect.Interface,
+		reflect.Chan, reflect.Func, reflect.UnsafePointer:
+		return false
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if !flat(t.Field(i).Type) {
+				return false
+			}
+		}
+	case reflect.Array:
+		return flat(t.Elem())
+	}
+	return true
+}
+
+// tagEnd is where a start tag ends in a document.
+type tagEnd struct {
+	end         int // offset just past its '>'
+	selfClosing bool
+}
+
+// startTags lists doc's start tags in order, reporting false when doc
+// holds markup other than elements and a leading XML declaration:
+// comments, CDATA sections, DOCTYPEs and processing instructions split
+// text in ways the plan does not model.
+func startTags(doc []byte) ([]tagEnd, bool) {
+	var tags []tagEnd
+	first := true
+	for i := 0; i < len(doc); first = false {
+		lt := bytes.IndexByte(doc[i:], '<')
+		if lt < 0 {
+			break
+		}
+		lt += i
+		if lt+1 >= len(doc) {
+			return nil, false
+		}
+		switch doc[lt+1] {
+		case '!':
+			return nil, false
+		case '?':
+			end := bytes.Index(doc[lt:], []byte("?>"))
+			if !first || end < 0 {
+				return nil, false
+			}
+			i = lt + end + 2
+		case '/':
+			end := bytes.IndexByte(doc[lt:], '>')
+			if end < 0 {
+				return nil, false
+			}
+			i = lt + end + 1
+		default:
+			j, quote := lt+1, byte(0)
+			for ; j < len(doc); j++ {
+				c := doc[j]
+				if quote != 0 {
+					if c == quote {
+						quote = 0
+					}
+					continue
+				}
+				if c == '"' || c == '\'' {
+					quote = c
+				} else if c == '>' {
+					break
+				}
+			}
+			if j >= len(doc) {
+				return nil, false
+			}
+			tags = append(tags, tagEnd{end: j + 1, selfClosing: doc[j-1] == '/'})
+			i = j + 1
+		}
+	}
+	return tags, true
+}

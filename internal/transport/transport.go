@@ -193,7 +193,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
-	req.Header.Set("Content-Type", `text/xml; charset=utf-8`)
+	SetSOAPContentType(req.Header)
 	req.Header.Set("SOAPAction", `"`+treq.SOAPAction+`"`)
 	copyHeader(req.Header, treq.Header)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
@@ -264,7 +264,7 @@ func (t *InProcess) Send(ctx context.Context, treq *Request) (*Response, error) 
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
-	req.Header.Set("Content-Type", `text/xml; charset=utf-8`)
+	SetSOAPContentType(req.Header)
 	req.Header.Set("SOAPAction", `"`+treq.SOAPAction+`"`)
 	copyHeader(req.Header, treq.Header)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
@@ -397,6 +397,16 @@ func NotModified(r *http.Request, lastModified time.Time) bool {
 	}
 	return !lastModified.Truncate(time.Second).After(t)
 }
+
+// soapContentType is the Content-Type value of every SOAP request and
+// response. Headers share it, so it has length equal to capacity: an Add
+// on one header copies it instead of writing into the others.
+var soapContentType = []string{`text/xml; charset=utf-8`}
+
+// SetSOAPContentType sets h's Content-Type to the SOAP 1.1 text/xml
+// type. It allocates nothing, where Header.Set makes a one-element
+// slice per call.
+func SetSOAPContentType(h http.Header) { h["Content-Type"] = soapContentType }
 
 // SetValidators stamps a response with Last-Modified and Cache-Control
 // max-age headers, the server side of the HTTP consistency mechanism.

@@ -219,3 +219,23 @@ func TestStatusErrorTruncation(t *testing.T) {
 		t.Errorf("error message too long: %d", len(e.Error()))
 	}
 }
+
+// TestSOAPContentTypeIsShared: setting the SOAP Content-Type allocates
+// nothing, and an Add on one header leaves every other header that
+// shares the value as it was.
+func TestSOAPContentTypeIsShared(t *testing.T) {
+	a, b := http.Header{}, http.Header{}
+	SetSOAPContentType(a)
+	SetSOAPContentType(b)
+	a.Add("Content-Type", "application/soap+xml")
+	if got := b.Values("Content-Type"); len(got) != 1 || got[0] != "text/xml; charset=utf-8" {
+		t.Errorf("an Add on another header changed this one to %q", got)
+	}
+	if got := a.Values("Content-Type"); len(got) != 2 || got[1] != "application/soap+xml" {
+		t.Errorf("Add gave %q", got)
+	}
+	h := make(http.Header, 1)
+	if n := testing.AllocsPerRun(100, func() { SetSOAPContentType(h) }); n != 0 {
+		t.Errorf("SetSOAPContentType allocates %v, want 0", n)
+	}
+}

@@ -3,6 +3,7 @@ package xmltext
 import (
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // textEscapes and attrEscapes map each byte that is significant in
@@ -64,4 +65,55 @@ func SplitQName(name string) (prefix, local string) {
 		return name[:i], name[i+1:]
 	}
 	return "", name
+}
+
+// AppendCharData appends to b the text a Scanner reports for raw, the
+// character data between two tags: references resolved and line ends
+// normalised, with the Char production and the "]]>" rule enforced
+// exactly as Next enforces them. raw holds no '<'. A plain ASCII run is
+// copied as it is, and the builder is the only thing written, so a
+// caller that sized b once pays no allocation per call. On an error
+// part of the text may already be in b.
+func AppendCharData(b *strings.Builder, raw []byte) error {
+	s := Scanner{src: raw}
+	mark, i := 0, 0
+	for {
+		for i < len(raw) && class[raw[i]]&cTextStop == 0 {
+			i++
+		}
+		if i >= len(raw) {
+			break
+		}
+		switch c := raw[i]; {
+		case c == '<':
+			s.pos = i
+			return s.errf("'<' in character data")
+		case c == ']':
+			if i+2 < len(raw) && raw[i+1] == ']' && raw[i+2] == '>' {
+				s.pos = i
+				return s.errf("']]>' not allowed in character data")
+			}
+			i++
+		case c == '&', c == '\r':
+			b.Write(raw[mark:i])
+			if s.pos = i; c == '\r' {
+				b.WriteByte('\n')
+				if s.pos++; s.pos < len(raw) && raw[s.pos] == '\n' {
+					s.pos++
+				}
+			} else if err := s.scanReference(b); err != nil {
+				return err
+			}
+			i, mark = s.pos, s.pos
+		default:
+			r, size := utf8.DecodeRune(raw[i:])
+			if (r == utf8.RuneError && size == 1) || !isLegalCharRef(r) {
+				s.pos = i
+				return s.errf("illegal character data")
+			}
+			i += size
+		}
+	}
+	b.Write(raw[mark:])
+	return nil
 }

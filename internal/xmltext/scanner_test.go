@@ -403,3 +403,31 @@ func TestScannerDepth(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendCharDataMatchesScanner: AppendCharData reports exactly the
+// text the Scanner reports for the same bytes between two tags, and
+// fails exactly when the Scanner does.
+func TestAppendCharDataMatchesScanner(t *testing.T) {
+	for _, raw := range []string{
+		"", "plain text", "a &amp; b &lt;c&gt; &apos;&quot;", "&#60;&#x3C;&#x263A;&#128512;",
+		"one\r\ntwo\rthree\n", "\r", "tail ]", "]]", "a ]] b", "a ]]> b", "é ü ☺ 😀",
+		"bad \xff byte", "\xed\xa0\x80", "ctl \x01", "tab\tok", "&bogus;", "&amp", "&#0;",
+		"&#xFFFE;", "&#99999999999;", "&#x;", "&;", "& amp;", "&#60", "x&lt",
+	} {
+		var want string
+		s := NewScanner([]byte("<a>" + raw + "</a>"))
+		_, err := s.Next()
+		if err == nil {
+			var tok Token
+			if tok, err = s.Next(); err == nil && tok.Kind == KindCharData {
+				want = tok.Text
+				_, err = s.Next()
+			}
+		}
+		var b strings.Builder
+		got := AppendCharData(&b, []byte(raw))
+		if (err == nil) != (got == nil) || (err == nil && b.String() != want) {
+			t.Errorf("%q: AppendCharData gave %q, %v; Scanner %q, %v", raw, b.String(), got, want, err)
+		}
+	}
+}
