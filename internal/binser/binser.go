@@ -20,9 +20,12 @@ package binser
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"sort"
+	"sync"
+	"sync/atomic"
 
 	"repro/internal/typemap"
 )
@@ -56,6 +59,25 @@ const maxDepth = 1000
 // Codec serializes values against a type registry.
 type Codec struct {
 	reg *typemap.Registry
+
+	// byType and byName cache what the registry says of each struct
+	// type written and each wire name read. Both maps are immutable
+	// once published and replaced copy on write when a lookup misses,
+	// so a hit takes no lock. They hold registered types only, and a
+	// registration is never rebound, so an entry never goes stale.
+	byType atomic.Pointer[map[reflect.Type]*structType]
+	byName atomic.Pointer[map[string]*structType]
+	mu     sync.Mutex // serializes cache writes
+}
+
+// structType is a registered struct type as the wire format sees it.
+type structType struct {
+	t    reflect.Type
+	q    typemap.QName
+	name string // the wire name, q in Clark notation, built once
+	// fields is the registry's field list; the encoder refuses a type
+	// with fields outside it, the decoder fills only these.
+	fields []typemap.FieldInfo
 }
 
 // NewCodec returns a Codec using reg for struct-type names.
@@ -63,9 +85,29 @@ func NewCodec(reg *typemap.Registry) *Codec {
 	return &Codec{reg: reg}
 }
 
-// Marshal serializes v.
+// maxPooledScratch bounds the buffer Marshal keeps in its pool, so one
+// huge value does not pin its buffer for the life of the process.
+const maxPooledScratch = 64 << 10
+
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// Marshal serializes v. It encodes into a pooled scratch buffer and
+// returns an exact-size copy: one allocation, whatever the value's
+// size, and no spare capacity held by a stored value.
 func (c *Codec) Marshal(v any) ([]byte, error) {
-	return c.Append(make([]byte, 0, 256), v)
+	sp := scratchPool.Get().(*[]byte)
+	buf, err := c.Append((*sp)[:0], v)
+	if err != nil {
+		scratchPool.Put(sp)
+		return nil, err
+	}
+	out := make([]byte, len(buf))
+	copy(out, buf)
+	if cap(buf) <= maxPooledScratch {
+		*sp = buf[:0]
+		scratchPool.Put(sp)
+	}
+	return out, nil
 }
 
 // Append serializes v onto buf and returns the extended buffer; key
@@ -174,22 +216,15 @@ func (c *Codec) encode(buf []byte, rv reflect.Value, depth int) ([]byte, error) 
 		return c.encode(buf, rv.Elem(), depth+1)
 
 	case reflect.Struct:
-		t := rv.Type()
-		q, ok := c.reg.NameForType(t)
-		if !ok {
-			return nil, &NotSerializableError{Type: t, Reason: "type not registered"}
-		}
-		info := c.reg.InfoForType(t)
-		if len(info.Fields) != t.NumField() {
-			return nil, &NotSerializableError{Type: t, Reason: "has unexported or skipped fields"}
+		st, err := c.structOf(rv.Type())
+		if err != nil {
+			return nil, err
 		}
 		buf = append(buf, tagStruct)
-		name := q.String()
-		buf = binary.AppendUvarint(buf, uint64(len(name)))
-		buf = append(buf, name...)
-		buf = binary.AppendUvarint(buf, uint64(len(info.Fields)))
-		var err error
-		for _, f := range info.Fields {
+		buf = binary.AppendUvarint(buf, uint64(len(st.name)))
+		buf = append(buf, st.name...)
+		buf = binary.AppendUvarint(buf, uint64(len(st.fields)))
+		for _, f := range st.fields {
 			buf, err = c.encode(buf, rv.Field(f.Index), depth+1)
 			if err != nil {
 				return nil, err
@@ -351,26 +386,21 @@ func (c *Codec) decodeStruct(data []byte, depth int, budget *int) (any, []byte, 
 		return nil, nil, err
 	}
 	data = rest
-	q, err := parseQName(string(nameBytes))
+	st, err := c.structNamed(nameBytes)
 	if err != nil {
 		return nil, nil, err
-	}
-	t, ok := c.reg.TypeFor(q)
-	if !ok {
-		return nil, nil, fmt.Errorf("binser: unknown struct type %s", q)
 	}
 	nf, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, nil, fmt.Errorf("binser: bad field count")
 	}
 	data = data[sz:]
-	info := c.reg.InfoForType(t)
-	if int(nf) != len(info.Fields) {
-		return nil, nil, fmt.Errorf("binser: %s field count %d, expected %d", q, nf, len(info.Fields))
+	if int(nf) != len(st.fields) {
+		return nil, nil, fmt.Errorf("binser: %s field count %d, expected %d", st.q, nf, len(st.fields))
 	}
-	ptr := reflect.New(t)
+	ptr := reflect.New(st.t)
 	sv := ptr.Elem()
-	for _, f := range info.Fields {
+	for _, f := range st.fields {
 		if rest, ok := decodeScalarInto(sv.Field(f.Index), data); ok {
 			data = rest
 			continue
@@ -381,7 +411,7 @@ func (c *Codec) decodeStruct(data []byte, depth int, budget *int) (any, []byte, 
 		}
 		data = rest
 		if err := setField(sv.Field(f.Index), v); err != nil {
-			return nil, nil, fmt.Errorf("binser: %s.%s: %w", q, f.GoName, err)
+			return nil, nil, fmt.Errorf("binser: %s.%s: %w", st.q, f.GoName, err)
 		}
 	}
 	return ptr.Interface(), data, nil
@@ -533,6 +563,64 @@ func readLenBytes(data []byte) ([]byte, []byte, error) {
 		return nil, nil, fmt.Errorf("binser: truncated value (want %d bytes, have %d)", n, len(data))
 	}
 	return data[:n], data[n:], nil
+}
+
+// structOf returns how t, a struct type, is written: its wire name and
+// fields. It refuses an unregistered type and one with fields the
+// registry skips.
+func (c *Codec) structOf(t reflect.Type) (*structType, error) {
+	if m := c.byType.Load(); m != nil {
+		if st, ok := (*m)[t]; ok {
+			return st, nil
+		}
+	}
+	q, ok := c.reg.NameForType(t)
+	if !ok {
+		return nil, &NotSerializableError{Type: t, Reason: "type not registered"}
+	}
+	info := c.reg.InfoForType(t)
+	if len(info.Fields) != t.NumField() {
+		return nil, &NotSerializableError{Type: t, Reason: "has unexported or skipped fields"}
+	}
+	st := &structType{t: t, q: q, name: q.String(), fields: info.Fields}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.byType.Store(with(c.byType.Load(), t, st))
+	return st, nil
+}
+
+// structNamed resolves a wire name to the registered type it decodes
+// to. A name read before is found by its bytes, with no string built
+// for it.
+func (c *Codec) structNamed(name []byte) (*structType, error) {
+	if m := c.byName.Load(); m != nil {
+		if st, ok := (*m)[string(name)]; ok {
+			return st, nil
+		}
+	}
+	q, err := parseQName(string(name))
+	if err != nil {
+		return nil, err
+	}
+	t, ok := c.reg.TypeFor(q)
+	if !ok {
+		return nil, fmt.Errorf("binser: unknown struct type %s", q)
+	}
+	st := &structType{t: t, q: q, name: string(name), fields: c.reg.InfoForType(t).Fields}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.byName.Store(with(c.byName.Load(), st.name, st))
+	return st, nil
+}
+
+// with returns a copy of *m, or a new map when m is nil, holding k → v.
+func with[K comparable](m *map[K]*structType, k K, v *structType) *map[K]*structType {
+	next := map[K]*structType{}
+	if m != nil {
+		next = maps.Clone(*m)
+	}
+	next[k] = v
+	return &next
 }
 
 // parseQName parses Clark notation ({space}local) produced by

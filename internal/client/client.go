@@ -234,8 +234,8 @@ type Call struct {
 	chain Invoker
 
 	// memo decodes a response whose shape this Call has seen before
-	// without the parser (soap.ResponseMemo, DESIGN.md §5l).
-	memo *soap.ResponseMemo
+	// without the parser (soap.EnvelopeMemo, DESIGN.md §5l).
+	memo *soap.EnvelopeMemo
 }
 
 // NewCall builds a Call. codec must have all complex types of the
@@ -259,7 +259,7 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		handlerNames: names,
 		timed:        opts.Obs != nil || opts.Tracer != nil,
 		now:          clock.Or(opts.Clock),
-		memo:         codec.NewResponseMemo(),
+		memo:         codec.NewEnvelopeMemo(),
 	}
 	c.chain = c.buildChain()
 	return c

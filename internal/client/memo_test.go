@@ -134,7 +134,7 @@ func BenchmarkMemoDecode(b *testing.B) {
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
-		m := codec.NewResponseMemo()
+		m := codec.NewEnvelopeMemo()
 		for i := 0; i < 2; i++ {
 			if _, err := m.Decode(doc); err != nil {
 				b.Fatal(err)

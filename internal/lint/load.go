@@ -117,15 +117,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("lint: load %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
-			// A test-augmented variant's export data is a superset of
-			// the plain package's (same package plus test-file
-			// declarations), and external test packages must resolve
-			// their import of the package under test to it — prefer it
-			// under the base path.
-			base := basePath(p.ImportPath)
-			if _, ok := exports[base]; !ok || p.ForTest != "" {
-				exports[base] = p.Export
-			}
+			exports[p.ImportPath] = p.Export
 		}
 		if !p.DepOnly && !p.Standard {
 			targets = append(targets, p)
@@ -151,17 +143,17 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	targets = kept
 	sort.Slice(targets, func(i, j int) bool { return targets[i].ImportPath < targets[j].ImportPath })
 
+	// Each test binary gets an importer of its own: a package built for
+	// it imports what the go tool linked into it.
 	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		exp, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("lint: no export data for %q", path)
-		}
-		return os.Open(exp)
-	})
-
+	importers := make(map[string]types.Importer) // by ForTest
 	var pkgs []*Package
 	for _, t := range targets {
+		imp := importers[t.ForTest]
+		if imp == nil {
+			imp = importer.ForCompiler(fset, "gc", exportsFor(exports, t.ForTest))
+			importers[t.ForTest] = imp
+		}
 		pkg, err := check(fset, imp, t)
 		if err != nil {
 			return nil, err
@@ -169,6 +161,24 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// exportsFor opens the export data that a package built for forTest's
+// test binary imports path from. That is the variant go list recompiled
+// for the binary ("path [forTest.test]"), which carries a test-augmented
+// package's export_test.go declarations and is built against them, and
+// otherwise the plain package.
+func exportsFor(exports map[string]string, forTest string) func(string) (io.ReadCloser, error) {
+	return func(path string) (io.ReadCloser, error) {
+		exp, ok := exports[path+" ["+forTest+".test]"]
+		if !ok {
+			exp, ok = exports[path]
+		}
+		if !ok {
+			return nil, fmt.Errorf("lint: no export data for %q", path)
+		}
+		return os.Open(exp)
+	}
 }
 
 // check parses and type-checks one package from source.

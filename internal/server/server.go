@@ -5,6 +5,7 @@
 package server
 
 import (
+	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -23,6 +24,9 @@ type OpHandler func(params []soap.Param) (any, error)
 type Dispatcher struct {
 	codec    *soap.Codec
 	targetNS string
+	// memo decodes requests of a shape seen before without the parser
+	// (soap.EnvelopeMemo, DESIGN.md §5l).
+	memo *soap.EnvelopeMemo
 
 	mu  sync.RWMutex
 	ops map[string]OpHandler
@@ -39,6 +43,7 @@ func NewDispatcher(codec *soap.Codec, targetNS string) *Dispatcher {
 	return &Dispatcher{
 		codec:    codec,
 		targetNS: targetNS,
+		memo:     codec.NewEnvelopeMemo(),
 		ops:      make(map[string]OpHandler),
 	}
 }
@@ -83,7 +88,7 @@ func (d *Dispatcher) Handle(request []byte) ([]byte, bool, error) {
 // or the fault to serialize. Factored from Handle so the HTTP path can
 // stream the encoded response without a []byte round trip.
 func (d *Dispatcher) dispatch(request []byte) (op string, result any, fault *soap.Fault) {
-	msg, err := d.codec.DecodeEnvelope(request)
+	msg, err := d.memo.Decode(request)
 	if err != nil {
 		return "", nil, &soap.Fault{Code: "soapenv:Client", String: fmt.Sprintf("malformed request: %v", err)}
 	}
@@ -134,6 +139,11 @@ func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// maxRequestBytes bounds a request body, as the client bounds a
+// response body: generous for SOAP, but finite, so no request can make
+// the server hold more than this in memory for it.
+const maxRequestBytes = transport.DefaultMaxResponseBytes
+
 // soapPreamble performs the HTTP boilerplate shared by every SOAP
 // endpoint: the POST-only check, the If-Modified-Since validator
 // answer, and the body read. done reports that the response is already
@@ -154,11 +164,18 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 		w.WriteHeader(http.StatusNotModified)
 		return nil, lastMod, ttl, true
 	}
-	// The request's Content-Length sizes the read; the server sets no
-	// bound of its own on request bodies.
-	body, err := transport.ReadBody(r.Body, r.ContentLength, -1)
+	// The request's Content-Length sizes the read, and a body past
+	// maxRequestBytes, declared or streamed, is refused.
+	body, err := transport.ReadBody(r.Body, r.ContentLength, maxRequestBytes)
 	if err != nil {
-		http.Error(w, "read body", http.StatusBadRequest)
+		// Declared here, tooLarge goes to the heap (errors.As takes its
+		// address) only when a read fails.
+		var tooLarge *transport.ResponseTooLargeError
+		if errors.As(err, &tooLarge) {
+			http.Error(w, "request body too large", http.StatusRequestEntityTooLarge)
+		} else {
+			http.Error(w, "read body", http.StatusBadRequest)
+		}
 		return nil, lastMod, ttl, true
 	}
 	return body, lastMod, ttl, false

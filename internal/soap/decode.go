@@ -165,7 +165,7 @@ type envelopeDecoder struct {
 	err error
 
 	// observer, when set, is told where each finished value frame went;
-	// a response memo learns its field plan from these decisions
+	// an envelope memo learns its field plan from these decisions
 	// (memo.go). It is nil on every other path.
 	observer frameObserver
 }

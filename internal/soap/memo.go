@@ -6,6 +6,7 @@ import (
 	"hash/maphash"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,44 +15,50 @@ import (
 	"repro/internal/xmltext"
 )
 
-// This file is the response memo of the client's miss path (DESIGN.md
-// §5l), after Deltarser: responses of one operation share their markup
-// and differ in the text of their leaf elements. From one full decode
-// of a shape the memo keeps the envelope's fixed byte segments and a
-// plan mapping each text hole to a field path and a simple type. A
-// later response that matches every fixed segment byte for byte is
-// decoded without the parser: each hole is checked as character data,
+// This file is the envelope memo of the miss path (DESIGN.md §5l),
+// after Deltarser: envelopes of one operation share their markup and
+// differ in the text of their leaf elements. From one full decode of a
+// shape the memo keeps the envelope's fixed byte segments and a plan
+// mapping each text hole to a field path and a simple type. A later
+// envelope that matches every fixed segment byte for byte is decoded
+// without the parser: each hole is checked as character data,
 // unescaped only when it holds '&' or CR, and set through the plan into
 // a fresh copy of the learnt result. Anything else takes the full
 // decode, which still produces the result or the error; the cost of
 // trying is one prefix compare.
 //
-// The memo is the client's alone. DecodeEnvelope, DecodeEnvelopeEvents,
-// DecodeHandler and the rep stores keep the memo-less parser, so the
-// paper's Table 7 rows still measure what its Xerces did.
+// One type serves both ends: each client.Call decodes its responses
+// through a memo, and each server.Dispatcher its requests.
+// DecodeEnvelope, DecodeEnvelopeEvents, DecodeHandler and the rep
+// stores keep the memo-less parser, so the paper's Table 7 rows still
+// measure what its Xerces did.
 
 const (
-	// memoShapes is how many shapes one memo holds. Once it is full it
-	// learns no more: the shapes it has keep hitting, and a stream of
-	// new shapes pays only the full decode.
-	memoShapes = 4
+	// memoShapes is how many shapes one memo holds: a dispatcher serves
+	// every operation of its service through one memo. Once it is full
+	// it learns no more: the shapes it has keep hitting, and a stream of
+	// new shapes pays only the full decode. So a peer that sends 16 rare
+	// shapes first costs later shapes the memo, never correctness or
+	// more memory than the bounds allow.
+	memoShapes = 16
 	// memoSkeletonCap bounds the fixed bytes one shape keeps.
 	memoSkeletonCap = 64 << 10
 	// memoSeen is how many single sightings the memo remembers. A shape
 	// is learnt on its second sighting, so a document seen once costs
 	// the full decode and a shape key, nothing more.
-	memoSeen = 16
-	// memoParams bounds a shape's parameter count.
-	memoParams = 4
+	memoSeen = 32
+	// memoParams bounds a shape's parameter count; doGoogleSearch sends
+	// ten.
+	memoParams = 16
 	// poisoned marks a seen key whose shape the plan cannot express.
 	poisoned = 1 << 63
 )
 
-// ResponseMemo decodes response envelopes exactly as DecodeEnvelope
-// does, memoizing each shape it sees twice. It is safe for concurrent
-// use: the shapes sit behind an atomic pointer and are replaced copy on
+// EnvelopeMemo decodes envelopes exactly as DecodeEnvelope does,
+// memoizing each shape it sees twice. It is safe for concurrent use:
+// the shapes sit behind an atomic pointer and are replaced copy on
 // write when the memo learns one, so a hit takes no lock.
-type ResponseMemo struct {
+type EnvelopeMemo struct {
 	codec  *Codec
 	shapes atomic.Pointer[[]*shape]
 	seen   [memoSeen]atomic.Uint64
@@ -59,12 +66,12 @@ type ResponseMemo struct {
 	mu     sync.Mutex // serializes installs
 }
 
-// NewResponseMemo returns an empty memo decoding with c's registry.
-func (c *Codec) NewResponseMemo() *ResponseMemo { return &ResponseMemo{codec: c} }
+// NewEnvelopeMemo returns an empty memo decoding with c's registry.
+func (c *Codec) NewEnvelopeMemo() *EnvelopeMemo { return &EnvelopeMemo{codec: c} }
 
-// Decode decodes a response envelope. Its result and error are those
-// of DecodeEnvelope. The result never aliases doc.
-func (m *ResponseMemo) Decode(doc []byte) (*DecodedMessage, error) {
+// Decode decodes an envelope. Its result and error are those of
+// DecodeEnvelope. The result never aliases doc.
+func (m *EnvelopeMemo) Decode(doc []byte) (*DecodedMessage, error) {
 	shapes := m.shapes.Load()
 	if shapes != nil {
 		for _, s := range *shapes {
@@ -104,7 +111,7 @@ func (m *ResponseMemo) Decode(doc []byte) (*DecodedMessage, error) {
 }
 
 // Shapes returns how many shapes the memo has learnt.
-func (m *ResponseMemo) Shapes() int {
+func (m *EnvelopeMemo) Shapes() int {
 	if p := m.shapes.Load(); p != nil {
 		return len(*p)
 	}
@@ -113,7 +120,7 @@ func (m *ResponseMemo) Shapes() int {
 
 // sighting records key and reports whether it was seen before and not
 // poisoned.
-func (m *ResponseMemo) sighting(key uint64) bool {
+func (m *EnvelopeMemo) sighting(key uint64) bool {
 	for i := range m.seen {
 		switch m.seen[i].Load() {
 		case key:
@@ -127,14 +134,14 @@ func (m *ResponseMemo) sighting(key uint64) bool {
 }
 
 // poison marks key as a shape not to learn again.
-func (m *ResponseMemo) poison(key uint64) {
+func (m *EnvelopeMemo) poison(key uint64) {
 	for i := range m.seen {
 		m.seen[i].CompareAndSwap(key, key|poisoned)
 	}
 }
 
 // install adds s unless the memo is full or already holds its shape.
-func (m *ResponseMemo) install(s *shape) {
+func (m *EnvelopeMemo) install(s *shape) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var cur []*shape
@@ -184,7 +191,7 @@ func shapeKey(doc []byte) uint64 {
 	return h.Sum64()&^poisoned | 1
 }
 
-// shape is one memoized response shape: the fixed segments of its
+// shape is one memoized envelope shape: the fixed segments of its
 // envelope, the plan for its text holes, and the learnt result as the
 // prototype every hit copies. A shape is immutable once learnt.
 type shape struct {
@@ -208,6 +215,9 @@ type hole struct {
 	// the text is parsed straight into it; otherwise it is parsed to
 	// goType and assigned, with assign's conversions.
 	direct bool
+	// boxed: the hole is a whole parameter of a predeclared simple
+	// type, so its value is boxed without reflect (box).
+	boxed bool
 }
 
 // memoParam is one parameter of the prototype message.
@@ -351,6 +361,11 @@ func leaf(v reflect.Value, path []int) reflect.Value {
 // set decodes one hole's text into its destination under base, or into
 // the parameter itself when the hole is its whole value.
 func (h *hole) set(base reflect.Value, text string, p *Param) bool {
+	if h.boxed {
+		v, ok := box(h.goType.Kind(), text)
+		p.Value = v
+		return ok
+	}
 	if len(h.path) == 0 {
 		v, ok := h.value(text)
 		if ok {
@@ -384,7 +399,60 @@ func (h *hole) value(text string) (reflect.Value, bool) {
 	return v, err == nil
 }
 
-// learner drives the full decoder over a response while noting, from
+// box parses text as a predeclared simple type of kind k with
+// setSimple's rules, and boxes it without reflect, so an empty string,
+// a boolean or an integer below 256 needs no allocation. Its kinds are
+// those of the Go types goTypeFor maps XSD types to; it reports false
+// for any other kind and for text setSimple refuses.
+func box(k reflect.Kind, text string) (any, bool) {
+	switch k {
+	case reflect.String:
+		return text, true
+	case reflect.Bool:
+		b, err := parseBool(text)
+		return b, err == nil
+	case reflect.Int:
+		return boxInt[int](text, 0)
+	case reflect.Int8:
+		return boxInt[int8](text, 8)
+	case reflect.Int16:
+		return boxInt[int16](text, 16)
+	case reflect.Int64:
+		return boxInt[int64](text, 64)
+	case reflect.Uint:
+		return boxUint[uint](text, 0)
+	case reflect.Uint64:
+		return boxUint[uint64](text, 64)
+	case reflect.Float32, reflect.Float64:
+		f, err := strconv.ParseFloat(numberText(text), 64)
+		if k == reflect.Float32 {
+			return float32(f), err == nil
+		}
+		return f, err == nil
+	}
+	return nil, false
+}
+
+// boxInt and boxUint parse an integer of bits bits (0 for int and uint)
+// as setSimple does: overflow is an error.
+func boxInt[T int | int8 | int16 | int64](text string, bits int) (any, bool) {
+	n, err := strconv.ParseInt(numberText(text), 10, bits)
+	return T(n), err == nil
+}
+
+func boxUint[T uint | uint64](text string, bits int) (any, bool) {
+	n, err := strconv.ParseUint(numberText(text), 10, bits)
+	return T(n), err == nil
+}
+
+// boxable reports whether box parses t's values: t is a predeclared
+// type, not a named one, of a kind box knows.
+func boxable(t reflect.Type) bool {
+	_, ok := box(t.Kind(), "0")
+	return ok && t.PkgPath() == "" && t.Name() == t.Kind().String()
+}
+
+// learner drives the full decoder over an envelope while noting, from
 // the decoder's own frame decisions, which start tag opened each value
 // frame and where the frame's value went.
 type learner struct {
@@ -500,6 +568,7 @@ func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
 		h := hole{param: param, path: path, kind: lf.kind, goType: lf.goType}
 		if len(path) == 0 {
 			s.params[param].hole = len(s.holes)
+			h.boxed = lf.kind == fSimple && boxable(lf.goType)
 		} else {
 			// plan accepted the prototype, so no interface or nil
 			// pointer lies on the path.

@@ -61,7 +61,7 @@ func TestMemoCopiesEveryLayout(t *testing.T) {
 		}
 	}
 	codec := NewCodec(reg)
-	m := codec.NewResponseMemo()
+	m := codec.NewEnvelopeMemo()
 	for i := 0; i < 2; i++ {
 		if _, err := m.Decode(memoLayoutDoc("learn", 1)); err != nil {
 			t.Fatal(err)

@@ -45,9 +45,9 @@ func googleCodec(tb testing.TB) *soap.Codec {
 }
 
 // primedMemo returns a memo that has learnt every shape of memoDocs.
-func primedMemo(tb testing.TB, codec *soap.Codec) *soap.ResponseMemo {
+func primedMemo(tb testing.TB, codec *soap.Codec) *soap.EnvelopeMemo {
 	tb.Helper()
-	m := codec.NewResponseMemo()
+	m := codec.NewEnvelopeMemo()
 	for _, doc := range memoDocs(tb, codec, "primer") {
 		for i := 0; i < 2; i++ {
 			if _, err := m.Decode(doc); err != nil {
@@ -140,26 +140,105 @@ func memoSeeds(tb testing.TB, codec *soap.Codec) [][]byte {
 	}
 }
 
+// memoRequests encodes one request of each shape FuzzMemoDecode primes
+// with, as the client sends them: search, doGetItem and doPutItem, for
+// query q.
+func memoRequests(tb testing.TB, codec *soap.Codec, q string) [][]byte {
+	tb.Helper()
+	var docs [][]byte
+	for _, r := range []struct {
+		op     string
+		params []soap.Param
+	}{
+		{googleapi.OpGoogleSearch, googleapi.SearchParams("key", q, 0, 10, false, "", false, "")},
+		{googleapi.OpGetItem, googleapi.GetItemParams(q)},
+		{googleapi.OpPutItem, googleapi.PutItemParams(q, "value of "+q)},
+	} {
+		doc, err := codec.EncodeRequest(googleapi.Namespace, r.op, r.params)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		docs = append(docs, doc)
+	}
+	return docs
+}
+
+// requestSeeds are the search request and mutated copies of it, one
+// per way a request can leave the learnt shape or break a hole.
+func requestSeeds(tb testing.TB, codec *soap.Codec) [][]byte {
+	tb.Helper()
+	search := memoRequests(tb, codec, "seed")[0]
+	edit := func(old, new string) []byte {
+		if !bytes.Contains(search, []byte(old)) {
+			tb.Fatalf("search request has no %q", old)
+		}
+		return bytes.Replace(search, []byte(old), []byte(new), 1)
+	}
+	flipped := bytes.Clone(search)
+	flipped[bytes.Index(flipped, []byte("<maxResults"))+3] ^= 0x20
+	params := func(n int) []byte {
+		ps := googleapi.SearchParams("key", "seed", 0, 10, false, "", false, "")
+		for i := len(ps); i < n; i++ {
+			ps = append(ps, soap.Param{Name: fmt.Sprintf("extra%d", i), Value: i})
+		}
+		doc, err := codec.EncodeRequest(googleapi.Namespace, googleapi.OpGoogleSearch, ps)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return doc
+	}
+	return [][]byte{
+		edit(">seed<", ">another query<"), // one hole changed
+		edit(`<restrict xsi:type="xsd:string"></restrict>`, `<restrict xsi:type="xsd:string">lang_en</restrict>`),
+		edit(">seed<", ">fish &amp; chips<"),
+		edit(">seed<", ">line one\r\nline two\rthree<"),
+		edit(">seed<", ">a ]]> b<"),
+		edit(`<start xsi:type="xsd:int">0<`, `<start xsi:type="xsd:int">99999999999999999999<`),
+		edit(`<filter xsi:type="xsd:boolean">false<`, `<filter xsi:type="xsd:boolean">maybe<`),
+		flipped,
+		search[:len(search)-20],
+		params(11),
+		params(17), // past the parameter bound: never learnt
+	}
+}
+
 // FuzzMemoDecode is the memo's differential: for every input, a memo
-// primed with the search, spelling, cached-page and item shapes
-// returns what DecodeEnvelope returns, and so does a fresh memo that
-// learns the input itself and then hits it. Run longer with:
+// primed with the search, spelling, cached-page and item response
+// shapes and the search, doGetItem and doPutItem request shapes returns
+// what DecodeEnvelope returns, and so does a fresh memo that learns the
+// input itself and then hits it. Run longer with:
 //
 //	go test -run NONE -fuzz FuzzMemoDecode ./internal/soap
 func FuzzMemoDecode(f *testing.F) {
 	codec := googleCodec(f)
 	primed := primedMemo(f, codec)
+	for _, doc := range memoRequests(f, codec, "primer") {
+		for i := 0; i < 2; i++ {
+			if _, err := primed.Decode(doc); err != nil {
+				f.Fatal(err)
+			}
+		}
+	}
+	if n := primed.Shapes(); n != 7 {
+		f.Fatalf("memo learnt %d shapes, want 7", n)
+	}
 	for _, doc := range memoDocs(f, codec, "other") {
 		f.Add(doc)
 	}
 	for _, doc := range memoSeeds(f, codec) {
 		f.Add(doc)
 	}
+	for _, doc := range memoRequests(f, codec, "other") {
+		f.Add(doc)
+	}
+	for _, doc := range requestSeeds(f, codec) {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc []byte) {
 		want, wantErr := codec.DecodeEnvelope(doc)
 		got, err := primed.Decode(doc)
 		sameDecode(t, codec, got, err, want, wantErr)
-		fresh := codec.NewResponseMemo()
+		fresh := codec.NewEnvelopeMemo()
 		for i := 0; i < 3; i++ {
 			got, err := fresh.Decode(doc)
 			sameDecode(t, codec, got, err, want, wantErr)
@@ -171,7 +250,7 @@ func FuzzMemoDecode(f *testing.F) {
 // sighting, and a later document of that shape decodes through it.
 func TestMemoLearnsOnSecondSighting(t *testing.T) {
 	codec := googleCodec(t)
-	m := codec.NewResponseMemo()
+	m := codec.NewEnvelopeMemo()
 	a, b := memoDocs(t, codec, "alpha")[0], memoDocs(t, codec, "beta")[0]
 	for i, want := range []int{0, 1, 1} {
 		got, err := m.Decode(a)
@@ -244,7 +323,7 @@ func TestMemoUnrepeatedShapesCostNothing(t *testing.T) {
 	full, memo := ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ {
 		full = min(full, mallocs(codec.DecodeEnvelope))
-		m := codec.NewResponseMemo()
+		m := codec.NewEnvelopeMemo()
 		memo = min(memo, mallocs(m.Decode))
 	}
 	if memo > full {
@@ -279,7 +358,7 @@ func TestMemoResultOwnsItsText(t *testing.T) {
 // envelopes, however often seen, stay on the full path.
 func TestMemoNeverMemoizesFaultsOrMultiRef(t *testing.T) {
 	codec := googleCodec(t)
-	m := codec.NewResponseMemo()
+	m := codec.NewEnvelopeMemo()
 	fault, err := codec.EncodeFault(&soap.Fault{Code: "soapenv:Server", String: "boom"})
 	if err != nil {
 		t.Fatal(err)
@@ -294,5 +373,40 @@ func TestMemoNeverMemoizesFaultsOrMultiRef(t *testing.T) {
 	}
 	if n := m.Shapes(); n != 0 {
 		t.Errorf("memo learnt %d shapes from faults and multi-ref envelopes", n)
+	}
+}
+
+// TestMemoBoxesSimpleTypes: a whole parameter of every simple XSD type
+// decodes through a memo hit exactly as through DecodeEnvelope, for
+// text that fits the type, overflows it, is empty, is padded with
+// space or does not parse.
+func TestMemoBoxesSimpleTypes(t *testing.T) {
+	codec := googleCodec(t)
+	doc := func(xsd, text string) []byte {
+		return []byte(`<soapenv:Envelope xmlns:soapenv="http://schemas.xmlsoap.org/soap/envelope/" ` +
+			`xmlns:xsd="http://www.w3.org/2001/XMLSchema" xmlns:xsi="http://www.w3.org/2001/XMLSchema-instance">` +
+			`<soapenv:Body><ns1:probe xmlns:ns1="urn:GoogleSearch"><v xsi:type="xsd:` + xsd + `">` + text +
+			`</v></ns1:probe></soapenv:Body></soapenv:Envelope>`)
+	}
+	texts := []string{"0", "7", " 42 ", "", "-1", "255", "256", "-129", "40000", "-40000",
+		"4294967296", "99999999999999999999", "-99999999999999999999", "3.5", "1e40", "-1e400",
+		"true", "false", "1", "maybe", "x y"}
+	for _, xsd := range []string{"string", "boolean", "int", "long", "short", "byte",
+		"unsignedInt", "unsignedLong", "float", "double"} {
+		m := codec.NewEnvelopeMemo()
+		for i := 0; i < 2; i++ {
+			if _, err := m.Decode(doc(xsd, "1")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := m.Shapes(); n != 1 {
+			t.Fatalf("xsd:%s: memo learnt %d shapes, want 1", xsd, n)
+		}
+		for _, text := range texts {
+			d := doc(xsd, text)
+			want, wantErr := codec.DecodeEnvelope(d)
+			got, err := m.Decode(d)
+			sameDecode(t, codec, got, err, want, wantErr)
+		}
 	}
 }
