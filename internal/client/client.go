@@ -59,16 +59,8 @@ type Context struct {
 	// cached representation is still valid.
 	NotModified bool
 
-	// RecordEvents asks the pivot to record the response's SAX events
-	// and deserialize by replaying them, leaving the sequence in
-	// ResponseEvents: one tokenization feeds both the recorder and the
-	// deserializer. A cache whose value representation reads events sets
-	// it on a miss; nothing else needs to (see Events).
-	RecordEvents bool
-
-	// ResponseEvents is the recorded SAX event sequence of the response:
-	// set by the pivot when RecordEvents is set, or by the first call to
-	// Events.
+	// ResponseEvents is the recorded SAX event sequence of the response,
+	// set by the first call to Events. The pivot never records.
 	ResponseEvents []sax.Event
 
 	// AcceptStream declares that this invocation's consumer can handle
@@ -109,11 +101,11 @@ func (ictx *Context) Stream() (io.WriterTo, bool) {
 	return nil, false
 }
 
-// Events returns the response's SAX event sequence: the one the pivot
-// recorded when RecordEvents was set, or else a recording of
-// ResponseXML made now and kept in ResponseEvents, so every store that
-// reads events during one fill shares a single recording. It returns
-// nil and no error when the invocation captured neither.
+// Events returns the response's SAX event sequence: a recording of
+// ResponseXML made on the first call and kept in ResponseEvents, so
+// every store that reads events during one fill shares a single
+// recording. It returns nil and no error when the invocation captured
+// no response.
 func (ictx *Context) Events() ([]sax.Event, error) {
 	if len(ictx.ResponseEvents) > 0 || len(ictx.ResponseXML) == 0 {
 		return ictx.ResponseEvents, nil
@@ -164,10 +156,10 @@ func (f HandlerFunc) HandleInvoke(ictx *Context, next Invoker) error {
 type Options struct {
 	// RecordEvents does nothing.
 	//
-	// Deprecated: whether the pivot records the response's SAX events is
-	// decided per invocation by the cache that stores the response
-	// (Context.RecordEvents): a cache records only when its value
-	// representation reads events.
+	// Deprecated: the pivot never records the response's SAX events; a
+	// store that reads them records ResponseXML once per fill through
+	// Context.Events. The field stays only while the referee benchmark
+	// still sets it, and goes with that benchmark's next update.
 	RecordEvents bool
 
 	// AcceptStream marks every invocation of this Call as stream-
@@ -259,7 +251,7 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		handlerNames: names,
 		timed:        opts.Obs != nil || opts.Tracer != nil,
 		now:          clock.Or(opts.Clock),
-		memo:         codec.NewEnvelopeMemo(),
+		memo:         codec.NewEnvelopeMemo(nil),
 	}
 	c.chain = c.buildChain()
 	return c
@@ -397,7 +389,7 @@ func (c *Call) pivot(ictx *Context) error {
 	if c.timed {
 		start = c.now()
 	}
-	msg, events, err := c.decode(resp.Body, ictx.RecordEvents)
+	msg, err := c.memo.Decode(resp.Body)
 	if c.timed {
 		// Parse time covers tokenization and deserialization, or a
 		// memo hit's byte compare and field plan.
@@ -406,30 +398,9 @@ func (c *Call) pivot(ictx *Context) error {
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", ictx.Operation, err)
 	}
-	ictx.ResponseEvents = events
 	if msg.Fault != nil {
 		return msg.Fault
 	}
 	ictx.Result = msg.Result()
 	return nil
-}
-
-// decode decodes the response envelope as soap.Codec.DecodeEnvelope
-// does, through the Call's memo. When record is set it records the
-// events and deserializes their replay instead, so a multi-ref
-// envelope is resolved on both paths.
-func (c *Call) decode(body []byte, record bool) (*soap.DecodedMessage, []sax.Event, error) {
-	if !record {
-		msg, err := c.memo.Decode(body)
-		return msg, nil, err
-	}
-	events, err := sax.Record(body)
-	if err != nil {
-		return nil, nil, err
-	}
-	msg, err := c.codec.DecodeEnvelopeEvents(events)
-	if err != nil {
-		return nil, nil, err
-	}
-	return msg, events, nil
 }

@@ -95,18 +95,6 @@ func TestDecodeEmptyBodyFails(t *testing.T) {
 	}
 }
 
-func TestDecodeFailureWithRecordEvents(t *testing.T) {
-	// The teed (recorder + deserializer) parse path must fail cleanly
-	// too, not just the plain path.
-	codec := newQuoteCodec(t)
-	body := encodeQuoteResponse(t, codec)
-	call := client.NewCall(codec, respondWith(body[:len(body)/3]), "ep", testNS, "getQuote", "",
-		client.Options{Handlers: []client.Handler{recordHandler}})
-	if _, err := call.Invoke(context.Background()); err == nil {
-		t.Fatal("want decode error on teed parse")
-	}
-}
-
 func TestRetryOptionAbsorbsFlakyTransport(t *testing.T) {
 	// End to end: Options.Retry wraps the transport, so a backend that
 	// fails twice then recovers yields a successful invocation.

@@ -6,9 +6,12 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/client"
+	"repro/internal/core"
 	"repro/internal/googleapi"
+	"repro/internal/rep"
 	"repro/internal/soap"
 	"repro/internal/transport"
 )
@@ -41,8 +44,9 @@ const axisMultiRef = `<?xml version="1.0" encoding="UTF-8"?>
 </soapenv:Envelope>`
 
 // TestInvokeResolvesAxisMultiRef: a multi-ref response decodes to the
-// object it carries through Invoke, with and without event recording,
-// and every time, not only while the memo has not seen it.
+// object it carries through Invoke every time, not only while the memo
+// has not seen it, and a cache pinned to the SAX-events store serves
+// that object on the miss and on the hits replaying its recording.
 func TestInvokeResolvesAxisMultiRef(t *testing.T) {
 	_, codec, err := googleapi.NewDispatcher()
 	if err != nil {
@@ -57,18 +61,21 @@ func TestInvokeResolvesAxisMultiRef(t *testing.T) {
 			t.Fatalf("invoke %d: %#v, %v; want %#v", i, got, err, want)
 		}
 	}
-	recording := client.HandlerFunc(func(ictx *client.Context, next client.Invoker) error {
-		ictx.RecordEvents = true
-		return next(ictx)
-	})
-	call = client.NewCall(codec, respondWith([]byte(axisMultiRef)), "http://inproc/", googleapi.Namespace,
-		googleapi.OpGoogleSearch, "", client.Options{Handlers: []client.Handler{recording}})
-	ictx, err := call.InvokeContext(context.Background())
-	if err != nil || !reflect.DeepEqual(ictx.Result, want) {
-		t.Fatalf("recorded invoke: %#v, %v; want %#v", ictx.Result, err, want)
+	store, err := rep.NewRegistry(codec.Registry(), codec).Store("sax")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !soap.EventsHaveHref(ictx.ResponseEvents) {
-		t.Error("recorded invoke kept no multi-ref events")
+	cache := core.MustNew(core.Config{KeyGen: rep.NewStringKey(), Store: store, DefaultTTL: time.Hour})
+	call = client.NewCall(codec, respondWith([]byte(axisMultiRef)), "http://inproc/", googleapi.Namespace,
+		googleapi.OpGoogleSearch, "", client.Options{Handlers: []client.Handler{cache}})
+	for i := 0; i < 3; i++ {
+		ictx, err := call.InvokeContext(context.Background())
+		if err != nil || !reflect.DeepEqual(ictx.Result, want) {
+			t.Fatalf("sax-cached invoke %d: %#v, %v; want %#v", i, ictx.Result, err, want)
+		}
+		if hit := i > 0; ictx.CacheHit != hit {
+			t.Fatalf("sax-cached invoke %d: CacheHit=%v, want %v", i, ictx.CacheHit, hit)
+		}
 	}
 }
 
@@ -134,7 +141,7 @@ func BenchmarkMemoDecode(b *testing.B) {
 		}
 	})
 	b.Run("memo", func(b *testing.B) {
-		m := codec.NewEnvelopeMemo()
+		m := codec.NewEnvelopeMemo(nil)
 		for i := 0; i < 2; i++ {
 			if _, err := m.Decode(doc); err != nil {
 				b.Fatal(err)

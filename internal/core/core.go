@@ -217,14 +217,6 @@ type Cache struct {
 	inval          *invalidate.Invalidator
 	now            func() time.Time
 
-	// events reports that a fill of an operation the policy does not
-	// list reads the response's SAX events (rep.EventReader), eventOps
-	// the same per listed operation. Both are resolved once, at
-	// construction, so a miss asks the pivot to record only when the
-	// store it fills reads the recording (client.Context.RecordEvents).
-	events   bool
-	eventOps map[string]bool
-
 	// tiers is the remote tier stack (Config.Tiers), wire the selector
 	// encoding/decoding entries for it, tierm the per-tier counters
 	// parallel to tiers.
@@ -321,7 +313,6 @@ func New(cfg Config) (*Cache, error) {
 	if ka, ok := cfg.KeyGen.(rep.KeyAppender); ok {
 		c.keyapp = ka
 	}
-	c.events, c.eventOps = resolveEvents(cfg.Store, cfg.Policy)
 	if len(cfg.Tiers) > 0 {
 		c.tiers = cfg.Tiers
 		c.wire = resolveWire(cfg.Store, cfg.Rep)
@@ -349,38 +340,6 @@ func New(cfg Config) (*Cache, error) {
 		})
 	}
 	return c, nil
-}
-
-// resolveEvents reports which fills read the response's SAX events,
-// resolving each store the way Policy.For and fill do: dflt for an
-// operation the policy does not list, ops per listed operation.
-func resolveEvents(store rep.ValueStore, p Policy) (dflt bool, ops map[string]bool) {
-	reads := func(op OperationPolicy) bool {
-		s := store
-		if op.Store != nil {
-			s = op.Store
-		}
-		er, ok := s.(rep.EventReader)
-		return ok && er.ReadsEvents()
-	}
-	dflt = reads(OperationPolicy{})
-	if p.DefaultExplicit {
-		dflt = reads(p.Default)
-	}
-	ops = make(map[string]bool, len(p.Operations))
-	for name, op := range p.Operations {
-		ops[name] = reads(op)
-	}
-	return dflt, ops
-}
-
-// readsEvents reports whether a fill of operation reads the response's
-// SAX events (see resolveEvents).
-func (c *Cache) readsEvents(operation string) bool {
-	if v, ok := c.eventOps[operation]; ok {
-		return v
-	}
-	return c.events
 }
 
 // MustNew is New panicking on configuration errors; for wiring in
@@ -593,12 +552,6 @@ func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *
 	var tstamps [][]tier.Stamp
 	if haveTiers {
 		tstamps = c.tierStamps(tk, ictx)
-	}
-
-	// Only a store that reads the response's SAX events has the pivot
-	// record them; every other fill skips recording.
-	if c.readsEvents(ictx.Operation) {
-		ictx.RecordEvents = true
 	}
 
 	// An expired entry retained with a validator turns this miss into a

@@ -18,27 +18,22 @@ import (
 	"repro/internal/transport"
 )
 
-// These tests pin who records the response's SAX events on a miss: the
-// pivot, teed into its one parse, exactly when the store the cache
-// fills reads events (rep.EventReader); otherwise nobody, unless a
-// Selector's walk reaches an event store, which then records from the
-// response XML once per fill (client.Context.Events).
+// These tests pin who records the response's SAX events on a miss: never
+// the pivot, which always decodes through its envelope memo; only a
+// store that reads events, which records the response XML once per fill
+// through client.Context.Events and leaves the recording on the context
+// for every later store of that fill.
 
 // eventStores are the representations that read events.
 var eventStores = []string{"sax", "compact-sax", "dom", "xmltmpl"}
 
-// pivotProbe sits between the cache and the pivot: it counts the
-// invocations that asked for a recording, and after the pivot returns
-// it hands the context to after, when set.
+// pivotProbe sits between the cache and the pivot: after the pivot
+// returns it hands the context to after, when set.
 type pivotProbe struct {
-	recorded int
-	after    func(*client.Context)
+	after func(*client.Context)
 }
 
 func (p *pivotProbe) HandleInvoke(ictx *client.Context, next client.Invoker) error {
-	if ictx.RecordEvents {
-		p.recorded++
-	}
 	err := next(ictx)
 	if err == nil && p.after != nil {
 		p.after(ictx)
@@ -64,10 +59,9 @@ func searchParams(q string) []soap.Param {
 }
 
 // TestSelectorMissRecordsNoEvents: a miss on a typed result under the
-// default Selector, with a remote tier so the wire walk runs too, never
-// asks the pivot to record, and no store records afterwards:
-// ResponseEvents, where both a pivot recording and a store's recording
-// land, stays nil.
+// default Selector, with a remote tier so the wire walk runs too,
+// records no events: ResponseEvents, where a store's recording lands,
+// stays nil.
 func TestSelectorMissRecordsNoEvents(t *testing.T) {
 	_, codec, err := googleapi.NewDispatcher()
 	if err != nil {
@@ -80,8 +74,7 @@ func TestSelectorMissRecordsNoEvents(t *testing.T) {
 		DefaultTTL: time.Hour,
 		Tiers:      []tier.Tier{l2},
 	})
-	probe := &pivotProbe{}
-	call := searchCall(t, cache, probe, false)
+	call := searchCall(t, cache, &pivotProbe{}, false)
 	for _, q := range []string{"typed 1", "typed 2", "typed 3"} {
 		ictx, err := call.InvokeContext(context.Background(), searchParams(q)...)
 		if err != nil {
@@ -94,9 +87,6 @@ func TestSelectorMissRecordsNoEvents(t *testing.T) {
 			t.Errorf("%s: the miss recorded %d events; clone and binser read none", q, len(ictx.ResponseEvents))
 		}
 	}
-	if probe.recorded != 0 {
-		t.Errorf("%d of 3 misses asked the pivot to record events", probe.recorded)
-	}
 	if got := l2.reps; len(got) != 3 || got[0] != "binser" {
 		t.Errorf("tier entries %v, want 3 in binser", got)
 	}
@@ -105,12 +95,10 @@ func TestSelectorMissRecordsNoEvents(t *testing.T) {
 	}
 }
 
-// TestEventStoreUsesTeedParse: a cache pinned to an event store has the
-// pivot record during its one parse, and the store builds its payload
-// from that recording, never from the response XML: the probe replaces
-// the XML with bytes that do not parse once the pivot is done, so a
-// store that recorded again would fail the fill.
-func TestEventStoreUsesTeedParse(t *testing.T) {
+// TestPivotNeverRecords: a cache pinned to an event store still has the
+// pivot decode without recording, ResponseEvents is nil when the pivot
+// returns, and the fill stores from the response XML.
+func TestPivotNeverRecords(t *testing.T) {
 	for _, name := range eventStores {
 		t.Run(name, func(t *testing.T) {
 			_, codec, err := googleapi.NewDispatcher()
@@ -122,21 +110,22 @@ func TestEventStoreUsesTeedParse(t *testing.T) {
 				t.Fatal(err)
 			}
 			cache := MustNew(Config{KeyGen: rep.NewStringKey(), Store: store, DefaultTTL: time.Hour})
+			returned := false
 			probe := &pivotProbe{after: func(ictx *client.Context) {
-				if len(ictx.ResponseEvents) == 0 {
-					t.Error("the pivot returned no recorded events")
+				returned = true
+				if ictx.ResponseEvents != nil {
+					t.Errorf("the pivot returned %d recorded events", len(ictx.ResponseEvents))
 				}
-				ictx.ResponseXML = []byte("<unparsable")
 			}}
 			call := searchCall(t, cache, probe, name == "xmltmpl")
-			if _, err := call.Invoke(context.Background(), searchParams("teed")...); err != nil {
+			if _, err := call.Invoke(context.Background(), searchParams("unrecorded")...); err != nil {
 				t.Fatal(err)
 			}
-			if probe.recorded != 1 {
-				t.Errorf("the miss asked for %d recordings, want 1", probe.recorded)
+			if !returned {
+				t.Fatal("the miss never reached the pivot")
 			}
 			if s := cache.Stats(); s.Stores != 1 || s.Errors != 0 {
-				t.Errorf("stats %+v: the fill did not store from the teed events", s)
+				t.Errorf("stats %+v, want 1 store and no errors", s)
 			}
 		})
 	}
@@ -186,9 +175,9 @@ func firstEvent(ictx *client.Context) *sax.Event {
 
 // TestSelectorUntypedRecordsOnce: an untyped result (neither immutable,
 // cloneable, bean nor gob-safe) walks the Section 6 order to the SAX
-// store and the wire preference to the compact SAX store. Neither is
-// recorded by the pivot; the first of them records from the response
-// XML and the second reads that same recording.
+// store and the wire preference to the compact SAX store. The first of
+// them records from the response XML and the second reads that same
+// recording.
 func TestSelectorUntypedRecordsOnce(t *testing.T) {
 	f := newFixture(t)
 	reg := rep.NewRegistry(f.reg, f.codec)
@@ -218,9 +207,7 @@ func TestSelectorUntypedRecordsOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recordAsked := false
 	next := func(ictx *client.Context) error {
-		recordAsked = ictx.RecordEvents
 		ictx.Result = &opaqueResult{Name: "o"}
 		ictx.ResponseXML = respXML
 		return nil
@@ -228,9 +215,6 @@ func TestSelectorUntypedRecordsOnce(t *testing.T) {
 	ictx := f.reqCtx(opGet, soap.Param{Name: "q", Value: "untyped"})
 	if err := c.HandleInvoke(ictx, next); err != nil {
 		t.Fatal(err)
-	}
-	if recordAsked {
-		t.Error("the Selector asked the pivot to record")
 	}
 	l1, wire := witness["sax"], witness["compact-sax"]
 	if len(l1.before) != 1 || len(wire.before) != 1 {
@@ -249,8 +233,8 @@ func TestSelectorUntypedRecordsOnce(t *testing.T) {
 
 // TestEventStoreHitsUnchanged: a hit on each event store returns what
 // the miss returned — the decoded object, or for xmltmpl the response
-// bytes themselves — so recording in the pivot only when the store
-// reads events changes no hit.
+// bytes themselves — so filling from a recording the store makes itself
+// changes no hit.
 func TestEventStoreHitsUnchanged(t *testing.T) {
 	for _, name := range eventStores {
 		t.Run(name, func(t *testing.T) {
@@ -289,53 +273,6 @@ func TestEventStoreHitsUnchanged(t *testing.T) {
 			}
 			if !reflect.DeepEqual(hit.Result, miss.Result) {
 				t.Errorf("hit %+v, want the miss's %+v", hit.Result, miss.Result)
-			}
-		})
-	}
-}
-
-// TestRecordingFollowsPolicyStores: the recording decision follows the
-// store each operation's fill goes to — its policy's own store, else
-// the cache's — and, for an unlisted operation, an explicit default
-// policy's store.
-func TestRecordingFollowsPolicyStores(t *testing.T) {
-	f := newFixture(t)
-	reg := rep.NewRegistry(f.reg, f.codec)
-	store := func(name string) rep.ValueStore {
-		s, err := reg.Store(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
-	}
-	ops := map[string]OperationPolicy{
-		"pinnedSAX":   {Cacheable: true, Store: store("sax")},
-		"pinnedClone": {Cacheable: true, Store: store("clone")},
-		"listed":      {Cacheable: true},
-	}
-	for _, tc := range []struct {
-		name  string
-		cache rep.ValueStore
-		dflt  *OperationPolicy
-		want  map[string]bool
-	}{
-		{"selector", store("auto"), nil,
-			map[string]bool{"pinnedSAX": true, "pinnedClone": false, "listed": false, "unlisted": false}},
-		{"dom", store("dom"), nil,
-			map[string]bool{"pinnedSAX": true, "pinnedClone": false, "listed": true, "unlisted": true}},
-		{"selector, default xmltmpl", store("auto"), &OperationPolicy{Cacheable: true, Store: store("xmltmpl")},
-			map[string]bool{"pinnedSAX": true, "pinnedClone": false, "listed": false, "unlisted": true}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p := Policy{Operations: ops}
-			if tc.dflt != nil {
-				p.Default, p.DefaultExplicit = *tc.dflt, true
-			}
-			c := newCache(t, f, func(cfg *Config) { cfg.Store, cfg.Policy = tc.cache, p })
-			for op, want := range tc.want {
-				if got := c.readsEvents(op); got != want {
-					t.Errorf("%s records events: %v, want %v", op, got, want)
-				}
 			}
 		})
 	}

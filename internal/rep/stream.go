@@ -351,8 +351,6 @@ type TemplateStore struct {
 	tc *templateCache
 }
 
-var _ EventReader = (*TemplateStore)(nil)
-
 // NewTemplateStore returns the template serialization representation.
 func NewTemplateStore() *TemplateStore {
 	return &TemplateStore{tc: newTemplateCache()}
@@ -360,10 +358,6 @@ func NewTemplateStore() *TemplateStore {
 
 // Name implements ValueStore.
 func (s *TemplateStore) Name() string { return "XML template (splice)" }
-
-// ReadsEvents implements EventReader: templates are derived from the
-// event sequence.
-func (s *TemplateStore) ReadsEvents() bool { return true }
 
 // Store implements ValueStore.
 func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {

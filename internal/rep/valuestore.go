@@ -32,21 +32,6 @@ type ValueStore interface {
 	Load(payload any) (any, error)
 }
 
-// EventReader is the optional ValueStore extension of the
-// representations built from the response's SAX event sequence: the
-// SAX stores, the DOM tree and the XML template. A cache whose store
-// (or a per-operation store) reads events asks the pivot to record them
-// during the response parse (client.Context.RecordEvents), so the fill
-// shares that one tokenization; every other store is filled without a
-// recording. A store that reads events without the pivot having
-// recorded them — one a Selector reaches for an untyped result — records
-// from the response XML through client.Context.Events, once per fill.
-type EventReader interface {
-	ValueStore
-	// ReadsEvents reports that Store reads client.Context.Events.
-	ReadsEvents() bool
-}
-
 // ErrNotApplicable reports that a value store cannot represent a given
 // result; the Selector's walk and callers use it to fall through to the
 // next candidate.
@@ -99,13 +84,11 @@ func (s *XMLMessageStore) Load(payload any) (any, error) {
 // SAXEventsStore caches the recorded SAX event sequence of the response
 // (Section 4.2.2, Table 4). Load replays the events through the
 // deserializer: no tokenization, fresh objects every hit, no type
-// limitation. It reads events (EventReader), so a cache storing through
-// it has the response parse recorded.
+// limitation. Store records the response through client.Context.Events,
+// once per fill however many stores read the recording.
 type SAXEventsStore struct {
 	codec *soap.Codec
 }
-
-var _ EventReader = (*SAXEventsStore)(nil)
 
 // NewSAXEventsStore returns the SAX-events representation.
 func NewSAXEventsStore(codec *soap.Codec) *SAXEventsStore {
@@ -114,9 +97,6 @@ func NewSAXEventsStore(codec *soap.Codec) *SAXEventsStore {
 
 // Name implements ValueStore.
 func (s *SAXEventsStore) Name() string { return "SAX events sequence" }
-
-// ReadsEvents implements EventReader.
-func (s *SAXEventsStore) ReadsEvents() bool { return true }
 
 // Store implements ValueStore.
 func (s *SAXEventsStore) Store(ictx *client.Context) (any, int, error) {
@@ -158,8 +138,6 @@ type DOMStore struct {
 	codec *soap.Codec
 }
 
-var _ EventReader = (*DOMStore)(nil)
-
 // NewDOMStore returns the DOM-tree representation.
 func NewDOMStore(codec *soap.Codec) *DOMStore {
 	return &DOMStore{codec: codec}
@@ -167,10 +145,6 @@ func NewDOMStore(codec *soap.Codec) *DOMStore {
 
 // Name implements ValueStore.
 func (s *DOMStore) Name() string { return "DOM tree" }
-
-// ReadsEvents implements EventReader: the tree is built from the
-// recorded events when the parse recorded them.
-func (s *DOMStore) ReadsEvents() bool { return true }
 
 // Store implements ValueStore.
 func (s *DOMStore) Store(ictx *client.Context) (any, int, error) {
@@ -241,8 +215,6 @@ type CompactSAXStore struct {
 	codec *soap.Codec
 }
 
-var _ EventReader = (*CompactSAXStore)(nil)
-
 // NewCompactSAXStore returns the compact SAX-events representation.
 func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
 	return &CompactSAXStore{codec: codec}
@@ -250,9 +222,6 @@ func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
 
 // Name implements ValueStore.
 func (s *CompactSAXStore) Name() string { return "SAX events (compact)" }
-
-// ReadsEvents implements EventReader.
-func (s *CompactSAXStore) ReadsEvents() bool { return true }
 
 // Store implements ValueStore.
 func (s *CompactSAXStore) Store(ictx *client.Context) (any, int, error) {

@@ -96,43 +96,3 @@ func TestNopHandlerCompleteness(t *testing.T) {
 		}
 	}
 }
-
-func TestTeeAllEvents(t *testing.T) {
-	a, b := NewRecorder(), NewRecorder()
-	tee := Tee(a, b)
-	doc := `<!-- c --><r><?pi x?><v k="1">t</v></r>`
-	p := NewParser(ParseOptions{ReportComments: true, ReportProcInsts: true, CoalesceText: true})
-	if err := p.Parse([]byte(doc), tee); err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Sequence()) != len(b.Sequence()) || len(a.Sequence()) == 0 {
-		t.Fatalf("tee sequences differ: %d vs %d", len(a.Sequence()), len(b.Sequence()))
-	}
-	for i := range a.Sequence() {
-		if a.Sequence()[i].String() != b.Sequence()[i].String() {
-			t.Errorf("event %d differs", i)
-		}
-	}
-}
-
-func TestTeeErrorStopsFanout(t *testing.T) {
-	failing := &failingHandler{failOn: StartElement, err: errBoom}
-	rec := NewRecorder()
-	err := Parse([]byte(`<a/>`), Tee(failing, rec))
-	if err == nil {
-		t.Fatal("expected error")
-	}
-	// The recorder after the failing handler must not have seen the
-	// start element.
-	for _, e := range rec.Sequence() {
-		if e.Kind == StartElement {
-			t.Error("event delivered after a tee member failed")
-		}
-	}
-}
-
-var errBoom = errString("boom")
-
-type errString string
-
-func (e errString) Error() string { return string(e) }

@@ -65,41 +65,90 @@ func TestDispatchAllocs(t *testing.T) {
 	if n := learnt.MemoShapes(); n != 1 {
 		t.Fatalf("dispatcher learnt %d shapes, want 1", n)
 	}
-	const runs = 50
-	fresh := make([]*server.Dispatcher, runs)
+	fresh := make([]*server.Dispatcher, mallocRuns)
 	for i := range fresh {
 		fresh[i] = searchDispatcher(codec)
-	}
-	mallocs := func(d func(i int) *server.Dispatcher) float64 {
-		var before, after runtime.MemStats
-		runtime.ReadMemStats(&before)
-		for i := 0; i < runs; i++ {
-			handle(t, d(i), req)
-		}
-		runtime.ReadMemStats(&after)
-		return float64(after.Mallocs-before.Mallocs) / runs
 	}
 	// A collection empties the parser and encoder pools; keep it out of
 	// the count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	full := mallocs(func(i int) *server.Dispatcher { return fresh[i] })
-	memo := mallocs(func(int) *server.Dispatcher { return learnt })
+	full := handleMallocs(t, req, func(i int) *server.Dispatcher { return fresh[i] })
+	memo := handleMallocs(t, req, func(int) *server.Dispatcher { return learnt })
 	if full-memo < 20 {
 		t.Errorf("a learnt search request costs %.1f allocations, a first sighting %.1f; want at least 20 fewer", memo, full)
 	}
 }
 
-// TestDispatcherMemoIsBounded: 100 distinct request shapes, each seen
-// twice, fill the memo to its bound and no further, and a search
-// request after them is answered with the same bytes as by a
-// dispatcher that never saw them.
+// mallocRuns is how many requests handleMallocs averages over.
+const mallocRuns = 50
+
+// handleMallocs returns the mean allocations of handling req through
+// d(i), for i in [0, mallocRuns).
+func handleMallocs(t *testing.T, req []byte, d func(i int) *server.Dispatcher) float64 {
+	t.Helper()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < mallocRuns; i++ {
+		handle(t, d(i), req)
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / mallocRuns
+}
+
+// TestDispatcherMemoIgnoresUnknownOperations: 16 request shapes of
+// operations the dispatcher does not serve, each sent twice, take no
+// memo slot, so a search request sent three times after them is decoded
+// from its learnt shape, at the allocations of a dispatcher that never
+// saw the strays.
+func TestDispatcherMemoIgnoresUnknownOperations(t *testing.T) {
+	_, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flooded := searchDispatcher(codec)
+	for i := 0; i < 16; i++ {
+		stray, err := codec.EncodeRequest(googleapi.Namespace, fmt.Sprintf("unknown%d", i),
+			[]soap.Param{{Name: fmt.Sprintf("p%d", i), Value: "v"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < 2; j++ {
+			handle(t, flooded, stray)
+		}
+	}
+	req := searchRequest(t, codec, "after the strays", 0)
+	learnt := searchDispatcher(codec)
+	for i := 0; i < 3; i++ {
+		handle(t, flooded, req)
+		handle(t, learnt, req)
+	}
+	if n := flooded.MemoShapes(); n != 1 {
+		t.Errorf("memo holds %d shapes, want only the search shape", n)
+	}
+	if raceEnabled {
+		return // the race detector empties the parser and encoder pools at random
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	got := handleMallocs(t, req, func(int) *server.Dispatcher { return flooded })
+	want := handleMallocs(t, req, func(int) *server.Dispatcher { return learnt })
+	if got > want+2 {
+		t.Errorf("a search request after the strays costs %.1f allocations, a learnt one %.1f", got, want)
+	}
+}
+
+// TestDispatcherMemoIsBounded: 100 distinct request shapes of served
+// operations, each seen twice, fill the memo to its bound and no
+// further, and a search request after them is answered with the same
+// bytes as by a dispatcher that never saw them.
 func TestDispatcherMemoIsBounded(t *testing.T) {
 	d, codec, err := googleapi.NewDispatcher()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		req, err := codec.EncodeRequest(googleapi.Namespace, fmt.Sprintf("op%d", i),
+		op := fmt.Sprintf("op%d", i)
+		d.Register(op, func([]soap.Param) (any, error) { return "ok", nil })
+		req, err := codec.EncodeRequest(googleapi.Namespace, op,
 			[]soap.Param{{Name: fmt.Sprintf("p%d", i), Value: "v"}})
 		if err != nil {
 			t.Fatal(err)
@@ -108,8 +157,8 @@ func TestDispatcherMemoIsBounded(t *testing.T) {
 			handle(t, d, req)
 		}
 	}
-	if n := d.MemoShapes(); n > 16 {
-		t.Fatalf("memo holds %d shapes, want <= 16", n)
+	if n := d.MemoShapes(); n != 16 {
+		t.Fatalf("memo holds %d shapes, want its bound of 16", n)
 	}
 	fresh, _, err := googleapi.NewDispatcher()
 	if err != nil {

@@ -25,7 +25,8 @@ type Dispatcher struct {
 	codec    *soap.Codec
 	targetNS string
 	// memo decodes requests of a shape seen before without the parser
-	// (soap.EnvelopeMemo, DESIGN.md §5l).
+	// (soap.EnvelopeMemo, DESIGN.md §5l). It learns only the shapes of
+	// registered operations (serves), so stray requests cannot fill it.
 	memo *soap.EnvelopeMemo
 
 	mu  sync.RWMutex
@@ -40,12 +41,21 @@ type Dispatcher struct {
 
 // NewDispatcher returns a Dispatcher serving operations in targetNS.
 func NewDispatcher(codec *soap.Codec, targetNS string) *Dispatcher {
-	return &Dispatcher{
+	d := &Dispatcher{
 		codec:    codec,
 		targetNS: targetNS,
-		memo:     codec.NewEnvelopeMemo(),
 		ops:      make(map[string]OpHandler),
 	}
+	d.memo = codec.NewEnvelopeMemo(d.serves)
+	return d
+}
+
+// serves reports whether operation is registered.
+func (d *Dispatcher) serves(operation string) bool {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	_, ok := d.ops[operation]
+	return ok
 }
 
 // Register binds an operation name to its handler.

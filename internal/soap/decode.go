@@ -75,9 +75,9 @@ func (c *Codec) DecodeEnvelopeEvents(events []sax.Event) (*DecodedMessage, error
 	return d.message()
 }
 
-// DecodeHandler is the streaming deserializer exposed as a sax.Handler
-// so callers can tee the same parse into several consumers (e.g. the
-// deserializer plus an event recorder in the client middleware).
+// DecodeHandler is the streaming deserializer exposed as a sax.Handler,
+// for callers that drive it from their own event source (a parse, a
+// replay or a DOM walk).
 type DecodeHandler struct {
 	d *envelopeDecoder
 }

@@ -27,8 +27,13 @@ import (
 // decode, which still produces the result or the error; the cost of
 // trying is one prefix compare.
 //
-// One type serves both ends: each client.Call decodes its responses
-// through a memo, and each server.Dispatcher its requests.
+// One type serves both ends: each client.Call decodes every response
+// through a memo, and each server.Dispatcher its requests. The client
+// pivot never records SAX events; a store that reads them records the
+// response XML itself, once per fill (client.Context.Events). A memo
+// may be given an admission predicate over the operation element's
+// local name: the dispatcher's admits only the operations it serves,
+// so requests to unknown operations never take a shape slot.
 // DecodeEnvelope, DecodeEnvelopeEvents, DecodeHandler and the rep
 // stores keep the memo-less parser, so the paper's Table 7 rows still
 // measure what its Xerces did.
@@ -37,9 +42,11 @@ const (
 	// memoShapes is how many shapes one memo holds: a dispatcher serves
 	// every operation of its service through one memo. Once it is full
 	// it learns no more: the shapes it has keep hitting, and a stream of
-	// new shapes pays only the full decode. So a peer that sends 16 rare
-	// shapes first costs later shapes the memo, never correctness or
-	// more memory than the bounds allow.
+	// new shapes pays only the full decode. Only admitted operations
+	// take a slot, so requests to operations the dispatcher does not
+	// serve never fill it; a peer that sends 16 rare shapes of served
+	// operations first costs later shapes the memo, never correctness
+	// or more memory than the bounds allow.
 	memoShapes = 16
 	// memoSkeletonCap bounds the fixed bytes one shape keeps.
 	memoSkeletonCap = 64 << 10
@@ -50,7 +57,8 @@ const (
 	// memoParams bounds a shape's parameter count; doGoogleSearch sends
 	// ten.
 	memoParams = 16
-	// poisoned marks a seen key whose shape the plan cannot express.
+	// poisoned marks a seen key whose shape the plan cannot express or
+	// whose operation the memo does not admit.
 	poisoned = 1 << 63
 )
 
@@ -60,14 +68,20 @@ const (
 // write when the memo learns one, so a hit takes no lock.
 type EnvelopeMemo struct {
 	codec  *Codec
+	admit  func(operation string) bool // nil admits every operation
 	shapes atomic.Pointer[[]*shape]
 	seen   [memoSeen]atomic.Uint64
 	next   atomic.Uint32
 	mu     sync.Mutex // serializes installs
 }
 
-// NewEnvelopeMemo returns an empty memo decoding with c's registry.
-func (c *Codec) NewEnvelopeMemo() *EnvelopeMemo { return &EnvelopeMemo{codec: c} }
+// NewEnvelopeMemo returns an empty memo decoding with c's registry. It
+// learns the shape of an envelope only when admit, called with the local
+// name of the envelope's operation element, reports true; a nil admit
+// admits every envelope.
+func (c *Codec) NewEnvelopeMemo(admit func(operation string) bool) *EnvelopeMemo {
+	return &EnvelopeMemo{codec: c, admit: admit}
+}
 
 // Decode decodes an envelope. Its result and error are those of
 // DecodeEnvelope. The result never aliases doc.
@@ -93,6 +107,10 @@ func (m *EnvelopeMemo) Decode(doc []byte) (*DecodedMessage, error) {
 	msg, err := l.decode(doc, l)
 	if err != nil {
 		return nil, err
+	}
+	if m.admit != nil && !m.admit(msg.Wrapper.Local) {
+		m.poison(key)
+		return msg, nil
 	}
 	s := l.shape(doc, msg)
 	if s == nil {

@@ -47,7 +47,7 @@ func googleCodec(tb testing.TB) *soap.Codec {
 // primedMemo returns a memo that has learnt every shape of memoDocs.
 func primedMemo(tb testing.TB, codec *soap.Codec) *soap.EnvelopeMemo {
 	tb.Helper()
-	m := codec.NewEnvelopeMemo()
+	m := codec.NewEnvelopeMemo(nil)
 	for _, doc := range memoDocs(tb, codec, "primer") {
 		for i := 0; i < 2; i++ {
 			if _, err := m.Decode(doc); err != nil {
@@ -238,7 +238,7 @@ func FuzzMemoDecode(f *testing.F) {
 		want, wantErr := codec.DecodeEnvelope(doc)
 		got, err := primed.Decode(doc)
 		sameDecode(t, codec, got, err, want, wantErr)
-		fresh := codec.NewEnvelopeMemo()
+		fresh := codec.NewEnvelopeMemo(nil)
 		for i := 0; i < 3; i++ {
 			got, err := fresh.Decode(doc)
 			sameDecode(t, codec, got, err, want, wantErr)
@@ -250,7 +250,7 @@ func FuzzMemoDecode(f *testing.F) {
 // sighting, and a later document of that shape decodes through it.
 func TestMemoLearnsOnSecondSighting(t *testing.T) {
 	codec := googleCodec(t)
-	m := codec.NewEnvelopeMemo()
+	m := codec.NewEnvelopeMemo(nil)
 	a, b := memoDocs(t, codec, "alpha")[0], memoDocs(t, codec, "beta")[0]
 	for i, want := range []int{0, 1, 1} {
 		got, err := m.Decode(a)
@@ -323,7 +323,7 @@ func TestMemoUnrepeatedShapesCostNothing(t *testing.T) {
 	full, memo := ^uint64(0), ^uint64(0)
 	for i := 0; i < 3; i++ {
 		full = min(full, mallocs(codec.DecodeEnvelope))
-		m := codec.NewEnvelopeMemo()
+		m := codec.NewEnvelopeMemo(nil)
 		memo = min(memo, mallocs(m.Decode))
 	}
 	if memo > full {
@@ -358,7 +358,7 @@ func TestMemoResultOwnsItsText(t *testing.T) {
 // envelopes, however often seen, stay on the full path.
 func TestMemoNeverMemoizesFaultsOrMultiRef(t *testing.T) {
 	codec := googleCodec(t)
-	m := codec.NewEnvelopeMemo()
+	m := codec.NewEnvelopeMemo(nil)
 	fault, err := codec.EncodeFault(&soap.Fault{Code: "soapenv:Server", String: "boom"})
 	if err != nil {
 		t.Fatal(err)
@@ -393,7 +393,7 @@ func TestMemoBoxesSimpleTypes(t *testing.T) {
 		"true", "false", "1", "maybe", "x y"}
 	for _, xsd := range []string{"string", "boolean", "int", "long", "short", "byte",
 		"unsignedInt", "unsignedLong", "float", "double"} {
-		m := codec.NewEnvelopeMemo()
+		m := codec.NewEnvelopeMemo(nil)
 		for i := 0; i < 2; i++ {
 			if _, err := m.Decode(doc(xsd, "1")); err != nil {
 				t.Fatal(err)
