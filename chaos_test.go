@@ -62,7 +62,7 @@ func newChaosHarness(t *testing.T, fcfg faultify.Config, ttl, staleIfError time.
 	reg := obs.NewRegistry()
 	cache := core.MustNew(core.Config{
 		KeyGen:       rep.NewStringKey(),
-		Store:        rep.NewAutoStore(codec.Registry(), codec),
+		Rep:          rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL:   ttl,
 		StaleIfError: staleIfError,
 		Revalidate:   true,

@@ -67,7 +67,7 @@ func run() error {
 
 	cache := core.MustNew(core.Config{
 		KeyGen: rep.NewStringKey(),
-		Store:  rep.NewAutoStore(reg, codec),
+		Rep:    rep.NewRegistry(reg, codec),
 		Policy: policy,
 	})
 	tr := &transport.InProcess{Handler: disp}

@@ -51,7 +51,7 @@ func run(ctx context.Context, addr string) error {
 	reg := obs.NewRegistry()
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour,
 		MaxEntries: 10_000,
 		Obs:        reg,
@@ -86,7 +86,7 @@ func run(ctx context.Context, addr string) error {
 			},
 		},
 	)
-	site.Instrument(reg, nil)
+	site.Instrument(reg)
 
 	// Demonstration load: 60% of page views repeat popular queries.
 	hot := []string{"web services", "response caching", "soap performance"}

@@ -40,7 +40,7 @@ func run() error {
 	// value representation per result type at run time (Section 6).
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(), // toString-analog keys (Table 6 winner)
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour, // "one hour is short enough" for these ops
 	})
 

@@ -54,7 +54,7 @@ func run() error {
 
 	cache := core.MustNew(core.Config{
 		KeyGen:       rep.NewStringKey(),
-		Store:        rep.NewAutoStore(codec.Registry(), codec),
+		Rep:          rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL:   time.Minute,
 		StaleIfError: time.Hour, // degraded window: expired entries still usable
 		Coalesce:     true,      // concurrent misses share one backend call

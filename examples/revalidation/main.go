@@ -55,7 +55,7 @@ func run() error {
 	// fallback below.
 	cache := core.MustNew(core.Config{
 		KeyGen:         rep.NewStringKey(),
-		Store:          rep.NewAutoStore(codec.Registry(), codec),
+		Rep:            rep.NewRegistry(codec.Registry(), codec),
 		Revalidate:     true, // keep stale entries, send conditional requests
 		HonorServerTTL: true, // the server's max-age drives expiry
 		Clock:          clock,

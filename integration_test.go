@@ -49,7 +49,7 @@ func TestIntegrationHTTPCachingClient(t *testing.T) {
 
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour,
 	})
 	call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
@@ -140,7 +140,7 @@ func TestIntegrationHTTPRevalidation(t *testing.T) {
 	atomic.StoreInt64(nowSec, time.Now().Unix())
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Minute,
 		Revalidate: true,
 		Clock:      func() time.Time { return time.Unix(atomic.LoadInt64(nowSec), 0) },

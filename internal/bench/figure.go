@@ -197,7 +197,7 @@ func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio fl
 		Params: params,
 	})
 	if cfg.Obs != nil {
-		site.Instrument(cfg.Obs, nil)
+		site.Instrument(cfg.Obs)
 	}
 
 	hot := make([]string, cfg.HotQueries)

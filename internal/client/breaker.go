@@ -46,8 +46,8 @@ const (
 	// BreakerOpen rejects every invocation without touching the
 	// backend.
 	BreakerOpen
-	// BreakerHalfOpen admits a bounded number of probe invocations to
-	// test whether the backend recovered.
+	// BreakerHalfOpen admits one probe invocation at a time to test
+	// whether the backend recovered.
 	BreakerHalfOpen
 )
 
@@ -66,7 +66,9 @@ func (s BreakerState) String() string {
 
 // BreakerConfig tunes a Breaker. The zero value is usable: a 10-call
 // sliding window, open at ≥50% failures over ≥5 samples, 5s open
-// interval, 1 half-open probe.
+// interval. A half-open breaker admits one probe at a time, and every
+// error counts as a failure except a *soap.Fault — a fault is an
+// application-level answer from a live backend, not an outage.
 type BreakerConfig struct {
 	// Window is the sliding outcome window size per endpoint; values
 	// < 1 mean 10.
@@ -81,13 +83,6 @@ type BreakerConfig struct {
 	// OpenFor is how long an open breaker rejects before moving to
 	// half-open; zero means 5s.
 	OpenFor time.Duration
-	// HalfOpenProbes bounds concurrent trial invocations while
-	// half-open; values < 1 mean 1.
-	HalfOpenProbes int
-	// IsFailure classifies an invocation error as a backend failure.
-	// nil means: any non-nil error except a *soap.Fault — a fault is an
-	// application-level answer from a live backend, not an outage.
-	IsFailure func(error) bool
 	// Clock overrides time.Now, for tests.
 	Clock func() time.Time
 	// Obs, when non-nil, publishes per-endpoint breaker state gauges
@@ -95,9 +90,6 @@ type BreakerConfig struct {
 	// registry (the /debug/wscache "breakers" section). All recording
 	// is nil-safe, so leaving it nil costs nothing.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives an OnStage callback per state
-	// transition (op = endpoint, representation = new state name).
-	Tracer obs.Tracer
 }
 
 // Breaker is a per-endpoint circuit breaker installed in the client
@@ -109,8 +101,8 @@ type BreakerConfig struct {
 // Per endpoint it keeps a sliding window of invocation outcomes; when
 // the failure fraction reaches the threshold the breaker opens and
 // rejects invocations immediately with a *BreakerOpenError. After
-// OpenFor it admits a bounded number of half-open probes: one success
-// closes the breaker, one failure re-opens it.
+// OpenFor it admits one half-open probe at a time: its success closes
+// the breaker, its failure re-opens it.
 type Breaker struct {
 	cfg BreakerConfig
 
@@ -128,7 +120,7 @@ type endpointBreaker struct {
 	filled   int
 	failures int
 	openedAt time.Time
-	probes   int // in-flight half-open probes
+	probing  bool // a half-open probe is in flight
 }
 
 // NewBreaker builds a Breaker from cfg.
@@ -145,19 +137,13 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.OpenFor <= 0 {
 		cfg.OpenFor = 5 * time.Second
 	}
-	if cfg.HalfOpenProbes < 1 {
-		cfg.HalfOpenProbes = 1
-	}
-	if cfg.IsFailure == nil {
-		cfg.IsFailure = defaultIsFailure
-	}
 	cfg.Clock = clock.Or(cfg.Clock)
 	return &Breaker{cfg: cfg, endpoints: make(map[string]*endpointBreaker)}
 }
 
-// defaultIsFailure counts every error except SOAP faults: a fault
-// means the backend is up and answering.
-func defaultIsFailure(err error) bool {
+// isFailure counts every error except SOAP faults: a fault means the
+// backend is up and answering.
+func isFailure(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -171,7 +157,7 @@ func (b *Breaker) HandleInvoke(ictx *Context, next Invoker) error {
 		return err
 	}
 	err := next(ictx)
-	b.record(ictx.Endpoint, b.cfg.IsFailure(err))
+	b.record(ictx.Endpoint, isFailure(err))
 	return err
 }
 
@@ -208,13 +194,13 @@ func (b *Breaker) admit(endpoint string) error {
 		}
 		// Open interval elapsed: start probing.
 		b.transition(endpoint, ep, BreakerHalfOpen)
-		ep.probes = 0
+		ep.probing = false
 		fallthrough
 	case BreakerHalfOpen:
-		if ep.probes >= b.cfg.HalfOpenProbes {
+		if ep.probing {
 			return b.reject(endpoint, ep.openedAt.Add(b.cfg.OpenFor))
 		}
-		ep.probes++
+		ep.probing = true
 		return nil
 	}
 	return nil
@@ -222,22 +208,15 @@ func (b *Breaker) admit(endpoint string) error {
 
 // reject builds the open-breaker error and counts the rejection.
 func (b *Breaker) reject(endpoint string, retryAt time.Time) error {
-	err := &BreakerOpenError{Endpoint: endpoint, RetryAfter: retryAt}
 	b.cfg.Obs.Add("breaker.rejections", 1)
-	if b.cfg.Tracer != nil {
-		b.cfg.Tracer.OnStage(endpoint, obs.StageBreaker, "rejected", 0, err)
-	}
-	return err
+	return &BreakerOpenError{Endpoint: endpoint, RetryAfter: retryAt}
 }
 
 // transition moves an endpoint's breaker to state, publishing the new
-// state to the registry gauge and tracer; callers hold b.mu.
+// state to the registry gauge; callers hold b.mu.
 func (b *Breaker) transition(endpoint string, ep *endpointBreaker, state BreakerState) {
 	ep.state = state
 	b.cfg.Obs.SetBreaker(endpoint, state.String())
-	if b.cfg.Tracer != nil {
-		b.cfg.Tracer.OnStage(endpoint, obs.StageBreaker, state.String(), 0, nil)
-	}
 }
 
 // record folds an invocation outcome into the endpoint's state.
@@ -247,9 +226,7 @@ func (b *Breaker) record(endpoint string, failed bool) {
 	ep := b.endpoint(endpoint)
 	switch ep.state {
 	case BreakerHalfOpen:
-		if ep.probes > 0 {
-			ep.probes--
-		}
+		ep.probing = false
 		if failed {
 			b.trip(endpoint, ep)
 		} else {

@@ -185,3 +185,48 @@ func TestBreakerSlidingWindowEvictsOldOutcomes(t *testing.T) {
 		t.Fatalf("state = %v, want open at threshold", s)
 	}
 }
+
+// TestBreakerHalfOpenAdmitsOneProbe: while one half-open probe is in
+// flight, a second concurrent call is rejected without reaching the
+// backend; the probe's success closes the breaker.
+func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
+	now := time.Unix(0, 0)
+	b := NewBreaker(BreakerConfig{Window: 2, MinSamples: 2, OpenFor: time.Second, Clock: func() time.Time { return now }})
+	ep := "http://x/"
+	b.record(ep, true)
+	b.record(ep, true)
+	now = now.Add(2 * time.Second)
+	if s := b.State(ep); s != BreakerHalfOpen {
+		t.Fatalf("state = %v, want half-open", s)
+	}
+
+	inside, release := make(chan struct{}), make(chan struct{})
+	probe := make(chan error, 1)
+	go func() {
+		probe <- b.HandleInvoke(&Context{Endpoint: ep}, func(*Context) error {
+			close(inside)
+			<-release
+			return nil
+		})
+	}()
+	<-inside
+	reached := false
+	err := b.HandleInvoke(&Context{Endpoint: ep}, func(*Context) error { reached = true; return nil })
+	var open *BreakerOpenError
+	if !errors.As(err, &open) {
+		t.Fatalf("second call during the probe: err = %v, want *BreakerOpenError", err)
+	}
+	if reached {
+		t.Error("second call reached the backend during the probe")
+	}
+	close(release)
+	if err := <-probe; err != nil {
+		t.Fatalf("probe: %v", err)
+	}
+	if s := b.State(ep); s != BreakerClosed {
+		t.Fatalf("state after healthy probe = %v, want closed", s)
+	}
+	if err := b.HandleInvoke(&Context{Endpoint: ep}, func(*Context) error { return nil }); err != nil {
+		t.Fatalf("closed breaker: %v", err)
+	}
+}

@@ -191,14 +191,6 @@ type Options struct {
 	// registry with the cache's core.Config.Obs for one coherent
 	// /debug/wscache snapshot. nil disables stage timing for this Call.
 	Obs *obs.Registry
-
-	// Tracer, when non-nil, receives an OnStage callback per recorded
-	// stage. Stage timing is on when either Obs or Tracer is set;
-	// otherwise the invocation path reads no clock.
-	Tracer obs.Tracer
-
-	// Clock overrides time.Now for stage timing, for tests.
-	Clock func() time.Time
 }
 
 // Call invokes one operation of a remote service.
@@ -212,11 +204,11 @@ type Call struct {
 	opts       Options
 
 	// handlerNames label per-handler stage series, resolved once from
-	// the handler types. timed reports whether stage recording is on;
-	// when false the invocation path never reads the clock.
+	// the handler types. timed reports whether stage recording is on
+	// (Options.Obs is set); when false the invocation path never reads
+	// the clock.
 	handlerNames []string
 	timed        bool
-	now          func() time.Time
 
 	// chain is the handler chain composed once at construction: every
 	// closure captures only per-Call invariants (handler, successor,
@@ -249,21 +241,11 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		soapAction:   soapAction,
 		opts:         opts,
 		handlerNames: names,
-		timed:        opts.Obs != nil || opts.Tracer != nil,
-		now:          clock.Or(opts.Clock),
+		timed:        opts.Obs != nil,
 		memo:         codec.NewEnvelopeMemo(nil),
 	}
 	c.chain = c.buildChain()
 	return c
-}
-
-// observe records one stage into the registry and tracer; callers gate
-// on c.timed.
-func (c *Call) observe(op string, stage obs.Stage, rep string, d time.Duration, err error) {
-	c.opts.Obs.Stage(stage, rep, d, err)
-	if c.opts.Tracer != nil {
-		c.opts.Tracer.OnStage(op, stage, rep, d, err)
-	}
 }
 
 // Codec returns the call's codec (used by cache value stores that need
@@ -331,9 +313,9 @@ func (c *Call) buildChain() Invoker {
 			// series approximates whole-invocation latency.
 			name := c.handlerNames[i]
 			chain = func(ic *Context) error {
-				start := c.now()
+				start := clock.System()
 				err := h.HandleInvoke(ic, next)
-				c.observe(ic.Operation, obs.StageHandler, name, c.now().Sub(start), err)
+				c.opts.Obs.Stage(obs.StageHandler, name, clock.System().Sub(start), err)
 				return err
 			}
 		} else {
@@ -349,11 +331,11 @@ func (c *Call) buildChain() Invoker {
 func (c *Call) pivot(ictx *Context) error {
 	var start time.Time
 	if c.timed {
-		start = c.now()
+		start = clock.System()
 	}
 	reqXML, err := c.codec.EncodeRequest(ictx.Namespace, ictx.Operation, ictx.Params)
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageSerialize, "", c.now().Sub(start), err)
+		c.opts.Obs.Stage(obs.StageSerialize, "", clock.System().Sub(start), err)
 	}
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", ictx.Operation, err)
@@ -361,7 +343,7 @@ func (c *Call) pivot(ictx *Context) error {
 	ictx.RequestXML = reqXML
 
 	if c.timed {
-		start = c.now()
+		start = clock.System()
 	}
 	resp, err := c.tr.Send(ictx.Ctx, &transport.Request{
 		Endpoint:   ictx.Endpoint,
@@ -372,7 +354,7 @@ func (c *Call) pivot(ictx *Context) error {
 	if c.timed {
 		// Send time includes the retrying transport's attempts and
 		// backoff sleeps when Options.Retry is set.
-		c.observe(ictx.Operation, obs.StageSend, "", c.now().Sub(start), err)
+		c.opts.Obs.Stage(obs.StageSend, "", clock.System().Sub(start), err)
 	}
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", ictx.Operation, err)
@@ -387,13 +369,13 @@ func (c *Call) pivot(ictx *Context) error {
 	ictx.ResponseXML = resp.Body
 
 	if c.timed {
-		start = c.now()
+		start = clock.System()
 	}
 	msg, err := c.memo.Decode(resp.Body)
 	if c.timed {
 		// Parse time covers tokenization and deserialization, or a
 		// memo hit's byte compare and field plan.
-		c.observe(ictx.Operation, obs.StageParse, "", c.now().Sub(start), err)
+		c.opts.Obs.Stage(obs.StageParse, "", clock.System().Sub(start), err)
 	}
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", ictx.Operation, err)

@@ -164,15 +164,19 @@ func TestHandlerErrorPropagates(t *testing.T) {
 }
 
 func TestBreakerIgnoresSOAPFaults(t *testing.T) {
-	// A fault is an application answer from a live backend: it must not
-	// trip the breaker.
-	call, _, _ := newFixture(t, client.Options{Breaker: client.NewBreaker(client.BreakerConfig{Window: 3, MinSamples: 3})})
+	// A fault is an application answer from a live backend: a backend
+	// that answers only with faults must never open the breaker.
+	b := client.NewBreaker(client.BreakerConfig{Window: 3, MinSamples: 3})
+	call, _, _ := newFixture(t, client.Options{Breaker: b})
 	for i := 0; i < 6; i++ {
 		_, err := call.Invoke(context.Background(), soap.Param{Name: "symbol", Value: "FAIL"})
 		var f *soap.Fault
 		if !errors.As(err, &f) {
 			t.Fatalf("err = %v, want fault", err)
 		}
+	}
+	if s := b.State(call.Endpoint()); s != client.BreakerClosed {
+		t.Fatalf("state after 6 faults = %v, want closed", s)
 	}
 }
 

@@ -1,10 +1,13 @@
 // Package clock is the repository's single injectable time seam. Every
-// time-sensitive package (cache core, client handler chain, transport,
-// server cache) takes a Clock hook in its config and defaults it
-// through Or, so that TTL expiry, breaker windows, and backoff
-// schedules can be driven deterministically in tests. This package is
-// the one sanctioned caller of time.Now in the hot path; the
-// clockinject analyzer enforces that everywhere else.
+// config whose behaviour depends on time (the cache core and engine,
+// the circuit breaker, the server cache) takes a Clock hook and
+// defaults it through Or, so that TTL expiry and breaker windows can be
+// driven deterministically in tests; the retrying transport injects its
+// backoff sleep and jitter draw instead. Code that only measures
+// elapsed time for stage metrics (the client handler chain, the
+// portal) reads System directly. This package is the one sanctioned
+// caller of time.Now in the hot path; the clockinject analyzer enforces
+// that everywhere else.
 package clock
 
 import "time"

@@ -27,11 +27,6 @@ type Config struct {
 	// are applied locally (staling this process's L1 entries). When nil
 	// the tier is TTL-only.
 	Inv *invalidate.Invalidator
-	// Name is the tier name in stats and counters; default "l2".
-	Name string
-	// Replicas is the virtual nodes per address on the hash ring;
-	// ≤ 0 means the package default.
-	Replicas int
 	// MaxPayload bounds response frames; ≤ 0 means DefaultMaxPayload.
 	MaxPayload int
 	// DialTimeout bounds establishing a connection; default 1s.
@@ -50,9 +45,6 @@ type Config struct {
 
 func (cfg *Config) withDefaults() Config {
 	c := *cfg
-	if c.Name == "" {
-		c.Name = "l2"
-	}
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = DefaultMaxPayload
 	}
@@ -85,7 +77,7 @@ type Remote struct {
 	// Per-remote traffic counters, surfaced through TierStats (and,
 	// when the tier is installed in a core.Cache, its "tiers"
 	// inspection). Plain atomics rather than obs counters: the metric
-	// name would have to carry the configured tier name, and obs
+	// name would have to carry the tier name, and obs
 	// registry names are compile-time constants by convention.
 	gets     atomic.Uint64
 	hits     atomic.Uint64
@@ -135,7 +127,7 @@ func New(cfg Config) (*Remote, error) {
 	c := cfg.withDefaults()
 	r := &Remote{
 		cfg:  c,
-		ring: newRing(c.Addrs, c.Replicas),
+		ring: newRing(c.Addrs),
 		inv:  c.Inv,
 	}
 	for _, addr := range c.Addrs {
@@ -169,7 +161,7 @@ func New(cfg Config) (*Remote, error) {
 }
 
 // Name implements tier.Tier.
-func (r *Remote) Name() string { return r.cfg.Name }
+func (r *Remote) Name() string { return "l2" }
 
 // nodeFor routes a key.
 func (r *Remote) nodeFor(key tier.Key) *node {

@@ -418,7 +418,7 @@ func TestPendingBumpFlush(t *testing.T) {
 // deterministic.
 func TestRingDistribution(t *testing.T) {
 	addrs := []string{"a:1", "b:1", "c:1"}
-	rg := newRing(addrs, 0)
+	rg := newRing(addrs)
 	counts := make([]int, len(addrs))
 	for i := 0; i < 3000; i++ {
 		k := tier.KeyOf([]byte{byte(i), byte(i >> 8), 'x'})

@@ -8,11 +8,11 @@ import (
 	"repro/internal/tier"
 )
 
-// defaultReplicas is how many virtual nodes each daemon address gets on
+// replicas is how many virtual nodes each daemon address gets on
 // the hash ring. More points smooth the key distribution between
 // unevenly hashed addresses; 64 keeps the per-address imbalance within
 // a few percent for small fleets without making the ring large.
-const defaultReplicas = 64
+const replicas = 64
 
 // ring maps tier keys onto daemon indices by consistent hashing:
 // each address owns the arc below its virtual points, so adding or
@@ -28,12 +28,9 @@ type ringPoint struct {
 	node int
 }
 
-// newRing builds the ring over n addresses with the given number of
-// virtual points each (≤ 0 means defaultReplicas).
-func newRing(addrs []string, replicas int) *ring {
-	if replicas <= 0 {
-		replicas = defaultReplicas
-	}
+// newRing builds the ring over addrs with replicas virtual points
+// each.
+func newRing(addrs []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(addrs)*replicas)}
 	for i, addr := range addrs {
 		for v := 0; v < replicas; v++ {

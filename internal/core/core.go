@@ -130,18 +130,14 @@ type Config struct {
 	// page; do not share one between caches whose Stats must stay
 	// separate.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives an OnStage callback per recorded
-	// stage, for log/trace integration. nil disables tracing and costs
-	// nothing on the hot path.
-	Tracer obs.Tracer
 	// Tiers are remote cache tiers consulted, in order, between an L1
 	// miss and the backend invocation (DESIGN.md §5h) — typically one
 	// cluster.Remote pointing at shared wscached daemons. Tier entries
 	// travel in a wire-capable representation chosen per fill, so
-	// configuring tiers requires Rep (or a Store that is a
-	// *rep.Selector). Tier failures degrade to ordinary misses. All
-	// processes sharing a tier must use the same KeyGen strategy: the
-	// cross-process tier key is derived from the generated key bytes.
+	// configuring tiers requires Rep. Tier failures degrade to ordinary
+	// misses. All processes sharing a tier must use the same KeyGen
+	// strategy: the cross-process tier key is derived from the generated
+	// key bytes.
 	Tiers []tier.Tier
 }
 
@@ -238,12 +234,11 @@ type Cache struct {
 	// reg is the metrics registry (never nil; Config.Obs or a private
 	// one). m holds its counters backing Stats, resolved once. timed
 	// reports whether stage latency recording is on: only when the
-	// caller supplied a registry or tracer, so the default path pays no
-	// clock reads.
-	reg    *obs.Registry
-	m      cacheCounters
-	tracer obs.Tracer
-	timed  bool
+	// caller supplied a registry, so the default path pays no clock
+	// reads.
+	reg   *obs.Registry
+	m     cacheCounters
+	timed bool
 }
 
 // cacheCounters are the registry counters backing Stats, one per field,
@@ -307,15 +302,14 @@ func New(cfg Config) (*Cache, error) {
 		Tier:           engine.NewTier(cfg.engineConfig(), cfg.Invalidator, reg),
 		reg:            reg,
 		m:              m,
-		tracer:         cfg.Tracer,
-		timed:          cfg.Obs != nil || cfg.Tracer != nil,
+		timed:          cfg.Obs != nil,
 	}
 	if ka, ok := cfg.KeyGen.(rep.KeyAppender); ok {
 		c.keyapp = ka
 	}
 	if len(cfg.Tiers) > 0 {
 		c.tiers = cfg.Tiers
-		c.wire = resolveWire(cfg.Store, cfg.Rep)
+		c.wire = rep.NewStaticSelector(cfg.Rep)
 		c.tierm = make([]tierCounters, len(cfg.Tiers))
 		tiers := cfg.Tiers
 		tierm := c.tierm
@@ -426,15 +420,6 @@ func (c *Cache) StatsByOperation() map[string]OperationStats {
 // shared registry.
 func (c *Cache) Obs() *obs.Registry { return c.reg }
 
-// observe records one timed stage into the registry histograms and the
-// tracer; callers gate on c.timed so the untimed path pays nothing.
-func (c *Cache) observe(op string, stage obs.Stage, rep string, d time.Duration, err error) {
-	c.reg.Stage(stage, rep, d, err)
-	if c.tracer != nil {
-		c.tracer.OnStage(op, stage, rep, d, err)
-	}
-}
-
 // Len returns the current number of entries, without taking any shard
 // lock.
 func (c *Cache) Len() int { return c.eng.Len() + c.Tier.Len() }
@@ -488,7 +473,7 @@ func (c *Cache) HandleInvoke(ictx *client.Context, next client.Invoker) error {
 		d = c.eng.Digest(key)
 	}
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageKeyGen, c.keygen.Name(), c.now().Sub(start), err)
+		c.reg.Stage(obs.StageKeyGen, c.keygen.Name(), c.now().Sub(start), err)
 	}
 	if err != nil {
 		// Fail open: an ungeneratable key means this request cannot be
@@ -498,7 +483,7 @@ func (c *Cache) HandleInvoke(ictx *client.Context, next client.Invoker) error {
 		return next(ictx)
 	}
 
-	result, hit := c.lookup(d, ictx.Operation)
+	result, hit := c.lookup(d)
 	// Unlike the L1 digest (per-process maphash seeds), tier.KeyOf is a
 	// fixed function of the key bytes, so every process sharing a daemon
 	// — and the same KeyGen configuration — computes the same key. Only
@@ -572,7 +557,7 @@ func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *
 	err := c.invokeTimed(ictx, next)
 	c.commitWrite(ictx, err)
 	if err != nil {
-		if result, ok := c.staleOnError(d, ictx.Operation, err); ok {
+		if result, ok := c.staleOnError(d, err); ok {
 			ictx.Result = result
 			ictx.CacheHit = true
 			ictx.ServedStale = true
@@ -623,7 +608,7 @@ func (c *Cache) invokeTimed(ictx *client.Context, next client.Invoker) error {
 	}
 	err := next(ictx)
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageInvoke, "", c.now().Sub(start), err)
+		c.reg.Stage(obs.StageInvoke, "", c.now().Sub(start), err)
 	}
 	return err
 }
@@ -643,7 +628,7 @@ func (c *Cache) refreshStale(d engine.Key, op OperationPolicy, ictx *client.Cont
 		return nil, false
 	}
 	c.m.revalidations.Add(1)
-	return c.loadPayload(ictx.Operation, hit.Value, c.m.errors)
+	return c.loadPayload(hit.Value, c.m.errors)
 }
 
 // loadPayload materializes a stored payload, timing the copy-out stage
@@ -651,7 +636,7 @@ func (c *Cache) refreshStale(d engine.Key, op OperationPolicy, ictx *client.Cont
 // also counted in errs, the caller's Stats counter for it.
 //
 //lint:hotpath
-func (c *Cache) loadPayload(op string, v value, errs *obs.Counter) (any, bool) {
+func (c *Cache) loadPayload(v value, errs *obs.Counter) (any, bool) {
 	store := v.store
 	var start time.Time
 	if c.timed {
@@ -663,7 +648,7 @@ func (c *Cache) loadPayload(op string, v value, errs *obs.Counter) (any, bool) {
 		// snapshot (Stats never reads them), so like stage timing they
 		// are recorded only on instrumented caches — this keeps the
 		// default hit path free of the registry lookup.
-		c.observe(op, obs.StageCopyOut, store.Name(), c.now().Sub(start), err)
+		c.reg.Stage(obs.StageCopyOut, store.Name(), c.now().Sub(start), err)
 		if err != nil {
 			c.reg.Rep(store.Name()).Errors.Add(1)
 		} else {
@@ -693,24 +678,24 @@ func (c *Cache) entryTTL(op OperationPolicy, ictx *client.Context) time.Duration
 }
 
 // lookup returns the materialized application object for the digest if
-// a fresh entry exists; op names the operation for stage attribution.
+// a fresh entry exists.
 //
 //lint:hotpath
-func (c *Cache) lookup(d engine.Key, op string) (any, bool) {
+func (c *Cache) lookup(d engine.Key) (any, bool) {
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
 	hit, st := c.eng.Lookup(d, engine.Serve)
 	if c.timed {
-		c.observe(op, obs.StageLookup, "", c.now().Sub(start), nil)
+		c.reg.Stage(obs.StageLookup, "", c.now().Sub(start), nil)
 	}
 	if st != engine.Found {
 		return nil, false
 	}
 	// Materialize outside the shard lock: loads can be arbitrarily
 	// expensive (XML parse for the XML-message representation).
-	result, ok := c.loadPayload(op, hit.Value, c.m.errors)
+	result, ok := c.loadPayload(hit.Value, c.m.errors)
 	if !ok {
 		// A payload that no longer loads is dropped and the hit re-booked
 		// as a miss, so the pivot refills the entry.
@@ -733,7 +718,7 @@ func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, sta
 	}
 	payload, size, err := store.Store(ictx)
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageCopyIn, store.Name(), c.now().Sub(start), err)
+		c.reg.Stage(obs.StageCopyIn, store.Name(), c.now().Sub(start), err)
 	}
 	if err != nil {
 		c.m.errors.Add(1)

@@ -24,7 +24,7 @@ func Example() {
 
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour,
 	})
 
@@ -69,7 +69,7 @@ func ExampleSelector_Classify() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	auto := rep.NewAutoStore(codec.Registry(), codec)
+	auto := rep.NewStaticSelector(rep.NewRegistry(codec.Registry(), codec))
 
 	for _, result := range []any{
 		"a plain string",

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/soap"
@@ -11,28 +9,11 @@ import (
 
 // TestCacheRecordsIntoRegistry drives a miss and a hit through an
 // instrumented cache and checks what lands in the shared registry:
-// per-operation and per-representation counters, stage histograms, and
-// tracer callbacks.
+// per-operation and per-representation counters and stage histograms.
 func TestCacheRecordsIntoRegistry(t *testing.T) {
 	f := newFixture(t)
 	reg := obs.NewRegistry()
-	var mu sync.Mutex
-	var traced []obs.Stage
-	tracer := obs.TracerFunc(func(op string, stage obs.Stage, rep string, d time.Duration, err error) {
-		if op != opGet {
-			t.Errorf("OnStage op = %q, want get", op)
-		}
-		if err != nil {
-			t.Errorf("OnStage(%s) err = %v", stage, err)
-		}
-		mu.Lock()
-		traced = append(traced, stage)
-		mu.Unlock()
-	})
-	c := newCache(t, f, func(cfg *Config) {
-		cfg.Obs = reg
-		cfg.Tracer = tracer
-	})
+	c := newCache(t, f, func(cfg *Config) { cfg.Obs = reg })
 	next, _ := countingNext(f, t, func() any { return &item{Name: "a"} })
 
 	for i := 0; i < 2; i++ { // miss, then hit
@@ -61,11 +42,6 @@ func TestCacheRecordsIntoRegistry(t *testing.T) {
 		if !found {
 			t.Errorf("stage %s not recorded", stage)
 		}
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(traced) == 0 {
-		t.Error("tracer saw no stages")
 	}
 }
 

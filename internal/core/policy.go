@@ -9,19 +9,16 @@ import (
 
 // OperationPolicy is the per-operation cache configuration an
 // administrator or deployer supplies (Section 3.2): whether responses
-// are cacheable, for how long, with which value representation, and
-// whether the client application has asserted read-only use of the
-// results (enabling pass-by-reference for mutable types, Section
-// 4.2.4).
+// are cacheable, for how long, and with which value representation.
+// The client application's read-only assertion (Section 4.2.4) is a
+// representation: Store: rep.NewRefStore(types, true) passes results
+// by reference even for mutable types.
 type OperationPolicy struct {
 	// Cacheable permits caching responses of this operation. Retrieval
 	// operations are typically cacheable; update operations are not.
 	Cacheable bool
 	// TTL bounds entry freshness; 0 inherits the cache default.
 	TTL time.Duration
-	// ReadOnly asserts the client never mutates results of this
-	// operation, allowing RefStore for mutable types.
-	ReadOnly bool
 	// Store overrides the cache's default value representation.
 	Store rep.ValueStore
 }

@@ -47,19 +47,19 @@ func (c *Cache) followFlight(f *engine.Flight, d engine.Key, tk tier.Key, op Ope
 	}
 	if err := f.Wait(ictx.Ctx); err != nil {
 		if c.timed {
-			c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), err)
+			c.reg.Stage(obs.StageCoalesceWait, "", c.now().Sub(start), err)
 		}
 		return err
 	}
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageCoalesceWait, "", c.now().Sub(start), f.Err)
+		c.reg.Stage(obs.StageCoalesceWait, "", c.now().Sub(start), f.Err)
 	}
 	c.m.coalesced.Add(1)
 
 	if f.Err != nil {
 		// The leader failed. The follower is as entitled to degraded
 		// serving as the leader was; otherwise it shares the error.
-		if result, ok := c.staleOnError(d, ictx.Operation, f.Err); ok {
+		if result, ok := c.staleOnError(d, f.Err); ok {
 			ictx.Result = result
 			ictx.CacheHit = true
 			ictx.ServedStale = true
@@ -67,7 +67,7 @@ func (c *Cache) followFlight(f *engine.Flight, d engine.Key, tk tier.Key, op Ope
 		}
 		return f.Err
 	}
-	if result, ok := c.lookup(d, ictx.Operation); ok {
+	if result, ok := c.lookup(d); ok {
 		ictx.Result = result
 		ictx.CacheHit = true
 		c.reg.Op(ictx.Operation).Hits.Add(1)
@@ -83,7 +83,7 @@ func (c *Cache) followFlight(f *engine.Flight, d engine.Key, tk tier.Key, op Ope
 // window after a backend failure. SOAP faults are excluded: a fault is
 // an application-level answer from a live backend, and masking it with
 // stale data would change program behaviour, not availability.
-func (c *Cache) staleOnError(d engine.Key, op string, err error) (any, bool) {
+func (c *Cache) staleOnError(d engine.Key, err error) (any, bool) {
 	if c.staleIfError <= 0 {
 		return nil, false
 	}
@@ -107,5 +107,5 @@ func (c *Cache) staleOnError(d engine.Key, op string, err error) (any, bool) {
 		return nil, false
 	}
 	c.m.staleServes.Add(1)
-	return c.loadPayload(op, hit.Value, c.m.errors)
+	return c.loadPayload(hit.Value, c.m.errors)
 }

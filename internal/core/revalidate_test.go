@@ -39,7 +39,7 @@ func newRevalidationFixture(t *testing.T, cacheTTL time.Duration, honorServerTTL
 
 	cache := MustNew(Config{
 		KeyGen:         rep.NewStringKey(),
-		Store:          rep.NewAutoStore(codec.Registry(), codec),
+		Rep:            rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL:     cacheTTL,
 		Revalidate:     true,
 		HonorServerTTL: honorServerTTL,
@@ -156,7 +156,7 @@ func TestRevalidationDisabledDropsExpired(t *testing.T) {
 	*nowSec = time.Now().Unix()
 	cache := MustNew(Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Minute,
 		Clock:      func() time.Time { return time.Unix(*nowSec, 0) },
 	})
@@ -226,7 +226,7 @@ func TestConditionalRequestHeaderFormat(t *testing.T) {
 	*nowSec = time.Now().Unix()
 	cache := MustNew(Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Minute,
 		Revalidate: true,
 		Clock:      func() time.Time { return time.Unix(*nowSec, 0) },
@@ -279,7 +279,7 @@ func TestRevalidation304WithoutLifetimeHeaders(t *testing.T) {
 	*nowSec = time.Now().Unix()
 	cache := MustNew(Config{
 		KeyGen:         rep.NewStringKey(),
-		Store:          rep.NewAutoStore(codec.Registry(), codec),
+		Rep:            rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL:     time.Minute,
 		Revalidate:     true,
 		HonorServerTTL: true,

@@ -49,7 +49,7 @@ func TestSelectorFillStoresOnce(t *testing.T) {
 	for _, spec := range reg.Values() {
 		fake := &fakeStore{name: spec.Name}
 		scripted := *spec
-		scripted.Store, scripted.Stage = fake, ""
+		scripted.Store = fake
 		if err := reg.RegisterValue(scripted); err != nil {
 			t.Fatal(err)
 		}

@@ -16,44 +16,38 @@ import (
 
 // BenchmarkObsOverhead measures what the observability layer costs on
 // the hottest path, a cache hit through the full middleware stack.
-// "off" is the default configuration (no registry, no tracer): stage
-// timing is compiled out behind a single bool, so this variant must
-// stay within noise (<5%) of the pre-instrumentation baseline.
-// "registry" pays for clock reads plus histogram updates per stage,
-// and "registry+tracer" adds the callback dispatch.
+// "off" is the default configuration (no registry): stage timing is
+// compiled out behind a single bool, so this variant must stay within
+// noise (<5%) of the pre-instrumentation baseline. "registry" pays for
+// clock reads plus histogram updates per stage.
 func BenchmarkObsOverhead(b *testing.B) {
-	newCall := func(reg *obs.Registry, tracer obs.Tracer) (*client.Call, error) {
+	newCall := func(reg *obs.Registry) (*client.Call, error) {
 		disp, codec, err := googleapi.NewDispatcher()
 		if err != nil {
 			return nil, err
 		}
 		cache := core.MustNew(core.Config{
 			KeyGen:     rep.NewStringKey(),
-			Store:      rep.NewAutoStore(codec.Registry(), codec),
+			Rep:        rep.NewRegistry(codec.Registry(), codec),
 			DefaultTTL: time.Hour,
 			Obs:        reg,
-			Tracer:     tracer,
 		})
 		return client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
-			client.Options{Handlers: []client.Handler{cache},
-				Obs: reg, Tracer: tracer}), nil
+			client.Options{Handlers: []client.Handler{cache}, Obs: reg}), nil
 	}
 	params := googleapi.SearchParams("k", "steady query", 0, 10, false, "", false, "")
 	ctx := context.Background()
-	nopTracer := obs.TracerFunc(func(string, obs.Stage, string, time.Duration, error) {})
 
 	for _, tc := range []struct {
-		name   string
-		reg    *obs.Registry
-		tracer obs.Tracer
+		name string
+		reg  *obs.Registry
 	}{
-		{"off", nil, nil},
-		{"registry", obs.NewRegistry(), nil},
-		{"registry+tracer", obs.NewRegistry(), nopTracer},
+		{"off", nil},
+		{"registry", obs.NewRegistry()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			call, err := newCall(tc.reg, tc.tracer)
+			call, err := newCall(tc.reg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -87,7 +81,7 @@ func BenchmarkAblationRevalidation(b *testing.B) {
 		atomic.StoreInt64(nowSec, time.Now().Unix())
 		cache := core.MustNew(core.Config{
 			KeyGen:     rep.NewStringKey(),
-			Store:      rep.NewAutoStore(codec.Registry(), codec),
+			Rep:        rep.NewRegistry(codec.Registry(), codec),
 			DefaultTTL: time.Minute,
 			Revalidate: revalidate,
 			Clock:      func() time.Time { return time.Unix(atomic.LoadInt64(nowSec), 0) },

@@ -7,7 +7,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/obs"
-	"repro/internal/rep"
 	"repro/internal/tier"
 )
 
@@ -60,7 +59,7 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 		}
 		e, ok, err := t.Get(ctx, tk)
 		if c.timed {
-			c.observe(ictx.Operation, obs.StageTierGet, t.Name(), c.now().Sub(start), err)
+			c.reg.Stage(obs.StageTierGet, t.Name(), c.now().Sub(start), err)
 		}
 		if err != nil {
 			c.m.tierErrors.Add(1)
@@ -88,7 +87,7 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 			TTL:    e.TTL,
 			Stamps: stamps,
 		})
-		if result, ok := c.loadPayload(ictx.Operation, v, c.m.tierErrors); ok {
+		if result, ok := c.loadPayload(v, c.m.tierErrors); ok {
 			return result, true
 		}
 	}
@@ -134,7 +133,7 @@ func (c *Cache) tierFill(tk tier.Key, op OperationPolicy, ictx *client.Context, 
 	}
 	repName, data, _, err := c.wire.StoreWire(ictx)
 	if c.timed {
-		c.observe(ictx.Operation, obs.StageTierPut, repName, c.now().Sub(start), err)
+		c.reg.Stage(obs.StageTierPut, repName, c.now().Sub(start), err)
 	}
 	if err != nil {
 		// No wire-capable representation holds this result (or encoding
@@ -156,14 +155,4 @@ func (c *Cache) tierFill(tk tier.Key, op OperationPolicy, ictx *client.Context, 
 		}
 		c.tierm[i].stores.Add(1)
 	}
-}
-
-// resolveWire picks the selector that encodes and decodes tier entries:
-// the store itself when it is one, else a static selector over the
-// registry (Validate has guaranteed one of the two).
-func resolveWire(store rep.ValueStore, reg *rep.Registry) *rep.Selector {
-	if sel, ok := store.(*rep.Selector); ok {
-		return sel
-	}
-	return rep.NewStaticSelector(reg)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/engine"
-	"repro/internal/rep"
 )
 
 // engineConfig is the slice of the configuration the engine runs on:
@@ -44,14 +43,10 @@ func (cfg Config) Validate() error {
 			return fmt.Errorf("core: Config.Tiers[%d] is nil", i)
 		}
 	}
-	if len(cfg.Tiers) > 0 {
-		// A tier stack ships entries across process boundaries, which
-		// needs a selector of wire-capable representations: the Store
-		// when it is one, else one built over the registry.
-		_, storeSelects := cfg.Store.(*rep.Selector)
-		if cfg.Rep == nil && !storeSelects {
-			return fmt.Errorf("core: Config.Tiers requires Config.Rep (or a *rep.Selector as Store) to encode entries for the wire")
-		}
+	// A tier stack ships entries across process boundaries, which needs
+	// the registry's wire-capable representations.
+	if len(cfg.Tiers) > 0 && cfg.Rep == nil {
+		return fmt.Errorf("core: Config.Tiers requires Config.Rep to encode entries for the wire")
 	}
 	return nil
 }

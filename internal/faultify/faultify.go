@@ -91,8 +91,6 @@ type Config struct {
 	GarbleRate float64
 	// Latency is added to every forwarded call.
 	Latency time.Duration
-	// LatencyJitter adds a uniform draw from [0, LatencyJitter).
-	LatencyJitter time.Duration
 	// Seed makes the fault schedule deterministic; zero means seed 1.
 	Seed int64
 }
@@ -165,9 +163,9 @@ func (t *Transport) SetScript(script []Outcome) {
 
 // Send implements transport.Transport.
 func (t *Transport) Send(ctx context.Context, req *transport.Request) (*transport.Response, error) {
-	outcome, delay, call := t.plan()
+	outcome, call := t.plan()
 
-	if delay > 0 {
+	if delay := t.cfg.Latency; delay > 0 {
 		timer := time.NewTimer(delay)
 		select {
 		case <-timer.C:
@@ -202,32 +200,27 @@ func (t *Transport) Send(ctx context.Context, req *transport.Request) (*transpor
 	return resp, nil
 }
 
-// plan decides this call's outcome and injected latency under the lock.
-func (t *Transport) plan() (Outcome, time.Duration, int64) {
+// plan decides this call's outcome under the lock.
+func (t *Transport) plan() (Outcome, int64) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.stats.Calls++
 	call := t.stats.Calls
 
-	delay := t.cfg.Latency
-	if t.cfg.LatencyJitter > 0 {
-		delay += time.Duration(t.rng.Int63n(int64(t.cfg.LatencyJitter)))
-	}
-
 	if t.pos < len(t.cfg.Script) {
 		o := t.cfg.Script[t.pos]
 		t.pos++
-		return o, delay, call
+		return o, call
 	}
 	switch {
 	case t.cfg.ErrorRate > 0 && t.rng.Float64() < t.cfg.ErrorRate:
-		return Fail, delay, call
+		return Fail, call
 	case t.cfg.TruncateRate > 0 && t.rng.Float64() < t.cfg.TruncateRate:
-		return Truncate, delay, call
+		return Truncate, call
 	case t.cfg.GarbleRate > 0 && t.rng.Float64() < t.cfg.GarbleRate:
-		return Garble, delay, call
+		return Garble, call
 	}
-	return Pass, delay, call
+	return Pass, call
 }
 
 // count mutates stats under the lock.

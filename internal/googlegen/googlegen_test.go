@@ -116,7 +116,7 @@ func TestGeneratedTypesWithCache(t *testing.T) {
 	codec := soap.NewCodec(reg)
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(reg, codec),
+		Rep:        rep.NewRegistry(reg, codec),
 		DefaultTTL: time.Hour,
 	})
 	cl := newTypedClient(t, cache)

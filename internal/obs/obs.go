@@ -1,5 +1,5 @@
 // Package obs is the runtime observability layer: stage-level metrics
-// and trace hooks for the caching client middleware. The paper's whole
+// for the caching client middleware. The paper's whole
 // argument is quantitative — Tables 8/9 and Figure 7 compare
 // per-representation hit costs — and this package is what makes those
 // costs visible in a live process instead of only under go test -bench:
@@ -13,7 +13,7 @@
 // clockinject analyzer's discipline is preserved, and recorded here as
 // plain values.
 //
-// Three layers:
+// Two layers:
 //
 //   - Counter and Histogram are the lock-free primitives: a Counter is
 //     sharded across cache lines so concurrent writers do not serialize;
@@ -23,14 +23,10 @@
 //     representation counters, per-(stage, representation) latency
 //     histograms, named event counters, and breaker state gauges. Every
 //     recording method is safe on a nil *Registry (a no-op), and Or
-//     mirrors clock.Or so configs default uniformly.
-//   - Tracer is the push-side hook: an optional callback invoked per
-//     recorded stage, for log/trace integration. A nil Tracer costs
-//     nothing — instrumented packages skip even the clock reads when
-//     neither a caller-supplied Registry nor a Tracer is present.
+//     mirrors clock.Or so configs default uniformly. Instrumented
+//     packages skip even the clock reads when no caller-supplied
+//     Registry is present, so the default path costs nothing.
 package obs
-
-import "time"
 
 // Stage names one step of the invocation pipeline. The taxonomy covers
 // the client cache (keygen through copy-out), the handler chain and
@@ -72,9 +68,6 @@ const (
 	// StageBackoff is a retry backoff sleep (duration = the scheduled
 	// delay).
 	StageBackoff Stage = "backoff"
-	// StageBreaker is a circuit breaker state transition
-	// (representation = the new state, duration zero).
-	StageBreaker Stage = "breaker"
 	// StageBackend is one portal back-end section render.
 	StageBackend Stage = "backend"
 	// StageServerLookup is the server-side response cache lookup.
@@ -100,26 +93,3 @@ const (
 	// store round trip (representation = chosen wire representation).
 	StageTierPut Stage = "tier-put"
 )
-
-// Tracer receives one callback per recorded stage: op is the operation
-// (or endpoint, for transport and breaker stages), representation the
-// stage's representation/strategy name when one applies (empty
-// otherwise), d the measured duration (zero for pure events such as
-// breaker transitions), and err the stage's outcome.
-//
-// Implementations must be safe for concurrent use and should return
-// quickly — they run inline on the invocation path. A nil Tracer is
-// always legal in configs and costs nothing.
-type Tracer interface {
-	OnStage(op string, stage Stage, representation string, d time.Duration, err error)
-}
-
-// TracerFunc adapts a function to Tracer.
-type TracerFunc func(op string, stage Stage, representation string, d time.Duration, err error)
-
-var _ Tracer = (TracerFunc)(nil)
-
-// OnStage implements Tracer.
-func (f TracerFunc) OnStage(op string, stage Stage, representation string, d time.Duration, err error) {
-	f(op, stage, representation, d, err)
-}

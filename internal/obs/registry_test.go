@@ -158,20 +158,6 @@ func TestHitRatio(t *testing.T) {
 	}
 }
 
-func TestTracerFunc(t *testing.T) {
-	var calls int
-	tr := TracerFunc(func(op string, stage Stage, rep string, d time.Duration, err error) {
-		calls++
-		if op != "op" || stage != StageInvoke || rep != "r" || d != time.Second || err != nil {
-			t.Errorf("unexpected OnStage(%q, %q, %q, %v, %v)", op, stage, rep, d, err)
-		}
-	})
-	tr.OnStage("op", StageInvoke, "r", time.Second, nil)
-	if calls != 1 {
-		t.Errorf("calls = %d, want 1", calls)
-	}
-}
-
 func TestSetInspection(t *testing.T) {
 	r := NewRegistry()
 	n := 0

@@ -38,31 +38,27 @@ type Site struct {
 	failSoft bool
 	degraded atomic.Int64
 
-	// reg/tracer record per-backend invocation latencies (the backend
-	// stage, labelled by section name) and the portal.degraded counter;
-	// set via Instrument, nil until then. timed gates clock reads.
-	reg    *obs.Registry
-	tracer obs.Tracer
-	timed  bool
-	now    func() time.Time
+	// reg records per-backend invocation latencies (the backend stage,
+	// labelled by section name) and the portal.degraded counter; set
+	// via Instrument, nil until then. timed gates clock reads.
+	reg   *obs.Registry
+	timed bool
 }
 
 // New builds a Site over its back ends.
 func New(backends ...Backend) *Site {
-	return &Site{backends: backends, now: clock.Or(nil)}
+	return &Site{backends: backends}
 }
 
 // Instrument wires the site's observability: per-backend invocation
 // latencies land in reg's backend stage (representation = section
-// name), degraded renders in the portal.degraded counter, and tracer
-// (when non-nil) receives an OnStage callback per backend call. Share
-// reg with the backends' client and cache configs for one coherent
+// name) and degraded renders in the portal.degraded counter. Share reg
+// with the backends' client and cache configs for one coherent
 // /debug/wscache snapshot. Call before serving; not safe to call
 // concurrently with Render.
-func (s *Site) Instrument(reg *obs.Registry, tracer obs.Tracer) {
+func (s *Site) Instrument(reg *obs.Registry) {
 	s.reg = reg
-	s.tracer = tracer
-	s.timed = reg != nil || tracer != nil
+	s.timed = reg != nil
 }
 
 // SetFailSoft switches the portal to degraded rendering: a failing
@@ -90,15 +86,11 @@ func (s *Site) RenderContext(ctx context.Context, query string) (string, error) 
 	for _, be := range s.backends {
 		var start time.Time
 		if s.timed {
-			start = s.now()
+			start = clock.System()
 		}
 		result, err := be.Call.Invoke(ctx, be.Params(query)...)
 		if s.timed {
-			d := s.now().Sub(start)
-			s.reg.Stage(obs.StageBackend, be.Name, d, err)
-			if s.tracer != nil {
-				s.tracer.OnStage(be.Call.Operation(), obs.StageBackend, be.Name, d, err)
-			}
+			s.reg.Stage(obs.StageBackend, be.Name, clock.System().Sub(start), err)
 		}
 		if err != nil {
 			if !s.failSoft {

@@ -27,7 +27,7 @@ func newPortal(t *testing.T) (*Site, *core.Cache) {
 	}
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
-		Store:      rep.NewAutoStore(codec.Registry(), codec),
+		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Hour,
 	})
 	tr := &transport.InProcess{Handler: disp}

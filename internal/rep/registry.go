@@ -32,10 +32,6 @@ type ValueSpec struct {
 	Store ValueStore
 	// Info is the representation's Table 3 row.
 	Info RepresentationInfo
-	// Stage is the representation label used for obs stage series; by
-	// convention Store.Name(), matching the copyin/copyout series the
-	// cache core records.
-	Stage string
 	// Applicable reports whether the representation can hold this
 	// invocation's result — the Table 3 limitation as a predicate, and
 	// the only statement of it the Selector consults. It must be cheap
@@ -114,14 +110,10 @@ func (r *Registry) RegisterKey(spec KeySpec) error {
 }
 
 // RegisterValue adds (or replaces) a value representation under
-// spec.Name. A nil Applicable means "always applicable"; an empty
-// Stage defaults to Store.Name().
+// spec.Name. A nil Applicable means "always applicable".
 func (r *Registry) RegisterValue(spec ValueSpec) error {
 	if spec.Name == "" || spec.Store == nil {
 		return fmt.Errorf("rep: registry: value spec needs a name and a store")
-	}
-	if spec.Stage == "" {
-		spec.Stage = spec.Store.Name()
 	}
 	if spec.Applicable == nil {
 		spec.Applicable = func(*client.Context) bool { return true }

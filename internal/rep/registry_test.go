@@ -158,7 +158,7 @@ func TestRegistryNamesAndOrder(t *testing.T) {
 		t.Errorf("order = %s ... %s", values[0].Name, values[len(values)-1].Name)
 	}
 	for _, spec := range values {
-		if spec.Stage == "" || spec.Info.Representation == "" || spec.Applicable == nil {
+		if spec.Info.Representation == "" || spec.Applicable == nil {
 			t.Errorf("spec %s incompletely registered: %+v", spec.Name, spec)
 		}
 	}

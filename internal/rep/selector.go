@@ -5,8 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/client"
-	"repro/internal/soap"
-	"repro/internal/typemap"
 )
 
 // sectionSix is the paper's Section 6 "optimal configuration" as an
@@ -63,12 +61,6 @@ func NewStaticSelector(reg *Registry) *Selector {
 		l1:   reg.ordered(sectionSix),
 		wire: reg.WireSpecs(),
 	}
-}
-
-// NewAutoStore returns the selector over a fresh registry of the
-// built-in representations bound to reg and codec.
-func NewAutoStore(reg *typemap.Registry, codec *soap.Codec) *Selector {
-	return NewStaticSelector(NewRegistry(reg, codec))
 }
 
 // Name implements ValueStore.

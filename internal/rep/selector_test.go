@@ -46,7 +46,7 @@ func TestSelectorPerTypeDecisions(t *testing.T) {
 // by reference) and loads back the result.
 func TestSelectorMatchesStaticOnUniformWorkload(t *testing.T) {
 	f := newFixture(t)
-	sel := NewAutoStore(f.reg, f.codec)
+	sel := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	ictx := f.ictx(t, "spell", "suggestion")
 	if got := sel.Classify(ictx); got != "Pass by reference" {
 		t.Fatalf("classified %q, want Pass by reference", got)
@@ -71,7 +71,7 @@ func TestSelectorMatchesStaticOnUniformWorkload(t *testing.T) {
 
 func TestSelectorBadPayload(t *testing.T) {
 	f := newFixture(t)
-	sel := NewAutoStore(f.reg, f.codec)
+	sel := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	if _, err := sel.Load(42); err == nil {
 		t.Error("selector accepted a foreign payload")
 	}
@@ -81,7 +81,7 @@ func TestSelectorNoApplicableCandidate(t *testing.T) {
 	// Nothing captured, opaque result: the walk's ErrNotApplicable is
 	// surfaced.
 	f := newFixture(t)
-	sel := NewAutoStore(f.reg, f.codec)
+	sel := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	ictx := f.reqCtx("get")
 	ictx.Result = &opaqueResult{Name: "o"}
 	if _, _, err := sel.Store(ictx); !errors.Is(err, ErrNotApplicable) {

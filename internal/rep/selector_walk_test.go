@@ -46,7 +46,7 @@ func scriptedAuto(t *testing.T, f *fixture, stores [6]ValueStore) *Selector {
 			t.Fatal(err)
 		}
 		scripted := *spec
-		scripted.Store, scripted.Stage = stores[i], ""
+		scripted.Store = stores[i]
 		if err := r.RegisterValue(scripted); err != nil {
 			t.Fatal(err)
 		}
@@ -85,7 +85,7 @@ func (c *cloneableBox) CloneDeep() any {
 // on purpose — they are the paper's decision list, not derived from it.
 func TestSelectorSectionSixTable(t *testing.T) {
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 
 	full := func(result any) *client.Context {
 		ictx := f.ictx(t, "get", &item{Name: "carrier"})
@@ -180,7 +180,7 @@ func TestAutoStoreCascadesOnNotApplicable(t *testing.T) {
 	// ErrNotApplicable, so Store must fall through to reflection copy —
 	// the exact gap the ErrNotApplicable doc promises to bridge.
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 
 	val := cloneableBox{Name: "value-not-pointer", Tags: []string{"t"}}
 	ictx := f.ictx(t, "get", &item{Name: "carrier"})
@@ -276,7 +276,7 @@ func TestAutoStoreExhaustedCascade(t *testing.T) {
 	// the error must carry ErrNotApplicable so the cache records a
 	// representation miss, not a crash.
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	ictx := f.reqCtx("get")
 	ictx.Result = &opaqueResult{Name: "o"}
 	_, _, err := auto.Store(ictx)
@@ -291,7 +291,7 @@ func TestAutoStoreExhaustedCascade(t *testing.T) {
 func TestAutoStoreNilResultRoundTrip(t *testing.T) {
 	// nil classifies as immutable and is shared by reference.
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	ictx := f.ictx(t, "get", &item{Name: "carrier"})
 	ictx.Result = nil
 	payload, _, err := auto.Store(ictx)

@@ -201,7 +201,7 @@ func TestStreamingRepsGatedOnAcceptStream(t *testing.T) {
 
 func TestAutoStorePrefersRawForStreamConsumers(t *testing.T) {
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 	ictx := f.streamCtx(t, "get", &item{Name: "n"})
 	if got := auto.Classify(ictx); got != "Raw response replay" {
 		t.Fatalf("classified %q, want Raw response replay", got)

@@ -401,16 +401,18 @@ func (CloneCopyStore) Load(payload any) (any, error) {
 // mutates a shared result corrupts the cache for every later hit.
 type RefStore struct {
 	reg *typemap.Registry
-	// AllowMutable permits storing mutable types; set when the
-	// administrator has asserted read-only use (Policy.ReadOnly).
+	// allowMutable permits storing mutable types: the administrator's
+	// read-only assertion, made by configuring an operation with
+	// Store: NewRefStore(types, true).
 	allowMutable bool
 }
 
 var _ ValueStore = (*RefStore)(nil)
 
 // NewRefStore returns the pass-by-reference representation. With
-// allowMutable false it accepts only deeply immutable results; the
-// read-only policy flag constructs it with allowMutable true.
+// allowMutable false it accepts only deeply immutable results; with
+// true it is the read-only assertion of Section 4.2.4 and accepts any
+// result.
 func NewRefStore(reg *typemap.Registry, allowMutable bool) *RefStore {
 	return &RefStore{reg: reg, allowMutable: allowMutable}
 }

@@ -280,14 +280,14 @@ func TestStoreLoadWrongPayloadTypes(t *testing.T) {
 	if _, err := NewCloneCopyStore().Load(42); err == nil {
 		t.Error("clone store accepted bad payload")
 	}
-	if _, err := NewAutoStore(f.reg, f.codec).Load(42); err == nil {
+	if _, err := NewStaticSelector(NewRegistry(f.reg, f.codec)).Load(42); err == nil {
 		t.Error("auto store accepted bad payload")
 	}
 }
 
 func TestAutoStoreClassification(t *testing.T) {
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 
 	cases := []struct {
 		name   string
@@ -313,7 +313,7 @@ func TestAutoStoreClassification(t *testing.T) {
 
 func TestAutoStoreRoundTripEachClass(t *testing.T) {
 	f := newFixture(t)
-	auto := NewAutoStore(f.reg, f.codec)
+	auto := NewStaticSelector(NewRegistry(f.reg, f.codec))
 
 	// Immutable: shared.
 	ictx := f.ictx(t, "spell", "hello")
@@ -528,7 +528,7 @@ func TestStoreAndKeyGenNames(t *testing.T) {
 		NewCompactSAXStore(f.codec), NewDOMStore(f.codec),
 		NewGobStore(f.reg), NewBinserStore(f.reg),
 		NewReflectCopyStore(f.reg), NewCloneCopyStore(),
-		NewRefStore(f.reg, false), NewAutoStore(f.reg, f.codec),
+		NewRefStore(f.reg, false), NewStaticSelector(NewRegistry(f.reg, f.codec)),
 	} {
 		if s.Name() == "" || names[s.Name()] {
 			t.Errorf("store name %q empty or duplicated", s.Name())

@@ -41,11 +41,10 @@ type ResponseCache struct {
 
 	// reg backs the hit/miss counters (never nil; Config.Obs or a
 	// private registry). timed gates stage latency recording, on only
-	// when the caller supplied a registry or tracer.
+	// when the caller supplied a registry.
 	reg    *obs.Registry
 	hits   *obs.Counter
 	misses *obs.Counter
-	tracer obs.Tracer
 	timed  bool
 }
 
@@ -67,9 +66,6 @@ type ResponseCacheConfig struct {
 	// still kept — Stats reads them — but latency histograms are
 	// skipped and nothing is served).
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives an OnStage callback per recorded
-	// stage. Stage timing is on when either Obs or Tracer is set.
-	Tracer obs.Tracer
 	// Body chooses the resident representation for cached response
 	// bodies (paper Table 3 applied server-side): a representation whose
 	// hits are byte streams (rep.Streamed), i.e. "raw" or "xmltmpl". Nil
@@ -103,8 +99,7 @@ func NewResponseCache(inner *Dispatcher, cfg ResponseCacheConfig) *ResponseCache
 		reg:    reg,
 		hits:   hits,
 		misses: misses,
-		tracer: cfg.Tracer,
-		timed:  cfg.Obs != nil || cfg.Tracer != nil,
+		timed:  cfg.Obs != nil,
 	}
 }
 
@@ -113,33 +108,24 @@ func (c *ResponseCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// observe records one timed stage; callers gate on c.timed.
-func (c *ResponseCache) observe(op string, stage obs.Stage, d time.Duration, err error) {
-	c.reg.Stage(stage, "", d, err)
-	if c.tracer != nil {
-		c.tracer.OnStage(op, stage, "", d, err)
-	}
-}
-
 // Len returns the number of cached responses.
 func (c *ResponseCache) Len() int { return c.eng.Len() }
 
-// cacheableOp sniffs the request's operation and reports whether this
+// caches sniffs the request's operation and reports whether this
 // request goes through the cache at all.
-func (c *ResponseCache) cacheableOp(request []byte) (op string, ok bool) {
+func (c *ResponseCache) caches(request []byte) bool {
 	op, err := soap.SniffOperation(request)
-	return op, err == nil && op != "" && (c.cacheable == nil || c.cacheable(op))
+	return err == nil && op != "" && (c.cacheable == nil || c.cacheable(op))
 }
 
 // Handle serves a request, from cache when possible. Faults are never
 // cached.
 func (c *ResponseCache) Handle(request []byte) ([]byte, bool, error) {
-	op, ok := c.cacheableOp(request)
-	if !ok {
+	if !c.caches(request) {
 		return c.inner.Handle(request)
 	}
 	key := c.eng.Digest(request)
-	if hit, ok := c.lookup(key, op); ok {
+	if hit, ok := c.lookup(key); ok {
 		// Rendered outside the shard lock: for xmltmpl this splices the
 		// body and must not serialize concurrent hits.
 		if st, err := c.streamed(hit.Value); err == nil {
@@ -147,7 +133,7 @@ func (c *ResponseCache) Handle(request []byte) ([]byte, bool, error) {
 		}
 		c.eng.Unhit(key, hit)
 	}
-	return c.fill(key, op, request)
+	return c.fill(key, request)
 }
 
 // errNotStreamed reports a Body whose hits are not byte streams.
@@ -171,20 +157,20 @@ func (c *ResponseCache) streamed(payload any) (rep.Streamed, error) {
 // serving ladder, which counts the hit or miss, timed as the lookup
 // stage. A hit whose payload then fails to replay is re-booked with
 // Unhit — the origin gets called, so it must read as a miss.
-func (c *ResponseCache) lookup(key engine.Key, op string) (engine.Hit[any], bool) {
+func (c *ResponseCache) lookup(key engine.Key) (engine.Hit[any], bool) {
 	var start time.Time
 	if c.timed {
 		start = c.now()
 	}
 	hit, st := c.eng.Lookup(key, engine.Serve)
 	if c.timed {
-		c.observe(op, obs.StageServerLookup, c.now().Sub(start), nil)
+		c.reg.Stage(obs.StageServerLookup, "", c.now().Sub(start), nil)
 	}
 	return hit, st == engine.Found
 }
 
 // fill runs the handler and caches a successful response.
-func (c *ResponseCache) fill(key engine.Key, op string, request []byte) ([]byte, bool, error) {
+func (c *ResponseCache) fill(key engine.Key, request []byte) ([]byte, bool, error) {
 	body, isFault, err := c.inner.Handle(request)
 	if err != nil || isFault {
 		return body, isFault, err
@@ -201,7 +187,7 @@ func (c *ResponseCache) fill(key engine.Key, op string, request []byte) ([]byte,
 		c.eng.Insert(key, engine.Item[any]{Value: payload, Size: size, TTL: c.ttl})
 	}
 	if c.timed {
-		c.observe(op, obs.StageServerStore, c.now().Sub(start), nil)
+		c.reg.Stage(obs.StageServerStore, "", c.now().Sub(start), nil)
 	}
 	return body, false, nil
 }
@@ -214,14 +200,13 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if done {
 		return
 	}
-	op, ok := c.cacheableOp(body)
-	if !ok {
+	if !c.caches(body) {
 		resp, isFault, herr := c.inner.Handle(body)
 		writeSOAPResponse(w, lastMod, ttl, resp, isFault, herr)
 		return
 	}
 	key := c.eng.Digest(body)
-	if hit, ok := c.lookup(key, op); ok {
+	if hit, ok := c.lookup(key); ok {
 		var start time.Time
 		if c.timed {
 			start = c.now()
@@ -233,7 +218,7 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			n, werr = st.WriteTo(w)
 		}
 		if c.timed {
-			c.observe(op, obs.StageServerStream, c.now().Sub(start), werr)
+			c.reg.Stage(obs.StageServerStream, "", c.now().Sub(start), werr)
 		}
 		if werr == nil || n > 0 {
 			// Served (or the client went away mid-write — nothing left
@@ -244,6 +229,6 @@ func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// refill from the handler.
 		c.eng.Unhit(key, hit)
 	}
-	resp, isFault, herr := c.fill(key, op, body)
+	resp, isFault, herr := c.fill(key, body)
 	writeSOAPResponse(w, lastMod, ttl, resp, isFault, herr)
 }

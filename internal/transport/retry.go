@@ -54,8 +54,9 @@ func IsTransient(err error) bool {
 }
 
 // RetryPolicy configures a Retry transport. The zero value is usable:
-// 3 attempts, 50ms base backoff capped at 2s, IsTransient
-// classification, no per-attempt timeout.
+// 3 attempts, 50ms base backoff capped at 2s, no per-attempt timeout.
+// IsTransient decides which errors are retried; any other error stops
+// retrying and surfaces.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of Send attempts (not re-tries);
 	// values < 1 mean the default of 3.
@@ -69,9 +70,6 @@ type RetryPolicy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps the backoff. Zero means 2s.
 	MaxDelay time.Duration
-	// Classify overrides IsTransient when non-nil; a false return stops
-	// retrying and surfaces the error.
-	Classify func(error) bool
 	// Rand supplies the jitter draw in [0,1); nil means math/rand.
 	// Deterministic tests inject a fixed function.
 	Rand func() float64
@@ -82,10 +80,6 @@ type RetryPolicy struct {
 	// and records backoff sleeps in the backoff stage histogram. All
 	// recording is nil-safe, so leaving it nil costs nothing.
 	Obs *obs.Registry
-	// Tracer, when non-nil, receives an OnStage callback per backoff
-	// sleep (op = endpoint). Backoff durations are the computed delays,
-	// so recording them needs no clock.
-	Tracer obs.Tracer
 }
 
 // Retry wraps an inner Transport with bounded retries: exponential
@@ -111,10 +105,6 @@ func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
 	if attempts < 1 {
 		attempts = 3
 	}
-	classify := r.Policy.Classify
-	if classify == nil {
-		classify = IsTransient
-	}
 	var lastErr error
 	for attempt := 0; attempt < attempts; attempt++ {
 		if attempt > 0 {
@@ -123,9 +113,6 @@ func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
 			// The backoff duration is the computed delay, recorded
 			// without a clock read.
 			r.Policy.Obs.Stage(obs.StageBackoff, "", d, nil)
-			if r.Policy.Tracer != nil {
-				r.Policy.Tracer.OnStage(req.Endpoint, obs.StageBackoff, "", d, nil)
-			}
 			if err := r.sleep(ctx, d); err != nil {
 				return nil, fmt.Errorf("transport: retry aborted after %d attempts: %w (last error: %v)", attempt, err, lastErr)
 			}
@@ -147,7 +134,7 @@ func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
 			// further attempts cannot be delivered to anyone.
 			return nil, err
 		}
-		if !classify(err) {
+		if !IsTransient(err) {
 			return nil, err
 		}
 	}
