@@ -134,6 +134,7 @@ fuzz:
 	$(GO) test -fuzz FuzzWriterVsStdlib -fuzztime 30s ./internal/sax
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/binser
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/cluster
+	$(GO) test -fuzz FuzzDecodeWire -fuzztime 30s ./internal/rep
 
 # Regenerate the checked-in WSDL compiler output.
 generate:

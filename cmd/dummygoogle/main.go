@@ -12,6 +12,9 @@
 //	dummygoogle -addr :8080 -fixed           # precomputed identical responses
 //	dummygoogle -cache                       # server-side response cache (raw bodies) over the read-only operations
 //	dummygoogle -cache -cache-rep xmltmpl    # ... resident as splice templates
+//
+// With -cache, the cache's counters and stage latencies are served at
+// /debug/wscache.
 package main
 
 import (
@@ -24,6 +27,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/googleapi"
+	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/server"
 )
@@ -43,17 +47,10 @@ func main() {
 }
 
 func run(addr string, fixed bool, ttl time.Duration, useCache bool, cacheRep string) error {
-	soapHandler, err := newSOAPHandler(fixed, ttl, useCache, cacheRep)
+	mux, err := newMux(fixed, ttl, useCache, cacheRep)
 	if err != nil {
 		return err
 	}
-	mux := http.NewServeMux()
-	mux.Handle("/", soapHandler)
-	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
-		_, _ = w.Write([]byte(googleapi.WSDL))
-	})
-
 	fmt.Fprintf(os.Stderr, "dummygoogle: serving %s (fixed=%v); WSDL at /wsdl\n", addr, fixed)
 	srv := &http.Server{
 		Addr:              addr,
@@ -63,8 +60,33 @@ func run(addr string, fixed bool, ttl time.Duration, useCache bool, cacheRep str
 	return srv.ListenAndServe()
 }
 
-// newSOAPHandler builds the SOAP endpoint the flags describe.
-func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep string) (http.Handler, error) {
+// newMux builds the routes the flags describe: the SOAP endpoint at /,
+// the WSDL at /wsdl and, with -cache, the response cache's registry at
+// obs.DebugPath.
+func newMux(fixed bool, ttl time.Duration, useCache bool, cacheRep string) (*http.ServeMux, error) {
+	var reg *obs.Registry
+	if useCache {
+		reg = obs.NewRegistry()
+	}
+	soapHandler, err := newSOAPHandler(fixed, ttl, useCache, cacheRep, reg)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.Handle("/", soapHandler)
+	mux.HandleFunc("/wsdl", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/xml; charset=utf-8")
+		_, _ = w.Write([]byte(googleapi.WSDL))
+	})
+	if reg != nil {
+		mux.Handle(obs.DebugPath, obs.Handler(reg))
+	}
+	return mux, nil
+}
+
+// newSOAPHandler builds the SOAP endpoint the flags describe; a
+// response cache records into reg.
+func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep string, reg *obs.Registry) (http.Handler, error) {
 	if useCache && fixed {
 		return nil, fmt.Errorf("-cache has no effect with -fixed (responses are already precomputed)")
 	}
@@ -99,6 +121,7 @@ func newSOAPHandler(fixed bool, ttl time.Duration, useCache bool, cacheRep strin
 		TTL:       ttl,
 		Body:      body,
 		Cacheable: func(op string) bool { return !graph.Declared(op) },
+		Obs:       reg,
 	}), nil
 }
 

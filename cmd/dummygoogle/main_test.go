@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/googleapi"
+	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/server"
 	"repro/internal/soap"
@@ -55,7 +57,7 @@ func TestCacheNeverHoldsItemOperations(t *testing.T) {
 	}
 	for _, name := range []string{"raw", "xmltmpl"} {
 		t.Run(name, func(t *testing.T) {
-			h, err := newSOAPHandler(false, time.Hour, true, name)
+			h, err := newSOAPHandler(false, time.Hour, true, name, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -95,7 +97,7 @@ func TestNewSOAPHandlerRejectsBadFlags(t *testing.T) {
 		"unknown rep":       {cache: true, rep: "zip", want: "zip"},
 		"non-streaming rep": {cache: true, rep: "clone", want: "have raw, xmltmpl"},
 	} {
-		if _, err := newSOAPHandler(tc.fixed, tc.ttl, tc.cache, tc.rep); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if _, err := newSOAPHandler(tc.fixed, tc.ttl, tc.cache, tc.rep, nil); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one naming %q", name, err, tc.want)
 		}
 	}
@@ -164,7 +166,7 @@ func TestCacheByteIdentity(t *testing.T) {
 					"http":   func(rc *server.ResponseCache) []byte { return post(t, rc, req) },
 					"handle": func(rc *server.ResponseCache) []byte { return handle(t, rc, req) },
 				} {
-					h, err := newSOAPHandler(false, time.Hour, true, name)
+					h, err := newSOAPHandler(false, time.Hour, true, name, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -202,4 +204,42 @@ func handle(t *testing.T, rc *server.ResponseCache, req []byte) []byte {
 		t.Fatalf("fault=%v err=%v", fault, err)
 	}
 	return resp
+}
+
+// TestCacheObservability: with -cache, the server's mux serves the
+// response cache's registry at obs.DebugPath, and a repeated request
+// shows there as a hit with its lookup stage timed.
+func TestCacheObservability(t *testing.T) {
+	_, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mux, err := newMux(false, time.Hour, true, "raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+	for range 2 {
+		call(t, codec, srv.URL, googleapi.OpSpellingSuggestion, googleapi.SpellingParams("k", "worl peace"))
+	}
+	resp, err := http.Get(srv.URL + obs.DebugPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = resp.Body.Close() }()
+	var snap obs.Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("%s: %v", obs.DebugPath, err)
+	}
+	if snap.Counters["server.hits"] < 1 {
+		t.Errorf("server.hits = %d after a repeated request, want ≥ 1", snap.Counters["server.hits"])
+	}
+	lookup := false
+	for _, st := range snap.Stages {
+		lookup = lookup || st.Stage == obs.StageServerLookup
+	}
+	if !lookup {
+		t.Errorf("no %s stage in %+v", obs.StageServerLookup, snap.Stages)
+	}
 }

@@ -73,6 +73,8 @@ type Remote struct {
 	ring  *ring
 	nodes []*node
 	inv   *invalidate.Invalidator
+	// reps interns the rep names of value responses.
+	reps interner
 
 	// Per-remote traffic counters, surfaced through TierStats (and,
 	// when the tier is installed in a core.Cache, its "tiers"
@@ -112,10 +114,14 @@ type node struct {
 	mirror  map[string]uint64
 }
 
+// poolConn is one pooled connection with the buffers its round trips
+// reuse: scratch for request frames, in for every response payload
+// but a value's (readResponse).
 type poolConn struct {
 	c       net.Conn
 	br      *bufio.Reader
 	scratch []byte
+	in      []byte
 }
 
 // New builds the cluster tier and, when cfg.Inv is set, hooks local
@@ -177,31 +183,21 @@ func (r *Remote) Get(ctx context.Context, key tier.Key) (tier.Entry, bool, error
 	if err := r.flush(ctx, n); err != nil {
 		return tier.Entry{}, false, fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpGet, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, OpGet, encodeKey(key))
 	if err != nil {
 		return tier.Entry{}, false, err
 	}
-	switch op {
+	switch res.op {
 	case OpValue:
-		m, e, err := decodeValue(resp)
-		if err != nil {
-			r.errors.Add(1)
-			return tier.Entry{}, false, err
-		}
-		r.afterMeta(ctx, n, m)
+		r.afterMeta(ctx, n, res.meta)
 		r.hits.Add(1)
-		return e, true, nil
+		return res.entry, true, nil
 	case OpMiss:
-		m, err := decodeMetaOnly(resp)
-		if err != nil {
-			r.errors.Add(1)
-			return tier.Entry{}, false, err
-		}
-		r.afterMeta(ctx, n, m)
+		r.afterMeta(ctx, n, res.meta)
 		r.misses.Add(1)
 		return tier.Entry{}, false, nil
 	}
-	return tier.Entry{}, false, r.unexpected("get", op, resp)
+	return tier.Entry{}, false, r.unexpected("get", res)
 }
 
 // PutStamps implements tier.Tier: the epochs this process believes the
@@ -249,19 +245,14 @@ func (r *Remote) Put(ctx context.Context, key tier.Key, e tier.Entry) error {
 	if err != nil {
 		return err
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpPut, payload)
+	res, err := r.roundTrip(ctx, n, OpPut, payload)
 	if err != nil {
 		return err
 	}
-	if op != OpOK {
-		return r.unexpected("put", op, resp)
+	if res.op != OpOK {
+		return r.unexpected("put", res)
 	}
-	m, err := decodeMetaOnly(resp)
-	if err != nil {
-		r.errors.Add(1)
-		return err
-	}
-	r.afterMeta(ctx, n, m)
+	r.afterMeta(ctx, n, res.meta)
 	r.puts.Add(1)
 	return nil
 }
@@ -272,19 +263,14 @@ func (r *Remote) Delete(ctx context.Context, key tier.Key) error {
 	if err := r.flush(ctx, n); err != nil {
 		return fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpDel, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, OpDel, encodeKey(key))
 	if err != nil {
 		return err
 	}
-	if op != OpOK {
-		return r.unexpected("delete", op, resp)
+	if res.op != OpOK {
+		return r.unexpected("delete", res)
 	}
-	m, err := decodeMetaOnly(resp)
-	if err != nil {
-		r.errors.Add(1)
-		return err
-	}
-	r.afterMeta(ctx, n, m)
+	r.afterMeta(ctx, n, res.meta)
 	return nil
 }
 
@@ -382,24 +368,19 @@ func (r *Remote) flushChunkLocked(ctx context.Context, n *node, names []string) 
 	if err != nil {
 		return err
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpBump, payload)
+	res, err := r.roundTrip(ctx, n, OpBump, payload)
 	if err != nil {
 		return err
 	}
-	if op != OpTable {
-		return r.unexpected("bump", op, resp)
-	}
-	m, table, err := decodeTable(resp)
-	if err != nil {
-		r.errors.Add(1)
-		return err
+	if res.op != OpTable {
+		return r.unexpected("bump", res)
 	}
 	own := make(map[string]bool, len(names))
 	for _, ks := range names {
 		own[ks] = true
 		delete(n.pending, ks)
 	}
-	r.applyTable(n, m, table, own)
+	r.applyTable(n, res.meta, res.table, own)
 	return nil
 }
 
@@ -438,20 +419,15 @@ func (r *Remote) afterMeta(ctx context.Context, n *node, m respMeta) {
 	if m.bootID == mirror.bootID && m.version <= mirror.version {
 		return
 	}
-	op, resp, err := r.roundTrip(ctx, n, OpSync, encodeMetaOnly(mirror))
-	if err != nil || op != OpTable {
+	res, err := r.roundTrip(ctx, n, OpSync, encodeMetaOnly(mirror))
+	if err != nil || res.op != OpTable {
 		// Leave the mirror stale: bootID/version were not updated, so the
 		// next response re-triggers the sync.
 		r.errors.Add(1)
 		return
 	}
-	m2, table, err := decodeTable(resp)
-	if err != nil {
-		r.errors.Add(1)
-		return
-	}
 	r.syncs.Add(1)
-	r.applyTable(n, m2, table, nil)
+	r.applyTable(n, res.meta, res.table, nil)
 }
 
 // applyTable folds a table response into the node mirror and applies
@@ -511,23 +487,22 @@ func (r *Remote) applyTable(n *node, m respMeta, table map[string]uint64, own ma
 }
 
 // unexpected normalizes a response that does not fit the request.
-func (r *Remote) unexpected(verb string, op Opcode, resp []byte) error {
+func (r *Remote) unexpected(verb string, res response) error {
 	r.errors.Add(1)
-	if op == OpErr {
-		if msg, err := decodeErr(resp); err == nil {
-			return fmt.Errorf("cluster: %s: daemon: %s", verb, msg)
-		}
+	if res.op == OpErr {
+		return fmt.Errorf("cluster: %s: daemon: %s", verb, res.msg)
 	}
-	return fmt.Errorf("cluster: %s: unexpected response opcode %#x", verb, byte(op))
+	return fmt.Errorf("cluster: %s: unexpected response opcode %#x", verb, byte(res.op))
 }
 
-// roundTrip sends one request on a pooled connection and reads its
-// response. One retry on an IO failure covers the common pool staleness
-// (daemon restarted, idle timeout): the retry dials fresh because the
-// failed connection was discarded, not repooled. All requests are safe
-// to retry — get/put/delete/sync are idempotent and a duplicated bump
-// only over-invalidates.
-func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []byte) (Opcode, []byte, error) {
+// roundTrip sends one request on a pooled connection and reads and
+// decodes its response. One retry on an IO failure covers the common
+// pool staleness (daemon restarted, idle timeout): the retry dials
+// fresh because the failed connection was discarded, not repooled. All
+// requests are safe to retry — get/put/delete/sync are idempotent and a
+// duplicated bump only over-invalidates. A response that is framed but
+// does not decode is not retried: the connection is still in step.
+func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []byte) (response, error) {
 	deadline := time.Now().Add(r.cfg.OpTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -550,22 +525,27 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []by
 			lastErr = err
 			continue
 		}
-		// A fresh payload: a hit's value aliases it, and the L1 keeps
-		// those bytes (rep's DecodeWire).
-		respOp, resp, err := readFrameInto(pc.br, r.cfg.MaxPayload, nil)
+		respOp, resp, err := readResponse(pc.br, r.cfg.MaxPayload, &pc.in)
 		if err != nil {
 			pc.c.Close()
 			lastErr = err
 			continue
 		}
+		// Decoded before the release: unless it is a value, resp is the
+		// connection's own buffer, which its next round trip overwrites.
+		res, err := decodeResponse(respOp, resp, &r.reps)
 		n.release(pc, r.cfg.PoolSize)
-		return respOp, resp, nil
+		if err != nil {
+			r.errors.Add(1)
+			return response{}, err
+		}
+		return res, nil
 	}
 	if lastErr == nil {
 		lastErr = ctx.Err()
 	}
 	r.errors.Add(1)
-	return 0, nil, fmt.Errorf("cluster: %s: %w", n.addr, lastErr)
+	return response{}, fmt.Errorf("cluster: %s: %w", n.addr, lastErr)
 }
 
 // acquire pops an idle connection or dials a fresh one.

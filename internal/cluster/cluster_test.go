@@ -195,7 +195,7 @@ func TestEpochPropagation(t *testing.T) {
 	// fill path would.
 	ks := ksItems
 	stamp := invB.StampWith(ks, invB.Epoch(ks))
-	if invalidate.Stale([]invalidate.Stamp{stamp}) {
+	if invalidate.Stale(invalidate.Stamps{}.With(stamp)) {
 		t.Fatal("fresh stamp already stale")
 	}
 
@@ -211,14 +211,14 @@ func TestEpochPropagation(t *testing.T) {
 	}
 
 	// B has heard nothing yet.
-	if invalidate.Stale([]invalidate.Stamp{stamp}) {
+	if invalidate.Stale(invalidate.Stamps{}.With(stamp)) {
 		t.Fatal("B stale before any daemon contact")
 	}
 	// Any contact at all propagates: a plain miss on an unrelated key.
 	if _, ok, err := rB.Get(ctx, tier.KeyOf([]byte("unrelated"))); err != nil || ok {
 		t.Fatalf("B get: ok=%v err=%v", ok, err)
 	}
-	if !invalidate.Stale([]invalidate.Stamp{stamp}) {
+	if !invalidate.Stale(invalidate.Stamps{}.With(stamp)) {
 		t.Fatal("B's stamp still fresh after contacting the daemon")
 	}
 	if got := invB.Epoch(ks); got != 1 {
@@ -332,7 +332,7 @@ func TestDaemonRestart(t *testing.T) {
 	if got := r.restarts.Load(); got != 1 {
 		t.Fatalf("restarts = %d, want 1 (InvalidateAll on the boot change)", got)
 	}
-	if !invalidate.Stale([]invalidate.Stamp{stamp}) {
+	if !invalidate.Stale(invalidate.Stamps{}.With(stamp)) {
 		t.Fatal("pre-restart stamp still fresh after restart detection")
 	}
 	if got, want := mirrorOf(r), dinv2.Snapshot(); !maps.Equal(got, want) {
@@ -590,12 +590,14 @@ func TestDaemonCopiesPutValues(t *testing.T) {
 
 // TestRoundTripAllocs bounds the allocations of one warm round trip,
 // client and daemon together (AllocsPerRun counts the whole process).
-// A hit keeps the client's response payload, which the value aliases,
-// and the rep name; a miss keeps the payload alone; a put encodes its
-// request, and the daemon copies out the rep name, the stamp slice,
-// the stamp's keyspace and the value. Framing, headers and responses
-// allocate nothing on either end. The least of several runs is taken:
-// the race detector's runtime adds allocations now and then.
+// A hit keeps the client's response payload, which the value aliases;
+// its rep name is interned. A miss keeps nothing: its meta-only
+// response is read into the connection's buffer. A put encodes its
+// request, and the daemon copies out the stamp slice, the stamp's
+// keyspace and the value; the rep name is interned there too. Framing,
+// headers and meta-only responses allocate nothing on either end. The
+// least of several runs is taken: the race detector's runtime adds
+// allocations now and then.
 func TestRoundTripAllocs(t *testing.T) {
 	dinv := invalidate.New(nil, nil)
 	_, addr, _ := startDaemon(t, newFakeTier(dinv), dinv)
@@ -632,9 +634,9 @@ func TestRoundTripAllocs(t *testing.T) {
 		f    func()
 		max  float64
 	}{
-		{"get hit", get(hit), 2},
-		{"get miss", get(miss), 1},
-		{"put", put, 6},
+		{"get hit", get(hit), 1},
+		{"get miss", get(miss), 0},
+		{"put", put, 4},
 	} {
 		if got := least(tc.f); got > tc.max {
 			t.Errorf("%s: %v allocs per round trip, want ≤ %v", tc.name, got, tc.max)

@@ -180,30 +180,74 @@ func retain(buf []byte) []byte {
 // allocate more than maxPayload. io.EOF means the stream ended cleanly
 // before a frame began.
 func readFrameInto(br *bufio.Reader, maxPayload int, buf []byte) (Opcode, []byte, error) {
+	op, n, err := readHeader(br, maxPayload)
+	if err != nil {
+		return 0, nil, err
+	}
+	payload, err := readPayload(br, buf, n)
+	if err != nil {
+		return 0, nil, err
+	}
+	return op, payload, nil
+}
+
+// readResponse is readFrameInto for the client side of a connection,
+// which knows from the opcode whether anything will keep the payload.
+// An OpValue payload is read into a slice of its own: the value
+// aliases it, and the L1 keeps that value (rep's DecodeWire). Every
+// other response is decoded and dropped before the connection is
+// released, so it is read into *buf, reused from response to response
+// (and dropped once one large table grows it past maxRetainedBuf).
+func readResponse(br *bufio.Reader, maxPayload int, buf *[]byte) (Opcode, []byte, error) {
+	op, n, err := readHeader(br, maxPayload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if op == OpValue {
+		payload, err := readPayload(br, nil, n)
+		return op, payload, err
+	}
+	payload, err := readPayload(br, *buf, n)
+	if err != nil {
+		return 0, nil, err
+	}
+	*buf = retain(payload)
+	return op, payload, nil
+}
+
+// readHeader reads and validates one frame header from br (see
+// readFrameInto).
+func readHeader(br *bufio.Reader, maxPayload int) (Opcode, int, error) {
 	if maxPayload <= 0 {
 		maxPayload = DefaultMaxPayload
 	}
 	h, err := br.Peek(headerSize)
 	if err != nil {
 		if len(h) > 0 && errors.Is(err, io.EOF) {
-			return 0, nil, fmt.Errorf("%w: header: %d of %d bytes", ErrTruncated, len(h), headerSize)
+			return 0, 0, fmt.Errorf("%w: header: %d of %d bytes", ErrTruncated, len(h), headerSize)
 		}
-		return 0, nil, err
+		return 0, 0, err
 	}
 	op, n, err := parseHeader(h, maxPayload)
 	if err != nil {
-		return 0, nil, err
+		return 0, 0, err
 	}
 	br.Discard(headerSize) // cannot fail: Peek buffered the header
+	return op, n, nil
+}
+
+// readPayload reads an n-byte payload from br into buf, or into a new
+// slice of exactly n bytes when buf is too small.
+func readPayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	if cap(buf) < n {
 		buf = make([]byte, n)
 	}
 	payload := buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, nil, fmt.Errorf("%w: payload: short read", ErrTruncated)
+			return nil, fmt.Errorf("%w: payload: short read", ErrTruncated)
 		}
-		return 0, nil, err
+		return nil, err
 	}
-	return op, payload, nil
+	return payload, nil
 }

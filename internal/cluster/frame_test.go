@@ -183,6 +183,20 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		AppendFrame(nil, OpGet, encodeKey(tier.Key{Lo: 2}))[:12],
 	}, nil))
 
+	// Responses as the client reads them: a value between meta-only
+	// frames, the later one large enough to overwrite the value if the
+	// value aliased the connection's reused buffer.
+	value, err := appendValue(nil, respMeta{bootID: 1, version: 2}, tier.Entry{Rep: "binser", Value: []byte("kept"), TTL: time.Second})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Join([][]byte{
+		AppendFrame(nil, OpMiss, encodeMetaOnly(respMeta{bootID: 1, version: 2})),
+		AppendFrame(nil, OpValue, value),
+		AppendFrame(nil, OpErr, encodeErr(strings.Repeat("e", 64))),
+		AppendFrame(nil, OpOK, encodeMetaOnly(respMeta{bootID: 1, version: 3})),
+	}, nil))
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: hostile bytes. No panics; errors are typed.
 		op, payload, rest, err := DecodeFrame(data, 1<<16)
@@ -201,13 +215,13 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		streamFrames(t, data, 1<<16)
 
 		// The message decoders must be equally total.
-		if _, _, _, err := decodePut(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, _, err := decodePut(data, new(interner)); err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("decodePut: untyped error %v", err)
 		}
 		if _, err := decodeKey(data); err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("decodeKey: untyped error %v", err)
 		}
-		if _, _, err := decodeValue(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeValue(data, new(interner)); err != nil && !errors.Is(err, ErrMalformed) {
 			t.Fatalf("decodeValue: untyped error %v", err)
 		}
 		if _, _, err := decodeTable(data); err != nil && !errors.Is(err, ErrMalformed) {
@@ -236,37 +250,68 @@ func FuzzFrameRoundTrip(f *testing.F) {
 
 // streamFrames reads data as one stream the way the daemon does —
 // through a bufio.Reader, into a payload buffer reused from frame to
-// frame — and requires exactly DecodeFrame's frame sequence, then the
+// frame — and then the way the client does (readResponse), and
+// requires exactly DecodeFrame's frame sequence both times, then the
 // typed error DecodeFrame stops at (io.EOF when the stream ends between
 // frames). No payload buffer may exceed maxPayload.
 func streamFrames(t *testing.T, data []byte, maxPayload int) {
 	t.Helper()
-	br := bufio.NewReader(bytes.NewReader(data))
 	var in []byte
+	streamWith(t, data, maxPayload, "daemon", func(br *bufio.Reader) (Opcode, []byte, error) {
+		op, payload, err := readFrameInto(br, maxPayload, in)
+		in = retain(payload)
+		return op, payload, err
+	})
+	var buf []byte
+	streamWith(t, data, maxPayload, "client", func(br *bufio.Reader) (Opcode, []byte, error) {
+		op, payload, err := readResponse(br, maxPayload, &buf)
+		if err != nil {
+			return op, payload, err
+		}
+		if _, derr := decodeResponse(op, payload, new(interner)); derr != nil && !errors.Is(derr, ErrMalformed) {
+			t.Fatalf("decodeResponse %#x: untyped error %v", byte(op), derr)
+		}
+		if op == OpValue {
+			// The L1 keeps a value's bytes: scribbling over the reused
+			// buffer must not reach them (streamWith compares them with
+			// DecodeFrame's payload after this returns).
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = 0xA5
+			}
+		}
+		return op, payload, nil
+	})
+}
+
+// streamWith reads data as one stream through read, checking each
+// frame against DecodeFrame.
+func streamWith(t *testing.T, data []byte, maxPayload int, side string, read func(*bufio.Reader) (Opcode, []byte, error)) {
+	t.Helper()
+	br := bufio.NewReader(bytes.NewReader(data))
 	for rest, i := data, 0; ; i++ {
 		wantOp, wantPayload, next, wantErr := DecodeFrame(rest, maxPayload)
-		op, payload, err := readFrameInto(br, maxPayload, in)
+		op, payload, err := read(br)
 		if wantErr != nil {
 			if len(rest) == 0 {
 				if err != io.EOF {
-					t.Fatalf("frame %d: stream read at a clean end = %v, want io.EOF", i, err)
+					t.Fatalf("%s frame %d: stream read at a clean end = %v, want io.EOF", side, i, err)
 				}
 				return
 			}
 			for _, sentinel := range []error{ErrTruncated, ErrFrameTooLarge, ErrVersionSkew, ErrUnknownOpcode} {
 				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
-					t.Fatalf("frame %d: stream read error %v, DecodeFrame error %v", i, err, wantErr)
+					t.Fatalf("%s frame %d: stream read error %v, DecodeFrame error %v", side, i, err, wantErr)
 				}
 			}
 			return
 		}
 		if err != nil || op != wantOp || !bytes.Equal(payload, wantPayload) {
-			t.Fatalf("frame %d: stream read %#x %x (err %v), DecodeFrame %#x %x", i, byte(op), payload, err, byte(wantOp), wantPayload)
+			t.Fatalf("%s frame %d: stream read %#x %x (err %v), DecodeFrame %#x %x", side, i, byte(op), payload, err, byte(wantOp), wantPayload)
 		}
 		if cap(payload) > maxPayload {
-			t.Fatalf("frame %d: payload buffer of %d bytes, bound %d", i, cap(payload), maxPayload)
+			t.Fatalf("%s frame %d: payload buffer of %d bytes, bound %d", side, i, cap(payload), maxPayload)
 		}
-		in, rest = retain(payload), next
+		rest = next
 	}
 }
 
@@ -295,7 +340,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bootID, k, got, err := decodePut(p)
+		bootID, k, got, err := decodePut(p, new(interner))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +354,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, got, err := decodePut(p)
+		_, _, got, err := decodePut(p, new(interner))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +370,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gm, ge, err := decodeValue(p)
+		gm, ge, err := decodeValue(p, new(interner))
 		if err != nil || gm != m {
 			t.Fatalf("meta %+v err=%v", gm, err)
 		}
@@ -391,7 +436,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		binary.BigEndian.PutUint16(p[at:], 0xFFFF)
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, _, _, err = decodePut(p)
+		_, _, _, err = decodePut(p, new(interner))
 		runtime.ReadMemStats(&after)
 		if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("65535 stamps in %d bytes: %v", len(p), err)

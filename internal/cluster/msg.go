@@ -3,6 +3,9 @@ package cluster
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/tier"
@@ -117,18 +120,32 @@ func (c *cursor) u64(what string) uint64 {
 	return v
 }
 
-// str reads n bytes as a string (copying out of the frame buffer).
-func (c *cursor) str(n int, what string) string {
+// bytes reads n bytes, aliasing the frame buffer.
+func (c *cursor) bytes(n int, what string) []byte {
 	if c.err != nil {
-		return ""
+		return nil
 	}
 	if len(c.b) < n {
 		c.fail(what)
-		return ""
+		return nil
 	}
-	v := string(c.b[:n])
+	v := c.b[:n:n]
 	c.b = c.b[n:]
 	return v
+}
+
+// str reads n bytes as a string (copying out of the frame buffer).
+func (c *cursor) str(n int, what string) string {
+	return string(c.bytes(n, what))
+}
+
+// repName reads a u8-prefixed representation name through reps.
+func (c *cursor) repName(reps *interner) string {
+	b := c.bytes(int(c.u8("rep length")), "rep name")
+	if c.err != nil {
+		return ""
+	}
+	return reps.intern(b)
 }
 
 // rest consumes the remaining bytes (the trailing value field).
@@ -150,6 +167,62 @@ func (c *cursor) done() error {
 		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(c.b))
 	}
 	return nil
+}
+
+// maxInterned bounds an interner. Representation names come from a
+// closed registry — a handful of them — so an honest peer never gets
+// near the bound; it only stops a hostile one from growing the table.
+const maxInterned = 64
+
+// interner hands out one shared string per distinct representation
+// name a frame carries, so decoding a value or a put copies no name
+// out of the frame. Lookups read a copy-on-write map without locking;
+// the first sighting of a name, while the table is under maxInterned,
+// publishes a new map with it. A name past the bound is copied, as if
+// there were no table. The zero value is ready to use.
+type interner struct {
+	names atomic.Pointer[map[string]string]
+
+	mu sync.Mutex // serializes publishers
+}
+
+// intern returns b as a string, shared with earlier calls for the
+// same bytes while the table has room.
+func (in *interner) intern(b []byte) string {
+	var cur map[string]string
+	if p := in.names.Load(); p != nil {
+		cur = *p
+		if s, ok := cur[string(b)]; ok {
+			return s
+		}
+	}
+	s := string(b)
+	if len(cur) >= maxInterned {
+		return s
+	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if p := in.names.Load(); p != nil {
+		cur = *p
+	}
+	if t, ok := cur[s]; ok {
+		return t
+	}
+	if len(cur) < maxInterned {
+		next := make(map[string]string, len(cur)+1)
+		maps.Copy(next, cur)
+		next[s] = s
+		in.names.Store(&next)
+	}
+	return s
+}
+
+// len returns the number of interned names.
+func (in *interner) len() int {
+	if p := in.names.Load(); p != nil {
+		return len(*p)
+	}
+	return 0
 }
 
 func (c *cursor) meta() respMeta {
@@ -217,15 +290,15 @@ func encodePut(bootID uint64, key tier.Key, e tier.Entry) ([]byte, error) {
 }
 
 // decodePut decodes a put request into an entry the caller may keep:
-// every field is copied out of payload — the value at exactly its
-// length — so the daemon's read buffer can be reused for the next
-// request.
-func decodePut(payload []byte) (uint64, tier.Key, tier.Entry, error) {
+// nothing aliases payload — the rep name comes from reps, every other
+// field is copied out, the value at exactly its length — so the
+// daemon's read buffer can be reused for the next request.
+func decodePut(payload []byte, reps *interner) (uint64, tier.Key, tier.Entry, error) {
 	c := cursor{b: payload}
 	bootID := c.u64("boot id")
 	k := tier.Key{Hi: c.u64("key hi"), Lo: c.u64("key lo")}
 	e := tier.Entry{TTL: time.Duration(c.u64("ttl"))}
-	e.Rep = c.str(int(c.u8("rep length")), "rep name")
+	e.Rep = c.repName(reps)
 	n := int(c.u16("stamp count"))
 	// Each stamp is at least 10 bytes; a count the payload cannot hold
 	// is refused before it sizes the slice.
@@ -260,11 +333,13 @@ func appendValue(dst []byte, m respMeta, e tier.Entry) ([]byte, error) {
 	return append(dst, e.Value...), nil
 }
 
-func decodeValue(payload []byte) (respMeta, tier.Entry, error) {
+// decodeValue decodes a value response. The entry's value aliases
+// payload; its rep name comes from reps.
+func decodeValue(payload []byte, reps *interner) (respMeta, tier.Entry, error) {
 	c := cursor{b: payload}
 	m := c.meta()
 	e := tier.Entry{TTL: time.Duration(c.u64("ttl"))}
-	e.Rep = c.str(int(c.u8("rep length")), "rep name")
+	e.Rep = c.repName(reps)
 	e.Value = c.rest()
 	if c.err != nil {
 		return respMeta{}, tier.Entry{}, c.err
@@ -393,4 +468,41 @@ func decodeErr(payload []byte) (string, error) {
 	c := cursor{b: payload}
 	msg := c.str(int(c.u16("message length")), "message")
 	return msg, c.done()
+}
+
+// --- responses, as the client reads them ---------------------------
+
+// response is one daemon response, decoded while the connection that
+// carried it is still held: every frame but OpValue is read into the
+// connection's reused buffer (readResponse), so nothing here aliases
+// frame bytes except entry.Value, and that only for an OpValue frame,
+// whose payload is a slice of its own.
+type response struct {
+	op    Opcode
+	meta  respMeta          // OpValue, OpMiss, OpOK, OpTable
+	entry tier.Entry        // OpValue
+	table map[string]uint64 // OpTable
+	msg   string            // OpErr
+}
+
+// decodeResponse decodes a response frame by its opcode. A request
+// opcode, which no daemon sends, is returned undecoded for the caller
+// to refuse.
+func decodeResponse(op Opcode, payload []byte, reps *interner) (response, error) {
+	res := response{op: op}
+	var err error
+	switch op {
+	case OpValue:
+		res.meta, res.entry, err = decodeValue(payload, reps)
+	case OpMiss, OpOK:
+		res.meta, err = decodeMetaOnly(payload)
+	case OpTable:
+		res.meta, res.table, err = decodeTable(payload)
+	case OpErr:
+		res.msg, err = decodeErr(payload)
+	}
+	if err != nil {
+		return response{}, err
+	}
+	return res, nil
 }

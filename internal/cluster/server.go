@@ -44,6 +44,10 @@ type Server struct {
 	closed bool
 	wg     sync.WaitGroup
 
+	// reps interns the rep names of put requests, which the tier keeps
+	// with each entry.
+	reps interner
+
 	requests   *obs.Counter
 	errors     *obs.Counter
 	staleBoots *obs.Counter
@@ -237,7 +241,7 @@ func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []by
 		return OpValue, b, err
 
 	case OpPut:
-		bootID, key, e, err := decodePut(payload)
+		bootID, key, e, err := decodePut(payload, &s.reps)
 		if err != nil {
 			return 0, b, err
 		}

@@ -707,7 +707,7 @@ func (c *Cache) lookup(d engine.Key) (any, bool) {
 // fill stores a completed invocation's response. stamps are the
 // dependency epochs snapshotted before the backend read (nil when no
 // invalidator is configured or the operation declares no read set).
-func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, stamps []invalidate.Stamp) {
+func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, stamps invalidate.Stamps) {
 	store := c.store
 	if op.Store != nil {
 		store = op.Store

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/invalidate"
-	"repro/internal/soap"
 )
 
 // The invalidation benchmarks price the epoch check on the hit path:
@@ -19,15 +18,10 @@ import (
 // one shared — so every cached entry carries two stamps, matching the
 // item-store shape (item:<key> plus the listing keyspace).
 func benchInvalidator() *invalidate.Invalidator {
+	set := []invalidate.Set{invalidate.Param(itemPrefix, "q", 1), invalidate.Fixed(ksItems)}
 	g := invalidate.NewGraph().
-		Read(opGet, func(params []soap.Param) []invalidate.Keyspace {
-			q, _ := params[1].Value.(string)
-			return []invalidate.Keyspace{invalidate.Keyspace(itemPrefix + q), ksItems}
-		}).
-		Write(opPut, func(params []soap.Param) []invalidate.Keyspace {
-			q, _ := params[1].Value.(string)
-			return []invalidate.Keyspace{invalidate.Keyspace(itemPrefix + q), ksItems}
-		})
+		Read(opGet, set...).
+		Write(opPut, set...)
 	return invalidate.New(g, nil)
 }
 

@@ -15,11 +15,11 @@ import (
 // after the write-through call, and treat any entry whose stamps have
 // been overtaken as if it did not exist.
 
-// readStamps snapshots the invocation's read-set epochs; nil when no
+// readStamps snapshots the invocation's read-set epochs; empty when no
 // invalidator is configured or the operation declares no read set.
-func (c *Cache) readStamps(ictx *client.Context) []invalidate.Stamp {
+func (c *Cache) readStamps(ictx *client.Context) invalidate.Stamps {
 	if c.inval == nil {
-		return nil
+		return invalidate.Stamps{}
 	}
 	return c.inval.ReadStamps(ictx.Operation, ictx.Params)
 }

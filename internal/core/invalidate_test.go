@@ -33,19 +33,10 @@ const (
 // testGraph declares opGet reading and opPut writing the per-item
 // keyspace named by the q parameter.
 func testGraph() *invalidate.Graph {
-	ksOf := func(params []soap.Param) []invalidate.Keyspace {
-		for _, p := range params {
-			if p.Name == "q" {
-				if s, ok := p.Value.(string); ok {
-					return []invalidate.Keyspace{invalidate.Keyspace(itemPrefix + s)}
-				}
-			}
-		}
-		return nil
-	}
+	item := invalidate.Param(itemPrefix, "q", -1)
 	g := invalidate.NewGraph()
-	g.Read(opGet, ksOf)
-	g.Write(opPut, ksOf)
+	g.Read(opGet, item)
+	g.Write(opPut, item)
 	return g
 }
 

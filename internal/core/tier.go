@@ -95,25 +95,19 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 }
 
 // tierStamps snapshots, per configured tier, the epochs that tier is
-// believed to hold for the invocation's read set. Like readStamps it
-// MUST run before the backend read: the snapshot is what makes a fill
-// racing a concurrent write refusable at the daemon.
+// believed to hold for the invocation's read set; nil when the
+// operation declares none. Like readStamps it MUST run before the
+// backend read: the snapshot is what makes a fill racing a concurrent
+// write refusable at the daemon.
 func (c *Cache) tierStamps(tk tier.Key, ictx *client.Context) [][]tier.Stamp {
-	if len(c.tiers) == 0 {
+	if c.inval == nil {
+		return nil
+	}
+	names := c.inval.ReadSet(ictx.Operation, ictx.Params)
+	if len(names) == 0 {
 		return nil
 	}
 	out := make([][]tier.Stamp, len(c.tiers))
-	if c.inval == nil {
-		return out
-	}
-	set := c.inval.ReadSet(ictx.Operation, ictx.Params)
-	if len(set) == 0 {
-		return out
-	}
-	names := make([]string, len(set))
-	for i, ks := range set {
-		names[i] = string(ks)
-	}
 	for i, t := range c.tiers {
 		out[i] = t.PutStamps(tk, names)
 	}

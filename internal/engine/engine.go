@@ -128,7 +128,7 @@ type Item[V any] struct {
 	// matches its live epoch means a declared write landed after the
 	// snapshot: the entry is write-invalidated and no lookup mode ever
 	// returns it. Empty for entries with no declared dependencies.
-	Stamps []invalidate.Stamp
+	Stamps invalidate.Stamps
 }
 
 // entry is one resident Item, a node in its shard's LRU list.
@@ -139,7 +139,7 @@ type entry[V any] struct {
 	expires      time.Time // zero means never
 	ttl          time.Duration
 	lastModified time.Time
-	stamps       []invalidate.Stamp
+	stamps       invalidate.Stamps
 
 	prev, next *entry[V]
 }

@@ -154,7 +154,7 @@ func TestLadder(t *testing.T) {
 			run: func(e *Engine[string], _ *fakeClock, inv *invalidate.Invalidator) {
 				e.Insert(key(0), Item[string]{
 					Value: "v", Size: 1, TTL: ttl, LastModified: lastMod,
-					Stamps: []invalidate.Stamp{inv.StampWith(ksDep, inv.Epoch(ksDep))},
+					Stamps: invalidate.Stamps{}.With(inv.StampWith(ksDep, inv.Epoch(ksDep))),
 				})
 				inv.Bump(ksDep)
 			},
@@ -166,7 +166,7 @@ func TestLadder(t *testing.T) {
 			run: func(e *Engine[string], _ *fakeClock, inv *invalidate.Invalidator) {
 				e.Insert(key(0), Item[string]{
 					Value: "v", Size: 1,
-					Stamps: []invalidate.Stamp{inv.StampWith(ksDep, inv.Epoch(ksDep))},
+					Stamps: invalidate.Stamps{}.With(inv.StampWith(ksDep, inv.Epoch(ksDep))),
 				})
 				inv.Bump(ksOther)
 			},
@@ -290,7 +290,7 @@ func TestDegradedModesRefuseInvalidated(t *testing.T) {
 		e := New[string](Config{Clock: clk.Now, RetainValidated: true, StaleWindow: time.Hour}, m)
 		e.Insert(key(0), Item[string]{
 			Value: "v", Size: 1, TTL: time.Minute, LastModified: time.Unix(500, 0),
-			Stamps: []invalidate.Stamp{inv.StampWith(ksDep, inv.Epoch(ksDep))},
+			Stamps: invalidate.Stamps{}.With(inv.StampWith(ksDep, inv.Epoch(ksDep))),
 		})
 		clk.Advance(2 * time.Minute)
 		inv.Bump(ksDep)
@@ -333,8 +333,8 @@ func TestSweep(t *testing.T) {
 	inv := invalidate.New(nil, nil)
 	m := counted()
 	e := New[string](Config{Clock: clk.Now, RetainValidated: true, StaleWindow: time.Hour}, m)
-	stamp := func() []invalidate.Stamp {
-		return []invalidate.Stamp{inv.StampWith(ksDep, inv.Epoch(ksDep))}
+	stamp := func() invalidate.Stamps {
+		return invalidate.Stamps{}.With(inv.StampWith(ksDep, inv.Epoch(ksDep)))
 	}
 	e.Insert(key(0), Item[string]{Value: "fresh", Size: 1, TTL: 10 * time.Hour})
 	e.Insert(key(1), Item[string]{Value: "in window", Size: 1, TTL: 30 * time.Minute})
@@ -598,7 +598,7 @@ func TestConcurrentStress(t *testing.T) {
 					e.Insert(k, Item[int]{
 						Value: n, Size: 1 + n%8, TTL: time.Duration(1+n%3) * time.Millisecond,
 						LastModified: time.Unix(int64(n), 0),
-						Stamps:       []invalidate.Stamp{inv.StampWith(ksDep, inv.Epoch(ksDep))},
+						Stamps:       invalidate.Stamps{}.With(inv.StampWith(ksDep, inv.Epoch(ksDep))),
 					})
 					e.Land(k, f)
 				}

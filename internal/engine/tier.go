@@ -103,11 +103,10 @@ func (t *Tier) PutStamps(_ tier.Key, keyspaces []string) []tier.Stamp {
 // and filtered later, so a daemon restart or slow client can never
 // park a stale value where the whole fleet would find it.
 func (t *Tier) Put(_ context.Context, k tier.Key, te tier.Entry) error {
-	var stamps []invalidate.Stamp
+	var stamps invalidate.Stamps
 	if t.inv != nil && len(te.Stamps) > 0 {
-		stamps = make([]invalidate.Stamp, len(te.Stamps))
-		for i, s := range te.Stamps {
-			stamps[i] = t.inv.StampWith(invalidate.Keyspace(s.Keyspace), s.Epoch)
+		for _, s := range te.Stamps {
+			stamps = stamps.With(t.inv.StampWith(invalidate.Keyspace(s.Keyspace), s.Epoch))
 		}
 		if invalidate.Stale(stamps) {
 			t.refused.Add(1)

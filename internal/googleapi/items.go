@@ -105,19 +105,11 @@ func (s *ItemStore) Register(d *server.Dispatcher) {
 // a put must invalidate the cached value of that item and any cached
 // listing that may or may not include it.
 func ItemGraph() *invalidate.Graph {
-	itemOf := func(params []soap.Param) []invalidate.Keyspace {
-		key, err := stringParam(params, "key", 1)
-		if err != nil {
-			return nil
-		}
-		return []invalidate.Keyspace{invalidate.Keyspace(ItemKeyspacePrefix + key)}
-	}
+	item := invalidate.Param(ItemKeyspacePrefix, "key", 1)
 	return invalidate.NewGraph().
-		Read(OpGetItem, itemOf).
+		Read(OpGetItem, item).
 		Read(OpListItems, invalidate.Fixed(KeyspaceAllItems)).
-		Write(OpPutItem, func(params []soap.Param) []invalidate.Keyspace {
-			return append(itemOf(params), KeyspaceAllItems)
-		})
+		Write(OpPutItem, item, invalidate.Fixed(KeyspaceAllItems))
 }
 
 // GetItemParams builds the doGetItem parameter list.

@@ -67,7 +67,7 @@ func TestItemGraphDeclarations(t *testing.T) {
 	getA := inv.ReadStamps(OpGetItem, GetItemParams("a"))
 	getB := inv.ReadStamps(OpGetItem, GetItemParams("b"))
 	list := inv.ReadStamps(OpListItems, nil)
-	if len(getA) == 0 || len(list) == 0 {
+	if getA.Len() == 0 || list.Len() == 0 {
 		t.Fatal("read operations produced no stamps")
 	}
 	inv.CommitWrite(OpPutItem, PutItemParams("a", "v9"))

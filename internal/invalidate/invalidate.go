@@ -46,16 +46,86 @@ import (
 // depend on several keyspaces at different granularities.
 type Keyspace string
 
-// SetFunc resolves one invocation's parameters to the keyspaces it
-// touches. Implementations must be pure and safe for concurrent use:
-// they run on the request path, once per miss (reads) or write-through
-// call (writes).
-type SetFunc func(params []soap.Param) []Keyspace
+// Set declares the keyspaces an operation touches, as data: each member
+// is either a fixed name (Fixed) or a constant prefix followed by the
+// value of one string parameter (Param). Resolving a set runs on the
+// request path, once per miss (reads) or write-through call (writes);
+// because a set is data, the read side resolves it without allocating
+// (ReadStamps).
+type Set []member
 
-// Fixed returns a SetFunc naming the same keyspaces regardless of
+// member is one declared keyspace: prefix alone when param is "", else
+// prefix followed by the string value of the parameter named param,
+// or, when no parameter has that name, of the one at position pos.
+type member struct {
+	prefix Keyspace
+	param  string
+	pos    int
+}
+
+// Fixed returns a set naming the same keyspaces regardless of
 // parameters — the coarse whole-resource dependency.
-func Fixed(ks ...Keyspace) SetFunc {
-	return func([]soap.Param) []Keyspace { return ks }
+func Fixed(ks ...Keyspace) Set {
+	s := make(Set, len(ks))
+	for i, k := range ks {
+		s[i] = member{prefix: k}
+	}
+	return s
+}
+
+// Param returns a set of one keyspace per invocation: prefix followed
+// by the value of the string parameter named name, or, when no
+// parameter has that name, of the one at position pos — the lookup the
+// SOAP dispatcher itself applies; a negative pos looks by name alone.
+// An invocation whose parameter is absent or not a string has no
+// keyspace from this member.
+func Param(prefix Keyspace, name string, pos int) Set {
+	return Set{{prefix: prefix, param: name, pos: pos}}
+}
+
+// appendName appends m's keyspace name for params to dst, in its
+// bounded form (see maxKeyspaceName); ok is false when m's parameter is
+// absent or not a string.
+func (m member) appendName(dst []byte, params []soap.Param) (_ []byte, ok bool) {
+	dst = append(dst, m.prefix...)
+	if m.param != "" {
+		v, ok := paramValue(params, m.param, m.pos)
+		if !ok {
+			return dst, false
+		}
+		dst = append(dst, v...)
+	}
+	if len(dst) > maxKeyspaceName {
+		dst = append(dst[:0], boundName(Keyspace(dst))...)
+	}
+	return dst, true
+}
+
+// paramValue returns the string value of the parameter named name,
+// else of the one at position pos.
+func paramValue(params []soap.Param, name string, pos int) (string, bool) {
+	for _, p := range params {
+		if p.Name == name {
+			s, ok := p.Value.(string)
+			return s, ok
+		}
+	}
+	if pos >= 0 && pos < len(params) {
+		s, ok := params[pos].Value.(string)
+		return s, ok
+	}
+	return "", false
+}
+
+// appendNames appends the names s resolves to for params.
+func appendNames[T ~string](dst []T, s Set, params []soap.Param) []T {
+	var buf [maxKeyspaceName]byte
+	for _, m := range s {
+		if name, ok := m.appendName(buf[:0], params); ok {
+			dst = append(dst, T(name))
+		}
+	}
+	return dst
 }
 
 // Graph holds the declared read and write sets of an operation
@@ -63,57 +133,62 @@ func Fixed(ks ...Keyspace) SetFunc {
 // nevertheless safe to add at run time.
 type Graph struct {
 	mu     sync.RWMutex
-	reads  map[string]SetFunc
-	writes map[string]SetFunc
+	reads  map[string]Set
+	writes map[string]Set
 }
 
 // NewGraph returns an empty invalidation graph.
 func NewGraph() *Graph {
 	return &Graph{
-		reads:  make(map[string]SetFunc),
-		writes: make(map[string]SetFunc),
+		reads:  make(map[string]Set),
+		writes: make(map[string]Set),
 	}
 }
 
-// Read declares the keyspaces operation op reads. Entries cached for op
-// are stamped with these keyspaces' epochs and invalidated when any of
-// them is written.
-func (g *Graph) Read(op string, f SetFunc) *Graph {
+// Read declares the keyspaces operation op reads, the union of sets.
+// Entries cached for op are stamped with these keyspaces' epochs and
+// invalidated when any of them is written.
+func (g *Graph) Read(op string, sets ...Set) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.reads[op] = f
+	g.reads[op] = union(sets)
 	return g
 }
 
-// Write declares the keyspaces operation op writes. A successful (or
-// unknown-outcome) invocation of op bumps their epochs.
-func (g *Graph) Write(op string, f SetFunc) *Graph {
+// Write declares the keyspaces operation op writes, the union of sets.
+// A successful (or unknown-outcome) invocation of op bumps their
+// epochs.
+func (g *Graph) Write(op string, sets ...Set) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.writes[op] = f
+	g.writes[op] = union(sets)
 	return g
 }
 
-// readSet resolves op's read keyspaces, nil when undeclared.
-func (g *Graph) readSet(op string, params []soap.Param) []Keyspace {
+func union(sets []Set) Set {
+	var u Set
+	for _, s := range sets {
+		u = append(u, s...)
+	}
+	return u
+}
+
+// readSet returns op's declared read set, nil when undeclared.
+func (g *Graph) readSet(op string) Set {
 	g.mu.RLock()
-	f := g.reads[op]
-	g.mu.RUnlock()
-	if f == nil {
-		return nil
-	}
-	return bounded(f(params))
+	defer g.mu.RUnlock()
+	return g.reads[op]
 }
 
 // writeSet resolves op's write keyspaces, nil when undeclared.
 func (g *Graph) writeSet(op string, params []soap.Param) []Keyspace {
 	g.mu.RLock()
-	f := g.writes[op]
+	s := g.writes[op]
 	g.mu.RUnlock()
-	if f == nil {
+	if len(s) == 0 {
 		return nil
 	}
-	return bounded(f(params))
+	return appendNames[Keyspace](nil, s, params)
 }
 
 // maxKeyspaceName bounds the keyspace names the graph hands out. The
@@ -125,22 +200,6 @@ func (g *Graph) writeSet(op string, params []soap.Param) []Keyspace {
 // in all. Names that collide share one epoch: that invalidates more,
 // never less.
 const maxKeyspaceName = 256
-
-// bounded returns ks with every name over maxKeyspaceName replaced by
-// its bounded form; ks itself when none is, as the SetFunc may share
-// it between calls.
-func bounded(ks []Keyspace) []Keyspace {
-	for i, k := range ks {
-		if len(k) > maxKeyspaceName {
-			out := append([]Keyspace(nil), ks...)
-			for j := i; j < len(out); j++ {
-				out[j] = boundName(out[j])
-			}
-			return out
-		}
-	}
-	return ks
-}
 
 // boundName returns k's bounded form.
 func boundName(k Keyspace) Keyspace {
@@ -158,14 +217,14 @@ func boundName(k Keyspace) Keyspace {
 func (g *Graph) Declared(op string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.reads[op] != nil || g.writes[op] != nil
+	return len(g.reads[op]) > 0 || len(g.writes[op]) > 0
 }
 
 // WritesDeclared reports whether op has a declared write set.
 func (g *Graph) WritesDeclared(op string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return g.writes[op] != nil
+	return len(g.writes[op]) > 0
 }
 
 // epoch is one keyspace's version cell. Cells are created on first
@@ -193,20 +252,55 @@ type change struct {
 }
 
 // Stamp records the value one epoch cell had when an entry was filled.
-// The zero Stamp is invalid; stamps are only produced by ReadStamps.
+// The zero Stamp is invalid; stamps are only produced by ReadStamps and
+// StampWith.
 type Stamp struct {
 	cell *epoch
 	seen uint64
 }
 
+// Stamps is an entry's read-set snapshot: the first stamp inline and
+// each further one in a node of its own, 24 bytes in all, like the
+// slice header it replaces. A read set of one keyspace, the common
+// per-item dependency, is snapshotted without allocating. The zero
+// value is the empty set: an entry with no declared dependencies.
+type Stamps struct {
+	first Stamp
+	rest  *Stamps
+}
+
+// With returns s plus st.
+func (s Stamps) With(st Stamp) Stamps {
+	if s.first.cell == nil {
+		return Stamps{first: st}
+	}
+	rest := s // declared here, so only this branch allocates
+	return Stamps{first: st, rest: &rest}
+}
+
+// Len returns the number of stamps in s.
+func (s Stamps) Len() int {
+	if s.first.cell == nil {
+		return 0
+	}
+	n := 1
+	for r := s.rest; r != nil; r = r.rest {
+		n++
+	}
+	return n
+}
+
 // Stale reports whether any stamped epoch has advanced past its
 // recorded value — the entry depends on a keyspace that has been
-// written since the fill. A nil or empty stamp slice is never stale
-// (the entry has no declared dependencies). The check is a handful of
-// atomic loads, cheap enough for the hit path.
-func Stale(stamps []Stamp) bool {
-	for i := range stamps {
-		if stamps[i].cell.v.Load() != stamps[i].seen {
+// written since the fill. An empty set is never stale (the entry has
+// no declared dependencies). The check is a handful of atomic loads,
+// cheap enough for the hit path.
+func Stale(s Stamps) bool {
+	if s.first.cell == nil {
+		return false
+	}
+	for p := &s; p != nil; p = p.rest {
+		if p.first.cell.v.Load() != p.first.seen {
 			return true
 		}
 	}
@@ -293,30 +387,51 @@ func (inv *Invalidator) cell(ks Keyspace) *epoch {
 	if c != nil {
 		return c
 	}
+	return inv.newCell(ks)
+}
+
+// cellOf is cell for a name built in a caller's buffer: the lookup of
+// an existing cell allocates nothing, and a new cell copies the name.
+func (inv *Invalidator) cellOf(name []byte) *epoch {
+	inv.cellsMu.RLock()
+	c := inv.cells[Keyspace(name)]
+	inv.cellsMu.RUnlock()
+	if c != nil {
+		return c
+	}
+	return inv.newCell(Keyspace(name))
+}
+
+// newCell returns ks's cell, creating it unless a racing caller did.
+func (inv *Invalidator) newCell(ks Keyspace) *epoch {
 	inv.cellsMu.Lock()
 	defer inv.cellsMu.Unlock()
-	if c = inv.cells[ks]; c == nil {
+	c := inv.cells[ks]
+	if c == nil {
 		c = &epoch{}
 		inv.cells[ks] = c
 	}
 	return c
 }
 
-// ReadStamps snapshots the current epochs of op's read keyspaces, nil
-// when op declares none. The caller must take the snapshot BEFORE
-// issuing the backend read it will cache (see the package ordering
-// guarantee) and attach the stamps to the filled entry.
-func (inv *Invalidator) ReadStamps(op string, params []soap.Param) []Stamp {
-	ks := inv.graph.readSet(op, params)
-	if len(ks) == 0 {
-		return nil
+// ReadStamps snapshots the current epochs of op's read keyspaces, the
+// empty set when op declares none. The caller must take the snapshot
+// BEFORE issuing the backend read it will cache (see the package
+// ordering guarantee) and attach the stamps to the filled entry. Each
+// name is built in a buffer on the stack, so a one-keyspace read set
+// whose cell exists allocates nothing.
+func (inv *Invalidator) ReadStamps(op string, params []soap.Param) Stamps {
+	var st Stamps
+	var buf [maxKeyspaceName]byte
+	for _, m := range inv.graph.readSet(op) {
+		name, ok := m.appendName(buf[:0], params)
+		if !ok {
+			continue
+		}
+		c := inv.cellOf(name)
+		st = st.With(Stamp{cell: c, seen: c.v.Load()})
 	}
-	stamps := make([]Stamp, len(ks))
-	for i, k := range ks {
-		c := inv.cell(k)
-		stamps[i] = Stamp{cell: c, seen: c.v.Load()}
-	}
-	return stamps
+	return st
 }
 
 // WritesDeclared reports whether op has a declared write set — the
@@ -485,8 +600,12 @@ func (inv *Invalidator) Since(v uint64, fn func(ks Keyspace, epoch uint64)) (now
 // ReadSet resolves op's declared read keyspaces for these parameters,
 // nil when undeclared — the names a tier fill attaches to the entry so
 // a remote tier can stamp it against its own epoch table.
-func (inv *Invalidator) ReadSet(op string, params []soap.Param) []Keyspace {
-	return inv.graph.readSet(op, params)
+func (inv *Invalidator) ReadSet(op string, params []soap.Param) []string {
+	s := inv.graph.readSet(op)
+	if len(s) == 0 {
+		return nil
+	}
+	return appendNames[string](nil, s, params)
 }
 
 // StampWith returns a stamp binding ks's cell (creating it if needed)

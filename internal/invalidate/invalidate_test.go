@@ -31,27 +31,10 @@ const (
 // opPutItem writes that item plus the coarse all-items family that
 // opListItems reads.
 func itemGraph() *Graph {
-	itemOf := func(params []soap.Param) []Keyspace {
-		for _, p := range params {
-			if p.Name == "key" {
-				return []Keyspace{Keyspace(itemPrefix + p.Value.(string)), ksItems}
-			}
-		}
-		return []Keyspace{ksItems}
-	}
-	readOf := func(params []soap.Param) []Keyspace {
-		for _, p := range params {
-			if p.Name == "key" {
-				return []Keyspace{Keyspace(itemPrefix + p.Value.(string))}
-			}
-		}
-		return nil
-	}
-	g := NewGraph()
-	g.Read(opGetItem, readOf)
-	g.Read(opListItems, Fixed(ksItems))
-	g.Write(opPutItem, itemOf)
-	return g
+	return NewGraph().
+		Read(opGetItem, Param(itemPrefix, "key", 0)).
+		Read(opListItems, Fixed(ksItems)).
+		Write(opPutItem, Param(itemPrefix, "key", 0), Fixed(ksItems))
 }
 
 func params(key string) []soap.Param {
@@ -64,8 +47,8 @@ func TestStampsInvalidatedByDeclaredWrite(t *testing.T) {
 	a := inv.ReadStamps(opGetItem, params("a"))
 	b := inv.ReadStamps(opGetItem, params("b"))
 	list := inv.ReadStamps(opListItems, nil)
-	if len(a) != 1 || len(b) != 1 || len(list) != 1 {
-		t.Fatalf("stamp lengths = %d,%d,%d, want 1,1,1", len(a), len(b), len(list))
+	if a.Len() != 1 || b.Len() != 1 || list.Len() != 1 {
+		t.Fatalf("stamp lengths = %d,%d,%d, want 1,1,1", a.Len(), b.Len(), list.Len())
 	}
 	if Stale(a) || Stale(b) || Stale(list) {
 		t.Fatal("fresh stamps report stale")
@@ -92,7 +75,7 @@ func TestStampsInvalidatedByDeclaredWrite(t *testing.T) {
 
 func TestUndeclaredOperationsHaveNoStamps(t *testing.T) {
 	inv := New(itemGraph(), nil)
-	if s := inv.ReadStamps("doGoogleSearch", nil); s != nil {
+	if s := inv.ReadStamps("doGoogleSearch", nil); s.Len() != 0 {
 		t.Fatalf("undeclared op produced stamps: %v", s)
 	}
 	if n := inv.CommitWrite("doGoogleSearch", nil); n != 0 {
@@ -104,8 +87,8 @@ func TestUndeclaredOperationsHaveNoStamps(t *testing.T) {
 	if !inv.WritesDeclared(opPutItem) {
 		t.Error("WritesDeclared false for declared op")
 	}
-	if Stale(nil) {
-		t.Error("nil stamps report stale")
+	if Stale(Stamps{}) {
+		t.Error("empty stamps report stale")
 	}
 }
 
@@ -228,7 +211,7 @@ func TestConcurrentFirstTouchSharesOneCell(t *testing.T) {
 	}
 	for g := range stamps {
 		for k, s := range stamps[g] {
-			if !Stale([]Stamp{s}) {
+			if !Stale(Stamps{}.With(s)) {
 				t.Fatalf("goroutine %d's stamp on ks%d missed the bump: bound to a cell not in the table", g, k)
 			}
 		}
@@ -238,42 +221,63 @@ func TestConcurrentFirstTouchSharesOneCell(t *testing.T) {
 // TestGraphBoundsLongKeyspaceNames: a name over maxKeyspaceName leaves
 // the graph as its prefix plus a digest of the whole name, the same in
 // every call and every process, distinct for names that differ only
-// past the prefix; short names, and the SetFunc's own slice, are left
-// as they are.
+// past the prefix, and the same for stamps, bumps and tier read sets;
+// short names are left as they are.
 func TestGraphBoundsLongKeyspaceNames(t *testing.T) {
-	long := Keyspace(itemPrefix + strings.Repeat("x", 1000))
-	longer := Keyspace(itemPrefix + strings.Repeat("x", 1001))
-	shared := []Keyspace{ksItems, long}
-	g := NewGraph().
-		Read(opGetItem, func(p []soap.Param) []Keyspace {
-			if p[0].Value == "longer" {
-				return []Keyspace{longer}
-			}
-			return shared
-		})
-	a := g.readSet(opGetItem, []soap.Param{{Value: "long"}})
-	b := g.readSet(opGetItem, []soap.Param{{Value: "long"}})
-	c := g.readSet(opGetItem, []soap.Param{{Value: "longer"}})
-	if a[0] != ksItems || len(a[1]) != maxKeyspaceName || a[1] != b[1] {
+	long := strings.Repeat("x", 1000)
+	inv := New(NewGraph().
+		Read(opGetItem, Fixed(ksItems), Param(itemPrefix, "key", 0)).
+		Write(opPutItem, Param(itemPrefix, "key", 0)), nil)
+	a := inv.ReadSet(opGetItem, params(long))
+	b := inv.ReadSet(opGetItem, params(long))
+	c := inv.ReadSet(opGetItem, params(long+"x"))
+	if a[0] != string(ksItems) || len(a[1]) != maxKeyspaceName || a[1] != b[1] {
 		t.Fatalf("bounded set %q / %q", a, b)
 	}
-	if !strings.HasPrefix(string(a[1]), string(long[:maxKeyspaceName-33])+"#") {
+	if !strings.HasPrefix(a[1], (itemPrefix + long)[:maxKeyspaceName-33]+"#") {
 		t.Errorf("bounded name %q does not keep the prefix", a[1])
 	}
-	if c[0] == a[1] || len(c[0]) != maxKeyspaceName {
-		t.Errorf("names differing past the prefix bound to %q and %q", a[1], c[0])
+	if c[1] == a[1] || len(c[1]) != maxKeyspaceName {
+		t.Errorf("names differing past the prefix bound to %q and %q", a[1], c[1])
 	}
-	if shared[1] != long {
-		t.Error("bounding rewrote the SetFunc's own slice")
+	st := inv.ReadStamps(opGetItem, params(long))
+	inv.CommitWrite(opPutItem, params(long))
+	if !Stale(st) || inv.Epoch(Keyspace(a[1])) != 1 {
+		t.Errorf("a write to the long key did not reach the stamp under %q", a[1])
 	}
 	// The digest is FNV-1a 128 of the whole name, a fixed function: the
 	// bounded form of a given name is a constant across processes.
 	if got, want := string(boundName(Keyspace(strings.Repeat("k", 300)))), "#686b9a0ee396879021966744d53ec509"; !strings.HasSuffix(got, want) {
 		t.Errorf("bounded form %q, want the suffix %q", got, want)
 	}
-	short := []Keyspace{ksItems}
-	g.Read(opListItems, func([]soap.Param) []Keyspace { return short })
-	if got := g.readSet(opListItems, nil); &got[0] != &short[0] {
-		t.Error("a set with no long name was copied")
+}
+
+// TestReadStampsAllocs: snapshotting a one-keyspace read set whose cell
+// exists allocates nothing — the name is built on the stack and the
+// stamp sits inline in Stamps — and each further keyspace costs one
+// node.
+func TestReadStampsAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	inv := New(NewGraph().
+		Read(opGetItem, Param(itemPrefix, "key", 0)).
+		Read(opListItems, Param(itemPrefix, "key", 0), Fixed(ksItems)), nil)
+	p := params("x")
+	inv.ReadStamps(opListItems, p) // first touch creates both cells
+	for _, tc := range []struct {
+		op   string
+		want float64
+	}{
+		{opGetItem, 0},
+		{opListItems, 1},
+	} {
+		var st Stamps
+		if got := testing.AllocsPerRun(100, func() { st = inv.ReadStamps(tc.op, p) }); got != tc.want {
+			t.Errorf("%s: %v allocs per snapshot, want %v", tc.op, got, tc.want)
+		}
+		if st.Len() == 0 || Stale(st) {
+			t.Errorf("%s: snapshot of %d stamps, stale %v", tc.op, st.Len(), Stale(st))
+		}
 	}
 }

@@ -91,7 +91,7 @@ func TestVersionCountsEveryMutation(t *testing.T) {
 // time, the born-stale refusal case).
 func TestStampWithAdoptsObservedEpoch(t *testing.T) {
 	inv := New(NewGraph(), obs.NewRegistry())
-	s := []Stamp{inv.StampWith(ksItems, 0)}
+	s := Stamps{}.With(inv.StampWith(ksItems, 0))
 	if Stale(s) {
 		t.Fatal("matching observation reports stale")
 	}
@@ -101,10 +101,10 @@ func TestStampWithAdoptsObservedEpoch(t *testing.T) {
 	}
 	// A client observation behind the daemon's current epoch is born
 	// stale: the daemon must refuse the fill.
-	if !Stale([]Stamp{inv.StampWith(ksItems, 0)}) {
+	if !Stale(Stamps{}.With(inv.StampWith(ksItems, 0))) {
 		t.Fatal("born-stale stamp reports fresh")
 	}
-	if Stale([]Stamp{inv.StampWith(ksItems, inv.Epoch(ksItems))}) {
+	if Stale(Stamps{}.With(inv.StampWith(ksItems, inv.Epoch(ksItems)))) {
 		t.Fatal("current observation reports stale")
 	}
 }
@@ -114,7 +114,7 @@ func TestStampWithAdoptsObservedEpoch(t *testing.T) {
 func TestReadSetExposesGraphResolution(t *testing.T) {
 	inv := New(itemGraph(), obs.NewRegistry())
 	ks := inv.ReadSet(opGetItem, params("x"))
-	if len(ks) != 1 || ks[0] != ksItemX {
+	if len(ks) != 1 || ks[0] != string(ksItemX) {
 		t.Fatalf("ReadSet(doGetItem) = %v", ks)
 	}
 	if inv.ReadSet("doUndeclared", nil) != nil {

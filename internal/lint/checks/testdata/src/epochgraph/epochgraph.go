@@ -2,10 +2,7 @@
 // analyzer.
 package epochgraph
 
-import (
-	"repro/internal/invalidate"
-	"repro/internal/soap"
-)
+import "repro/internal/invalidate"
 
 // Declared operation and keyspace names, the sanctioned pattern.
 const (
@@ -20,9 +17,7 @@ const ksItems = invalidate.Keyspace("items") // fine: package-level declaration
 // clean declares a well-formed graph.
 func clean() *invalidate.Graph {
 	g := invalidate.NewGraph()
-	g.Read(opGetItem, func(params []soap.Param) []invalidate.Keyspace {
-		return []invalidate.Keyspace{invalidate.Keyspace(itemPrefix + params[0].Value.(string)), ksItems}
-	})
+	g.Read(opGetItem, invalidate.Param(itemPrefix, "key", 0), invalidate.Fixed(ksItems))
 	g.Write(opPutItem, invalidate.Fixed(ksItems))
 	return g
 }
@@ -59,4 +54,5 @@ func inlineKeyspaces(inv *invalidate.Invalidator, key string) {
 	inv.Bump(ksItems)                               // fine: declared keyspace
 	_ = []invalidate.Keyspace{"orphan"}             // want "inline keyspace literal"
 	_ = invalidate.Fixed("items")                   // want "inline keyspace literal"
+	_ = invalidate.Param("item:", "key", 0)         // want "inline keyspace literal"
 }

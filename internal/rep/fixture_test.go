@@ -40,7 +40,7 @@ type fixture struct {
 	codec *soap.Codec
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t testing.TB) *fixture {
 	t.Helper()
 	reg := typemap.NewRegistry()
 	if err := reg.Register(typemap.QName{Space: testNS, Local: "Item"}, item{}); err != nil {
@@ -54,7 +54,7 @@ func newFixture(t *testing.T) *fixture {
 
 // ictx fabricates a post-pivot invocation context: result plus response
 // XML and recorded events, exactly what a real invocation captures.
-func (f *fixture) ictx(t *testing.T, op string, result any, params ...soap.Param) *client.Context {
+func (f *fixture) ictx(t testing.TB, op string, result any, params ...soap.Param) *client.Context {
 	t.Helper()
 	respXML, err := f.codec.EncodeResponse(testNS, op, result)
 	if err != nil {
