@@ -122,8 +122,9 @@ figures:
 
 # Brief fuzzing pass over the wire-facing surfaces. -fuzz takes a
 # regexp that must match exactly one target, hence the anchors. The
-# soap targets cap the minimizer: shrinking one 5 KB envelope at the
-# default 60 s left a 20 s run at 0 execs/s for most of its time.
+# soap targets and FuzzTemplateStore cap the minimizer: shrinking one
+# 5 KB envelope at the default 60 s left a 20 s run at 0 execs/s for
+# most of its time.
 fuzz:
 	$(GO) test -fuzz '^FuzzScanner$$' -fuzztime 30s ./internal/xmltext
 	$(GO) test -fuzz '^FuzzScannerVsStdlib$$' -fuzztime 30s ./internal/xmltext
@@ -135,6 +136,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnmarshal -fuzztime 30s ./internal/binser
 	$(GO) test -fuzz FuzzFrameRoundTrip -fuzztime 30s ./internal/cluster
 	$(GO) test -fuzz FuzzDecodeWire -fuzztime 30s ./internal/rep
+	$(GO) test -run NONE -fuzz '^FuzzTemplateStore$$' -fuzztime 30s -fuzzminimizetime 50x ./internal/rep
 
 # Regenerate the checked-in WSDL compiler output.
 generate:

@@ -11,7 +11,7 @@
 //	dummygoogle -addr :8080                  # full SOAP dispatcher
 //	dummygoogle -addr :8080 -fixed           # precomputed identical responses
 //	dummygoogle -cache                       # server-side response cache (raw bodies) over the read-only operations
-//	dummygoogle -cache -cache-rep xmltmpl    # ... resident as splice templates
+//	dummygoogle -cache -cache-rep xmltmpl    # ... resident as a shared skeleton plus per-entry text
 //
 // With -cache, the cache's counters and stage latencies are served at
 // /debug/wscache.
@@ -37,7 +37,7 @@ func main() {
 	fixed := flag.Bool("fixed", false, "serve precomputed fixed responses (cheapest back end)")
 	ttl := flag.Duration("ttl", time.Hour, "Cache-Control max-age stamped on responses (0 disables)")
 	useCache := flag.Bool("cache", false, "wrap the dispatcher in the server-side response cache")
-	cacheRep := flag.String("cache-rep", "raw", `resident representation for cached bodies: "raw" or "xmltmpl" (shared splice template per response shape)`)
+	cacheRep := flag.String("cache-rep", "raw", `resident representation for cached bodies: "raw" or "xmltmpl" (one shared skeleton per response shape, the text per entry; both replay the exact bytes)`)
 	flag.Parse()
 
 	if err := run(*addr, *fixed, *ttl, *useCache, *cacheRep); err != nil {

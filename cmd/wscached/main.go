@@ -8,7 +8,9 @@
 // N wscached processes and every client lists all N addresses. The
 // daemon is representation-aware only in that it stores the wire bytes
 // a client selected (raw, xmltmpl, binser, compact-sax, xml, gob) and hands them
-// back verbatim; decoding happens client-side. Epoch bumps pushed by
+// back verbatim; decoding happens client-side (an xmltmpl value is the
+// origin's envelope, which the receiving client matches against its own
+// skeletons). Epoch bumps pushed by
 // any writer advance the daemon's epoch table, and every response
 // carries the table version so other clients resync their L1s on next
 // contact.

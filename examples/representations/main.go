@@ -79,8 +79,8 @@ func run() error {
 	// The streaming representations (DESIGN.md §5i): consumers that
 	// accept serialized bytes instead of objects skip materialization
 	// entirely. Raw replay stores the exact response; the XML template
-	// shares one skeleton per response shape and splices only the
-	// character data per entry.
+	// learns one skeleton per response shape, matches later responses
+	// against it, and keeps only their text per entry.
 	fmt.Println("\nStreaming representations (stream-accepting consumers, DESIGN.md §5i):")
 	fmt.Printf("%-22s %12s  %s\n", "representation", "replay cost", "notes")
 	tmplStore := rep.NewTemplateStore()
@@ -104,8 +104,8 @@ func run() error {
 		note := "exact bytes, zero-copy replay"
 		if ts, ok := store.(*rep.TemplateStore); ok {
 			s := ts.Stats()
-			note = fmt.Sprintf("%d skeleton(s) of %d bytes shared; %d build(s), %d splice(s)",
-				s.Skeletons, s.SkeletonBytes, s.Builds, s.Splices)
+			note = fmt.Sprintf("%d skeleton(s) of %d bytes shared; %d learnt, %d matched",
+				s.Skeletons, s.SkeletonBytes, s.Learns, s.Matches)
 		}
 		fmt.Printf("%-22s %12v  %s\n", store.Name(), perHit, note)
 	}

@@ -21,6 +21,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/faultify"
 	"repro/internal/googleapi"
+	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/transport"
 )
@@ -52,6 +53,9 @@ func run() error {
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
+	// One registry takes both the cache's and the breaker's metrics, as
+	// /debug/wscache would serve them.
+	reg := obs.NewRegistry()
 	cache := core.MustNew(core.Config{
 		KeyGen:       rep.NewStringKey(),
 		Rep:          rep.NewRegistry(codec.Registry(), codec),
@@ -59,6 +63,7 @@ func run() error {
 		StaleIfError: time.Hour, // degraded window: expired entries still usable
 		Coalesce:     true,      // concurrent misses share one backend call
 		Clock:        clock,
+		Obs:          reg,
 	})
 	breaker := client.NewBreaker(client.BreakerConfig{
 		Window:           5,
@@ -66,6 +71,7 @@ func run() error {
 		FailureThreshold: 0.5,
 		OpenFor:          10 * time.Second,
 		Clock:            clock,
+		Obs:              reg,
 	})
 
 	call := client.NewCall(codec, ft,
@@ -134,6 +140,8 @@ func run() error {
 
 	fmt.Printf("\ncache: %d hits, %d misses, %d stale serves, %d coalesced, %d stores\n",
 		cs.Hits, cs.Misses, cs.StaleServes, cs.Coalesced, cs.Stores)
+	counters := reg.Snapshot().Counters
+	fmt.Printf("breaker: %d trip(s), %d rejection(s)\n", counters["breaker.trips"], counters["breaker.rejections"])
 	return nil
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/soap"
 	"repro/internal/transport"
 	"repro/internal/typemap"
@@ -228,5 +229,33 @@ func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	}
 	if err := b.HandleInvoke(&Context{Endpoint: ep}, func(*Context) error { return nil }); err != nil {
 		t.Fatalf("closed breaker: %v", err)
+	}
+}
+
+// TestBreakerPublishesToObs: with Obs set, a trip and a rejection show
+// in the registry's counters, and its breaker gauge follows the state.
+func TestBreakerPublishesToObs(t *testing.T) {
+	reg := obs.NewRegistry()
+	f := newBreakerFixture(t, BreakerConfig{Window: 2, MinSamples: 2, FailureThreshold: 0.5, OpenFor: time.Second, Obs: reg})
+	const endpoint = "http://backend/quote"
+	if err := f.invoke(); err != nil {
+		t.Fatal(err)
+	}
+	if s := reg.Snapshot(); s.Breakers[endpoint] != "closed" {
+		t.Fatalf("gauge = %q after a healthy call, want closed", s.Breakers[endpoint])
+	}
+	*f.fail = true
+	if err := f.invoke(); err == nil {
+		t.Fatal("want backend error")
+	}
+	s := reg.Snapshot()
+	if s.Counters["breaker.trips"] != 1 || s.Breakers[endpoint] != "open" {
+		t.Fatalf("after the trip: trips = %d, gauge = %q; want 1, open", s.Counters["breaker.trips"], s.Breakers[endpoint])
+	}
+	if err := f.invoke(); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("err = %v, want the open breaker's rejection", err)
+	}
+	if s := reg.Snapshot(); s.Counters["breaker.rejections"] != 1 {
+		t.Errorf("rejections = %d, want 1", s.Counters["breaker.rejections"])
 	}
 }

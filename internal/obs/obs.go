@@ -78,14 +78,6 @@ const (
 	// straight into the response writer via the body store's streaming
 	// fast path (no intermediate []byte materialization).
 	StageServerStream Stage = "server-stream"
-	// StageTemplateBuild is a differential-serialization fill that had
-	// to serialize in full and record a new splice template (first fill
-	// of a response shape).
-	StageTemplateBuild Stage = "template-build"
-	// StageTemplateSplice is a differential-serialization fill that
-	// reused an interned template and paid only text-value escaping —
-	// the splice wins Figure 7 targets.
-	StageTemplateSplice Stage = "template-splice"
 	// StageTierGet is one remote-tier lookup on the miss path, round
 	// trip included (representation = tier name).
 	StageTierGet Stage = "tier-get"

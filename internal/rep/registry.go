@@ -308,17 +308,15 @@ func (r *Registry) registerBuiltins() {
 	// The streaming representations (DESIGN.md §5i) are gated on the
 	// invocation's consent (Context.AcceptStream): their hits yield
 	// byte streams, not decoded objects, so only consumers that declared
-	// they relay bytes may be served by them.
+	// they relay bytes may be served by them. Both replay the response's
+	// bytes, so neither applies without them.
+	streams := func(ictx *client.Context) bool {
+		return ictx.AcceptStream && len(ictx.ResponseXML) > 0
+	}
 	_ = r.RegisterValue(ValueSpec{
-		Name: "raw", Store: NewRawStreamStore(), Info: valueRows[6],
-		Applicable: func(ictx *client.Context) bool {
-			return ictx.AcceptStream && len(ictx.ResponseXML) > 0
-		},
+		Name: "raw", Store: NewRawStreamStore(), Info: valueRows[6], Applicable: streams,
 	})
 	_ = r.RegisterValue(ValueSpec{
-		Name: "xmltmpl", Store: NewTemplateStore(), Info: valueRows[7],
-		Applicable: func(ictx *client.Context) bool {
-			return ictx.AcceptStream && (len(ictx.ResponseEvents) > 0 || len(ictx.ResponseXML) > 0)
-		},
+		Name: "xmltmpl", Store: NewTemplateStore(), Info: valueRows[7], Applicable: streams,
 	})
 }

@@ -1,17 +1,16 @@
 package rep
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/client"
-	"repro/internal/clock"
-	"repro/internal/obs"
-	"repro/internal/sax"
+	"repro/internal/soap"
+	"repro/internal/xmltext"
 )
 
 // This file holds the byte-oriented streaming representations
@@ -26,10 +25,11 @@ import (
 // not the decoded object.
 //
 //   - "raw" stores the exact response bytes; a hit is one buffer write.
-//   - "xmltmpl" stores a splice template: the serialized skeleton is
-//     interned per response shape and shared across entries, so each
-//     entry holds only its escaped text values; a hit re-serializes by
-//     memcpy interleave (sax.Template).
+//   - "xmltmpl" stores a skeleton and holes: the response's fixed
+//     bytes are interned per response shape and shared across entries,
+//     so each entry holds only its text runs as they came off the wire;
+//     a hit replays the origin's bytes by memcpy interleave
+//     (soap.Skeleton).
 
 // Streamed is the hit result of the streaming representations: the
 // serialized response, replayable into a writer without materializing
@@ -47,8 +47,10 @@ type Streamed interface {
 // Static errors for the hot replay paths (fmt is banned there by the
 // hotpath analyzer).
 var (
-	errRawPayload     = errors.New("rep: raw stream store: payload is not *RawResponse")
-	errSplicedPayload = errors.New("rep: template store: payload is not *SplicedResponse")
+	errRawPayload      = errors.New("rep: raw stream store: payload is not *RawResponse")
+	errTemplatePayload = errors.New("rep: template store: payload is not *TemplateResponse")
+	errNotSplit        = fmt.Errorf("rep: template store: %w: no skeleton splits the document (markup other than elements and a leading XML declaration, or too much of it)", ErrNotApplicable)
+	errNotCharData     = fmt.Errorf("rep: template store: %w: a text run is not XML character data", ErrNotApplicable)
 )
 
 // RawResponse is the "raw" payload and hit result: the exact response
@@ -127,8 +129,8 @@ func (RawStreamStore) DecodeWire(data []byte) (any, error) {
 	return &RawResponse{data: data}, nil
 }
 
-// spliceBufPool holds the replay buffers for SplicedResponse.WriteTo:
-// the splice is assembled in a pooled buffer and written once, so a
+// spliceBufPool holds the replay buffers for TemplateResponse.WriteTo:
+// the document is assembled in a pooled buffer and written once, so a
 // steady-state replay allocates nothing.
 var spliceBufPool = sync.Pool{
 	New: func() any {
@@ -137,78 +139,56 @@ var spliceBufPool = sync.Pool{
 	},
 }
 
-// SplicedResponse is the "xmltmpl" payload and hit result: a shared,
-// interned skeleton plus this entry's escaped text values. Immutable.
-type SplicedResponse struct {
-	// prologue is the verbatim XML declaration (plus the whitespace
-	// after it) of the stored envelope. The sax event model does not
-	// carry the declaration — parse skips it, the writer never emits
-	// one — so it is kept here to make a replay byte-identical to the
-	// origin's response. Empty when the envelope had none or only its
-	// events were captured.
-	prologue string
-	tpl      *sax.Template
-	values   []string // escaped (sax.EscapeValue), one per template slot
-	size     int      // rendered byte length, prologue included
+// TemplateResponse is the "xmltmpl" payload and hit result: a shared
+// skeleton plus this entry's holes, byte for byte as the origin sent
+// them. Immutable.
+type TemplateResponse struct {
+	skel  *soap.Skeleton
+	holes []byte   // the holes back to back
+	cuts  []uint32 // hole k ends at cuts[k]
 }
 
-var _ Streamed = (*SplicedResponse)(nil)
+var _ Streamed = (*TemplateResponse)(nil)
 
 // Len implements Streamed.
-func (p *SplicedResponse) Len() int { return p.size }
+func (p *TemplateResponse) Len() int { return p.skel.Size() + len(p.holes) }
 
-// Bytes materializes the rendered response into a fresh slice.
-func (p *SplicedResponse) Bytes() []byte {
-	return p.tpl.AppendSplice(append(make([]byte, 0, p.size), p.prologue...), p.values)
+// Bytes renders the response into a fresh slice.
+func (p *TemplateResponse) Bytes() []byte {
+	return p.skel.AppendFilled(make([]byte, 0, p.Len()), p.holes, p.cuts)
 }
 
-// WriteTo implements io.WriterTo: prologue and splice are assembled in
-// a pooled buffer and written once.
+// WriteTo implements io.WriterTo: the response is assembled in a
+// pooled buffer and written once.
 //
 //lint:hotpath
-func (p *SplicedResponse) WriteTo(w io.Writer) (int64, error) {
+func (p *TemplateResponse) WriteTo(w io.Writer) (int64, error) {
 	bp := spliceBufPool.Get().(*[]byte)
 	buf := *bp
-	if cap(buf) < p.size {
-		buf = make([]byte, 0, p.size)
+	if n := p.Len(); cap(buf) < n {
+		buf = make([]byte, 0, n)
 	}
-	n, err := p.tpl.SpliceTo(w, append(buf[:0], p.prologue...), p.values)
+	buf = p.skel.AppendFilled(buf[:0], p.holes, p.cuts)
+	n, err := w.Write(buf)
 	*bp = buf
 	spliceBufPool.Put(bp)
-	return n, err
+	return int64(n), err
 }
 
-// xmlPrologue returns the leading XML declaration (and any whitespace
-// separating it from the root element) of body, or "" when there is
-// none.
-func xmlPrologue(body []byte) string {
-	if !bytes.HasPrefix(body, []byte("<?xml")) {
-		return ""
-	}
-	end := bytes.Index(body, []byte("?>"))
-	if end < 0 {
-		return ""
-	}
-	end += 2
-	for end < len(body) {
-		switch body[end] {
-		case ' ', '\t', '\r', '\n':
-			end++
-			continue
-		}
-		break
-	}
-	return string(body[:end])
-}
+// templateShapes bounds the skeletons one TemplateStore interns. A
+// response shape seen once the set is full still caches: its entry
+// keeps a private skeleton.
+const templateShapes = 64
 
-// TemplateStats is a snapshot of a template interner's differential
-// serialization activity.
+// TemplateStats is a snapshot of a template store's skeleton sharing.
 type TemplateStats struct {
-	// Builds counts full serializations that recorded a new skeleton.
-	Builds int64 `json:"builds"`
-	// Splices counts fills that reused an interned skeleton and paid
-	// only value escaping — the differential wins.
-	Splices int64 `json:"splices"`
+	// Learns counts fills that learnt a skeleton from the response's
+	// bytes: the first of a shape, and any the interned set has no
+	// matching skeleton for.
+	Learns int64 `json:"learns"`
+	// Matches counts fills that matched an interned skeleton and kept
+	// only their holes.
+	Matches int64 `json:"matches"`
 	// Skeletons is the number of distinct response shapes interned.
 	Skeletons int `json:"skeletons"`
 	// SkeletonBytes is the total interned skeleton size: memory paid
@@ -216,144 +196,26 @@ type TemplateStats struct {
 	SkeletonBytes int64 `json:"skeleton_bytes"`
 }
 
-// templateCache interns sax.Templates per 128-bit response shape, for
-// TemplateStore. Counters live in an obs registry
-// (private until instrument is called) so template hits versus full
-// re-serializations are visible wherever the registry is served.
-type templateCache struct {
-	mu        sync.Mutex
-	skeletons map[[2]uint64]*sax.Template
-
-	builds  *obs.Counter
-	splices *obs.Counter
-	reg     *obs.Registry
-	timed   bool
-	now     func() time.Time
-}
-
-func newTemplateCache() *templateCache {
-	tc := &templateCache{skeletons: make(map[[2]uint64]*sax.Template)}
-	tc.instrument(nil, nil)
-	return tc
-}
-
-// instrument (re)binds the cache's counters and stage histograms to an
-// obs registry; nil keeps a private registry (counters still count,
-// nothing is served, and no clock is read).
-func (tc *templateCache) instrument(reg *obs.Registry, clk clock.Func) {
-	r := obs.Or(reg)
-	builds := r.Counter("rep.template.builds")
-	splices := r.Counter("rep.template.splices")
-	tc.mu.Lock()
-	if tc.builds != nil {
-		builds.Add(tc.builds.Load())
-		splices.Add(tc.splices.Load())
-	}
-	tc.builds, tc.splices = builds, splices
-	tc.reg = r
-	tc.timed = reg != nil
-	tc.now = clock.Or(clk)
-	tc.mu.Unlock()
-}
-
-// spliceFor builds the spliced payload for an event sequence and the
-// prologue of the envelope it came from, interning (or reusing) the
-// shape's skeleton. The returned resident size counts only the
-// per-entry values and prologue — the skeleton is shared and accounted
-// in TemplateStats.SkeletonBytes.
-func (tc *templateCache) spliceFor(events []sax.Event, prologue string) (*SplicedResponse, int, error) {
-	var start time.Time
-	if tc.timed {
-		start = tc.now()
-	}
-	lo, hi := sax.ShapeHash(events)
-	key := [2]uint64{lo, hi}
-	tc.mu.Lock()
-	tpl := tc.skeletons[key]
-	tc.mu.Unlock()
-
-	var texts []string
-	built := false
-	if tpl != nil {
-		texts = sax.SpliceTexts(events)
-		if len(texts) != tpl.Slots() {
-			// A 128-bit shape collision (or a corrupted sequence): use a
-			// private template rather than splicing into the wrong
-			// skeleton.
-			tpl = nil
-		}
-	}
-	if tpl == nil {
-		var err error
-		tpl, texts, err = sax.BuildTemplate(events)
-		if err != nil {
-			return nil, 0, err
-		}
-		built = true
-		tc.mu.Lock()
-		if cur, ok := tc.skeletons[key]; ok && cur.Slots() == tpl.Slots() {
-			tpl = cur // lost a concurrent build race; share the winner
-		} else {
-			tc.skeletons[key] = tpl
-		}
-		tc.mu.Unlock()
-	}
-
-	values := make([]string, len(texts))
-	total := 0
-	for i, raw := range texts {
-		values[i] = sax.EscapeValue(raw)
-		total += len(values[i])
-	}
-	p := &SplicedResponse{prologue: prologue, tpl: tpl, values: values,
-		size: len(prologue) + tpl.SkeletonSize() + total}
-
-	if built {
-		tc.builds.Add(1)
-	} else {
-		tc.splices.Add(1)
-	}
-	if tc.timed {
-		stage := obs.StageTemplateSplice
-		if built {
-			stage = obs.StageTemplateBuild
-		}
-		tc.reg.Stage(stage, "", tc.now().Sub(start), nil)
-	}
-	const stringHeader = 16
-	resident := len(prologue) + total + len(values)*stringHeader + 48
-	return p, resident, nil
-}
-
-// stats snapshots the interner.
-func (tc *templateCache) stats() TemplateStats {
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	s := TemplateStats{
-		Builds:    tc.builds.Load(),
-		Splices:   tc.splices.Load(),
-		Skeletons: len(tc.skeletons),
-	}
-	for _, tpl := range tc.skeletons {
-		s.SkeletonBytes += int64(tpl.SkeletonSize())
-	}
-	return s
-}
-
-// TemplateStore is the template/differential serialization
-// representation ("xmltmpl"): the first fill of a response shape
-// serializes once and records the splice template; every later fill of
-// the same shape copies only its escaped text values, and every hit
-// replays by memcpy interleave. Front-loaded store cost, near-zero
-// load cost, and per-entry memory that excludes the shared skeleton,
-// which suits repeat-heavy workloads.
+// TemplateStore is the template representation ("xmltmpl"), after
+// differential serialization: responses of one operation share their
+// markup and differ in their text. The first fill of a response shape
+// learns its skeleton from the bytes (soap.LearnSkeleton) and interns
+// it by soap.ShapeKey; a later fill of the shape matches it by byte
+// compare and keeps only its holes, exactly as they came off the wire,
+// so a hit replays the origin's bytes by interleaving the two.
+// Per-entry memory excludes the shared skeleton, which suits
+// repeat-heavy workloads.
 type TemplateStore struct {
-	tc *templateCache
+	mu        sync.Mutex // guards skeletons
+	skeletons map[uint64]*soap.Skeleton
+
+	learns, matches, skeletonBytes atomic.Int64
+	interned                       atomic.Int32
 }
 
-// NewTemplateStore returns the template serialization representation.
+// NewTemplateStore returns the template representation.
 func NewTemplateStore() *TemplateStore {
-	return &TemplateStore{tc: newTemplateCache()}
+	return &TemplateStore{skeletons: make(map[uint64]*soap.Skeleton)}
 }
 
 // Name implements ValueStore.
@@ -361,66 +223,112 @@ func (s *TemplateStore) Name() string { return "XML template (splice)" }
 
 // Store implements ValueStore.
 func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
-	events, err := ictx.Events()
+	p, shared, err := s.split(ictx.ResponseXML)
 	if err != nil {
-		return nil, 0, fmt.Errorf("rep: template store: %w", err)
+		return nil, 0, err
 	}
-	if len(events) == 0 {
-		return nil, 0, fmt.Errorf("rep: template store: %w: invocation captured neither events nor XML", ErrNotApplicable)
+	// The entry is charged its holes, their offsets and its header; an
+	// interned skeleton is shared and accounted in
+	// TemplateStats.SkeletonBytes, a private one is the entry's own.
+	const header = 56
+	size := len(p.holes) + 4*len(p.cuts) + header
+	if !shared {
+		size += p.skel.Size()
 	}
-	p, resident, err := s.tc.spliceFor(events, xmlPrologue(ictx.ResponseXML))
-	if err != nil {
-		return nil, 0, fmt.Errorf("rep: template store: %w", err)
+	//lint:ignore aliascopy split copies the holes out of the context's buffer; the skeleton is immutable
+	return p, size, nil
+}
+
+// split matches doc against its shape's interned skeleton, learning
+// (and, while the set has room, interning) one when there is none, and
+// copies doc's holes into a new payload; shared reports whether the
+// payload's skeleton is the interned one.
+func (s *TemplateStore) split(doc []byte) (p *TemplateResponse, shared bool, err error) {
+	key := soap.ShapeKey(doc)
+	s.mu.Lock()
+	k := s.skeletons[key]
+	s.mu.Unlock()
+	learnt := k == nil || !k.Match(doc)
+	if learnt {
+		var ok bool
+		if k, ok = soap.LearnSkeleton(doc); !ok {
+			return nil, false, errNotSplit
+		}
 	}
-	//lint:ignore aliascopy the payload's values are immutable Go strings taken from the event texts; nothing reachable from it can mutate cached state
-	return p, resident, nil
+	text := len(doc) - k.Size()
+	p = &TemplateResponse{skel: k, holes: make([]byte, 0, text), cuts: make([]uint32, 0, k.Holes())}
+	var check strings.Builder
+	check.Grow(text)
+	for _, hole := range k.Cut(doc) {
+		if xmltext.AppendCharData(&check, hole) != nil {
+			return nil, false, errNotCharData
+		}
+		p.holes = append(p.holes, hole...)
+		p.cuts = append(p.cuts, uint32(len(p.holes)))
+	}
+	if !learnt {
+		s.matches.Add(1)
+		return p, true, nil
+	}
+	s.learns.Add(1)
+	return p, s.intern(key, k), nil
+}
+
+// intern installs k as key's skeleton, reporting false, and leaving k
+// private to its entry, when the set has one for key or is full.
+func (s *TemplateStore) intern(key uint64, k *soap.Skeleton) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.skeletons[key]; ok || len(s.skeletons) >= templateShapes {
+		return false
+	}
+	s.skeletons[key] = k
+	s.interned.Add(1)
+	s.skeletonBytes.Add(int64(k.Size()))
+	return true
 }
 
 // Load implements ValueStore: the payload is the result (immutable).
 //
 //lint:hotpath
 func (s *TemplateStore) Load(payload any) (any, error) {
-	p, ok := payload.(*SplicedResponse)
+	p, ok := payload.(*TemplateResponse)
 	if !ok {
-		return nil, errSplicedPayload
+		return nil, errTemplatePayload
 	}
-	//lint:ignore aliascopy SplicedResponse is immutable (template + escaped string values); sharing it by reference is the whole point of the streaming hit
+	//lint:ignore aliascopy TemplateResponse is immutable (shared skeleton + this entry's holes); sharing it by reference is the whole point of the streaming hit
 	return p, nil
 }
 
 // EncodeWire implements WireStore: the rendered document. A remote
-// tier holds plain bytes; the receiving process re-derives (and
-// interns) the template on decode, so skeleton sharing is preserved on
-// both sides without shipping interner state.
+// tier holds plain bytes; the receiving store matches them against its
+// own skeletons on decode, so skeleton sharing holds on both sides
+// without shipping any.
 func (s *TemplateStore) EncodeWire(payload any) ([]byte, error) {
-	p, ok := payload.(*SplicedResponse)
+	p, ok := payload.(*TemplateResponse)
 	if !ok {
-		return nil, errSplicedPayload
+		return nil, errTemplatePayload
 	}
 	return p.Bytes(), nil
 }
 
 // DecodeWire implements WireStore.
 func (s *TemplateStore) DecodeWire(data []byte) (any, error) {
-	events, err := sax.Record(data)
+	p, _, err := s.split(data)
 	if err != nil {
-		return nil, fmt.Errorf("rep: template store: wire payload: %w", err)
-	}
-	p, _, err := s.tc.spliceFor(events, xmlPrologue(data))
-	if err != nil {
-		return nil, fmt.Errorf("rep: template store: wire payload: %w", err)
+		return nil, err
 	}
 	return p, nil
 }
 
-// Stats snapshots the store's template interner.
-func (s *TemplateStore) Stats() TemplateStats { return s.tc.stats() }
-
-// Instrument binds the store's counters and build/splice stage
-// histograms to an obs registry (clk for stage timing; nil uses the
-// system clock).
-func (s *TemplateStore) Instrument(reg *obs.Registry, clk clock.Func) {
-	s.tc.instrument(reg, clk)
+// Stats snapshots the store's skeleton sharing.
+func (s *TemplateStore) Stats() TemplateStats {
+	return TemplateStats{
+		Learns:        s.learns.Load(),
+		Matches:       s.matches.Load(),
+		Skeletons:     int(s.interned.Load()),
+		SkeletonBytes: s.skeletonBytes.Load(),
+	}
 }
 
 var (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/sax"
 	"repro/internal/soap"
 )
 
@@ -99,36 +98,15 @@ func TestTemplateStoreSharesSkeletonAcrossEntries(t *testing.T) {
 	}
 
 	stats := st.Stats()
-	if stats.Builds != 1 || stats.Splices != 1 {
-		t.Errorf("stats = %d builds, %d splices; want 1 build (first fill) and 1 splice (same shape)",
-			stats.Builds, stats.Splices)
+	if stats.Learns != 1 || stats.Matches != 1 {
+		t.Errorf("stats = %d learns, %d matches; want 1 learn (first fill) and 1 match (same shape)",
+			stats.Learns, stats.Matches)
 	}
 	if stats.Skeletons != 1 {
 		t.Errorf("skeletons = %d, want 1 shared skeleton", stats.Skeletons)
 	}
 	if stats.SkeletonBytes == 0 {
 		t.Error("skeleton bytes not accounted")
-	}
-}
-
-// TestTemplateStoreEventsOnlyHasNoPrologue: with only the recorded
-// events captured there is no declaration to keep, and the replay is
-// the full re-serialization of the event sequence.
-func TestTemplateStoreEventsOnlyHasNoPrologue(t *testing.T) {
-	f := newFixture(t)
-	st := NewTemplateStore()
-	ictx := f.streamCtx(t, "get", &item{Name: "events", Score: 1})
-	ictx.ResponseXML = nil
-	payload, _, err := st.Store(ictx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sax.WriteSequence(ictx.ResponseEvents)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(payload.(*SplicedResponse).Bytes()); got != want {
-		t.Errorf("events-only replay\n got: %s\nwant: %s", got, want)
 	}
 }
 
@@ -140,7 +118,7 @@ func TestTemplateStoreResidentSizeExcludesSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := payload.(*SplicedResponse).Len()
+	rendered := payload.(*TemplateResponse).Len()
 	if size >= rendered {
 		t.Errorf("resident size %d is not smaller than the rendered document (%d); the shared skeleton must not be charged per entry",
 			size, rendered)
@@ -165,18 +143,18 @@ func TestTemplateStoreWireReInternsSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.(*SplicedResponse).Bytes(); !bytes.Equal(got, data) {
+	if got := back.(*TemplateResponse).Bytes(); !bytes.Equal(got, data) {
 		t.Errorf("decoded payload renders differently from the wire bytes")
 	}
-	if s := receiver.Stats(); s.Builds != 1 || s.Skeletons != 1 {
+	if s := receiver.Stats(); s.Learns != 1 || s.Skeletons != 1 {
 		t.Errorf("receiver stats = %+v; DecodeWire must intern the shape like a local fill", s)
 	}
-	// A second entry of the same shape arriving over the wire splices.
+	// A second entry of the same shape arriving over the wire matches.
 	if _, err := receiver.DecodeWire(append([]byte(nil), data...)); err != nil {
 		t.Fatal(err)
 	}
-	if s := receiver.Stats(); s.Splices != 1 || s.Skeletons != 1 {
-		t.Errorf("receiver stats after second decode = %+v; want a splice against the interned skeleton", s)
+	if s := receiver.Stats(); s.Matches != 1 || s.Skeletons != 1 {
+		t.Errorf("receiver stats after second decode = %+v; want a match against the interned skeleton", s)
 	}
 }
 

@@ -72,8 +72,8 @@ func ValueRepresentations() []RepresentationInfo {
 		},
 		{
 			Representation: "XML splice template",
-			Method:         "Differential serialization (shared skeleton, spliced text values)",
-			Limitation:     "Stream-accepting consumers; wins when response shapes repeat",
+			Method:         "Differential serialization (shared skeleton, the origin's text per entry)",
+			Limitation:     "Stream-accepting consumers; elements and text only; wins when response shapes repeat",
 		},
 	}
 }

@@ -2,31 +2,24 @@ package sax
 
 import (
 	"errors"
-	"hash/maphash"
-	"io"
 
 	"repro/internal/xmltext"
 )
 
-// This file is the differential-serialization substrate (DESIGN.md
-// §5i): SOAP responses for one operation share their entire markup —
-// element structure, namespaces, attribute values — and differ only in
-// character data. A Template captures that split once: the serialized
-// document with every character-data span excised (the skeleton) plus
-// the byte offsets where each span belongs (the slots). Re-serializing
-// a same-shaped document is then a memcpy interleave of skeleton
-// chunks and pre-escaped text values — no event dispatch, no escaping
-// scan, no encoder.
+// This file is the event-side splice template: the document serialized
+// from an event sequence with every character-data span excised (the
+// skeleton), plus the byte offsets where each span belongs (the slots).
+// Splicing the sequence's escaped texts back in reproduces
+// WriteSequence(events) byte for byte: the recorder routes every
+// non-text event through the same Writer, and EscapeValue is the
+// escaper Writer.OnCharacters applies. FuzzTemplateSplice enforces it.
 //
-// The byte-identity invariant: for any event sequence, splicing the
-// sequence's escaped texts into the template built from it reproduces
-// WriteSequence(events) exactly. The template recorder routes every
-// non-text event through the same Writer that WriteSequence uses, and
-// EscapeValue is the same escaper Writer.OnCharacters applies, so the
-// only difference between a splice and a full serialization is where
-// the bytes come from. FuzzTemplateSplice enforces this for arbitrary
-// text mutations; TestTemplateSpliceEscaping pins the escaping
-// boundary cases.
+// Nothing outside this package's tests and the referee benchmark calls
+// it any more: the xmltmpl representation keeps the origin's bytes on
+// the envelope memo's skeleton (soap.Skeleton, DESIGN.md §5i). It stays
+// only because the benchmark's ledger times it as its
+// sax.template.splice_ns row; the benchmark's catch-up with the tree
+// deletes it.
 
 // Template is the reusable half of a differentially serialized
 // document: the skeleton bytes and the splice offsets. Templates are
@@ -37,13 +30,6 @@ type Template struct {
 	skeleton string
 	slots    []int // ascending byte offsets into skeleton, one per text node
 }
-
-// Slots returns the number of character-data splice points.
-func (t *Template) Slots() int { return len(t.slots) }
-
-// SkeletonSize returns the skeleton's byte length — the memory shared
-// by every document spliced from this template.
-func (t *Template) SkeletonSize() int { return len(t.skeleton) }
 
 // RenderedSize returns the byte length of the document produced by
 // splicing values into the template.
@@ -61,8 +47,8 @@ var errSpliceMismatch = errors.New("sax: template splice value count does not ma
 
 // AppendSplice appends the document rendered from the template and the
 // given values to dst and returns the extended slice. values must be
-// the escaped character data (EscapeValue) of exactly Slots() text
-// nodes, in document order — the caller owns that invariant; a length
+// the escaped character data (EscapeValue) of exactly one text node per
+// slot, in document order — the caller owns that invariant; a length
 // mismatch panics rather than silently corrupting output.
 //
 //lint:hotpath
@@ -77,19 +63,6 @@ func (t *Template) AppendSplice(dst []byte, values []string) []byte {
 		prev = off
 	}
 	return append(dst, t.skeleton[prev:]...)
-}
-
-// SpliceTo appends the rendered document to buf (which must have spare
-// capacity for RenderedSize bytes to avoid growing) and writes the
-// whole of buf — whatever prefix the caller put there, then the
-// document — to w in one Write; it returns the bytes written. Used by
-// the pooled-buffer replay paths.
-//
-//lint:hotpath
-func (t *Template) SpliceTo(w io.Writer, buf []byte, values []string) (int64, error) {
-	buf = t.AppendSplice(buf, values)
-	n, err := w.Write(buf)
-	return int64(n), err
 }
 
 // EscapeValue escapes raw character data for splicing — exactly the
@@ -135,87 +108,4 @@ func BuildTemplate(events []Event) (*Template, []string, error) {
 		return nil, nil, err
 	}
 	return &Template{skeleton: rec.w.String(), slots: rec.slots}, rec.texts, nil
-}
-
-// SpliceTexts collects the raw character data of events in document
-// order — the per-document values for a template built from an
-// equally shaped sequence. Far cheaper than BuildTemplate: no
-// serialization, no escaping scan over the markup.
-func SpliceTexts(events []Event) []string {
-	n := 0
-	for i := range events {
-		if events[i].Kind == Characters {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	texts := make([]string, 0, n)
-	for i := range events {
-		if events[i].Kind == Characters {
-			texts = append(texts, events[i].Text)
-		}
-	}
-	return texts
-}
-
-// Shape hashing: two event sequences have the same shape exactly when
-// they differ only in character data, i.e. they would produce the same
-// skeleton. The hash folds every byte that lands in the skeleton —
-// kinds, names, attribute names AND values (attribute values are
-// markup here: SOAP arrayType counts, xsi types), comment and PI text —
-// and only marks the presence of each Characters event. Two
-// independently seeded 64-bit hashes give a 128-bit key; like the
-// cache core's entry digest, collisions are assumed away rather than
-// verified (a slot-count check catches gross mismatches).
-
-var (
-	shapeSeedLo = maphash.MakeSeed()
-	shapeSeedHi = maphash.MakeSeed()
-)
-
-// ShapeHash returns the 128-bit shape key of an event sequence as two
-// independently seeded 64-bit halves.
-func ShapeHash(events []Event) (lo, hi uint64) {
-	return shapeHash(shapeSeedLo, events), shapeHash(shapeSeedHi, events)
-}
-
-func shapeHash(seed maphash.Seed, events []Event) uint64 {
-	var h maphash.Hash
-	h.SetSeed(seed)
-	for i := range events {
-		e := &events[i]
-		_ = h.WriteByte(byte(e.Kind))
-		switch e.Kind {
-		case Characters:
-			// Volatile: presence hashed (the kind byte above), text not.
-		case StartElement:
-			hashName(&h, e.Name)
-			for _, a := range e.Attrs {
-				hashName(&h, a.Name)
-				_, _ = h.WriteString(a.Value)
-				_ = h.WriteByte(0)
-			}
-			_ = h.WriteByte(1)
-		case EndElement:
-			hashName(&h, e.Name)
-		case Comment, ProcInst:
-			hashName(&h, e.Name)
-			_, _ = h.WriteString(e.Text)
-			_ = h.WriteByte(0)
-		}
-	}
-	return h.Sum64()
-}
-
-// hashName folds a qualified name with separators so concatenation
-// ambiguities ("ab"+"c" vs "a"+"bc") cannot collide.
-func hashName(h *maphash.Hash, n Name) {
-	_, _ = h.WriteString(n.Space)
-	_ = h.WriteByte(0)
-	_, _ = h.WriteString(n.Prefix)
-	_ = h.WriteByte(0)
-	_, _ = h.WriteString(n.Local)
-	_ = h.WriteByte(0)
 }

@@ -1,7 +1,6 @@
 package sax
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -55,22 +54,30 @@ func mutateTexts(events []Event, texts []string) []Event {
 
 // spliceFor renders mutated via the template built from base,
 // exercising the differential path: template from one document, values
-// from another of the same shape.
+// from another of the same shape. It also holds RenderedSize to the
+// length of what it renders.
 func spliceFor(t testing.TB, base, mutated []Event) []byte {
 	t.Helper()
 	tpl, _, err := BuildTemplate(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	texts := SpliceTexts(mutated)
-	if len(texts) != tpl.Slots() {
-		t.Fatalf("splice texts %d != slots %d", len(texts), tpl.Slots())
+	_, texts, err := BuildTemplate(mutated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(texts) != len(tpl.slots) {
+		t.Fatalf("splice texts %d != slots %d", len(texts), len(tpl.slots))
 	}
 	values := make([]string, len(texts))
 	for i, raw := range texts {
 		values[i] = EscapeValue(raw)
 	}
-	return tpl.AppendSplice(nil, values)
+	out := tpl.AppendSplice(nil, values)
+	if n := tpl.RenderedSize(values); n != len(out) {
+		t.Fatalf("RenderedSize = %d, want %d", n, len(out))
+	}
+	return out
 }
 
 func TestTemplateSpliceMatchesFullSerialization(t *testing.T) {
@@ -145,7 +152,10 @@ func TestTemplateSpliceRoundTripsThroughParser(t *testing.T) {
 	if err != nil {
 		t.Fatalf("spliced document does not re-parse: %v\n%s", err, doc)
 	}
-	got := SpliceTexts(events)
+	_, got, err := BuildTemplate(events)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []string{"<&>", "]]>", "é日\U0001F600"}
 	if len(got) != len(want) {
 		t.Fatalf("re-parsed %d texts, want %d", len(got), len(want))
@@ -154,64 +164,6 @@ func TestTemplateSpliceRoundTripsThroughParser(t *testing.T) {
 		if got[i] != want[i] {
 			t.Errorf("text %d round-tripped to %q, want %q", i, got[i], want[i])
 		}
-	}
-}
-
-func TestShapeHashInvariants(t *testing.T) {
-	base := tmplFixtureEvents("one", "two", "three")
-	lo1, hi1 := ShapeHash(base)
-	lo2, hi2 := ShapeHash(mutateTexts(base, []string{"completely", "different", "texts"}))
-	if lo1 != lo2 || hi1 != hi2 {
-		t.Error("shape hash must be invariant under text mutation")
-	}
-	// Different attribute values are different shapes (attribute values
-	// are skeleton bytes).
-	other := make([]Event, len(base))
-	copy(other, base)
-	for i := range other {
-		if other[i].Kind == StartElement && len(other[i].Attrs) > 0 && other[i].Name.Local == "item" {
-			attrs := make([]Attribute, len(other[i].Attrs))
-			copy(attrs, other[i].Attrs)
-			attrs[0].Value = "xsd:int"
-			other[i].Attrs = attrs
-			break
-		}
-	}
-	lo3, hi3 := ShapeHash(other)
-	if lo1 == lo3 && hi1 == hi3 {
-		t.Error("shape hash must distinguish attribute values")
-	}
-	// More or fewer text nodes is a different shape.
-	lo4, hi4 := ShapeHash(tmplFixtureEvents("one", "two"))
-	if lo1 == lo4 && hi1 == hi4 {
-		t.Error("shape hash must distinguish text-node counts")
-	}
-}
-
-func TestTemplateSpliceTo(t *testing.T) {
-	base := tmplFixtureEvents("a", "b", "c")
-	tpl, texts, err := BuildTemplate(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	values := make([]string, len(texts))
-	for i, raw := range texts {
-		values[i] = EscapeValue(raw)
-	}
-	var buf bytes.Buffer
-	n, err := tpl.SpliceTo(&buf, make([]byte, 0, tpl.RenderedSize(values)), values)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := WriteSequence(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if buf.String() != want || n != int64(len(want)) {
-		t.Errorf("SpliceTo wrote %d bytes %q, want %d bytes %q", n, buf.String(), len(want), want)
-	}
-	if tpl.RenderedSize(values) != len(want) {
-		t.Errorf("RenderedSize = %d, want %d", tpl.RenderedSize(values), len(want))
 	}
 }
 

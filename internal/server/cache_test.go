@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/soap"
@@ -436,6 +438,44 @@ func TestResponseCacheTemplateBodyHTTP(t *testing.T) {
 	}
 	if s := ts.Stats(); s.Skeletons != 1 {
 		t.Errorf("skeletons = %d, want 1 shared across both entries", s.Skeletons)
+	}
+}
+
+// TestResponseCacheTemplateBodyReplaysThirdPartyBytes: an xmltmpl body
+// that this repository's encoder did not write (single quotes,
+// references, an empty-element tag, a CR, an XML declaration) is served
+// byte for byte on both surfaces, and a body the store cannot split (a
+// comment) is not cached at all rather than cached rewritten.
+func TestResponseCacheTemplateBodyReplaysThirdPartyBytes(t *testing.T) {
+	c, codec, _ := newCachedFixture(t, ResponseCacheConfig{Body: rep.NewTemplateStore()})
+	srv := httptest.NewServer(c)
+	defer srv.Close()
+	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "third party"}})
+	key := c.eng.Digest(req)
+	body := []byte("<?xml version='1.0' encoding='UTF-8'?>\r\n" +
+		`<soapenv:Envelope xmlns:soapenv='http://schemas.xmlsoap.org/soap/envelope/'><soapenv:Body>` +
+		`<ns1:searchResponse xmlns:ns1='` + ns + `'><return><key>it&apos;s &#65;</key>` + "<value>a\r\nb</value><b/></return>" +
+		"</ns1:searchResponse></soapenv:Body></soapenv:Envelope>\n")
+
+	// Fill the entry as fill does with a handler's body.
+	payload, size, err := c.body.Store(&client.Context{ResponseXML: body, AcceptStream: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.eng.Insert(key, engine.Item[any]{Value: payload, Size: size})
+	if _, hit := postSOAP(t, srv.URL, req); !bytes.Equal(hit, body) {
+		t.Errorf("HTTP hit diverges from the stored body\n got: %q\nwant: %q", hit, body)
+	}
+	if hit, _, err := c.Handle(req); err != nil || !bytes.Equal(hit, body) {
+		t.Errorf("Handle hit diverges from the stored body (err %v)\n got: %q\nwant: %q", err, hit, body)
+	}
+	if hits, _ := c.Stats(); hits != 2 {
+		t.Errorf("hits = %d, want 2", hits)
+	}
+
+	commented := bytes.Replace(body, []byte("<b/>"), []byte("<!-- note --><b/>"), 1)
+	if _, _, err := c.body.Store(&client.Context{ResponseXML: commented, AcceptStream: true}); !errors.Is(err, rep.ErrNotApplicable) {
+		t.Errorf("Store of a commented body: err = %v, want ErrNotApplicable", err)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"hash/maphash"
+	"iter"
 	"reflect"
 	"slices"
 	"strconv"
@@ -18,25 +19,25 @@ import (
 // This file is the envelope memo of the miss path (DESIGN.md §5l),
 // after Deltarser: envelopes of one operation share their markup and
 // differ in the text of their leaf elements. From one full decode of a
-// shape the memo keeps the envelope's fixed byte segments and a plan
-// mapping each text hole to a field path and a simple type. A later
-// envelope that matches every fixed segment byte for byte is decoded
-// without the parser: each hole is checked as character data,
-// unescaped only when it holds '&' or CR, and set through the plan into
-// a fresh copy of the learnt result. Anything else takes the full
-// decode, which still produces the result or the error; the cost of
-// trying is one prefix compare.
+// shape the memo keeps the envelope's skeleton, its fixed byte
+// segments, and a plan mapping each text hole to a field path and a
+// simple type. A later envelope that matches every fixed segment byte
+// for byte is decoded without the parser: each hole is checked as
+// character data, unescaped only when it holds '&' or CR, and set
+// through the plan into a fresh copy of the learnt result. Anything
+// else takes the full decode, which still produces the result or the
+// error; the cost of trying is one prefix compare.
 //
 // One type serves both ends: each client.Call decodes every response
-// through a memo, and each server.Dispatcher its requests. The client
-// pivot never records SAX events; a store that reads them records the
-// response XML itself, once per fill (client.Context.Events). A memo
-// may be given an admission predicate over the operation element's
-// local name: the dispatcher's admits only the operations it serves,
-// so requests to unknown operations never take a shape slot.
-// DecodeEnvelope, DecodeEnvelopeEvents, DecodeHandler and the rep
-// stores keep the memo-less parser, so the paper's Table 7 rows still
-// measure what its Xerces did.
+// through a memo, and each server.Dispatcher its requests; a memo may
+// be given an admission predicate over the operation element's local
+// name, so the dispatcher's learns only the operations it serves. The
+// skeleton half serves the streaming store too: rep's xmltmpl learns a
+// Skeleton from the bytes alone (LearnSkeleton), keys it by ShapeKey
+// and keeps per entry only the holes a match cuts. DecodeEnvelope,
+// DecodeEnvelopeEvents, DecodeHandler and the rep object stores keep
+// the memo-less parser, so the paper's Table 7 rows still measure what
+// its Xerces did.
 
 const (
 	// memoShapes is how many shapes one memo holds: a dispatcher serves
@@ -97,7 +98,7 @@ func (m *EnvelopeMemo) Decode(doc []byte) (*DecodedMessage, error) {
 	if hasHref(doc) {
 		return m.codec.decodeMultiRefDoc(doc)
 	}
-	key := shapeKey(doc)
+	key := ShapeKey(doc)
 	if (shapes != nil && len(*shapes) >= memoShapes) || !m.sighting(key) {
 		d := newEnvelopeDecoder(m.codec.reg)
 		return d.decode(doc, d)
@@ -170,7 +171,7 @@ func (m *EnvelopeMemo) install(s *shape) {
 		return
 	}
 	for _, o := range cur {
-		if o.skel == s.skel && slices.Equal(o.ends, s.ends) {
+		if o.fixed == s.fixed && slices.Equal(o.ends, s.ends) {
 			return
 		}
 	}
@@ -180,10 +181,10 @@ func (m *EnvelopeMemo) install(s *shape) {
 
 var shapeSeed = maphash.MakeSeed()
 
-// shapeKey hashes doc's markup runs, skipping every run of text
+// ShapeKey hashes doc's markup runs, skipping every run of text
 // between a '>' and the next '<', so two documents that differ only in
 // their text share a key. It allocates nothing.
-func shapeKey(doc []byte) uint64 {
+func ShapeKey(doc []byte) uint64 {
 	var h maphash.Hash
 	h.SetSeed(shapeSeed)
 	for i := 0; i < len(doc); {
@@ -209,14 +210,118 @@ func shapeKey(doc []byte) uint64 {
 	return h.Sum64()&^poisoned | 1
 }
 
-// shape is one memoized envelope shape: the fixed segments of its
-// envelope, the plan for its text holes, and the learnt result as the
-// prototype every hit copies. A shape is immutable once learnt.
-type shape struct {
-	// skel holds the fixed segments back to back; segment k ends at
+// Skeleton is the fixed half of a document shape: its byte segments,
+// with a hole between each pair. A document has the skeleton when it is
+// the segments with a run of text free of '<' in every hole; each
+// segment after a hole starts with '<'. Skeletons are immutable: the
+// memo's shapes embed one, and internal/rep's xmltmpl representation
+// shares one across the entries of a response shape.
+type Skeleton struct {
+	// fixed holds the segments back to back; segment k ends at
 	// ends[k], and hole k lies between segments k and k+1.
-	skel    string
-	ends    []int
+	fixed string
+	ends  []int
+}
+
+// Holes returns how many holes the skeleton has.
+func (k *Skeleton) Holes() int { return len(k.ends) - 1 }
+
+// Size returns the byte length of the fixed segments.
+func (k *Skeleton) Size() int { return len(k.fixed) }
+
+// AppendFilled appends to dst the document of the skeleton with hole i
+// holding holes[cuts[i-1]:cuts[i]] (cuts[-1] being 0). cuts must have
+// one end per hole.
+func (k *Skeleton) AppendFilled(dst, holes []byte, cuts []uint32) []byte {
+	at, prev := 0, uint32(0)
+	for i, cut := range cuts {
+		dst = append(dst, k.fixed[at:k.ends[i]]...)
+		dst = append(dst, holes[prev:cut]...)
+		at, prev = k.ends[i], cut
+	}
+	return append(dst, k.fixed[at:]...)
+}
+
+// Match reports whether doc has the skeleton. Its holes then hold
+// len(doc) - Size() bytes.
+func (k *Skeleton) Match(doc []byte) bool {
+	n := k.ends[0]
+	if len(doc) < n || string(doc[:n]) != k.fixed[:n] {
+		return false
+	}
+	pos := n
+	for i := 1; i < len(k.ends); i++ {
+		lt := bytes.IndexByte(doc[pos:], '<')
+		if lt < 0 {
+			return false
+		}
+		seg := k.fixed[k.ends[i-1]:k.ends[i]]
+		if pos += lt; len(doc)-pos < len(seg) || string(doc[pos:pos+len(seg)]) != seg {
+			return false
+		}
+		pos += len(seg)
+	}
+	return pos == len(doc)
+}
+
+// Cut yields each hole of doc, which Match accepted, in order.
+func (k *Skeleton) Cut(doc []byte) iter.Seq2[int, []byte] {
+	return func(yield func(int, []byte) bool) {
+		pos := k.ends[0]
+		for i := 1; i < len(k.ends); i++ {
+			lt := bytes.IndexByte(doc[pos:], '<')
+			if !yield(i-1, doc[pos:pos+lt]) {
+				return
+			}
+			pos += lt + k.ends[i] - k.ends[i-1]
+		}
+	}
+}
+
+// cutSkeleton returns the skeleton of doc whose holes are the given
+// ranges, in order, reporting false when its fixed bytes exceed
+// memoSkeletonCap.
+func cutSkeleton(doc []byte, holes [][2]int) (Skeleton, bool) {
+	var b strings.Builder
+	ends := make([]int, 0, len(holes)+1)
+	last := 0
+	for _, h := range holes {
+		b.Write(doc[last:h[0]])
+		ends = append(ends, b.Len())
+		last = h[1]
+	}
+	b.Write(doc[last:])
+	return Skeleton{fixed: b.String(), ends: append(ends, b.Len())}, b.Len() <= memoSkeletonCap
+}
+
+// LearnSkeleton learns doc's skeleton from its bytes alone: every run
+// of text between two tags is a hole, and so is the content of an
+// element that is empty here but may hold text elsewhere (<a></a>). It
+// follows the memo learner's rules: it reports false for a document
+// holding markup other than elements and a leading XML declaration, for
+// one with no element, and for fixed bytes over memoSkeletonCap.
+func LearnSkeleton(doc []byte) (*Skeleton, bool) {
+	tags, ok := scanTags(doc)
+	if !ok || !slices.ContainsFunc(tags, func(t tag) bool { return t.element }) {
+		return nil, false
+	}
+	var holes [][2]int
+	for i := 1; i < len(tags); i++ {
+		a, b := tags[i-1], tags[i]
+		if b.start > a.end || (a.element && !a.selfClosing && doc[b.start+1] == '/') {
+			holes = append(holes, [2]int{a.end, b.start})
+		}
+	}
+	k, ok := cutSkeleton(doc, holes)
+	return &k, ok
+}
+
+// shape is one memoized envelope shape: the skeleton of its envelope,
+// whose holes are the texts of its leaf values, the plan for those
+// holes, and the learnt result as the prototype every hit copies. A
+// shape is immutable once learnt.
+type shape struct {
+	Skeleton
 	holes   []hole
 	wrapper sax.Name
 	params  []memoParam
@@ -253,35 +358,16 @@ type memoParam struct {
 // decode decodes doc through the shape, reporting false when doc does
 // not have the shape or a hole does not decode; the caller then takes
 // the full decode. A learnt skeleton holds no href (hasHref sends such
-// documents to the multi-ref decoder before any learning), and the
-// pattern holds neither '<' nor '>', so it cannot straddle a hole's
-// edge: a hole that holds one is the only way doc can, and it falls
-// back too.
+// documents to the multi-ref decoder before any learning), so a hole
+// that holds one is the only way doc can, and it falls back too.
 func (s *shape) decode(doc []byte) (*DecodedMessage, bool) {
-	n := s.ends[0]
-	if len(doc) < n || string(doc[:n]) != s.skel[:n] {
-		return nil, false
-	}
-	pos, text := n, 0
-	for k := 1; k < len(s.ends); k++ {
-		lt := bytes.IndexByte(doc[pos:], '<')
-		if lt < 0 {
-			return nil, false
-		}
-		seg := s.skel[s.ends[k-1]:s.ends[k]]
-		pos, text = pos+lt, text+lt
-		if len(doc)-pos < len(seg) || string(doc[pos:pos+len(seg)]) != seg {
-			return nil, false
-		}
-		pos += len(seg)
-	}
-	if pos != len(doc) {
+	if !s.Match(doc) {
 		return nil, false
 	}
 
 	// One string holds every hole's text.
 	var b strings.Builder
-	b.Grow(text)
+	b.Grow(len(doc) - s.Size())
 	var params []Param
 	if len(s.params) > 0 {
 		params = make([]Param, len(s.params))
@@ -291,10 +377,7 @@ func (s *shape) decode(doc []byte) (*DecodedMessage, bool) {
 		params[i].Name = s.params[i].name
 		params[i].Value, bases[i] = s.params[i].fresh()
 	}
-	pos = s.ends[0]
-	for k := range s.holes {
-		lt := bytes.IndexByte(doc[pos:], '<')
-		raw := doc[pos : pos+lt]
+	for k, raw := range s.Cut(doc) {
 		if bytes.IndexByte(raw, '#') >= 0 && hasHref(raw) {
 			return nil, false
 		}
@@ -306,7 +389,6 @@ func (s *shape) decode(doc []byte) (*DecodedMessage, bool) {
 		if !h.set(bases[h.param], b.String()[start:], &params[h.param]) {
 			return nil, false
 		}
-		pos += lt + s.ends[k+1] - s.ends[k]
 	}
 	return &DecodedMessage{Wrapper: s.wrapper, Params: params}, true
 }
@@ -546,7 +628,8 @@ func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
 	if msg.Fault != nil || len(msg.Params) > memoParams {
 		return nil
 	}
-	tags, ok := startTags(doc)
+	tags, ok := scanTags(doc)
+	tags = slices.DeleteFunc(tags, func(t tag) bool { return !t.element })
 	if !ok || len(tags) != l.tags {
 		return nil
 	}
@@ -558,8 +641,7 @@ func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
 		}
 	}
 	written := make(map[string]bool)
-	var skel []byte
-	last := 0
+	var cuts [][2]int
 	for i := range l.frames {
 		lf := &l.frames[i]
 		param, path, ok := l.path(i)
@@ -571,18 +653,15 @@ func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
 			return nil
 		}
 		written[where] = true
-		tag := tags[lf.tag]
-		if (lf.kind != fSimple && lf.kind != fBytes) || tag.selfClosing {
+		t := tags[lf.tag]
+		if (lf.kind != fSimple && lf.kind != fBytes) || t.selfClosing {
 			continue
 		}
-		end := bytes.IndexByte(doc[tag.end:], '<')
-		if end < 0 || !bytes.HasPrefix(doc[tag.end+end:], []byte("</")) {
+		end := bytes.IndexByte(doc[t.end:], '<')
+		if end < 0 || !bytes.HasPrefix(doc[t.end+end:], []byte("</")) {
 			return nil
 		}
-		end += tag.end
-		skel = append(skel, doc[last:tag.end]...)
-		s.ends = append(s.ends, len(skel))
-		last = end
+		cuts = append(cuts, [2]int{t.end, t.end + end})
 		h := hole{param: param, path: path, kind: lf.kind, goType: lf.goType}
 		if len(path) == 0 {
 			s.params[param].hole = len(s.holes)
@@ -599,12 +678,9 @@ func (l *learner) shape(doc []byte, msg *DecodedMessage) *shape {
 		}
 		s.holes = append(s.holes, h)
 	}
-	skel = append(skel, doc[last:]...)
-	s.ends = append(s.ends, len(skel))
-	if len(skel) > memoSkeletonCap {
+	if s.Skeleton, ok = cutSkeleton(doc, cuts); !ok {
 		return nil
 	}
-	s.skel = string(skel)
 	return s
 }
 
@@ -688,18 +764,19 @@ func flat(t reflect.Type) bool {
 	return true
 }
 
-// tagEnd is where a start tag ends in a document.
-type tagEnd struct {
-	end         int // offset just past its '>'
+// tag is where one tag lies in a document.
+type tag struct {
+	start, end  int // offsets of its '<' and just past its '>'
+	element     bool
 	selfClosing bool
 }
 
-// startTags lists doc's start tags in order, reporting false when doc
-// holds markup other than elements and a leading XML declaration:
-// comments, CDATA sections, DOCTYPEs and processing instructions split
-// text in ways the plan does not model.
-func startTags(doc []byte) ([]tagEnd, bool) {
-	var tags []tagEnd
+// scanTags lists doc's tags in order, reporting false when doc holds
+// markup other than elements and a leading XML declaration: comments,
+// CDATA sections, DOCTYPEs and processing instructions split text in
+// ways neither the plan nor a skeleton models.
+func scanTags(doc []byte) ([]tag, bool) {
+	var tags []tag
 	first := true
 	for i := 0; i < len(doc); first = false {
 		lt := bytes.IndexByte(doc[i:], '<')
@@ -719,12 +796,14 @@ func startTags(doc []byte) ([]tagEnd, bool) {
 				return nil, false
 			}
 			i = lt + end + 2
+			tags = append(tags, tag{start: lt, end: i})
 		case '/':
 			end := bytes.IndexByte(doc[lt:], '>')
 			if end < 0 {
 				return nil, false
 			}
 			i = lt + end + 1
+			tags = append(tags, tag{start: lt, end: i})
 		default:
 			j, quote := lt+1, byte(0)
 			for ; j < len(doc); j++ {
@@ -744,7 +823,7 @@ func startTags(doc []byte) ([]tagEnd, bool) {
 			if j >= len(doc) {
 				return nil, false
 			}
-			tags = append(tags, tagEnd{end: j + 1, selfClosing: doc[j-1] == '/'})
+			tags = append(tags, tag{start: lt, end: j + 1, element: true, selfClosing: doc[j-1] == '/'})
 			i = j + 1
 		}
 	}
