@@ -7,7 +7,7 @@
 // Clients route keys to daemons by consistent hashing, so a fleet runs
 // N wscached processes and every client lists all N addresses. The
 // daemon is representation-aware only in that it stores the wire bytes
-// a client selected (raw, xmltmpl, binser, compact-sax, xml, gob) and hands them
+// a client selected (raw, xmltmpl, binser, compact-sax, xml) and hands them
 // back verbatim; decoding happens client-side (an xmltmpl value is the
 // origin's envelope, which the receiving client matches against its own
 // skeletons). Epoch bumps pushed by

@@ -12,9 +12,10 @@
 // extent the representation allows (Section 3.3).
 //
 // Key representations (Table 2): the request XML message, the
-// binary-serialized parameters (Go analog of Java serialization; an
-// encoding/gob variant is retained for ablation), or a canonical
-// string (Go analog of toString).
+// binary-serialized parameters (Go analog of Java serialization), or a
+// canonical string (Go analog of toString). The encoding/gob key and
+// value stores stay registered only so the referee ledger can price
+// them against binser; no selection order reaches them.
 //
 // Value representations (Table 3): the response XML message, the
 // recorded SAX event sequence (naive or compact), the DOM tree, the

@@ -174,7 +174,7 @@ func firstEvent(ictx *client.Context) *sax.Event {
 }
 
 // TestSelectorUntypedRecordsOnce: an untyped result (neither immutable,
-// cloneable, bean nor gob-safe) walks the Section 6 order to the SAX
+// cloneable nor bean) walks the Section 6 order to the SAX
 // store and the wire preference to the compact SAX store. The first of
 // them records from the response XML and the second reads that same
 // recording.

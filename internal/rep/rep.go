@@ -10,7 +10,10 @@
 //     and ValueStore implementations (XML message, SAX events — naive
 //     and compact — DOM tree, gob, binary serialization, reflection
 //     copy, clone copy, pass by reference), each carrying its paper
-//     limitation.
+//     limitation. The gob key and store are registered for the
+//     referee's ledger only: in Go a serializable graph is a bean graph,
+//     so the paper's serialization slot folds into reflection and no
+//     order names gob.
 //   - Registry: the name → representation catalog. Each registered
 //     representation pairs its store with its Table 2/3 row, an
 //     applicability predicate, and the label its stage latencies are

@@ -15,7 +15,6 @@ import (
 //	ref      immutable types (and nil) → pass by reference
 //	clone    Cloner implementations    → copy by clone
 //	reflect  bean-type object graphs   → copy by reflection
-//	gob      gob-encodable graphs      → gob serialization
 //	sax      anything with a message   → SAX event sequence
 //	xml      anything with response XML → the XML message
 //
@@ -24,8 +23,11 @@ import (
 // beats every object representation (no copy-out at all). The paper's
 // list omits clone (its WSDL compiler did not yet emit clone methods)
 // but argues it should; ours does, so clone slots in right after
-// immutability. The wire counterpart is wirePreference (wire.go).
-var sectionSix = []string{"raw", "ref", "clone", "reflect", "gob", "sax", "xml"}
+// immutability. The paper's serialization slot folds into reflection:
+// in Go a serializable graph is a bean graph (DESIGN.md §2), so gob
+// could only ever follow reflect with the same predicate. The wire
+// counterpart is wirePreference (wire.go).
+var sectionSix = []string{"raw", "ref", "clone", "reflect", "sax", "xml"}
 
 // autoName is the selector's display name. It is an obs label (the
 // copy-in/copy-out stage series), so it stays byte-identical across
@@ -59,7 +61,7 @@ func NewStaticSelector(reg *Registry) *Selector {
 	return &Selector{
 		reg:  reg,
 		l1:   reg.ordered(sectionSix),
-		wire: reg.WireSpecs(),
+		wire: reg.ordered(wirePreference),
 	}
 }
 
@@ -70,8 +72,8 @@ func (s *Selector) Name() string { return autoName }
 // applicable to the invocation and whose Store accepts the concrete
 // value wins. The L1 walk (wire false) continues only past
 // ErrNotApplicable — applicability is a type-level prediction the
-// concrete value may refute, e.g. a type flagged gob-safe whose value
-// smuggles in an unencodable interface member — and aborts on any
+// concrete value may refute, e.g. a value whose pointer type is the
+// Cloner — and aborts on any
 // other error, wrapped with the representation's name. The wire walk
 // also flattens the payload (the returned payload is the []byte) and
 // keeps going past any error, reporting the first: a tier write is
@@ -80,7 +82,7 @@ func (s *Selector) Name() string { return autoName }
 //
 // Skipping an inapplicable candidate is the same as calling it only
 // because every representation in sectionSix returns ErrNotApplicable
-// whenever its predicate is false (DESIGN.md §5e lists the seven).
+// whenever its predicate is false (DESIGN.md §5e lists the six).
 func (s *Selector) walk(order []*ValueSpec, ictx *client.Context, wire bool) (*ValueSpec, any, int, error) {
 	var first error
 	for _, spec := range order {

@@ -13,8 +13,8 @@ import (
 // candidate is asked.
 func TestSelectorPerTypeDecisions(t *testing.T) {
 	f := newFixture(t)
-	var stores [6]*fakeChainStore
-	var scripted [6]ValueStore
+	var stores [5]*fakeChainStore
+	var scripted [5]ValueStore
 	for i, name := range sectionSix[1:] {
 		stores[i] = &fakeChainStore{name: name}
 		scripted[i] = stores[i]

@@ -37,7 +37,7 @@ func (s *fakeChainStore) Load(payload any) (any, error) {
 // the Section 6 object representations (ref..xml) replaced by scripted
 // stores; each keeps its built-in applicability predicate, so the walk
 // under test is the production one.
-func scriptedAuto(t *testing.T, f *fixture, stores [6]ValueStore) *Selector {
+func scriptedAuto(t *testing.T, f *fixture, stores [5]ValueStore) *Selector {
 	t.Helper()
 	r := NewRegistry(f.reg, f.codec)
 	for i, name := range sectionSix[1:] {
@@ -129,9 +129,6 @@ func TestSelectorSectionSixTable(t *testing.T) {
 		// not know, which the wire walk steps past.
 		{"cloneable value, not pointer", full(cloneableBox{Name: "v"}), "Copy by clone", "Copy by reflection", "compact-sax"},
 		{"bean", full(&item{Name: "b"}), "Copy by reflection", "Copy by reflection", "binser"},
-		// typemap's bean and gob-safe predicates coincide, so no result
-		// class starts at the gob entry; it is reached only when reflection
-		// copy declines a value (TestAutoStoreCascadeOrderAndStart).
 		{"opaque with events", eventsOnly(&opaqueResult{Name: "o"}), "SAX events sequence", "SAX events sequence", "compact-sax"},
 		{"opaque with XML only", xmlOnly(&opaqueResult{Name: "o"}), "SAX events sequence", "SAX events sequence", "compact-sax"},
 		{"nothing captured", bare(&opaqueResult{Name: "o"}), none, none, none},
@@ -218,13 +215,12 @@ func TestAutoStoreCascadeOrderAndStart(t *testing.T) {
 	ref := na("ref")
 	clone := na("clone")
 	refl := na("reflect")
-	gob := &fakeChainStore{name: "gob"}
 	sax := &fakeChainStore{name: "sax"}
 	xml := &fakeChainStore{name: "xml"}
-	auto := scriptedAuto(t, f, [6]ValueStore{ref, clone, refl, gob, sax, xml})
+	auto := scriptedAuto(t, f, [5]ValueStore{ref, clone, refl, sax, xml})
 
 	// A cloneable pointer classifies to the clone entry: ref must not be
-	// consulted, clone and reflect decline, gob accepts.
+	// consulted, clone and reflect decline, sax accepts.
 	ictx := f.ictx(t, "get", &cloneableItem{Name: "c"})
 	payload, size, err := auto.Store(ictx)
 	if err != nil {
@@ -233,16 +229,16 @@ func TestAutoStoreCascadeOrderAndStart(t *testing.T) {
 	if ref.calls != 0 {
 		t.Errorf("ref consulted %d times; the walk must start at the classified entry", ref.calls)
 	}
-	if clone.calls != 1 || refl.calls != 1 || gob.calls != 1 {
-		t.Errorf("calls = clone %d, reflect %d, gob %d; want 1 each", clone.calls, refl.calls, gob.calls)
+	if clone.calls != 1 || refl.calls != 1 || sax.calls != 1 {
+		t.Errorf("calls = clone %d, reflect %d, sax %d; want 1 each", clone.calls, refl.calls, sax.calls)
 	}
-	if sax.calls != 0 || xml.calls != 0 {
-		t.Errorf("walk overshot the first accepting candidate (sax %d, xml %d)", sax.calls, xml.calls)
+	if xml.calls != 0 {
+		t.Errorf("walk overshot the first accepting candidate (xml %d)", xml.calls)
 	}
-	if size != len("gob") {
+	if size != len("sax") {
 		t.Errorf("size = %d", size)
 	}
-	if got, err := auto.Load(payload); err != nil || got != "gob" {
+	if got, err := auto.Load(payload); err != nil || got != "sax" {
 		t.Errorf("load = %#v, %v", got, err)
 	}
 }
@@ -255,9 +251,9 @@ func TestAutoStoreHardErrorAborts(t *testing.T) {
 	clone := &fakeChainStore{name: "clone-x", err: fmt.Errorf("clone-x: %w", ErrNotApplicable)}
 	refl := &fakeChainStore{name: "reflect-x", err: boom}
 	sax := &fakeChainStore{name: "sax-x"}
-	auto := scriptedAuto(t, f, [6]ValueStore{
+	auto := scriptedAuto(t, f, [5]ValueStore{
 		&fakeChainStore{name: "ref-x", err: fmt.Errorf("%w", ErrNotApplicable)},
-		clone, refl, &fakeChainStore{name: "gob-x"}, sax, &fakeChainStore{name: "xml-x"},
+		clone, refl, sax, &fakeChainStore{name: "xml-x"},
 	})
 
 	ictx := f.ictx(t, "get", &cloneableItem{Name: "c"})
@@ -312,12 +308,12 @@ func TestAutoStoreNilResultRoundTrip(t *testing.T) {
 func TestAutoStoreSAXFallsThroughToXML(t *testing.T) {
 	// The sax→xml leg with scripted candidates: an opaque result
 	// classifies to sax, which declines; xml must take it, and none of
-	// the four inapplicable entries ahead may be asked.
+	// the three inapplicable entries ahead may be asked.
 	f := newFixture(t)
 	sax := &fakeChainStore{name: "sax-s", err: fmt.Errorf("sax: %w", ErrNotApplicable)}
 	xml := &fakeChainStore{name: "xml-s"}
-	ahead := [4]*fakeChainStore{{name: "r"}, {name: "c"}, {name: "f"}, {name: "g"}}
-	auto := scriptedAuto(t, f, [6]ValueStore{ahead[0], ahead[1], ahead[2], ahead[3], sax, xml})
+	ahead := [3]*fakeChainStore{{name: "r"}, {name: "c"}, {name: "f"}}
+	auto := scriptedAuto(t, f, [5]ValueStore{ahead[0], ahead[1], ahead[2], sax, xml})
 	ictx := f.ictx(t, "get", &item{Name: "x"})
 	ictx.Result = &opaqueResult{Name: "o"} // classifies to the sax entry
 	payload, _, err := auto.Store(ictx)

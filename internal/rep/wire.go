@@ -11,8 +11,10 @@ import (
 // full Table 3 menu including the copy/ref representations — payloads
 // that are live object graphs and cannot leave the process. A remote
 // tier can only hold bytes, so it admits the byte-oriented subset:
-// the XML message, binary serialization, gob, and the compact SAX
-// sequence, each able to flatten its payload to a wire form and back.
+// the streamed response, the XML message, binary serialization and the
+// compact SAX sequence, each able to flatten its payload to a wire form
+// and back. gob is wire-capable too, and a peer's gob entry still
+// decodes, but no order selects it.
 
 // WireStore is the optional ValueStore extension a representation
 // implements when its payloads can cross a process boundary.
@@ -34,14 +36,15 @@ type WireStore interface {
 // both are gated on Context.AcceptStream, so non-stream consumers
 // start at binary serialization (compact payloads, cheap decode per
 // Table 7), then the compact SAX sequence (no type limitation beyond
-// message capture), then the raw XML message (universal), then gob
-// (encoder overhead inverts the ordering at these message sizes; see
-// the ablation benchmarks).
-var wirePreference = []string{"raw", "xmltmpl", "binser", "compact-sax", "xml", "gob"}
+// message capture), then the raw XML message (universal). gob is not
+// in the order: it holds exactly what binser holds (the bean
+// predicate), at a higher per-message cost (the ledger's
+// rep.store.gob.* rows).
+var wirePreference = []string{"raw", "xmltmpl", "binser", "compact-sax", "xml"}
 
-// WireSpecs returns the registered wire-capable value specs, the
-// static preference order first, any further registered WireStores in
-// registration order after.
+// WireSpecs returns every registered wire-capable value spec, the
+// static preference order first, any further registered WireStores
+// (gob among them) in registration order after.
 func (r *Registry) WireSpecs() []*ValueSpec {
 	var out []*ValueSpec
 	seen := make(map[string]bool)

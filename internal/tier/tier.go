@@ -81,7 +81,7 @@ type Stamp struct {
 // can decode it back.
 type Entry struct {
 	// Rep is the short registry name of the representation that encoded
-	// Value ("binser", "xml", "compact-sax", "gob").
+	// Value ("binser", "xml", "compact-sax", "raw", ...).
 	Rep string
 	// Value is the representation's wire encoding of the payload.
 	Value []byte
