@@ -291,7 +291,7 @@ func (r *Registry) registerBuiltins() {
 	})
 	_ = r.RegisterValue(ValueSpec{
 		Name: "gob", Store: NewGobStore(types), Info: valueRows[2],
-		Applicable: func(ictx *client.Context) bool { return info(ictx).IsGobSafe },
+		Applicable: func(ictx *client.Context) bool { return info(ictx).IsBean },
 	})
 	_ = r.RegisterValue(ValueSpec{
 		Name: "reflect", Store: NewReflectCopyStore(types), Info: valueRows[3],

@@ -277,8 +277,9 @@ func (s *CompactSAXStore) Load(payload any) (any, error) {
 
 // GobStore caches the gob-serialized form of the application object
 // (Section 4.2.3-A, the Java-serialization analog). Load decodes a
-// fresh object graph. Limitation: the object graph must be deeply
-// gob-encodable.
+// fresh object graph. Limitation: a bean-type object graph, as for
+// reflection copy. No selection order reaches it; it stays for the
+// ledger's gob-against-binser rows.
 type GobStore struct {
 	reg *typemap.Registry
 }
@@ -286,7 +287,7 @@ type GobStore struct {
 var _ ValueStore = (*GobStore)(nil)
 
 // NewGobStore returns the serialization representation. reg, when
-// non-nil, pre-checks encodability and yields ErrNotApplicable for
+// non-nil, pre-checks bean-ness and yields ErrNotApplicable for
 // unencodable results instead of a late gob failure.
 func NewGobStore(reg *typemap.Registry) *GobStore {
 	return &GobStore{reg: reg}
@@ -298,8 +299,8 @@ func (s *GobStore) Name() string { return "Gob serialization" }
 // Store implements ValueStore.
 func (s *GobStore) Store(ictx *client.Context) (any, int, error) {
 	if s.reg != nil && ictx.Result != nil {
-		if !s.reg.InfoFor(ictx.Result).IsGobSafe {
-			return nil, 0, fmt.Errorf("%w: %T is not deeply gob-encodable", ErrNotApplicable, ictx.Result)
+		if !s.reg.InfoFor(ictx.Result).IsBean {
+			return nil, 0, fmt.Errorf("%w: %T is not a bean-type object", ErrNotApplicable, ictx.Result)
 		}
 	}
 	data, err := gobEncode(ictx.Result)

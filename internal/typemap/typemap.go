@@ -4,8 +4,10 @@
 //
 //   - deep immutability  → pass-by-reference is safe
 //   - cloneability       → copy by the type's own deep-clone method
-//   - bean-ness          → copy by reflection is possible
-//   - gob encodability   → copy by serialization is possible
+//   - bean-ness          → copy by reflection or serialization is
+//     possible (Go's serializers, like reflection copy, need every
+//     reachable field exported, so the paper's "serializable" class is
+//     this one)
 //
 // In Apache Axis this metadata comes from the WSDL compiler's generated
 // classes plus Java's runtime marker interfaces (Serializable,
@@ -100,9 +102,9 @@ type TypeInfo struct {
 	Class Class
 
 	// IsBean reports that the type is a data-holder suitable for
-	// reflection copy: a struct (or pointer to struct) whose fields are
-	// all exported and themselves bean-compatible, or a slice/array/map
-	// of bean-compatible values.
+	// reflection copy and serialization: a struct (or pointer to
+	// struct) whose fields are all exported and themselves
+	// bean-compatible, or a slice/array/map of bean-compatible values.
 	IsBean bool
 
 	// IsCloneable reports that the type implements Cloner.
@@ -113,11 +115,6 @@ type TypeInfo struct {
 	// and pointer-free value structs. Immutable values may be shared
 	// between cache and application (paper Section 4.2.4).
 	IsImmutable bool
-
-	// IsGobSafe reports that the full object graph can round-trip
-	// through encoding/gob without silently dropping state: no chans,
-	// funcs or unexported struct fields anywhere in the type graph.
-	IsGobSafe bool
 
 	// Fields holds the serializable fields when Class is ClassStruct.
 	Fields []FieldInfo
@@ -246,7 +243,6 @@ func analyze(t reflect.Type) *TypeInfo {
 		(t.Kind() != reflect.Pointer && reflect.PointerTo(t).Implements(clonerType))
 	ti.IsImmutable = isImmutable(t, make(map[reflect.Type]bool))
 	ti.IsBean = isBean(t, make(map[reflect.Type]bool))
-	ti.IsGobSafe = isGobSafe(t, make(map[reflect.Type]bool))
 	if st := structType(t); st != nil {
 		ti.Fields = structFields(st)
 	}
@@ -367,7 +363,9 @@ func isImmutable(t reflect.Type, seen map[reflect.Type]bool) bool {
 }
 
 // isBean reports whether reflection copy can faithfully deep-copy a
-// value of this type: all reachable struct fields must be exported.
+// value of this type, and a serializer round-trip it: all reachable
+// struct fields must be exported (gob and binser skip or refuse
+// unexported ones; a lossy copy is worse than a refused one).
 func isBean(t reflect.Type, seen map[reflect.Type]bool) bool {
 	if seen[t] {
 		return true // already being checked higher in the walk
@@ -398,42 +396,6 @@ func isBean(t reflect.Type, seen map[reflect.Type]bool) bool {
 	default:
 		// Interfaces hide their dynamic type; chans and funcs cannot be
 		// copied meaningfully.
-		return false
-	}
-}
-
-// isGobSafe reports whether the object graph can round-trip through
-// encoding/gob without losing state. Gob silently skips unexported
-// fields, so they are disallowed here — a lossy copy is worse than a
-// refused one.
-func isGobSafe(t reflect.Type, seen map[reflect.Type]bool) bool {
-	if seen[t] {
-		return true
-	}
-	seen[t] = true
-	switch t.Kind() {
-	case reflect.Bool,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uint8,
-		reflect.Float32, reflect.Float64,
-		reflect.String:
-		return true
-	case reflect.Pointer, reflect.Slice, reflect.Array:
-		return isGobSafe(t.Elem(), seen)
-	case reflect.Map:
-		return isGobSafe(t.Key(), seen) && isGobSafe(t.Elem(), seen)
-	case reflect.Struct:
-		for i := 0; i < t.NumField(); i++ {
-			f := t.Field(i)
-			if !f.IsExported() {
-				return false
-			}
-			if !isGobSafe(f.Type, seen) {
-				return false
-			}
-		}
-		return true
-	default:
 		return false
 	}
 }

@@ -156,6 +156,9 @@ func TestBeanAnalysis(t *testing.T) {
 	if !r.InfoFor(map[string][]*bean{}).IsBean {
 		t.Error("map of bean slices should be bean-compatible")
 	}
+	if !r.InfoFor("hello").IsBean {
+		t.Error("a string is bean-compatible")
+	}
 }
 
 func TestCloneableAnalysis(t *testing.T) {
@@ -173,22 +176,6 @@ func TestCloneableAnalysis(t *testing.T) {
 	}
 	if r.InfoFor(&bean{}).IsCloneable {
 		t.Error("bean does not implement Cloner")
-	}
-}
-
-func TestGobSafeAnalysis(t *testing.T) {
-	r := NewRegistry()
-	if !r.InfoFor(&bean{}).IsGobSafe {
-		t.Error("bean should be gob-safe")
-	}
-	if r.InfoFor(&notBean{}).IsGobSafe {
-		t.Error("unexported fields are silently dropped by gob; must not be gob-safe")
-	}
-	if r.InfoFor(withChan{}).IsGobSafe {
-		t.Error("chan is not gob-encodable")
-	}
-	if !r.InfoFor("hello").IsGobSafe {
-		t.Error("string is gob-safe")
 	}
 }
 
