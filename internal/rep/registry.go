@@ -2,6 +2,7 @@ package rep
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -11,10 +12,10 @@ import (
 	"repro/internal/typemap"
 )
 
-// KeySpec is one registered cache key strategy: the generator plus its
+// KeySpec is one built-in cache key strategy: the generator plus its
 // Table 2 row.
 type KeySpec struct {
-	// Name is the short resolvable name ("string", "gob", ...).
+	// Name is the short name the ledger labels it by ("string", "gob", ...).
 	Name string
 	// Gen is the strategy itself.
 	Gen KeyGenerator
@@ -23,8 +24,7 @@ type KeySpec struct {
 }
 
 // ValueSpec is one registered cache value representation: the store,
-// its Table 3 row, an applicability predicate, and the label its stage
-// latencies are recorded under in the obs layer.
+// its Table 3 row and an applicability predicate.
 type ValueSpec struct {
 	// Name is the short resolvable name ("sax", "ref", ...).
 	Name string
@@ -53,14 +53,14 @@ type ValueSpec struct {
 // concrete stores need.
 //
 // The selection policy resolves like a representation: "auto" is the
-// Selector, the static Section 6 order.
+// Selector, the static Section 6 order. The key side is the fixed
+// Table 2 list (Keys); nothing resolves a key strategy by name.
 type Registry struct {
 	types *typemap.Registry
 	codec *soap.Codec
+	keys  []*KeySpec
 
 	mu         sync.RWMutex
-	keys       map[string]*KeySpec
-	keyOrder   []string
 	values     map[string]*ValueSpec
 	valueOrder []string
 }
@@ -69,10 +69,16 @@ type Registry struct {
 // strategy and value representation, bound to the given type registry
 // and codec.
 func NewRegistry(types *typemap.Registry, codec *soap.Codec) *Registry {
+	keyRows := KeyRepresentations()
 	r := &Registry{
-		types:  types,
-		codec:  codec,
-		keys:   make(map[string]*KeySpec),
+		types: types,
+		codec: codec,
+		keys: []*KeySpec{
+			{Name: "xml", Gen: NewXMLMessageKey(codec), Info: keyRows[0]},
+			{Name: "binser", Gen: NewBinserKey(types), Info: keyRows[1]},
+			{Name: "gob", Gen: NewGobKey(), Info: keyRows[1]},
+			{Name: "string", Gen: NewStringKey(), Info: keyRows[2]},
+		},
 		values: make(map[string]*ValueSpec),
 	}
 	r.registerBuiltins()
@@ -94,21 +100,6 @@ func (r *Registry) RegisterType(name typemap.QName, prototype any) error {
 	return r.types.Register(name, prototype)
 }
 
-// RegisterKey adds (or replaces) a key strategy under spec.Name.
-func (r *Registry) RegisterKey(spec KeySpec) error {
-	if spec.Name == "" || spec.Gen == nil {
-		return fmt.Errorf("rep: registry: key spec needs a name and a generator")
-	}
-	name := strings.ToLower(spec.Name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.keys[name]; !ok {
-		r.keyOrder = append(r.keyOrder, name)
-	}
-	r.keys[name] = &spec
-	return nil
-}
-
 // RegisterValue adds (or replaces) a value representation under
 // spec.Name. A nil Applicable means "always applicable".
 func (r *Registry) RegisterValue(spec ValueSpec) error {
@@ -126,32 +117,6 @@ func (r *Registry) RegisterValue(spec ValueSpec) error {
 	}
 	r.values[name] = &spec
 	return nil
-}
-
-// Key resolves a key strategy by short name or display name
-// (case-insensitive).
-func (r *Registry) Key(name string) (KeyGenerator, error) {
-	spec, err := r.KeySpecFor(name)
-	if err != nil {
-		return nil, err
-	}
-	return spec.Gen, nil
-}
-
-// KeySpecFor resolves a key spec by short name or display name.
-func (r *Registry) KeySpecFor(name string) (*KeySpec, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if spec, ok := r.keys[strings.ToLower(name)]; ok {
-		return spec, nil
-	}
-	for _, spec := range r.keys {
-		if strings.EqualFold(spec.Gen.Name(), name) {
-			return spec, nil
-		}
-	}
-	return nil, fmt.Errorf("rep: registry: unknown key strategy %q (have %s)",
-		name, strings.Join(r.keyNamesLocked(), ", "))
 }
 
 // Store resolves a value store by short name or display name
@@ -201,16 +166,8 @@ func (r *Registry) ordered(order []string) []*ValueSpec {
 	return out
 }
 
-// Keys returns the registered key specs in registration order.
-func (r *Registry) Keys() []*KeySpec {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*KeySpec, 0, len(r.keyOrder))
-	for _, name := range r.keyOrder {
-		out = append(out, r.keys[name])
-	}
-	return out
-}
+// Keys returns the built-in key specs in Table 2 order.
+func (r *Registry) Keys() []*KeySpec { return slices.Clone(r.keys) }
 
 // Values returns the registered value specs in registration order.
 func (r *Registry) Values() []*ValueSpec {
@@ -223,13 +180,6 @@ func (r *Registry) Values() []*ValueSpec {
 	return out
 }
 
-// KeyNames returns the resolvable short key names, sorted.
-func (r *Registry) KeyNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.keyNamesLocked()
-}
-
 // ValueNames returns the resolvable short value names, sorted. The
 // selection policy "auto" is additionally accepted by Store but is not
 // listed here.
@@ -239,29 +189,17 @@ func (r *Registry) ValueNames() []string {
 	return r.valueNamesLocked()
 }
 
-func (r *Registry) keyNamesLocked() []string {
-	out := append([]string(nil), r.keyOrder...)
-	sort.Strings(out)
-	return out
-}
-
 func (r *Registry) valueNamesLocked() []string {
 	out := append([]string(nil), r.valueOrder...)
 	sort.Strings(out)
 	return out
 }
 
-// registerBuiltins populates the catalog with the Table 2 key
-// strategies and Table 3 value representations this implementation
-// provides, in the order the tables list them.
+// registerBuiltins populates the catalog with the Table 3 value
+// representations this implementation provides, in the order the table
+// lists them.
 func (r *Registry) registerBuiltins() {
 	types, codec := r.types, r.codec
-	keyRows := KeyRepresentations()
-	_ = r.RegisterKey(KeySpec{Name: "xml", Gen: NewXMLMessageKey(codec), Info: keyRows[0]})
-	_ = r.RegisterKey(KeySpec{Name: "binser", Gen: NewBinserKey(types), Info: keyRows[1]})
-	_ = r.RegisterKey(KeySpec{Name: "gob", Gen: NewGobKey(), Info: keyRows[1]})
-	_ = r.RegisterKey(KeySpec{Name: "string", Gen: NewStringKey(), Info: keyRows[2]})
-
 	valueRows := ValueRepresentations()
 	hasMessage := func(ictx *client.Context) bool {
 		return len(ictx.ResponseEvents) > 0 || len(ictx.ResponseXML) > 0

@@ -40,23 +40,6 @@ func TestRegistryResolvesByShortAndDisplayName(t *testing.T) {
 			t.Errorf("Store(%q).Name() = %q, want %q", c.query, store.Name(), c.want)
 		}
 	}
-
-	for _, c := range []struct{ query, want string }{
-		{"string", "String concatenation"},
-		{"xml", "XML message"},
-		{"gob", "Gob serialization"},
-		{"binser", "Binary serialization"},
-		{"String concatenation", "String concatenation"},
-	} {
-		gen, err := r.Key(c.query)
-		if err != nil {
-			t.Errorf("Key(%q): %v", c.query, err)
-			continue
-		}
-		if gen.Name() != c.want {
-			t.Errorf("Key(%q).Name() = %q, want %q", c.query, gen.Name(), c.want)
-		}
-	}
 }
 
 func TestRegistryResolvesSelectionPolicies(t *testing.T) {
@@ -88,9 +71,6 @@ func TestRegistryUnknownNames(t *testing.T) {
 	_, r := newTestRegistry(t)
 	if _, err := r.Store("carrier-pigeon"); err == nil || !strings.Contains(err.Error(), "carrier-pigeon") {
 		t.Errorf("err = %v", err)
-	}
-	if _, err := r.Key("carrier-pigeon"); err == nil {
-		t.Error("unknown key name accepted")
 	}
 }
 
@@ -162,8 +142,12 @@ func TestRegistryNamesAndOrder(t *testing.T) {
 			t.Errorf("spec %s incompletely registered: %+v", spec.Name, spec)
 		}
 	}
-	if len(r.Keys()) != 4 {
-		t.Errorf("builtin key specs = %d, want 4", len(r.Keys()))
+	var keys []string
+	for _, spec := range r.Keys() {
+		keys = append(keys, spec.Name)
+	}
+	if got := strings.Join(keys, " "); got != "xml binser gob string" {
+		t.Errorf("builtin key specs = %s, want Table 2 order xml binser gob string", got)
 	}
 	names := r.ValueNames()
 	for i := 1; i < len(names); i++ {

@@ -14,12 +14,12 @@
 //     referee's ledger only: in Go a serializable graph is a bean graph,
 //     so the paper's serialization slot folds into reflection and no
 //     order names gob.
-//   - Registry: the name → representation catalog. Each registered
-//     representation pairs its store with its Table 2/3 row, an
-//     applicability predicate, and the label its stage latencies are
-//     recorded under in the observability layer. core, the server-side
-//     response cache, and the cmd/* binaries resolve representations
-//     by name here instead of constructing concrete stores.
+//   - Registry: the name → value representation catalog. Each
+//     registered representation pairs its store with its Table 3 row
+//     and an applicability predicate. core, the server-side response
+//     cache, and the cmd/* binaries resolve representations by name
+//     here instead of constructing concrete stores. The key strategies
+//     are a fixed list beside it (Keys), with their Table 2 rows.
 //   - Selection: Selector walks an order over registry names — the
 //     paper's Section 6 decision list for the in-process cache, a wire
 //     preference for remote tiers — and takes the first applicable
