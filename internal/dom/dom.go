@@ -199,10 +199,10 @@ func (d *Document) Events() []sax.Event {
 	return out
 }
 
-// Visit streams the document to a sax.Handler by walking the tree,
+// Replay streams the document to a sax.Handler by walking the tree,
 // without materializing an event slice: the cheap replay path for
 // DOM-tree cache payloads.
-func (d *Document) Visit(h sax.Handler) error {
+func (d *Document) Replay(h sax.Handler) error {
 	if err := h.OnStartDocument(); err != nil {
 		return err
 	}
@@ -247,7 +247,7 @@ func (n *Node) Visit(h sax.Handler) error {
 // declaration).
 func (d *Document) XML() (string, error) {
 	w := sax.NewWriter()
-	if err := d.Visit(w); err != nil {
+	if err := d.Replay(w); err != nil {
 		return "", err
 	}
 	return w.String(), nil

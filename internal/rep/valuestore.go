@@ -71,7 +71,12 @@ func (s *XMLMessageStore) Load(payload any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("rep: xml store: payload is %T", payload)
 	}
-	msg, err := s.codec.DecodeEnvelope(doc)
+	return result(s.codec.DecodeEnvelope(doc))
+}
+
+// result is the message-level stores' common tail: a decoded fault is
+// the call's error, anything else yields the result.
+func result(msg *soap.DecodedMessage, err error) (any, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -118,14 +123,7 @@ func (s *SAXEventsStore) Load(payload any) (any, error) {
 	if !ok {
 		return nil, fmt.Errorf("rep: sax store: payload is %T", payload)
 	}
-	msg, err := s.codec.DecodeEnvelopeEvents(events)
-	if err != nil {
-		return nil, err
-	}
-	if msg.Fault != nil {
-		return nil, msg.Fault
-	}
-	return msg.Result(), nil
+	return result(s.codec.DecodeEnvelopeEvents(events))
 }
 
 // DOMStore caches the response's DOM tree — the other post-parsing
@@ -135,12 +133,12 @@ func (s *SAXEventsStore) Load(payload any) (any, error) {
 // replay the tree supports structural inspection (and is how multiref
 // resolution works), at a higher memory cost.
 type DOMStore struct {
-	codec *soap.Codec
+	eventLoad
 }
 
 // NewDOMStore returns the DOM-tree representation.
 func NewDOMStore(codec *soap.Codec) *DOMStore {
-	return &DOMStore{codec: codec}
+	return &DOMStore{eventLoad{codec}}
 }
 
 // Name implements ValueStore.
@@ -161,49 +159,42 @@ func (s *DOMStore) Store(ictx *client.Context) (any, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("rep: dom store: %w", err)
 	}
-	return &domPayload{
-		doc:      doc,
-		multiRef: soap.EventsHaveHref(doc.Events()),
-	}, memsize.Of(doc), nil
+	return &eventPayload{src: doc, multiRef: soap.EventsHaveHref(doc.Events())}, memsize.Of(doc), nil
 }
 
-// domPayload remembers whether the tree needs multiref resolution, so
-// the check is paid once at store time rather than on every hit.
-type domPayload struct {
-	doc      *dom.Document
+// eventSource is a held event stream that replays without
+// tokenization: a DOM tree or a compact sequence.
+type eventSource interface {
+	Events() []sax.Event
+	Replay(sax.Handler) error
+}
+
+// eventPayload is what the DOM and compact-SAX stores hold: the
+// response's events in the store's form, and whether they need the
+// multi-reference resolution pass, checked once at store time rather
+// than on every hit.
+type eventPayload struct {
+	src      eventSource
 	multiRef bool
 }
 
+// eventLoad is the Load the DOM and compact-SAX stores share: a stream
+// that needs multi-reference resolution is materialized for the
+// structural pass; any other replays straight into the deserializer.
+type eventLoad struct {
+	codec *soap.Codec
+}
+
 // Load implements ValueStore.
-func (s *DOMStore) Load(payload any) (any, error) {
-	p, ok := payload.(*domPayload)
+func (s eventLoad) Load(payload any) (any, error) {
+	p, ok := payload.(*eventPayload)
 	if !ok {
-		return nil, fmt.Errorf("rep: dom store: payload is %T", payload)
+		return nil, fmt.Errorf("rep: event store: payload is %T", payload)
 	}
-	// Multiref envelopes need the structural resolution pass; plain
-	// envelopes stream the tree straight into the deserializer.
 	if p.multiRef {
-		msg, err := s.codec.DecodeEnvelopeEvents(p.doc.Events())
-		if err != nil {
-			return nil, err
-		}
-		if msg.Fault != nil {
-			return nil, msg.Fault
-		}
-		return msg.Result(), nil
+		return result(s.codec.DecodeEnvelopeEvents(p.src.Events()))
 	}
-	dh := s.codec.NewDecodeHandler()
-	if err := p.doc.Visit(dh.Handler()); err != nil {
-		return nil, err
-	}
-	msg, err := dh.Message()
-	if err != nil {
-		return nil, err
-	}
-	if msg.Fault != nil {
-		return nil, msg.Fault
-	}
-	return msg.Result(), nil
+	return result(s.codec.DecodeReplay(p.src.Replay))
 }
 
 // CompactSAXStore is SAXEventsStore with the recorded sequence held in
@@ -212,12 +203,12 @@ func (s *DOMStore) Load(payload any) (any, error) {
 // streams are highly repetitive) for slightly more replay work. Ledger
 // rows rep.store.compact-sax.* against rep.store.sax.* price the trade.
 type CompactSAXStore struct {
-	codec *soap.Codec
+	eventLoad
 }
 
 // NewCompactSAXStore returns the compact SAX-events representation.
 func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
-	return &CompactSAXStore{codec: codec}
+	return &CompactSAXStore{eventLoad{codec}}
 }
 
 // Name implements ValueStore.
@@ -233,46 +224,7 @@ func (s *CompactSAXStore) Store(ictx *client.Context) (any, int, error) {
 		return nil, 0, fmt.Errorf("rep: compact sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
 	}
 	seq := sax.Compact(events)
-	payload := &compactSAXPayload{seq: seq, multiRef: soap.EventsHaveHref(events)}
-	return payload, seq.MemSize(), nil
-}
-
-// compactSAXPayload remembers whether the stream needs the
-// multi-reference resolution path at load time.
-type compactSAXPayload struct {
-	seq      *sax.CompactSequence
-	multiRef bool
-}
-
-// Load implements ValueStore.
-func (s *CompactSAXStore) Load(payload any) (any, error) {
-	p, ok := payload.(*compactSAXPayload)
-	if !ok {
-		return nil, fmt.Errorf("rep: compact sax store: payload is %T", payload)
-	}
-	if p.multiRef {
-		// href resolution needs a structural pass; rematerialize.
-		msg, err := s.codec.DecodeEnvelopeEvents(p.seq.Events())
-		if err != nil {
-			return nil, err
-		}
-		if msg.Fault != nil {
-			return nil, msg.Fault
-		}
-		return msg.Result(), nil
-	}
-	dh := s.codec.NewDecodeHandler()
-	if err := p.seq.Replay(dh.Handler()); err != nil {
-		return nil, err
-	}
-	msg, err := dh.Message()
-	if err != nil {
-		return nil, err
-	}
-	if msg.Fault != nil {
-		return nil, msg.Fault
-	}
-	return msg.Result(), nil
+	return &eventPayload{src: seq, multiRef: soap.EventsHaveHref(events)}, seq.MemSize(), nil
 }
 
 // GobStore caches the gob-serialized form of the application object

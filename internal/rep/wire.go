@@ -108,15 +108,19 @@ func (s *GobStore) DecodeWire(data []byte) (any, error) {
 // EncodeWire implements WireStore. One flag byte (multiref) precedes
 // the sequence's binary form.
 func (s *CompactSAXStore) EncodeWire(payload any) ([]byte, error) {
-	p, ok := payload.(*compactSAXPayload)
+	p, ok := payload.(*eventPayload)
 	if !ok {
 		return nil, fmt.Errorf("rep: compact sax store: wire payload is %T", payload)
+	}
+	seq, ok := p.src.(*sax.CompactSequence)
+	if !ok {
+		return nil, fmt.Errorf("rep: compact sax store: wire payload holds %T", p.src)
 	}
 	flag := byte(0)
 	if p.multiRef {
 		flag = 1
 	}
-	return p.seq.AppendBinary([]byte{flag}), nil
+	return seq.AppendBinary([]byte{flag}), nil
 }
 
 // DecodeWire implements WireStore.
@@ -128,7 +132,7 @@ func (s *CompactSAXStore) DecodeWire(data []byte) (any, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rep: compact sax store: %w", err)
 	}
-	return &compactSAXPayload{seq: seq, multiRef: data[0] == 1}, nil
+	return &eventPayload{src: seq, multiRef: data[0] == 1}, nil
 }
 
 var (

@@ -33,11 +33,8 @@ func TestDecodeEnvelopeAllocs(t *testing.T) {
 	p := sax.NewParser(sax.ParseOptions{CoalesceText: true})
 	var msg *soap.DecodedMessage
 	decode := func() {
-		dh := codec.NewDecodeHandler()
-		if err := p.Parse(doc, dh.Handler()); err != nil {
-			t.Fatal(err)
-		}
-		if msg, err = dh.Message(); err != nil {
+		msg, err = codec.DecodeReplay(func(h sax.Handler) error { return p.Parse(doc, h) })
+		if err != nil {
 			t.Fatal(err)
 		}
 	}

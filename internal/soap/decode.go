@@ -75,24 +75,18 @@ func (c *Codec) DecodeEnvelopeEvents(events []sax.Event) (*DecodedMessage, error
 	return d.message()
 }
 
-// DecodeHandler is the streaming deserializer exposed as a sax.Handler,
-// for callers that drive it from their own event source (a parse, a
-// replay or a DOM walk).
-type DecodeHandler struct {
-	d *envelopeDecoder
+// DecodeReplay constructs application objects from an event source the
+// caller drives: replay delivers the whole stream to the streaming
+// deserializer it is handed (a parse, a recorded sequence's replay or a
+// DOM walk). It does no multi-reference resolution; a stream carrying
+// href attributes goes through DecodeEnvelopeEvents.
+func (c *Codec) DecodeReplay(replay func(sax.Handler) error) (*DecodedMessage, error) {
+	d := newEnvelopeDecoder(c.reg)
+	if err := replay(d); err != nil {
+		return nil, err
+	}
+	return d.message()
 }
-
-// NewDecodeHandler returns a fresh streaming deserializer.
-func (c *Codec) NewDecodeHandler() *DecodeHandler {
-	return &DecodeHandler{d: newEnvelopeDecoder(c.reg)}
-}
-
-// Handler returns the sax.Handler to drive.
-func (h *DecodeHandler) Handler() sax.Handler { return h.d }
-
-// Message returns the decoded message after the event stream has been
-// fully delivered.
-func (h *DecodeHandler) Message() (*DecodedMessage, error) { return h.d.message() }
 
 // decoder states.
 type decodeState int

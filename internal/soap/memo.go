@@ -35,7 +35,7 @@ import (
 // skeleton half serves the streaming store too: rep's xmltmpl learns a
 // Skeleton from the bytes alone (LearnSkeleton), keys it by ShapeKey
 // and keeps per entry only the holes a match cuts. DecodeEnvelope,
-// DecodeEnvelopeEvents, DecodeHandler and the rep object stores keep
+// DecodeEnvelopeEvents, DecodeReplay and the rep object stores keep
 // the memo-less parser, so the paper's Table 7 rows still measure what
 // its Xerces did.
 

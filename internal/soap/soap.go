@@ -68,9 +68,3 @@ func NewCodec(reg *typemap.Registry) *Codec {
 
 // Registry returns the codec's type registry.
 func (c *Codec) Registry() *typemap.Registry { return c.reg }
-
-// builtinName returns the xsd QName the serializer uses for a Go
-// primitive kind, by example value.
-func builtinQName(local string) typemap.QName {
-	return typemap.QName{Space: SchemaNS, Local: local}
-}
