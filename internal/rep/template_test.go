@@ -13,6 +13,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/googleapi"
 	"repro/internal/rep"
+	"repro/internal/soap"
 )
 
 // thirdParty holds envelopes this repository's encoder does not write:
@@ -94,6 +95,38 @@ func TestTemplateStoreInternerIsBounded(t *testing.T) {
 	}
 	if skeleton := len(`<r n="64"><v></v></r>`); sizes[1]-sizes[0] != skeleton {
 		t.Errorf("resident sizes %v: a private skeleton must add its %d bytes", sizes, skeleton)
+	}
+}
+
+// TestTemplateStoreKeysFollowSkeletons: documents whose skeletons
+// differ get different shape keys, so alternating fills of two of them
+// each match their own interned skeleton. Text before or after the
+// root element is fixed, not a hole, and a '>' in a quoted attribute
+// value does not end a tag. Keying costs no allocation.
+func TestTemplateStoreKeysFollowSkeletons(t *testing.T) {
+	for _, pair := range [][2]string{
+		{`<a><b>x</b></a>`, "<a><b>x</b></a>\n"},
+		{`<a x="1>2">t</a>`, `<a x="1>3">t</a>`},
+	} {
+		st := rep.NewTemplateStore()
+		for range 5 {
+			for _, doc := range pair {
+				payload, _, err := st.Store(streamCtx([]byte(doc)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := payload.(rep.Streamed).Bytes(); string(got) != doc {
+					t.Fatalf("replay %q of %q", got, doc)
+				}
+			}
+		}
+		if s := st.Stats(); s.Learns != 2 || s.Matches != 8 || s.Skeletons != 2 {
+			t.Errorf("%q: stats = %+v, want 2 learns, 8 matches, 2 skeletons", pair, s)
+		}
+		doc := []byte(pair[1])
+		if n := testing.AllocsPerRun(10, func() { soap.ShapeKey(doc) }); n != 0 {
+			t.Errorf("ShapeKey allocates %v", n)
+		}
 	}
 }
 

@@ -181,31 +181,34 @@ func (m *EnvelopeMemo) install(s *shape) {
 
 var shapeSeed = maphash.MakeSeed()
 
-// ShapeKey hashes doc's markup runs, skipping every run of text
-// between a '>' and the next '<', so two documents that differ only in
-// their text share a key. It allocates nothing.
+// ShapeKey hashes what LearnSkeleton keeps fixed in doc: its tags, cut
+// by scanTags' rules (a '>' in a quoted attribute value does not end
+// one), and the text before the first tag and after the last. A run of
+// text between two tags counts only as being there, so two documents
+// that differ only in their holes share a key. It allocates nothing.
 func ShapeKey(doc []byte) uint64 {
 	var h maphash.Hash
 	h.SetSeed(shapeSeed)
-	for i := 0; i < len(doc); {
-		lt := bytes.IndexByte(doc[i:], '<')
+	i := bytes.IndexByte(doc, '<')
+	if i < 0 {
+		i = len(doc)
+	}
+	h.Write(doc[:i])
+	for i < len(doc) {
+		end := tagEnd(doc, i)
+		if end < 0 {
+			end = len(doc)
+		}
+		h.Write(doc[i:end])
+		lt := bytes.IndexByte(doc[end:], '<')
 		if lt < 0 {
+			h.Write(doc[end:])
 			break
 		}
-		j := i + lt
-		for {
-			gt := bytes.IndexByte(doc[j:], '>')
-			if gt < 0 {
-				j = len(doc)
-				break
-			}
-			if j += gt + 1; j >= len(doc) || doc[j] != '<' {
-				break
-			}
+		if lt > 0 {
+			h.WriteByte(0)
 		}
-		h.Write(doc[i+lt : j])
-		h.WriteByte(0)
-		i = j
+		i = end + lt
 	}
 	return h.Sum64()&^poisoned | 1
 }
@@ -777,55 +780,58 @@ type tag struct {
 // ways neither the plan nor a skeleton models.
 func scanTags(doc []byte) ([]tag, bool) {
 	var tags []tag
-	first := true
-	for i := 0; i < len(doc); first = false {
+	for i := 0; i < len(doc); {
 		lt := bytes.IndexByte(doc[i:], '<')
 		if lt < 0 {
 			break
 		}
 		lt += i
-		if lt+1 >= len(doc) {
+		end := tagEnd(doc, lt)
+		if end < 0 || doc[lt+1] == '!' || (doc[lt+1] == '?' && len(tags) > 0) {
 			return nil, false
 		}
-		switch doc[lt+1] {
-		case '!':
-			return nil, false
-		case '?':
-			end := bytes.Index(doc[lt:], []byte("?>"))
-			if !first || end < 0 {
-				return nil, false
-			}
-			i = lt + end + 2
-			tags = append(tags, tag{start: lt, end: i})
-		case '/':
-			end := bytes.IndexByte(doc[lt:], '>')
-			if end < 0 {
-				return nil, false
-			}
-			i = lt + end + 1
-			tags = append(tags, tag{start: lt, end: i})
-		default:
-			j, quote := lt+1, byte(0)
-			for ; j < len(doc); j++ {
-				c := doc[j]
-				if quote != 0 {
-					if c == quote {
-						quote = 0
-					}
-					continue
-				}
-				if c == '"' || c == '\'' {
-					quote = c
-				} else if c == '>' {
-					break
-				}
-			}
-			if j >= len(doc) {
-				return nil, false
-			}
-			tags = append(tags, tag{start: lt, end: j + 1, element: true, selfClosing: doc[j-1] == '/'})
-			i = j + 1
+		t := tag{start: lt, end: end}
+		if c := doc[lt+1]; c != '?' && c != '/' {
+			t.element, t.selfClosing = true, doc[end-2] == '/'
 		}
+		tags = append(tags, t)
+		i = end
 	}
 	return tags, true
+}
+
+// tagEnd returns the offset just past the tag whose '<' is doc[lt], or
+// -1 when it does not end: a declaration ends at "?>", an end tag at
+// the next '>', and any other tag at the first '>' outside a quoted
+// attribute value.
+func tagEnd(doc []byte, lt int) int {
+	if lt+1 >= len(doc) {
+		return -1
+	}
+	switch doc[lt+1] {
+	case '?':
+		if end := bytes.Index(doc[lt:], []byte("?>")); end >= 0 {
+			return lt + end + 2
+		}
+		return -1
+	case '/':
+		if end := bytes.IndexByte(doc[lt:], '>'); end >= 0 {
+			return lt + end + 1
+		}
+		return -1
+	}
+	quote := byte(0)
+	for j := lt + 1; j < len(doc); j++ {
+		switch c := doc[j]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '>':
+			return j + 1
+		}
+	}
+	return -1
 }
