@@ -3,14 +3,14 @@
 
 GO ?= go
 
-.PHONY: all check build vet lint lint-fix depguard test race cover referee bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
+.PHONY: all check build vet fmt lint lint-fix depguard test race cover referee bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
 
 all: build vet lint test
 
-# The CI gate: everything must build, vet and wscachelint clean, and
-# pass under the race detector (the resilience paths are
-# concurrency-heavy).
-check: depguard
+# The CI gate: every Go file gofmt-clean, everything must build, vet and
+# wscachelint clean, and pass under the race detector (the resilience
+# paths are concurrency-heavy).
+check: depguard fmt
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) run ./cmd/wscachelint ./...
@@ -25,6 +25,11 @@ depguard:
 
 build:
 	$(GO) build ./...
+
+# Fails, listing them, if any Go file (lint fixtures included) is not
+# gofmt-formatted.
+fmt:
+	@out=$$(gofmt -l .); test -z "$$out" || { echo "gofmt needed:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

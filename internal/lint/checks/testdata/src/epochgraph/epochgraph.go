@@ -25,11 +25,11 @@ func clean() *invalidate.Graph {
 // badNames exercises the operation-name rules.
 func badNames(op string) {
 	g := invalidate.NewGraph()
-	g.Read("doGetItem", nil)  // want "already declared as constant opGetItem"
-	g.Write("GetItem", nil)   // want "does not follow the WSDL do\* convention"
-	g.Write("doOrphan", nil)  // want "inline operation name"
-	g.Read(opBadCase, nil)    // want "does not follow the WSDL do\* convention"
-	g.Read(op, nil)           // want "must be a compile-time string constant"
+	g.Read("doGetItem", nil)   // want "already declared as constant opGetItem"
+	g.Write("GetItem", nil)    // want "does not follow the WSDL do\* convention"
+	g.Write("doOrphan", nil)   // want "inline operation name"
+	g.Read(opBadCase, nil)     // want "does not follow the WSDL do\* convention"
+	g.Read(op, nil)            // want "must be a compile-time string constant"
 	g.Read(opPutItem+"X", nil) // fine: constant expression following the convention
 }
 

@@ -85,10 +85,10 @@ func allowed(op string, n int, buf []byte) []byte {
 	buf = append(buf, op...)
 	buf = strconv.AppendInt(buf, int64(n), 10)
 
-	sink(nil)  // nil boxes nothing
-	sink(&n)   // pointers store directly in the interface word
+	sink(nil) // nil boxes nothing
+	sink(&n)  // pointers store directly in the interface word
 	var a any = &n
-	sink(a)    // already an interface
+	sink(a) // already an interface
 
 	defer release() // defer outside a loop is one frame, not n
 
