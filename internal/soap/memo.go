@@ -181,35 +181,34 @@ func (m *EnvelopeMemo) install(s *shape) {
 
 var shapeSeed = maphash.MakeSeed()
 
-// ShapeKey hashes what LearnSkeleton keeps fixed in doc: its tags, cut
-// by scanTags' rules (a '>' in a quoted attribute value does not end
-// one), and the text before the first tag and after the last. A run of
-// text between two tags counts only as being there, so two documents
-// that differ only in their holes share a key. It allocates nothing.
+// ShapeKey hashes doc with each of LearnSkeleton's holes cut out: what
+// is left is the tags, cut by scanTags' rules (a '>' in a quoted
+// attribute value does not end one), and the text before the first tag
+// and after the last. Two documents that differ only in their holes
+// share a key. It allocates nothing.
 func ShapeKey(doc []byte) uint64 {
 	var h maphash.Hash
 	h.SetSeed(shapeSeed)
-	i := bytes.IndexByte(doc, '<')
-	if i < 0 {
-		i = len(doc)
-	}
-	h.Write(doc[:i])
-	for i < len(doc) {
+	run := 0 // start of the fixed bytes not hashed yet
+	for i := bytes.IndexByte(doc, '<'); i >= 0; {
 		end := tagEnd(doc, i)
-		if end < 0 {
-			end = len(doc)
-		}
-		h.Write(doc[i:end])
-		lt := bytes.IndexByte(doc[end:], '<')
-		if lt < 0 {
-			h.Write(doc[end:])
+		if end < 0 || end == len(doc) {
 			break
 		}
-		if lt > 0 {
+		lt := 0
+		if doc[end] != '<' {
+			if lt = bytes.IndexByte(doc[end:], '<'); lt < 0 {
+				break
+			}
+		}
+		if next := end + lt; lt > 0 || (doc[i+1] != '/' && doc[i+1] != '?' && doc[end-2] != '/' && next+1 < len(doc) && doc[next+1] == '/') {
+			h.Write(doc[run:end])
 			h.WriteByte(0)
+			run = next
 		}
 		i = end + lt
 	}
+	h.Write(doc[run:])
 	return h.Sum64()&^poisoned | 1
 }
 
@@ -820,18 +819,25 @@ func tagEnd(doc []byte, lt int) int {
 		}
 		return -1
 	}
-	quote := byte(0)
-	for j := lt + 1; j < len(doc); j++ {
-		switch c := doc[j]; {
-		case quote != 0:
-			if c == quote {
-				quote = 0
-			}
-		case c == '"' || c == '\'':
-			quote = c
-		case c == '>':
+	for j := lt + 1; ; {
+		gt := bytes.IndexByte(doc[j:], '>')
+		if gt < 0 {
+			return -1
+		}
+		q := bytes.IndexByte(doc[j:j+gt], '"')
+		if sq := bytes.IndexByte(doc[j:j+gt], '\''); q < 0 || (sq >= 0 && sq < q) {
+			q = sq
+		}
+		if q < 0 {
+			return j + gt + 1
+		}
+		j += q + 1 // past the opening quote, then past its match
+		c := bytes.IndexByte(doc[j:], doc[j-1])
+		if c < 0 {
+			return -1
+		}
+		if j += c + 1; j < len(doc) && doc[j] == '>' {
 			return j + 1
 		}
 	}
-	return -1
 }
