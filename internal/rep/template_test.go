@@ -98,16 +98,22 @@ func TestTemplateStoreInternerIsBounded(t *testing.T) {
 	}
 }
 
-// TestTemplateStoreKeysFollowSkeletons: documents whose skeletons
-// differ get different shape keys, so alternating fills of two of them
-// each match their own interned skeleton. Text before or after the
-// root element is fixed, not a hole, and a '>' in a quoted attribute
-// value does not end a tag. Keying costs no allocation.
+// TestTemplateStoreKeysFollowSkeletons: two documents share a shape key
+// exactly when they share a skeleton, so alternating fills of two of
+// them each match an interned skeleton. Text before or after the root
+// element is fixed, not a hole; a '>' in a quoted attribute value does
+// not end a tag; an empty element is a hole as a filled one is. Keying
+// costs no allocation.
 func TestTemplateStoreKeysFollowSkeletons(t *testing.T) {
-	for _, pair := range [][2]string{
-		{`<a><b>x</b></a>`, "<a><b>x</b></a>\n"},
-		{`<a x="1>2">t</a>`, `<a x="1>3">t</a>`},
+	for _, c := range []struct {
+		pair                    [2]string
+		learns, matches, shapes int
+	}{
+		{[2]string{`<a><b>x</b></a>`, "<a><b>x</b></a>\n"}, 2, 8, 2},
+		{[2]string{`<a x="1>2">t</a>`, `<a x="1>3">t</a>`}, 2, 8, 2},
+		{[2]string{`<a><b></b></a>`, `<a><b>x</b></a>`}, 1, 9, 1},
 	} {
+		pair := c.pair
 		st := rep.NewTemplateStore()
 		for range 5 {
 			for _, doc := range pair {
@@ -120,8 +126,8 @@ func TestTemplateStoreKeysFollowSkeletons(t *testing.T) {
 				}
 			}
 		}
-		if s := st.Stats(); s.Learns != 2 || s.Matches != 8 || s.Skeletons != 2 {
-			t.Errorf("%q: stats = %+v, want 2 learns, 8 matches, 2 skeletons", pair, s)
+		if s := st.Stats(); s.Learns != int64(c.learns) || s.Matches != int64(c.matches) || s.Skeletons != c.shapes {
+			t.Errorf("%q: stats = %+v, want %d learns, %d matches, %d skeletons", pair, s, c.learns, c.matches, c.shapes)
 		}
 		doc := []byte(pair[1])
 		if n := testing.AllocsPerRun(10, func() { soap.ShapeKey(doc) }); n != 0 {
