@@ -22,7 +22,9 @@ import (
 // The analysis is a conservative intraprocedural alias propagation: it
 // applies to every package that declares a ValueStore interface (an
 // interface named "ValueStore" with Store and Load methods) and checks
-// each concrete implementation declared alongside it.
+// each concrete implementation declared alongside it, and each type
+// such an implementation embeds (its promoted Store or Load is the
+// implementation's own).
 func AliasCopy() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "aliascopy",
@@ -55,6 +57,7 @@ func runAliasCopy(pass *lint.Pass) {
 		return
 	}
 	launders := func(call *ast.CallExpr) bool { return aliasLaunders(pass.Pkg, call) }
+	embedded := storeEmbeds(pass.Pkg.Types, iface)
 	for _, file := range pass.Pkg.Files {
 		for _, decl := range file.Decls {
 			fn, ok := decl.(*ast.FuncDecl)
@@ -69,7 +72,7 @@ func runAliasCopy(pass *lint.Pass) {
 				continue
 			}
 			named := namedOrPointee(recv.Type())
-			if named == nil || !implementsValueStore(named, iface) {
+			if named == nil || !(implementsValueStore(named, iface) || embedded[named.Obj()]) {
 				continue
 			}
 			if named.Obj().Name() == "RefStore" {
@@ -197,6 +200,30 @@ func valueStoreInterface(pkg *types.Package) *types.Interface {
 // implementsValueStore reports whether T or *T satisfies the interface.
 func implementsValueStore(named *types.Named, iface *types.Interface) bool {
 	return types.Implements(named, iface) || types.Implements(types.NewPointer(named), iface)
+}
+
+// storeEmbeds returns the types that the package's ValueStore
+// implementations embed.
+func storeEmbeds(pkg *types.Package, iface *types.Interface) map[*types.TypeName]bool {
+	out := map[*types.TypeName]bool{}
+	for _, name := range pkg.Scope().Names() {
+		tn, ok := pkg.Scope().Lookup(name).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		named := namedOrPointee(tn.Type())
+		if named == nil || !implementsValueStore(named, iface) {
+			continue
+		}
+		if st, ok := named.Underlying().(*types.Struct); ok {
+			for i := range st.NumFields() {
+				if n := namedOrPointee(st.Field(i).Type()); st.Field(i).Embedded() && n != nil {
+					out[n.Obj()] = true
+				}
+			}
+		}
+	}
+	return out
 }
 
 // recvTypeName names the receiver's type for diagnostics.

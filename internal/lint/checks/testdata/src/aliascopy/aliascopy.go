@@ -91,3 +91,21 @@ func (s *SizeStore) Store(ictx *Context) (any, int, error) {
 func (s *SizeStore) Load(payload any) (any, error) {
 	return payload, nil // want "returns a value aliasing its argument"
 }
+
+// sharedLoad is the Load two stores share by embedding it: promoted,
+// it is each store's own Load and answers to the same rule.
+type sharedLoad struct{}
+
+func (l sharedLoad) Load(payload any) (any, error) {
+	return payload, nil // want "returns a value aliasing its argument"
+}
+
+// EmbeddingStore takes its Load from sharedLoad.
+type EmbeddingStore struct{ sharedLoad }
+
+func (s *EmbeddingStore) Name() string { return "embedding" }
+
+func (s *EmbeddingStore) Store(ictx *Context) (any, int, error) {
+	n := len(ictx.buf)
+	return n, n, nil
+}
