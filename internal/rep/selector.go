@@ -73,12 +73,12 @@ func (s *Selector) Name() string { return autoName }
 // value wins. The L1 walk (wire false) continues only past
 // ErrNotApplicable — applicability is a type-level prediction the
 // concrete value may refute, e.g. a value whose pointer type is the
-// Cloner — and aborts on any
-// other error, wrapped with the representation's name. The wire walk
-// also flattens the payload (the returned payload is the []byte) and
-// keeps going past any error, reporting the first: a tier write is
-// best effort, so a later candidate that can hold the result beats
-// giving up on the first one's failure.
+// Cloner — and aborts on any other error, wrapped with the
+// representation's name. The wire walk also flattens the payload (the
+// returned payload is the []byte) and keeps going past any error,
+// reporting the first: a tier write is best effort, so a later
+// candidate that can hold the result beats giving up on the first
+// one's failure.
 //
 // Skipping an inapplicable candidate is the same as calling it only
 // because every representation in sectionSix returns ErrNotApplicable
