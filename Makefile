@@ -134,7 +134,7 @@ fuzz:
 	$(GO) test -fuzz '^FuzzScanner$$' -fuzztime 30s ./internal/xmltext
 	$(GO) test -fuzz '^FuzzScannerVsStdlib$$' -fuzztime 30s ./internal/xmltext
 	$(GO) test -fuzz FuzzEscapeRoundTrip -fuzztime 30s ./internal/xmltext
-	$(GO) test -fuzz FuzzDecodeEnvelope -fuzztime 30s -fuzzminimizetime 50x ./internal/soap
+	$(GO) test -run NONE -fuzz '^FuzzDecodeEnvelope$$' -fuzztime 30s -fuzzminimizetime 50x ./internal/soap
 	$(GO) test -fuzz FuzzMemoDecode -fuzztime 30s -fuzzminimizetime 50x ./internal/soap
 	$(GO) test -fuzz FuzzTemplateSplice -fuzztime 30s ./internal/sax
 	$(GO) test -fuzz FuzzWriterVsStdlib -fuzztime 30s ./internal/sax

@@ -14,7 +14,7 @@ import (
 
 // referenceDocs are the documents whose code spans must name things
 // that exist.
-var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "doc.go"}
+var referenceDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "PAPER.md", "doc.go"}
 
 var (
 	fencedBlock = regexp.MustCompile("(?s)```.*?```")

@@ -45,13 +45,6 @@ const (
 	tagMap    // pair count + key/value pairs
 )
 
-// kindNames for error messages.
-var kindNames = map[byte]string{
-	tagNil: "nil", tagTrue: "true", tagFalse: "false", tagInt: "int",
-	tagUint: "uint", tagFloat: "float", tagString: "string",
-	tagBytes: "bytes", tagSlice: "slice", tagStruct: "struct", tagMap: "map",
-}
-
 // maxDepth bounds recursion: the serializer supports trees and DAGs by
 // duplication but not cycles.
 const maxDepth = 1000
@@ -650,12 +643,4 @@ type NotSerializableError struct {
 // Error implements the error interface.
 func (e *NotSerializableError) Error() string {
 	return fmt.Sprintf("binser: %s is not serializable: %s", e.Type, e.Reason)
-}
-
-// KindName returns the format tag name for diagnostics and tests.
-func KindName(tag byte) string {
-	if n, ok := kindNames[tag]; ok {
-		return n
-	}
-	return fmt.Sprintf("tag(%d)", tag)
 }

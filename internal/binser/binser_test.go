@@ -318,12 +318,6 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
-func TestKindName(t *testing.T) {
-	if KindName(tagStruct) != "struct" || KindName(200) == "" {
-		t.Error("KindName broken")
-	}
-}
-
 func TestMapEncodingDeterministic(t *testing.T) {
 	c := newTestCodec(t)
 	v := &outer{Mapping: map[string]string{"a": "1", "b": "2", "c": "3", "d": "4"}}

@@ -29,30 +29,27 @@ type Config struct {
 	Inv *invalidate.Invalidator
 	// MaxPayload bounds response frames; ≤ 0 means DefaultMaxPayload.
 	MaxPayload int
-	// DialTimeout bounds establishing a connection; default 1s.
-	DialTimeout time.Duration
-	// OpTimeout bounds one round trip (write + read); default 2s. A
-	// request context with an earlier deadline tightens it further.
-	OpTimeout time.Duration
 	// PoolSize is the idle connections kept per daemon; default 2.
 	PoolSize int
 	// BaseContext bounds the background epoch pushes the OnBump hook
-	// issues (each push additionally gets an OpTimeout deadline).
+	// issues (each push additionally gets an opTimeout deadline).
 	// Required when Inv is set: the binary owns the root context, not
 	// this package. Ignored otherwise.
 	BaseContext context.Context
 }
 
+const (
+	// dialTimeout bounds establishing a connection to a daemon.
+	dialTimeout = time.Second
+	// opTimeout bounds one round trip (write + read). A request context
+	// with an earlier deadline tightens it further.
+	opTimeout = 2 * time.Second
+)
+
 func (cfg *Config) withDefaults() Config {
 	c := *cfg
 	if c.MaxPayload <= 0 {
 		c.MaxPayload = DefaultMaxPayload
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = time.Second
-	}
-	if c.OpTimeout <= 0 {
-		c.OpTimeout = 2 * time.Second
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
@@ -158,7 +155,7 @@ func New(cfg Config) (*Remote, error) {
 			for i, ks := range keyspaces {
 				names[i] = string(ks)
 			}
-			ctx, cancel := context.WithTimeout(base, c.OpTimeout)
+			ctx, cancel := context.WithTimeout(base, opTimeout)
 			defer cancel()
 			r.pushBumps(ctx, names)
 		})
@@ -503,7 +500,7 @@ func (r *Remote) unexpected(verb string, res response) error {
 // duplicated bump only over-invalidates. A response that is framed but
 // does not decode is not retried: the connection is still in step.
 func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []byte) (response, error) {
-	deadline := time.Now().Add(r.cfg.OpTimeout)
+	deadline := time.Now().Add(opTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
 	}
@@ -512,7 +509,7 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []by
 		if err := ctx.Err(); err != nil {
 			break
 		}
-		pc, err := n.acquire(r.cfg.DialTimeout)
+		pc, err := n.acquire()
 		if err != nil {
 			lastErr = err
 			continue
@@ -549,7 +546,7 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []by
 }
 
 // acquire pops an idle connection or dials a fresh one.
-func (n *node) acquire(dialTimeout time.Duration) (*poolConn, error) {
+func (n *node) acquire() (*poolConn, error) {
 	n.poolMu.Lock()
 	if len(n.idle) > 0 {
 		pc := n.idle[len(n.idle)-1]

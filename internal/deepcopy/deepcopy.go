@@ -44,17 +44,6 @@ func Value(v any) (any, error) {
 	return out.Interface(), nil
 }
 
-// MustValue is Value for callers that have already verified the type is
-// bean-compatible (via typemap analysis); it panics on the programming
-// error of passing an unsupported type.
-func MustValue(v any) any {
-	out, err := Value(v)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
 // copyKey identifies an already-copied referent: pointer identity alone
 // is not enough because a pointer to a struct and a pointer to its
 // first field share an address.

@@ -212,16 +212,6 @@ func TestUnexportedNonZeroRejected(t *testing.T) {
 	}
 }
 
-func TestMustValuePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
-		}
-	}()
-	type bad struct{ C chan int }
-	MustValue(&bad{C: make(chan int)})
-}
-
 func TestCopyEqualProperty(t *testing.T) {
 	// Property: for arbitrary generated hit slices, the copy is
 	// DeepEqual to the original and shares no backing arrays.

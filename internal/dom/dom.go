@@ -3,9 +3,10 @@
 // with SAX event sequences) as the post-parsing representations a cache
 // can store instead of raw XML text (Section 3.3).
 //
-// The tree is built from a SAX event stream and can be serialized back
-// to XML or replayed as SAX events, so every component that consumes
-// events (e.g. the SOAP deserializer) can also consume a DOM tree.
+// The tree is built from a SAX event stream and replays as one, so
+// every component that consumes events (e.g. the SOAP deserializer)
+// can also consume a DOM tree. It holds elements and text only: the sax
+// parser reports no comments or processing instructions.
 package dom
 
 import (
@@ -22,13 +23,10 @@ type NodeKind int
 const (
 	ElementNode NodeKind = iota + 1
 	TextNode
-	CommentNode
-	ProcInstNode
 )
 
 // Node is a node in the document tree. Element nodes have a Name,
-// Attrs and Children; text and comment nodes carry Text; processing
-// instructions use Name.Local as the target and Text as the body.
+// Attrs and Children; text nodes carry Text.
 type Node struct {
 	Kind     NodeKind
 	Name     sax.Name
@@ -41,9 +39,6 @@ type Node struct {
 // Document is a parsed XML document.
 type Document struct {
 	Root *Node
-	// Prolog holds top-level comments and processing instructions that
-	// appeared before the root element.
-	Prolog []*Node
 }
 
 // Parse parses an XML document into a DOM tree.
@@ -178,10 +173,6 @@ func (n *Node) appendEvents(out *[]sax.Event) {
 		*out = append(*out, sax.Event{Kind: sax.EndElement, Name: n.Name})
 	case TextNode:
 		*out = append(*out, sax.Event{Kind: sax.Characters, Text: n.Text})
-	case CommentNode:
-		*out = append(*out, sax.Event{Kind: sax.Comment, Text: n.Text})
-	case ProcInstNode:
-		*out = append(*out, sax.Event{Kind: sax.ProcInst, Name: n.Name, Text: n.Text})
 	}
 }
 
@@ -189,9 +180,6 @@ func (n *Node) appendEvents(out *[]sax.Event) {
 // bracketed by StartDocument and EndDocument.
 func (d *Document) Events() []sax.Event {
 	out := []sax.Event{{Kind: sax.StartDocument}}
-	for _, p := range d.Prolog {
-		p.appendEvents(&out)
-	}
 	if d.Root != nil {
 		d.Root.appendEvents(&out)
 	}
@@ -205,11 +193,6 @@ func (d *Document) Events() []sax.Event {
 func (d *Document) Replay(h sax.Handler) error {
 	if err := h.OnStartDocument(); err != nil {
 		return err
-	}
-	for _, p := range d.Prolog {
-		if err := p.Visit(h); err != nil {
-			return err
-		}
 	}
 	if d.Root != nil {
 		if err := d.Root.Visit(h); err != nil {
@@ -234,32 +217,9 @@ func (n *Node) Visit(h sax.Handler) error {
 		return h.OnEndElement(n.Name)
 	case TextNode:
 		return h.OnCharacters(n.Text)
-	case CommentNode:
-		return h.OnComment(n.Text)
-	case ProcInstNode:
-		return h.OnProcInst(n.Name.Local, n.Text)
 	default:
 		return fmt.Errorf("dom: unknown node kind %d", n.Kind)
 	}
-}
-
-// XML serializes the document back to XML text (without an XML
-// declaration).
-func (d *Document) XML() (string, error) {
-	w := sax.NewWriter()
-	if err := d.Replay(w); err != nil {
-		return "", err
-	}
-	return w.String(), nil
-}
-
-// XML serializes the subtree rooted at n to XML text.
-func (n *Node) XML() (string, error) {
-	w := sax.NewWriter()
-	if err := sax.Replay(n.Events(), w); err != nil {
-		return "", err
-	}
-	return w.String(), nil
 }
 
 // Clone returns a deep copy of the subtree rooted at n. The copy's
@@ -355,27 +315,5 @@ func (b *Builder) OnCharacters(text string) error {
 		return nil
 	}
 	b.stack[len(b.stack)-1].AppendChild(&Node{Kind: TextNode, Text: text})
-	return nil
-}
-
-// OnComment implements sax.Handler.
-func (b *Builder) OnComment(text string) error {
-	n := &Node{Kind: CommentNode, Text: text}
-	if len(b.stack) == 0 {
-		b.doc.Prolog = append(b.doc.Prolog, n)
-		return nil
-	}
-	b.stack[len(b.stack)-1].AppendChild(n)
-	return nil
-}
-
-// OnProcInst implements sax.Handler.
-func (b *Builder) OnProcInst(target, body string) error {
-	n := &Node{Kind: ProcInstNode, Name: sax.Name{Local: target}, Text: body}
-	if len(b.stack) == 0 {
-		b.doc.Prolog = append(b.doc.Prolog, n)
-		return nil
-	}
-	b.stack[len(b.stack)-1].AppendChild(n)
 	return nil
 }

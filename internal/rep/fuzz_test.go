@@ -40,6 +40,9 @@ func FuzzDecodeWire(f *testing.F) {
 	f.Add(fault)
 	f.Add([]byte{})
 	f.Add([]byte{1})
+	for _, data := range retiredEventPayloads {
+		f.Add(data)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, spec := range reg.WireSpecs() {

@@ -13,8 +13,8 @@ import (
 // tier can only hold bytes, so it admits the byte-oriented subset:
 // the streamed response, the XML message, binary serialization and the
 // compact SAX sequence, each able to flatten its payload to a wire form
-// and back. gob is wire-capable too, and a peer's gob entry still
-// decodes, but no order selects it.
+// and back. gob and the xmltmpl template are wire-capable too, and a
+// peer's entry under either still decodes, but no order selects them.
 
 // WireStore is the optional ValueStore extension a representation
 // implements when its payloads can cross a process boundary.
@@ -31,20 +31,22 @@ type WireStore interface {
 
 // wirePreference is the static priority among wire-capable
 // representations — the Selector's order for tiers, as sectionSix is
-// its order for L1. The streaming representations lead — their wire form is the response
-// itself, so a remote tier ships them with zero transcoding — but
-// both are gated on Context.AcceptStream, so non-stream consumers
+// its order for L1. The streamed response leads — its wire form is the
+// response itself, so a remote tier ships it with zero transcoding —
+// but it is gated on Context.AcceptStream, so non-stream consumers
 // start at binary serialization (compact payloads, cheap decode per
 // Table 7), then the compact SAX sequence (no type limitation beyond
-// message capture), then the raw XML message (universal). gob is not
-// in the order: it holds exactly what binser holds (the bean
-// predicate), at a higher per-message cost (the ledger's
-// rep.store.gob.* rows).
-var wirePreference = []string{"raw", "xmltmpl", "binser", "compact-sax", "xml"}
+// message capture), then the raw XML message (universal). Two
+// wire-capable stores are not in the order. xmltmpl holds exactly when
+// raw does, and raw's Store never declines then, so a slot after it
+// would never be reached; it is chosen only by name. gob holds exactly
+// what binser holds (the bean predicate), at a higher per-message cost
+// (the ledger's rep.store.gob.* rows).
+var wirePreference = []string{"raw", "binser", "compact-sax", "xml"}
 
 // WireSpecs returns every registered wire-capable value spec, the
 // static preference order first, any further registered WireStores
-// (gob among them) in registration order after.
+// (gob and xmltmpl) in registration order after.
 func (r *Registry) WireSpecs() []*ValueSpec {
 	var out []*ValueSpec
 	seen := make(map[string]bool)

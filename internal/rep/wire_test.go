@@ -63,6 +63,34 @@ func TestWireStoresRoundTrip(t *testing.T) {
 	}
 }
 
+// retiredEventPayloads are compact-sax wire payloads (flag byte 0, then
+// sax.CompactSequence.AppendBinary's form) whose op streams hold op
+// byte 6 or 7, the comment and processing-instruction events the sax
+// event model no longer has, each shaped as those events were encoded.
+var retiredEventPayloads = [][]byte{
+	// ops: start document, comment "c", end document
+	{0, 3, 1, 6, 2, 1, 1, 2, 0, 1, 'c'},
+	// ops: start document, processing instruction t b, end document
+	{0, 3, 1, 7, 2, 2, 1, 2, 3, 0, 1, 't', 1, 'b'},
+}
+
+// TestCompactSAXWireRefusesRetiredOps: a peer's compact-sax entry
+// holding a comment or processing-instruction op is refused at
+// DecodeWire, before anything replays it.
+func TestCompactSAXWireRefusesRetiredOps(t *testing.T) {
+	reg, _ := wireFixtureRegistry(t)
+	store, err := reg.Store("compact-sax")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := store.(WireStore)
+	for _, data := range retiredEventPayloads {
+		if _, err := ws.DecodeWire(data); err == nil {
+			t.Errorf("DecodeWire(%v) succeeded", data)
+		}
+	}
+}
+
 // TestWireSpecsExcludeObjectReps pins the per-tier admission rule: the
 // copy/ref representations hold live object graphs and must never be
 // offered to a remote tier.

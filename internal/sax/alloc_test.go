@@ -40,7 +40,7 @@ func TestParseAllocs(t *testing.T) {
 			texts++
 		}
 	}
-	p := sax.NewParser(sax.ParseOptions{CoalesceText: true})
+	p := sax.NewParser()
 	parse := func() {
 		if err := p.Parse(doc, sax.NopHandler{}); err != nil {
 			t.Fatal(err)

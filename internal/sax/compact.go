@@ -19,8 +19,7 @@ type CompactSequence struct {
 	//   StartElement: space, prefix, local, attrCount, then per
 	//                 attribute space, prefix, local, value
 	//   EndElement:   space, prefix, local
-	//   Characters/Comment: text
-	//   ProcInst:     target, text
+	//   Characters:   text
 	refs []uint32
 	// strings is the interned table; index 0 is always "".
 	strings []string
@@ -56,10 +55,8 @@ func (b *compactBuilder) add(e *Event) {
 		}
 	case EndElement:
 		b.name(e.Name)
-	case Characters, Comment:
+	case Characters:
 		b.seq.refs = append(b.seq.refs, b.id(e.Text))
-	case ProcInst:
-		b.seq.refs = append(b.seq.refs, b.id(e.Name.Local), b.id(e.Text))
 	}
 }
 
@@ -98,10 +95,7 @@ func (c *CompactSequence) Events() []Event {
 			}
 		case EndElement:
 			e.Name = r.name()
-		case Characters, Comment:
-			e.Text = r.str()
-		case ProcInst:
-			e.Name = Name{Local: r.str()}
+		case Characters:
 			e.Text = r.str()
 		}
 		out = append(out, e)
@@ -134,11 +128,6 @@ func (c *CompactSequence) Replay(h Handler) error {
 			err = h.OnEndElement(r.name())
 		case Characters:
 			err = h.OnCharacters(r.str())
-		case Comment:
-			err = h.OnComment(r.str())
-		case ProcInst:
-			target := r.str()
-			err = h.OnProcInst(target, r.str())
 		}
 		if err != nil {
 			return err

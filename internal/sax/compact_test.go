@@ -9,14 +9,16 @@ const compactSample = `<s:Envelope xmlns:s="http://schemas.xmlsoap.org/soap/enve
 	`<s:Body><r xmlns="urn:x" k="v"><item>one</item><item>two</item>` +
 	`<item>one</item><!-- c --><?pi body?></r></s:Body></s:Envelope>`
 
+// recordWithEverything records doc with the parser every caller uses;
+// compactSample's comment and processing instruction take its skip
+// path.
 func recordWithEverything(t *testing.T, doc string) []Event {
 	t.Helper()
-	rec := NewRecorder()
-	p := NewParser(ParseOptions{ReportComments: true, ReportProcInsts: true, CoalesceText: true})
-	if err := p.Parse([]byte(doc), rec); err != nil {
+	events, err := Record([]byte(doc))
+	if err != nil {
 		t.Fatal(err)
 	}
-	return rec.Sequence()
+	return events
 }
 
 func TestCompactRoundTrip(t *testing.T) {

@@ -125,10 +125,8 @@ func (c *CompactSequence) validateShape() error {
 			need = 4 + 4*nattrs
 		case EndElement:
 			need = 3
-		case Characters, Comment:
+		case Characters:
 			need = 1
-		case ProcInst:
-			need = 2
 		default:
 			return fmt.Errorf("sax: compact decode: event %d: unknown kind %d", i, op)
 		}

@@ -51,3 +51,18 @@ func TestCompactBinaryRejectsCorruption(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactBinaryRefusesRetiredOps: op bytes 6 and 7 were the
+// comment and processing-instruction events, which the event model no
+// longer has. A payload holding either, shaped as those events were
+// encoded (one text ref, or a target and a body ref), is refused.
+func TestCompactBinaryRefusesRetiredOps(t *testing.T) {
+	for _, c := range []CompactSequence{
+		{ops: []byte{byte(StartDocument), 6, byte(EndDocument)}, refs: []uint32{1}, strings: []string{"", "c"}},
+		{ops: []byte{byte(StartDocument), 7, byte(EndDocument)}, refs: []uint32{1, 2}, strings: []string{"", "t", "b"}},
+	} {
+		if _, err := DecodeCompactSequence(c.AppendBinary(nil)); err == nil {
+			t.Errorf("ops %v decoded", c.ops)
+		}
+	}
+}

@@ -2,7 +2,9 @@
 // parser that drives a Handler, an event Recorder and Replayer (the
 // "SAX events sequence" cache representation from the paper, Section
 // 4.2.2 and Table 4), and a Writer that serializes an event stream back
-// to XML text.
+// to XML text. The model has the five event kinds of the paper's Table
+// 4: the parser coalesces adjacent character data into one event and
+// skips comments, processing instructions and DOCTYPEs.
 package sax
 
 import "fmt"
@@ -11,14 +13,14 @@ import "fmt"
 type EventKind int
 
 // The SAX event kinds, in the vocabulary used by the paper's Table 4.
+// The values are the op bytes of CompactSequence's binary form, which
+// crosses process boundaries, so they never change.
 const (
 	StartDocument EventKind = iota + 1
 	EndDocument
 	StartElement
 	EndElement
 	Characters
-	Comment
-	ProcInst
 )
 
 // String returns the event kind formatted as in the paper's Table 4
@@ -35,10 +37,6 @@ func (k EventKind) String() string {
 		return "end element"
 	case Characters:
 		return "characters"
-	case Comment:
-		return "comment"
-	case ProcInst:
-		return "processing instruction"
 	default:
 		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
@@ -81,8 +79,6 @@ func (a Attribute) IsNamespaceDecl() bool {
 //   - StartElement: Name, Attrs
 //   - EndElement:   Name
 //   - Characters:   Text
-//   - Comment:      Text
-//   - ProcInst:     Name.Local (target), Text (body)
 //   - StartDocument/EndDocument: no payload
 type Event struct {
 	Kind  EventKind
@@ -97,10 +93,8 @@ func (e Event) String() string {
 	switch e.Kind {
 	case StartElement, EndElement:
 		return fmt.Sprintf("%s: %s", e.Kind, e.Name)
-	case Characters, Comment:
+	case Characters:
 		return fmt.Sprintf("%s: %s", e.Kind, e.Text)
-	case ProcInst:
-		return fmt.Sprintf("%s: %s %s", e.Kind, e.Name.Local, e.Text)
 	default:
 		return e.Kind.String()
 	}
@@ -119,8 +113,6 @@ type Handler interface {
 	OnStartElement(name Name, attrs []Attribute) error
 	OnEndElement(name Name) error
 	OnCharacters(text string) error
-	OnComment(text string) error
-	OnProcInst(target, body string) error
 }
 
 // NopHandler implements Handler with no-ops. Embed it to implement only
@@ -143,9 +135,3 @@ func (NopHandler) OnEndElement(Name) error { return nil }
 
 // OnCharacters implements Handler.
 func (NopHandler) OnCharacters(string) error { return nil }
-
-// OnComment implements Handler.
-func (NopHandler) OnComment(string) error { return nil }
-
-// OnProcInst implements Handler.
-func (NopHandler) OnProcInst(string, string) error { return nil }

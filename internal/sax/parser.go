@@ -12,37 +12,23 @@ import (
 // XMLNamespaceURI is the URI bound to the reserved "xml" prefix.
 const XMLNamespaceURI = "http://www.w3.org/XML/1998/namespace"
 
-// ParseOptions configure a Parser.
-type ParseOptions struct {
-	// ReportComments delivers OnComment events; when false comments
-	// are skipped (the default for SOAP processing).
-	ReportComments bool
-	// ReportProcInsts delivers OnProcInst events for processing
-	// instructions other than the XML declaration.
-	ReportProcInsts bool
-	// CoalesceText merges adjacent character-data runs (including
-	// CDATA) into a single OnCharacters event.
-	CoalesceText bool
-}
-
 // Parser is a push parser: it tokenizes a document with
 // xmltext.Scanner, performs namespace resolution, and drives a Handler.
-// It owns its scanner, namespace stack and attribute buffer and reuses
-// them from one document to the next, so a Parser is not safe for
-// concurrent use; Parse draws parsers from a pool.
+// Adjacent character-data runs (CDATA included) reach the Handler as
+// one OnCharacters event; comments, processing instructions and
+// DOCTYPEs are skipped. It owns its scanner, namespace stack and
+// attribute buffer and reuses them from one document to the next, so a
+// Parser is not safe for concurrent use; Parse draws parsers from a
+// pool.
 type Parser struct {
-	opts ParseOptions
-
 	sc          xmltext.Scanner
 	ns          namespaceStack
 	attrs       []Attribute
 	pendingText []string
 }
 
-// NewParser returns a Parser with the given options.
-func NewParser(opts ParseOptions) *Parser {
-	return &Parser{opts: opts}
-}
+// NewParser returns a Parser.
+func NewParser() *Parser { return &Parser{} }
 
 // Parse parses the document and delivers its events to h. It returns
 // the first error from the scanner or the handler. When Parse returns,
@@ -72,13 +58,7 @@ func (p *Parser) parse(h Handler) error {
 		}
 		switch tok.Kind {
 		case xmltext.KindCharData:
-			if p.opts.CoalesceText {
-				p.pendingText = append(p.pendingText, tok.Text)
-				continue
-			}
-			if err := h.OnCharacters(tok.Text); err != nil {
-				return err
-			}
+			p.pendingText = append(p.pendingText, tok.Text)
 		case xmltext.KindStartElement:
 			if err := p.flushText(h); err != nil {
 				return err
@@ -104,27 +84,11 @@ func (p *Parser) parse(h Handler) error {
 				return err
 			}
 			p.ns.pop()
-		case xmltext.KindComment:
+		case xmltext.KindComment, xmltext.KindProcInst:
+			// Skipped, the XML declaration among them, but each ends
+			// the text run before it.
 			if err := p.flushText(h); err != nil {
 				return err
-			}
-			if p.opts.ReportComments {
-				if err := h.OnComment(tok.Text); err != nil {
-					return err
-				}
-			}
-		case xmltext.KindProcInst:
-			if err := p.flushText(h); err != nil {
-				return err
-			}
-			// The XML declaration is structural, not content.
-			if tok.Name == "xml" {
-				continue
-			}
-			if p.opts.ReportProcInsts {
-				if err := h.OnProcInst(tok.Name, tok.Text); err != nil {
-					return err
-				}
 			}
 		case xmltext.KindDirective:
 			// DOCTYPE declarations are accepted and skipped.
@@ -152,13 +116,10 @@ func (p *Parser) flushText(h Handler) error {
 	return h.OnCharacters(text)
 }
 
-// parserPool holds the parsers Parse uses, each with CoalesceText set.
-var parserPool = sync.Pool{New: func() any {
-	return NewParser(ParseOptions{CoalesceText: true})
-}}
+// parserPool holds the parsers Parse uses.
+var parserPool = sync.Pool{New: func() any { return NewParser() }}
 
-// Parse parses doc with default options (comments skipped, text
-// coalesced) and delivers the events to h.
+// Parse parses doc with a pooled Parser and delivers the events to h.
 func Parse(doc []byte, h Handler) error {
 	p := parserPool.Get().(*Parser)
 	err := p.Parse(doc, h)

@@ -73,18 +73,6 @@ func (r *Recorder) OnCharacters(text string) error {
 	return nil
 }
 
-// OnComment implements Handler.
-func (r *Recorder) OnComment(text string) error {
-	r.events = append(r.events, Event{Kind: Comment, Text: text})
-	return nil
-}
-
-// OnProcInst implements Handler.
-func (r *Recorder) OnProcInst(target, body string) error {
-	r.events = append(r.events, Event{Kind: ProcInst, Name: Name{Local: target}, Text: body})
-	return nil
-}
-
 // Replay delivers a recorded event sequence to h, exactly as the
 // original parse would have. Replaying skips tokenization entirely —
 // the cost a cache hit pays is only handler dispatch plus whatever the
@@ -104,10 +92,6 @@ func Replay(events []Event, h Handler) error {
 			err = h.OnEndElement(e.Name)
 		case Characters:
 			err = h.OnCharacters(e.Text)
-		case Comment:
-			err = h.OnComment(e.Text)
-		case ProcInst:
-			err = h.OnProcInst(e.Name.Local, e.Text)
 		}
 		if err != nil {
 			return err

@@ -26,7 +26,7 @@ func TestReusedParserLeavesEventsAlone(t *testing.T) {
 		`<b:s xmlns:b="urn:b" xmlns:c="urn:c" c:x="9" p="q"><b:r>other</b:r><r x="1"/></b:s>`,
 		`<r xmlns="urn:d" long="` + strings.Repeat("v", 200) + `"><k q="1" x="2" y="3">third</k></r>`,
 	}
-	p := NewParser(ParseOptions{CoalesceText: true})
+	p := NewParser()
 	rec := NewRecorder()
 	if err := p.Parse([]byte(docs[0]), rec); err != nil {
 		t.Fatal(err)
@@ -46,7 +46,7 @@ func TestReusedParserLeavesEventsAlone(t *testing.T) {
 // TestParserDropsDocument: once Parse returns, neither an owned parser
 // nor one back in Parse's pool keeps the document reachable.
 func TestParserDropsDocument(t *testing.T) {
-	owned := NewParser(ParseOptions{CoalesceText: true})
+	owned := NewParser()
 	for _, c := range []struct {
 		name  string
 		parse func([]byte) error

@@ -2,6 +2,7 @@ package sax
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -130,37 +131,30 @@ func TestXMLPrefixPredeclared(t *testing.T) {
 	}
 }
 
+// TestCoalesceText: adjacent character data, CDATA included, is one
+// Characters event. Comments and processing instructions produce no
+// event, but each ends the text run before it.
 func TestCoalesceText(t *testing.T) {
-	doc := `<t>one<![CDATA[two]]>three</t>`
-	events, err := Record([]byte(doc))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var chars []string
-	for _, e := range events {
-		if e.Kind == Characters {
-			chars = append(chars, e.Text)
+	for _, c := range []struct {
+		doc  string
+		want []string
+	}{
+		{`<t>one<![CDATA[two]]>three</t>`, []string{"onetwothree"}},
+		{`<a>x<!--c-->y<?p q?>z</a>`, []string{"x", "y", "z"}},
+	} {
+		events, err := Record([]byte(c.doc))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if len(chars) != 1 || chars[0] != "onetwothree" {
-		t.Errorf("chars = %q, want single coalesced run", chars)
-	}
-}
-
-func TestNoCoalesceOption(t *testing.T) {
-	rec := NewRecorder()
-	p := NewParser(ParseOptions{})
-	if err := p.Parse([]byte(`<t>one<![CDATA[two]]></t>`), rec); err != nil {
-		t.Fatal(err)
-	}
-	var chars int
-	for _, e := range rec.Sequence() {
-		if e.Kind == Characters {
-			chars++
+		var chars []string
+		for _, e := range events {
+			if e.Kind == Characters {
+				chars = append(chars, e.Text)
+			}
 		}
-	}
-	if chars != 2 {
-		t.Errorf("chars = %d, want 2 without coalescing", chars)
+		if len(events) != 4+len(c.want) || !slices.Equal(chars, c.want) {
+			t.Errorf("%s: %d events, chars %q; want %d events, chars %q", c.doc, len(events), chars, 4+len(c.want), c.want)
+		}
 	}
 }
 
@@ -258,12 +252,21 @@ func TestEventString(t *testing.T) {
 		{Event{Kind: StartDocument}, "start document"},
 		{Event{Kind: StartElement, Name: Name{Prefix: "s", Local: "Body"}}, "start element: s:Body"},
 		{Event{Kind: Characters, Text: "hi"}, "characters: hi"},
-		{Event{Kind: ProcInst, Name: Name{Local: "t"}, Text: "b"}, "processing instruction: t b"},
+		{Event{Kind: 6}, "EventKind(6)"},
 	}
 	for _, c := range cases {
 		if got := c.e.String(); got != c.want {
 			t.Errorf("got %q, want %q", got, c.want)
 		}
+	}
+}
+
+// TestEventKindValues pins the kinds' numeric values: they are the op
+// bytes of a CompactSequence's binary form, which other processes hold.
+func TestEventKindValues(t *testing.T) {
+	got := []EventKind{StartDocument, EndDocument, StartElement, EndElement, Characters}
+	if !slices.Equal(got, []EventKind{1, 2, 3, 4, 5}) {
+		t.Errorf("kind values = %v, want [1 2 3 4 5]", got)
 	}
 }
 

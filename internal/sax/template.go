@@ -74,26 +74,15 @@ func EscapeValue(text string) string { return xmltext.EscapeTextString(text) }
 // ordinary Writer, except that character data is diverted: its offset
 // becomes a slot and its text a value, leaving a gap in the skeleton.
 type templateRecorder struct {
-	w     *Writer
+	*Writer
 	slots []int
 	texts []string
 }
 
 var _ Handler = (*templateRecorder)(nil)
 
-func (r *templateRecorder) OnStartDocument() error { return r.w.OnStartDocument() }
-func (r *templateRecorder) OnEndDocument() error   { return r.w.OnEndDocument() }
-func (r *templateRecorder) OnStartElement(name Name, attrs []Attribute) error {
-	return r.w.OnStartElement(name, attrs)
-}
-func (r *templateRecorder) OnEndElement(name Name) error { return r.w.OnEndElement(name) }
-func (r *templateRecorder) OnComment(text string) error  { return r.w.OnComment(text) }
-func (r *templateRecorder) OnProcInst(target, body string) error {
-	return r.w.OnProcInst(target, body)
-}
-
 func (r *templateRecorder) OnCharacters(text string) error {
-	r.slots = append(r.slots, r.w.Len())
+	r.slots = append(r.slots, r.Len())
 	r.texts = append(r.texts, text)
 	return nil
 }
@@ -103,9 +92,9 @@ func (r *templateRecorder) OnCharacters(text string) error {
 // template plus EscapeValue-d texts reproduce WriteSequence(events)
 // byte for byte.
 func BuildTemplate(events []Event) (*Template, []string, error) {
-	rec := &templateRecorder{w: NewWriter()}
+	rec := &templateRecorder{Writer: NewWriter()}
 	if err := Replay(events, rec); err != nil {
 		return nil, nil, err
 	}
-	return &Template{skeleton: rec.w.String(), slots: rec.slots}, rec.texts, nil
+	return &Template{skeleton: rec.String(), slots: rec.slots}, rec.texts, nil
 }

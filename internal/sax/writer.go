@@ -117,57 +117,6 @@ func (w *Writer) OnCharacters(text string) error {
 	return nil
 }
 
-// OnComment implements Handler.
-func (w *Writer) OnComment(text string) error {
-	if strings.Contains(text, "--") {
-		return fmt.Errorf("sax: comment text contains %q", "--")
-	}
-	w.b.WriteString("<!--")
-	//lint:ignore xmlescape comment text is validated against "--" above; XML comments take no entity escaping, so raw write is the only correct form
-	w.b.WriteString(text)
-	w.b.WriteString("-->")
-	return nil
-}
-
-// OnProcInst implements Handler. The target must be a usable PI target
-// (non-empty, no whitespace or "?>" characters, not the reserved
-// "xml"), and the body must not contain the "?>" terminator: either
-// would let event data break out of the instruction and inject markup,
-// since PI content takes no entity escaping.
-func (w *Writer) OnProcInst(target, body string) error {
-	if !validPITarget(target) {
-		return fmt.Errorf("sax: invalid processing-instruction target %q", target)
-	}
-	if strings.Contains(body, "?>") {
-		return fmt.Errorf("sax: processing-instruction body contains %q", "?>")
-	}
-	w.b.WriteString("<?")
-	//lint:ignore xmlescape target is validated above (no whitespace, '?', '>'); PI targets take no entity escaping
-	w.b.WriteString(target)
-	if body != "" {
-		w.b.WriteByte(' ')
-		//lint:ignore xmlescape body is validated against "?>" above; PI content takes no entity escaping
-		w.b.WriteString(body)
-	}
-	w.b.WriteString("?>")
-	return nil
-}
-
-// validPITarget reports whether target can head a processing
-// instruction: non-empty, not the reserved name "xml", and free of
-// whitespace, control characters, and the '?'/'>' delimiters.
-func validPITarget(target string) bool {
-	if target == "" || strings.EqualFold(target, "xml") {
-		return false
-	}
-	for _, r := range target {
-		if r == '?' || r == '>' || r <= ' ' {
-			return false
-		}
-	}
-	return true
-}
-
 // isQName reports whether n is a QName: a local name, and an optional
 // prefix, that are XML names without colons (Namespaces in XML §3).
 func isQName(n Name) bool {

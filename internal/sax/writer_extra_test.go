@@ -36,31 +36,6 @@ func TestWriterXMLDeclAndReset(t *testing.T) {
 	}
 }
 
-func TestWriterCommentAndPI(t *testing.T) {
-	w := NewWriter()
-	_ = w.OnStartDocument()
-	_ = w.OnStartElement(Name{Local: "a"}, nil)
-	if err := w.OnComment(" ok "); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.OnComment("double -- dash"); err == nil {
-		t.Error("comment with -- accepted")
-	}
-	if err := w.OnProcInst("target", "body"); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.OnProcInst("bare", ""); err != nil {
-		t.Fatal(err)
-	}
-	_ = w.OnEndElement(Name{Local: "a"})
-	out := w.String()
-	for _, want := range []string{"<!-- ok -->", "<?target body?>", "<?bare?>"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("missing %q in %q", want, out)
-		}
-	}
-}
-
 func TestIsNamespaceDecl(t *testing.T) {
 	cases := []struct {
 		attr Attribute
@@ -87,8 +62,6 @@ func TestNopHandlerCompleteness(t *testing.T) {
 		h.OnStartElement(Name{}, nil),
 		h.OnEndElement(Name{}),
 		h.OnCharacters(""),
-		h.OnComment(""),
-		h.OnProcInst("", ""),
 	}
 	for i, err := range checks {
 		if err != nil {

@@ -30,7 +30,7 @@ func TestDecodeEnvelopeAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := sax.NewParser(sax.ParseOptions{CoalesceText: true})
+	p := sax.NewParser()
 	var msg *soap.DecodedMessage
 	decode := func() {
 		msg, err = codec.DecodeReplay(func(h sax.Handler) error { return p.Parse(doc, h) })

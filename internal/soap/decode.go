@@ -206,12 +206,6 @@ func (d *envelopeDecoder) OnEndDocument() error {
 	return nil
 }
 
-// OnComment implements sax.Handler.
-func (d *envelopeDecoder) OnComment(string) error { return nil }
-
-// OnProcInst implements sax.Handler.
-func (d *envelopeDecoder) OnProcInst(string, string) error { return nil }
-
 // pushBindings registers xmlns declarations carried on a start tag.
 func (d *envelopeDecoder) pushBindings(attrs []sax.Attribute) {
 	added := 0
