@@ -27,6 +27,9 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add(doc)
 	}
 	f.Add([]byte(axisMultiRefResponse))
+	for _, doc := range spacedMultiRefResponses() {
+		f.Add([]byte(doc))
+	}
 	f.Add([]byte(`<e:Envelope xmlns:e="http://schemas.xmlsoap.org/soap/envelope/"><e:Body/></e:Envelope>`))
 	f.Add([]byte(`<a href="#x"/>`))
 	f.Add([]byte(`not xml at all`))

@@ -1,6 +1,7 @@
 package soap
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -42,18 +43,40 @@ const axisMultiRefResponse = `<?xml version="1.0" encoding="UTF-8"?>
  </soapenv:Body>
 </soapenv:Envelope>`
 
+// spacedMultiRefResponses respell axisMultiRefResponse's hrefs with
+// the whitespace XML allows around '=' (S? '=' S?), in both quote kinds.
+func spacedMultiRefResponses() []string {
+	return []string{
+		strings.NewReplacer(`href="#id0"`, `href = "#id0"`, `href="#id1"`, `href= "#id1"`).Replace(axisMultiRefResponse),
+		strings.NewReplacer(`href="#id0"`, "href=\n\t'#id0'", `href="#id1"`, "href\r\n= '#id1'").Replace(axisMultiRefResponse),
+	}
+}
+
 func TestInteropAxisMultiRef(t *testing.T) {
 	c := newTestCodec(t)
-	msg, err := c.DecodeEnvelope([]byte(axisMultiRefResponse))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dc, ok := msg.Result().(*directoryCategory)
-	if !ok {
-		t.Fatalf("result = %T", msg.Result())
-	}
-	if dc.FullViewableName != "Top/Computers" || dc.SpecialEncoding != "utf-8" {
-		t.Errorf("decoded %+v", dc)
+	memo := c.NewEnvelopeMemo(nil)
+	for _, doc := range append([]string{axisMultiRefResponse}, spacedMultiRefResponses()...) {
+		check := func(how string, msg *DecodedMessage, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", how, err)
+			}
+			dc, ok := msg.Result().(*directoryCategory)
+			if !ok {
+				t.Fatalf("%s: result = %T", how, msg.Result())
+			}
+			if dc.FullViewableName != "Top/Computers" || dc.SpecialEncoding != "utf-8" {
+				t.Errorf("%s: decoded %+v", how, dc)
+			}
+		}
+		msg, err := c.DecodeEnvelope([]byte(doc))
+		check("DecodeEnvelope", msg, err)
+		// The memo learns a shape on its second sighting and decodes
+		// through it from the third on.
+		for i := 1; i <= 3; i++ {
+			msg, err := memo.Decode([]byte(doc))
+			check(fmt.Sprintf("memo sighting %d", i), msg, err)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"repro/internal/googleapi"
@@ -136,6 +137,8 @@ func memoSeeds(tb testing.TB, codec *soap.Codec) [][]byte {
 		append(bytes.Clone(search), "  \n"...),
 		append(bytes.Clone(search), "x"...),
 		[]byte(multiRefResponse),
+		[]byte(strings.Replace(multiRefResponse, `href="#`, `href = "#`, 1)),
+		[]byte(strings.Replace(multiRefResponse, `href="#id0"`, "href=\n'#id0'", 1)),
 		fault,
 	}
 }

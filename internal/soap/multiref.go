@@ -19,9 +19,35 @@ import (
 // stream. The cost is paid only for messages that actually use hrefs —
 // exactly the messages a 2004 Axis server would send.
 
-// hasHref cheaply detects multi-reference encoding in a raw document.
+// hasHref cheaply detects multi-reference encoding in a raw document:
+// href, then '=' and an opening quote of either kind before '#', with
+// the optional whitespace XML allows around the '=' (S? '=' S?). One
+// pass, no allocation: it runs on every miss.
 func hasHref(doc []byte) bool {
-	return bytes.Contains(doc, []byte("href=\"#")) || bytes.Contains(doc, []byte("href='#"))
+	for {
+		i := bytes.Index(doc, []byte("href"))
+		if i < 0 {
+			return false
+		}
+		doc = doc[i+len("href"):]
+		j := skipSpace(doc, 0)
+		if j == len(doc) || doc[j] != '=' {
+			continue
+		}
+		j = skipSpace(doc, j+1)
+		if j+1 < len(doc) && (doc[j] == '"' || doc[j] == '\'') && doc[j+1] == '#' {
+			return true
+		}
+	}
+}
+
+// skipSpace returns the index of the first byte at or after i in b
+// that is not XML whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
 }
 
 // EventsHaveHref reports whether a recorded event stream uses
