@@ -123,6 +123,19 @@ func TestCtxFlowGolden(t *testing.T)     { runGolden(t, CtxFlow()) }
 func TestClockInjectGolden(t *testing.T) { runGolden(t, ClockInject(fixtureScope)) }
 func TestXMLEscapeGolden(t *testing.T)   { runGolden(t, XMLEscape(fixtureScope)) }
 func TestTypeMapRegGolden(t *testing.T)  { runGolden(t, TypeMapReg()) }
+func TestAPIGolden(t *testing.T)         { runGolden(t, API()) }
+
+// TestAPIPartialLoad: a run that loaded only part of a tree cannot see
+// every caller, so api reports nothing rather than false findings.
+func TestAPIPartialLoad(t *testing.T) {
+	pkgs, err := lint.Load(".", "./testdata/src/api")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range lint.Run(".", pkgs, []*lint.Analyzer{API()}) {
+		t.Errorf("partial load reported %s:%d: %s", d.File, d.Line, d.Message)
+	}
+}
 
 // TestRepoIsLintClean is the meta-test behind `make lint`: the full
 // analyzer suite must report nothing on the repository itself. A

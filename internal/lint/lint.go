@@ -88,6 +88,9 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Pkg      *Package
+	// Pkgs is every package the run loaded, Pkg among them, for checks
+	// whose question spans packages (who references this name?).
+	Pkgs []*Package
 
 	diags *[]Diagnostic
 }
@@ -159,7 +162,7 @@ func RunKnown(base string, pkgs []*Package, analyzers []*Analyzer, known []strin
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			perPkg[i] = runPackage(pkg, analyzers, names)
+			perPkg[i] = runPackage(pkg, pkgs, analyzers, names)
 		}(i, pkg)
 	}
 	wg.Wait()
@@ -197,7 +200,7 @@ func RunKnown(base string, pkgs []*Package, analyzers []*Analyzer, known []strin
 
 // runPackage runs every analyzer over one package and applies its
 // suppressions — the unit of parallelism.
-func runPackage(pkg *Package, analyzers []*Analyzer, known map[string]bool) []Diagnostic {
+func runPackage(pkg *Package, pkgs []*Package, analyzers []*Analyzer, known map[string]bool) []Diagnostic {
 	supp, directives, all := collectSuppressions(pkg)
 	for _, dir := range directives {
 		if !known[dir.check] {
@@ -210,7 +213,7 @@ func runPackage(pkg *Package, analyzers []*Analyzer, known map[string]bool) []Di
 
 	var diags []Diagnostic
 	for _, a := range analyzers {
-		pass := &Pass{Analyzer: a, Pkg: pkg, diags: &diags}
+		pass := &Pass{Analyzer: a, Pkg: pkg, Pkgs: pkgs, diags: &diags}
 		a.Run(pass)
 	}
 	for _, d := range diags {
