@@ -11,24 +11,23 @@ package dom
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/sax"
 )
 
-// NodeKind identifies the type of a Node.
-type NodeKind int
+// nodeKind identifies the type of a Node.
+type nodeKind int
 
 // Node kinds.
 const (
-	ElementNode NodeKind = iota + 1
-	TextNode
+	ElementNode nodeKind = iota + 1
+	textNode
 )
 
 // Node is a node in the document tree. Element nodes have a Name,
 // Attrs and Children; text nodes carry Text.
 type Node struct {
-	Kind     NodeKind
+	Kind     nodeKind
 	Name     sax.Name
 	Attrs    []sax.Attribute
 	Text     string
@@ -43,20 +42,20 @@ type Document struct {
 
 // Parse parses an XML document into a DOM tree.
 func Parse(doc []byte) (*Document, error) {
-	b := NewBuilder()
+	b := &builder{}
 	if err := sax.Parse(doc, b); err != nil {
 		return nil, err
 	}
-	return b.Document()
+	return b.document()
 }
 
 // FromEvents builds a DOM tree from a recorded SAX event sequence.
 func FromEvents(events []sax.Event) (*Document, error) {
-	b := NewBuilder()
+	b := &builder{}
 	if err := sax.Replay(events, b); err != nil {
 		return nil, err
 	}
-	return b.Document()
+	return b.document()
 }
 
 // Elem returns the first child element with the given local name (any
@@ -128,39 +127,10 @@ func (n *Node) AttrNS(space, local string) (string, bool) {
 	return "", false
 }
 
-// InnerText returns the concatenation of all descendant text nodes.
-func (n *Node) InnerText() string {
-	if n.Kind == TextNode {
-		return n.Text
-	}
-	var b strings.Builder
-	n.appendText(&b)
-	return b.String()
-}
-
-func (n *Node) appendText(b *strings.Builder) {
-	for _, c := range n.Children {
-		switch c.Kind {
-		case TextNode:
-			b.WriteString(c.Text)
-		case ElementNode:
-			c.appendText(b)
-		}
-	}
-}
-
 // AppendChild adds c as the last child of n and sets its parent.
 func (n *Node) AppendChild(c *Node) {
 	c.Parent = n
 	n.Children = append(n.Children, c)
-}
-
-// Events converts the subtree rooted at n into a SAX event fragment
-// (without document start/end markers).
-func (n *Node) Events() []sax.Event {
-	var out []sax.Event
-	n.appendEvents(&out)
-	return out
 }
 
 func (n *Node) appendEvents(out *[]sax.Event) {
@@ -171,7 +141,7 @@ func (n *Node) appendEvents(out *[]sax.Event) {
 			c.appendEvents(out)
 		}
 		*out = append(*out, sax.Event{Kind: sax.EndElement, Name: n.Name})
-	case TextNode:
+	case textNode:
 		*out = append(*out, sax.Event{Kind: sax.Characters, Text: n.Text})
 	}
 }
@@ -195,27 +165,27 @@ func (d *Document) Replay(h sax.Handler) error {
 		return err
 	}
 	if d.Root != nil {
-		if err := d.Root.Visit(h); err != nil {
+		if err := d.Root.visit(h); err != nil {
 			return err
 		}
 	}
 	return h.OnEndDocument()
 }
 
-// Visit streams the subtree rooted at n to a sax.Handler.
-func (n *Node) Visit(h sax.Handler) error {
+// visit streams the subtree rooted at n to a sax.Handler.
+func (n *Node) visit(h sax.Handler) error {
 	switch n.Kind {
 	case ElementNode:
 		if err := h.OnStartElement(n.Name, n.Attrs); err != nil {
 			return err
 		}
 		for _, c := range n.Children {
-			if err := c.Visit(h); err != nil {
+			if err := c.visit(h); err != nil {
 				return err
 			}
 		}
 		return h.OnEndElement(n.Name)
-	case TextNode:
+	case textNode:
 		return h.OnCharacters(n.Text)
 	default:
 		return fmt.Errorf("dom: unknown node kind %d", n.Kind)
@@ -236,22 +206,19 @@ func (n *Node) Clone() *Node {
 	return c
 }
 
-// Builder is a sax.Handler that constructs a Document.
-type Builder struct {
+// builder is a sax.Handler that constructs a Document.
+type builder struct {
 	doc   Document
 	stack []*Node
 	done  bool
 	err   error
 }
 
-var _ sax.Handler = (*Builder)(nil)
+var _ sax.Handler = (*builder)(nil)
 
-// NewBuilder returns an empty Builder.
-func NewBuilder() *Builder { return &Builder{} }
-
-// Document returns the built document. It errors if the event stream
+// document returns the built document. It errors if the event stream
 // was incomplete.
-func (b *Builder) Document() (*Document, error) {
+func (b *builder) document() (*Document, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
@@ -265,10 +232,10 @@ func (b *Builder) Document() (*Document, error) {
 }
 
 // OnStartDocument implements sax.Handler.
-func (b *Builder) OnStartDocument() error { return nil }
+func (b *builder) OnStartDocument() error { return nil }
 
 // OnEndDocument implements sax.Handler.
-func (b *Builder) OnEndDocument() error {
+func (b *builder) OnEndDocument() error {
 	if len(b.stack) != 0 {
 		return fmt.Errorf("dom: EndDocument with %d unclosed element(s)", len(b.stack))
 	}
@@ -277,7 +244,7 @@ func (b *Builder) OnEndDocument() error {
 }
 
 // OnStartElement implements sax.Handler.
-func (b *Builder) OnStartElement(name sax.Name, attrs []sax.Attribute) error {
+func (b *builder) OnStartElement(name sax.Name, attrs []sax.Attribute) error {
 	n := &Node{Kind: ElementNode, Name: name}
 	if len(attrs) > 0 {
 		n.Attrs = make([]sax.Attribute, len(attrs))
@@ -296,7 +263,7 @@ func (b *Builder) OnStartElement(name sax.Name, attrs []sax.Attribute) error {
 }
 
 // OnEndElement implements sax.Handler.
-func (b *Builder) OnEndElement(name sax.Name) error {
+func (b *builder) OnEndElement(name sax.Name) error {
 	if len(b.stack) == 0 {
 		return fmt.Errorf("dom: end element </%s> with no open element", name)
 	}
@@ -309,11 +276,11 @@ func (b *Builder) OnEndElement(name sax.Name) error {
 }
 
 // OnCharacters implements sax.Handler.
-func (b *Builder) OnCharacters(text string) error {
+func (b *builder) OnCharacters(text string) error {
 	if len(b.stack) == 0 {
 		// Whitespace outside the root is insignificant.
 		return nil
 	}
-	b.stack[len(b.stack)-1].AppendChild(&Node{Kind: TextNode, Text: text})
+	b.stack[len(b.stack)-1].AppendChild(&Node{Kind: textNode, Text: text})
 	return nil
 }

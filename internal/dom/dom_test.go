@@ -29,10 +29,10 @@ func TestParseTree(t *testing.T) {
 	if len(books) != 2 {
 		t.Fatalf("got %d books", len(books))
 	}
-	if got := books[0].Elem("title").InnerText(); got != "Go" {
+	if got := books[0].Elem("title").Children[0].Text; got != "Go" {
 		t.Errorf("title = %q", got)
 	}
-	if got := books[1].Elem("price").InnerText(); got != "7" {
+	if got := books[1].Elem("price").Children[0].Text; got != "7" {
 		t.Errorf("price = %q", got)
 	}
 	if books[0].Parent != root {
@@ -45,21 +45,11 @@ func TestElemNS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := doc.Root.ElemNS("urn:2", "v").InnerText(); got != "2" {
+	if got := doc.Root.ElemNS("urn:2", "v").Children[0].Text; got != "2" {
 		t.Errorf("got %q", got)
 	}
 	if doc.Root.ElemNS("urn:3", "v") != nil {
 		t.Error("expected nil for missing namespace")
-	}
-}
-
-func TestInnerTextNested(t *testing.T) {
-	doc, err := Parse([]byte(`<p>one<b>two<i>three</i></b>four</p>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := doc.Root.InnerText(); got != "onetwothreefour" {
-		t.Errorf("got %q", got)
 	}
 }
 
@@ -98,9 +88,17 @@ func TestNodeXML(t *testing.T) {
 		t.Fatal(err)
 	}
 	want = want[1 : len(want)-1]
-	if got := doc.Root.Elem("b").Events(); !reflect.DeepEqual(got, want) {
+	if got := fragment(doc.Root.Elem("b")); !reflect.DeepEqual(got, want) {
 		t.Errorf("subtree events = %v, want %v", got, want)
 	}
+}
+
+// fragment is the subtree rooted at n as events, without the document
+// brackets.
+func fragment(n *Node) []sax.Event {
+	var out []sax.Event
+	n.appendEvents(&out)
+	return out
 }
 
 func TestFromEvents(t *testing.T) {
@@ -112,7 +110,7 @@ func TestFromEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if doc.Root.Elem("b").InnerText() != "x" {
+	if doc.Root.Elem("b").Children[0].Text != "x" {
 		t.Error("tree mismatch")
 	}
 }
@@ -123,7 +121,7 @@ func TestNodeEventsFragment(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := doc.Root.Elem("b")
-	events := b.Events()
+	events := fragment(b)
 	if len(events) != 3 {
 		t.Fatalf("got %d events", len(events))
 	}
@@ -147,31 +145,31 @@ func TestClone(t *testing.T) {
 	if v, _ := doc.Root.Attr("k"); v != "v" {
 		t.Error("original attr mutated through clone")
 	}
-	if doc.Root.Elem("b").InnerText() != "x" {
+	if doc.Root.Elem("b").Children[0].Text != "x" {
 		t.Error("original text mutated through clone")
 	}
 }
 
 func TestBuilderErrors(t *testing.T) {
-	b := NewBuilder()
-	if _, err := b.Document(); err == nil {
+	b := &builder{}
+	if _, err := b.document(); err == nil {
 		t.Error("expected error for incomplete stream")
 	}
 
-	b2 := NewBuilder()
+	b2 := &builder{}
 	_ = b2.OnStartDocument()
 	if err := b2.OnEndElement(sax.Name{Local: "x"}); err == nil {
 		t.Error("expected error for end without start")
 	}
 
-	b3 := NewBuilder()
+	b3 := &builder{}
 	_ = b3.OnStartDocument()
 	_ = b3.OnStartElement(sax.Name{Local: "a"}, nil)
 	if err := b3.OnEndElement(sax.Name{Local: "b"}); err == nil {
 		t.Error("expected mismatch error")
 	}
 
-	b4 := NewBuilder()
+	b4 := &builder{}
 	_ = b4.OnStartDocument()
 	_ = b4.OnStartElement(sax.Name{Local: "a"}, nil)
 	if err := b4.OnEndDocument(); err == nil {

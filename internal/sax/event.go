@@ -109,7 +109,7 @@ type Handler interface {
 	// OnStartElement receives a start tag. attrs is valid only during
 	// the call: the parser reuses its backing array for the next tag,
 	// so a handler that keeps it must copy it (Recorder and
-	// dom.Builder do; the envelope decoder and Writer only read it).
+	// dom's tree builder do; the envelope decoder and Writer only read it).
 	OnStartElement(name Name, attrs []Attribute) error
 	OnEndElement(name Name) error
 	OnCharacters(text string) error
