@@ -42,9 +42,6 @@ func escape[W io.StringWriter](b W, s string, escapes *[256]string) {
 // EscapeTextString returns s escaped for character data.
 func EscapeTextString(s string) string { return escapeString(s, &textEscapes) }
 
-// EscapeAttrString returns s escaped for a double-quoted attribute.
-func EscapeAttrString(s string) string { return escapeString(s, &attrEscapes) }
-
 // escapeString returns s itself when no byte of it needs escaping.
 func escapeString(s string, escapes *[256]string) string {
 	for i := 0; i < len(s); i++ {
@@ -56,15 +53,6 @@ func escapeString(s string, escapes *[256]string) string {
 		}
 	}
 	return s
-}
-
-// SplitQName splits a possibly prefixed XML name into its prefix and
-// local parts. A name without a prefix yields an empty prefix.
-func SplitQName(name string) (prefix, local string) {
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		return name[:i], name[i+1:]
-	}
-	return "", name
 }
 
 // AppendCharData appends to b the text a Scanner reports for raw, the

@@ -1,5 +1,12 @@
 package xmltext
 
+// NewScanner returns a Scanner reading one document, without the intern
+// table Reset makes: the scanner AppendCharData uses.
+func NewScanner(src []byte) *Scanner { return &Scanner{src: src} }
+
+// SyntaxError is the scanner's error type, for errors.As.
+type SyntaxError = syntaxError
+
 // ScannerSeeds exposes the hand-written fuzz seeds to the external
 // differential test.
 var ScannerSeeds = scannerSeeds

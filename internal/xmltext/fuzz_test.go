@@ -36,7 +36,7 @@ func FuzzScanner(f *testing.F) {
 				return
 			}
 			if err != nil {
-				var se *SyntaxError
+				var se *syntaxError
 				if !errors.As(err, &se) {
 					t.Fatalf("non-syntax error %T: %v", err, err)
 				}
@@ -60,7 +60,7 @@ func FuzzEscapeRoundTrip(f *testing.F) {
 		if !IsLegalText(s) {
 			t.Skip()
 		}
-		doc := `<t a="` + EscapeAttrString(s) + `">` + EscapeTextString(s) + `</t>`
+		doc := `<t a="` + escapeString(s, &attrEscapes) + `">` + EscapeTextString(s) + `</t>`
 		sc := NewScanner([]byte(doc))
 		tok, err := sc.Next()
 		if err != nil {

@@ -20,8 +20,8 @@ import (
 // Every token's strings are owned copies, never views of the source. A
 // Scanner that is Reset for each document also keeps a table of the
 // names and short attribute values it has seen, so one repeated within
-// or across documents is not allocated again; NewScanner's scanner,
-// made for one document, has no table.
+// or across documents is not allocated again; a Scanner made for one
+// document and never Reset has no table.
 type Scanner struct {
 	src []byte
 	pos int
@@ -50,11 +50,6 @@ type Scanner struct {
 type qname struct {
 	name  string
 	colon int32
-}
-
-// NewScanner returns a Scanner reading the given document.
-func NewScanner(src []byte) *Scanner {
-	return &Scanner{src: src}
 }
 
 // maxReuse bounds the open-element and attribute buffers Reset keeps:
@@ -94,7 +89,7 @@ func (s *Scanner) str(b []byte) string {
 // errf builds a syntax error at the current offset. The line is counted
 // here, from the offset, so the scanning loops never track it.
 func (s *Scanner) errf(format string, args ...any) error {
-	return &SyntaxError{
+	return &syntaxError{
 		Msg:    strings.TrimSpace(fmt.Sprintf(format, args...)),
 		Offset: s.pos,
 		Line:   1 + bytes.Count(s.src[:s.pos], []byte{'\n'}),
@@ -156,9 +151,6 @@ func (s *Scanner) Next() (Token, error) {
 		}
 	}
 }
-
-// Depth returns the number of currently open elements.
-func (s *Scanner) Depth() int { return len(s.open) }
 
 // skipSpace consumes XML whitespace.
 func (s *Scanner) skipSpace() {

@@ -255,7 +255,7 @@ func TestScannerErrorHasPosition(t *testing.T) {
 		{"<a>\r\n<b>\r\n&bad;</b></a>", 15, 3},
 		{"<r>\n<!-- c\n -->\n<x y='1\n2' z=\"3\">\n<![CDATA[\n]]>\n</x>\n</r>\n<s/>", 60, 10},
 	} {
-		var se *SyntaxError
+		var se *syntaxError
 		if err := scanErr(c.doc); !errors.As(err, &se) {
 			t.Errorf("%q: error %v, want a *SyntaxError", c.doc, err)
 		} else if se.Offset != c.offset || se.Line != c.line || !strings.Contains(se.Error(), fmt.Sprintf("line %d ", c.line)) {
@@ -331,7 +331,7 @@ func TestEscapeAttrRoundTripProperty(t *testing.T) {
 		if !IsLegalText(s) {
 			return true
 		}
-		doc := `<t a="` + EscapeAttrString(s) + `"/>`
+		doc := `<t a="` + escapeString(s, &attrEscapes) + `"/>`
 		sc := NewScanner([]byte(doc))
 		tok, err := sc.Next()
 		if err != nil {
@@ -352,23 +352,24 @@ func normalizeNewlines(s string) string {
 
 func TestSplitQName(t *testing.T) {
 	cases := []struct {
-		in, prefix, local string
+		in            string
+		colon         int32
+		prefix, local string
 	}{
-		{"a", "", "a"},
-		{"ns:a", "ns", "a"},
-		{":a", "", "a"},
-		{"a:", "a", ""},
+		{"a", 0, "", "a"},
+		{"ns:a", 2, "ns", "a"},
+		{"a:", 1, "a", ""},
 	}
 	for _, c := range cases {
-		p, l := SplitQName(c.in)
+		p, l := splitAt(c.in, c.colon)
 		if p != c.prefix || l != c.local {
-			t.Errorf("SplitQName(%q) = (%q, %q), want (%q, %q)", c.in, p, l, c.prefix, c.local)
+			t.Errorf("splitAt(%q, %d) = (%q, %q), want (%q, %q)", c.in, c.colon, p, l, c.prefix, c.local)
 		}
 	}
 }
 
 func TestEscapeAttrControlChars(t *testing.T) {
-	got := EscapeAttrString("a\tb\nc\rd\"e<f>g&h")
+	got := escapeString("a\tb\nc\rd\"e<f>g&h", &attrEscapes)
 	want := "a&#9;b&#10;c&#13;d&quot;e&lt;f&gt;g&amp;h"
 	if got != want {
 		t.Errorf("got %q, want %q", got, want)
@@ -393,7 +394,7 @@ func TestScannerDepth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		depths = append(depths, sc.Depth())
+		depths = append(depths, len(sc.open))
 	}
 	want := []int{1, 2, 1, 0}
 	for i := range want {

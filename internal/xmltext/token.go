@@ -27,13 +27,13 @@ package xmltext
 
 import "fmt"
 
-// Kind identifies the type of a token produced by the Scanner.
-type Kind int
+// kind identifies the type of a token produced by the Scanner.
+type kind int
 
 // Token kinds. The zero value is invalid so that an uninitialized Token
 // is never mistaken for real markup.
 const (
-	KindStartElement Kind = iota + 1
+	KindStartElement kind = iota + 1
 	KindEndElement
 	KindCharData
 	KindComment
@@ -42,7 +42,7 @@ const (
 )
 
 // String returns a human-readable name for the token kind.
-func (k Kind) String() string {
+func (k kind) String() string {
 	switch k {
 	case KindStartElement:
 		return "StartElement"
@@ -87,7 +87,7 @@ func (a Attr) QName() (prefix, local string) { return splitAt(a.Name, a.colon) }
 // Every string is an owned copy of the source bytes. Attrs is the
 // scanner's buffer: it is valid until the next call to Next.
 type Token struct {
-	Kind        Kind
+	Kind        kind
 	Name        string
 	Text        string
 	Attrs       []Attr
@@ -108,15 +108,15 @@ func splitAt(name string, colon int32) (prefix, local string) {
 	return name[:colon], name[colon+1:]
 }
 
-// SyntaxError describes a well-formedness violation found while
+// syntaxError describes a well-formedness violation found while
 // scanning, with the byte offset and 1-based line where it occurred.
-type SyntaxError struct {
+type syntaxError struct {
 	Msg    string
 	Offset int
 	Line   int
 }
 
 // Error implements the error interface.
-func (e *SyntaxError) Error() string {
+func (e *syntaxError) Error() string {
 	return fmt.Sprintf("xml syntax error at line %d (offset %d): %s", e.Line, e.Offset, e.Msg)
 }
