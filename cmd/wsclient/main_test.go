@@ -99,7 +99,7 @@ func TestCoerce(t *testing.T) {
 		{"base64Binary", "raw", []byte("raw")},
 	}
 	for _, c := range cases {
-		got, err := coerce(xsd.BuiltinQName(c.ty), c.raw)
+		got, err := coerce(typemap.QName{Space: xsd.SchemaNS, Local: c.ty}, c.raw)
 		if err != nil {
 			t.Errorf("%s: %v", c.ty, err)
 			continue
@@ -118,7 +118,7 @@ func TestCoerce(t *testing.T) {
 	if _, err := coerce(typemap.QName{Space: "urn:x", Local: "Complex"}, "x"); err == nil {
 		t.Error("complex type accepted")
 	}
-	if _, err := coerce(xsd.BuiltinQName("boolean"), "maybe"); err == nil {
+	if _, err := coerce(typemap.QName{Space: xsd.SchemaNS, Local: "boolean"}, "maybe"); err == nil {
 		t.Error("bad boolean accepted")
 	}
 }

@@ -87,7 +87,7 @@ func TestMessages(t *testing.T) {
 	if len(req.Parts) != 1 || req.Parts[0].Name != "symbol" {
 		t.Fatalf("parts = %+v", req.Parts)
 	}
-	if req.Parts[0].Type != xsd.BuiltinQName("string") {
+	if req.Parts[0].Type != (typemap.QName{Space: xsd.SchemaNS, Local: "string"}) {
 		t.Errorf("part type = %v", req.Parts[0].Type)
 	}
 	resp := defs.Messages["getQuoteResponse"]
@@ -152,15 +152,15 @@ func TestServiceAndEndpoint(t *testing.T) {
 
 func TestSchemaType(t *testing.T) {
 	defs := parseTestWSDL(t)
-	q, ok := defs.SchemaType(typemap.QName{Space: "urn:quote", Local: "Quote"})
+	if len(defs.Schemas) != 1 || defs.Schemas[0].TargetNamespace != "urn:quote" {
+		t.Fatalf("schemas = %+v", defs.Schemas)
+	}
+	q, ok := defs.Schemas[0].TypeByName("Quote")
 	if !ok {
 		t.Fatal("Quote type missing")
 	}
 	if len(q.Elements) != 2 {
 		t.Errorf("elements = %+v", q.Elements)
-	}
-	if _, ok := defs.SchemaType(typemap.QName{Space: "urn:other", Local: "Quote"}); ok {
-		t.Error("wrong namespace should not resolve")
 	}
 }
 

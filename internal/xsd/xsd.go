@@ -16,16 +16,13 @@ import (
 // Namespace URIs used by schema documents.
 const (
 	SchemaNS   = "http://www.w3.org/2001/XMLSchema"
-	InstanceNS = "http://www.w3.org/2001/XMLSchema-instance"
-	SOAPEncNS  = "http://schemas.xmlsoap.org/soap/encoding/"
 	WSDLNS     = "http://schemas.xmlsoap.org/wsdl/"
 	WSDLSOAPNS = "http://schemas.xmlsoap.org/wsdl/soap/"
-	SOAPEnvNS  = "http://schemas.xmlsoap.org/soap/envelope/"
 )
 
-// Builtin names the XML Schema built-in simple types supported by the
+// builtin names the XML Schema built-in simple types supported by the
 // codec.
-var Builtin = map[string]bool{
+var builtin = map[string]bool{
 	"string":       true,
 	"boolean":      true,
 	"int":          true,
@@ -44,13 +41,12 @@ var Builtin = map[string]bool{
 	"dateTime":     true,
 }
 
-// Kind discriminates schema type definitions.
-type Kind int
+// kind discriminates schema type definitions.
+type kind int
 
 // Schema type kinds.
 const (
-	KindBuiltin Kind = iota + 1
-	KindComplex
+	kindComplex kind = iota + 2
 	KindArray
 )
 
@@ -67,7 +63,7 @@ type Element struct {
 // Type is a named schema type definition.
 type Type struct {
 	Name     typemap.QName
-	Kind     Kind
+	Kind     kind
 	Elements []Element     // KindComplex
 	ArrayOf  typemap.QName // KindArray: the soapenc arrayType item type
 }
@@ -128,7 +124,7 @@ func parseComplexType(s *Schema, n *dom.Node) (*Type, error) {
 		return t, nil
 	}
 
-	t.Kind = KindComplex
+	t.Kind = kindComplex
 	seq := n.Elem("sequence")
 	if seq == nil {
 		if n.Elem("all") != nil {
@@ -220,12 +216,7 @@ func resolveQName(n *dom.Node, ref string) (typemap.QName, error) {
 	return typemap.QName{}, fmt.Errorf("undeclared prefix %q in type reference %q", prefix, ref)
 }
 
-// BuiltinQName returns the QName of an XML Schema built-in type.
-func BuiltinQName(local string) typemap.QName {
-	return typemap.QName{Space: SchemaNS, Local: local}
-}
-
 // IsBuiltin reports whether q names an XML Schema built-in simple type.
 func IsBuiltin(q typemap.QName) bool {
-	return q.Space == SchemaNS && Builtin[q.Local]
+	return q.Space == SchemaNS && builtin[q.Local]
 }

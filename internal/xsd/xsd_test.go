@@ -58,14 +58,14 @@ func TestParseSchemaComplexType(t *testing.T) {
 	if !ok {
 		t.Fatal("Result type missing")
 	}
-	if r.Kind != KindComplex {
+	if r.Kind != kindComplex {
 		t.Errorf("kind = %v", r.Kind)
 	}
 	if len(r.Elements) != 4 {
 		t.Fatalf("elements = %+v", r.Elements)
 	}
 	title := r.Elements[0]
-	if title.Name != "title" || title.Type != BuiltinQName("string") {
+	if title.Name != "title" || title.Type != builtinQName("string") {
 		t.Errorf("title = %+v", title)
 	}
 	count := r.Elements[1]
@@ -105,7 +105,7 @@ func TestParseSchemaEmptyType(t *testing.T) {
 	if !ok {
 		t.Fatal("Empty missing")
 	}
-	if e.Kind != KindComplex || len(e.Elements) != 0 {
+	if e.Kind != kindComplex || len(e.Elements) != 0 {
 		t.Errorf("empty type = %+v", e)
 	}
 }
@@ -134,16 +134,16 @@ func TestParseSchemaAnonymousComplexType(t *testing.T) {
 }
 
 func TestIsBuiltin(t *testing.T) {
-	if !IsBuiltin(BuiltinQName("string")) {
+	if !IsBuiltin(builtinQName("string")) {
 		t.Error("string is builtin")
 	}
-	if !IsBuiltin(BuiltinQName("base64Binary")) {
+	if !IsBuiltin(builtinQName("base64Binary")) {
 		t.Error("base64Binary is builtin")
 	}
 	if IsBuiltin(typemap.QName{Space: "urn:test", Local: "string"}) {
 		t.Error("wrong namespace must not be builtin")
 	}
-	if IsBuiltin(BuiltinQName("noSuchType")) {
+	if IsBuiltin(builtinQName("noSuchType")) {
 		t.Error("unknown local must not be builtin")
 	}
 }
@@ -161,4 +161,9 @@ func TestUndeclaredPrefixInTypeRef(t *testing.T) {
 	if _, err := ParseSchema(d.Root); err == nil {
 		t.Error("expected error for undeclared prefix")
 	}
+}
+
+// builtinQName is the QName of an XML Schema built-in type.
+func builtinQName(local string) typemap.QName {
+	return typemap.QName{Space: SchemaNS, Local: local}
 }
