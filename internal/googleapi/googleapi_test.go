@@ -249,7 +249,10 @@ func TestWSDLParsesAndMatchesService(t *testing.T) {
 	}
 
 	// Schema types resolve.
-	gsr, ok := defs.SchemaType(typemap.QName{Space: Namespace, Local: "GoogleSearchResult"})
+	if len(defs.Schemas) != 1 || defs.Schemas[0].TargetNamespace != Namespace {
+		t.Fatalf("schemas = %+v", defs.Schemas)
+	}
+	gsr, ok := defs.Schemas[0].TypeByName("GoogleSearchResult")
 	if !ok {
 		t.Fatal("GoogleSearchResult type missing")
 	}

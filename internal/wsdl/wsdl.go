@@ -16,60 +16,60 @@ import (
 	"repro/internal/xsd"
 )
 
-// Part is one part of an abstract message: a named, typed parameter.
-type Part struct {
+// part is one part of an abstract message: a named, typed parameter.
+type part struct {
 	Name string
 	Type typemap.QName
 }
 
-// Message is an abstract WSDL message.
-type Message struct {
+// message is an abstract WSDL message.
+type message struct {
 	Name  string
-	Parts []Part
+	Parts []part
 }
 
-// Operation is an abstract operation: its input and output message
+// operation is an abstract operation: its input and output message
 // names (local, within this definitions document).
-type Operation struct {
+type operation struct {
 	Name   string
 	Input  string
 	Output string
 }
 
-// PortType groups abstract operations.
-type PortType struct {
+// portType groups abstract operations.
+type portType struct {
 	Name       string
-	Operations map[string]*Operation
+	Operations map[string]*operation
 }
 
-// BindingOperation carries the SOAP binding details of one operation.
-type BindingOperation struct {
+// bindingOperation carries the SOAP binding details of one operation.
+type bindingOperation struct {
 	Name       string
 	SOAPAction string
 	Use        string // "encoded" or "literal"
 	Namespace  string
 }
 
-// Binding binds a port type to SOAP over a transport.
-type Binding struct {
+// binding binds a port type to SOAP over a transport.
+type binding struct {
 	Name       string
 	PortType   string
 	Style      string // "rpc" or "document"
 	Transport  string
-	Operations map[string]*BindingOperation
+	Operations map[string]*bindingOperation
 }
 
-// Port is a concrete endpoint of a service.
-type Port struct {
+// port is a concrete endpoint of a service.
+type port struct {
 	Name     string
 	Binding  string
 	Location string
 }
 
-// Service is a named collection of ports.
-type Service struct {
+// service is a named collection of ports.
+type service struct {
 	Name  string
-	Ports []Port
+	Ports []port
 }
 
 // Definitions is a parsed WSDL document.
@@ -77,10 +77,10 @@ type Definitions struct {
 	Name            string
 	TargetNamespace string
 	Schemas         []*xsd.Schema
-	Messages        map[string]*Message
-	PortTypes       map[string]*PortType
-	Bindings        map[string]*Binding
-	Services        map[string]*Service
+	Messages        map[string]*message
+	PortTypes       map[string]*portType
+	Bindings        map[string]*binding
+	Services        map[string]*service
 }
 
 // Parse parses a WSDL document.
@@ -89,20 +89,20 @@ func Parse(doc []byte) (*Definitions, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wsdl: %w", err)
 	}
-	return FromDOM(d)
+	return fromDOM(d)
 }
 
-// FromDOM builds Definitions from an already-parsed document.
-func FromDOM(d *dom.Document) (*Definitions, error) {
+// fromDOM builds Definitions from an already-parsed document.
+func fromDOM(d *dom.Document) (*Definitions, error) {
 	root := d.Root
 	if root.Name.Space != xsd.WSDLNS || root.Name.Local != "definitions" {
 		return nil, fmt.Errorf("wsdl: root element is %s, not wsdl:definitions", root.Name)
 	}
 	defs := &Definitions{
-		Messages:  make(map[string]*Message),
-		PortTypes: make(map[string]*PortType),
-		Bindings:  make(map[string]*Binding),
-		Services:  make(map[string]*Service),
+		Messages:  make(map[string]*message),
+		PortTypes: make(map[string]*portType),
+		Bindings:  make(map[string]*binding),
+		Services:  make(map[string]*service),
 	}
 	defs.Name, _ = root.Attr("name")
 	defs.TargetNamespace, _ = root.Attr("targetNamespace")
@@ -155,21 +155,8 @@ func FromDOM(d *dom.Document) (*Definitions, error) {
 	return defs, nil
 }
 
-// SchemaType looks up a named complex type across all schemas.
-func (d *Definitions) SchemaType(q typemap.QName) (*xsd.Type, bool) {
-	for _, s := range d.Schemas {
-		if s.TargetNamespace != q.Space {
-			continue
-		}
-		if t, ok := s.TypeByName(q.Local); ok {
-			return t, true
-		}
-	}
-	return nil, false
-}
-
 // Operation finds an abstract operation by name across all port types.
-func (d *Definitions) Operation(name string) (*Operation, bool) {
+func (d *Definitions) Operation(name string) (*operation, bool) {
 	for _, pt := range d.PortTypes {
 		if op, ok := pt.Operations[name]; ok {
 			return op, true
@@ -179,7 +166,7 @@ func (d *Definitions) Operation(name string) (*Operation, bool) {
 }
 
 // OperationIO resolves the input and output messages of an operation.
-func (d *Definitions) OperationIO(name string) (in, out *Message, err error) {
+func (d *Definitions) OperationIO(name string) (in, out *message, err error) {
 	op, ok := d.Operation(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("wsdl: unknown operation %q", name)
@@ -209,12 +196,12 @@ func (d *Definitions) Endpoint() (string, bool) {
 }
 
 // parseMessage parses <wsdl:message>.
-func parseMessage(n *dom.Node) (*Message, error) {
+func parseMessage(n *dom.Node) (*message, error) {
 	name, ok := n.Attr("name")
 	if !ok {
 		return nil, fmt.Errorf("wsdl: message without name")
 	}
-	m := &Message{Name: name}
+	m := &message{Name: name}
 	for _, pn := range n.Elems("part") {
 		pname, ok := pn.Attr("name")
 		if !ok {
@@ -228,24 +215,24 @@ func parseMessage(n *dom.Node) (*Message, error) {
 		if err != nil {
 			return nil, fmt.Errorf("wsdl: message %s: %w", name, err)
 		}
-		m.Parts = append(m.Parts, Part{Name: pname, Type: qn})
+		m.Parts = append(m.Parts, part{Name: pname, Type: qn})
 	}
 	return m, nil
 }
 
 // parsePortType parses <wsdl:portType>.
-func parsePortType(n *dom.Node) (*PortType, error) {
+func parsePortType(n *dom.Node) (*portType, error) {
 	name, ok := n.Attr("name")
 	if !ok {
 		return nil, fmt.Errorf("wsdl: portType without name")
 	}
-	pt := &PortType{Name: name, Operations: make(map[string]*Operation)}
+	pt := &portType{Name: name, Operations: make(map[string]*operation)}
 	for _, on := range n.Elems("operation") {
 		oname, ok := on.Attr("name")
 		if !ok {
 			return nil, fmt.Errorf("wsdl: portType %s has operation without name", name)
 		}
-		op := &Operation{Name: oname}
+		op := &operation{Name: oname}
 		if in := on.Elem("input"); in != nil {
 			ref, _ := in.Attr("message")
 			op.Input = localRef(ref)
@@ -260,16 +247,16 @@ func parsePortType(n *dom.Node) (*PortType, error) {
 }
 
 // parseBinding parses <wsdl:binding> with its soap:binding extension.
-func parseBinding(n *dom.Node) (*Binding, error) {
+func parseBinding(n *dom.Node) (*binding, error) {
 	name, ok := n.Attr("name")
 	if !ok {
 		return nil, fmt.Errorf("wsdl: binding without name")
 	}
 	typeRef, _ := n.Attr("type")
-	b := &Binding{
+	b := &binding{
 		Name:       name,
 		PortType:   localRef(typeRef),
-		Operations: make(map[string]*BindingOperation),
+		Operations: make(map[string]*bindingOperation),
 	}
 	if sb := n.ElemNS(xsd.WSDLSOAPNS, "binding"); sb != nil {
 		b.Style, _ = sb.Attr("style")
@@ -280,7 +267,7 @@ func parseBinding(n *dom.Node) (*Binding, error) {
 			continue
 		}
 		oname, _ := on.Attr("name")
-		bo := &BindingOperation{Name: oname}
+		bo := &bindingOperation{Name: oname}
 		if so := on.ElemNS(xsd.WSDLSOAPNS, "operation"); so != nil {
 			bo.SOAPAction, _ = so.Attr("soapAction")
 		}
@@ -296,16 +283,16 @@ func parseBinding(n *dom.Node) (*Binding, error) {
 }
 
 // parseService parses <wsdl:service>.
-func parseService(n *dom.Node) (*Service, error) {
+func parseService(n *dom.Node) (*service, error) {
 	name, ok := n.Attr("name")
 	if !ok {
 		return nil, fmt.Errorf("wsdl: service without name")
 	}
-	sv := &Service{Name: name}
+	sv := &service{Name: name}
 	for _, pn := range n.Elems("port") {
 		pname, _ := pn.Attr("name")
 		bref, _ := pn.Attr("binding")
-		p := Port{Name: pname, Binding: localRef(bref)}
+		p := port{Name: pname, Binding: localRef(bref)}
 		if addr := pn.ElemNS(xsd.WSDLSOAPNS, "address"); addr != nil {
 			p.Location, _ = addr.Attr("location")
 		}
