@@ -45,37 +45,37 @@ type Cloner interface {
 	CloneDeep() any
 }
 
-// Class partitions Go types into the shapes the SOAP codec and the
+// class partitions Go types into the shapes the SOAP codec and the
 // cache classifier care about.
-type Class int
+type class int
 
 // Type classes.
 const (
-	ClassPrimitive Class = iota + 1 // bool, integers, floats, string
-	ClassBytes                      // []byte (SOAP base64Binary)
-	ClassStruct                     // struct or pointer to struct
-	ClassSlice                      // slice or array of non-byte element
-	ClassMap                        // map
-	ClassInterface                  // interface
-	ClassOpaque                     // chan, func, unsafe: not codable
+	classPrimitive class = iota + 1 // bool, integers, floats, string
+	classBytes                      // []byte (SOAP base64Binary)
+	classStruct                     // struct or pointer to struct
+	classSlice                      // slice or array of non-byte element
+	classMap                        // map
+	classInterface                  // interface
+	classOpaque                     // chan, func, unsafe: not codable
 )
 
 // String returns the class name.
-func (c Class) String() string {
+func (c class) String() string {
 	switch c {
-	case ClassPrimitive:
+	case classPrimitive:
 		return "primitive"
-	case ClassBytes:
+	case classBytes:
 		return "bytes"
-	case ClassStruct:
+	case classStruct:
 		return "struct"
-	case ClassSlice:
+	case classSlice:
 		return "slice"
-	case ClassMap:
+	case classMap:
 		return "map"
-	case ClassInterface:
+	case classInterface:
 		return "interface"
-	case ClassOpaque:
+	case classOpaque:
 		return "opaque"
 	default:
 		return fmt.Sprintf("Class(%d)", int(c))
@@ -99,7 +99,7 @@ type FieldInfo struct {
 // TypeInfo is the cached analysis of one Go type.
 type TypeInfo struct {
 	Type  reflect.Type
-	Class Class
+	Class class
 
 	// IsBean reports that the type is a data-holder suitable for
 	// reflection copy and serialization: a struct (or pointer to
@@ -169,22 +169,6 @@ func (r *Registry) TypeFor(name QName) (reflect.Type, bool) {
 	return t, ok
 }
 
-// NameFor returns the XML name registered for the Go type of v
-// (pointers dereferenced).
-func (r *Registry) NameFor(v any) (QName, bool) {
-	t := reflect.TypeOf(v)
-	if t == nil {
-		return QName{}, false
-	}
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	q, ok := r.byType[t]
-	return q, ok
-}
-
 // NameForType returns the XML name registered for t (pointers
 // dereferenced).
 func (r *Registry) NameForType(t reflect.Type) (QName, bool) {
@@ -197,22 +181,11 @@ func (r *Registry) NameForType(t reflect.Type) (QName, bool) {
 	return q, ok
 }
 
-// Names returns all registered XML names, for diagnostics.
-func (r *Registry) Names() []QName {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]QName, 0, len(r.byName))
-	for q := range r.byName {
-		out = append(out, q)
-	}
-	return out
-}
-
 // InfoFor returns the (cached) analysis for the dynamic type of v.
 func (r *Registry) InfoFor(v any) *TypeInfo {
 	t := reflect.TypeOf(v)
 	if t == nil {
-		return &TypeInfo{Class: ClassInterface, IsImmutable: true}
+		return &TypeInfo{Class: classInterface, IsImmutable: true}
 	}
 	return r.InfoForType(t)
 }
@@ -250,29 +223,29 @@ func analyze(t reflect.Type) *TypeInfo {
 }
 
 // classify maps a Go type to its Class.
-func classify(t reflect.Type) Class {
+func classify(t reflect.Type) class {
 	switch t.Kind() {
 	case reflect.Bool,
 		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
 		reflect.Float32, reflect.Float64,
 		reflect.String:
-		return ClassPrimitive
+		return classPrimitive
 	case reflect.Slice, reflect.Array:
 		if t.Elem().Kind() == reflect.Uint8 {
-			return ClassBytes
+			return classBytes
 		}
-		return ClassSlice
+		return classSlice
 	case reflect.Struct:
-		return ClassStruct
+		return classStruct
 	case reflect.Pointer:
 		return classify(t.Elem())
 	case reflect.Map:
-		return ClassMap
+		return classMap
 	case reflect.Interface:
-		return ClassInterface
+		return classInterface
 	default:
-		return ClassOpaque
+		return classOpaque
 	}
 }
 

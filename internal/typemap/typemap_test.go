@@ -65,11 +65,11 @@ func TestRegisterAndLookup(t *testing.T) {
 		t.Errorf("TypeFor = %v, %v", typ, ok)
 	}
 	// Lookup by value and by pointer should both resolve.
-	if name, ok := r.NameFor(bean{}); !ok || name != q {
-		t.Errorf("NameFor(value) = %v, %v", name, ok)
+	if name, ok := r.NameForType(reflect.TypeOf(bean{})); !ok || name != q {
+		t.Errorf("NameForType(value) = %v, %v", name, ok)
 	}
-	if name, ok := r.NameFor(&bean{}); !ok || name != q {
-		t.Errorf("NameFor(ptr) = %v, %v", name, ok)
+	if name, ok := r.NameForType(reflect.TypeOf(&bean{})); !ok || name != q {
+		t.Errorf("NameForType(ptr) = %v, %v", name, ok)
 	}
 }
 
@@ -99,19 +99,19 @@ func TestClassify(t *testing.T) {
 	r := NewRegistry()
 	cases := []struct {
 		v    any
-		want Class
+		want class
 	}{
-		{"s", ClassPrimitive},
-		{42, ClassPrimitive},
-		{3.14, ClassPrimitive},
-		{true, ClassPrimitive},
-		{[]byte("x"), ClassBytes},
-		{[]string{"a"}, ClassSlice},
-		{[3]int{}, ClassSlice},
-		{bean{}, ClassStruct},
-		{&bean{}, ClassStruct},
-		{map[string]int{}, ClassMap},
-		{make(chan int), ClassOpaque},
+		{"s", classPrimitive},
+		{42, classPrimitive},
+		{3.14, classPrimitive},
+		{true, classPrimitive},
+		{[]byte("x"), classBytes},
+		{[]string{"a"}, classSlice},
+		{[3]int{}, classSlice},
+		{bean{}, classStruct},
+		{&bean{}, classStruct},
+		{map[string]int{}, classMap},
+		{make(chan int), classOpaque},
 	}
 	for _, c := range cases {
 		if got := r.InfoFor(c.v).Class; got != c.want {
@@ -228,7 +228,7 @@ func TestRegistryConcurrency(t *testing.T) {
 		defer close(done)
 		for i := 0; i < 500; i++ {
 			r.InfoFor(&bean{})
-			_, _ = r.NameFor(&bean{})
+			_, _ = r.NameForType(reflect.TypeOf(&bean{}))
 		}
 	}()
 	for i := 0; i < 500; i++ {
