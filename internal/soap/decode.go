@@ -28,16 +28,6 @@ func (m *DecodedMessage) Result() any {
 	return m.Params[0].Value
 }
 
-// ParamValue returns the named parameter's value.
-func (m *DecodedMessage) ParamValue(name string) (any, bool) {
-	for _, p := range m.Params {
-		if p.Name == name {
-			return p.Value, true
-		}
-	}
-	return nil, false
-}
-
 // DecodeEnvelope parses a SOAP envelope from XML text and constructs
 // the application objects it carries. This is the full cache-miss path:
 // tokenization plus deserialization. Envelopes using Axis-style
@@ -266,7 +256,7 @@ func (d *envelopeDecoder) OnStartElement(name sax.Name, attrs []sax.Attribute) e
 	d.pushBindings(attrs)
 	switch d.state {
 	case stateStart:
-		if name.Space != EnvNS || name.Local != "Envelope" {
+		if name.Space != envNS || name.Local != "Envelope" {
 			return fmt.Errorf("soap: root element %s is not a SOAP 1.1 envelope", name)
 		}
 		d.state = stateEnvelope
@@ -274,10 +264,10 @@ func (d *envelopeDecoder) OnStartElement(name sax.Name, attrs []sax.Attribute) e
 
 	case stateEnvelope:
 		switch {
-		case name.Space == EnvNS && name.Local == "Header":
+		case name.Space == envNS && name.Local == "Header":
 			d.state = stateHeader
 			d.headerDepth = 1
-		case name.Space == EnvNS && name.Local == "Body":
+		case name.Space == envNS && name.Local == "Body":
 			d.state = stateBody
 		default:
 			return fmt.Errorf("soap: unexpected element %s in envelope", name)
@@ -289,7 +279,7 @@ func (d *envelopeDecoder) OnStartElement(name sax.Name, attrs []sax.Attribute) e
 		return nil
 
 	case stateBody:
-		if name.Space == EnvNS && name.Local == "Fault" {
+		if name.Space == envNS && name.Local == "Fault" {
 			d.state = stateFault
 			d.fault = &Fault{}
 			d.faultDepth = 1
@@ -328,7 +318,7 @@ func (d *envelopeDecoder) OnEndElement(name sax.Name) error {
 
 	case stateBody:
 		// </Body> with no wrapper seen (empty body) or after wrapper.
-		if name.Space == EnvNS && name.Local == "Body" {
+		if name.Space == envNS && name.Local == "Body" {
 			d.state = stateAfterBody
 		}
 		return nil
@@ -362,7 +352,7 @@ func (d *envelopeDecoder) OnEndElement(name sax.Name) error {
 		return nil
 
 	case stateAfterBody:
-		if name.Space == EnvNS && name.Local == "Envelope" {
+		if name.Space == envNS && name.Local == "Envelope" {
 			d.state = stateDone
 		}
 		return nil
@@ -401,14 +391,14 @@ func (d *envelopeDecoder) startValue(name sax.Name, attrs []sax.Attribute) error
 	f := d.push()
 	f.name = name.Local
 
-	if v, ok := attrValue(attrs, InstanceNS, "nil"); ok && (v == "true" || v == "1") {
+	if v, ok := attrValue(attrs, instanceNS, "nil"); ok && (v == "true" || v == "1") {
 		f.kind = fNil
 		return nil
 	}
 
 	// Determine the target type: explicit xsi:type wins; otherwise the
 	// expectation from the parent context (struct field or array item).
-	ref, ok := attrValue(attrs, InstanceNS, "type")
+	ref, ok := attrValue(attrs, instanceNS, "type")
 	if !ok {
 		if expected != nil {
 			return d.frameFromGoType(f, expected)
@@ -481,9 +471,9 @@ func (d *envelopeDecoder) expectedType(childName string) reflect.Type {
 // frameFromQName configures a frame from an xsi:type QName.
 func (d *envelopeDecoder) frameFromQName(f *frame, q typemap.QName, attrs []sax.Attribute) error {
 	// SOAP-encoded array?
-	if q.Space == EncNS && q.Local == "Array" {
+	if q.Space == encNS && q.Local == "Array" {
 		f.kind = fArray
-		if ref, ok := attrValue(attrs, EncNS, "arrayType"); ok {
+		if ref, ok := attrValue(attrs, encNS, "arrayType"); ok {
 			base := strings.TrimSpace(ref)
 			if i := strings.IndexByte(base, '['); i >= 0 {
 				base = base[:i]
@@ -551,7 +541,7 @@ func (d *envelopeDecoder) frameFromGoType(f *frame, t reflect.Type) error {
 
 // goTypeFor maps an XML type QName to a Go type and frame kind.
 func (d *envelopeDecoder) goTypeFor(q typemap.QName) (reflect.Type, fkind, error) {
-	if q.Space == SchemaNS || q.Space == EncNS {
+	if q.Space == schemaNS || q.Space == encNS {
 		switch q.Local {
 		case "string", "anyURI", "dateTime", "QName":
 			return reflect.TypeOf(""), fSimple, nil

@@ -137,7 +137,7 @@ func (e *encoder) call(operationName string, response bool, params []Param) erro
 	e.openEnvelope()
 	e.b.WriteByte('<')
 	e.wrapperName(operationName, response)
-	e.b.WriteString(" " + envPrefix + `:encodingStyle="` + EncNS + `">`)
+	e.b.WriteString(" " + envPrefix + `:encodingStyle="` + encNS + `">`)
 	for _, p := range params {
 		if err := e.value(p.Name, p.Value); err != nil {
 			if response {
@@ -169,10 +169,10 @@ func (e *encoder) wrapperName(operationName string, response bool) {
 func (e *encoder) openEnvelope() {
 	e.b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
 	e.b.WriteString("<" + envPrefix + ":Envelope")
-	e.decl(envPrefix, EnvNS)
-	e.decl(encPrefix, EncNS)
-	e.decl(xsdPrefix, SchemaNS)
-	e.decl(xsiPrefix, InstanceNS)
+	e.decl(envPrefix, envNS)
+	e.decl(encPrefix, encNS)
+	e.decl(xsdPrefix, schemaNS)
+	e.decl(xsiPrefix, instanceNS)
 	if e.targetNS != "" {
 		e.decl(targetPrefix, e.targetNS)
 	}
@@ -228,13 +228,13 @@ func (e *encoder) prefixFor(uri string) string {
 		return targetPrefix
 	}
 	switch uri {
-	case EnvNS:
+	case envNS:
 		return envPrefix
-	case EncNS:
+	case encNS:
 		return encPrefix
-	case SchemaNS:
+	case schemaNS:
 		return xsdPrefix
-	case InstanceNS:
+	case instanceNS:
 		return xsiPrefix
 	}
 	for _, m := range e.minted {

@@ -233,7 +233,7 @@ func TestInteropDefaultNamespaceBody(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := msg.ParamValue("v"); got != 42 {
+	if got, _ := paramValue(msg, "v"); got != 42 {
 		t.Errorf("v = %#v", got)
 	}
 }
@@ -250,8 +250,8 @@ func TestInteropBooleanAsDigits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, _ := msg.ParamValue("a")
-	b, _ := msg.ParamValue("b")
+	a, _ := paramValue(msg, "a")
+	b, _ := paramValue(msg, "b")
 	if a != true || b != false {
 		t.Errorf("a=%v b=%v", a, b)
 	}
@@ -269,7 +269,7 @@ d29ybGQh</blob></m:op></e:Body></e:Envelope>`
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _ := msg.ParamValue("blob")
+	got, _ := paramValue(msg, "blob")
 	if string(got.([]byte)) != "hello world!" {
 		t.Errorf("blob = %q", got)
 	}

@@ -130,6 +130,8 @@ func (m *EnvelopeMemo) Decode(doc []byte) (*DecodedMessage, error) {
 }
 
 // Shapes returns how many shapes the memo has learnt.
+//
+//lint:ignore api server's TestDispatcherMemoIsBounded and soap's FuzzMemoDecode count learnt shapes
 func (m *EnvelopeMemo) Shapes() int {
 	if p := m.shapes.Load(); p != nil {
 		return len(*p)

@@ -76,7 +76,7 @@ func eventsHaveHref(events []sax.Event) bool {
 // resolveMultiRef rewrites a DOM envelope with all hrefs replaced by
 // the referenced content and multiRef carriers removed.
 func resolveMultiRef(d *dom.Document) error {
-	body := d.Root.ElemNS(EnvNS, "Body")
+	body := d.Root.ElemNS(envNS, "Body")
 	if body == nil {
 		return fmt.Errorf("soap: multiref: envelope has no Body")
 	}

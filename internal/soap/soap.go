@@ -19,10 +19,10 @@ import (
 
 // Namespace URIs for SOAP 1.1 processing.
 const (
-	EnvNS      = "http://schemas.xmlsoap.org/soap/envelope/"
-	EncNS      = "http://schemas.xmlsoap.org/soap/encoding/"
-	SchemaNS   = "http://www.w3.org/2001/XMLSchema"
-	InstanceNS = "http://www.w3.org/2001/XMLSchema-instance"
+	envNS      = "http://schemas.xmlsoap.org/soap/envelope/"
+	encNS      = "http://schemas.xmlsoap.org/soap/encoding/"
+	schemaNS   = "http://www.w3.org/2001/XMLSchema"
+	instanceNS = "http://www.w3.org/2001/XMLSchema-instance"
 )
 
 // Standard prefixes the codec declares on every envelope.

@@ -349,7 +349,7 @@ func TestDecodeHeaderSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := msg.ParamValue("v"); got != "ok" {
+	if got, _ := paramValue(msg, "v"); got != "ok" {
 		t.Errorf("v = %#v", got)
 	}
 }
@@ -362,7 +362,7 @@ func TestDecodeUntypedDefaultsToString(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := msg.ParamValue("v"); got != "plain" {
+	if got, _ := paramValue(msg, "v"); got != "plain" {
 		t.Errorf("v = %#v", got)
 	}
 }
@@ -432,7 +432,7 @@ func TestStringEscapingRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, _ := msg.ParamValue("v")
+		got, _ := paramValue(msg, "v")
 		return got == s
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -456,10 +456,10 @@ func TestNumericRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		gi, _ := msg.ParamValue("i")
-		gu, _ := msg.ParamValue("u")
-		gd, _ := msg.ParamValue("d")
-		gb, _ := msg.ParamValue("b")
+		gi, _ := paramValue(msg, "i")
+		gu, _ := paramValue(msg, "u")
+		gd, _ := paramValue(msg, "d")
+		gb, _ := paramValue(msg, "b")
 		return gi == i && gu == u && gd == d && gb == b
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -478,7 +478,7 @@ func TestBytesRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := msg.ParamValue("blob")
+		got, ok := paramValue(msg, "blob")
 		if !ok {
 			return false
 		}
@@ -550,4 +550,14 @@ func TestWriteResponseErrorWritesNothing(t *testing.T) {
 	if calls != 0 {
 		t.Errorf("failed encode called write %d times; must build fully before writing", calls)
 	}
+}
+
+// paramValue returns the named parameter's value.
+func paramValue(m *DecodedMessage, name string) (any, bool) {
+	for _, p := range m.Params {
+		if p.Name == name {
+			return p.Value, true
+		}
+	}
+	return nil, false
 }
