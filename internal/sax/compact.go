@@ -81,7 +81,7 @@ func (c *CompactSequence) Events() []Event {
 	out := make([]Event, 0, len(c.ops))
 	r := &compactReader{seq: c}
 	for _, op := range c.ops {
-		kind := EventKind(op)
+		kind := eventKind(op)
 		e := Event{Kind: kind}
 		switch kind {
 		case StartElement:
@@ -111,7 +111,7 @@ func (c *CompactSequence) Replay(h Handler) error {
 	var attrs []Attribute
 	for _, op := range c.ops {
 		var err error
-		switch EventKind(op) {
+		switch eventKind(op) {
 		case StartDocument:
 			err = h.OnStartDocument()
 		case EndDocument:
@@ -135,9 +135,6 @@ func (c *CompactSequence) Replay(h Handler) error {
 	}
 	return nil
 }
-
-// Len returns the number of events.
-func (c *CompactSequence) Len() int { return len(c.ops) }
 
 // MemSize estimates the in-memory footprint in bytes.
 func (c *CompactSequence) MemSize() int {

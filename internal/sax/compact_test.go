@@ -24,8 +24,8 @@ func recordWithEverything(t *testing.T, doc string) []Event {
 func TestCompactRoundTrip(t *testing.T) {
 	events := recordWithEverything(t, compactSample)
 	c := Compact(events)
-	if c.Len() != len(events) {
-		t.Fatalf("len = %d, want %d", c.Len(), len(events))
+	if len(c.ops) != len(events) {
+		t.Fatalf("len = %d, want %d", len(c.ops), len(events))
 	}
 	back := c.Events()
 	if len(back) != len(events) {
@@ -51,15 +51,15 @@ func TestCompactReplayEqualsEventReplay(t *testing.T) {
 	events := recordWithEverything(t, compactSample)
 	c := Compact(events)
 
-	recA := NewRecorder()
+	recA := &recorder{}
 	if err := Replay(events, recA); err != nil {
 		t.Fatal(err)
 	}
-	recB := NewRecorder()
+	recB := &recorder{}
 	if err := c.Replay(recB); err != nil {
 		t.Fatal(err)
 	}
-	a, b := recA.Sequence(), recB.Sequence()
+	a, b := recA.events, recB.events
 	if len(a) != len(b) {
 		t.Fatalf("lengths %d vs %d", len(a), len(b))
 	}
@@ -117,7 +117,7 @@ func TestCompactRoundTripProperty(t *testing.T) {
 
 func TestCompactEmpty(t *testing.T) {
 	c := Compact(nil)
-	if c.Len() != 0 || len(c.Events()) != 0 {
+	if len(c.ops) != 0 || len(c.Events()) != 0 {
 		t.Error("empty sequence misbehaves")
 	}
 	if err := c.Replay(NopHandler{}); err != nil {

@@ -115,7 +115,7 @@ func (c *CompactSequence) validateShape() error {
 	r := &compactReader{seq: c}
 	for i, op := range c.ops {
 		need := 0
-		switch EventKind(op) {
+		switch eventKind(op) {
 		case StartDocument, EndDocument:
 		case StartElement:
 			if r.pos+4 > len(c.refs) {

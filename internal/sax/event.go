@@ -1,22 +1,22 @@
 // Package sax provides a SAX-style streaming XML event model: a push
-// parser that drives a Handler, an event Recorder and Replayer (the
-// "SAX events sequence" cache representation from the paper, Section
-// 4.2.2 and Table 4), and a Writer that serializes an event stream back
-// to XML text. The model has the five event kinds of the paper's Table
+// parser that drives a Handler, Record and Replay (the "SAX events
+// sequence" cache representation from the paper, Section 4.2.2 and
+// Table 4), and a writer that serializes an event stream back to XML
+// text. The model has the five event kinds of the paper's Table
 // 4: the parser coalesces adjacent character data into one event and
 // skips comments, processing instructions and DOCTYPEs.
 package sax
 
 import "fmt"
 
-// EventKind identifies a SAX event type.
-type EventKind int
+// eventKind identifies a SAX event type.
+type eventKind int
 
 // The SAX event kinds, in the vocabulary used by the paper's Table 4.
 // The values are the op bytes of CompactSequence's binary form, which
 // crosses process boundaries, so they never change.
 const (
-	StartDocument EventKind = iota + 1
+	StartDocument eventKind = iota + 1
 	EndDocument
 	StartElement
 	EndElement
@@ -25,7 +25,7 @@ const (
 
 // String returns the event kind formatted as in the paper's Table 4
 // ("start document", "start element", ...).
-func (k EventKind) String() string {
+func (k eventKind) String() string {
 	switch k {
 	case StartDocument:
 		return "start document"
@@ -61,16 +61,12 @@ func (n Name) String() string {
 
 // Attribute is a single attribute event payload. Namespace declarations
 // (xmlns and xmlns:prefix) are passed through as attributes with
-// IsNamespaceDecl reporting true, so that a recorded stream can be
-// serialized back to an equivalent document.
+// Attribute is a single attribute event payload. Namespace declarations
+// (xmlns and xmlns:prefix) are passed through as attributes, so that a
+// recorded stream can be serialized back to an equivalent document.
 type Attribute struct {
 	Name  Name
 	Value string
-}
-
-// IsNamespaceDecl reports whether the attribute declares a namespace.
-func (a Attribute) IsNamespaceDecl() bool {
-	return a.Name.Prefix == "xmlns" || (a.Name.Prefix == "" && a.Name.Local == "xmlns")
 }
 
 // Event is one element of a recorded SAX event sequence.
@@ -81,7 +77,7 @@ func (a Attribute) IsNamespaceDecl() bool {
 //   - Characters:   Text
 //   - StartDocument/EndDocument: no payload
 type Event struct {
-	Kind  EventKind
+	Kind  eventKind
 	Name  Name
 	Attrs []Attribute
 	Text  string
@@ -101,37 +97,17 @@ func (e Event) String() string {
 }
 
 // Handler receives SAX events. Implementations include the SOAP
-// deserializer, the DOM builder, the event Recorder, and the XML
-// Writer. Any method may return an error to abort the parse.
+// deserializer, the DOM builder, the event recorder, and the XML
+// writer. Any method may return an error to abort the parse.
 type Handler interface {
 	OnStartDocument() error
 	OnEndDocument() error
 	// OnStartElement receives a start tag. attrs is valid only during
 	// the call: the parser reuses its backing array for the next tag,
-	// so a handler that keeps it must copy it (Recorder and
-	// dom's tree builder do; the envelope decoder and Writer only read it).
+	// so a handler that keeps it must copy it (the recorder
+	// and dom's tree builder do; the envelope decoder and the writer only
+	// read it).
 	OnStartElement(name Name, attrs []Attribute) error
 	OnEndElement(name Name) error
 	OnCharacters(text string) error
 }
-
-// NopHandler implements Handler with no-ops. Embed it to implement only
-// the events a handler cares about.
-type NopHandler struct{}
-
-var _ Handler = NopHandler{}
-
-// OnStartDocument implements Handler.
-func (NopHandler) OnStartDocument() error { return nil }
-
-// OnEndDocument implements Handler.
-func (NopHandler) OnEndDocument() error { return nil }
-
-// OnStartElement implements Handler.
-func (NopHandler) OnStartElement(Name, []Attribute) error { return nil }
-
-// OnEndElement implements Handler.
-func (NopHandler) OnEndElement(Name) error { return nil }
-
-// OnCharacters implements Handler.
-func (NopHandler) OnCharacters(string) error { return nil }

@@ -1,57 +1,31 @@
 package sax
 
-// Recorder is a Handler that captures the event stream into a flat
-// Sequence. This is the paper's "SAX events sequence" cache value
+// recorder is a Handler that captures the event stream into a flat
+// event slice. This is the paper's "SAX events sequence" cache value
 // representation: storing the post-parsing representation avoids
 // re-tokenizing the XML message on every cache hit, while replaying the
 // sequence through the deserializer still constructs a fresh
 // application object (so there are no aliasing side effects).
-type Recorder struct {
+type recorder struct {
 	events []Event
 }
 
-var _ Handler = (*Recorder)(nil)
-
-// NewRecorder returns an empty Recorder.
-func NewRecorder() *Recorder { return &Recorder{} }
-
-// Sequence returns the recorded events. The returned slice is the
-// recorder's backing store; callers that outlive the recorder should
-// copy it (Snapshot does).
-func (r *Recorder) Sequence() []Event { return r.events }
-
-// Snapshot returns an independent copy of the recorded events, with
-// attribute slices deep-copied so later recordings cannot alias it.
-func (r *Recorder) Snapshot() []Event {
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	for i := range out {
-		if len(out[i].Attrs) > 0 {
-			attrs := make([]Attribute, len(out[i].Attrs))
-			copy(attrs, out[i].Attrs)
-			out[i].Attrs = attrs
-		}
-	}
-	return out
-}
-
-// Reset discards all recorded events, retaining capacity.
-func (r *Recorder) Reset() { r.events = r.events[:0] }
+var _ Handler = (*recorder)(nil)
 
 // OnStartDocument implements Handler.
-func (r *Recorder) OnStartDocument() error {
+func (r *recorder) OnStartDocument() error {
 	r.events = append(r.events, Event{Kind: StartDocument})
 	return nil
 }
 
 // OnEndDocument implements Handler.
-func (r *Recorder) OnEndDocument() error {
+func (r *recorder) OnEndDocument() error {
 	r.events = append(r.events, Event{Kind: EndDocument})
 	return nil
 }
 
 // OnStartElement implements Handler.
-func (r *Recorder) OnStartElement(name Name, attrs []Attribute) error {
+func (r *recorder) OnStartElement(name Name, attrs []Attribute) error {
 	var copied []Attribute
 	if len(attrs) > 0 {
 		copied = make([]Attribute, len(attrs))
@@ -62,13 +36,13 @@ func (r *Recorder) OnStartElement(name Name, attrs []Attribute) error {
 }
 
 // OnEndElement implements Handler.
-func (r *Recorder) OnEndElement(name Name) error {
+func (r *recorder) OnEndElement(name Name) error {
 	r.events = append(r.events, Event{Kind: EndElement, Name: name})
 	return nil
 }
 
 // OnCharacters implements Handler.
-func (r *Recorder) OnCharacters(text string) error {
+func (r *recorder) OnCharacters(text string) error {
 	r.events = append(r.events, Event{Kind: Characters, Text: text})
 	return nil
 }
@@ -102,11 +76,11 @@ func Replay(events []Event, h Handler) error {
 
 // Record parses doc and returns its recorded event sequence.
 func Record(doc []byte) ([]Event, error) {
-	rec := NewRecorder()
+	rec := &recorder{}
 	if err := Parse(doc, rec); err != nil {
 		return nil, err
 	}
-	return rec.Sequence(), nil
+	return rec.events, nil
 }
 
 // SequenceMemSize estimates the in-memory footprint of a recorded

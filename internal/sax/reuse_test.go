@@ -27,14 +27,14 @@ func TestReusedParserLeavesEventsAlone(t *testing.T) {
 		`<r xmlns="urn:d" long="` + strings.Repeat("v", 200) + `"><k q="1" x="2" y="3">third</k></r>`,
 	}
 	p := NewParser()
-	rec := NewRecorder()
+	rec := &recorder{}
 	if err := p.Parse([]byte(docs[0]), rec); err != nil {
 		t.Fatal(err)
 	}
-	events := rec.Sequence()
+	events := rec.events
 	want := render(events)
 	for _, doc := range docs[1:] {
-		if err := p.Parse([]byte(doc), NewRecorder()); err != nil {
+		if err := p.Parse([]byte(doc), &recorder{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -124,7 +124,7 @@ func TestXMLPrefixPredeclared(t *testing.T) {
 	}
 	for _, e := range events {
 		if e.Kind == StartElement {
-			if e.Attrs[0].Name.Space != XMLNamespaceURI {
+			if e.Attrs[0].Name.Space != xmlNamespaceURI {
 				t.Errorf("xml:lang space = %q", e.Attrs[0].Name.Space)
 			}
 		}
@@ -164,11 +164,11 @@ func TestReplayEqualsOriginal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec2 := NewRecorder()
+	rec2 := &recorder{}
 	if err := Replay(events, rec2); err != nil {
 		t.Fatal(err)
 	}
-	replayed := rec2.Sequence()
+	replayed := rec2.events
 	if len(replayed) != len(events) {
 		t.Fatalf("replayed %d events, want %d", len(replayed), len(events))
 	}
@@ -226,14 +226,14 @@ func TestWriterRejectsUnclosedDocument(t *testing.T) {
 	}
 }
 
+// TestRecorderSnapshotIndependence: a recording owns its attributes,
+// so a later parse through the same pooled parser leaves it alone.
 func TestRecorderSnapshotIndependence(t *testing.T) {
-	rec := NewRecorder()
-	if err := Parse([]byte(`<a x="1"/>`), rec); err != nil {
+	snap, err := Record([]byte(`<a x="1"/>`))
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap := rec.Snapshot()
-	rec.Reset()
-	if err := Parse([]byte(`<b/>`), rec); err != nil {
+	if _, err := Record([]byte(`<b y="2"/>`)); err != nil {
 		t.Fatal(err)
 	}
 	if snap[1].Name.Local != "a" {
@@ -264,8 +264,8 @@ func TestEventString(t *testing.T) {
 // TestEventKindValues pins the kinds' numeric values: they are the op
 // bytes of a CompactSequence's binary form, which other processes hold.
 func TestEventKindValues(t *testing.T) {
-	got := []EventKind{StartDocument, EndDocument, StartElement, EndElement, Characters}
-	if !slices.Equal(got, []EventKind{1, 2, 3, 4, 5}) {
+	got := []eventKind{StartDocument, EndDocument, StartElement, EndElement, Characters}
+	if !slices.Equal(got, []eventKind{1, 2, 3, 4, 5}) {
 		t.Errorf("kind values = %v, want [1 2 3 4 5]", got)
 	}
 }
@@ -363,7 +363,7 @@ func TestHandlerErrorPropagation(t *testing.T) {
 
 type failingHandler struct {
 	NopHandler
-	failOn EventKind
+	failOn eventKind
 	err    error
 }
 

@@ -10,9 +10,9 @@ import (
 // from an event sequence with every character-data span excised (the
 // skeleton), plus the byte offsets where each span belongs (the slots).
 // Splicing the sequence's escaped texts back in reproduces
-// WriteSequence(events) byte for byte: the recorder routes every
-// non-text event through the same Writer, and EscapeValue is the
-// escaper Writer.OnCharacters applies. FuzzTemplateSplice enforces it.
+// the writer's serialization of the events byte for byte: the recorder
+// routes every non-text event through the same writer, and EscapeValue
+// is the escaper the writer's OnCharacters applies. FuzzTemplateSplice enforces it.
 //
 // Nothing outside this package's tests and the referee benchmark calls
 // it any more: the xmltmpl representation keeps the origin's bytes on
@@ -21,19 +21,19 @@ import (
 // sax.template.splice_ns row; the benchmark's catch-up with the tree
 // deletes it.
 
-// Template is the reusable half of a differentially serialized
+// template is the reusable half of a differentially serialized
 // document: the skeleton bytes and the splice offsets. Templates are
 // immutable after BuildTemplate returns and safe for concurrent
 // splicing; one template is typically shared by every cache entry of
 // the same response shape.
-type Template struct {
+type template struct {
 	skeleton string
 	slots    []int // ascending byte offsets into skeleton, one per text node
 }
 
 // RenderedSize returns the byte length of the document produced by
 // splicing values into the template.
-func (t *Template) RenderedSize(values []string) int {
+func (t *template) RenderedSize(values []string) int {
 	n := len(t.skeleton)
 	for _, v := range values {
 		n += len(v)
@@ -52,7 +52,7 @@ var errSpliceMismatch = errors.New("sax: template splice value count does not ma
 // mismatch panics rather than silently corrupting output.
 //
 //lint:hotpath
-func (t *Template) AppendSplice(dst []byte, values []string) []byte {
+func (t *template) AppendSplice(dst []byte, values []string) []byte {
 	if len(values) != len(t.slots) {
 		panic(errSpliceMismatch)
 	}
@@ -66,15 +66,15 @@ func (t *Template) AppendSplice(dst []byte, values []string) []byte {
 }
 
 // EscapeValue escapes raw character data for splicing — exactly the
-// escaping Writer.OnCharacters applies, so spliced output stays
+// escaping the writer's OnCharacters applies, so spliced output stays
 // byte-identical to a full serialization.
 func EscapeValue(text string) string { return xmltext.EscapeTextString(text) }
 
 // templateRecorder builds a template by replaying events through the
-// ordinary Writer, except that character data is diverted: its offset
+// ordinary writer, except that character data is diverted: its offset
 // becomes a slot and its text a value, leaving a gap in the skeleton.
 type templateRecorder struct {
-	*Writer
+	*writer
 	slots []int
 	texts []string
 }
@@ -82,19 +82,19 @@ type templateRecorder struct {
 var _ Handler = (*templateRecorder)(nil)
 
 func (r *templateRecorder) OnCharacters(text string) error {
-	r.slots = append(r.slots, r.Len())
+	r.slots = append(r.slots, r.b.Len())
 	r.texts = append(r.texts, text)
 	return nil
 }
 
 // BuildTemplate serializes events once, recording the splice template
 // and returning this document's raw (unescaped) text values alongside:
-// template plus EscapeValue-d texts reproduce WriteSequence(events)
-// byte for byte.
-func BuildTemplate(events []Event) (*Template, []string, error) {
-	rec := &templateRecorder{Writer: NewWriter()}
+// template plus EscapeValue-d texts reproduce the writer's
+// serialization of events byte for byte.
+func BuildTemplate(events []Event) (*template, []string, error) {
+	rec := &templateRecorder{writer: &writer{}}
 	if err := Replay(events, rec); err != nil {
 		return nil, nil, err
 	}
-	return &Template{skeleton: rec.String(), slots: rec.slots}, rec.texts, nil
+	return &template{skeleton: rec.String(), slots: rec.slots}, rec.texts, nil
 }

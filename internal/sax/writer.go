@@ -7,57 +7,26 @@ import (
 	"repro/internal/xmltext"
 )
 
-// Writer is a Handler that serializes the event stream it receives back
+// writer is a Handler that serializes the event stream it receives back
 // into XML text. Feeding a parsed-then-recorded sequence through a
-// Writer reproduces a document equivalent to the original (namespace
+// writer reproduces a document equivalent to the original (namespace
 // declarations are passed through as attributes, so prefixes are
 // preserved).
-type Writer struct {
-	b        strings.Builder
-	open     []string // lexical names of open elements, for validation
-	declared bool
-	started  bool
+type writer struct {
+	b    strings.Builder
+	open []string // lexical names of open elements, for validation
 }
 
-var _ Handler = (*Writer)(nil)
-
-// NewWriter returns an empty Writer.
-func NewWriter() *Writer { return &Writer{} }
-
-// WriteXMLDecl emits an XML declaration. Call before the first event.
-func (w *Writer) WriteXMLDecl() {
-	if !w.declared && !w.started {
-		w.b.WriteString(`<?xml version="1.0" encoding="UTF-8"?>`)
-		w.b.WriteByte('\n')
-		w.declared = true
-	}
-}
+var _ Handler = (*writer)(nil)
 
 // String returns the serialized document so far.
-func (w *Writer) String() string { return w.b.String() }
-
-// Len returns the number of bytes serialized so far.
-func (w *Writer) Len() int { return w.b.Len() }
-
-// Bytes returns the serialized document so far as a byte slice.
-func (w *Writer) Bytes() []byte { return []byte(w.b.String()) }
-
-// Reset clears the writer for reuse.
-func (w *Writer) Reset() {
-	w.b.Reset()
-	w.open = w.open[:0]
-	w.declared = false
-	w.started = false
-}
+func (w *writer) String() string { return w.b.String() }
 
 // OnStartDocument implements Handler.
-func (w *Writer) OnStartDocument() error {
-	w.started = true
-	return nil
-}
+func (w *writer) OnStartDocument() error { return nil }
 
 // OnEndDocument implements Handler.
-func (w *Writer) OnEndDocument() error {
+func (w *writer) OnEndDocument() error {
 	if len(w.open) != 0 {
 		return fmt.Errorf("sax: document ended with %d unclosed element(s); innermost <%s>", len(w.open), w.open[len(w.open)-1])
 	}
@@ -67,7 +36,7 @@ func (w *Writer) OnEndDocument() error {
 // OnStartElement implements Handler. It refuses, writing nothing, a
 // name that is not a QName and an attribute value that is not legal
 // XML text: no parser would read either back.
-func (w *Writer) OnStartElement(name Name, attrs []Attribute) error {
+func (w *writer) OnStartElement(name Name, attrs []Attribute) error {
 	if !isQName(name) {
 		return fmt.Errorf("sax: element name %q is not a QName", name.String())
 	}
@@ -92,7 +61,7 @@ func (w *Writer) OnStartElement(name Name, attrs []Attribute) error {
 }
 
 // OnEndElement implements Handler.
-func (w *Writer) OnEndElement(name Name) error {
+func (w *writer) OnEndElement(name Name) error {
 	lex := name.String()
 	if len(w.open) == 0 {
 		return fmt.Errorf("sax: end element </%s> with no open element", lex)
@@ -110,9 +79,9 @@ func (w *Writer) OnEndElement(name Name) error {
 
 // OnCharacters implements Handler. Unlike names and attribute values,
 // text outside the Char production is written, not refused: a
-// template's splice writes its values unchecked, and WriteSequence is
+// template's splice writes its values unchecked, and the writer is
 // the byte-identity oracle for that splice.
-func (w *Writer) OnCharacters(text string) error {
+func (w *writer) OnCharacters(text string) error {
 	xmltext.EscapeText(&w.b, text)
 	return nil
 }
@@ -122,13 +91,4 @@ func (w *Writer) OnCharacters(text string) error {
 func isQName(n Name) bool {
 	ncName := func(s string) bool { return xmltext.IsName(s) && !strings.Contains(s, ":") }
 	return ncName(n.Local) && (n.Prefix == "" || ncName(n.Prefix))
-}
-
-// WriteSequence serializes a recorded event sequence to XML text.
-func WriteSequence(events []Event) (string, error) {
-	w := NewWriter()
-	if err := Replay(events, w); err != nil {
-		return "", err
-	}
-	return w.String(), nil
 }
