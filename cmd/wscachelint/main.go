@@ -119,7 +119,7 @@ func run(argv []string, stdout, stderr *os.File) int {
 		return 2
 	}
 
-	diags := lint.RunKnown(cwd, pkgs, analyzers, known)
+	diags := lint.Run(cwd, pkgs, analyzers, known)
 
 	if *fix {
 		changed, err := lint.ApplyFixes(cwd, diags)

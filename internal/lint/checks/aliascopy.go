@@ -8,7 +8,7 @@ import (
 	"repro/internal/lint"
 )
 
-// AliasCopy enforces the paper's call-by-copy invariant (Section 3.1)
+// aliasCopy enforces the paper's call-by-copy invariant (Section 3.1)
 // on value representations: a ValueStore implementation's Store method
 // may not hand the cache a reference reachable from the invocation
 // context, and its Load method may not hand the client a reference
@@ -25,7 +25,7 @@ import (
 // each concrete implementation declared alongside it, and each type
 // such an implementation embeds (its promoted Store or Load is the
 // implementation's own).
-func AliasCopy() *lint.Analyzer {
+func aliasCopy() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "aliascopy",
 		Doc: "ValueStore implementations must preserve call-by-copy: Store/Load may not " +

@@ -13,7 +13,7 @@ import (
 	"repro/internal/lint"
 )
 
-// API holds the exported surface to what the tree calls. It reports,
+// api holds the exported surface to what the tree calls. It reports,
 // at the declaration, every exported top-level identifier and every
 // exported method of an exported type that no non-test file outside
 // its package references. The message says which way out fits: a name
@@ -32,7 +32,7 @@ import (
 // the module, or for a lint fixture the testdata/src/<name> directory
 // it lives in. A run over part of the tree cannot see every caller,
 // and reports nothing.
-func API() *lint.Analyzer {
+func api() *lint.Analyzer {
 	var mu sync.Mutex
 	var idx *apiIndex
 	return &lint.Analyzer{

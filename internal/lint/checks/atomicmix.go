@@ -11,7 +11,7 @@ import (
 	"repro/internal/lint"
 )
 
-// AtomicMix enforces all-or-nothing atomicity on shared words: a
+// atomicMix enforces all-or-nothing atomicity on shared words: a
 // struct field or package-level variable that is accessed through
 // sync/atomic anywhere in its package — either via the package
 // functions (atomic.AddInt64(&x, …)) or by being declared as one of
@@ -29,7 +29,7 @@ import (
 // composite literal (init-before-publish). The analysis is
 // per-package: an exported atomic accessed plainly from another
 // package is out of scope (none of the repository's atomics are).
-func AtomicMix() *lint.Analyzer {
+func atomicMix() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "atomicmix",
 		Doc: "a field or variable accessed through sync/atomic must never also be " +

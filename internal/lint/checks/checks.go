@@ -5,15 +5,15 @@ import "repro/internal/lint"
 // All returns the repository's analyzer suite with default scopes.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
-		AliasCopy(),
-		AtomicMix(),
-		LockGuard(),
-		CtxFlow(),
-		ClockInject(nil),
-		EpochGraph(),
-		HotPath(),
-		ObsKey(),
-		XMLEscape(nil),
-		TypeMapReg(),
+		aliasCopy(),
+		atomicMix(),
+		lockGuard(),
+		ctxFlow(),
+		clockInject(nil),
+		epochGraph(),
+		hotPath(),
+		obsKey(),
+		xmlEscape(nil),
+		typeMapReg(),
 	}
 }

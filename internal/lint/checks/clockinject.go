@@ -19,14 +19,14 @@ var clockScope = map[string]bool{
 	"repro/internal/server":    true,
 }
 
-// ClockInject forbids direct wall-clock reads and sleeps (time.Now,
+// clockInject forbids direct wall-clock reads and sleeps (time.Now,
 // time.Sleep, time.After) in the scoped packages: time must be injected
 // via a Clock configuration hook defaulting to the internal/clock seam,
 // so that TTL, breaker, and backoff behaviour is testable without real
 // sleeps. time.NewTimer/NewTicker remain allowed — they are the
 // cancellation-safe waiting primitives and are driven by injected
 // durations.
-func ClockInject(scope func(pkgPath string) bool) *lint.Analyzer {
+func clockInject(scope func(pkgPath string) bool) *lint.Analyzer {
 	if scope == nil {
 		scope = func(p string) bool { return clockScope[p] }
 	}

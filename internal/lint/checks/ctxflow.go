@@ -8,7 +8,7 @@ import (
 	"repro/internal/lint"
 )
 
-// CtxFlow enforces context discipline in library code (everything under
+// ctxFlow enforces context discipline in library code (everything under
 // internal/):
 //
 //  1. context.Background() and context.TODO() are forbidden — a library
@@ -21,7 +21,7 @@ import (
 //     it (or a context derived from it) to every context-accepting call
 //     it makes; dropping the caller's context on an inner call silently
 //     severs cancellation.
-func CtxFlow() *lint.Analyzer {
+func ctxFlow() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "ctxflow",
 		Doc: "internal packages must not mint root contexts, and exported functions " +

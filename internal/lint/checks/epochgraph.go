@@ -10,7 +10,7 @@ import (
 	"repro/internal/lint"
 )
 
-// EpochGraph audits dependency-graph declarations against the
+// epochGraph audits dependency-graph declarations against the
 // invalidation subsystem's conventions. The epoch-based invalidator
 // (internal/invalidate) is driven entirely by Graph.Read/Graph.Write
 // declarations keyed by operation name, and nothing at runtime checks
@@ -30,7 +30,7 @@ import (
 //   - keyspace names are never built from inline literals; the
 //     keyspace (or its prefix) must be a package-level constant, the
 //     single point where grep finds every spelling.
-func EpochGraph() *lint.Analyzer {
+func epochGraph() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "epochgraph",
 		Doc: "invalidation graph declarations must use named, do*-convention operation " +

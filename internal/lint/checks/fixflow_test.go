@@ -43,7 +43,7 @@ func read() int64 {
 	if err != nil {
 		t.Fatalf("loading temp module: %v", err)
 	}
-	diags := lint.Run(base, pkgs, []*lint.Analyzer{AtomicMix()})
+	diags := lint.Run(base, pkgs, []*lint.Analyzer{atomicMix()}, nil)
 	var fixable []lint.Diagnostic
 	for _, d := range diags {
 		if d.Fix != nil {
@@ -74,7 +74,7 @@ func read() int64 {
 	if err != nil {
 		t.Fatalf("reloading fixed module: %v", err)
 	}
-	if diags := lint.Run(base, pkgs, []*lint.Analyzer{AtomicMix()}); len(diags) != 0 {
+	if diags := lint.Run(base, pkgs, []*lint.Analyzer{atomicMix()}, nil); len(diags) != 0 {
 		t.Errorf("fixed source still reports: %v", diags)
 	}
 }

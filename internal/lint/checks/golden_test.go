@@ -84,7 +84,7 @@ func runGolden(t *testing.T, a *lint.Analyzer) {
 		t.Fatalf("fixture %s has no // want comments; it cannot prove the analyzer fires", root)
 	}
 
-	diags := lint.Run(".", pkgs, []*lint.Analyzer{a})
+	diags := lint.Run(".", pkgs, []*lint.Analyzer{a}, nil)
 	matched := make(map[*expectation]bool)
 	for _, d := range diags {
 		ok := false
@@ -113,17 +113,17 @@ func runGolden(t *testing.T, a *lint.Analyzer) {
 // default scopes still exercise the scoped analyzers.
 func fixtureScope(string) bool { return true }
 
-func TestAliasCopyGolden(t *testing.T)   { runGolden(t, AliasCopy()) }
-func TestAtomicMixGolden(t *testing.T)   { runGolden(t, AtomicMix()) }
-func TestEpochGraphGolden(t *testing.T)  { runGolden(t, EpochGraph()) }
-func TestHotPathGolden(t *testing.T)     { runGolden(t, HotPath()) }
-func TestObsKeyGolden(t *testing.T)      { runGolden(t, ObsKey()) }
-func TestLockGuardGolden(t *testing.T)   { runGolden(t, LockGuard()) }
-func TestCtxFlowGolden(t *testing.T)     { runGolden(t, CtxFlow()) }
-func TestClockInjectGolden(t *testing.T) { runGolden(t, ClockInject(fixtureScope)) }
-func TestXMLEscapeGolden(t *testing.T)   { runGolden(t, XMLEscape(fixtureScope)) }
-func TestTypeMapRegGolden(t *testing.T)  { runGolden(t, TypeMapReg()) }
-func TestAPIGolden(t *testing.T)         { runGolden(t, API()) }
+func TestAliasCopyGolden(t *testing.T)   { runGolden(t, aliasCopy()) }
+func TestAtomicMixGolden(t *testing.T)   { runGolden(t, atomicMix()) }
+func TestEpochGraphGolden(t *testing.T)  { runGolden(t, epochGraph()) }
+func TestHotPathGolden(t *testing.T)     { runGolden(t, hotPath()) }
+func TestObsKeyGolden(t *testing.T)      { runGolden(t, obsKey()) }
+func TestLockGuardGolden(t *testing.T)   { runGolden(t, lockGuard()) }
+func TestCtxFlowGolden(t *testing.T)     { runGolden(t, ctxFlow()) }
+func TestClockInjectGolden(t *testing.T) { runGolden(t, clockInject(fixtureScope)) }
+func TestXMLEscapeGolden(t *testing.T)   { runGolden(t, xmlEscape(fixtureScope)) }
+func TestTypeMapRegGolden(t *testing.T)  { runGolden(t, typeMapReg()) }
+func TestAPIGolden(t *testing.T)         { runGolden(t, api()) }
 
 // TestAPIPartialLoad: a run that loaded only part of a tree cannot see
 // every caller, so api reports nothing rather than false findings.
@@ -132,7 +132,7 @@ func TestAPIPartialLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range lint.Run(".", pkgs, []*lint.Analyzer{API()}) {
+	for _, d := range lint.Run(".", pkgs, []*lint.Analyzer{api()}, nil) {
 		t.Errorf("partial load reported %s:%d: %s", d.File, d.Line, d.Message)
 	}
 }
@@ -153,7 +153,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading ./...: %v", err)
 	}
-	for _, d := range lint.Run(root, pkgs, All()) {
+	for _, d := range lint.Run(root, pkgs, All(), nil) {
 		t.Errorf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Check, d.Message)
 	}
 }

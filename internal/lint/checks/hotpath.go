@@ -8,7 +8,7 @@ import (
 	"repro/internal/lint"
 )
 
-// HotPath audits functions annotated //lint:hotpath — the cache hit
+// hotPath audits functions annotated //lint:hotpath — the cache hit
 // path, key generation, and the observability record path — for
 // constructs that allocate or otherwise defeat the repository's
 // 0 allocs/op budget on those routes:
@@ -32,7 +32,7 @@ import (
 // expression when the number regresses. Deliberate exceptions — an
 // error path that formats only after the hot path has already been
 // abandoned — carry a //lint:ignore hotpath with the reasoning.
-func HotPath() *lint.Analyzer {
+func hotPath() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "hotpath",
 		Doc: "functions annotated //lint:hotpath must not call fmt, concatenate " +

@@ -10,7 +10,7 @@ import (
 	"repro/internal/lint"
 )
 
-// LockGuard enforces the repository's mutex-grouping convention: inside
+// lockGuard enforces the repository's mutex-grouping convention: inside
 // a struct, a `mu sync.Mutex` (or sync.RWMutex) field guards the
 // contiguous run of fields declared directly below it — the blank line
 // ends the group. Any function that reads or writes a guarded field
@@ -19,7 +19,7 @@ import (
 // a name ending in "Locked", or a doc comment saying "callers hold" /
 // "caller holds". Construction through composite literals is exempt
 // (init-before-publish), as is the mutex field itself.
-func LockGuard() *lint.Analyzer {
+func lockGuard() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "lockguard",
 		Doc: "fields grouped under a mu sync.Mutex/RWMutex must only be accessed by " +

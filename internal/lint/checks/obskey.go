@@ -10,7 +10,7 @@ import (
 	"repro/internal/lint"
 )
 
-// ObsKey audits observability registration names. The obs registry is
+// obsKey audits observability registration names. The obs registry is
 // keyed by string: Counter, Add, and SetInspection all take a name,
 // and dashboards, the inspection endpoint, and the benchmark
 // comparisons all join on those exact spellings. A name computed at
@@ -31,7 +31,7 @@ import (
 // Registry.Op, Registry.Rep, and Stage are data dimensions, not
 // registration keys: operation and representation names arrive from
 // the request and are exempt.
-func ObsKey() *lint.Analyzer {
+func obsKey() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "obskey",
 		Doc: "obs registry names must be compile-time constants in dotted lower_snake " +

@@ -8,7 +8,7 @@ import (
 	"repro/internal/lint"
 )
 
-// TypeMapReg cross-checks a service package's RegisterTypes function
+// typeMapReg cross-checks a service package's RegisterTypes function
 // against the struct types the SOAP codec will actually meet. The
 // rpc/encoded encoder refuses any struct that is not bound to an XML
 // qualified name in the typemap registry, and the failure only shows up
@@ -18,10 +18,6 @@ import (
 //
 //	func RegisterTypes(reg *typemap.Registry) error
 //
-// or the representation-layer equivalent
-//
-//	func RegisterTypes(reg *rep.Registry) error
-//
 // it requires registration of
 //
 //   - every struct type reachable through the fields of a registered
@@ -29,7 +25,7 @@ import (
 //     registration fails mid-envelope), and
 //   - every exported struct in the package with a CloneDeep method
 //     (Cloner support marks it a generated SOAP type).
-func TypeMapReg() *lint.Analyzer {
+func typeMapReg() *lint.Analyzer {
 	return &lint.Analyzer{
 		Name: "typemapreg",
 		Doc: "every struct a service package serializes via internal/soap must be " +
@@ -89,8 +85,7 @@ func runTypeMapReg(pass *lint.Pass) {
 }
 
 // findRegisterTypes locates func RegisterTypes(reg *typemap.Registry)
-// error, or its rep.Registry twin (which delegates type binding to the
-// same underlying registry).
+// error.
 func findRegisterTypes(pkg *lint.Package) *ast.FuncDecl {
 	for _, file := range pkg.Files {
 		for _, decl := range file.Decls {
@@ -110,8 +105,7 @@ func findRegisterTypes(pkg *lint.Package) *ast.FuncDecl {
 			if n == nil || n.Obj().Name() != "Registry" || n.Obj().Pkg() == nil {
 				continue
 			}
-			path := "/" + n.Obj().Pkg().Path()
-			if strings.HasSuffix(path, "/typemap") || strings.HasSuffix(path, "/rep") {
+			if strings.HasSuffix("/"+n.Obj().Pkg().Path(), "/typemap") {
 				return fn
 			}
 		}

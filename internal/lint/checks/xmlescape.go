@@ -24,7 +24,7 @@ var xmlWriterScope = map[string]bool{
 // character data and must be escaped.
 var trustedNameRe = regexp.MustCompile(`(?i)(name|prefix|ref|decl|escaped|local)$`)
 
-// XMLEscape enforces output hygiene in the hand-rolled XML writers: any
+// xmlEscape enforces output hygiene in the hand-rolled XML writers: any
 // string written into an XML buffer (by convention, a field `b` of type
 // strings.Builder or bytes.Buffer on a writer/encoder struct), by
 // WriteString or — for bytes appended in the buffer's free space —
@@ -42,7 +42,7 @@ var trustedNameRe = regexp.MustCompile(`(?i)(name|prefix|ref|decl|escaped|local)
 // flagged: fmt has no escaping-aware verbs. Raw writes the analyzer
 // cannot prove clean (parser-provided comment/PI text, for example)
 // must be validated by hand and suppressed with a reason.
-func XMLEscape(scope func(pkgPath string) bool) *lint.Analyzer {
+func xmlEscape(scope func(pkgPath string) bool) *lint.Analyzer {
 	if scope == nil {
 		scope = func(p string) bool { return xmlWriterScope[p] }
 	}

@@ -137,13 +137,7 @@ func (p *Pass) Replace(pos, end token.Pos, newText string) TextEdit {
 // passes the full vocabulary via known so valid suppressions for
 // unselected checks are not flagged (nil defaults to the analyzers
 // run).
-func Run(base string, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	return RunKnown(base, pkgs, analyzers, nil)
-}
-
-// RunKnown is Run with an explicit check-name vocabulary for
-// unknown-suppression reporting.
-func RunKnown(base string, pkgs []*Package, analyzers []*Analyzer, known []string) []Diagnostic {
+func Run(base string, pkgs []*Package, analyzers []*Analyzer, known []string) []Diagnostic {
 	names := make(map[string]bool, len(analyzers)+1)
 	names["lint"] = true
 	for _, a := range analyzers {
@@ -256,8 +250,8 @@ func sameFinding(a, b Diagnostic) bool {
 		a.Col == b.Col && a.Message == b.Message
 }
 
-// IgnorePrefix is the magic comment prefix for suppressions.
-const IgnorePrefix = "lint:ignore"
+// ignorePrefix is the magic comment prefix for suppressions.
+const ignorePrefix = "lint:ignore"
 
 // suppressions records, per check name, the source lines on which its
 // findings are silenced.
@@ -307,11 +301,11 @@ func collectSuppressions(pkg *Package) (*suppressions, []directive, []Diagnostic
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-				if !strings.HasPrefix(text, IgnorePrefix) {
+				if !strings.HasPrefix(text, ignorePrefix) {
 					continue
 				}
 				pos := pkg.Fset.Position(c.Pos())
-				fields := strings.Fields(strings.TrimPrefix(text, IgnorePrefix))
+				fields := strings.Fields(strings.TrimPrefix(text, ignorePrefix))
 				if len(fields) < 2 {
 					malformed = append(malformed, Diagnostic{
 						Check: "lint", File: pos.Filename, Line: pos.Line, Col: pos.Column,

@@ -31,7 +31,7 @@ func TestSuppressions(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer()})
+	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer()}, nil)
 
 	var gotMalformed, gotSurvivor bool
 	for _, d := range diags {
@@ -65,7 +65,7 @@ func TestUnknownCheckDirective(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer()})
+	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer()}, nil)
 
 	var gotUnknown, gotSurvivor, gotTrailing bool
 	for _, d := range diags {
@@ -90,9 +90,9 @@ func TestUnknownCheckDirective(t *testing.T) {
 		t.Errorf("trailing same-line //lint:ignore failed to suppress; got %v", diags)
 	}
 
-	// RunKnown with the extra vocabulary accepts the directive (a
+	// Run with the extra vocabulary accepts the directive (a
 	// driver running -checks=subset still knows the full suite).
-	for _, d := range RunKnown(".", pkgs, []*Analyzer{fixtureAnalyzer()}, []string{"nosuchcheck"}) {
+	for _, d := range Run(".", pkgs, []*Analyzer{fixtureAnalyzer()}, []string{"nosuchcheck"}) {
 		if d.Check == "lint" {
 			t.Errorf("known-vocabulary directive still reported: %v", d)
 		}
@@ -126,7 +126,7 @@ func TestLoadIncludesTestFiles(t *testing.T) {
 	}
 
 	var hit bool
-	for _, d := range Run(".", pkgs, []*Analyzer{fixtureAnalyzer()}) {
+	for _, d := range Run(".", pkgs, []*Analyzer{fixtureAnalyzer()}, nil) {
 		if strings.HasSuffix(d.File, "testaware_test.go") {
 			hit = true
 		}
@@ -177,7 +177,7 @@ func TestRunSortsAndDedupes(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading fixture: %v", err)
 	}
-	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer(), fixtureAnalyzer()})
+	diags := Run(".", pkgs, []*Analyzer{fixtureAnalyzer(), fixtureAnalyzer()}, nil)
 	if len(diags) == 0 {
 		t.Fatal("fixture produced no diagnostics")
 	}
