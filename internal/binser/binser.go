@@ -226,7 +226,7 @@ func (c *Codec) encode(buf []byte, rv reflect.Value, depth int) ([]byte, error) 
 		return buf, nil
 
 	default:
-		return nil, &NotSerializableError{Type: rv.Type(), Reason: "unsupported kind " + rv.Kind().String()}
+		return nil, &notSerializableError{Type: rv.Type(), Reason: "unsupported kind " + rv.Kind().String()}
 	}
 }
 
@@ -569,11 +569,11 @@ func (c *Codec) structOf(t reflect.Type) (*structType, error) {
 	}
 	q, ok := c.reg.NameForType(t)
 	if !ok {
-		return nil, &NotSerializableError{Type: t, Reason: "type not registered"}
+		return nil, &notSerializableError{Type: t, Reason: "type not registered"}
 	}
 	info := c.reg.InfoForType(t)
 	if len(info.Fields) != t.NumField() {
-		return nil, &NotSerializableError{Type: t, Reason: "has unexported or skipped fields"}
+		return nil, &notSerializableError{Type: t, Reason: "has unexported or skipped fields"}
 	}
 	st := &structType{t: t, q: q, name: q.String(), fields: info.Fields}
 	c.mu.Lock()
@@ -633,14 +633,14 @@ func parseQName(s string) (typemap.QName, error) {
 	return typemap.QName{}, fmt.Errorf("binser: malformed type name %q", s)
 }
 
-// NotSerializableError reports a value the binary serializer cannot
+// notSerializableError reports a value the binary serializer cannot
 // encode — the analog of java.io.NotSerializableException.
-type NotSerializableError struct {
+type notSerializableError struct {
 	Type   reflect.Type
 	Reason string
 }
 
 // Error implements the error interface.
-func (e *NotSerializableError) Error() string {
+func (e *notSerializableError) Error() string {
 	return fmt.Sprintf("binser: %s is not serializable: %s", e.Type, e.Reason)
 }

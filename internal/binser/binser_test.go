@@ -168,7 +168,7 @@ func TestUnregisteredStructRejected(t *testing.T) {
 	c := newTestCodec(t)
 	type unknown struct{ X int }
 	_, err := c.Marshal(&unknown{})
-	var nse *NotSerializableError
+	var nse *notSerializableError
 	if !errors.As(err, &nse) {
 		t.Errorf("err = %v, want NotSerializableError", err)
 	}

@@ -12,10 +12,6 @@ package clock
 
 import "time"
 
-// Func reads the current time. It is the type of every Clock
-// configuration hook; a nil hook means "use the system clock".
-type Func = func() time.Time
-
 // System reads the wall clock. It is the default every config falls
 // back to via Or.
 func System() time.Time { return time.Now() }
@@ -24,7 +20,7 @@ func System() time.Time { return time.Now() }
 // their Clock fields with it:
 //
 //	now := clock.Or(cfg.Clock)
-func Or(c Func) Func {
+func Or(c func() time.Time) func() time.Time {
 	if c == nil {
 		return System
 	}

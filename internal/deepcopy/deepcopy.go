@@ -11,16 +11,16 @@ import (
 	"reflect"
 )
 
-// UnsupportedTypeError reports a type the reflection copier cannot
+// unsupportedTypeError reports a type the reflection copier cannot
 // handle: channels, functions, unsafe pointers, or structs with
 // unexported fields (the analog of a non-bean Java type).
-type UnsupportedTypeError struct {
+type unsupportedTypeError struct {
 	Type reflect.Type
 	Path string
 }
 
 // Error implements the error interface.
-func (e *UnsupportedTypeError) Error() string {
+func (e *unsupportedTypeError) Error() string {
 	if e.Path == "" {
 		return fmt.Sprintf("deepcopy: unsupported type %s", e.Type)
 	}
@@ -144,7 +144,7 @@ func copyValue(rv reflect.Value, path string, seen map[copyKey]reflect.Value) (r
 				// An unexported field that is non-zero would be silently
 				// lost; refuse, mirroring the Java bean limitation.
 				if !rv.Field(i).IsZero() {
-					return reflect.Value{}, &UnsupportedTypeError{Type: t, Path: path + "." + f.Name}
+					return reflect.Value{}, &unsupportedTypeError{Type: t, Path: path + "." + f.Name}
 				}
 				continue
 			}
@@ -169,7 +169,7 @@ func copyValue(rv reflect.Value, path string, seen map[copyKey]reflect.Value) (r
 		return out, nil
 
 	default:
-		return reflect.Value{}, &UnsupportedTypeError{Type: rv.Type(), Path: path}
+		return reflect.Value{}, &unsupportedTypeError{Type: rv.Type(), Path: path}
 	}
 }
 

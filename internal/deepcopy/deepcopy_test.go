@@ -185,7 +185,7 @@ func TestInterfaceField(t *testing.T) {
 func TestUnsupportedFunc(t *testing.T) {
 	type bad struct{ F func() }
 	_, err := Value(&bad{F: func() {}})
-	var ute *UnsupportedTypeError
+	var ute *unsupportedTypeError
 	if !errors.As(err, &ute) {
 		t.Fatalf("err = %v, want UnsupportedTypeError", err)
 	}

@@ -61,8 +61,8 @@ type Config struct {
 	Classify func(error) string
 }
 
-// Result aggregates a run.
-type Result struct {
+// result aggregates a run.
+type result struct {
 	Requests   int
 	Writes     int // write requests issued (mixed read/write profiles)
 	Errors     int
@@ -78,7 +78,7 @@ type Result struct {
 }
 
 // String formats the result as a report row.
-func (r Result) String() string {
+func (r result) String() string {
 	s := fmt.Sprintf("%d req in %v: %.1f req/s, avg %v, p50 %v, p90 %v, p99 %v, %d errors",
 		r.Requests, r.Elapsed.Round(time.Millisecond), r.Throughput,
 		r.AvgLatency.Round(time.Microsecond), r.P50.Round(time.Microsecond),
@@ -97,33 +97,33 @@ func (r Result) String() string {
 // and the partial result is returned alongside ctx's error. Requests
 // the schedule never issued are reported in Result.Skipped and excluded
 // from the latency aggregates.
-func RunContext(ctx context.Context, cfg Config) (Result, error) {
+func RunContext(ctx context.Context, cfg Config) (result, error) {
 	if cfg.Concurrency <= 0 {
-		return Result{}, fmt.Errorf("loadgen: Concurrency must be positive")
+		return result{}, fmt.Errorf("loadgen: Concurrency must be positive")
 	}
 	if cfg.Requests <= 0 {
-		return Result{}, fmt.Errorf("loadgen: Requests must be positive")
+		return result{}, fmt.Errorf("loadgen: Requests must be positive")
 	}
 	if cfg.HitRatio < 0 || cfg.HitRatio > 1 {
-		return Result{}, fmt.Errorf("loadgen: HitRatio %v outside [0,1]", cfg.HitRatio)
+		return result{}, fmt.Errorf("loadgen: HitRatio %v outside [0,1]", cfg.HitRatio)
 	}
 	if cfg.Do == nil {
-		return Result{}, fmt.Errorf("loadgen: Do is required")
+		return result{}, fmt.Errorf("loadgen: Do is required")
 	}
 	if cfg.WriteRatio < 0 || cfg.WriteRatio > 1 {
-		return Result{}, fmt.Errorf("loadgen: WriteRatio %v outside [0,1]", cfg.WriteRatio)
+		return result{}, fmt.Errorf("loadgen: WriteRatio %v outside [0,1]", cfg.WriteRatio)
 	}
 	if cfg.HitRatio+cfg.WriteRatio > 1+1e-9 {
-		return Result{}, fmt.Errorf("loadgen: HitRatio %v + WriteRatio %v exceeds 1", cfg.HitRatio, cfg.WriteRatio)
+		return result{}, fmt.Errorf("loadgen: HitRatio %v + WriteRatio %v exceeds 1", cfg.HitRatio, cfg.WriteRatio)
 	}
 	if (cfg.HitRatio > 0 || cfg.WriteRatio > 0) && len(cfg.HotQueries) == 0 {
-		return Result{}, fmt.Errorf("loadgen: HitRatio or WriteRatio > 0 requires HotQueries")
+		return result{}, fmt.Errorf("loadgen: HitRatio or WriteRatio > 0 requires HotQueries")
 	}
 	if cfg.WriteRatio > 0 && cfg.Write == nil {
-		return Result{}, fmt.Errorf("loadgen: WriteRatio > 0 requires Write")
+		return result{}, fmt.Errorf("loadgen: WriteRatio > 0 requires Write")
 	}
 	if cfg.HitRatio+cfg.WriteRatio < 1 && cfg.MissQuery == nil {
-		return Result{}, fmt.Errorf("loadgen: HitRatio + WriteRatio < 1 requires MissQuery")
+		return result{}, fmt.Errorf("loadgen: HitRatio + WriteRatio < 1 requires MissQuery")
 	}
 
 	queries, writes := mixedSchedule(cfg.Requests, cfg.HitRatio, cfg.WriteRatio, cfg.HotQueries, cfg.MissQuery)
@@ -172,17 +172,10 @@ feed:
 	return res, ctx.Err()
 }
 
-// Schedule builds the deterministic query sequence: hits evenly
-// interleaved with misses at the requested ratio.
-func Schedule(requests int, hitRatio float64, hot []string, miss func(int) string) []string {
-	queries, _ := mixedSchedule(requests, hitRatio, 0, hot, miss)
-	return queries
-}
-
 // mixedSchedule builds the deterministic request sequence for a mixed
 // read/write profile. Writes are carved out first at writeRatio, evenly
 // interleaved and cycling through the hot queries; the remaining slots
-// are hits and misses at hitRatio, exactly as Schedule produces.
+// are hits and misses at hitRatio.
 func mixedSchedule(requests int, hitRatio, writeRatio float64, hot []string, miss func(int) string) ([]string, []bool) {
 	queries := make([]string, requests)
 	writes := make([]bool, requests)
@@ -212,8 +205,8 @@ func mixedSchedule(requests int, hitRatio, writeRatio float64, hot []string, mis
 
 // aggregate folds per-request samples into a Result, counting only
 // requests the run actually issued.
-func aggregate(latencies []time.Duration, errs []error, issued []bool, elapsed time.Duration, classify func(error) string) Result {
-	res := Result{Elapsed: elapsed}
+func aggregate(latencies []time.Duration, errs []error, issued []bool, elapsed time.Duration, classify func(error) string) result {
+	res := result{Elapsed: elapsed}
 	var completed []time.Duration
 	for i, ok := range issued {
 		if !ok {

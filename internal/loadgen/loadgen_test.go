@@ -16,7 +16,7 @@ func TestScheduleExactRatio(t *testing.T) {
 	miss := func(i int) string { return fmt.Sprintf("m%d", i) }
 
 	for _, ratio := range []float64{0, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0} {
-		qs := Schedule(100, ratio, hot, miss)
+		qs, _ := mixedSchedule(100, ratio, 0, hot, miss)
 		hits := 0
 		for _, q := range qs {
 			if strings.HasPrefix(q, "h") {
@@ -31,7 +31,7 @@ func TestScheduleExactRatio(t *testing.T) {
 }
 
 func TestScheduleMissesUnique(t *testing.T) {
-	qs := Schedule(50, 0.5, []string{"hot"}, func(i int) string { return fmt.Sprintf("m%d", i) })
+	qs, _ := mixedSchedule(50, 0.5, 0, []string{"hot"}, func(i int) string { return fmt.Sprintf("m%d", i) })
 	seen := map[string]int{}
 	for _, q := range qs {
 		seen[q]++
@@ -45,7 +45,7 @@ func TestScheduleMissesUnique(t *testing.T) {
 
 func TestScheduleInterleaved(t *testing.T) {
 	// At 50% the schedule must alternate, not front-load.
-	qs := Schedule(10, 0.5, []string{"h"}, func(i int) string { return "m" })
+	qs, _ := mixedSchedule(10, 0.5, 0, []string{"h"}, func(i int) string { return "m" })
 	firstHalfHits := 0
 	for _, q := range qs[:5] {
 		if q == "h" {
@@ -181,7 +181,7 @@ func TestRunValidation(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r := Result{Requests: 10, Elapsed: time.Second, Throughput: 10, AvgLatency: time.Millisecond}
+	r := result{Requests: 10, Elapsed: time.Second, Throughput: 10, AvgLatency: time.Millisecond}
 	if !strings.Contains(r.String(), "10 req") {
 		t.Errorf("String() = %q", r.String())
 	}

@@ -5,10 +5,7 @@
 // the heap.
 package memsize
 
-import (
-	"reflect"
-	"unsafe"
-)
+import "reflect"
 
 // Of returns the estimated deep size of v in bytes: the value itself
 // plus everything it references. Strings' backing bytes are counted;
@@ -137,7 +134,3 @@ func hasPointers(t reflect.Type) bool {
 		return true
 	}
 }
-
-// WordSize is the machine word size in bytes, exported for tests that
-// reason about expected sizes.
-const WordSize = int(unsafe.Sizeof(uintptr(0)))

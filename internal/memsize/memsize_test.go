@@ -1,6 +1,9 @@
 package memsize
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 type small struct {
 	A int
@@ -11,6 +14,9 @@ type linked struct {
 	V    int
 	Next *linked
 }
+
+// wordSize is the machine word size in bytes.
+const wordSize = int(unsafe.Sizeof(uintptr(0)))
 
 func TestScalars(t *testing.T) {
 	if got := Of(int64(1)); got != 8 {
@@ -26,7 +32,7 @@ func TestScalars(t *testing.T) {
 
 func TestString(t *testing.T) {
 	// String header (2 words) + bytes.
-	want := 2*WordSize + 5
+	want := 2*wordSize + 5
 	if got := Of("hello"); got != want {
 		t.Errorf("string = %d, want %d", got, want)
 	}
@@ -34,7 +40,7 @@ func TestString(t *testing.T) {
 
 func TestByteSlice(t *testing.T) {
 	// Slice header (3 words) + backing bytes.
-	want := 3*WordSize + 100
+	want := 3*wordSize + 100
 	if got := Of(make([]byte, 100)); got != want {
 		t.Errorf("[]byte = %d, want %d", got, want)
 	}
@@ -72,7 +78,7 @@ func TestSliceOfStructs(t *testing.T) {
 	v := []small{{B: "aa"}, {B: "bbb"}}
 	got := Of(v)
 	// Header + 2 elements + 5 string bytes.
-	want := 3*WordSize + 2*int(sizeofSmall()) + 5
+	want := 3*wordSize + 2*int(sizeofSmall()) + 5
 	if got != want {
 		t.Errorf("slice = %d, want %d", got, want)
 	}
@@ -86,7 +92,7 @@ func sizeofSmall() uintptr {
 func sizeof(v any) uintptr {
 	switch v.(type) {
 	case small:
-		return uintptr(8 + 2*WordSize)
+		return uintptr(8 + 2*wordSize)
 	default:
 		return 0
 	}
@@ -107,7 +113,7 @@ func TestMap(t *testing.T) {
 
 func TestNilSliceVsEmpty(t *testing.T) {
 	var nilSlice []byte
-	if Of(nilSlice) != 3*WordSize {
+	if Of(nilSlice) != 3*wordSize {
 		t.Errorf("nil slice = %d", Of(nilSlice))
 	}
 }
@@ -115,7 +121,7 @@ func TestNilSliceVsEmpty(t *testing.T) {
 func TestInterfaceField(t *testing.T) {
 	type holder struct{ V any }
 	h := holder{V: "abcdefgh"}
-	if got, want := Of(h), Of(holder{})+2*WordSize+8; got < want {
+	if got, want := Of(h), Of(holder{})+2*wordSize+8; got < want {
 		t.Errorf("interface holder = %d, want >= %d", got, want)
 	}
 }
