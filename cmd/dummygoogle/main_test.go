@@ -79,7 +79,7 @@ func TestCacheNeverHoldsItemOperations(t *testing.T) {
 			if got := get(); got != "one" {
 				t.Errorf("get after repeating put(one) = %q: the repeated write was answered from cache", got)
 			}
-			if got := call(t, codec, srv.URL, googleapi.OpListItems, nil); got != "k" {
+			if got := call(t, codec, srv.URL, "doListItems", nil); got != "k" {
 				t.Errorf("list = %q, want k", got)
 			}
 		})

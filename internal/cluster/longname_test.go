@@ -60,8 +60,8 @@ func TestLongItemKeyKeepsTheTierOn(t *testing.T) {
 		Policy: core.Policy{
 			DefaultExplicit: true,
 			Operations: map[string]core.OperationPolicy{
-				googleapi.OpGetItem:   {Cacheable: true},
-				googleapi.OpListItems: {Cacheable: true},
+				googleapi.OpGetItem: {Cacheable: true},
+				"doListItems":       {Cacheable: true},
 			},
 		},
 	})
@@ -70,7 +70,7 @@ func TestLongItemKeyKeepsTheTierOn(t *testing.T) {
 		return client.NewCall(codec, tr, googleapi.Endpoint, googleapi.Namespace, op, "",
 			client.Options{Handlers: []client.Handler{cache}})
 	}
-	get, put, list := call(googleapi.OpGetItem), call(googleapi.OpPutItem), call(googleapi.OpListItems)
+	get, put, list := call(googleapi.OpGetItem), call(googleapi.OpPutItem), call("doListItems")
 	ctx := context.Background()
 	check := func(what string, got any, err error, want string) {
 		t.Helper()

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/soap"
-	"repro/internal/transport"
 )
 
 // clockFixture is a mutex-guarded fake clock shared by cache and test.
@@ -169,11 +168,10 @@ func TestErrorPropagationThroughCacheHandler(t *testing.T) {
 		t.Fatalf("err = %v, want fault", err)
 	}
 
-	statusErr := &transport.StatusError{Status: 503, Body: "unavailable"}
+	statusErr := errors.New("transport: http status 503: unavailable")
 	err = c.HandleInvoke(f.reqCtx(opGet, soap.Param{Name: "q", Value: "b"}), failingNext(statusErr))
-	var gotStatus *transport.StatusError
-	if !errors.As(err, &gotStatus) || gotStatus.Status != 503 {
-		t.Fatalf("err = %v, want StatusError 503", err)
+	if !errors.Is(err, statusErr) {
+		t.Fatalf("err = %v, want the status error", err)
 	}
 
 	if c.Len() != 0 {

@@ -24,10 +24,12 @@ import (
 
 // ErrInjected is the sentinel all injected transport failures wrap;
 // errors.Is(err, faultify.ErrInjected) identifies them.
+//
+//lint:ignore api the root TestChaosNoStaleAfterWrite and TestChaosStaleOnErrorRefusesAfterWrite classify injected failures with it
 var ErrInjected = errors.New("faultify: injected backend failure")
 
 // injectedError is the concrete injected failure. It reports itself
-// transient (via the Transient method transport.IsTransient honors), as
+// transient (via the Transient method transport retries honor), as
 // a real flaky backend's network errors would be.
 type injectedError struct {
 	call int64
@@ -47,20 +49,20 @@ func (e *injectedError) Unwrap() error { return ErrInjected }
 type Outcome int
 
 const (
-	// Pass forwards the call untouched.
-	Pass Outcome = iota
+	// pass forwards the call untouched.
+	pass Outcome = iota
 	// Fail returns an injected transient error without calling the
 	// inner transport.
 	Fail
-	// Hang blocks until the call's context is done, then returns its
+	// hang blocks until the call's context is done, then returns its
 	// error — a dead backend that accepts connections but never answers.
-	Hang
-	// Truncate forwards the call but cuts the response body short,
+	hang
+	// truncate forwards the call but cuts the response body short,
 	// simulating a connection dropped mid-response.
-	Truncate
-	// Garble forwards the call but corrupts the response body,
+	truncate
+	// garble forwards the call but corrupts the response body,
 	// simulating on-the-wire damage or a confused proxy.
-	Garble
+	garble
 )
 
 // FailN builds a script of n failures followed by recovery (subsequent
@@ -95,8 +97,8 @@ type Config struct {
 	Seed int64
 }
 
-// Stats counts what the transport injected.
-type Stats struct {
+// stats counts what the transport injected.
+type stats struct {
 	Calls       int64 // total Sends
 	Failures    int64 // injected errors
 	Hangs       int64 // calls held until context expiry
@@ -105,6 +107,8 @@ type Stats struct {
 }
 
 // Transport is the fault-injecting wrapper.
+//
+//lint:ignore api the root TestChaos* tests' chaosHarness holds one
 type Transport struct {
 	inner transport.Transport
 	cfg   Config
@@ -112,7 +116,7 @@ type Transport struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
 	pos   int // script position
-	stats Stats
+	stats stats
 }
 
 var _ transport.Transport = (*Transport)(nil)
@@ -131,24 +135,10 @@ func New(inner transport.Transport, cfg Config) *Transport {
 }
 
 // Stats returns a snapshot of the injection counters.
-func (t *Transport) Stats() Stats {
+func (t *Transport) Stats() stats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.stats
-}
-
-// Reset rewinds the script, reseeds the randomness, and zeroes the
-// counters, replaying the schedule from the start.
-func (t *Transport) Reset() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	seed := t.cfg.Seed
-	if seed == 0 {
-		seed = 1
-	}
-	t.rng = rand.New(rand.NewSource(seed))
-	t.pos = 0
-	t.stats = Stats{}
 }
 
 // SetScript replaces the script and rewinds to its start; the
@@ -177,10 +167,10 @@ func (t *Transport) Send(ctx context.Context, req *transport.Request) (*transpor
 
 	switch outcome {
 	case Fail:
-		t.count(func(s *Stats) { s.Failures++ })
+		t.count(func(s *stats) { s.Failures++ })
 		return nil, &injectedError{call: call}
-	case Hang:
-		t.count(func(s *Stats) { s.Hangs++ })
+	case hang:
+		t.count(func(s *stats) { s.Hangs++ })
 		<-ctx.Done()
 		return nil, fmt.Errorf("faultify: backend hung: %w", ctx.Err())
 	}
@@ -190,11 +180,11 @@ func (t *Transport) Send(ctx context.Context, req *transport.Request) (*transpor
 		return resp, err
 	}
 	switch outcome {
-	case Truncate:
-		t.count(func(s *Stats) { s.Truncations++ })
+	case truncate:
+		t.count(func(s *stats) { s.Truncations++ })
 		resp = &transport.Response{Body: truncateBody(resp.Body), Status: resp.Status, Header: resp.Header}
-	case Garble:
-		t.count(func(s *Stats) { s.Garbles++ })
+	case garble:
+		t.count(func(s *stats) { s.Garbles++ })
 		resp = &transport.Response{Body: garbleBody(resp.Body), Status: resp.Status, Header: resp.Header}
 	}
 	return resp, nil
@@ -216,15 +206,15 @@ func (t *Transport) plan() (Outcome, int64) {
 	case t.cfg.ErrorRate > 0 && t.rng.Float64() < t.cfg.ErrorRate:
 		return Fail, call
 	case t.cfg.TruncateRate > 0 && t.rng.Float64() < t.cfg.TruncateRate:
-		return Truncate, call
+		return truncate, call
 	case t.cfg.GarbleRate > 0 && t.rng.Float64() < t.cfg.GarbleRate:
-		return Garble, call
+		return garble, call
 	}
-	return Pass, call
+	return pass, call
 }
 
 // count mutates stats under the lock.
-func (t *Transport) count(f func(*Stats)) {
+func (t *Transport) count(f func(*stats)) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	f(&t.stats)

@@ -43,7 +43,8 @@ func TestScriptFailThenRecover(t *testing.T) {
 func TestInjectedErrorIsTransient(t *testing.T) {
 	tr := New(okTransport("<ok/>"), Config{Script: []Outcome{Fail}})
 	_, err := send(t, tr)
-	if !transport.IsTransient(err) {
+	var transient interface{ Transient() bool }
+	if !errors.As(err, &transient) || !transient.Transient() {
 		t.Errorf("injected error %v must classify transient", err)
 	}
 }
@@ -75,7 +76,7 @@ func TestErrorRateDeterministicReplay(t *testing.T) {
 
 func TestTruncateAndGarble(t *testing.T) {
 	body := "<env>hello world</env>"
-	tr := New(okTransport(body), Config{Script: []Outcome{Truncate, Garble, Pass}})
+	tr := New(okTransport(body), Config{Script: []Outcome{truncate, garble, pass}})
 
 	resp, err := send(t, tr)
 	if err != nil {
@@ -105,7 +106,7 @@ func TestTruncateAndGarble(t *testing.T) {
 }
 
 func TestHangRespectsContext(t *testing.T) {
-	tr := New(okTransport("<ok/>"), Config{Script: []Outcome{Hang}})
+	tr := New(okTransport("<ok/>"), Config{Script: []Outcome{hang}})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	start := time.Now()
@@ -129,6 +130,8 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
+// TestResetReplaysSchedule: rewinding the script (SetScript) replays
+// it; the counters keep counting.
 func TestResetReplaysSchedule(t *testing.T) {
 	tr := New(okTransport("<ok/>"), Config{Script: FailN(1)})
 	if _, err := send(t, tr); err == nil {
@@ -137,12 +140,12 @@ func TestResetReplaysSchedule(t *testing.T) {
 	if _, err := send(t, tr); err != nil {
 		t.Fatal("script exhausted, want pass")
 	}
-	tr.Reset()
+	tr.SetScript(FailN(1))
 	if _, err := send(t, tr); err == nil {
-		t.Fatal("after Reset the script must replay")
+		t.Fatal("after a rewind the script must replay")
 	}
-	if s := tr.Stats(); s.Calls != 1 {
-		t.Errorf("stats after reset = %+v", s)
+	if s := tr.Stats(); s.Calls != 3 || s.Failures != 2 {
+		t.Errorf("stats after rewind = %+v", s)
 	}
 }
 

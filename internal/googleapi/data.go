@@ -77,21 +77,21 @@ func SpellingSuggestion(phrase string) string {
 	return strings.Join(out, " ")
 }
 
-// CachedPageSize is the size of generated cached pages, chosen so the
+// cachedPageSize is the size of generated cached pages, chosen so the
 // base64-encoded response XML lands near the paper's 5,338 bytes
 // (Table 9): ~3.6 KB of page bytes × 4/3 base64 expansion + envelope.
-const CachedPageSize = 3600
+const cachedPageSize = 3600
 
 // CachedPage returns the cached page bytes for a URL: a single large
 // byte array, the "large and simple" return class.
 func CachedPage(url string) []byte {
 	r := newRNG("page:" + url)
 	var b strings.Builder
-	b.Grow(CachedPageSize + 256)
+	b.Grow(cachedPageSize + 256)
 	b.WriteString("<html><head><title>")
 	b.WriteString(url)
 	b.WriteString("</title></head><body>")
-	for b.Len() < CachedPageSize-16 {
+	for b.Len() < cachedPageSize-16 {
 		b.WriteString("<p>")
 		for i := 0; i < 8; i++ {
 			b.WriteString(r.pick(_vocab))
@@ -101,22 +101,22 @@ func CachedPage(url string) []byte {
 	}
 	b.WriteString("</body></html>")
 	page := b.String()
-	if len(page) > CachedPageSize {
-		page = page[:CachedPageSize]
+	if len(page) > cachedPageSize {
+		page = page[:cachedPageSize]
 	}
 	return []byte(page)
 }
 
-// SearchResultCount is the number of ResultElement entries generated
+// searchResultCount is the number of ResultElement entries generated
 // per search, sized so the response XML lands near the paper's 5,024
 // bytes (Table 9).
-const SearchResultCount = 3
+const searchResultCount = 3
 
 // Search returns the result object for a query: a deeply structured
 // object tree, the "large and complex" return class.
 func Search(query string, start, maxResults int) *GoogleSearchResult {
 	r := newRNG("search:" + query)
-	n := SearchResultCount
+	n := searchResultCount
 	if maxResults > 0 && maxResults < n {
 		n = maxResults
 	}

@@ -158,7 +158,7 @@ func TestDispatcherEndToEnd(t *testing.T) {
 	if s, ok := invoke(OpSpellingSuggestion, SpellingParams("k", "helo wrld")).(string); !ok || s == "" {
 		t.Errorf("spelling = %#v", s)
 	}
-	if b, ok := invoke(OpGetCachedPage, CachedPageParams("k", "http://x/")).([]byte); !ok || len(b) != CachedPageSize {
+	if b, ok := invoke(OpGetCachedPage, CachedPageParams("k", "http://x/")).([]byte); !ok || len(b) != cachedPageSize {
 		t.Errorf("cached page type/size wrong: %T len %d", b, len(b))
 	}
 	r, ok := invoke(OpGoogleSearch, SearchParams("k", "golang", 0, 10, false, "", false, "")).(*GoogleSearchResult)

@@ -22,14 +22,14 @@ import (
 const (
 	OpGetItem   = "doGetItem"
 	OpPutItem   = "doPutItem"
-	OpListItems = "doListItems"
+	opListItems = "doListItems"
 )
 
 // ItemKeyspacePrefix prefixes the per-item keyspaces in ItemGraph;
 // KeyspaceAllItems covers the listing.
 const (
 	ItemKeyspacePrefix = "item:"
-	KeyspaceAllItems   = invalidate.Keyspace("items")
+	keyspaceAllItems   = invalidate.Keyspace("items")
 )
 
 // ItemStore is the backend state behind the item operations: a
@@ -45,8 +45,8 @@ func NewItemStore() *ItemStore {
 	return &ItemStore{items: make(map[string]string)}
 }
 
-// Get returns the stored value for key, or "" when absent.
-func (s *ItemStore) Get(key string) string {
+// get returns the stored value for key, or "" when absent.
+func (s *ItemStore) get(key string) string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.items[key]
@@ -59,8 +59,8 @@ func (s *ItemStore) Put(key, value string) {
 	s.items[key] = value
 }
 
-// List returns the stored keys, sorted, joined by commas.
-func (s *ItemStore) List() string {
+// list returns the stored keys, sorted, joined by commas.
+func (s *ItemStore) list() string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.items))
@@ -80,7 +80,7 @@ func (s *ItemStore) Register(d *server.Dispatcher) {
 		if err != nil {
 			return nil, err
 		}
-		return s.Get(key), nil
+		return s.get(key), nil
 	})
 	d.Register(OpPutItem, func(params []soap.Param) (any, error) {
 		key, err := stringParam(params, "key", 1)
@@ -94,8 +94,8 @@ func (s *ItemStore) Register(d *server.Dispatcher) {
 		s.Put(key, value)
 		return "stored:" + key, nil
 	})
-	d.Register(OpListItems, func(params []soap.Param) (any, error) {
-		return s.List(), nil
+	d.Register(opListItems, func(params []soap.Param) (any, error) {
+		return s.list(), nil
 	})
 }
 
@@ -108,8 +108,8 @@ func ItemGraph() *invalidate.Graph {
 	item := invalidate.Param(ItemKeyspacePrefix, "key", 1)
 	return invalidate.NewGraph().
 		Read(OpGetItem, item).
-		Read(OpListItems, invalidate.Fixed(KeyspaceAllItems)).
-		Write(OpPutItem, item, invalidate.Fixed(KeyspaceAllItems))
+		Read(opListItems, invalidate.Fixed(keyspaceAllItems)).
+		Write(OpPutItem, item, invalidate.Fixed(keyspaceAllItems))
 }
 
 // GetItemParams builds the doGetItem parameter list.

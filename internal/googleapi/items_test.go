@@ -43,10 +43,10 @@ func TestItemOperationsEndToEnd(t *testing.T) {
 	if got := invoke(OpGetItem, GetItemParams("a")); got != "v1" {
 		t.Errorf("get = %q, want v1", got)
 	}
-	if got := invoke(OpListItems, nil); got != "a,b" {
+	if got := invoke(opListItems, nil); got != "a,b" {
 		t.Errorf("list = %q, want a,b", got)
 	}
-	if got := store.Get("b"); got != "v2" {
+	if got := store.get("b"); got != "v2" {
 		t.Errorf("store.Get(b) = %q, want v2", got)
 	}
 }
@@ -58,7 +58,7 @@ func TestItemGraphDeclarations(t *testing.T) {
 	if !inv.WritesDeclared(OpPutItem) {
 		t.Error("doPutItem has no declared write set")
 	}
-	if inv.WritesDeclared(OpGetItem) || inv.WritesDeclared(OpListItems) {
+	if inv.WritesDeclared(OpGetItem) || inv.WritesDeclared(opListItems) {
 		t.Error("read operations declare write sets")
 	}
 
@@ -66,7 +66,7 @@ func TestItemGraphDeclarations(t *testing.T) {
 	// leave doGetItem(b) standing.
 	getA := inv.ReadStamps(OpGetItem, GetItemParams("a"))
 	getB := inv.ReadStamps(OpGetItem, GetItemParams("b"))
-	list := inv.ReadStamps(OpListItems, nil)
+	list := inv.ReadStamps(opListItems, nil)
 	if getA.Len() == 0 || list.Len() == 0 {
 		t.Fatal("read operations produced no stamps")
 	}

@@ -90,27 +90,27 @@ func intParam(params []soap.Param, name string, pos int) (int, error) {
 	return 0, fmt.Errorf("missing parameter %s", name)
 }
 
-// FixedResponseHandler is the paper's "dummy Google Web services":
+// fixedResponseHandler is the paper's "dummy Google Web services":
 // it returns a precomputed response envelope for each operation —
 // identical bytes on every request — so the back end cannot become
 // the bottleneck in the portal scenario (Section 5.2). The operation
 // is sniffed from the request body without parsing it.
-type FixedResponseHandler struct {
+type fixedResponseHandler struct {
 	once      sync.Once
 	initErr   error
 	responses map[string][]byte
 }
 
-var _ http.Handler = (*FixedResponseHandler)(nil)
+var _ http.Handler = (*fixedResponseHandler)(nil)
 
 // NewFixedResponseHandler returns a handler with lazily precomputed
 // responses.
-func NewFixedResponseHandler() *FixedResponseHandler {
-	return &FixedResponseHandler{}
+func NewFixedResponseHandler() *fixedResponseHandler {
+	return &fixedResponseHandler{}
 }
 
 // init precomputes one response envelope per operation.
-func (h *FixedResponseHandler) init() {
+func (h *fixedResponseHandler) init() {
 	reg := typemap.NewRegistry()
 	if err := RegisterTypes(reg); err != nil {
 		h.initErr = err
@@ -133,7 +133,7 @@ func (h *FixedResponseHandler) init() {
 }
 
 // ServeHTTP implements http.Handler.
-func (h *FixedResponseHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (h *fixedResponseHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	h.once.Do(h.init)
 	if h.initErr != nil {
 		http.Error(w, h.initErr.Error(), http.StatusInternalServerError)

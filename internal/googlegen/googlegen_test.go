@@ -1,6 +1,7 @@
 package googlegen
 
 import (
+	"bytes"
 	"context"
 	"reflect"
 	"repro/internal/rep"
@@ -60,8 +61,8 @@ func TestTypedClientAgainstHandwrittenServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(page) != googleapi.CachedPageSize {
-		t.Errorf("page size = %d", len(page))
+	if !bytes.Equal(page, googleapi.CachedPage("http://x/")) {
+		t.Errorf("page = %d bytes, not the origin's", len(page))
 	}
 
 	res, err := cl.DoGoogleSearch(ctx, "key", "golang", 0, 10, false, "", false, "", "latin1", "latin1")

@@ -19,14 +19,14 @@ type transienter interface {
 	Transient() bool
 }
 
-// IsTransient classifies an error from a Send as worth retrying.
+// isTransient classifies an error from a Send as worth retrying.
 // Transient: network errors (connection refused/reset, DNS, timeouts),
 // per-attempt deadline expiry, truncated reads, and 5xx status errors —
 // the backend may answer a fresh attempt. Permanent: 4xx status errors
 // and context cancellation. SOAP faults never reach this classifier:
 // fault envelopes arrive as well-formed 500 responses, so Send returns
 // them as responses, not errors, and they are not retried.
-func IsTransient(err error) bool {
+func isTransient(err error) bool {
 	if err == nil {
 		return false
 	}
@@ -34,7 +34,7 @@ func IsTransient(err error) bool {
 	if errors.As(err, &tr) {
 		return tr.Transient()
 	}
-	var se *StatusError
+	var se *statusError
 	if errors.As(err, &se) {
 		return se.Status >= 500
 	}
@@ -82,25 +82,25 @@ type RetryPolicy struct {
 	Obs *obs.Registry
 }
 
-// Retry wraps an inner Transport with bounded retries: exponential
+// retry wraps an inner Transport with bounded retries: exponential
 // backoff with full jitter (delay drawn uniformly from [0, base·2^n],
 // capped), per-attempt timeouts, and transient-vs-permanent error
 // classification. The caller's context deadline is authoritative: once
 // it expires no further attempts are made.
-type Retry struct {
+type retry struct {
 	Inner  Transport
 	Policy RetryPolicy
 }
 
-var _ Transport = (*Retry)(nil)
+var _ Transport = (*retry)(nil)
 
 // NewRetry builds a Retry transport over inner.
-func NewRetry(inner Transport, policy RetryPolicy) *Retry {
-	return &Retry{Inner: inner, Policy: policy}
+func NewRetry(inner Transport, policy RetryPolicy) *retry {
+	return &retry{Inner: inner, Policy: policy}
 }
 
 // Send implements Transport.
-func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
+func (r *retry) Send(ctx context.Context, req *Request) (*Response, error) {
 	attempts := r.Policy.MaxAttempts
 	if attempts < 1 {
 		attempts = 3
@@ -134,7 +134,7 @@ func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
 			// further attempts cannot be delivered to anyone.
 			return nil, err
 		}
-		if !IsTransient(err) {
+		if !isTransient(err) {
 			return nil, err
 		}
 	}
@@ -143,7 +143,7 @@ func (r *Retry) Send(ctx context.Context, req *Request) (*Response, error) {
 
 // backoff computes the pre-attempt delay: full jitter over an
 // exponentially growing, capped window.
-func (r *Retry) backoff(attempt int) time.Duration {
+func (r *retry) backoff(attempt int) time.Duration {
 	base := r.Policy.BaseDelay
 	if base <= 0 {
 		base = 50 * time.Millisecond
@@ -167,7 +167,7 @@ func (r *Retry) backoff(attempt int) time.Duration {
 }
 
 // sleep waits d or until ctx is done.
-func (r *Retry) sleep(ctx context.Context, d time.Duration) error {
+func (r *retry) sleep(ctx context.Context, d time.Duration) error {
 	if r.Policy.Sleep != nil {
 		return r.Policy.Sleep(ctx, d)
 	}

@@ -43,13 +43,13 @@ func TestRetryAbsorbsTransientFailures(t *testing.T) {
 }
 
 func TestRetryExhaustsAttempts(t *testing.T) {
-	inner := &flaky{n: 100, err: &StatusError{Status: 503}}
+	inner := &flaky{n: 100, err: &statusError{Status: 503}}
 	r := NewRetry(inner, RetryPolicy{MaxAttempts: 4, Sleep: noSleep})
 	_, err := r.Send(context.Background(), &Request{})
 	if err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
-	var se *StatusError
+	var se *statusError
 	if !errors.As(err, &se) || se.Status != 503 {
 		t.Errorf("err = %v, want wrapped 503 StatusError", err)
 	}
@@ -59,10 +59,10 @@ func TestRetryExhaustsAttempts(t *testing.T) {
 }
 
 func TestRetryStopsOnPermanentError(t *testing.T) {
-	inner := &flaky{n: 100, err: &StatusError{Status: 404}}
+	inner := &flaky{n: 100, err: &statusError{Status: 404}}
 	r := NewRetry(inner, RetryPolicy{MaxAttempts: 5, Sleep: noSleep})
 	_, err := r.Send(context.Background(), &Request{})
-	var se *StatusError
+	var se *statusError
 	if !errors.As(err, &se) || se.Status != 404 {
 		t.Fatalf("err = %v, want 404 StatusError", err)
 	}
@@ -129,10 +129,10 @@ func TestIsTransient(t *testing.T) {
 		want bool
 	}{
 		{nil, false},
-		{&StatusError{Status: 503}, true},
-		{&StatusError{Status: 502}, true},
-		{&StatusError{Status: 404}, false},
-		{&StatusError{Status: 403}, false},
+		{&statusError{Status: 503}, true},
+		{&statusError{Status: 502}, true},
+		{&statusError{Status: 404}, false},
+		{&statusError{Status: 403}, false},
 		{&net.OpError{Op: "dial", Err: errors.New("refused")}, true},
 		{context.Canceled, false},
 		{context.DeadlineExceeded, true},
@@ -142,7 +142,7 @@ func TestIsTransient(t *testing.T) {
 		{&transientErr{transient: false}, false},
 	}
 	for _, c := range cases {
-		if got := IsTransient(c.err); got != c.want {
+		if got := isTransient(c.err); got != c.want {
 			t.Errorf("IsTransient(%v) = %v, want %v", c.err, got, c.want)
 		}
 	}

@@ -53,14 +53,14 @@ type Transport interface {
 	Send(ctx context.Context, req *Request) (*Response, error)
 }
 
-// StatusError reports a non-2xx, non-fault HTTP response.
-type StatusError struct {
+// statusError reports a non-2xx, non-fault HTTP response.
+type statusError struct {
 	Status int
 	Body   string
 }
 
 // Error implements the error interface.
-func (e *StatusError) Error() string {
+func (e *statusError) Error() string {
 	return fmt.Sprintf("transport: http status %d: %s", e.Status, truncate(e.Body, 200))
 }
 
@@ -208,7 +208,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 	}
 	t.Obs.Add("transport.bytes_received", int64(len(body)))
 	if !acceptableStatus(resp.StatusCode) {
-		return nil, &StatusError{Status: resp.StatusCode, Body: string(body)}
+		return nil, &statusError{Status: resp.StatusCode, Body: string(body)}
 	}
 	return &Response{Body: body, Status: resp.StatusCode, Header: resp.Header}, nil
 }
@@ -231,9 +231,9 @@ func copyHeader(dst, src http.Header) {
 	}
 }
 
-// Func adapts a function to the Transport interface; used for
-// in-process wiring in tests, benchmarks, and the portal scenario when
-// the network should not be the bottleneck.
+// Func adapts a function to the Transport interface.
+//
+//lint:ignore api client's TestTransportErrorPropagates and faultify's okTransport script transports with it
 type Func func(ctx context.Context, req *Request) (*Response, error)
 
 var _ Transport = (Func)(nil)
@@ -280,7 +280,7 @@ func (t *InProcess) Send(ctx context.Context, treq *Request) (*Response, error) 
 		}
 	}
 	if !acceptableStatus(rw.status) {
-		return nil, &StatusError{Status: rw.status, Body: rw.buf.String()}
+		return nil, &statusError{Status: rw.status, Body: rw.buf.String()}
 	}
 	return &Response{Body: rw.buf.Bytes(), Status: rw.status, Header: rw.header}, nil
 }
@@ -300,8 +300,8 @@ func (w *bufferResponseWriter) Write(p []byte) (int, error) { return w.buf.Write
 
 func (w *bufferResponseWriter) WriteHeader(status int) { w.status = status }
 
-// CacheDirectives is a parsed Cache-Control header.
-type CacheDirectives struct {
+// cacheDirectives is a parsed Cache-Control header.
+type cacheDirectives struct {
 	NoStore   bool
 	NoCache   bool
 	Private   bool
@@ -310,9 +310,9 @@ type CacheDirectives struct {
 	HasMaxAge bool
 }
 
-// ParseCacheControl parses a Cache-Control header value.
-func ParseCacheControl(v string) CacheDirectives {
-	var d CacheDirectives
+// parseCacheControl parses a Cache-Control header value.
+func parseCacheControl(v string) cacheDirectives {
+	var d cacheDirectives
 	for _, part := range strings.Split(v, ",") {
 		part = strings.TrimSpace(part)
 		lower := strings.ToLower(part)
@@ -345,7 +345,7 @@ func ParseCacheControl(v string) CacheDirectives {
 // remaining lifetime is already spent.
 func FreshnessLifetime(h http.Header, now time.Time) (time.Duration, bool) {
 	if cc := h.Get("Cache-Control"); cc != "" {
-		d := ParseCacheControl(cc)
+		d := parseCacheControl(cc)
 		if d.NoStore || d.NoCache {
 			return 0, false
 		}

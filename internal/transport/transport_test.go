@@ -65,7 +65,7 @@ func TestHTTPSendUnexpectedStatus(t *testing.T) {
 	defer srv.Close()
 	tr := &HTTP{}
 	_, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL})
-	var se *StatusError
+	var se *statusError
 	if !errors.As(err, &se) || se.Status != 404 {
 		t.Errorf("err = %v", err)
 	}
@@ -108,7 +108,7 @@ func TestInProcessStatusError(t *testing.T) {
 		w.WriteHeader(http.StatusBadGateway)
 	})}
 	_, err := tr.Send(context.Background(), &Request{Endpoint: "http://local/"})
-	var se *StatusError
+	var se *statusError
 	if !errors.As(err, &se) || se.Status != http.StatusBadGateway {
 		t.Errorf("err = %v", err)
 	}
@@ -125,15 +125,15 @@ func TestFuncTransport(t *testing.T) {
 }
 
 func TestParseCacheControl(t *testing.T) {
-	d := ParseCacheControl("public, max-age=3600")
+	d := parseCacheControl("public, max-age=3600")
 	if !d.Public || !d.HasMaxAge || d.MaxAge != time.Hour {
 		t.Errorf("d = %+v", d)
 	}
-	d = ParseCacheControl("no-store")
+	d = parseCacheControl("no-store")
 	if !d.NoStore {
 		t.Errorf("d = %+v", d)
 	}
-	d = ParseCacheControl("private, no-cache, max-age=bogus")
+	d = parseCacheControl("private, no-cache, max-age=bogus")
 	if !d.Private || !d.NoCache || d.HasMaxAge {
 		t.Errorf("d = %+v", d)
 	}
@@ -214,7 +214,7 @@ func TestStatusErrorTruncation(t *testing.T) {
 	for i := range long {
 		long[i] = 'x'
 	}
-	e := &StatusError{Status: 400, Body: string(long)}
+	e := &statusError{Status: 400, Body: string(long)}
 	if len(e.Error()) > 300 {
 		t.Errorf("error message too long: %d", len(e.Error()))
 	}
