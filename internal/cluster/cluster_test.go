@@ -335,7 +335,7 @@ func TestDaemonRestart(t *testing.T) {
 	if !invalidate.Stale(invalidate.Stamps{}.With(stamp)) {
 		t.Fatal("pre-restart stamp still fresh after restart detection")
 	}
-	if got, want := mirrorOf(r), dinv2.Snapshot(); !maps.Equal(got, want) {
+	if got, want := mirrorOf(r), epochTable(dinv2); !maps.Equal(got, want) {
 		t.Fatalf("mirror after restart = %v, want the new incarnation's %v", got, want)
 	}
 

@@ -102,7 +102,7 @@ func TestSteadyStateRepliesAreDeltas(t *testing.T) {
 	}
 	converged := func(when string) {
 		t.Helper()
-		want := dinv.Snapshot()
+		want := epochTable(dinv)
 		for name, r := range map[string]*Remote{"A": rA, "B": rB} {
 			if got := mirrorOf(r); !maps.Equal(got, want) {
 				t.Fatalf("%s: %s's mirror %v, daemon %v", when, name, got, want)
@@ -202,13 +202,13 @@ func TestFirstContactTableIsNonzeroOnly(t *testing.T) {
 		dinv.ApplyRemote(invalidate.Keyspace(ksFillPrefix + strconv.Itoa(i*7)))
 	}
 	nonzero := make(map[string]uint64)
-	for ks, epoch := range dinv.Snapshot() {
+	for ks, epoch := range epochTable(dinv) {
 		if epoch != 0 {
 			nonzero[ks] = epoch
 		}
 	}
-	if len(dinv.Snapshot()) != stamped || len(nonzero) != bumped {
-		t.Fatalf("daemon holds %d cells, %d nonzero; want %d, %d", len(dinv.Snapshot()), len(nonzero), stamped, bumped)
+	if len(epochTable(dinv)) != stamped || len(nonzero) != bumped {
+		t.Fatalf("daemon holds %d cells, %d nonzero; want %d, %d", len(epochTable(dinv)), len(nonzero), stamped, bumped)
 	}
 	if got := firstSync(); !maps.Equal(got, nonzero) {
 		t.Fatalf("first-contact table holds %d entries, want the %d bumped ones", len(got), bumped)
@@ -220,4 +220,11 @@ func TestFirstContactTableIsNonzeroOnly(t *testing.T) {
 	if got := mirrorOf(r); !maps.Equal(got, nonzero) {
 		t.Fatalf("mirror holds %d entries, want the daemon's %d nonzero epochs", len(got), len(nonzero))
 	}
+}
+
+// epochTable is inv's live keyspace → epoch table.
+func epochTable(inv *invalidate.Invalidator) map[string]uint64 {
+	out := make(map[string]uint64)
+	inv.Range(func(ks invalidate.Keyspace, epoch uint64) { out[string(ks)] = epoch })
+	return out
 }

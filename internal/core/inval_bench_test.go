@@ -18,10 +18,9 @@ import (
 // one shared — so every cached entry carries two stamps, matching the
 // item-store shape (item:<key> plus the listing keyspace).
 func benchInvalidator() *invalidate.Invalidator {
-	set := []invalidate.Set{invalidate.Param(itemPrefix, "q", 1), invalidate.Fixed(ksItems)}
 	g := invalidate.NewGraph().
-		Read(opGet, set...).
-		Write(opPut, set...)
+		Read(opGet, invalidate.Param(itemPrefix, "q", 1), invalidate.Fixed(ksItems)).
+		Write(opPut, invalidate.Param(itemPrefix, "q", 1), invalidate.Fixed(ksItems))
 	return invalidate.New(g, nil)
 }
 

@@ -67,7 +67,7 @@ func TestItemGraphDeclarations(t *testing.T) {
 	getA := inv.ReadStamps(OpGetItem, GetItemParams("a"))
 	getB := inv.ReadStamps(OpGetItem, GetItemParams("b"))
 	list := inv.ReadStamps(opListItems, nil)
-	if getA.Len() == 0 || list.Len() == 0 {
+	if getA == (invalidate.Stamps{}) || list == (invalidate.Stamps{}) {
 		t.Fatal("read operations produced no stamps")
 	}
 	inv.CommitWrite(OpPutItem, PutItemParams("a", "v9"))

@@ -46,13 +46,13 @@ import (
 // depend on several keyspaces at different granularities.
 type Keyspace string
 
-// Set declares the keyspaces an operation touches, as data: each member
+// set declares the keyspaces an operation touches, as data: each member
 // is either a fixed name (Fixed) or a constant prefix followed by the
 // value of one string parameter (Param). Resolving a set runs on the
 // request path, once per miss (reads) or write-through call (writes);
 // because a set is data, the read side resolves it without allocating
 // (ReadStamps).
-type Set []member
+type set []member
 
 // member is one declared keyspace: prefix alone when param is "", else
 // prefix followed by the string value of the parameter named param,
@@ -65,8 +65,8 @@ type member struct {
 
 // Fixed returns a set naming the same keyspaces regardless of
 // parameters — the coarse whole-resource dependency.
-func Fixed(ks ...Keyspace) Set {
-	s := make(Set, len(ks))
+func Fixed(ks ...Keyspace) set {
+	s := make(set, len(ks))
 	for i, k := range ks {
 		s[i] = member{prefix: k}
 	}
@@ -79,8 +79,8 @@ func Fixed(ks ...Keyspace) Set {
 // SOAP dispatcher itself applies; a negative pos looks by name alone.
 // An invocation whose parameter is absent or not a string has no
 // keyspace from this member.
-func Param(prefix Keyspace, name string, pos int) Set {
-	return Set{{prefix: prefix, param: name, pos: pos}}
+func Param(prefix Keyspace, name string, pos int) set {
+	return set{{prefix: prefix, param: name, pos: pos}}
 }
 
 // appendName appends m's keyspace name for params to dst, in its
@@ -118,7 +118,7 @@ func paramValue(params []soap.Param, name string, pos int) (string, bool) {
 }
 
 // appendNames appends the names s resolves to for params.
-func appendNames[T ~string](dst []T, s Set, params []soap.Param) []T {
+func appendNames[T ~string](dst []T, s set, params []soap.Param) []T {
 	var buf [maxKeyspaceName]byte
 	for _, m := range s {
 		if name, ok := m.appendName(buf[:0], params); ok {
@@ -133,22 +133,22 @@ func appendNames[T ~string](dst []T, s Set, params []soap.Param) []T {
 // nevertheless safe to add at run time.
 type Graph struct {
 	mu     sync.RWMutex
-	reads  map[string]Set
-	writes map[string]Set
+	reads  map[string]set
+	writes map[string]set
 }
 
 // NewGraph returns an empty invalidation graph.
 func NewGraph() *Graph {
 	return &Graph{
-		reads:  make(map[string]Set),
-		writes: make(map[string]Set),
+		reads:  make(map[string]set),
+		writes: make(map[string]set),
 	}
 }
 
 // Read declares the keyspaces operation op reads, the union of sets.
 // Entries cached for op are stamped with these keyspaces' epochs and
 // invalidated when any of them is written.
-func (g *Graph) Read(op string, sets ...Set) *Graph {
+func (g *Graph) Read(op string, sets ...set) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.reads[op] = union(sets)
@@ -158,15 +158,15 @@ func (g *Graph) Read(op string, sets ...Set) *Graph {
 // Write declares the keyspaces operation op writes, the union of sets.
 // A successful (or unknown-outcome) invocation of op bumps their
 // epochs.
-func (g *Graph) Write(op string, sets ...Set) *Graph {
+func (g *Graph) Write(op string, sets ...set) *Graph {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	g.writes[op] = union(sets)
 	return g
 }
 
-func union(sets []Set) Set {
-	var u Set
+func union(sets []set) set {
+	var u set
 	for _, s := range sets {
 		u = append(u, s...)
 	}
@@ -174,7 +174,7 @@ func union(sets []Set) Set {
 }
 
 // readSet returns op's declared read set, nil when undeclared.
-func (g *Graph) readSet(op string) Set {
+func (g *Graph) readSet(op string) set {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.reads[op]
@@ -220,8 +220,8 @@ func (g *Graph) Declared(op string) bool {
 	return len(g.reads[op]) > 0 || len(g.writes[op]) > 0
 }
 
-// WritesDeclared reports whether op has a declared write set.
-func (g *Graph) WritesDeclared(op string) bool {
+// writesDeclared reports whether op has a declared write set.
+func (g *Graph) writesDeclared(op string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.writes[op]) > 0
@@ -251,10 +251,10 @@ type change struct {
 	epoch uint64
 }
 
-// Stamp records the value one epoch cell had when an entry was filled.
+// stamp records the value one epoch cell had when an entry was filled.
 // The zero Stamp is invalid; stamps are only produced by ReadStamps and
 // StampWith.
-type Stamp struct {
+type stamp struct {
 	cell *epoch
 	seen uint64
 }
@@ -265,29 +265,17 @@ type Stamp struct {
 // per-item dependency, is snapshotted without allocating. The zero
 // value is the empty set: an entry with no declared dependencies.
 type Stamps struct {
-	first Stamp
+	first stamp
 	rest  *Stamps
 }
 
 // With returns s plus st.
-func (s Stamps) With(st Stamp) Stamps {
+func (s Stamps) With(st stamp) Stamps {
 	if s.first.cell == nil {
 		return Stamps{first: st}
 	}
 	rest := s // declared here, so only this branch allocates
 	return Stamps{first: st, rest: &rest}
-}
-
-// Len returns the number of stamps in s.
-func (s Stamps) Len() int {
-	if s.first.cell == nil {
-		return 0
-	}
-	n := 1
-	for r := s.rest; r != nil; r = r.rest {
-		n++
-	}
-	return n
 }
 
 // Stale reports whether any stamped epoch has advanced past its
@@ -375,7 +363,7 @@ func New(graph *Graph, reg *obs.Registry) *Invalidator {
 		bumps:           reg.Counter("invalidate.bumps"),
 		remoteBumps:     reg.Counter("invalidate.remote_bumps"),
 	}
-	reg.SetInspection("invalidation", func() any { return inv.Snapshot() })
+	reg.SetInspection("invalidation", func() any { return inv.snapshot() })
 	return inv
 }
 
@@ -429,7 +417,7 @@ func (inv *Invalidator) ReadStamps(op string, params []soap.Param) Stamps {
 			continue
 		}
 		c := inv.cellOf(name)
-		st = st.With(Stamp{cell: c, seen: c.v.Load()})
+		st = st.With(stamp{cell: c, seen: c.v.Load()})
 	}
 	return st
 }
@@ -438,7 +426,7 @@ func (inv *Invalidator) ReadStamps(op string, params []soap.Param) Stamps {
 // cheap pre-check callers use to skip CommitWrite bookkeeping for
 // read-only operations.
 func (inv *Invalidator) WritesDeclared(op string) bool {
-	return inv.graph.WritesDeclared(op)
+	return inv.graph.writesDeclared(op)
 }
 
 // CommitWrite bumps the epochs of op's write keyspaces and returns how
@@ -468,6 +456,8 @@ func (inv *Invalidator) CommitWrite(op string, params []soap.Param) int {
 // Bump advances a keyspace's epoch directly — the hook for out-of-band
 // invalidation signals (an operator action, a server-push channel)
 // that do not flow through a declared operation.
+//
+//lint:ignore api engine's TestLadder, core's TestStaleOnErrorRefusesInvalidatedEntry and cluster's TestPendingBumpFlush write through it
 func (inv *Invalidator) Bump(ks Keyspace) {
 	// Hooks first, then the local advance — same order as CommitWrite,
 	// for the same reason (see OnBump).
@@ -614,8 +604,8 @@ func (inv *Invalidator) ReadSet(op string, params []soap.Param) []string {
 // reports the epoch it saw for ks before its backend read, and the
 // resulting stamp is live — if the daemon's cell has advanced past
 // seen (or advances later), Stale reports it.
-func (inv *Invalidator) StampWith(ks Keyspace, seen uint64) Stamp {
-	return Stamp{cell: inv.cell(ks), seen: seen}
+func (inv *Invalidator) StampWith(ks Keyspace, seen uint64) stamp {
+	return stamp{cell: inv.cell(ks), seen: seen}
 }
 
 // Epoch returns a keyspace's current epoch (0 if never touched).
@@ -640,9 +630,9 @@ func (inv *Invalidator) Range(fn func(ks Keyspace, epoch uint64)) {
 	}
 }
 
-// Snapshot captures the live keyspace→epoch table, sorted-key iteration
+// snapshot captures the live keyspace→epoch table, sorted-key iteration
 // left to the consumer (JSON objects are unordered anyway).
-func (inv *Invalidator) Snapshot() map[string]uint64 {
+func (inv *Invalidator) snapshot() map[string]uint64 {
 	out := make(map[string]uint64)
 	inv.Range(func(ks Keyspace, epoch uint64) { out[string(ks)] = epoch })
 	return out

@@ -47,8 +47,8 @@ func TestStampsInvalidatedByDeclaredWrite(t *testing.T) {
 	a := inv.ReadStamps(opGetItem, params("a"))
 	b := inv.ReadStamps(opGetItem, params("b"))
 	list := inv.ReadStamps(opListItems, nil)
-	if a.Len() != 1 || b.Len() != 1 || list.Len() != 1 {
-		t.Fatalf("stamp lengths = %d,%d,%d, want 1,1,1", a.Len(), b.Len(), list.Len())
+	if stampCount(a) != 1 || stampCount(b) != 1 || stampCount(list) != 1 {
+		t.Fatalf("stamp lengths = %d,%d,%d, want 1,1,1", stampCount(a), stampCount(b), stampCount(list))
 	}
 	if Stale(a) || Stale(b) || Stale(list) {
 		t.Fatal("fresh stamps report stale")
@@ -75,7 +75,7 @@ func TestStampsInvalidatedByDeclaredWrite(t *testing.T) {
 
 func TestUndeclaredOperationsHaveNoStamps(t *testing.T) {
 	inv := New(itemGraph(), nil)
-	if s := inv.ReadStamps("doGoogleSearch", nil); s.Len() != 0 {
+	if s := inv.ReadStamps("doGoogleSearch", nil); s != (Stamps{}) {
 		t.Fatalf("undeclared op produced stamps: %v", s)
 	}
 	if n := inv.CommitWrite("doGoogleSearch", nil); n != 0 {
@@ -183,7 +183,7 @@ func TestConcurrentStampsAndWrites(t *testing.T) {
 func TestConcurrentFirstTouchSharesOneCell(t *testing.T) {
 	inv := New(nil, nil)
 	const goroutines, keyspaces = 8, 64
-	stamps := make([][]Stamp, goroutines)
+	stamps := make([][]stamp, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -276,8 +276,17 @@ func TestReadStampsAllocs(t *testing.T) {
 		if got := testing.AllocsPerRun(100, func() { st = inv.ReadStamps(tc.op, p) }); got != tc.want {
 			t.Errorf("%s: %v allocs per snapshot, want %v", tc.op, got, tc.want)
 		}
-		if st.Len() == 0 || Stale(st) {
-			t.Errorf("%s: snapshot of %d stamps, stale %v", tc.op, st.Len(), Stale(st))
+		if st == (Stamps{}) || Stale(st) {
+			t.Errorf("%s: snapshot of %d stamps, stale %v", tc.op, stampCount(st), Stale(st))
 		}
 	}
+}
+
+// stampCount is the number of stamps in s.
+func stampCount(s Stamps) int {
+	n := 0
+	for r := &s; r != nil && r.first.cell != nil; r = r.rest {
+		n++
+	}
+	return n
 }

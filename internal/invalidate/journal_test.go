@@ -68,7 +68,7 @@ func TestSinceFallsBackBelowTheFloor(t *testing.T) {
 		t.Fatalf("Since(%d) ok with the journal holding (%d, %d]", extra-1, extra, journalCap+extra)
 	}
 	got, now, ok := since(inv, extra)
-	if !ok || now != journalCap+extra || !maps.Equal(got, inv.Snapshot()) {
+	if !ok || now != journalCap+extra || !maps.Equal(got, inv.snapshot()) {
 		t.Fatalf("Since(floor) = %d keyspaces, now %d, ok %v; want all 7 at their current epochs", len(got), now, ok)
 	}
 
@@ -107,7 +107,7 @@ func (f *follower) poll(t *testing.T, inv *Invalidator) {
 	if !ok {
 		f.fulls++
 		now = inv.Version()
-		f.mirror = inv.Snapshot()
+		f.mirror = inv.snapshot()
 	} else {
 		f.deltas++
 	}
@@ -161,7 +161,7 @@ func TestSinceFollowerModel(t *testing.T) {
 				mutate(rng, inv, 64)
 			}
 			f.poll(t, inv)
-			if !maps.Equal(f.mirror, inv.Snapshot()) {
+			if !maps.Equal(f.mirror, inv.snapshot()) {
 				t.Fatalf("seed %d round %d: mirror diverged from Snapshot at version %d", seed, round, f.version)
 			}
 		}
@@ -204,7 +204,7 @@ func TestSinceFollowerConcurrent(t *testing.T) {
 			f.poll(t, inv)
 		}
 		f.poll(t, inv)
-		if want := inv.Snapshot(); !maps.Equal(f.mirror, want) {
+		if want := inv.snapshot(); !maps.Equal(f.mirror, want) {
 			t.Fatalf("round %d: follower did not converge: %d keyspaces mirrored, %d live", round, len(f.mirror), len(want))
 		}
 	}
