@@ -353,8 +353,10 @@ func TestFigureSmall(t *testing.T) {
 				want += requests
 			}
 			var sent int64
-			if h := reg.StageHistogram(obs.StageSend, ""); h != nil {
-				sent = h.Count()
+			for _, s := range reg.Snapshot().Stages {
+				if s.Stage == obs.StageSend {
+					sent += s.Latency.Count
+				}
 			}
 			c := reg.Op(googleapi.OpGoogleSearch)
 			if misses, hits := c.Misses.Load(), c.Hits.Load(); misses != want || sent != want || hits != requests+hot-want {

@@ -13,9 +13,9 @@ import (
 // invocations — with no allocation and no locking.
 const histBuckets = 23
 
-// BucketBound returns the inclusive upper bound of bucket i, or a
+// bucketBound returns the inclusive upper bound of bucket i, or a
 // negative duration for the overflow bucket.
-func BucketBound(i int) time.Duration {
+func bucketBound(i int) time.Duration {
 	if i < 0 || i >= histBuckets-1 {
 		return -1
 	}
@@ -38,20 +38,20 @@ func bucketIndex(d time.Duration) int {
 	return i
 }
 
-// Histogram is a fixed-bucket latency histogram safe for concurrent
+// histogram is a fixed-bucket latency histogram safe for concurrent
 // use: one atomic add per observation, power-of-two microsecond bucket
 // bounds, running count and sum for the mean. The zero value is ready;
 // all methods are nil-receiver safe.
-type Histogram struct {
+type histogram struct {
 	count   atomic.Int64
 	sum     atomic.Int64 // nanoseconds
 	buckets [histBuckets]atomic.Int64
 }
 
-// Observe records one duration.
+// observe records one duration.
 //
 //lint:hotpath
-func (h *Histogram) Observe(d time.Duration) {
+func (h *histogram) observe(d time.Duration) {
 	if h == nil {
 		return
 	}
@@ -60,18 +60,10 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[bucketIndex(d)].Add(1)
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Snapshot captures the histogram for reporting. Concurrent Observes
+// snapshot captures the histogram for reporting. Concurrent Observes
 // may straddle the capture; totals are exact once writers quiesce.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	var s HistogramSnapshot
+func (h *histogram) snapshot() histogramSnapshot {
+	var s histogramSnapshot
 	if h == nil {
 		return s
 	}
@@ -85,7 +77,7 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		if n == 0 {
 			continue
 		}
-		s.Buckets = append(s.Buckets, Bucket{LeNS: int64(BucketBound(i)), Count: n})
+		s.Buckets = append(s.Buckets, bucket{LeNS: int64(bucketBound(i)), Count: n})
 	}
 	s.P50NS = s.quantile(0.50)
 	s.P90NS = s.quantile(0.90)
@@ -93,21 +85,21 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// HistogramSnapshot is the JSON form of a Histogram: cumulative count
+// histogramSnapshot is the JSON form of a Histogram: cumulative count
 // and sum, approximate quantiles, and the non-empty buckets.
-type HistogramSnapshot struct {
+type histogramSnapshot struct {
 	Count   int64    `json:"count"`
 	SumNS   int64    `json:"sum_ns"`
 	MeanNS  int64    `json:"mean_ns"`
 	P50NS   int64    `json:"p50_ns"`
 	P90NS   int64    `json:"p90_ns"`
 	P99NS   int64    `json:"p99_ns"`
-	Buckets []Bucket `json:"buckets,omitempty"`
+	Buckets []bucket `json:"buckets,omitempty"`
 }
 
-// Bucket is one non-empty histogram bucket. LeNS is the inclusive
+// bucket is one non-empty histogram bucket. LeNS is the inclusive
 // upper bound in nanoseconds; -1 marks the overflow bucket.
-type Bucket struct {
+type bucket struct {
 	LeNS  int64 `json:"le_ns"`
 	Count int64 `json:"count"`
 }
@@ -117,7 +109,7 @@ type Bucket struct {
 // most one bucket width (a factor of two), which is the precision the
 // fixed power-of-two layout buys. The overflow bucket reports -1
 // (unbounded).
-func (s HistogramSnapshot) quantile(q float64) int64 {
+func (s histogramSnapshot) quantile(q float64) int64 {
 	if s.Count == 0 {
 		return 0
 	}

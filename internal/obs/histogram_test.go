@@ -25,10 +25,10 @@ func TestBucketIndexBoundaries(t *testing.T) {
 		{3 * time.Second, histBuckets - 1},              // overflow
 		{time.Hour, histBuckets - 1},                    // deep overflow
 		{-time.Microsecond, 0},                          // negative clamps to 0
-		{BucketBound(5), 5},                             // every bound maps to its own bucket
-		{BucketBound(5) + time.Nanosecond, 6},           // and one past it to the next
-		{BucketBound(histBuckets - 2), histBuckets - 2}, // last bounded bucket
-		{BucketBound(histBuckets-2) + 1, histBuckets - 1},
+		{bucketBound(5), 5},                             // every bound maps to its own bucket
+		{bucketBound(5) + time.Nanosecond, 6},           // and one past it to the next
+		{bucketBound(histBuckets - 2), histBuckets - 2}, // last bounded bucket
+		{bucketBound(histBuckets-2) + 1, histBuckets - 1},
 	}
 	for _, tc := range tests {
 		if got := bucketIndex(tc.d); got != tc.want {
@@ -38,28 +38,28 @@ func TestBucketIndexBoundaries(t *testing.T) {
 }
 
 func TestBucketBound(t *testing.T) {
-	if got := BucketBound(0); got != time.Microsecond {
+	if got := bucketBound(0); got != time.Microsecond {
 		t.Errorf("BucketBound(0) = %v, want 1µs", got)
 	}
-	if got := BucketBound(10); got != 1024*time.Microsecond {
+	if got := bucketBound(10); got != 1024*time.Microsecond {
 		t.Errorf("BucketBound(10) = %v, want 1.024ms", got)
 	}
 	for _, i := range []int{-1, histBuckets - 1, histBuckets} {
-		if got := BucketBound(i); got >= 0 {
+		if got := bucketBound(i); got >= 0 {
 			t.Errorf("BucketBound(%d) = %v, want negative (overflow)", i, got)
 		}
 	}
 }
 
 func TestHistogramSnapshot(t *testing.T) {
-	var h Histogram
+	var h histogram
 	for i := 0; i < 90; i++ {
-		h.Observe(time.Microsecond) // bucket 0
+		h.observe(time.Microsecond) // bucket 0
 	}
 	for i := 0; i < 10; i++ {
-		h.Observe(time.Millisecond) // bucket 10
+		h.observe(time.Millisecond) // bucket 10
 	}
-	s := h.Snapshot()
+	s := h.snapshot()
 	if s.Count != 100 {
 		t.Fatalf("Count = %d, want 100", s.Count)
 	}
@@ -84,21 +84,21 @@ func TestHistogramSnapshot(t *testing.T) {
 }
 
 func TestHistogramOverflowQuantile(t *testing.T) {
-	var h Histogram
-	h.Observe(time.Hour)
-	s := h.Snapshot()
+	var h histogram
+	h.observe(time.Hour)
+	s := h.snapshot()
 	if s.P50NS != -1 {
 		t.Errorf("overflow P50NS = %d, want -1 (unbounded)", s.P50NS)
 	}
 }
 
 func TestHistogramNilSafe(t *testing.T) {
-	var h *Histogram
-	h.Observe(time.Second) // must not panic
-	if h.Count() != 0 {
+	var h *histogram
+	h.observe(time.Second) // must not panic
+	if h.snapshot().Count != 0 {
 		t.Error("nil histogram Count != 0")
 	}
-	if s := h.Snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
+	if s := h.snapshot(); s.Count != 0 || len(s.Buckets) != 0 {
 		t.Error("nil histogram snapshot not empty")
 	}
 }

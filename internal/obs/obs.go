@@ -32,6 +32,8 @@ package obs
 // the client cache (keygen through copy-out), the handler chain and
 // pivot, the transport, and the server-side response cache; DESIGN.md
 // §5c tabulates where each stage is recorded.
+//
+//lint:ignore api core's TestCacheRecordsIntoRegistry lists the stages it expects
 type Stage string
 
 const (

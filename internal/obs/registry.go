@@ -49,9 +49,9 @@ func Or(r *Registry) *Registry {
 	return r
 }
 
-// OpCounters are one operation's counters, the registry-backed
+// opCounters are one operation's counters, the registry-backed
 // equivalent of core.OperationStats plus errors.
-type OpCounters struct {
+type opCounters struct {
 	Hits   Counter
 	Misses Counter
 	Stores Counter
@@ -59,10 +59,10 @@ type OpCounters struct {
 	Errors Counter
 }
 
-// RepCounters are one value representation's counters. A hit is a
+// repCounters are one value representation's counters. A hit is a
 // payload of this representation served (copy-out); a miss is a fill
 // performed with it (the miss that populated the entry).
-type RepCounters struct {
+type repCounters struct {
 	Hits   Counter
 	Misses Counter
 	Errors Counter
@@ -76,7 +76,7 @@ type stageKey struct {
 
 // stageRec is one stage's latency histogram and error count.
 type stageRec struct {
-	hist Histogram
+	hist histogram
 	errs Counter
 }
 
@@ -89,28 +89,28 @@ type breakerGauge struct {
 // Op returns (creating if needed) the counters for an operation.
 // Returns nil when r is nil; callers that may hold a nil registry
 // should normalize with Or first.
-func (r *Registry) Op(name string) *OpCounters {
+func (r *Registry) Op(name string) *opCounters {
 	if r == nil {
 		return nil
 	}
 	if v, ok := r.ops.Load(name); ok {
-		return v.(*OpCounters)
+		return v.(*opCounters)
 	}
-	v, _ := r.ops.LoadOrStore(name, &OpCounters{})
-	return v.(*OpCounters)
+	v, _ := r.ops.LoadOrStore(name, &opCounters{})
+	return v.(*opCounters)
 }
 
 // Rep returns (creating if needed) the counters for a value
 // representation. Returns nil when r is nil.
-func (r *Registry) Rep(name string) *RepCounters {
+func (r *Registry) Rep(name string) *repCounters {
 	if r == nil {
 		return nil
 	}
 	if v, ok := r.reps.Load(name); ok {
-		return v.(*RepCounters)
+		return v.(*repCounters)
 	}
-	v, _ := r.reps.LoadOrStore(name, &RepCounters{})
-	return v.(*RepCounters)
+	v, _ := r.reps.LoadOrStore(name, &repCounters{})
+	return v.(*repCounters)
 }
 
 // Counter returns (creating if needed) a named event counter. Returns
@@ -147,23 +147,10 @@ func (r *Registry) Stage(stage Stage, representation string, d time.Duration, er
 		v, _ := r.stages.LoadOrStore(key, &stageRec{})
 		rec = v.(*stageRec)
 	}
-	rec.hist.Observe(d)
+	rec.hist.observe(d)
 	if err != nil {
 		rec.errs.Add(1)
 	}
-}
-
-// StageHistogram returns the histogram for a (stage, representation)
-// series, or nil when the registry is nil or the series has never been
-// recorded.
-func (r *Registry) StageHistogram(stage Stage, representation string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if v, ok := r.stages.Load(stageKey{stage: stage, rep: representation}); ok {
-		return &v.(*stageRec).hist
-	}
-	return nil
 }
 
 // SetBreaker records an endpoint's current breaker state; a no-op on a
@@ -204,8 +191,8 @@ func (r *Registry) SetInspection(name string, f func() any) {
 // counter and histogram is internally consistent.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
-		Operations:      map[string]OpSnapshot{},
-		Representations: map[string]RepSnapshot{},
+		Operations:      map[string]opSnapshot{},
+		Representations: map[string]repSnapshot{},
 		Counters:        map[string]int64{},
 		Breakers:        map[string]string{},
 	}
@@ -213,8 +200,8 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.ops.Range(func(k, v any) bool {
-		c := v.(*OpCounters)
-		s.Operations[k.(string)] = OpSnapshot{
+		c := v.(*opCounters)
+		s.Operations[k.(string)] = opSnapshot{
 			Hits:     c.Hits.Load(),
 			Misses:   c.Misses.Load(),
 			Stores:   c.Stores.Load(),
@@ -225,8 +212,8 @@ func (r *Registry) Snapshot() Snapshot {
 		return true
 	})
 	r.reps.Range(func(k, v any) bool {
-		c := v.(*RepCounters)
-		s.Representations[k.(string)] = RepSnapshot{
+		c := v.(*repCounters)
+		s.Representations[k.(string)] = repSnapshot{
 			Hits:     c.Hits.Load(),
 			Misses:   c.Misses.Load(),
 			Errors:   c.Errors.Load(),
@@ -237,11 +224,11 @@ func (r *Registry) Snapshot() Snapshot {
 	r.stages.Range(func(k, v any) bool {
 		key := k.(stageKey)
 		rec := v.(*stageRec)
-		s.Stages = append(s.Stages, StageSnapshot{
+		s.Stages = append(s.Stages, stageSnapshot{
 			Stage:          key.stage,
 			Representation: key.rep,
 			Errors:         rec.errs.Load(),
-			Latency:        rec.hist.Snapshot(),
+			Latency:        rec.hist.snapshot(),
 		})
 		return true
 	})
@@ -282,9 +269,9 @@ func hitRatio(hits, misses int64) float64 {
 
 // Snapshot is the JSON shape served at /debug/wscache.
 type Snapshot struct {
-	Operations      map[string]OpSnapshot  `json:"operations"`
-	Representations map[string]RepSnapshot `json:"representations"`
-	Stages          []StageSnapshot        `json:"stages,omitempty"`
+	Operations      map[string]opSnapshot  `json:"operations"`
+	Representations map[string]repSnapshot `json:"representations"`
+	Stages          []stageSnapshot        `json:"stages,omitempty"`
 	Counters        map[string]int64       `json:"counters"`
 	Breakers        map[string]string      `json:"breakers"`
 	// Inspections holds the live state of registered subsystems
@@ -292,8 +279,8 @@ type Snapshot struct {
 	Inspections map[string]any `json:"inspections,omitempty"`
 }
 
-// OpSnapshot is one operation's captured counters.
-type OpSnapshot struct {
+// opSnapshot is one operation's captured counters.
+type opSnapshot struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	Stores   int64   `json:"stores"`
@@ -302,18 +289,18 @@ type OpSnapshot struct {
 	HitRatio float64 `json:"hit_ratio"`
 }
 
-// RepSnapshot is one value representation's captured counters.
-type RepSnapshot struct {
+// repSnapshot is one value representation's captured counters.
+type repSnapshot struct {
 	Hits     int64   `json:"hits"`
 	Misses   int64   `json:"misses"`
 	Errors   int64   `json:"errors"`
 	HitRatio float64 `json:"hit_ratio"`
 }
 
-// StageSnapshot is one (stage, representation) latency series.
-type StageSnapshot struct {
+// stageSnapshot is one (stage, representation) latency series.
+type stageSnapshot struct {
 	Stage          Stage             `json:"stage"`
 	Representation string            `json:"representation,omitempty"`
 	Errors         int64             `json:"errors"`
-	Latency        HistogramSnapshot `json:"latency"`
+	Latency        histogramSnapshot `json:"latency"`
 }

@@ -87,9 +87,6 @@ func TestRegistryNilSafe(t *testing.T) {
 	if r.Op("op") != nil || r.Rep("rep") != nil {
 		t.Error("nil registry Op/Rep should return nil")
 	}
-	if r.StageHistogram(StageLookup, "") != nil {
-		t.Error("nil registry StageHistogram should return nil")
-	}
 	snap := r.Snapshot()
 	if len(snap.Operations) != 0 || len(snap.Counters) != 0 {
 		t.Error("nil registry snapshot not empty")
