@@ -12,7 +12,7 @@ import (
 	"repro/internal/rep"
 )
 
-func testEnv(t *testing.T) *Env {
+func testEnv(t *testing.T) *env {
 	t.Helper()
 	e, err := NewEnv()
 	if err != nil {
@@ -129,13 +129,13 @@ func TestTable7ShapeAndOrdering(t *testing.T) {
 	}
 
 	// n/a cells match the paper.
-	if c, _ := tab.CellFor("Copy by reflection", 0); !c.NotApplic {
+	if c, _ := cellFor(tab, "Copy by reflection", 0); !c.NotApplic {
 		t.Error("reflection on string should be n/a")
 	}
-	if c, _ := tab.CellFor("Copy by clone", 0); !c.NotApplic {
+	if c, _ := cellFor(tab, "Copy by clone", 0); !c.NotApplic {
 		t.Error("clone on string should be n/a")
 	}
-	if c, _ := tab.CellFor("Copy by clone", 1); !c.NotApplic {
+	if c, _ := cellFor(tab, "Copy by clone", 1); !c.NotApplic {
 		t.Error("clone on bytes should be n/a")
 	}
 
@@ -172,9 +172,9 @@ func TestTable8Shape(t *testing.T) {
 	// Paper: concatenated string keys are the smallest, XML the
 	// largest, for every operation.
 	for col := range tab.Columns {
-		xml, _ := tab.CellFor("XML message", col)
-		ser, _ := tab.CellFor("Binary serialization", col)
-		str, _ := tab.CellFor("String concatenation", col)
+		xml, _ := cellFor(tab, "XML message", col)
+		ser, _ := cellFor(tab, "Binary serialization", col)
+		str, _ := cellFor(tab, "String concatenation", col)
 		if !(str.Value < ser.Value && ser.Value < xml.Value) {
 			t.Errorf("col %d sizes: str %.0f ser %.0f xml %.0f", col, str.Value, ser.Value, xml.Value)
 		}
@@ -191,14 +191,14 @@ func TestTable9Shape(t *testing.T) {
 	// XML. CachedPage (col 1): all representations are dominated by
 	// the byte array, so sizes are comparable (paper's observation).
 	for _, col := range []int{0, 2} {
-		xml, _ := tab.CellFor("XML message", col)
-		obj, _ := tab.CellFor("Application object", col)
+		xml, _ := cellFor(tab, "XML message", col)
+		obj, _ := cellFor(tab, "Application object", col)
 		if obj.Value >= xml.Value {
 			t.Errorf("col %d: object %.0f not smaller than XML %.0f", col, obj.Value, xml.Value)
 		}
 	}
-	xml, _ := tab.CellFor("XML message", 1)
-	obj, _ := tab.CellFor("Application object", 1)
+	xml, _ := cellFor(tab, "XML message", 1)
+	obj, _ := cellFor(tab, "Application object", 1)
 	if obj.Value < xml.Value/2 || obj.Value > xml.Value*2 {
 		t.Errorf("cached page sizes should be comparable: obj %.0f xml %.0f", obj.Value, xml.Value)
 	}
@@ -250,9 +250,9 @@ func TestCSVQuote(t *testing.T) {
 }
 
 func TestCSVFigure(t *testing.T) {
-	series := []FigureSeries{{
+	series := []series{{
 		Store: "Pass by Reference",
-		Points: []FigurePoint{
+		Points: []point{
 			{HitRatio: 0, Throughput: 100, AvgLatency: 2 * time.Millisecond},
 			{HitRatio: 1, Throughput: 900, AvgLatency: 100 * time.Microsecond},
 		},
@@ -331,9 +331,9 @@ func TestFigureSmall(t *testing.T) {
 	// faster is `make figures`' to print; ref < xml is Table 7's Load
 	// cost on the same fixture, asserted by TestTable7ShapeAndOrdering.
 	const requests, hot = 40, 2
-	var series []FigureSeries
+	var curves []series
 	for _, spec := range []StoreSpec{FigureStores()[0], FigureStores()[5]} { // XML, Ref
-		s := FigureSeries{Store: spec.Name}
+		s := series{Store: spec.Name}
 		for _, ratio := range []float64{0, 1.0} {
 			reg := obs.NewRegistry()
 			got, err := FigureContext(context.Background(), FigureConfig{
@@ -364,11 +364,21 @@ func TestFigureSmall(t *testing.T) {
 					spec.Name, ratio*100, misses, sent, hits, want, want, requests+hot-want)
 			}
 		}
-		series = append(series, s)
+		curves = append(curves, s)
 	}
 
-	out := FormatFigure("Figure 3", "Portal throughput and response time", series)
+	out := FormatFigure("Figure 3", "Portal throughput and response time", curves)
 	if !strings.Contains(out, "Throughput") || !strings.Contains(out, "Pass by Reference") {
 		t.Errorf("figure format:\n%s", out)
 	}
+}
+
+// cellFor returns the cell at (rowName, col).
+func cellFor(t *Table, rowName string, col int) (cell, bool) {
+	for _, r := range t.Rows {
+		if r.Name == rowName && col < len(r.Cells) {
+			return r.Cells[col], true
+		}
+	}
+	return cell{}, false
 }

@@ -18,11 +18,11 @@ import (
 	"repro/internal/typemap"
 )
 
-// OpFixture is one Google operation prepared for measurement: its
+// opFixture is one Google operation prepared for measurement: its
 // request parameters and a fully captured invocation (result object,
 // response XML, recorded SAX events) as the client middleware would
 // hold them at cache-fill time.
-type OpFixture struct {
+type opFixture struct {
 	// Op is the operation name.
 	Op string
 	// Label is the short column head used in the paper's tables.
@@ -33,22 +33,22 @@ type OpFixture struct {
 	Ctx *client.Context
 }
 
-// Env bundles the registry, codec and the three operation fixtures.
-type Env struct {
+// env bundles the registry, codec and the three operation fixtures.
+type env struct {
 	Reg   *typemap.Registry
 	Codec *soap.Codec
-	Ops   []OpFixture
+	Ops   []opFixture
 }
 
 // NewEnv builds the measurement environment: the three Google
 // operations with deterministic synthetic responses.
-func NewEnv() (*Env, error) {
+func NewEnv() (*env, error) {
 	reg := typemap.NewRegistry()
 	if err := googleapi.RegisterTypes(reg); err != nil {
 		return nil, err
 	}
 	codec := soap.NewCodec(reg)
-	e := &Env{Reg: reg, Codec: codec}
+	e := &env{Reg: reg, Codec: codec}
 
 	fixtures := []struct {
 		op     string
@@ -80,14 +80,14 @@ func NewEnv() (*Env, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bench: fixture %s: %w", f.op, err)
 		}
-		e.Ops = append(e.Ops, OpFixture{Op: f.op, Label: f.label, Params: f.params, Ctx: ictx})
+		e.Ops = append(e.Ops, opFixture{Op: f.op, Label: f.label, Params: f.params, Ctx: ictx})
 	}
 	return e, nil
 }
 
 // fabricate builds a post-invocation context exactly as the pivot
 // handler populates one.
-func (e *Env) fabricate(op string, params []soap.Param, result any) (*client.Context, error) {
+func (e *env) fabricate(op string, params []soap.Param, result any) (*client.Context, error) {
 	respXML, err := e.Codec.EncodeResponse(googleapi.Namespace, op, result)
 	if err != nil {
 		return nil, err
@@ -111,7 +111,7 @@ func (e *Env) fabricate(op string, params []soap.Param, result any) (*client.Con
 }
 
 // Fixture returns the fixture for an operation name.
-func (e *Env) Fixture(op string) (*OpFixture, bool) {
+func (e *env) Fixture(op string) (*opFixture, bool) {
 	for i := range e.Ops {
 		if e.Ops[i].Op == op {
 			return &e.Ops[i], true

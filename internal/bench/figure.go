@@ -86,18 +86,18 @@ func StoreSpecByName(name string) (StoreSpec, error) {
 	return registrySpec(spec.Store.Name(), spec.Name), nil
 }
 
-// FigurePoint is one measurement: a hit ratio and the portal's
+// point is one measurement: a hit ratio and the portal's
 // throughput and average response time there.
-type FigurePoint struct {
+type point struct {
 	HitRatio   float64
 	Throughput float64
 	AvgLatency time.Duration
 }
 
-// FigureSeries is one store's curve across the hit-ratio sweep.
-type FigureSeries struct {
+// series is one store's curve across the hit-ratio sweep.
+type series struct {
 	Store  string
-	Points []FigurePoint
+	Points []point
 }
 
 // FigureConfig configures a portal-scenario sweep.
@@ -134,7 +134,7 @@ type FigureConfig struct {
 // spread between methods is largest there), keys by string
 // concatenation. Cancelling ctx stops the load generator between
 // requests and aborts the sweep.
-func FigureContext(ctx context.Context, cfg FigureConfig) ([]FigureSeries, error) {
+func FigureContext(ctx context.Context, cfg FigureConfig) ([]series, error) {
 	if cfg.Concurrency <= 0 {
 		cfg.Concurrency = 1
 	}
@@ -157,9 +157,9 @@ func FigureContext(ctx context.Context, cfg FigureConfig) ([]FigureSeries, error
 		return nil, fmt.Errorf("bench: figure: unknown operation %q", cfg.Operation)
 	}
 
-	var out []FigureSeries
+	var out []series
 	for _, spec := range cfg.Stores {
-		series := FigureSeries{Store: spec.Name}
+		series := series{Store: spec.Name}
 		for _, ratio := range cfg.HitRatios {
 			pt, err := figurePoint(ctx, cfg, spec, ratio)
 			if err != nil {
@@ -174,10 +174,10 @@ func FigureContext(ctx context.Context, cfg FigureConfig) ([]FigureSeries, error
 
 // figurePoint measures one (store, hit ratio) cell with a fresh portal
 // stack.
-func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio float64) (FigurePoint, error) {
+func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio float64) (point, error) {
 	disp, codec, err := googleapi.NewDispatcher()
 	if err != nil {
-		return FigurePoint{}, err
+		return point{}, err
 	}
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
@@ -207,7 +207,7 @@ func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio fl
 	// Pre-warm so hot queries hit from the first measured request.
 	for _, q := range hot {
 		if _, err := site.RenderContext(ctx, q); err != nil {
-			return FigurePoint{}, err
+			return point{}, err
 		}
 	}
 
@@ -223,12 +223,12 @@ func figurePoint(ctx context.Context, cfg FigureConfig, spec StoreSpec, ratio fl
 		},
 	})
 	if err != nil {
-		return FigurePoint{}, err
+		return point{}, err
 	}
 	if res.Errors > 0 {
-		return FigurePoint{}, fmt.Errorf("%d request errors", res.Errors)
+		return point{}, fmt.Errorf("%d request errors", res.Errors)
 	}
-	return FigurePoint{HitRatio: ratio, Throughput: res.Throughput, AvgLatency: res.AvgLatency}, nil
+	return point{HitRatio: ratio, Throughput: res.Throughput, AvgLatency: res.AvgLatency}, nil
 }
 
 // operationParams maps an operation name to its query→parameters
@@ -255,7 +255,7 @@ func operationParams(op string) (func(q string) []soap.Param, bool) {
 // FormatFigure renders figure series as two aligned text tables
 // (throughput and average response time), in the paper's layout:
 // hit ratio columns, one row per cache method.
-func FormatFigure(id, title string, series []FigureSeries) string {
+func FormatFigure(id, title string, series []series) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s. %s\n", id, title)
 	if len(series) == 0 {
@@ -275,7 +275,7 @@ func FormatFigure(id, title string, series []FigureSeries) string {
 		return s + strings.Repeat(" ", w-len(s))
 	}
 
-	writeBlock := func(header string, cell func(FigurePoint) string) {
+	writeBlock := func(header string, cell func(point) string) {
 		b.WriteString(header)
 		b.WriteByte('\n')
 		b.WriteString(pad("method", width))
@@ -292,11 +292,11 @@ func FormatFigure(id, title string, series []FigureSeries) string {
 		}
 	}
 
-	writeBlock("Throughput (requests/second) by cache-hit ratio:", func(p FigurePoint) string {
+	writeBlock("Throughput (requests/second) by cache-hit ratio:", func(p point) string {
 		return fmt.Sprintf("%.0f", p.Throughput)
 	})
 	b.WriteByte('\n')
-	writeBlock("Average response time (msec) by cache-hit ratio:", func(p FigurePoint) string {
+	writeBlock("Average response time (msec) by cache-hit ratio:", func(p point) string {
 		return fmt.Sprintf("%.3f", float64(p.AvgLatency.Microseconds())/1000.0)
 	})
 	return b.String()

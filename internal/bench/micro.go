@@ -16,7 +16,7 @@ import (
 const DefaultIterations = 10_000
 
 // keyGenerators returns the Table 6 rows in paper order.
-func (e *Env) keyGenerators() []rep.KeyGenerator {
+func (e *env) keyGenerators() []rep.KeyGenerator {
 	return []rep.KeyGenerator{
 		rep.NewXMLMessageKey(e.Codec),
 		rep.NewBinserKey(e.Reg),
@@ -35,7 +35,7 @@ type valueStoreRow struct {
 // follows the paper: reflection copy does not apply to the plain
 // string result (immutable, not a bean); clone copy applies only to
 // the generated GoogleSearchResult class.
-func (e *Env) valueStores() []valueStoreRow {
+func (e *env) valueStores() []valueStoreRow {
 	return []valueStoreRow{
 		{store: rep.NewXMLMessageStore(e.Codec)},
 		{store: rep.NewSAXEventsStore(e.Codec)},
@@ -58,7 +58,7 @@ func (e *Env) valueStores() []valueStoreRow {
 }
 
 // Table6 measures cache-key generation time per method per operation.
-func (e *Env) Table6(iterations int) (*Table, error) {
+func (e *env) Table6(iterations int) (*Table, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("bench: table 6: %d iterations, want at least 1", iterations)
 	}
@@ -71,7 +71,7 @@ func (e *Env) Table6(iterations int) (*Table, error) {
 		t.Columns = append(t.Columns, op.Label)
 	}
 	for _, g := range e.keyGenerators() {
-		row := Row{Name: g.Name()}
+		row := row{Name: g.Name()}
 		for _, op := range e.Ops {
 			// Warm-up pass, then the measured pass (the paper excludes
 			// JIT compilation; we exclude cold caches and lazy init).
@@ -85,7 +85,7 @@ func (e *Env) Table6(iterations int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: table 6: %s/%s: %w", g.Name(), op.Op, err)
 			}
-			row.Cells = append(row.Cells, Cell{Value: perCall, Unit: "ms"})
+			row.Cells = append(row.Cells, cell{Value: perCall, Unit: "ms"})
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -94,7 +94,7 @@ func (e *Env) Table6(iterations int) (*Table, error) {
 
 // Table7 measures cached-data retrieval time (ValueStore.Load) per
 // representation per operation.
-func (e *Env) Table7(iterations int) (*Table, error) {
+func (e *env) Table7(iterations int) (*Table, error) {
 	if iterations < 1 {
 		return nil, fmt.Errorf("bench: table 7: %d iterations, want at least 1", iterations)
 	}
@@ -107,10 +107,10 @@ func (e *Env) Table7(iterations int) (*Table, error) {
 		t.Columns = append(t.Columns, op.Label)
 	}
 	for _, vr := range e.valueStores() {
-		row := Row{Name: vr.store.Name()}
+		row := row{Name: vr.store.Name()}
 		for _, op := range e.Ops {
 			if vr.applicable != nil && !vr.applicable[op.Op] {
-				row.Cells = append(row.Cells, Cell{NotApplic: true, Unit: "ms"})
+				row.Cells = append(row.Cells, cell{NotApplic: true, Unit: "ms"})
 				continue
 			}
 			payload, _, err := vr.store.Store(op.Ctx)
@@ -127,7 +127,7 @@ func (e *Env) Table7(iterations int) (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bench: table 7: %s/%s: %w", vr.store.Name(), op.Op, err)
 			}
-			row.Cells = append(row.Cells, Cell{Value: perCall, Unit: "ms"})
+			row.Cells = append(row.Cells, cell{Value: perCall, Unit: "ms"})
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -135,7 +135,7 @@ func (e *Env) Table7(iterations int) (*Table, error) {
 }
 
 // Table8 measures the memory size of cache keys per representation.
-func (e *Env) Table8() (*Table, error) {
+func (e *env) Table8() (*Table, error) {
 	t := &Table{
 		ID:    "Table 8",
 		Title: "Memory size of cache keys",
@@ -145,13 +145,13 @@ func (e *Env) Table8() (*Table, error) {
 		t.Columns = append(t.Columns, op.Label)
 	}
 	for _, g := range e.keyGenerators() {
-		row := Row{Name: g.Name()}
+		row := row{Name: g.Name()}
 		for _, op := range e.Ops {
 			key, err := g.Key(op.Ctx)
 			if err != nil {
 				return nil, fmt.Errorf("bench: table 8: %s/%s: %w", g.Name(), op.Op, err)
 			}
-			row.Cells = append(row.Cells, Cell{Value: float64(len(key)), Unit: "bytes"})
+			row.Cells = append(row.Cells, cell{Value: float64(len(key)), Unit: "bytes"})
 		}
 		t.Rows = append(t.Rows, row)
 	}
@@ -162,7 +162,7 @@ func (e *Env) Table8() (*Table, error) {
 // the XML message, the serialized form, and the application object
 // itself (the paper's three rows), plus the SAX event sequence as an
 // extra row the paper discusses but does not size.
-func (e *Env) Table9() (*Table, error) {
+func (e *env) Table9() (*Table, error) {
 	t := &Table{
 		ID:    "Table 9",
 		Title: "Memory size of cached objects",
@@ -174,30 +174,30 @@ func (e *Env) Table9() (*Table, error) {
 
 	rows := []struct {
 		name string
-		size func(op *OpFixture) (int, error)
+		size func(op *opFixture) (int, error)
 	}{
-		{"XML message", func(op *OpFixture) (int, error) {
+		{"XML message", func(op *opFixture) (int, error) {
 			return len(op.Ctx.ResponseXML), nil
 		}},
-		{"Serialized form", func(op *OpFixture) (int, error) {
+		{"Serialized form", func(op *opFixture) (int, error) {
 			_, size, err := rep.NewBinserStore(e.Reg).Store(op.Ctx)
 			return size, err
 		}},
-		{"Application object", func(op *OpFixture) (int, error) {
+		{"Application object", func(op *opFixture) (int, error) {
 			return memsize.Of(op.Ctx.Result), nil
 		}},
-		{"SAX events sequence", func(op *OpFixture) (int, error) {
+		{"SAX events sequence", func(op *opFixture) (int, error) {
 			return sax.SequenceMemSize(op.Ctx.ResponseEvents), nil
 		}},
 	}
 	for _, r := range rows {
-		row := Row{Name: r.name}
+		row := row{Name: r.name}
 		for i := range e.Ops {
 			size, err := r.size(&e.Ops[i])
 			if err != nil {
 				return nil, fmt.Errorf("bench: table 9: %s/%s: %w", r.name, e.Ops[i].Op, err)
 			}
-			row.Cells = append(row.Cells, Cell{Value: float64(size), Unit: "bytes"})
+			row.Cells = append(row.Cells, cell{Value: float64(size), Unit: "bytes"})
 		}
 		t.Rows = append(t.Rows, row)
 	}

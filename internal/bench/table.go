@@ -5,16 +5,16 @@ import (
 	"strings"
 )
 
-// Cell is one table cell: a measured value or "n/a" where the paper
+// cell is one table cell: a measured value or "n/a" where the paper
 // marks the method inapplicable to the operation's result type.
-type Cell struct {
+type cell struct {
 	Value     float64
 	Unit      string
 	NotApplic bool
 }
 
 // String formats the cell.
-func (c Cell) String() string {
+func (c cell) String() string {
 	if c.NotApplic {
 		return "n/a"
 	}
@@ -28,10 +28,10 @@ func (c Cell) String() string {
 	}
 }
 
-// Row is one table row: a method and its per-operation cells.
-type Row struct {
+// row is one table row: a method and its per-operation cells.
+type row struct {
 	Name  string
-	Cells []Cell
+	Cells []cell
 }
 
 // Table is a rendered experiment table.
@@ -40,7 +40,7 @@ type Table struct {
 	Title   string
 	Unit    string
 	Columns []string
-	Rows    []Row
+	Rows    []row
 }
 
 // Format renders the table as aligned text, in the layout of the
@@ -124,7 +124,7 @@ func csvQuote(s string) string {
 
 // CSVFigure renders figure series as CSV rows:
 // method,metric,ratio,value.
-func CSVFigure(series []FigureSeries) string {
+func CSVFigure(series []series) string {
 	var b strings.Builder
 	b.WriteString("method,metric,hit_ratio,value\n")
 	for _, s := range series {
@@ -135,14 +135,4 @@ func CSVFigure(series []FigureSeries) string {
 		}
 	}
 	return b.String()
-}
-
-// CellFor returns the cell at (rowName, colIdx) for test assertions.
-func (t *Table) CellFor(rowName string, col int) (Cell, bool) {
-	for _, r := range t.Rows {
-		if r.Name == rowName && col < len(r.Cells) {
-			return r.Cells[col], true
-		}
-	}
-	return Cell{}, false
 }
