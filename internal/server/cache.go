@@ -108,9 +108,6 @@ func (c *ResponseCache) Stats() (hits, misses int64) {
 	return c.hits.Load(), c.misses.Load()
 }
 
-// Len returns the number of cached responses.
-func (c *ResponseCache) Len() int { return c.eng.Len() }
-
 // caches sniffs the request's operation and reports whether this
 // request goes through the cache at all.
 func (c *ResponseCache) caches(request []byte) bool {

@@ -106,8 +106,8 @@ func TestResponseCachePolicyFilter(t *testing.T) {
 	if calls.Load() != 3 {
 		t.Errorf("uncacheable op served from cache: calls = %d", calls.Load())
 	}
-	if c.Len() != 0 {
-		t.Errorf("entries = %d", c.Len())
+	if c.eng.Len() != 0 {
+		t.Errorf("entries = %d", c.eng.Len())
 	}
 }
 
@@ -155,7 +155,7 @@ func TestResponseCacheLRUBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n < 1 || n > 2 {
+	if n := c.eng.Len(); n < 1 || n > 2 {
 		t.Errorf("entries = %d, want within [1, 2]", n)
 	}
 }
@@ -176,8 +176,8 @@ func TestResponseCacheKeyIsDigest(t *testing.T) {
 			t.Fatalf("err=%v fault=%v", err, fault)
 		}
 	}
-	if calls.Load() != 2 || c.Len() != 2 {
-		t.Errorf("handler calls = %d, entries = %d; want 2 and 2 (a and b miss each other, then each hits)", calls.Load(), c.Len())
+	if calls.Load() != 2 || c.eng.Len() != 2 {
+		t.Errorf("handler calls = %d, entries = %d; want 2 and 2 (a and b miss each other, then each hits)", calls.Load(), c.eng.Len())
 	}
 
 	const n, pad = 64, 256 << 10
@@ -194,8 +194,8 @@ func TestResponseCacheKeyIsDigest(t *testing.T) {
 			t.Fatalf("err=%v fault=%v", err, fault)
 		}
 	}
-	if c.Len() != n+2 {
-		t.Fatalf("entries = %d, want %d", c.Len(), n+2)
+	if c.eng.Len() != n+2 {
+		t.Fatalf("entries = %d, want %d", c.eng.Len(), n+2)
 	}
 	if grew := int64(heap()) - int64(before); grew > n*pad/4 {
 		t.Errorf("heap grew %d B caching %d requests of %d B each: request bytes are being retained", grew, n, pad)
@@ -262,7 +262,7 @@ func TestResponseCacheMalformedRequestPassesThrough(t *testing.T) {
 	if len(resp) == 0 {
 		t.Error("no fault envelope")
 	}
-	if c.Len() != 0 {
+	if c.eng.Len() != 0 {
 		t.Error("garbage cached")
 	}
 }
@@ -351,8 +351,8 @@ func TestResponseCacheStoreFailureSkipsCaching(t *testing.T) {
 	if calls.Load() != 2 {
 		t.Errorf("handler calls = %d, want 2 (nothing cacheable)", calls.Load())
 	}
-	if c.Len() != 0 {
-		t.Errorf("cache holds %d entries, want 0", c.Len())
+	if c.eng.Len() != 0 {
+		t.Errorf("cache holds %d entries, want 0", c.eng.Len())
 	}
 }
 

@@ -16,9 +16,9 @@ import (
 	"repro/internal/transport"
 )
 
-// OpHandler implements one operation: it receives the decoded request
+// opHandler implements one operation: it receives the decoded request
 // parameters and returns the response application object.
-type OpHandler func(params []soap.Param) (any, error)
+type opHandler func(params []soap.Param) (any, error)
 
 // Dispatcher routes SOAP requests to operation handlers.
 type Dispatcher struct {
@@ -30,7 +30,7 @@ type Dispatcher struct {
 	memo *soap.EnvelopeMemo
 
 	mu  sync.RWMutex
-	ops map[string]OpHandler
+	ops map[string]opHandler
 
 	// LastModified, when set, stamps HTTP responses with a
 	// Last-Modified header and honors If-Modified-Since (the HTTP 1.1
@@ -44,7 +44,7 @@ func NewDispatcher(codec *soap.Codec, targetNS string) *Dispatcher {
 	d := &Dispatcher{
 		codec:    codec,
 		targetNS: targetNS,
-		ops:      make(map[string]OpHandler),
+		ops:      make(map[string]opHandler),
 	}
 	d.memo = codec.NewEnvelopeMemo(d.serves)
 	return d
@@ -59,7 +59,7 @@ func (d *Dispatcher) serves(operation string) bool {
 }
 
 // Register binds an operation name to its handler.
-func (d *Dispatcher) Register(operation string, h OpHandler) {
+func (d *Dispatcher) Register(operation string, h opHandler) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.ops[operation] = h
@@ -77,6 +77,8 @@ func (d *Dispatcher) SetValidatorPolicy(lastModified time.Time, ttl time.Duratio
 // Handle processes one request envelope and returns the response
 // envelope. Handler errors become fault envelopes, not Go errors; the
 // error return is reserved for encoding failures.
+//
+//lint:ignore api dummygoogle's TestCacheByteIdentity compares cached hits with it
 func (d *Dispatcher) Handle(request []byte) ([]byte, bool, error) {
 	op, result, fault := d.dispatch(request)
 	if fault != nil {
