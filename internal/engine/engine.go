@@ -294,16 +294,16 @@ func (e *Engine[V]) shard(k Key) *shard[V] {
 	return &e.shards[k.Lo&e.mask]
 }
 
-// Mode selects which entries a lookup accepts. Every mode drops a
+// mode selects which entries a lookup accepts. Every mode drops a
 // write-invalidated entry on sight; they differ in how they treat TTL
 // expiry and in what they count.
-type Mode uint8
+type mode uint8
 
 const (
 	// Serve is the serving ladder: only a fresh entry is returned, and
 	// an expired one is dropped unless the retention rule still has a
 	// use for it. Counted in Hits, Misses and Expirations.
-	Serve Mode = iota
+	Serve mode = iota
 	// ServeStale additionally accepts an expired entry inside the stale
 	// window: degraded serving after a backend failure. A fresh entry is
 	// served too (another invocation may have refilled the key since the
@@ -317,21 +317,21 @@ const (
 	refresh
 )
 
-// Status is a lookup's outcome.
-type Status uint8
+// status is a lookup's outcome.
+type status uint8
 
 const (
 	// Found: Hit holds the entry's value.
-	Found Status = iota
-	// Absent: no entry, or none the mode applies to.
-	Absent
+	Found status = iota
+	// absent: no entry, or none the mode applies to.
+	absent
 	// Invalidated: the entry's stamps had been overtaken by a committed
 	// write. It has been dropped — epochs only grow, so it could never
 	// become servable again — and counted.
 	Invalidated
-	// Expired: the entry is past its TTL (and, for ServeStale, past the
+	// expired: the entry is past its TTL (and, for ServeStale, past the
 	// stale window).
-	Expired
+	expired
 )
 
 // Hit is a successful lookup's copy of the entry, taken under the shard
@@ -350,7 +350,7 @@ type Hit[V any] struct {
 // Lookup runs the freshness ladder for k.
 //
 //lint:hotpath
-func (e *Engine[V]) Lookup(k Key, mode Mode) (Hit[V], Status) {
+func (e *Engine[V]) Lookup(k Key, mode mode) (Hit[V], status) {
 	return e.ladder(k, mode, 0)
 }
 
@@ -358,7 +358,7 @@ func (e *Engine[V]) Lookup(k Key, mode Mode) (Hit[V], Status) {
 // the origin vouched for it (a 304 answer), and serves it. A zero ttl
 // reuses the lifetime the entry was stored with rather than pinning it
 // forever. Counted as a hit.
-func (e *Engine[V]) Refresh(k Key, ttl time.Duration) (Hit[V], Status) {
+func (e *Engine[V]) Refresh(k Key, ttl time.Duration) (Hit[V], status) {
 	return e.ladder(k, refresh, ttl)
 }
 
@@ -366,7 +366,7 @@ func (e *Engine[V]) Refresh(k Key, ttl time.Duration) (Hit[V], Status) {
 // retain or drop by mode; servable → move to front and copy out.
 //
 //lint:hotpath
-func (e *Engine[V]) ladder(k Key, mode Mode, ttl time.Duration) (h Hit[V], st Status) {
+func (e *Engine[V]) ladder(k Key, mode mode, ttl time.Duration) (h Hit[V], st status) {
 	sh := e.shard(k)
 	//lint:ignore hotpath the per-shard lock is the design: LRU move-to-front mutates on every hit, and sharding bounds contention
 	sh.mu.Lock()
@@ -376,7 +376,7 @@ func (e *Engine[V]) ladder(k Key, mode Mode, ttl time.Duration) (h Hit[V], st St
 		if mode == Serve {
 			e.m.Misses.Add(1)
 		}
-		return h, Absent
+		return h, absent
 	}
 	if invalidate.Stale(en.stamps) {
 		sh.removeLocked(en)
@@ -397,15 +397,15 @@ func (e *Engine[V]) ladder(k Key, mode Mode, ttl time.Duration) (h Hit[V], st St
 			sh.mu.Unlock()
 			e.m.Expirations.Add(1)
 			e.m.Misses.Add(1)
-			return h, Expired
+			return h, expired
 		}
 	case ServeStale:
 		if en.expired(now) && !e.withinStaleWindow(en, now) {
 			sh.mu.Unlock()
-			return h, Expired
+			return h, expired
 		}
 	case Validator:
-		st = Absent
+		st = absent
 		if en.expired(now) && !en.lastModified.IsZero() {
 			h.LastModified, st = en.lastModified, Found
 		}
@@ -491,8 +491,8 @@ func (e *Engine[V]) Insert(k Key, it Item[V]) {
 	}
 }
 
-// Delete drops the entry under k, if present.
-func (e *Engine[V]) Delete(k Key) {
+// remove drops the entry under k, if present.
+func (e *Engine[V]) remove(k Key) {
 	sh := e.shard(k)
 	sh.mu.Lock()
 	if en, ok := sh.table[k]; ok {

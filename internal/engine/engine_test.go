@@ -62,11 +62,11 @@ func TestLadder(t *testing.T) {
 		run func(e *Engine[string], clk *fakeClock, inv *invalidate.Invalidator)
 		// serve is the expected outcome of Lookup(key(0), Serve),
 		// performed once after run.
-		serve      Status
+		serve      status
 		serveValue string
 		// after the Serve lookup: what the degraded modes see.
-		stale     Status // Lookup(key(0), ServeStale)
-		validator Status // Lookup(key(0), Validator)
+		stale     status // Lookup(key(0), ServeStale)
+		validator status // Lookup(key(0), Validator)
 		resident  int    // Len()
 		want      counts
 	}{
@@ -77,7 +77,7 @@ func TestLadder(t *testing.T) {
 				clk.Advance(ttl) // exactly at the deadline is still fresh
 			},
 			serve: Found, serveValue: "v",
-			stale: Found, validator: Absent, resident: 1,
+			stale: Found, validator: absent, resident: 1,
 			want: counts{hits: 1, stores: 1},
 		},
 		{
@@ -87,13 +87,13 @@ func TestLadder(t *testing.T) {
 				clk.Advance(1000 * time.Hour)
 			},
 			serve: Found, serveValue: "v",
-			stale: Found, validator: Absent, resident: 1,
+			stale: Found, validator: absent, resident: 1,
 			want: counts{hits: 1, stores: 1},
 		},
 		{
 			name:  "absent",
 			run:   func(*Engine[string], *fakeClock, *invalidate.Invalidator) {},
-			serve: Absent, stale: Absent, validator: Absent,
+			serve: absent, stale: absent, validator: absent,
 			want: counts{misses: 1},
 		},
 		{
@@ -103,7 +103,7 @@ func TestLadder(t *testing.T) {
 				clk.Advance(ttl + time.Second)
 			},
 			// No retention rule: even a validator-bearing entry goes.
-			serve: Expired, stale: Absent, validator: Absent, resident: 0,
+			serve: expired, stale: absent, validator: absent, resident: 0,
 			want: counts{misses: 1, stores: 1, expirations: 1},
 		},
 		{
@@ -114,7 +114,7 @@ func TestLadder(t *testing.T) {
 				clk.Advance(ttl + time.Second)
 			},
 			// Kept, but not servable without the origin's say-so.
-			serve: Expired, stale: Expired, validator: Found, resident: 1,
+			serve: expired, stale: expired, validator: Found, resident: 1,
 			want: counts{misses: 1, stores: 1, expirations: 1},
 		},
 		{
@@ -124,7 +124,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(0), Item[string]{Value: "v", Size: 1, TTL: ttl})
 				clk.Advance(ttl + time.Second)
 			},
-			serve: Expired, stale: Absent, validator: Absent, resident: 0,
+			serve: expired, stale: absent, validator: absent, resident: 0,
 			want: counts{misses: 1, stores: 1, expirations: 1},
 		},
 		{
@@ -134,7 +134,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(0), Item[string]{Value: "v", Size: 1, TTL: ttl})
 				clk.Advance(ttl + time.Hour) // the window's last instant
 			},
-			serve: Expired, stale: Found, validator: Absent, resident: 1,
+			serve: expired, stale: Found, validator: absent, resident: 1,
 			want: counts{misses: 1, stores: 1, expirations: 1},
 		},
 		{
@@ -144,7 +144,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(0), Item[string]{Value: "v", Size: 1, TTL: ttl})
 				clk.Advance(ttl + time.Hour + time.Second)
 			},
-			serve: Expired, stale: Absent, validator: Absent, resident: 0,
+			serve: expired, stale: absent, validator: absent, resident: 0,
 			want: counts{misses: 1, stores: 1, expirations: 1},
 		},
 		{
@@ -158,7 +158,7 @@ func TestLadder(t *testing.T) {
 				})
 				inv.Bump(ksDep)
 			},
-			serve: Invalidated, stale: Absent, validator: Absent, resident: 0,
+			serve: Invalidated, stale: absent, validator: absent, resident: 0,
 			want: counts{misses: 1, stores: 1, invalidations: 1},
 		},
 		{
@@ -171,7 +171,7 @@ func TestLadder(t *testing.T) {
 				inv.Bump(ksOther)
 			},
 			serve: Found, serveValue: "v",
-			stale: Found, validator: Absent, resident: 1,
+			stale: Found, validator: absent, resident: 1,
 			want: counts{hits: 1, stores: 1},
 		},
 		{
@@ -186,7 +186,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(2), Item[string]{Value: "v2", Size: 1})
 			},
 			serve: Found, serveValue: "v0",
-			stale: Found, validator: Absent, resident: 2,
+			stale: Found, validator: absent, resident: 2,
 			want: counts{hits: 1, stores: 3, evictions: 1},
 		},
 		{
@@ -197,7 +197,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(1), Item[string]{Value: "v1", Size: 4})
 				e.Insert(key(2), Item[string]{Value: "v2", Size: 7}) // 15 > 10: both older entries must go
 			},
-			serve: Absent, stale: Absent, validator: Absent, resident: 1,
+			serve: absent, stale: absent, validator: absent, resident: 1,
 			want: counts{misses: 1, stores: 3, evictions: 2},
 		},
 		{
@@ -206,7 +206,7 @@ func TestLadder(t *testing.T) {
 			run: func(e *Engine[string], _ *fakeClock, _ *invalidate.Invalidator) {
 				e.Insert(key(0), Item[string]{Value: "v0", Size: 11})
 			},
-			serve: Absent, stale: Absent, validator: Absent, resident: 0,
+			serve: absent, stale: absent, validator: absent, resident: 0,
 			want: counts{misses: 1, stores: 1, evictions: 1},
 		},
 		{
@@ -220,7 +220,7 @@ func TestLadder(t *testing.T) {
 				e.Insert(key(0), Item[string]{Value: "new", Size: 8, TTL: ttl})
 			},
 			serve: Found, serveValue: "new",
-			stale: Found, validator: Absent, resident: 1,
+			stale: Found, validator: absent, resident: 1,
 			want: counts{hits: 1, stores: 2},
 		},
 		{
@@ -236,7 +236,7 @@ func TestLadder(t *testing.T) {
 				clk.Advance(ttl)
 			},
 			serve: Found, serveValue: "v",
-			stale: Found, validator: Absent, resident: 1,
+			stale: Found, validator: absent, resident: 1,
 			want: counts{hits: 2, stores: 1}, // Refresh counts as a hit
 		},
 	}
@@ -278,10 +278,10 @@ func TestLadder(t *testing.T) {
 // TestDegradedModesRefuseInvalidated: stale serving, revalidation and
 // refresh all drop a write-invalidated entry rather than return it.
 func TestDegradedModesRefuseInvalidated(t *testing.T) {
-	lookups := map[string]func(*Engine[string]) Status{
-		"ServeStale": func(e *Engine[string]) Status { _, st := e.Lookup(key(0), ServeStale); return st },
-		"Validator":  func(e *Engine[string]) Status { _, st := e.Lookup(key(0), Validator); return st },
-		"Refresh":    func(e *Engine[string]) Status { _, st := e.Refresh(key(0), time.Hour); return st },
+	lookups := map[string]func(*Engine[string]) status{
+		"ServeStale": func(e *Engine[string]) status { _, st := e.Lookup(key(0), ServeStale); return st },
+		"Validator":  func(e *Engine[string]) status { _, st := e.Lookup(key(0), Validator); return st },
+		"Refresh":    func(e *Engine[string]) status { _, st := e.Refresh(key(0), time.Hour); return st },
 	}
 	for name, lookup := range lookups {
 		clk := newFakeClock()
@@ -353,7 +353,7 @@ func TestSweep(t *testing.T) {
 	if m.Expirations.Load() != 1 || m.Invalidations.Load() != 1 {
 		t.Errorf("expirations = %d, invalidations = %d; want 1 and 1", m.Expirations.Load(), m.Invalidations.Load())
 	}
-	for i, want := range []Status{Found, Found, Absent, Absent, Found} {
+	for i, want := range []status{Found, Found, absent, absent, Found} {
 		if _, st := e.Lookup(key(i), ServeStale); st != want {
 			t.Errorf("key %d after sweep: %v, want %v", i, st, want)
 		}
@@ -614,7 +614,7 @@ func TestConcurrentStress(t *testing.T) {
 				case 3:
 					e.Refresh(k, time.Millisecond)
 				case 4:
-					e.Delete(k)
+					e.remove(k)
 				case 5:
 					if g == 0 {
 						inv.Bump(ksDep)

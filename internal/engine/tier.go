@@ -9,11 +9,11 @@ import (
 	"repro/internal/tier"
 )
 
-// Wire is the value of an entry held for remote clients: the chosen
+// wire is the value of an entry held for remote clients: the chosen
 // representation's name and its encoded bytes, exactly as they travel.
 // Entries arrive already encoded and are served back verbatim; the
 // holder never decodes them.
-type Wire struct {
+type wire struct {
 	Rep  string
 	Data []byte
 }
@@ -25,7 +25,7 @@ type Wire struct {
 // fills against its own epoch table and refuses those a committed write
 // has overtaken — born-stale entries never enter the shared tier.
 type Tier struct {
-	eng     *Engine[Wire]
+	eng     *Engine[wire]
 	inv     *invalidate.Invalidator
 	refused *obs.Counter
 	errors  *obs.Counter
@@ -50,7 +50,7 @@ func NewTier(cfg Config, inv *invalidate.Invalidator, reg *obs.Registry) *Tier {
 	reg.Counter("core.tier_hits")
 	reg.Counter("core.tier_errors")
 	return &Tier{
-		eng:     New[Wire](cfg, CoreCounters(reg)),
+		eng:     New[wire](cfg, CoreCounters(reg)),
 		inv:     inv,
 		refused: reg.Counter("core.tier_put_refused"),
 		errors:  reg.Counter("core.errors"),
@@ -113,8 +113,8 @@ func (t *Tier) Put(_ context.Context, k tier.Key, te tier.Entry) error {
 			return nil
 		}
 	}
-	t.eng.Insert(Key(k), Item[Wire]{
-		Value:  Wire{Rep: te.Rep, Data: te.Value},
+	t.eng.Insert(Key(k), Item[wire]{
+		Value:  wire{Rep: te.Rep, Data: te.Value},
 		Size:   len(te.Value) + len(te.Rep),
 		TTL:    te.TTL,
 		Stamps: stamps,
@@ -124,7 +124,7 @@ func (t *Tier) Put(_ context.Context, k tier.Key, te tier.Entry) error {
 
 // Delete implements tier.Tier.
 func (t *Tier) Delete(_ context.Context, k tier.Key) error {
-	t.eng.Delete(Key(k))
+	t.eng.remove(Key(k))
 	return nil
 }
 
