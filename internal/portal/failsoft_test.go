@@ -13,7 +13,7 @@ import (
 
 // newMixedPortal wires one healthy backend (through the dummy Google
 // dispatcher) and one whose transport always fails.
-func newMixedPortal(t *testing.T) *Site {
+func newMixedPortal(t *testing.T) *site {
 	t.Helper()
 	healthy, _ := newPortal(t)
 	broken := client.NewCall(
@@ -32,7 +32,7 @@ func newMixedPortal(t *testing.T) *Site {
 
 func TestFailSoftRendersDegradedSection(t *testing.T) {
 	site := newMixedPortal(t)
-	site.SetFailSoft(true)
+	site.failSoft = true
 
 	page, err := site.RenderContext(context.Background(), "resilient query")
 	if err != nil {
@@ -44,14 +44,14 @@ func TestFailSoftRendersDegradedSection(t *testing.T) {
 			t.Errorf("page missing %q", want)
 		}
 	}
-	if site.DegradedSections() != 1 {
-		t.Errorf("degraded sections = %d, want 1", site.DegradedSections())
+	if site.degraded.Load() != 1 {
+		t.Errorf("degraded sections = %d, want 1", site.degraded.Load())
 	}
 }
 
 func TestFailSoftServesHTTP200(t *testing.T) {
 	site := newMixedPortal(t)
-	site.SetFailSoft(true)
+	site.failSoft = true
 	srv := httptest.NewServer(site)
 	defer srv.Close()
 

@@ -32,9 +32,14 @@ type Backend struct {
 	Params func(query string) []soap.Param
 }
 
-// Site is the portal: an http.Handler rendering one page per request.
-type Site struct {
+// site is the portal: an http.Handler rendering one page per request.
+type site struct {
 	backends []Backend
+	// failSoft switches the portal to degraded rendering: a failing
+	// back end yields an "unavailable" section instead of failing the
+	// whole page. Combined with the cache's StaleIfError, a section
+	// degrades to stale data first and to an apology only when nothing
+	// is cached. degraded counts the sections rendered that way.
 	failSoft bool
 	degraded atomic.Int64
 
@@ -46,8 +51,8 @@ type Site struct {
 }
 
 // New builds a Site over its back ends.
-func New(backends ...Backend) *Site {
-	return &Site{backends: backends}
+func New(backends ...Backend) *site {
+	return &site{backends: backends}
 }
 
 // Instrument wires the site's observability: per-backend invocation
@@ -56,26 +61,15 @@ func New(backends ...Backend) *Site {
 // with the backends' client and cache configs for one coherent
 // /debug/wscache snapshot. Call before serving; not safe to call
 // concurrently with Render.
-func (s *Site) Instrument(reg *obs.Registry) {
+func (s *site) Instrument(reg *obs.Registry) {
 	s.reg = reg
 	s.timed = reg != nil
 }
 
-// SetFailSoft switches the portal to degraded rendering: a failing
-// back end yields an "unavailable" section instead of failing the whole
-// page — one dead service must not take down the portal. Combined with
-// the cache's StaleIfError, a section degrades to stale data first and
-// to an apology only when nothing is cached.
-func (s *Site) SetFailSoft(on bool) { s.failSoft = on }
-
-// DegradedSections returns how many sections have rendered in degraded
-// (unavailable) form since the site was built.
-func (s *Site) DegradedSections() int64 { return s.degraded.Load() }
-
 // RenderContext produces the portal page for a query by invoking every
 // back end through the client middleware, under the caller's context:
 // cancelling ctx aborts the remaining back-end invocations.
-func (s *Site) RenderContext(ctx context.Context, query string) (string, error) {
+func (s *site) RenderContext(ctx context.Context, query string) (string, error) {
 	var b strings.Builder
 	b.Grow(4096)
 	b.WriteString("<!DOCTYPE html><html><head><title>Portal: ")
@@ -138,7 +132,7 @@ func renderResult(b *strings.Builder, result any) {
 }
 
 // ServeHTTP implements http.Handler: GET /?q=term.
-func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+func (s *site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	query := r.URL.Query().Get("q")
 	if query == "" {
 		query = "web services"

@@ -19,7 +19,7 @@ import (
 
 // newPortal wires a portal over the dummy Google dispatcher with a
 // caching client, returning the site and the cache for inspection.
-func newPortal(t *testing.T) (*Site, *core.Cache) {
+func newPortal(t *testing.T) (*site, *core.Cache) {
 	t.Helper()
 	disp, codec, err := googleapi.NewDispatcher()
 	if err != nil {
