@@ -49,7 +49,7 @@ const (
 func (cfg *Config) withDefaults() Config {
 	c := *cfg
 	if c.MaxPayload <= 0 {
-		c.MaxPayload = DefaultMaxPayload
+		c.MaxPayload = defaultMaxPayload
 	}
 	if c.PoolSize <= 0 {
 		c.PoolSize = 2
@@ -180,16 +180,16 @@ func (r *Remote) Get(ctx context.Context, key tier.Key) (tier.Entry, bool, error
 	if err := r.flush(ctx, n); err != nil {
 		return tier.Entry{}, false, fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	res, err := r.roundTrip(ctx, n, OpGet, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, opGet, encodeKey(key))
 	if err != nil {
 		return tier.Entry{}, false, err
 	}
 	switch res.op {
-	case OpValue:
+	case opValue:
 		r.afterMeta(ctx, n, res.meta)
 		r.hits.Add(1)
 		return res.entry, true, nil
-	case OpMiss:
+	case opMiss:
 		r.afterMeta(ctx, n, res.meta)
 		r.misses.Add(1)
 		return tier.Entry{}, false, nil
@@ -242,11 +242,11 @@ func (r *Remote) Put(ctx context.Context, key tier.Key, e tier.Entry) error {
 	if err != nil {
 		return err
 	}
-	res, err := r.roundTrip(ctx, n, OpPut, payload)
+	res, err := r.roundTrip(ctx, n, opPut, payload)
 	if err != nil {
 		return err
 	}
-	if res.op != OpOK {
+	if res.op != opOK {
 		return r.unexpected("put", res)
 	}
 	r.afterMeta(ctx, n, res.meta)
@@ -260,11 +260,11 @@ func (r *Remote) Delete(ctx context.Context, key tier.Key) error {
 	if err := r.flush(ctx, n); err != nil {
 		return fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	res, err := r.roundTrip(ctx, n, OpDel, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, opDel, encodeKey(key))
 	if err != nil {
 		return err
 	}
-	if res.op != OpOK {
+	if res.op != opOK {
 		return r.unexpected("delete", res)
 	}
 	r.afterMeta(ctx, n, res.meta)
@@ -365,11 +365,11 @@ func (r *Remote) flushChunkLocked(ctx context.Context, n *node, names []string) 
 	if err != nil {
 		return err
 	}
-	res, err := r.roundTrip(ctx, n, OpBump, payload)
+	res, err := r.roundTrip(ctx, n, opBump, payload)
 	if err != nil {
 		return err
 	}
-	if res.op != OpTable {
+	if res.op != opTable {
 		return r.unexpected("bump", res)
 	}
 	own := make(map[string]bool, len(names))
@@ -416,8 +416,8 @@ func (r *Remote) afterMeta(ctx context.Context, n *node, m respMeta) {
 	if m.bootID == mirror.bootID && m.version <= mirror.version {
 		return
 	}
-	res, err := r.roundTrip(ctx, n, OpSync, encodeMetaOnly(mirror))
-	if err != nil || res.op != OpTable {
+	res, err := r.roundTrip(ctx, n, opSync, encodeMetaOnly(mirror))
+	if err != nil || res.op != opTable {
 		// Leave the mirror stale: bootID/version were not updated, so the
 		// next response re-triggers the sync.
 		r.errors.Add(1)
@@ -486,7 +486,7 @@ func (r *Remote) applyTable(n *node, m respMeta, table map[string]uint64, own ma
 // unexpected normalizes a response that does not fit the request.
 func (r *Remote) unexpected(verb string, res response) error {
 	r.errors.Add(1)
-	if res.op == OpErr {
+	if res.op == opErr {
 		return fmt.Errorf("cluster: %s: daemon: %s", verb, res.msg)
 	}
 	return fmt.Errorf("cluster: %s: unexpected response opcode %#x", verb, byte(res.op))
@@ -499,7 +499,7 @@ func (r *Remote) unexpected(verb string, res response) error {
 // requests are safe to retry — get/put/delete/sync are idempotent and a
 // duplicated bump only over-invalidates. A response that is framed but
 // does not decode is not retried: the connection is still in step.
-func (r *Remote) roundTrip(ctx context.Context, n *node, op Opcode, payload []byte) (response, error) {
+func (r *Remote) roundTrip(ctx context.Context, n *node, op opcode, payload []byte) (response, error) {
 	deadline := time.Now().Add(opTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d

@@ -455,7 +455,7 @@ func TestServerRefusesGarbage(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no error frame: %v", err)
 	}
-	if op != OpErr {
+	if op != opErr {
 		t.Fatalf("opcode %#x, want OpErr", byte(op))
 	}
 	if msg, err := decodeErr(payload); err != nil || msg == "" {
@@ -536,7 +536,7 @@ func TestBumpFlushSplitsLargePendingSets(t *testing.T) {
 		n.pendingMu.Lock()
 		n.pending[strings.Repeat("k", 1<<16)] = struct{}{}
 		n.pendingMu.Unlock()
-		if _, _, err := r.Get(ctx, tier.KeyOf([]byte("q"))); !errors.Is(err, ErrMalformed) {
+		if _, _, err := r.Get(ctx, tier.KeyOf([]byte("q"))); !errors.Is(err, errMalformed) {
 			t.Fatalf("get with a 64 KiB keyspace pending: %v, want ErrMalformed", err)
 		}
 		if d := r.deferred.Load(); d != 1 {
@@ -570,10 +570,10 @@ func TestDaemonCopiesPutValues(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, nil, OpPut, p); err != nil {
+		if err := writeFrame(conn, nil, opPut, p); err != nil {
 			t.Fatal(err)
 		}
-		if op, _, err := readFrameInto(br, 0, nil); err != nil || op != OpOK {
+		if op, _, err := readFrameInto(br, 0, nil); err != nil || op != opOK {
 			t.Fatalf("put: op %#x err %v", byte(op), err)
 		}
 	}

@@ -64,11 +64,11 @@ func TestBumpCostIndependentOfTableSize(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, nil, OpBump, p); err != nil {
+		if err := writeFrame(conn, nil, opBump, p); err != nil {
 			t.Fatal(err)
 		}
 		op, resp, err := readFrame(conn, 0)
-		if err != nil || op != OpTable {
+		if err != nil || op != opTable {
 			t.Fatalf("bump reply: op %#x err %v", byte(op), err)
 		}
 		return cost{allocs: allocs, reply: headerSize + len(resp)}
@@ -181,11 +181,11 @@ func TestFirstContactTableIsNonzeroOnly(t *testing.T) {
 		}
 		defer conn.Close()
 		conn.SetDeadline(time.Now().Add(5 * time.Second))
-		if err := writeFrame(conn, nil, OpSync, encodeMetaOnly(respMeta{})); err != nil {
+		if err := writeFrame(conn, nil, opSync, encodeMetaOnly(respMeta{})); err != nil {
 			t.Fatal(err)
 		}
 		op, resp, err := readFrame(conn, 0)
-		if err != nil || op != OpTable {
+		if err != nil || op != opTable {
 			t.Fatalf("sync reply: op %#x err %v", byte(op), err)
 		}
 		_, table, err := decodeTable(resp)

@@ -14,36 +14,36 @@ import (
 	"io"
 )
 
-// ProtocolVersion is the wire protocol version carried in every frame
+// protocolVersion is the wire protocol version carried in every frame
 // header. A peer speaking a different version is refused outright
 // (ErrVersionSkew): the protocol has no negotiation, matching versions
 // are a deployment invariant like the shared key-generation strategy.
 // Version 2 added the mirrored (bootID, version) prefix to SYNC and
 // BUMP, which lets the daemon answer with the epochs changed since.
-const ProtocolVersion = 2
+const protocolVersion = 2
 
-// DefaultMaxPayload bounds a frame's payload when the configuration
+// defaultMaxPayload bounds a frame's payload when the configuration
 // does not say otherwise. Response values are cache entries, which the
 // cache budgets far below this; anything larger is a corrupt or
 // hostile frame.
-const DefaultMaxPayload = 4 << 20
+const defaultMaxPayload = 4 << 20
 
 // headerSize is the fixed frame header: version (1), opcode (1),
 // reserved (2, zero), payload length (4, big-endian).
 const headerSize = 8
 
-// Opcode identifies a frame's meaning. Requests have the high bit
+// opcode identifies a frame's meaning. Requests have the high bit
 // clear, responses set; OpErr is the universal failure response.
-type Opcode byte
+type opcode byte
 
 // Request opcodes.
 const (
-	OpGet  Opcode = 0x01 // payload: key hi, lo
-	OpPut  Opcode = 0x02 // payload: key, ttl, rep, stamps, value
-	OpDel  Opcode = 0x03 // payload: key hi, lo
-	OpBump Opcode = 0x04 // payload: mirrored boot ID, version; keyspace list
-	OpSync Opcode = 0x05 // payload: mirrored boot ID, version
-	OpPing Opcode = 0x06 // payload: empty
+	opGet  opcode = 0x01 // payload: key hi, lo
+	opPut  opcode = 0x02 // payload: key, ttl, rep, stamps, value
+	opDel  opcode = 0x03 // payload: key hi, lo
+	opBump opcode = 0x04 // payload: mirrored boot ID, version; keyspace list
+	opSync opcode = 0x05 // payload: mirrored boot ID, version
+	opPing opcode = 0x06 // payload: empty
 )
 
 // Response opcodes. Every response payload begins with the daemon's
@@ -52,18 +52,18 @@ const (
 // mirror syncs the epoch table, one seeing a changed boot ID knows the
 // daemon restarted and lost state.
 const (
-	OpValue Opcode = 0x81 // OpGet hit: meta, ttl, rep, value
-	OpMiss  Opcode = 0x82 // OpGet miss: meta
-	OpOK    Opcode = 0x83 // OpPut/OpDel/OpPing: meta
-	OpTable Opcode = 0x84 // OpSync/OpBump: meta, epochs changed since the mirror (or all)
-	OpErr   Opcode = 0xFF // any request: error message
+	opValue opcode = 0x81 // OpGet hit: meta, ttl, rep, value
+	opMiss  opcode = 0x82 // OpGet miss: meta
+	opOK    opcode = 0x83 // OpPut/OpDel/OpPing: meta
+	opTable opcode = 0x84 // OpSync/OpBump: meta, epochs changed since the mirror (or all)
+	opErr   opcode = 0xFF // any request: error message
 )
 
 // valid reports whether op is a defined opcode.
-func (o Opcode) valid() bool {
+func (o opcode) valid() bool {
 	switch o {
-	case OpGet, OpPut, OpDel, OpBump, OpSync, OpPing,
-		OpValue, OpMiss, OpOK, OpTable, OpErr:
+	case opGet, opPut, opDel, opBump, opSync, opPing,
+		opValue, opMiss, opOK, opTable, opErr:
 		return true
 	}
 	return false
@@ -72,16 +72,16 @@ func (o Opcode) valid() bool {
 // Typed decode errors. Every malformed input maps onto one of these
 // (possibly wrapped with position detail); the decoder never panics.
 var (
-	// ErrTruncated: the input ended inside a header or declared payload.
-	ErrTruncated = errors.New("cluster: truncated frame")
-	// ErrFrameTooLarge: the header declares a payload over the bound.
-	ErrFrameTooLarge = errors.New("cluster: frame payload exceeds limit")
-	// ErrVersionSkew: the peer speaks another protocol version.
-	ErrVersionSkew = errors.New("cluster: protocol version mismatch")
-	// ErrUnknownOpcode: the header names no defined opcode.
-	ErrUnknownOpcode = errors.New("cluster: unknown opcode")
-	// ErrMalformed: a payload's internal structure is inconsistent.
-	ErrMalformed = errors.New("cluster: malformed payload")
+	// errTruncated: the input ended inside a header or declared payload.
+	errTruncated = errors.New("cluster: truncated frame")
+	// errFrameTooLarge: the header declares a payload over the bound.
+	errFrameTooLarge = errors.New("cluster: frame payload exceeds limit")
+	// errVersionSkew: the peer speaks another protocol version.
+	errVersionSkew = errors.New("cluster: protocol version mismatch")
+	// errUnknownOpcode: the header names no defined opcode.
+	errUnknownOpcode = errors.New("cluster: unknown opcode")
+	// errMalformed: a payload's internal structure is inconsistent.
+	errMalformed = errors.New("cluster: malformed payload")
 )
 
 // maxRetainedBuf caps the per-connection buffers kept between
@@ -90,9 +90,9 @@ var (
 // pins a large value or table.
 const maxRetainedBuf = 64 << 10
 
-// AppendFrame appends a complete frame (header + payload) to dst.
-func AppendFrame(dst []byte, op Opcode, payload []byte) []byte {
-	dst = append(dst, ProtocolVersion, byte(op), 0, 0)
+// appendFrame appends a complete frame (header + payload) to dst.
+func appendFrame(dst []byte, op opcode, payload []byte) []byte {
+	dst = append(dst, protocolVersion, byte(op), 0, 0)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
 	return append(dst, payload...)
 }
@@ -100,7 +100,7 @@ func AppendFrame(dst []byte, op Opcode, payload []byte) []byte {
 // finishFrame completes a frame built in place: frame starts with the
 // header AppendFrame(dst[:0], 0, nil) wrote, and the payload was
 // appended after it. It sets the header's opcode and payload length.
-func finishFrame(frame []byte, op Opcode) []byte {
+func finishFrame(frame []byte, op opcode) []byte {
 	frame[1] = byte(op)
 	binary.BigEndian.PutUint32(frame[4:headerSize], uint32(len(frame)-headerSize))
 	return frame
@@ -109,50 +109,30 @@ func finishFrame(frame []byte, op Opcode) []byte {
 // parseHeader validates a frame header and returns its opcode and
 // declared payload length. A length over maxPayload is refused here,
 // before anything is sized by it.
-func parseHeader(h []byte, maxPayload int) (Opcode, int, error) {
-	if h[0] != ProtocolVersion {
-		return 0, 0, fmt.Errorf("%w: got %d, want %d", ErrVersionSkew, h[0], ProtocolVersion)
+func parseHeader(h []byte, maxPayload int) (opcode, int, error) {
+	if h[0] != protocolVersion {
+		return 0, 0, fmt.Errorf("%w: got %d, want %d", errVersionSkew, h[0], protocolVersion)
 	}
-	op := Opcode(h[1])
+	op := opcode(h[1])
 	if !op.valid() {
-		return 0, 0, fmt.Errorf("%w: %#x", ErrUnknownOpcode, h[1])
+		return 0, 0, fmt.Errorf("%w: %#x", errUnknownOpcode, h[1])
 	}
 	n := int(binary.BigEndian.Uint32(h[4:headerSize]))
 	if n > maxPayload {
-		return 0, 0, fmt.Errorf("%w: %d bytes declared, limit %d", ErrFrameTooLarge, n, maxPayload)
+		return 0, 0, fmt.Errorf("%w: %d bytes declared, limit %d", errFrameTooLarge, n, maxPayload)
 	}
 	return op, n, nil
-}
-
-// DecodeFrame decodes one frame from the front of b, returning the
-// opcode, its payload (aliasing b), and the remaining bytes. maxPayload
-// ≤ 0 means DefaultMaxPayload.
-func DecodeFrame(b []byte, maxPayload int) (op Opcode, payload, rest []byte, err error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	if len(b) < headerSize {
-		return 0, nil, b, fmt.Errorf("%w: %d header bytes", ErrTruncated, len(b))
-	}
-	op, n, err := parseHeader(b, maxPayload)
-	if err != nil {
-		return 0, nil, b, err
-	}
-	if len(b) < headerSize+n {
-		return 0, nil, b, fmt.Errorf("%w: payload declares %d bytes, %d available", ErrTruncated, n, len(b)-headerSize)
-	}
-	return op, b[headerSize : headerSize+n], b[headerSize+n:], nil
 }
 
 // writeFrame writes one frame to w. scratch, when non-nil, supplies a
 // reusable buffer (per-connection, avoiding a fresh allocation per
 // frame); one grown past maxRetainedBuf is not kept.
-func writeFrame(w io.Writer, scratch *[]byte, op Opcode, payload []byte) error {
+func writeFrame(w io.Writer, scratch *[]byte, op opcode, payload []byte) error {
 	var buf []byte
 	if scratch != nil {
 		buf = (*scratch)[:0]
 	}
-	buf = AppendFrame(buf, op, payload)
+	buf = appendFrame(buf, op, payload)
 	if scratch != nil {
 		*scratch = retain(buf)
 	}
@@ -175,11 +155,11 @@ func retain(buf []byte) []byte {
 // otherwise: a caller that passes nil owns the payload outright, one
 // that passes its previous payload back reuses that buffer and must not
 // keep anything aliasing it past the next call. Header validation
-// mirrors DecodeFrame: a declared length over maxPayload is refused
+// is parseHeader's: a declared length over maxPayload is refused
 // before any payload read, so a corrupt peer cannot make the reader
 // allocate more than maxPayload. io.EOF means the stream ended cleanly
 // before a frame began.
-func readFrameInto(br *bufio.Reader, maxPayload int, buf []byte) (Opcode, []byte, error) {
+func readFrameInto(br *bufio.Reader, maxPayload int, buf []byte) (opcode, []byte, error) {
 	op, n, err := readHeader(br, maxPayload)
 	if err != nil {
 		return 0, nil, err
@@ -198,12 +178,12 @@ func readFrameInto(br *bufio.Reader, maxPayload int, buf []byte) (Opcode, []byte
 // other response is decoded and dropped before the connection is
 // released, so it is read into *buf, reused from response to response
 // (and dropped once one large table grows it past maxRetainedBuf).
-func readResponse(br *bufio.Reader, maxPayload int, buf *[]byte) (Opcode, []byte, error) {
+func readResponse(br *bufio.Reader, maxPayload int, buf *[]byte) (opcode, []byte, error) {
 	op, n, err := readHeader(br, maxPayload)
 	if err != nil {
 		return 0, nil, err
 	}
-	if op == OpValue {
+	if op == opValue {
 		payload, err := readPayload(br, nil, n)
 		return op, payload, err
 	}
@@ -217,14 +197,14 @@ func readResponse(br *bufio.Reader, maxPayload int, buf *[]byte) (Opcode, []byte
 
 // readHeader reads and validates one frame header from br (see
 // readFrameInto).
-func readHeader(br *bufio.Reader, maxPayload int) (Opcode, int, error) {
+func readHeader(br *bufio.Reader, maxPayload int) (opcode, int, error) {
 	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
+		maxPayload = defaultMaxPayload
 	}
 	h, err := br.Peek(headerSize)
 	if err != nil {
 		if len(h) > 0 && errors.Is(err, io.EOF) {
-			return 0, 0, fmt.Errorf("%w: header: %d of %d bytes", ErrTruncated, len(h), headerSize)
+			return 0, 0, fmt.Errorf("%w: header: %d of %d bytes", errTruncated, len(h), headerSize)
 		}
 		return 0, 0, err
 	}
@@ -245,7 +225,7 @@ func readPayload(br *bufio.Reader, buf []byte, n int) ([]byte, error) {
 	payload := buf[:n]
 	if _, err := io.ReadFull(br, payload); err != nil {
 		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return nil, fmt.Errorf("%w: payload: short read", ErrTruncated)
+			return nil, fmt.Errorf("%w: payload: short read", errTruncated)
 		}
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"runtime"
@@ -18,15 +19,15 @@ import (
 // typedDecodeErr reports whether err is one of the package's sentinel
 // decode errors — the contract every malformed input must satisfy.
 func typedDecodeErr(err error) bool {
-	return errors.Is(err, ErrTruncated) || errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrUnknownOpcode) ||
-		errors.Is(err, ErrMalformed)
+	return errors.Is(err, errTruncated) || errors.Is(err, errFrameTooLarge) ||
+		errors.Is(err, errVersionSkew) || errors.Is(err, errUnknownOpcode) ||
+		errors.Is(err, errMalformed)
 }
 
 // readFrame reads one frame from r into a payload the caller owns, the
 // way the client reads a response. r is wrapped in a bufio.Reader that
 // may read past the frame, so a test reads one frame per stream.
-func readFrame(r io.Reader, maxPayload int) (Opcode, []byte, error) {
+func readFrame(r io.Reader, maxPayload int) (opcode, []byte, error) {
 	return readFrameInto(bufio.NewReader(r), maxPayload, nil)
 }
 
@@ -39,25 +40,46 @@ func encodeTable(m respMeta, epochs map[string]uint64) ([]byte, error) {
 	return t.finish(m)
 }
 
+// decodeFrame decodes one frame from the front of b, in memory: the
+// reference readFrameInto is checked against. It returns the opcode,
+// its payload (aliasing b), and the remaining bytes. maxPayload ≤ 0
+// means DefaultMaxPayload.
+func decodeFrame(b []byte, maxPayload int) (op opcode, payload, rest []byte, err error) {
+	if maxPayload <= 0 {
+		maxPayload = defaultMaxPayload
+	}
+	if len(b) < headerSize {
+		return 0, nil, b, fmt.Errorf("%w: %d header bytes", errTruncated, len(b))
+	}
+	op, n, err := parseHeader(b, maxPayload)
+	if err != nil {
+		return 0, nil, b, err
+	}
+	if len(b) < headerSize+n {
+		return 0, nil, b, fmt.Errorf("%w: payload declares %d bytes, %d available", errTruncated, n, len(b)-headerSize)
+	}
+	return op, b[headerSize : headerSize+n], b[headerSize+n:], nil
+}
+
 // TestDecodeFrameMalformed is the malformed-frame table: each corrupt
 // input must yield its specific typed error, never a panic.
 func TestDecodeFrameMalformed(t *testing.T) {
-	valid := AppendFrame(nil, OpGet, encodeKey(tier.Key{Hi: 1, Lo: 2}))
+	valid := appendFrame(nil, opGet, encodeKey(tier.Key{Hi: 1, Lo: 2}))
 	cases := []struct {
 		name string
 		in   []byte
 		max  int
 		want error
 	}{
-		{"empty", nil, 0, ErrTruncated},
-		{"truncated header", valid[:5], 0, ErrTruncated},
-		{"header only, payload declared", valid[:headerSize], 0, ErrTruncated},
-		{"truncated payload", valid[:len(valid)-1], 0, ErrTruncated},
-		{"version zero", append([]byte{0}, valid[1:]...), 0, ErrVersionSkew},
-		{"version future", append([]byte{ProtocolVersion + 1}, valid[1:]...), 0, ErrVersionSkew},
-		{"version past", append([]byte{ProtocolVersion - 1}, valid[1:]...), 0, ErrVersionSkew},
-		{"unknown opcode", append([]byte{ProtocolVersion, 0x7E}, valid[2:]...), 0, ErrUnknownOpcode},
-		{"oversized length", AppendFrame(nil, OpGet, make([]byte, 100)), 64, ErrFrameTooLarge},
+		{"empty", nil, 0, errTruncated},
+		{"truncated header", valid[:5], 0, errTruncated},
+		{"header only, payload declared", valid[:headerSize], 0, errTruncated},
+		{"truncated payload", valid[:len(valid)-1], 0, errTruncated},
+		{"version zero", append([]byte{0}, valid[1:]...), 0, errVersionSkew},
+		{"version future", append([]byte{protocolVersion + 1}, valid[1:]...), 0, errVersionSkew},
+		{"version past", append([]byte{protocolVersion - 1}, valid[1:]...), 0, errVersionSkew},
+		{"unknown opcode", append([]byte{protocolVersion, 0x7E}, valid[2:]...), 0, errUnknownOpcode},
+		{"oversized length", appendFrame(nil, opGet, make([]byte, 100)), 64, errFrameTooLarge},
 		{
 			"length overflowing input",
 			func() []byte {
@@ -66,14 +88,14 @@ func TestDecodeFrameMalformed(t *testing.T) {
 				return b
 			}(),
 			0,
-			ErrTruncated,
+			errTruncated,
 		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			_, _, _, err := DecodeFrame(tc.in, tc.max)
+			_, _, _, err := decodeFrame(tc.in, tc.max)
 			if !errors.Is(err, tc.want) {
-				t.Fatalf("DecodeFrame error = %v, want %v", err, tc.want)
+				t.Fatalf("decodeFrame error = %v, want %v", err, tc.want)
 			}
 			// The stream reader must agree with the in-memory decoder,
 			// except that zero bytes is a clean peer close there (io.EOF),
@@ -90,14 +112,14 @@ func TestDecodeFrameMalformed(t *testing.T) {
 // both decoders identically.
 func TestReadFrameAgreesWithDecodeFrame(t *testing.T) {
 	payload := []byte("hello frame")
-	frame := AppendFrame(nil, OpPut, payload)
+	frame := appendFrame(nil, opPut, payload)
 
-	op, p, rest, err := DecodeFrame(frame, 0)
-	if err != nil || op != OpPut || !bytes.Equal(p, payload) || len(rest) != 0 {
-		t.Fatalf("DecodeFrame = %v %q rest=%d err=%v", op, p, len(rest), err)
+	op, p, rest, err := decodeFrame(frame, 0)
+	if err != nil || op != opPut || !bytes.Equal(p, payload) || len(rest) != 0 {
+		t.Fatalf("decodeFrame = %v %q rest=%d err=%v", op, p, len(rest), err)
 	}
 	op, p, err = readFrame(bytes.NewReader(frame), 0)
-	if err != nil || op != OpPut || !bytes.Equal(p, payload) {
+	if err != nil || op != opPut || !bytes.Equal(p, payload) {
 		t.Fatalf("readFrame = %v %q err=%v", op, p, err)
 	}
 }
@@ -108,22 +130,22 @@ func requestSeeds(tb testing.TB) [][]byte {
 	tb.Helper()
 	mirror := respMeta{bootID: 0x1234, version: 99}
 	seeds := [][]byte{
-		AppendFrame(nil, OpSync, encodeMetaOnly(mirror)),
-		AppendFrame(nil, OpSync, encodeMetaOnly(respMeta{})),
+		appendFrame(nil, opSync, encodeMetaOnly(mirror)),
+		appendFrame(nil, opSync, encodeMetaOnly(respMeta{})),
 	}
 	for _, names := range [][]string{nil, {"items", "item:item-7"}} {
 		p, err := encodeBump(mirror, names)
 		if err != nil {
 			tb.Fatal(err)
 		}
-		seeds = append(seeds, AppendFrame(nil, OpBump, p))
+		seeds = append(seeds, appendFrame(nil, opBump, p))
 	}
 	return seeds
 }
 
 // reencodeRequest decodes a SYNC or BUMP payload and encodes it again.
-func reencodeRequest(op Opcode, payload []byte) ([]byte, error) {
-	if op == OpSync {
+func reencodeRequest(op opcode, payload []byte) ([]byte, error) {
+	if op == opSync {
 		m, err := decodeMetaOnly(payload)
 		return encodeMetaOnly(m), err
 	}
@@ -139,7 +161,7 @@ func reencodeRequest(op Opcode, payload []byte) ([]byte, error) {
 // bytes.
 func TestRequestSeedsRoundTrip(t *testing.T) {
 	for _, seed := range requestSeeds(t) {
-		op, payload, rest, err := DecodeFrame(seed, 0)
+		op, payload, rest, err := decodeFrame(seed, 0)
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("seed %x: err=%v rest=%d", seed, err, len(rest))
 		}
@@ -154,22 +176,22 @@ func TestRequestSeedsRoundTrip(t *testing.T) {
 // the decoders must never panic and must fail with a typed error, and
 // any payload framed by AppendFrame must decode back intact. The same
 // bytes read as one stream through the daemon's buffered reader must
-// yield DecodeFrame's frame sequence (streamFrames). The
+// yield decodeFrame's frame sequence (streamFrames). The
 // message-level decoders ride along on the same corpus — they are what
 // a hostile payload reaches next.
 func FuzzFrameRoundTrip(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(AppendFrame(nil, OpGet, encodeKey(tier.Key{Hi: 7, Lo: 9})))
-	f.Add(AppendFrame(nil, OpPing, nil))
-	f.Add([]byte{ProtocolVersion, byte(OpErr), 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
+	f.Add(appendFrame(nil, opGet, encodeKey(tier.Key{Hi: 7, Lo: 9})))
+	f.Add(appendFrame(nil, opPing, nil))
+	f.Add([]byte{protocolVersion, byte(opErr), 0, 0, 0xFF, 0xFF, 0xFF, 0xFF})
 	if p, err := encodePut(3, tier.Key{Hi: 1, Lo: 2}, tier.Entry{
 		Rep: "binser", Value: []byte("v"), TTL: time.Second,
 		Stamps: []tier.Stamp{{Keyspace: "items", Epoch: 4}},
 	}); err == nil {
-		f.Add(AppendFrame(nil, OpPut, p))
+		f.Add(appendFrame(nil, opPut, p))
 	}
 	if p, err := encodeTable(respMeta{bootID: 1, version: 2}, map[string]uint64{"items": 3}); err == nil {
-		f.Add(AppendFrame(nil, OpTable, p))
+		f.Add(appendFrame(nil, opTable, p))
 	}
 	for _, seed := range requestSeeds(f) {
 		f.Add(seed)
@@ -177,10 +199,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 	// Several frames back to back, the way a connection carries them:
 	// the reused buffer grows, then serves a smaller payload.
 	f.Add(bytes.Join([][]byte{
-		AppendFrame(nil, OpPut, bytes.Repeat([]byte{'v'}, 300)),
-		AppendFrame(nil, OpGet, encodeKey(tier.Key{Hi: 1})),
-		AppendFrame(nil, OpPing, nil),
-		AppendFrame(nil, OpGet, encodeKey(tier.Key{Lo: 2}))[:12],
+		appendFrame(nil, opPut, bytes.Repeat([]byte{'v'}, 300)),
+		appendFrame(nil, opGet, encodeKey(tier.Key{Hi: 1})),
+		appendFrame(nil, opPing, nil),
+		appendFrame(nil, opGet, encodeKey(tier.Key{Lo: 2}))[:12],
 	}, nil))
 
 	// Responses as the client reads them: a value between meta-only
@@ -191,58 +213,58 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(bytes.Join([][]byte{
-		AppendFrame(nil, OpMiss, encodeMetaOnly(respMeta{bootID: 1, version: 2})),
-		AppendFrame(nil, OpValue, value),
-		AppendFrame(nil, OpErr, encodeErr(strings.Repeat("e", 64))),
-		AppendFrame(nil, OpOK, encodeMetaOnly(respMeta{bootID: 1, version: 3})),
+		appendFrame(nil, opMiss, encodeMetaOnly(respMeta{bootID: 1, version: 2})),
+		appendFrame(nil, opValue, value),
+		appendFrame(nil, opErr, encodeErr(strings.Repeat("e", 64))),
+		appendFrame(nil, opOK, encodeMetaOnly(respMeta{bootID: 1, version: 3})),
 	}, nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Direction 1: hostile bytes. No panics; errors are typed.
-		op, payload, rest, err := DecodeFrame(data, 1<<16)
+		op, payload, rest, err := decodeFrame(data, 1<<16)
 		if err != nil {
 			if !typedDecodeErr(err) {
-				t.Fatalf("DecodeFrame: untyped error %v", err)
+				t.Fatalf("decodeFrame: untyped error %v", err)
 			}
 		} else {
 			if len(payload)+len(rest)+headerSize != len(data) {
-				t.Fatalf("DecodeFrame: consumed %d+%d of %d", len(payload), len(rest), len(data))
+				t.Fatalf("decodeFrame: consumed %d+%d of %d", len(payload), len(rest), len(data))
 			}
 			if !op.valid() {
-				t.Fatalf("DecodeFrame accepted opcode %#x", byte(op))
+				t.Fatalf("decodeFrame accepted opcode %#x", byte(op))
 			}
 		}
 		streamFrames(t, data, 1<<16)
 
 		// The message decoders must be equally total.
-		if _, _, _, err := decodePut(data, new(interner)); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, _, err := decodePut(data, new(interner)); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodePut: untyped error %v", err)
 		}
-		if _, err := decodeKey(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, err := decodeKey(data); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodeKey: untyped error %v", err)
 		}
-		if _, _, err := decodeValue(data, new(interner)); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeValue(data, new(interner)); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodeValue: untyped error %v", err)
 		}
-		if _, _, err := decodeTable(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeTable(data); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodeTable: untyped error %v", err)
 		}
-		if _, _, err := decodeBump(data); err != nil && !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeBump(data); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodeBump: untyped error %v", err)
 		}
 
 		// The request layouts are canonical: a SYNC or BUMP payload that
 		// decodes re-encodes to the same bytes.
-		if err == nil && (op == OpSync || op == OpBump) {
+		if err == nil && (op == opSync || op == opBump) {
 			if again, derr := reencodeRequest(op, payload); derr == nil && !bytes.Equal(again, payload) {
 				t.Fatalf("%#x payload re-encodes differently:\n got %x\nwant %x", byte(op), again, payload)
 			}
 		}
 
 		// Direction 2: anything we frame comes back intact.
-		frame := AppendFrame(nil, OpPut, data)
-		op2, p2, rest2, err := DecodeFrame(frame, len(data)+1)
-		if err != nil || op2 != OpPut || !bytes.Equal(p2, data) || len(rest2) != 0 {
+		frame := appendFrame(nil, opPut, data)
+		op2, p2, rest2, err := decodeFrame(frame, len(data)+1)
+		if err != nil || op2 != opPut || !bytes.Equal(p2, data) || len(rest2) != 0 {
 			t.Fatalf("round trip: op=%v err=%v", op2, err)
 		}
 	})
@@ -251,30 +273,30 @@ func FuzzFrameRoundTrip(f *testing.F) {
 // streamFrames reads data as one stream the way the daemon does —
 // through a bufio.Reader, into a payload buffer reused from frame to
 // frame — and then the way the client does (readResponse), and
-// requires exactly DecodeFrame's frame sequence both times, then the
-// typed error DecodeFrame stops at (io.EOF when the stream ends between
+// requires exactly decodeFrame's frame sequence both times, then the
+// typed error decodeFrame stops at (io.EOF when the stream ends between
 // frames). No payload buffer may exceed maxPayload.
 func streamFrames(t *testing.T, data []byte, maxPayload int) {
 	t.Helper()
 	var in []byte
-	streamWith(t, data, maxPayload, "daemon", func(br *bufio.Reader) (Opcode, []byte, error) {
+	streamWith(t, data, maxPayload, "daemon", func(br *bufio.Reader) (opcode, []byte, error) {
 		op, payload, err := readFrameInto(br, maxPayload, in)
 		in = retain(payload)
 		return op, payload, err
 	})
 	var buf []byte
-	streamWith(t, data, maxPayload, "client", func(br *bufio.Reader) (Opcode, []byte, error) {
+	streamWith(t, data, maxPayload, "client", func(br *bufio.Reader) (opcode, []byte, error) {
 		op, payload, err := readResponse(br, maxPayload, &buf)
 		if err != nil {
 			return op, payload, err
 		}
-		if _, derr := decodeResponse(op, payload, new(interner)); derr != nil && !errors.Is(derr, ErrMalformed) {
+		if _, derr := decodeResponse(op, payload, new(interner)); derr != nil && !errors.Is(derr, errMalformed) {
 			t.Fatalf("decodeResponse %#x: untyped error %v", byte(op), derr)
 		}
-		if op == OpValue {
+		if op == opValue {
 			// The L1 keeps a value's bytes: scribbling over the reused
 			// buffer must not reach them (streamWith compares them with
-			// DecodeFrame's payload after this returns).
+			// decodeFrame's payload after this returns).
 			for i := range buf[:cap(buf)] {
 				buf[:cap(buf)][i] = 0xA5
 			}
@@ -284,12 +306,12 @@ func streamFrames(t *testing.T, data []byte, maxPayload int) {
 }
 
 // streamWith reads data as one stream through read, checking each
-// frame against DecodeFrame.
-func streamWith(t *testing.T, data []byte, maxPayload int, side string, read func(*bufio.Reader) (Opcode, []byte, error)) {
+// frame against decodeFrame.
+func streamWith(t *testing.T, data []byte, maxPayload int, side string, read func(*bufio.Reader) (opcode, []byte, error)) {
 	t.Helper()
 	br := bufio.NewReader(bytes.NewReader(data))
 	for rest, i := data, 0; ; i++ {
-		wantOp, wantPayload, next, wantErr := DecodeFrame(rest, maxPayload)
+		wantOp, wantPayload, next, wantErr := decodeFrame(rest, maxPayload)
 		op, payload, err := read(br)
 		if wantErr != nil {
 			if len(rest) == 0 {
@@ -298,15 +320,15 @@ func streamWith(t *testing.T, data []byte, maxPayload int, side string, read fun
 				}
 				return
 			}
-			for _, sentinel := range []error{ErrTruncated, ErrFrameTooLarge, ErrVersionSkew, ErrUnknownOpcode} {
+			for _, sentinel := range []error{errTruncated, errFrameTooLarge, errVersionSkew, errUnknownOpcode} {
 				if errors.Is(err, sentinel) != errors.Is(wantErr, sentinel) {
-					t.Fatalf("%s frame %d: stream read error %v, DecodeFrame error %v", side, i, err, wantErr)
+					t.Fatalf("%s frame %d: stream read error %v, decodeFrame error %v", side, i, err, wantErr)
 				}
 			}
 			return
 		}
 		if err != nil || op != wantOp || !bytes.Equal(payload, wantPayload) {
-			t.Fatalf("%s frame %d: stream read %#x %x (err %v), DecodeFrame %#x %x", side, i, byte(op), payload, err, byte(wantOp), wantPayload)
+			t.Fatalf("%s frame %d: stream read %#x %x (err %v), decodeFrame %#x %x", side, i, byte(op), payload, err, byte(wantOp), wantPayload)
 		}
 		if cap(payload) > maxPayload {
 			t.Fatalf("%s frame %d: payload buffer of %d bytes, bound %d", side, i, cap(payload), maxPayload)
@@ -385,7 +407,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil || got != m {
 			t.Fatalf("got %+v err=%v", got, err)
 		}
-		if _, err := decodeMetaOnly(append(encodeMetaOnly(m), 0)); !errors.Is(err, ErrMalformed) {
+		if _, err := decodeMetaOnly(append(encodeMetaOnly(m), 0)); !errors.Is(err, errMalformed) {
 			t.Fatalf("trailing byte accepted: %v", err)
 		}
 	})
@@ -401,7 +423,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		if err != nil || gm != mirror || !reflect.DeepEqual(got, want) {
 			t.Fatalf("mirror=%+v got %v err=%v", gm, got, err)
 		}
-		if _, _, err := decodeBump(p[:15]); !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeBump(p[:15]); !errors.Is(err, errMalformed) {
 			t.Fatalf("bump without a whole mirror prefix: %v", err)
 		}
 	})
@@ -422,7 +444,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	t.Run("table refuses absurd count", func(t *testing.T) {
 		p := appendMeta(nil, respMeta{})
 		p = binary.BigEndian.AppendUint32(p, 1<<30)
-		if _, _, err := decodeTable(p); !errors.Is(err, ErrMalformed) {
+		if _, _, err := decodeTable(p); !errors.Is(err, errMalformed) {
 			t.Fatalf("absurd count: %v", err)
 		}
 	})
@@ -438,7 +460,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		runtime.ReadMemStats(&before)
 		_, _, _, err = decodePut(p, new(interner))
 		runtime.ReadMemStats(&after)
-		if !errors.Is(err, ErrMalformed) {
+		if !errors.Is(err, errMalformed) {
 			t.Fatalf("65535 stamps in %d bytes: %v", len(p), err)
 		}
 		// 65535 stamps would be 1.5 MB.
@@ -460,10 +482,10 @@ func TestMessageRoundTrips(t *testing.T) {
 	})
 
 	t.Run("oversized strings refused at encode", func(t *testing.T) {
-		if _, err := encodePut(1, key, tier.Entry{Rep: strings.Repeat("r", 300)}); !errors.Is(err, ErrMalformed) {
+		if _, err := encodePut(1, key, tier.Entry{Rep: strings.Repeat("r", 300)}); !errors.Is(err, errMalformed) {
 			t.Fatalf("300-byte rep name: %v", err)
 		}
-		if _, err := encodeBump(respMeta{}, []string{strings.Repeat("k", 1<<17)}); !errors.Is(err, ErrMalformed) {
+		if _, err := encodeBump(respMeta{}, []string{strings.Repeat("k", 1<<17)}); !errors.Is(err, errMalformed) {
 			t.Fatalf("128KiB keyspace: %v", err)
 		}
 	})

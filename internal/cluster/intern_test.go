@@ -39,10 +39,10 @@ func TestInternBoundHoldsAgainstHostileNames(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := writeFrame(conn, nil, OpPut, p); err != nil {
+		if err := writeFrame(conn, nil, opPut, p); err != nil {
 			t.Fatal(err)
 		}
-		if op, _, err := readFrameInto(br, 0, nil); err != nil || op != OpOK {
+		if op, _, err := readFrameInto(br, 0, nil); err != nil || op != opOK {
 			t.Fatalf("put %d: op %#x err %v", i, byte(op), err)
 		}
 	}

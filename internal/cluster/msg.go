@@ -64,7 +64,7 @@ type cursor struct {
 
 func (c *cursor) fail(what string) {
 	if c.err == nil {
-		c.err = fmt.Errorf("%w: short %s", ErrMalformed, what)
+		c.err = fmt.Errorf("%w: short %s", errMalformed, what)
 	}
 }
 
@@ -164,7 +164,7 @@ func (c *cursor) done() error {
 		return c.err
 	}
 	if len(c.b) != 0 {
-		return fmt.Errorf("%w: %d trailing bytes", ErrMalformed, len(c.b))
+		return fmt.Errorf("%w: %d trailing bytes", errMalformed, len(c.b))
 	}
 	return nil
 }
@@ -236,7 +236,7 @@ func appendMeta(dst []byte, m respMeta) []byte {
 
 func appendStr8(dst []byte, s string, what string) ([]byte, error) {
 	if len(s) > 0xFF {
-		return dst, fmt.Errorf("%w: %s %d bytes long", ErrMalformed, what, len(s))
+		return dst, fmt.Errorf("%w: %s %d bytes long", errMalformed, what, len(s))
 	}
 	dst = append(dst, byte(len(s)))
 	return append(dst, s...), nil
@@ -244,7 +244,7 @@ func appendStr8(dst []byte, s string, what string) ([]byte, error) {
 
 func appendStr16(dst []byte, s string, what string) ([]byte, error) {
 	if len(s) > 0xFFFF {
-		return dst, fmt.Errorf("%w: %s %d bytes long", ErrMalformed, what, len(s))
+		return dst, fmt.Errorf("%w: %s %d bytes long", errMalformed, what, len(s))
 	}
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
 	return append(dst, s...), nil
@@ -277,7 +277,7 @@ func encodePut(bootID uint64, key tier.Key, e tier.Entry) ([]byte, error) {
 		return nil, err
 	}
 	if len(e.Stamps) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d stamps", ErrMalformed, len(e.Stamps))
+		return nil, fmt.Errorf("%w: %d stamps", errMalformed, len(e.Stamps))
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Stamps)))
 	for _, st := range e.Stamps {
@@ -303,7 +303,7 @@ func decodePut(payload []byte, reps *interner) (uint64, tier.Key, tier.Entry, er
 	// Each stamp is at least 10 bytes; a count the payload cannot hold
 	// is refused before it sizes the slice.
 	if c.err == nil && n*10 > len(c.b) {
-		return 0, tier.Key{}, tier.Entry{}, fmt.Errorf("%w: put declares %d stamps in %d bytes", ErrMalformed, n, len(c.b))
+		return 0, tier.Key{}, tier.Entry{}, fmt.Errorf("%w: put declares %d stamps in %d bytes", errMalformed, n, len(c.b))
 	}
 	if c.err == nil && n > 0 {
 		e.Stamps = make([]tier.Stamp, 0, n)
@@ -370,7 +370,7 @@ const maxBumpNames = 0xFFFF
 
 func encodeBump(mirror respMeta, keyspaces []string) ([]byte, error) {
 	if len(keyspaces) > maxBumpNames {
-		return nil, fmt.Errorf("%w: %d keyspaces", ErrMalformed, len(keyspaces))
+		return nil, fmt.Errorf("%w: %d keyspaces", errMalformed, len(keyspaces))
 	}
 	b := appendMeta(nil, mirror)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(keyspaces)))
@@ -441,7 +441,7 @@ func decodeTable(payload []byte) (respMeta, map[string]uint64, error) {
 	// Each entry is at least 10 bytes; an entry count inconsistent with
 	// the payload size is refused before allocating the map for it.
 	if c.err == nil && n*10 > len(c.b) {
-		return respMeta{}, nil, fmt.Errorf("%w: table declares %d entries in %d bytes", ErrMalformed, n, len(c.b))
+		return respMeta{}, nil, fmt.Errorf("%w: table declares %d entries in %d bytes", errMalformed, n, len(c.b))
 	}
 	epochs := make(map[string]uint64, n)
 	for i := 0; i < n && c.err == nil; i++ {
@@ -478,7 +478,7 @@ func decodeErr(payload []byte) (string, error) {
 // frame bytes except entry.Value, and that only for an OpValue frame,
 // whose payload is a slice of its own.
 type response struct {
-	op    Opcode
+	op    opcode
 	meta  respMeta          // OpValue, OpMiss, OpOK, OpTable
 	entry tier.Entry        // OpValue
 	table map[string]uint64 // OpTable
@@ -488,17 +488,17 @@ type response struct {
 // decodeResponse decodes a response frame by its opcode. A request
 // opcode, which no daemon sends, is returned undecoded for the caller
 // to refuse.
-func decodeResponse(op Opcode, payload []byte, reps *interner) (response, error) {
+func decodeResponse(op opcode, payload []byte, reps *interner) (response, error) {
 	res := response{op: op}
 	var err error
 	switch op {
-	case OpValue:
+	case opValue:
 		res.meta, res.entry, err = decodeValue(payload, reps)
-	case OpMiss, OpOK:
+	case opMiss, opOK:
 		res.meta, err = decodeMetaOnly(payload)
-	case OpTable:
+	case opTable:
 		res.meta, res.table, err = decodeTable(payload)
-	case OpErr:
+	case opErr:
 		res.msg, err = decodeErr(payload)
 	}
 	if err != nil {

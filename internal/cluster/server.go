@@ -180,7 +180,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		if err != nil {
 			if isProtocolErr(err) {
 				s.errors.Add(1)
-				writeFrame(conn, &out, OpErr, encodeErr(err.Error()))
+				writeFrame(conn, &out, opErr, encodeErr(err.Error()))
 			}
 			return
 		}
@@ -194,9 +194,9 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 }
 
 func isProtocolErr(err error) bool {
-	return errors.Is(err, ErrTruncated) || errors.Is(err, ErrFrameTooLarge) ||
-		errors.Is(err, ErrVersionSkew) || errors.Is(err, ErrUnknownOpcode) ||
-		errors.Is(err, ErrMalformed)
+	return errors.Is(err, errTruncated) || errors.Is(err, errFrameTooLarge) ||
+		errors.Is(err, errVersionSkew) || errors.Is(err, errUnknownOpcode) ||
+		errors.Is(err, errMalformed)
 }
 
 // meta captures the epoch view stamped on a response. Read before the
@@ -208,24 +208,24 @@ func (s *Server) meta() respMeta {
 
 // respond builds the response frame to one request in buf, reusing
 // its storage.
-func (s *Server) respond(ctx context.Context, buf []byte, op Opcode, payload []byte) []byte {
-	frame := AppendFrame(buf[:0], 0, nil)
+func (s *Server) respond(ctx context.Context, buf []byte, op opcode, payload []byte) []byte {
+	frame := appendFrame(buf[:0], 0, nil)
 	respOp, frame, err := s.dispatch(ctx, frame, op, payload)
 	if err != nil {
 		s.errors.Add(1)
-		respOp, frame = OpErr, append(frame[:headerSize], encodeErr(err.Error())...)
+		respOp, frame = opErr, append(frame[:headerSize], encodeErr(err.Error())...)
 	}
 	return finishFrame(frame, respOp)
 }
 
 // dispatch executes one request, appending the response payload to b
 // and returning its opcode. An error becomes an OpErr response.
-func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []byte) (Opcode, []byte, error) {
+func (s *Server) dispatch(ctx context.Context, b []byte, op opcode, payload []byte) (opcode, []byte, error) {
 	switch op {
-	case OpPing:
-		return OpOK, appendMeta(b, s.meta()), nil
+	case opPing:
+		return opOK, appendMeta(b, s.meta()), nil
 
-	case OpGet:
+	case opGet:
 		key, err := decodeKey(payload)
 		if err != nil {
 			return 0, b, err
@@ -235,12 +235,12 @@ func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []by
 			return 0, b, err
 		}
 		if !ok {
-			return OpMiss, appendMeta(b, s.meta()), nil
+			return opMiss, appendMeta(b, s.meta()), nil
 		}
 		b, err = appendValue(b, s.meta(), e)
-		return OpValue, b, err
+		return opValue, b, err
 
-	case OpPut:
+	case opPut:
 		bootID, key, e, err := decodePut(payload, &s.reps)
 		if err != nil {
 			return 0, b, err
@@ -250,14 +250,14 @@ func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []by
 			// fill. The OK response's meta carries the current boot ID, so
 			// the sender resyncs and its next fill sticks.
 			s.staleBoots.Add(1)
-			return OpOK, appendMeta(b, s.meta()), nil
+			return opOK, appendMeta(b, s.meta()), nil
 		}
 		if err := s.cfg.Tier.Put(ctx, key, e); err != nil {
 			return 0, b, err
 		}
-		return OpOK, appendMeta(b, s.meta()), nil
+		return opOK, appendMeta(b, s.meta()), nil
 
-	case OpDel:
+	case opDel:
 		key, err := decodeKey(payload)
 		if err != nil {
 			return 0, b, err
@@ -265,9 +265,9 @@ func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []by
 		if err := s.cfg.Tier.Delete(ctx, key); err != nil {
 			return 0, b, err
 		}
-		return OpOK, appendMeta(b, s.meta()), nil
+		return opOK, appendMeta(b, s.meta()), nil
 
-	case OpBump:
+	case opBump:
 		mirror, keyspaces, err := decodeBump(payload)
 		if err != nil {
 			return 0, b, err
@@ -276,15 +276,15 @@ func (s *Server) dispatch(ctx context.Context, b []byte, op Opcode, payload []by
 			return 0, b, err
 		}
 		b, err = s.tableResp(b, mirror)
-		return OpTable, b, err
+		return opTable, b, err
 
-	case OpSync:
+	case opSync:
 		mirror, err := decodeMetaOnly(payload)
 		if err != nil {
 			return 0, b, err
 		}
 		b, err = s.tableResp(b, mirror)
-		return OpTable, b, err
+		return opTable, b, err
 	}
 	// readFrameInto validated the opcode, so only a response opcode sent
 	// as a request lands here.
