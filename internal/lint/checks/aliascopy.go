@@ -16,7 +16,7 @@ import (
 // through a sanctioned deep-copy or decode boundary (deepcopy.*,
 // CloneDeep, gobEncode/gobDecode, sax.Record/Compact,
 // dom.Parse/FromEvents, Decode*, or delegation to another store's
-// Store/Load). The explicit pass-by-reference representation (RefStore)
+// Store/Load). The explicit pass-by-reference representation (refStore)
 // is the one documented exception and is exempt by name.
 //
 // The analysis is a conservative intraprocedural alias propagation: it
@@ -75,7 +75,7 @@ func runAliasCopy(pass *lint.Pass) {
 			if named == nil || !(implementsValueStore(named, iface) || embedded[named.Obj()]) {
 				continue
 			}
-			if named.Obj().Name() == "RefStore" {
+			if named.Obj().Name() == "refStore" {
 				continue // the documented pass-by-reference exception
 			}
 			checkStoreMethod(pass, fn, recv, launders)

@@ -65,16 +65,16 @@ func (s *GoodStore) Load(payload any) (any, error) {
 	return o.CloneDeep(), nil
 }
 
-// RefStore is the documented pass-by-reference exception.
-type RefStore struct{}
+// refStore is the documented pass-by-reference exception.
+type refStore struct{}
 
-func (s *RefStore) Name() string { return "ref" }
+func (s *refStore) Name() string { return "ref" }
 
-func (s *RefStore) Store(ictx *Context) (any, int, error) {
+func (s *refStore) Store(ictx *Context) (any, int, error) {
 	return ictx.Result, 0, nil // exempt by name
 }
 
-func (s *RefStore) Load(payload any) (any, error) {
+func (s *refStore) Load(payload any) (any, error) {
 	return payload, nil // exempt by name
 }
 

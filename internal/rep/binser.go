@@ -8,7 +8,7 @@ import (
 	"repro/internal/typemap"
 )
 
-// BinserKey generates the cache key from the binary-serialized form of
+// binserKey generates the cache key from the binary-serialized form of
 // the parameter values (Section 4.1.2-A): the working analog of the
 // paper's Java-serialization key. Limitation: every parameter must be
 // serializable (registered bean types or primitives).
@@ -16,30 +16,30 @@ import (
 // GobKey is the encoding/gob variant of the same idea; it is retained
 // for the ablation benchmarks, which show gob's per-message overhead
 // inverting the paper's ordering at these message sizes.
-type BinserKey struct {
+type binserKey struct {
 	codec *binser.Codec
 }
 
 var (
-	_ KeyGenerator = (*BinserKey)(nil)
-	_ KeyAppender  = (*BinserKey)(nil)
+	_ KeyGenerator = (*binserKey)(nil)
+	_ KeyAppender  = (*binserKey)(nil)
 )
 
 // NewBinserKey returns the binary-serialization key strategy.
-func NewBinserKey(reg *typemap.Registry) *BinserKey {
-	return &BinserKey{codec: binser.NewCodec(reg)}
+func NewBinserKey(reg *typemap.Registry) *binserKey {
+	return &binserKey{codec: binser.NewCodec(reg)}
 }
 
 // Name implements KeyGenerator.
-func (k *BinserKey) Name() string { return "Binary serialization" }
+func (k *binserKey) Name() string { return "Binary serialization" }
 
 // Key implements KeyGenerator.
-func (k *BinserKey) Key(ictx *client.Context) (string, error) {
+func (k *binserKey) Key(ictx *client.Context) (string, error) {
 	return keyString(k, ictx)
 }
 
 // AppendKey implements KeyAppender.
-func (k *BinserKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
+func (k *binserKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
 	dst = append(dst, ictx.Endpoint...)
 	dst = append(dst, 0)
 	dst = append(dst, ictx.Operation...)
@@ -56,27 +56,27 @@ func (k *BinserKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) 
 	return dst, nil
 }
 
-// BinserStore caches the binary-serialized form of the application
+// binserStore caches the binary-serialized form of the application
 // object (Section 4.2.3-A analog). Load decodes a fresh object graph;
 // the byte payload is immune to client mutations by construction.
 // Limitation: the object graph must be serializable (registered bean
 // types, primitives, byte arrays).
-type BinserStore struct {
+type binserStore struct {
 	codec *binser.Codec
 }
 
-var _ ValueStore = (*BinserStore)(nil)
+var _ ValueStore = (*binserStore)(nil)
 
 // NewBinserStore returns the binary-serialization representation.
-func NewBinserStore(reg *typemap.Registry) *BinserStore {
-	return &BinserStore{codec: binser.NewCodec(reg)}
+func NewBinserStore(reg *typemap.Registry) *binserStore {
+	return &binserStore{codec: binser.NewCodec(reg)}
 }
 
 // Name implements ValueStore.
-func (s *BinserStore) Name() string { return "Binary serialization" }
+func (s *binserStore) Name() string { return "Binary serialization" }
 
 // Store implements ValueStore.
-func (s *BinserStore) Store(ictx *client.Context) (any, int, error) {
+func (s *binserStore) Store(ictx *client.Context) (any, int, error) {
 	data, err := s.codec.Marshal(ictx.Result)
 	if err != nil {
 		return nil, 0, fmt.Errorf("%w: %v", ErrNotApplicable, err)
@@ -85,7 +85,7 @@ func (s *BinserStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *BinserStore) Load(payload any) (any, error) {
+func (s *binserStore) Load(payload any) (any, error) {
 	data, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: binser store: payload is %T", payload)

@@ -50,33 +50,33 @@ func keyString(ka KeyAppender, ictx *client.Context) (string, error) {
 	return key, nil
 }
 
-// XMLMessageKey generates the key by serializing the request to its
+// xmlMessageKey generates the key by serializing the request to its
 // XML message (Section 4.1.1). No limitation on parameter types, but
 // serialization is paid on every lookup — including hits.
-type XMLMessageKey struct {
+type xmlMessageKey struct {
 	codec *soap.Codec
 }
 
 var (
-	_ KeyGenerator = (*XMLMessageKey)(nil)
-	_ KeyAppender  = (*XMLMessageKey)(nil)
+	_ KeyGenerator = (*xmlMessageKey)(nil)
+	_ KeyAppender  = (*xmlMessageKey)(nil)
 )
 
 // NewXMLMessageKey returns the XML-message key strategy.
-func NewXMLMessageKey(codec *soap.Codec) *XMLMessageKey {
-	return &XMLMessageKey{codec: codec}
+func NewXMLMessageKey(codec *soap.Codec) *xmlMessageKey {
+	return &xmlMessageKey{codec: codec}
 }
 
 // Name implements KeyGenerator.
-func (k *XMLMessageKey) Name() string { return "XML message" }
+func (k *xmlMessageKey) Name() string { return "XML message" }
 
 // Key implements KeyGenerator.
-func (k *XMLMessageKey) Key(ictx *client.Context) (string, error) {
+func (k *xmlMessageKey) Key(ictx *client.Context) (string, error) {
 	return keyString(k, ictx)
 }
 
 // AppendKey implements KeyAppender.
-func (k *XMLMessageKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
+func (k *xmlMessageKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
 	doc, err := k.codec.EncodeRequest(ictx.Namespace, ictx.Operation, ictx.Params)
 	if err != nil {
 		return nil, fmt.Errorf("rep: xml key: %w", err)
@@ -98,24 +98,24 @@ var gobBufPool = sync.Pool{
 	New: func() any { return new(bytes.Buffer) },
 }
 
-// GobKey generates the key from the gob-serialized form of the
+// gobKey generates the key from the gob-serialized form of the
 // parameter values (Section 4.1.2-A, the Java-serialization analog).
 // Limitation: every parameter must be gob-encodable.
-type GobKey struct{}
+type gobKey struct{}
 
 var (
-	_ KeyGenerator = GobKey{}
-	_ KeyAppender  = GobKey{}
+	_ KeyGenerator = gobKey{}
+	_ KeyAppender  = gobKey{}
 )
 
-// NewGobKey returns the serialization key strategy.
-func NewGobKey() GobKey { return GobKey{} }
+// newGobKey returns the serialization key strategy.
+func newGobKey() gobKey { return gobKey{} }
 
 // Name implements KeyGenerator.
-func (GobKey) Name() string { return "Gob serialization" }
+func (gobKey) Name() string { return "Gob serialization" }
 
 // Key implements KeyGenerator.
-func (k GobKey) Key(ictx *client.Context) (string, error) {
+func (k gobKey) Key(ictx *client.Context) (string, error) {
 	buf := gobBufPool.Get().(*bytes.Buffer)
 	defer gobBufPool.Put(buf)
 	if err := k.encode(buf, ictx); err != nil {
@@ -127,7 +127,7 @@ func (k GobKey) Key(ictx *client.Context) (string, error) {
 // AppendKey implements KeyAppender. Gob itself still allocates while
 // encoding, but the scratch buffer is pooled and the key bytes never
 // become a string.
-func (k GobKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
+func (k gobKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
 	buf := gobBufPool.Get().(*bytes.Buffer)
 	defer gobBufPool.Put(buf)
 	if err := k.encode(buf, ictx); err != nil {
@@ -137,7 +137,7 @@ func (k GobKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, error) {
 }
 
 // encode writes the key bytes into the (reset) scratch buffer.
-func (GobKey) encode(buf *bytes.Buffer, ictx *client.Context) error {
+func (gobKey) encode(buf *bytes.Buffer, ictx *client.Context) error {
 	buf.Reset()
 	buf.WriteString(ictx.Endpoint)
 	buf.WriteByte(0)

@@ -88,7 +88,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 	)
 	gens := []KeyGenerator{
 		NewStringKey(),
-		NewGobKey(),
+		newGobKey(),
 		NewXMLMessageKey(f.codec),
 		NewBinserKey(f.reg),
 	}
@@ -125,7 +125,7 @@ func TestAppendKeyMatchesKey(t *testing.T) {
 // matter what was encoded before (the reason the gob *encoder* is not
 // pooled).
 func TestGobKeyPooledBufferStable(t *testing.T) {
-	k := NewGobKey()
+	k := newGobKey()
 	mk := func(q string) *client.Context {
 		return &client.Context{
 			Endpoint:  "http://test/endpoint",

@@ -12,9 +12,9 @@ import (
 	"repro/internal/typemap"
 )
 
-// KeySpec is one built-in cache key strategy: the generator plus its
+// keySpec is one built-in cache key strategy: the generator plus its
 // Table 2 row.
-type KeySpec struct {
+type keySpec struct {
 	// Name is the short name the ledger labels it by ("string", "gob", ...).
 	Name string
 	// Gen is the strategy itself.
@@ -58,7 +58,7 @@ type ValueSpec struct {
 type Registry struct {
 	types *typemap.Registry
 	codec *soap.Codec
-	keys  []*KeySpec
+	keys  []*keySpec
 
 	mu         sync.RWMutex
 	values     map[string]*ValueSpec
@@ -73,10 +73,10 @@ func NewRegistry(types *typemap.Registry, codec *soap.Codec) *Registry {
 	r := &Registry{
 		types: types,
 		codec: codec,
-		keys: []*KeySpec{
+		keys: []*keySpec{
 			{Name: "xml", Gen: NewXMLMessageKey(codec), Info: keyRows[0]},
 			{Name: "binser", Gen: NewBinserKey(types), Info: keyRows[1]},
-			{Name: "gob", Gen: NewGobKey(), Info: keyRows[1]},
+			{Name: "gob", Gen: newGobKey(), Info: keyRows[1]},
 			{Name: "string", Gen: NewStringKey(), Info: keyRows[2]},
 		},
 		values: make(map[string]*ValueSpec),
@@ -85,23 +85,10 @@ func NewRegistry(types *typemap.Registry, codec *soap.Codec) *Registry {
 	return r
 }
 
-// Types returns the underlying type registry.
-func (r *Registry) Types() *typemap.Registry { return r.types }
-
-// Codec returns the underlying SOAP codec.
-func (r *Registry) Codec() *soap.Codec { return r.codec }
-
-// RegisterType binds an XML qualified name to the Go type of prototype
-// in the underlying type registry — the same contract as
-// typemap.Registry.Register, re-exported so application packages can
-// write their RegisterTypes hook against the representation layer
-// alone.
-func (r *Registry) RegisterType(name typemap.QName, prototype any) error {
-	return r.types.Register(name, prototype)
-}
-
 // RegisterValue adds (or replaces) a value representation under
 // spec.Name. A nil Applicable means "always applicable".
+//
+//lint:ignore api core's TestSelectorFillStoresOnce and TestSelectorUntypedRecordsOnce register scripted stores
 func (r *Registry) RegisterValue(spec ValueSpec) error {
 	if spec.Name == "" || spec.Store == nil {
 		return fmt.Errorf("rep: registry: value spec needs a name and a store")
@@ -167,7 +154,7 @@ func (r *Registry) ordered(order []string) []*ValueSpec {
 }
 
 // Keys returns the built-in key specs in Table 2 order.
-func (r *Registry) Keys() []*KeySpec { return slices.Clone(r.keys) }
+func (r *Registry) Keys() []*keySpec { return slices.Clone(r.keys) }
 
 // Values returns the registered value specs in registration order.
 func (r *Registry) Values() []*ValueSpec {
@@ -178,15 +165,6 @@ func (r *Registry) Values() []*ValueSpec {
 		out = append(out, r.values[name])
 	}
 	return out
-}
-
-// ValueNames returns the resolvable short value names, sorted. The
-// selection policy "auto" is additionally accepted by Store but is not
-// listed here.
-func (r *Registry) ValueNames() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.valueNamesLocked()
 }
 
 func (r *Registry) valueNamesLocked() []string {
@@ -216,11 +194,11 @@ func (r *Registry) registerBuiltins() {
 		Applicable: hasMessage,
 	})
 	_ = r.RegisterValue(ValueSpec{
-		Name: "compact-sax", Store: NewCompactSAXStore(codec), Info: valueRows[1],
+		Name: "compact-sax", Store: newCompactSAXStore(codec), Info: valueRows[1],
 		Applicable: hasMessage,
 	})
 	_ = r.RegisterValue(ValueSpec{
-		Name: "dom", Store: NewDOMStore(codec), Info: valueRows[1],
+		Name: "dom", Store: newDOMStore(codec), Info: valueRows[1],
 		Applicable: hasMessage,
 	})
 	_ = r.RegisterValue(ValueSpec{
@@ -228,7 +206,7 @@ func (r *Registry) registerBuiltins() {
 		Applicable: func(ictx *client.Context) bool { return info(ictx).IsBean },
 	})
 	_ = r.RegisterValue(ValueSpec{
-		Name: "gob", Store: NewGobStore(types), Info: valueRows[2],
+		Name: "gob", Store: newGobStore(types), Info: valueRows[2],
 		Applicable: func(ictx *client.Context) bool { return info(ictx).IsBean },
 	})
 	_ = r.RegisterValue(ValueSpec{

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/typemap"
 )
 
 func newTestRegistry(t *testing.T) (*fixture, *Registry) {
@@ -60,7 +59,7 @@ func TestRegistryResolvesSelectionPolicies(t *testing.T) {
 	if err == nil {
 		t.Fatal(`Store("adaptive") resolved; there is no adaptive policy`)
 	}
-	for _, want := range append(r.ValueNames(), "auto") {
+	for _, want := range append(r.valueNamesLocked(), "auto") {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("error %q does not list %q", err, want)
 		}
@@ -111,21 +110,6 @@ func TestRegistryApplicabilityPredicates(t *testing.T) {
 	check("ref", full, false)
 }
 
-func TestRegistryRegisterTypeDelegates(t *testing.T) {
-	f, r := newTestRegistry(t)
-	type extra struct{ V int }
-	q := typemap.QName{Space: testNS, Local: "Extra"}
-	if err := r.RegisterType(q, extra{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.reg.TypeFor(q); !ok {
-		t.Error("RegisterType did not reach the underlying typemap registry")
-	}
-	if r.Types() != f.reg {
-		t.Error("Types() must expose the underlying registry")
-	}
-}
-
 func TestRegistryNamesAndOrder(t *testing.T) {
 	_, r := newTestRegistry(t)
 	values := r.Values()
@@ -149,7 +133,7 @@ func TestRegistryNamesAndOrder(t *testing.T) {
 	if got := strings.Join(keys, " "); got != "xml binser gob string" {
 		t.Errorf("builtin key specs = %s, want Table 2 order xml binser gob string", got)
 	}
-	names := r.ValueNames()
+	names := r.valueNamesLocked()
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Errorf("ValueNames not sorted: %v", names)

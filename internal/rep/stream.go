@@ -53,62 +53,62 @@ var (
 	errNotCharData     = fmt.Errorf("rep: template store: %w: a text run is not XML character data", ErrNotApplicable)
 )
 
-// RawResponse is the "raw" payload and hit result: the exact response
+// rawResponse is the "raw" payload and hit result: the exact response
 // envelope bytes, immutable once stored.
-type RawResponse struct {
+type rawResponse struct {
 	data []byte
 }
 
-var _ Streamed = (*RawResponse)(nil)
+var _ Streamed = (*rawResponse)(nil)
 
 // Len implements Streamed.
-func (p *RawResponse) Len() int { return len(p.data) }
+func (p *rawResponse) Len() int { return len(p.data) }
 
 // Bytes returns the response bytes. The slice is the cached payload
 // itself: callers must treat it as read-only.
-func (p *RawResponse) Bytes() []byte { return p.data }
+func (p *rawResponse) Bytes() []byte { return p.data }
 
 // WriteTo implements io.WriterTo: one write, zero copies.
 //
 //lint:hotpath
-func (p *RawResponse) WriteTo(w io.Writer) (int64, error) {
+func (p *rawResponse) WriteTo(w io.Writer) (int64, error) {
 	n, err := w.Write(p.data)
 	return int64(n), err
 }
 
-// RawStreamStore is the zero-copy streaming representation: Store
+// rawStreamStore is the zero-copy streaming representation: Store
 // copies the response envelope once, Load returns the stored
 // *RawResponse itself. Safe as pass-by-reference because the payload
 // is immutable; the registry additionally gates it behind
 // Context.AcceptStream so only consumers that declared they want bytes
 // ever see it.
-type RawStreamStore struct{}
+type rawStreamStore struct{}
 
-var _ ValueStore = RawStreamStore{}
+var _ ValueStore = rawStreamStore{}
 
 // NewRawStreamStore returns the raw streaming representation.
-func NewRawStreamStore() RawStreamStore { return RawStreamStore{} }
+func NewRawStreamStore() rawStreamStore { return rawStreamStore{} }
 
 // Name implements ValueStore.
-func (RawStreamStore) Name() string { return "Raw response replay" }
+func (rawStreamStore) Name() string { return "Raw response replay" }
 
 // Store implements ValueStore.
-func (RawStreamStore) Store(ictx *client.Context) (any, int, error) {
+func (rawStreamStore) Store(ictx *client.Context) (any, int, error) {
 	if len(ictx.ResponseXML) == 0 {
 		return nil, 0, fmt.Errorf("rep: raw stream store: %w: invocation captured no response XML", ErrNotApplicable)
 	}
 	// Copy: the context's buffer belongs to the transport.
 	data := make([]byte, len(ictx.ResponseXML))
 	copy(data, ictx.ResponseXML)
-	return &RawResponse{data: data}, len(data), nil
+	return &rawResponse{data: data}, len(data), nil
 }
 
 // Load implements ValueStore: the payload is the result. No copy is
 // needed — the bytes are immutable.
 //
 //lint:hotpath
-func (RawStreamStore) Load(payload any) (any, error) {
-	p, ok := payload.(*RawResponse)
+func (rawStreamStore) Load(payload any) (any, error) {
+	p, ok := payload.(*rawResponse)
 	if !ok {
 		return nil, errRawPayload
 	}
@@ -116,8 +116,8 @@ func (RawStreamStore) Load(payload any) (any, error) {
 }
 
 // EncodeWire implements WireStore (the payload already is wire bytes).
-func (RawStreamStore) EncodeWire(payload any) ([]byte, error) {
-	p, ok := payload.(*RawResponse)
+func (rawStreamStore) EncodeWire(payload any) ([]byte, error) {
+	p, ok := payload.(*rawResponse)
 	if !ok {
 		return nil, errRawPayload
 	}
@@ -125,8 +125,8 @@ func (RawStreamStore) EncodeWire(payload any) ([]byte, error) {
 }
 
 // DecodeWire implements WireStore. The input slice is retained.
-func (RawStreamStore) DecodeWire(data []byte) (any, error) {
-	return &RawResponse{data: data}, nil
+func (rawStreamStore) DecodeWire(data []byte) (any, error) {
+	return &rawResponse{data: data}, nil
 }
 
 // spliceBufPool holds the replay buffers for TemplateResponse.WriteTo:
@@ -139,22 +139,22 @@ var spliceBufPool = sync.Pool{
 	},
 }
 
-// TemplateResponse is the "xmltmpl" payload and hit result: a shared
+// templateResponse is the "xmltmpl" payload and hit result: a shared
 // skeleton plus this entry's holes, byte for byte as the origin sent
 // them. Immutable.
-type TemplateResponse struct {
+type templateResponse struct {
 	skel  *soap.Skeleton
 	holes []byte   // the holes back to back
 	cuts  []uint32 // hole k ends at cuts[k]
 }
 
-var _ Streamed = (*TemplateResponse)(nil)
+var _ Streamed = (*templateResponse)(nil)
 
 // Len implements Streamed.
-func (p *TemplateResponse) Len() int { return p.skel.Size() + len(p.holes) }
+func (p *templateResponse) Len() int { return p.skel.Size() + len(p.holes) }
 
 // Bytes renders the response into a fresh slice.
-func (p *TemplateResponse) Bytes() []byte {
+func (p *templateResponse) Bytes() []byte {
 	return p.skel.AppendFilled(make([]byte, 0, p.Len()), p.holes, p.cuts)
 }
 
@@ -162,7 +162,7 @@ func (p *TemplateResponse) Bytes() []byte {
 // pooled buffer and written once.
 //
 //lint:hotpath
-func (p *TemplateResponse) WriteTo(w io.Writer) (int64, error) {
+func (p *templateResponse) WriteTo(w io.Writer) (int64, error) {
 	bp := spliceBufPool.Get().(*[]byte)
 	buf := *bp
 	if n := p.Len(); cap(buf) < n {
@@ -180,8 +180,8 @@ func (p *TemplateResponse) WriteTo(w io.Writer) (int64, error) {
 // keeps a private skeleton.
 const templateShapes = 64
 
-// TemplateStats is a snapshot of a template store's skeleton sharing.
-type TemplateStats struct {
+// templateStats is a snapshot of a template store's skeleton sharing.
+type templateStats struct {
 	// Learns counts fills that learnt a skeleton from the response's
 	// bytes: the first of a shape, and any the interned set has no
 	// matching skeleton for.
@@ -243,7 +243,7 @@ func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
 // (and, while the set has room, interning) one when there is none, and
 // copies doc's holes into a new payload; shared reports whether the
 // payload's skeleton is the interned one.
-func (s *TemplateStore) split(doc []byte) (p *TemplateResponse, shared bool, err error) {
+func (s *TemplateStore) split(doc []byte) (p *templateResponse, shared bool, err error) {
 	key := soap.ShapeKey(doc)
 	s.mu.Lock()
 	k := s.skeletons[key]
@@ -256,7 +256,7 @@ func (s *TemplateStore) split(doc []byte) (p *TemplateResponse, shared bool, err
 		}
 	}
 	text := len(doc) - k.Size()
-	p = &TemplateResponse{skel: k, holes: make([]byte, 0, text), cuts: make([]uint32, 0, k.Holes())}
+	p = &templateResponse{skel: k, holes: make([]byte, 0, text), cuts: make([]uint32, 0, k.Holes())}
 	var check strings.Builder
 	check.Grow(text)
 	for _, hole := range k.Cut(doc) {
@@ -292,7 +292,7 @@ func (s *TemplateStore) intern(key uint64, k *soap.Skeleton) bool {
 //
 //lint:hotpath
 func (s *TemplateStore) Load(payload any) (any, error) {
-	p, ok := payload.(*TemplateResponse)
+	p, ok := payload.(*templateResponse)
 	if !ok {
 		return nil, errTemplatePayload
 	}
@@ -305,7 +305,7 @@ func (s *TemplateStore) Load(payload any) (any, error) {
 // own skeletons on decode, so skeleton sharing holds on both sides
 // without shipping any.
 func (s *TemplateStore) EncodeWire(payload any) ([]byte, error) {
-	p, ok := payload.(*TemplateResponse)
+	p, ok := payload.(*templateResponse)
 	if !ok {
 		return nil, errTemplatePayload
 	}
@@ -322,8 +322,8 @@ func (s *TemplateStore) DecodeWire(data []byte) (any, error) {
 }
 
 // Stats snapshots the store's skeleton sharing.
-func (s *TemplateStore) Stats() TemplateStats {
-	return TemplateStats{
+func (s *TemplateStore) Stats() templateStats {
+	return templateStats{
 		Learns:        s.learns.Load(),
 		Matches:       s.matches.Load(),
 		Skeletons:     int(s.interned.Load()),
@@ -332,6 +332,6 @@ func (s *TemplateStore) Stats() TemplateStats {
 }
 
 var (
-	_ WireStore = RawStreamStore{}
+	_ WireStore = rawStreamStore{}
 	_ WireStore = (*TemplateStore)(nil)
 )

@@ -118,7 +118,7 @@ func TestTemplateStoreResidentSizeExcludesSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rendered := payload.(*TemplateResponse).Len()
+	rendered := payload.(*templateResponse).Len()
 	if size >= rendered {
 		t.Errorf("resident size %d is not smaller than the rendered document (%d); the shared skeleton must not be charged per entry",
 			size, rendered)
@@ -143,7 +143,7 @@ func TestTemplateStoreWireReInternsSkeleton(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := back.(*TemplateResponse).Bytes(); !bytes.Equal(got, data) {
+	if got := back.(*templateResponse).Bytes(); !bytes.Equal(got, data) {
 		t.Errorf("decoded payload renders differently from the wire bytes")
 	}
 	if s := receiver.Stats(); s.Learns != 1 || s.Skeletons != 1 {

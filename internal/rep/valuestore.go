@@ -35,27 +35,29 @@ type ValueStore interface {
 // ErrNotApplicable reports that a value store cannot represent a given
 // result; the Selector's walk and callers use it to fall through to the
 // next candidate.
+//
+//lint:ignore api server's TestResponseCacheTemplateBodyReplaysThirdPartyBytes checks a refused body with it
 var ErrNotApplicable = errors.New("rep: representation not applicable to this result type")
 
-// XMLMessageStore caches the response XML message itself (Section
+// xmlMessageStore caches the response XML message itself (Section
 // 4.2.1). Load performs a full parse and deserialization; no
 // limitation on object types, highest hit cost.
-type XMLMessageStore struct {
+type xmlMessageStore struct {
 	codec *soap.Codec
 }
 
-var _ ValueStore = (*XMLMessageStore)(nil)
+var _ ValueStore = (*xmlMessageStore)(nil)
 
 // NewXMLMessageStore returns the XML-message representation.
-func NewXMLMessageStore(codec *soap.Codec) *XMLMessageStore {
-	return &XMLMessageStore{codec: codec}
+func NewXMLMessageStore(codec *soap.Codec) *xmlMessageStore {
+	return &xmlMessageStore{codec: codec}
 }
 
 // Name implements ValueStore.
-func (s *XMLMessageStore) Name() string { return "XML message" }
+func (s *xmlMessageStore) Name() string { return "XML message" }
 
 // Store implements ValueStore.
-func (s *XMLMessageStore) Store(ictx *client.Context) (any, int, error) {
+func (s *xmlMessageStore) Store(ictx *client.Context) (any, int, error) {
 	if len(ictx.ResponseXML) == 0 {
 		return nil, 0, fmt.Errorf("rep: xml store: %w: invocation captured no response XML", ErrNotApplicable)
 	}
@@ -66,7 +68,7 @@ func (s *XMLMessageStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *XMLMessageStore) Load(payload any) (any, error) {
+func (s *xmlMessageStore) Load(payload any) (any, error) {
 	doc, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: xml store: payload is %T", payload)
@@ -86,25 +88,25 @@ func result(msg *soap.DecodedMessage, err error) (any, error) {
 	return msg.Result(), nil
 }
 
-// SAXEventsStore caches the recorded SAX event sequence of the response
+// saxEventsStore caches the recorded SAX event sequence of the response
 // (Section 4.2.2, Table 4). Load replays the events through the
 // deserializer: no tokenization, fresh objects every hit, no type
 // limitation. Store records the response through client.Context.Events,
 // once per fill however many stores read the recording.
-type SAXEventsStore struct {
+type saxEventsStore struct {
 	codec *soap.Codec
 }
 
 // NewSAXEventsStore returns the SAX-events representation.
-func NewSAXEventsStore(codec *soap.Codec) *SAXEventsStore {
-	return &SAXEventsStore{codec: codec}
+func NewSAXEventsStore(codec *soap.Codec) *saxEventsStore {
+	return &saxEventsStore{codec: codec}
 }
 
 // Name implements ValueStore.
-func (s *SAXEventsStore) Name() string { return "SAX events sequence" }
+func (s *saxEventsStore) Name() string { return "SAX events sequence" }
 
 // Store implements ValueStore.
-func (s *SAXEventsStore) Store(ictx *client.Context) (any, int, error) {
+func (s *saxEventsStore) Store(ictx *client.Context) (any, int, error) {
 	events, err := ictx.Events()
 	if err != nil {
 		return nil, 0, fmt.Errorf("rep: sax store: %w", err)
@@ -118,7 +120,7 @@ func (s *SAXEventsStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *SAXEventsStore) Load(payload any) (any, error) {
+func (s *saxEventsStore) Load(payload any) (any, error) {
 	events, ok := payload.([]sax.Event)
 	if !ok {
 		return nil, fmt.Errorf("rep: sax store: payload is %T", payload)
@@ -126,26 +128,26 @@ func (s *SAXEventsStore) Load(payload any) (any, error) {
 	return result(s.codec.DecodeEnvelopeEvents(events))
 }
 
-// DOMStore caches the response's DOM tree — the other post-parsing
+// domStore caches the response's DOM tree — the other post-parsing
 // representation the paper names (Section 3.3: "DOM objects or SAX
 // events sequences"). Load walks the tree as an event stream into the
 // deserializer: like SAX replay it skips tokenization; unlike SAX
 // replay the tree supports structural inspection (and is how multiref
 // resolution works), at a higher memory cost.
-type DOMStore struct {
+type domStore struct {
 	eventLoad
 }
 
-// NewDOMStore returns the DOM-tree representation.
-func NewDOMStore(codec *soap.Codec) *DOMStore {
-	return &DOMStore{eventLoad{codec}}
+// newDOMStore returns the DOM-tree representation.
+func newDOMStore(codec *soap.Codec) *domStore {
+	return &domStore{eventLoad{codec}}
 }
 
 // Name implements ValueStore.
-func (s *DOMStore) Name() string { return "DOM tree" }
+func (s *domStore) Name() string { return "DOM tree" }
 
 // Store implements ValueStore.
-func (s *DOMStore) Store(ictx *client.Context) (any, int, error) {
+func (s *domStore) Store(ictx *client.Context) (any, int, error) {
 	var doc *dom.Document
 	var err error
 	switch {
@@ -197,25 +199,25 @@ func (s eventLoad) Load(payload any) (any, error) {
 	return result(s.codec.DecodeReplay(p.src.Replay))
 }
 
-// CompactSAXStore is SAXEventsStore with the recorded sequence held in
+// compactSAXStore is SAXEventsStore with the recorded sequence held in
 // the string-interned struct-of-arrays form (sax.CompactSequence). Same
 // semantics and applicability; a fraction of the memory (SOAP event
 // streams are highly repetitive) for slightly more replay work. Ledger
 // rows rep.store.compact-sax.* against rep.store.sax.* price the trade.
-type CompactSAXStore struct {
+type compactSAXStore struct {
 	eventLoad
 }
 
-// NewCompactSAXStore returns the compact SAX-events representation.
-func NewCompactSAXStore(codec *soap.Codec) *CompactSAXStore {
-	return &CompactSAXStore{eventLoad{codec}}
+// newCompactSAXStore returns the compact SAX-events representation.
+func newCompactSAXStore(codec *soap.Codec) *compactSAXStore {
+	return &compactSAXStore{eventLoad{codec}}
 }
 
 // Name implements ValueStore.
-func (s *CompactSAXStore) Name() string { return "SAX events (compact)" }
+func (s *compactSAXStore) Name() string { return "SAX events (compact)" }
 
 // Store implements ValueStore.
-func (s *CompactSAXStore) Store(ictx *client.Context) (any, int, error) {
+func (s *compactSAXStore) Store(ictx *client.Context) (any, int, error) {
 	events, err := ictx.Events()
 	if err != nil {
 		return nil, 0, fmt.Errorf("rep: compact sax store: %w", err)
@@ -227,29 +229,29 @@ func (s *CompactSAXStore) Store(ictx *client.Context) (any, int, error) {
 	return &eventPayload{src: seq, multiRef: soap.EventsHaveHref(events)}, seq.MemSize(), nil
 }
 
-// GobStore caches the gob-serialized form of the application object
+// gobStore caches the gob-serialized form of the application object
 // (Section 4.2.3-A, the Java-serialization analog). Load decodes a
 // fresh object graph. Limitation: a bean-type object graph, as for
 // reflection copy. No selection order reaches it; it stays for the
 // ledger's gob-against-binser rows.
-type GobStore struct {
+type gobStore struct {
 	reg *typemap.Registry
 }
 
-var _ ValueStore = (*GobStore)(nil)
+var _ ValueStore = (*gobStore)(nil)
 
-// NewGobStore returns the serialization representation. reg, when
+// newGobStore returns the serialization representation. reg, when
 // non-nil, pre-checks bean-ness and yields ErrNotApplicable for
 // unencodable results instead of a late gob failure.
-func NewGobStore(reg *typemap.Registry) *GobStore {
-	return &GobStore{reg: reg}
+func newGobStore(reg *typemap.Registry) *gobStore {
+	return &gobStore{reg: reg}
 }
 
 // Name implements ValueStore.
-func (s *GobStore) Name() string { return "Gob serialization" }
+func (s *gobStore) Name() string { return "Gob serialization" }
 
 // Store implements ValueStore.
-func (s *GobStore) Store(ictx *client.Context) (any, int, error) {
+func (s *gobStore) Store(ictx *client.Context) (any, int, error) {
 	if s.reg != nil && ictx.Result != nil {
 		if !s.reg.InfoFor(ictx.Result).IsBean {
 			return nil, 0, fmt.Errorf("%w: %T is not a bean-type object", ErrNotApplicable, ictx.Result)
@@ -263,7 +265,7 @@ func (s *GobStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *GobStore) Load(payload any) (any, error) {
+func (s *gobStore) Load(payload any) (any, error) {
 	data, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: gob store: payload is %T", payload)
@@ -275,26 +277,26 @@ func (s *GobStore) Load(payload any) (any, error) {
 	return v, nil
 }
 
-// ReflectCopyStore caches a reflection deep copy of the application
+// reflectCopyStore caches a reflection deep copy of the application
 // object (Section 4.2.3-B). Both Store and Load copy, preserving
 // call-by-copy in both directions (Section 3.1). Limitation: bean-type
 // object graphs (all reachable struct fields exported).
-type ReflectCopyStore struct {
+type reflectCopyStore struct {
 	reg *typemap.Registry
 }
 
-var _ ValueStore = (*ReflectCopyStore)(nil)
+var _ ValueStore = (*reflectCopyStore)(nil)
 
 // NewReflectCopyStore returns the reflection-copy representation.
-func NewReflectCopyStore(reg *typemap.Registry) *ReflectCopyStore {
-	return &ReflectCopyStore{reg: reg}
+func NewReflectCopyStore(reg *typemap.Registry) *reflectCopyStore {
+	return &reflectCopyStore{reg: reg}
 }
 
 // Name implements ValueStore.
-func (s *ReflectCopyStore) Name() string { return "Copy by reflection" }
+func (s *reflectCopyStore) Name() string { return "Copy by reflection" }
 
 // Store implements ValueStore.
-func (s *ReflectCopyStore) Store(ictx *client.Context) (any, int, error) {
+func (s *reflectCopyStore) Store(ictx *client.Context) (any, int, error) {
 	if s.reg != nil && ictx.Result != nil {
 		if !s.reg.InfoFor(ictx.Result).IsBean {
 			return nil, 0, fmt.Errorf("%w: %T is not a bean-type object", ErrNotApplicable, ictx.Result)
@@ -308,7 +310,7 @@ func (s *ReflectCopyStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *ReflectCopyStore) Load(payload any) (any, error) {
+func (s *reflectCopyStore) Load(payload any) (any, error) {
 	cp, err := deepcopy.Value(payload)
 	if err != nil {
 		return nil, fmt.Errorf("rep: reflect store: %w", err)
@@ -316,21 +318,21 @@ func (s *ReflectCopyStore) Load(payload any) (any, error) {
 	return cp, nil
 }
 
-// CloneCopyStore caches a deep copy made by the object's own CloneDeep
+// cloneCopyStore caches a deep copy made by the object's own CloneDeep
 // method (Section 4.2.3-C): the fastest copying representation, at the
 // cost of requiring generated or hand-written clone support.
-type CloneCopyStore struct{}
+type cloneCopyStore struct{}
 
-var _ ValueStore = CloneCopyStore{}
+var _ ValueStore = cloneCopyStore{}
 
 // NewCloneCopyStore returns the clone-copy representation.
-func NewCloneCopyStore() CloneCopyStore { return CloneCopyStore{} }
+func NewCloneCopyStore() cloneCopyStore { return cloneCopyStore{} }
 
 // Name implements ValueStore.
-func (CloneCopyStore) Name() string { return "Copy by clone" }
+func (cloneCopyStore) Name() string { return "Copy by clone" }
 
 // Store implements ValueStore.
-func (CloneCopyStore) Store(ictx *client.Context) (any, int, error) {
+func (cloneCopyStore) Store(ictx *client.Context) (any, int, error) {
 	cl, ok := ictx.Result.(typemap.Cloner)
 	if !ok {
 		return nil, 0, fmt.Errorf("%w: %T does not implement Cloner", ErrNotApplicable, ictx.Result)
@@ -340,7 +342,7 @@ func (CloneCopyStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (CloneCopyStore) Load(payload any) (any, error) {
+func (cloneCopyStore) Load(payload any) (any, error) {
 	cl, ok := payload.(typemap.Cloner)
 	if !ok {
 		return nil, fmt.Errorf("rep: clone store: payload %T lost its Cloner", payload)
@@ -348,11 +350,11 @@ func (CloneCopyStore) Load(payload any) (any, error) {
 	return cl.CloneDeep(), nil
 }
 
-// RefStore caches the reference itself and returns it on every hit
+// refStore caches the reference itself and returns it on every hit
 // (Section 4.2.4). Zero copying cost; safe ONLY for immutable results
 // or results the administrator asserts are read-only — a client that
 // mutates a shared result corrupts the cache for every later hit.
-type RefStore struct {
+type refStore struct {
 	reg *typemap.Registry
 	// allowMutable permits storing mutable types: the administrator's
 	// read-only assertion, made by configuring an operation with
@@ -360,21 +362,21 @@ type RefStore struct {
 	allowMutable bool
 }
 
-var _ ValueStore = (*RefStore)(nil)
+var _ ValueStore = (*refStore)(nil)
 
 // NewRefStore returns the pass-by-reference representation. With
 // allowMutable false it accepts only deeply immutable results; with
 // true it is the read-only assertion of Section 4.2.4 and accepts any
 // result.
-func NewRefStore(reg *typemap.Registry, allowMutable bool) *RefStore {
-	return &RefStore{reg: reg, allowMutable: allowMutable}
+func NewRefStore(reg *typemap.Registry, allowMutable bool) *refStore {
+	return &refStore{reg: reg, allowMutable: allowMutable}
 }
 
 // Name implements ValueStore.
-func (s *RefStore) Name() string { return "Pass by reference" }
+func (s *refStore) Name() string { return "Pass by reference" }
 
 // Store implements ValueStore.
-func (s *RefStore) Store(ictx *client.Context) (any, int, error) {
+func (s *refStore) Store(ictx *client.Context) (any, int, error) {
 	if !s.allowMutable && ictx.Result != nil && s.reg != nil {
 		if !s.reg.InfoFor(ictx.Result).IsImmutable {
 			return nil, 0, fmt.Errorf("%w: %T is mutable and not declared read-only", ErrNotApplicable, ictx.Result)
@@ -384,6 +386,6 @@ func (s *RefStore) Store(ictx *client.Context) (any, int, error) {
 }
 
 // Load implements ValueStore.
-func (s *RefStore) Load(payload any) (any, error) {
+func (s *refStore) Load(payload any) (any, error) {
 	return payload, nil
 }

@@ -13,9 +13,9 @@ func allStores(f *fixture) map[string]ValueStore {
 	return map[string]ValueStore{
 		"xml":        NewXMLMessageStore(f.codec),
 		"sax":        NewSAXEventsStore(f.codec),
-		"saxcompact": NewCompactSAXStore(f.codec),
-		"dom":        NewDOMStore(f.codec),
-		"gob":        NewGobStore(f.reg),
+		"saxcompact": newCompactSAXStore(f.codec),
+		"dom":        newDOMStore(f.codec),
+		"gob":        newGobStore(f.reg),
 		"binser":     NewBinserStore(f.reg),
 		"reflect":    NewReflectCopyStore(f.reg),
 	}
@@ -153,7 +153,7 @@ func TestRefStoreImmutableOnly(t *testing.T) {
 
 func TestGobStoreRejectsUnexportedState(t *testing.T) {
 	f := newFixture(t)
-	store := NewGobStore(f.reg)
+	store := newGobStore(f.reg)
 	ictx := f.ictx(t, "get", nil)
 	ictx.Result = &opaqueResult{Name: "x", secret: 7}
 	if _, _, err := store.Store(ictx); !errors.Is(err, ErrNotApplicable) {
@@ -173,7 +173,7 @@ func TestReflectStoreRejectsNonBean(t *testing.T) {
 
 func TestDOMStoreFromXMLOnly(t *testing.T) {
 	f := newFixture(t)
-	store := NewDOMStore(f.codec)
+	store := newDOMStore(f.codec)
 	ictx := f.ictx(t, "get", &item{Name: "tree"})
 	ictx.ResponseEvents = nil // force the parse-from-XML path
 	payload, size, err := store.Store(ictx)
@@ -206,7 +206,7 @@ func TestCompactSAXStoreSmallerThanNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, compact, err := NewCompactSAXStore(f.codec).Store(ictx)
+	_, compact, err := newCompactSAXStore(f.codec).Store(ictx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +217,7 @@ func TestCompactSAXStoreSmallerThanNaive(t *testing.T) {
 
 func TestCompactSAXStoreWithoutRecordedEvents(t *testing.T) {
 	f := newFixture(t)
-	store := NewCompactSAXStore(f.codec)
+	store := newCompactSAXStore(f.codec)
 	ictx := f.ictx(t, "get", &item{Name: "lazy"})
 	ictx.ResponseEvents = nil
 	payload, _, err := store.Store(ictx)
@@ -274,7 +274,7 @@ func TestStoreLoadWrongPayloadTypes(t *testing.T) {
 	if _, err := NewSAXEventsStore(f.codec).Load(42); err == nil {
 		t.Error("sax store accepted bad payload")
 	}
-	if _, err := NewGobStore(f.reg).Load(42); err == nil {
+	if _, err := newGobStore(f.reg).Load(42); err == nil {
 		t.Error("gob store accepted bad payload")
 	}
 	if _, err := NewCloneCopyStore().Load(42); err == nil {
@@ -380,7 +380,7 @@ func TestKeyGenerators(t *testing.T) {
 	f := newFixture(t)
 	gens := []KeyGenerator{
 		NewXMLMessageKey(f.codec),
-		NewGobKey(),
+		newGobKey(),
 		NewBinserKey(f.reg),
 		NewStringKey(),
 	}
@@ -452,7 +452,7 @@ func (s stringerParam) String() string { return s.v }
 
 func TestGobKeyRejectsFunc(t *testing.T) {
 	f := newFixture(t)
-	g := NewGobKey()
+	g := newGobKey()
 	if _, err := g.Key(f.reqCtx("op", soap.Param{Name: "f", Value: func() {}})); err == nil {
 		t.Error("expected error for func param")
 	}
@@ -525,8 +525,8 @@ func TestStoreAndKeyGenNames(t *testing.T) {
 	names := map[string]bool{}
 	for _, s := range []ValueStore{
 		NewXMLMessageStore(f.codec), NewSAXEventsStore(f.codec),
-		NewCompactSAXStore(f.codec), NewDOMStore(f.codec),
-		NewGobStore(f.reg), NewBinserStore(f.reg),
+		newCompactSAXStore(f.codec), newDOMStore(f.codec),
+		newGobStore(f.reg), NewBinserStore(f.reg),
 		NewReflectCopyStore(f.reg), NewCloneCopyStore(),
 		NewRefStore(f.reg, false), NewStaticSelector(NewRegistry(f.reg, f.codec)),
 	} {
@@ -536,7 +536,7 @@ func TestStoreAndKeyGenNames(t *testing.T) {
 		names[s.Name()] = true
 	}
 	for _, g := range []KeyGenerator{
-		NewXMLMessageKey(f.codec), NewGobKey(), NewBinserKey(f.reg), NewStringKey(),
+		NewXMLMessageKey(f.codec), newGobKey(), NewBinserKey(f.reg), NewStringKey(),
 	} {
 		if g.Name() == "" || names[g.Name()] && g.Name() != "Gob serialization" && g.Name() != "Binary serialization" && g.Name() != "XML message" {
 			t.Errorf("keygen name %q empty", g.Name())

@@ -66,7 +66,7 @@ func (r *Registry) WireSpecs() []*ValueSpec {
 // sequence flattens its interned tables through sax.AppendBinary.
 
 // EncodeWire implements WireStore.
-func (s *XMLMessageStore) EncodeWire(payload any) ([]byte, error) {
+func (s *xmlMessageStore) EncodeWire(payload any) ([]byte, error) {
 	doc, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: xml store: wire payload is %T", payload)
@@ -75,12 +75,12 @@ func (s *XMLMessageStore) EncodeWire(payload any) ([]byte, error) {
 }
 
 // DecodeWire implements WireStore.
-func (s *XMLMessageStore) DecodeWire(data []byte) (any, error) {
+func (s *xmlMessageStore) DecodeWire(data []byte) (any, error) {
 	return data, nil
 }
 
 // EncodeWire implements WireStore.
-func (s *BinserStore) EncodeWire(payload any) ([]byte, error) {
+func (s *binserStore) EncodeWire(payload any) ([]byte, error) {
 	data, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: binser store: wire payload is %T", payload)
@@ -89,12 +89,12 @@ func (s *BinserStore) EncodeWire(payload any) ([]byte, error) {
 }
 
 // DecodeWire implements WireStore.
-func (s *BinserStore) DecodeWire(data []byte) (any, error) {
+func (s *binserStore) DecodeWire(data []byte) (any, error) {
 	return data, nil
 }
 
 // EncodeWire implements WireStore.
-func (s *GobStore) EncodeWire(payload any) ([]byte, error) {
+func (s *gobStore) EncodeWire(payload any) ([]byte, error) {
 	data, ok := payload.([]byte)
 	if !ok {
 		return nil, fmt.Errorf("rep: gob store: wire payload is %T", payload)
@@ -103,13 +103,13 @@ func (s *GobStore) EncodeWire(payload any) ([]byte, error) {
 }
 
 // DecodeWire implements WireStore.
-func (s *GobStore) DecodeWire(data []byte) (any, error) {
+func (s *gobStore) DecodeWire(data []byte) (any, error) {
 	return data, nil
 }
 
 // EncodeWire implements WireStore. One flag byte (multiref) precedes
 // the sequence's binary form.
-func (s *CompactSAXStore) EncodeWire(payload any) ([]byte, error) {
+func (s *compactSAXStore) EncodeWire(payload any) ([]byte, error) {
 	p, ok := payload.(*eventPayload)
 	if !ok {
 		return nil, fmt.Errorf("rep: compact sax store: wire payload is %T", payload)
@@ -126,7 +126,7 @@ func (s *CompactSAXStore) EncodeWire(payload any) ([]byte, error) {
 }
 
 // DecodeWire implements WireStore.
-func (s *CompactSAXStore) DecodeWire(data []byte) (any, error) {
+func (s *compactSAXStore) DecodeWire(data []byte) (any, error) {
 	if len(data) < 1 || data[0] > 1 {
 		return nil, fmt.Errorf("rep: compact sax store: malformed wire payload")
 	}
@@ -138,8 +138,8 @@ func (s *CompactSAXStore) DecodeWire(data []byte) (any, error) {
 }
 
 var (
-	_ WireStore = (*XMLMessageStore)(nil)
-	_ WireStore = (*BinserStore)(nil)
-	_ WireStore = (*GobStore)(nil)
-	_ WireStore = (*CompactSAXStore)(nil)
+	_ WireStore = (*xmlMessageStore)(nil)
+	_ WireStore = (*binserStore)(nil)
+	_ WireStore = (*gobStore)(nil)
+	_ WireStore = (*compactSAXStore)(nil)
 )

@@ -334,14 +334,14 @@ func TestSniffOperation(t *testing.T) {
 }
 
 // failingBody declines every store, so nothing is ever cached.
-type failingBody struct{ rep.RawStreamStore }
+type failingBody struct{ rep.ValueStore }
 
 func (failingBody) Store(*client.Context) (any, int, error) { return nil, 0, fmt.Errorf("nope") }
 
 func TestResponseCacheStoreFailureSkipsCaching(t *testing.T) {
 	// A body the representation cannot hold is served but not cached;
 	// every request reaches the handler.
-	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: failingBody{}})
+	c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: failingBody{rep.NewRawStreamStore()}})
 	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
 	for i := 0; i < 2; i++ {
 		if _, _, err := c.Handle(req); err != nil {
@@ -487,7 +487,7 @@ func TestResponseCacheTemplateBodyReplaysThirdPartyBytes(t *testing.T) {
 // brokenStreamer stores like the raw representation but cannot replay:
 // Load fails, or (notBytes) loads something that is not a byte stream.
 type brokenStreamer struct {
-	rep.RawStreamStore
+	rep.ValueStore
 	notBytes bool
 }
 
@@ -504,8 +504,8 @@ func (b brokenStreamer) Load(any) (any, error) {
 // request must count as a miss, not a hit, on either surface.
 func TestResponseCacheStreamFailureRefills(t *testing.T) {
 	for name, body := range map[string]brokenStreamer{
-		"load error": {},
-		"not bytes":  {notBytes: true},
+		"load error": {ValueStore: rep.NewRawStreamStore()},
+		"not bytes":  {ValueStore: rep.NewRawStreamStore(), notBytes: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			c, codec, calls := newCachedFixture(t, ResponseCacheConfig{Body: body})
