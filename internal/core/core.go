@@ -173,25 +173,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.Hits) / float64(total)
 }
 
-// OperationStats are per-operation counters, the view an administrator
-// tuning the per-operation policy (Section 3.2) needs: which operations
-// hit, which bypass, which churn.
-type OperationStats struct {
-	Hits   int64
-	Misses int64
-	Stores int64
-	Bypass int64
-}
-
-// HitRatio returns hits / (hits + misses), or 0.
-func (s OperationStats) HitRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(total)
-}
-
 // value is what the cache keeps per entry: the representation's payload
 // and the store that produced it, which is the one that can load it
 // (per-operation stores and tier promotions make it vary by entry).
@@ -278,7 +259,7 @@ var (
 
 // New builds a Cache from cfg.
 func New(cfg Config) (*Cache, error) {
-	if err := cfg.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	now := clock.Or(cfg.Clock)
@@ -347,9 +328,6 @@ func MustNew(cfg Config) *Cache {
 	return c
 }
 
-// Shards returns the number of shards the cache was built with.
-func (c *Cache) Shards() int { return c.eng.Shards() }
-
 // keyBufPool recycles the scratch buffers append-style key generation
 // writes into, so a lookup hashes the key bytes without allocating.
 var keyBufPool = sync.Pool{
@@ -395,35 +373,9 @@ func (c *Cache) Stats() Stats {
 		TierHits:      c.m.tierHits.Load(),
 		TierErrors:    c.m.tierErrors.Load(),
 		Bytes:         c.eng.Bytes() + c.Tier.TierStats().Bytes,
-		Entries:       c.Len(),
+		Entries:       c.eng.Len() + c.Tier.Len(),
 	}
 }
-
-// StatsByOperation returns a snapshot of per-operation counters, read
-// from the metrics registry.
-func (c *Cache) StatsByOperation() map[string]OperationStats {
-	snap := c.reg.Snapshot()
-	out := make(map[string]OperationStats, len(snap.Operations))
-	for op, s := range snap.Operations {
-		out[op] = OperationStats{
-			Hits:   s.Hits,
-			Misses: s.Misses,
-			Stores: s.Stores,
-			Bypass: s.Bypass,
-		}
-	}
-	return out
-}
-
-// Obs returns the cache's metrics registry: the one supplied via
-// Config.Obs, or the private default. Serve it with obs.Handler to get
-// the /debug/wscache endpoint for a cache that was not built with a
-// shared registry.
-func (c *Cache) Obs() *obs.Registry { return c.reg }
-
-// Len returns the current number of entries, without taking any shard
-// lock.
-func (c *Cache) Len() int { return c.eng.Len() + c.Tier.Len() }
 
 // Clear discards all entries, shard by shard.
 func (c *Cache) Clear() {
@@ -433,6 +385,8 @@ func (c *Cache) Clear() {
 
 // SweepExpired removes every reclaimable expired or write-invalidated
 // entry now (engine.Engine.Sweep) and returns how many were removed.
+//
+//lint:ignore api the root TestChaosNoStaleAfterWrite sweeps under load with it
 func (c *Cache) SweepExpired() int { return c.eng.Sweep() + c.Tier.SweepExpired() }
 
 // Sweeper runs SweepExpired on an interval; see engine.Sweeper.

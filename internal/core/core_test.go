@@ -316,7 +316,7 @@ func TestErrorFromPivotNotCached(t *testing.T) {
 	if err := c.HandleInvoke(ictx, next); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("failed invocation was cached")
 	}
 
@@ -350,8 +350,8 @@ func TestLRUEvictionByEntries(t *testing.T) {
 	get("b")
 	get("a") // refresh a
 	get("c") // evicts b (LRU)
-	if c.Len() != 2 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("len = %d", c.Stats().Entries)
 	}
 	if !get("a").CacheHit {
 		t.Error("a should have survived (recently used)")
@@ -390,8 +390,8 @@ func TestEvictionByBytes(t *testing.T) {
 	if s.Evictions == 0 {
 		t.Error("expected evictions under byte budget")
 	}
-	if s.Entries != c.Len() {
-		t.Errorf("entries stat mismatch: %d vs %d", s.Entries, c.Len())
+	if s.Entries != c.Stats().Entries {
+		t.Errorf("entries stat mismatch: %d vs %d", s.Entries, c.Stats().Entries)
 	}
 }
 
@@ -404,7 +404,7 @@ func TestClear(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Clear()
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("clear left entries")
 	}
 	if c.Stats().Bytes != 0 {
@@ -443,7 +443,7 @@ func TestStoreFailureFailsOpen(t *testing.T) {
 	if ictx.Result == nil {
 		t.Error("result lost on store failure")
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("unapplicable store created an entry")
 	}
 }
@@ -486,24 +486,21 @@ func TestStatsByOperation(t *testing.T) {
 	invoke("addToCart", "x")
 	invoke("addToCart", "y")
 
-	stats := c.StatsByOperation()
+	stats := c.reg.Snapshot().Operations
 	s := stats["search"]
 	if s.Hits != 1 || s.Misses != 2 || s.Stores != 2 || s.Bypass != 0 {
 		t.Errorf("search stats = %+v", s)
 	}
-	if got := s.HitRatio(); got < 0.33 || got > 0.34 {
+	if got := s.HitRatio; got < 0.33 || got > 0.34 {
 		t.Errorf("search hit ratio = %v", got)
 	}
 	cart := stats["addToCart"]
 	if cart.Bypass != 2 || cart.Hits != 0 || cart.Stores != 0 {
 		t.Errorf("cart stats = %+v", cart)
 	}
-	if (OperationStats{}).HitRatio() != 0 {
-		t.Error("empty ratio not 0")
-	}
 	// The snapshot is a copy: mutating it does not affect the cache.
-	stats["search"] = OperationStats{Hits: 999}
-	if c.StatsByOperation()["search"].Hits == 999 {
+	delete(stats, "search")
+	if c.reg.Snapshot().Operations["search"].Hits != 1 {
 		t.Error("snapshot aliased internal state")
 	}
 }

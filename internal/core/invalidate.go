@@ -43,7 +43,3 @@ func (c *Cache) commitWrite(ictx *client.Context, err error) {
 	}
 	c.inval.CommitWrite(ictx.Operation, ictx.Params)
 }
-
-// Invalidator returns the cache's configured invalidator, nil when
-// dependency-aware invalidation is off.
-func (c *Cache) Invalidator() *invalidate.Invalidator { return c.inval }

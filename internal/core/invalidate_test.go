@@ -368,7 +368,7 @@ func TestSweepReclaimsInvalidatedEntries(t *testing.T) {
 	if removed := c.SweepExpired(); removed != 4 {
 		t.Errorf("SweepExpired removed %d, want 4", removed)
 	}
-	if got := c.Len(); got != 4 {
+	if got := c.Stats().Entries; got != 4 {
 		t.Errorf("Len after sweep = %d, want 4", got)
 	}
 	if got := c.Stats().Invalidations; got != 4 {

@@ -67,7 +67,7 @@ func TestStatsMatchRegistry(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 1 {
 		t.Errorf("hits/misses = %d/%d, want 2/1", s.Hits, s.Misses)
 	}
-	if c.Obs() != reg {
+	if c.reg != reg {
 		t.Error("Obs() should return the configured registry")
 	}
 }
@@ -88,7 +88,7 @@ func TestUninstrumentedCacheSkipsStages(t *testing.T) {
 	if s := c.Stats(); s.Hits != 1 || s.Misses != 1 {
 		t.Errorf("stats = %+v, want 1 hit, 1 miss", s)
 	}
-	if stages := c.Obs().Snapshot().Stages; len(stages) != 0 {
+	if stages := c.reg.Snapshot().Stages; len(stages) != 0 {
 		t.Errorf("untimed cache recorded %d stage series, want 0", len(stages))
 	}
 }

@@ -39,6 +39,8 @@ type Policy struct {
 }
 
 // For returns the policy for an operation.
+//
+//lint:ignore api amazonapi's TestDefaultPolicy and core's ExampleNewPolicy read policies with it
 func (p Policy) For(operation string) OperationPolicy {
 	if op, ok := p.Operations[operation]; ok {
 		return op

@@ -174,8 +174,8 @@ func TestErrorPropagationThroughCacheHandler(t *testing.T) {
 		t.Fatalf("err = %v, want the status error", err)
 	}
 
-	if c.Len() != 0 {
-		t.Errorf("failed invocations created %d cache entries", c.Len())
+	if c.Stats().Entries != 0 {
+		t.Errorf("failed invocations created %d cache entries", c.Stats().Entries)
 	}
 	if s := c.Stats(); s.Stores != 0 {
 		t.Errorf("Stores = %d", s.Stores)
@@ -378,8 +378,8 @@ func TestSweepRespectsStaleWindow(t *testing.T) {
 	if n := c.SweepExpired(); n != 0 {
 		t.Errorf("sweep removed %d entries inside the stale window", n)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("len = %d", c.Stats().Entries)
 	}
 
 	// Past the window it is reclaimable.

@@ -176,8 +176,8 @@ func TestRevalidationDisabledDropsExpired(t *testing.T) {
 	if ictx.CacheHit || ictx.NotModified {
 		t.Error("revalidation happened while disabled")
 	}
-	if cache.Len() != 1 {
-		t.Errorf("entries = %d", cache.Len())
+	if cache.Stats().Entries != 1 {
+		t.Errorf("entries = %d", cache.Stats().Entries)
 	}
 }
 

@@ -49,8 +49,8 @@ func shardReq(q string) *client.Context {
 func TestShardedEvictionRespectsGlobalBound(t *testing.T) {
 	const maxEntries = 8
 	c := newShardCache(t, func(cfg *Config) { cfg.MaxEntries = maxEntries; cfg.Shards = 5 })
-	if c.Shards() != 8 {
-		t.Errorf("Cache.Shards() = %d, want 8 (5 rounded up, within the entry budget)", c.Shards())
+	if c.eng.Shards() != 8 {
+		t.Errorf("Cache.eng.Shards() = %d, want 8 (5 rounded up, within the entry budget)", c.eng.Shards())
 	}
 	next := func(ictx *client.Context) error {
 		ictx.Result = &benchResult{Name: "v"}
@@ -61,10 +61,10 @@ func TestShardedEvictionRespectsGlobalBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > maxEntries || n == 0 {
+	if n := c.Stats().Entries; n > maxEntries || n == 0 {
 		t.Errorf("Len() = %d, want within (0, %d]", n, maxEntries)
 	}
-	if s := c.Stats(); s.Entries != c.Len() || s.Evictions == 0 {
+	if s := c.Stats(); s.Entries != c.Stats().Entries || s.Evictions == 0 {
 		t.Errorf("stats = %+v", s)
 	}
 }
@@ -84,8 +84,8 @@ func TestDistinctKeysDistinctEntries(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != n {
-		t.Fatalf("Len() = %d, want %d", c.Len(), n)
+	if c.Stats().Entries != n {
+		t.Fatalf("Len() = %d, want %d", c.Stats().Entries, n)
 	}
 	for i := 0; i < n; i++ {
 		q := fmt.Sprintf("q%d", i)
@@ -210,12 +210,12 @@ func TestConcurrentStress(t *testing.T) {
 	wg.Wait()
 
 	// Quiesced invariants.
-	if n := c.Len(); n > maxEntries {
+	if n := c.Stats().Entries; n > maxEntries {
 		t.Errorf("Len() = %d exceeds MaxEntries %d", n, maxEntries)
 	}
 	s := c.Stats()
-	if s.Bytes < 0 || s.Entries != c.Len() {
-		t.Errorf("quiesced stats = %+v, len = %d", s, c.Len())
+	if s.Bytes < 0 || s.Entries != c.Stats().Entries {
+		t.Errorf("quiesced stats = %+v, len = %d", s, c.Stats().Entries)
 	}
 	// No lost stores: every key must still be servable with its own
 	// value — fresh from the cache or refilled through the pivot.
@@ -233,7 +233,7 @@ func TestConcurrentStress(t *testing.T) {
 		}
 	}
 	c.Clear()
-	if c.Len() != 0 || c.Stats().Bytes != 0 {
+	if c.Stats().Entries != 0 || c.Stats().Bytes != 0 {
 		t.Error("Clear left residue")
 	}
 }

@@ -35,8 +35,8 @@ func TestSweepExpired(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Len() != 3 {
-		t.Fatalf("len = %d", c.Len())
+	if c.Stats().Entries != 3 {
+		t.Fatalf("len = %d", c.Stats().Entries)
 	}
 
 	// Nothing expired yet.
@@ -55,8 +55,8 @@ func TestSweepExpired(t *testing.T) {
 	if n := c.SweepExpired(); n != 3 {
 		t.Errorf("sweep removed %d, want 3", n)
 	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d, want 1", c.Len())
+	if c.Stats().Entries != 1 {
+		t.Errorf("len = %d, want 1", c.Stats().Entries)
 	}
 	if c.Stats().Bytes <= 0 {
 		t.Error("remaining entry has no accounted bytes")
@@ -93,10 +93,10 @@ func TestSweeperLifecycle(t *testing.T) {
 	mu.Unlock()
 
 	deadline := time.Now().Add(2 * time.Second)
-	for c.Len() > 0 && time.Now().Before(deadline) {
+	for c.Stats().Entries > 0 && time.Now().Before(deadline) {
 		time.Sleep(5 * time.Millisecond)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Error("sweeper did not reclaim expired entry")
 	}
 	s.Shutdown() // must not hang or panic

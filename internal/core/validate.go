@@ -20,12 +20,12 @@ func (cfg Config) engineConfig() engine.Config {
 	}
 }
 
-// Validate checks the configuration without building a cache,
+// validate checks the configuration without building a cache,
 // returning the first problem found as a descriptive error. New calls
 // it, so a Config assembled from flags (cmd/wsclient) fails at startup
 // with the message a programmatic misuse would get. Sizing and the
 // stale window are the engine's to check.
-func (cfg Config) Validate() error {
+func (cfg Config) validate() error {
 	if cfg.KeyGen == nil {
 		return fmt.Errorf("core: Config.KeyGen is required")
 	}
