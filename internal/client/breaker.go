@@ -11,9 +11,9 @@ import (
 	"repro/internal/soap"
 )
 
-// ErrBreakerOpen is the sentinel wrapped by every invocation rejected
+// errBreakerOpen is the sentinel wrapped by every invocation rejected
 // by an open circuit breaker.
-var ErrBreakerOpen = errors.New("client: circuit breaker open")
+var errBreakerOpen = errors.New("client: circuit breaker open")
 
 // BreakerOpenError reports an invocation rejected without reaching the
 // backend because the endpoint's breaker is open.
@@ -30,35 +30,35 @@ func (e *BreakerOpenError) Error() string {
 }
 
 // Unwrap ties the error to ErrBreakerOpen.
-func (e *BreakerOpenError) Unwrap() error { return ErrBreakerOpen }
+func (e *BreakerOpenError) Unwrap() error { return errBreakerOpen }
 
 // Transient marks breaker rejections retryable-later for the transport
 // classifier; within one invocation they are terminal (the breaker
 // sits above the retrying transport).
 func (e *BreakerOpenError) Transient() bool { return true }
 
-// BreakerState is a circuit breaker's current disposition.
-type BreakerState int
+// breakerState is a circuit breaker's current disposition.
+type breakerState int
 
 const (
-	// BreakerClosed admits every invocation (normal operation).
-	BreakerClosed BreakerState = iota
-	// BreakerOpen rejects every invocation without touching the
+	// breakerClosed admits every invocation (normal operation).
+	breakerClosed breakerState = iota
+	// breakerOpen rejects every invocation without touching the
 	// backend.
-	BreakerOpen
-	// BreakerHalfOpen admits one probe invocation at a time to test
+	breakerOpen
+	// breakerHalfOpen admits one probe invocation at a time to test
 	// whether the backend recovered.
-	BreakerHalfOpen
+	breakerHalfOpen
 )
 
 // String names the state.
-func (s BreakerState) String() string {
+func (s breakerState) String() string {
 	switch s {
-	case BreakerClosed:
+	case breakerClosed:
 		return "closed"
-	case BreakerOpen:
+	case breakerOpen:
 		return "open"
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		return "half-open"
 	}
 	return fmt.Sprintf("BreakerState(%d)", int(s))
@@ -92,7 +92,7 @@ type BreakerConfig struct {
 	Obs *obs.Registry
 }
 
-// Breaker is a per-endpoint circuit breaker installed in the client
+// breaker is a per-endpoint circuit breaker installed in the client
 // handler chain. Install it innermost — between any caching handler
 // and the pivot — so cache hits keep being served while the breaker is
 // open, and breaker-open misses can degrade to stale serving
@@ -103,18 +103,18 @@ type BreakerConfig struct {
 // rejects invocations immediately with a *BreakerOpenError. After
 // OpenFor it admits one half-open probe at a time: its success closes
 // the breaker, its failure re-opens it.
-type Breaker struct {
+type breaker struct {
 	cfg BreakerConfig
 
 	mu        sync.Mutex
 	endpoints map[string]*endpointBreaker
 }
 
-var _ Handler = (*Breaker)(nil)
+var _ Handler = (*breaker)(nil)
 
 // endpointBreaker is the per-endpoint state.
 type endpointBreaker struct {
-	state    BreakerState
+	state    breakerState
 	window   []bool // ring buffer of outcomes; true = failure
 	pos      int
 	filled   int
@@ -124,7 +124,7 @@ type endpointBreaker struct {
 }
 
 // NewBreaker builds a Breaker from cfg.
-func NewBreaker(cfg BreakerConfig) *Breaker {
+func NewBreaker(cfg BreakerConfig) *breaker {
 	if cfg.Window < 1 {
 		cfg.Window = 10
 	}
@@ -138,7 +138,7 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 		cfg.OpenFor = 5 * time.Second
 	}
 	cfg.Clock = clock.Or(cfg.Clock)
-	return &Breaker{cfg: cfg, endpoints: make(map[string]*endpointBreaker)}
+	return &breaker{cfg: cfg, endpoints: make(map[string]*endpointBreaker)}
 }
 
 // isFailure counts every error except SOAP faults: a fault means the
@@ -152,7 +152,7 @@ func isFailure(err error) bool {
 }
 
 // HandleInvoke implements Handler.
-func (b *Breaker) HandleInvoke(ictx *Context, next Invoker) error {
+func (b *breaker) HandleInvoke(ictx *Context, next Invoker) error {
 	if err := b.admit(ictx.Endpoint); err != nil {
 		return err
 	}
@@ -165,38 +165,38 @@ func (b *Breaker) HandleInvoke(ictx *Context, next Invoker) error {
 // endpoint has never been seen). Open breakers past their OpenFor
 // interval report half-open, matching what the next invocation will
 // experience.
-func (b *Breaker) State(endpoint string) BreakerState {
+func (b *breaker) State(endpoint string) breakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ep, ok := b.endpoints[endpoint]
 	if !ok {
-		return BreakerClosed
+		return breakerClosed
 	}
-	if ep.state == BreakerOpen && !b.cfg.Clock().Before(ep.openedAt.Add(b.cfg.OpenFor)) {
-		return BreakerHalfOpen
+	if ep.state == breakerOpen && !b.cfg.Clock().Before(ep.openedAt.Add(b.cfg.OpenFor)) {
+		return breakerHalfOpen
 	}
 	return ep.state
 }
 
 // admit decides whether an invocation may proceed.
-func (b *Breaker) admit(endpoint string) error {
+func (b *breaker) admit(endpoint string) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ep := b.endpoint(endpoint)
 	now := b.cfg.Clock()
 	switch ep.state {
-	case BreakerClosed:
+	case breakerClosed:
 		return nil
-	case BreakerOpen:
+	case breakerOpen:
 		retryAt := ep.openedAt.Add(b.cfg.OpenFor)
 		if now.Before(retryAt) {
 			return b.reject(endpoint, retryAt)
 		}
 		// Open interval elapsed: start probing.
-		b.transition(endpoint, ep, BreakerHalfOpen)
+		b.transition(endpoint, ep, breakerHalfOpen)
 		ep.probing = false
 		fallthrough
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		if ep.probing {
 			return b.reject(endpoint, ep.openedAt.Add(b.cfg.OpenFor))
 		}
@@ -207,40 +207,40 @@ func (b *Breaker) admit(endpoint string) error {
 }
 
 // reject builds the open-breaker error and counts the rejection.
-func (b *Breaker) reject(endpoint string, retryAt time.Time) error {
+func (b *breaker) reject(endpoint string, retryAt time.Time) error {
 	b.cfg.Obs.Add("breaker.rejections", 1)
 	return &BreakerOpenError{Endpoint: endpoint, RetryAfter: retryAt}
 }
 
 // transition moves an endpoint's breaker to state, publishing the new
 // state to the registry gauge; callers hold b.mu.
-func (b *Breaker) transition(endpoint string, ep *endpointBreaker, state BreakerState) {
+func (b *breaker) transition(endpoint string, ep *endpointBreaker, state breakerState) {
 	ep.state = state
 	b.cfg.Obs.SetBreaker(endpoint, state.String())
 }
 
 // record folds an invocation outcome into the endpoint's state.
-func (b *Breaker) record(endpoint string, failed bool) {
+func (b *breaker) record(endpoint string, failed bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	ep := b.endpoint(endpoint)
 	switch ep.state {
-	case BreakerHalfOpen:
+	case breakerHalfOpen:
 		ep.probing = false
 		if failed {
 			b.trip(endpoint, ep)
 		} else {
 			// One healthy probe closes the breaker with a clean window.
-			b.transition(endpoint, ep, BreakerClosed)
+			b.transition(endpoint, ep, breakerClosed)
 			b.resetWindow(ep)
 		}
-	case BreakerClosed:
+	case breakerClosed:
 		b.push(ep, failed)
 		if ep.filled >= b.cfg.MinSamples &&
 			float64(ep.failures)/float64(ep.filled) >= b.cfg.FailureThreshold {
 			b.trip(endpoint, ep)
 		}
-	case BreakerOpen:
+	case breakerOpen:
 		// A straggler from before the trip; the window restarts on the
 		// next half-open transition, so drop it.
 	}
@@ -248,18 +248,18 @@ func (b *Breaker) record(endpoint string, failed bool) {
 
 // endpoint returns (creating if needed) the per-endpoint state;
 // callers hold b.mu.
-func (b *Breaker) endpoint(endpoint string) *endpointBreaker {
+func (b *breaker) endpoint(endpoint string) *endpointBreaker {
 	ep, ok := b.endpoints[endpoint]
 	if !ok {
 		ep = &endpointBreaker{window: make([]bool, b.cfg.Window)}
 		b.endpoints[endpoint] = ep
-		b.cfg.Obs.SetBreaker(endpoint, BreakerClosed.String())
+		b.cfg.Obs.SetBreaker(endpoint, breakerClosed.String())
 	}
 	return ep
 }
 
 // push records one outcome in the sliding window; callers hold b.mu.
-func (b *Breaker) push(ep *endpointBreaker, failed bool) {
+func (b *breaker) push(ep *endpointBreaker, failed bool) {
 	if ep.filled == len(ep.window) {
 		if ep.window[ep.pos] {
 			ep.failures--
@@ -275,15 +275,15 @@ func (b *Breaker) push(ep *endpointBreaker, failed bool) {
 }
 
 // trip opens the breaker; callers hold b.mu.
-func (b *Breaker) trip(endpoint string, ep *endpointBreaker) {
-	b.transition(endpoint, ep, BreakerOpen)
+func (b *breaker) trip(endpoint string, ep *endpointBreaker) {
+	b.transition(endpoint, ep, breakerOpen)
 	ep.openedAt = b.cfg.Clock()
 	b.cfg.Obs.Add("breaker.trips", 1)
 	b.resetWindow(ep)
 }
 
 // resetWindow clears the outcome window; callers hold b.mu.
-func (b *Breaker) resetWindow(ep *endpointBreaker) {
+func (b *breaker) resetWindow(ep *endpointBreaker) {
 	for i := range ep.window {
 		ep.window[i] = false
 	}

@@ -26,7 +26,7 @@ type quote struct {
 // mid-test, with a breaker installed as the innermost handler.
 type breakerFixture struct {
 	call    *Call
-	breaker *Breaker
+	breaker *breaker
 	now     *time.Time
 	fail    *bool
 	calls   *int
@@ -74,7 +74,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerClosed {
+	if s := f.breaker.State("http://backend/quote"); s != breakerClosed {
 		t.Fatalf("state = %v, want closed", s)
 	}
 
@@ -85,7 +85,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 			t.Fatal("want backend error")
 		}
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerOpen {
+	if s := f.breaker.State("http://backend/quote"); s != breakerOpen {
 		t.Fatalf("state = %v, want open", s)
 	}
 
@@ -93,7 +93,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 	backendCalls := *f.calls
 	err := f.invoke()
 	var open *BreakerOpenError
-	if !errors.As(err, &open) || !errors.Is(err, ErrBreakerOpen) {
+	if !errors.As(err, &open) || !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("err = %v, want BreakerOpenError", err)
 	}
 	if open.Endpoint != "http://backend/quote" {
@@ -106,7 +106,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 	// After OpenFor, a half-open probe reaches the (still dead) backend
 	// and re-opens the breaker.
 	*f.now = f.now.Add(2 * time.Second)
-	if s := f.breaker.State("http://backend/quote"); s != BreakerHalfOpen {
+	if s := f.breaker.State("http://backend/quote"); s != breakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", s)
 	}
 	if err := f.invoke(); err == nil {
@@ -115,7 +115,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 	if *f.calls != backendCalls+1 {
 		t.Error("half-open probe did not reach the backend")
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerOpen {
+	if s := f.breaker.State("http://backend/quote"); s != breakerOpen {
 		t.Fatalf("state after failed probe = %v, want open", s)
 	}
 
@@ -125,7 +125,7 @@ func TestBreakerTripsOpenAndRecovers(t *testing.T) {
 	if err := f.invoke(); err != nil {
 		t.Fatalf("probe after recovery: %v", err)
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerClosed {
+	if s := f.breaker.State("http://backend/quote"); s != breakerClosed {
 		t.Fatalf("state after healthy probe = %v, want closed", s)
 	}
 	if err := f.invoke(); err != nil {
@@ -142,13 +142,13 @@ func TestBreakerMinSamplesGuardsColdStart(t *testing.T) {
 			t.Fatal("want backend error")
 		}
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerClosed {
+	if s := f.breaker.State("http://backend/quote"); s != breakerClosed {
 		t.Fatalf("state = %v, want closed before MinSamples", s)
 	}
 	if err := f.invoke(); err == nil {
 		t.Fatal("want backend error")
 	}
-	if s := f.breaker.State("http://backend/quote"); s != BreakerOpen {
+	if s := f.breaker.State("http://backend/quote"); s != breakerOpen {
 		t.Fatalf("state = %v, want open at MinSamples", s)
 	}
 }
@@ -157,10 +157,10 @@ func TestBreakerPerEndpointIsolation(t *testing.T) {
 	b := NewBreaker(BreakerConfig{Window: 2, MinSamples: 2, Clock: func() time.Time { return time.Unix(0, 0) }})
 	b.record("http://dead/", true)
 	b.record("http://dead/", true)
-	if s := b.State("http://dead/"); s != BreakerOpen {
+	if s := b.State("http://dead/"); s != breakerOpen {
 		t.Fatalf("dead endpoint state = %v", s)
 	}
-	if s := b.State("http://alive/"); s != BreakerClosed {
+	if s := b.State("http://alive/"); s != breakerClosed {
 		t.Fatalf("untouched endpoint state = %v", s)
 	}
 }
@@ -175,14 +175,14 @@ func TestBreakerSlidingWindowEvictsOldOutcomes(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		b.record(ep, false)
 	}
-	if s := b.State(ep); s != BreakerClosed {
+	if s := b.State(ep); s != breakerClosed {
 		t.Fatalf("state = %v, want closed after failures age out", s)
 	}
 	// Three fresh failures on the clean window reach 3/4 = 0.75: trip.
 	for i := 0; i < 3; i++ {
 		b.record(ep, true)
 	}
-	if s := b.State(ep); s != BreakerOpen {
+	if s := b.State(ep); s != breakerOpen {
 		t.Fatalf("state = %v, want open at threshold", s)
 	}
 }
@@ -197,7 +197,7 @@ func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	b.record(ep, true)
 	b.record(ep, true)
 	now = now.Add(2 * time.Second)
-	if s := b.State(ep); s != BreakerHalfOpen {
+	if s := b.State(ep); s != breakerHalfOpen {
 		t.Fatalf("state = %v, want half-open", s)
 	}
 
@@ -224,7 +224,7 @@ func TestBreakerHalfOpenAdmitsOneProbe(t *testing.T) {
 	if err := <-probe; err != nil {
 		t.Fatalf("probe: %v", err)
 	}
-	if s := b.State(ep); s != BreakerClosed {
+	if s := b.State(ep); s != breakerClosed {
 		t.Fatalf("state after healthy probe = %v, want closed", s)
 	}
 	if err := b.HandleInvoke(&Context{Endpoint: ep}, func(*Context) error { return nil }); err != nil {
@@ -252,7 +252,7 @@ func TestBreakerPublishesToObs(t *testing.T) {
 	if s.Counters["breaker.trips"] != 1 || s.Breakers[endpoint] != "open" {
 		t.Fatalf("after the trip: trips = %d, gauge = %q; want 1, open", s.Counters["breaker.trips"], s.Breakers[endpoint])
 	}
-	if err := f.invoke(); !errors.Is(err, ErrBreakerOpen) {
+	if err := f.invoke(); !errors.Is(err, errBreakerOpen) {
 		t.Fatalf("err = %v, want the open breaker's rejection", err)
 	}
 	if s := reg.Snapshot(); s.Counters["breaker.rejections"] != 1 {

@@ -142,16 +142,6 @@ type Handler interface {
 // Invoker continues the handler chain.
 type Invoker func(*Context) error
 
-// HandlerFunc adapts a function to Handler.
-type HandlerFunc func(ictx *Context, next Invoker) error
-
-var _ Handler = (HandlerFunc)(nil)
-
-// HandleInvoke implements Handler.
-func (f HandlerFunc) HandleInvoke(ictx *Context, next Invoker) error {
-	return f(ictx, next)
-}
-
 // Options configure a Call.
 type Options struct {
 	// RecordEvents does nothing.
@@ -184,7 +174,7 @@ type Options struct {
 	// hits are still served while the breaker is open, and a caching
 	// handler sees the breaker's rejection as an ordinary backend error
 	// it can degrade from (stale-on-error).
-	Breaker *Breaker
+	Breaker *breaker
 
 	// Obs, when non-nil, records per-handler and pivot stage latencies
 	// (handler, serialize, send, parse) into the registry. Share the
@@ -247,16 +237,6 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 	c.chain = c.buildChain()
 	return c
 }
-
-// Codec returns the call's codec (used by cache value stores that need
-// the deserializer).
-func (c *Call) Codec() *soap.Codec { return c.codec }
-
-// Operation returns the operation name.
-func (c *Call) Operation() string { return c.operation }
-
-// Endpoint returns the target endpoint URL.
-func (c *Call) Endpoint() string { return c.endpoint }
 
 // newContext builds the per-invocation context.
 func (c *Call) newContext(ctx context.Context, params []soap.Param) *Context {

@@ -42,9 +42,6 @@ func NewService(defs *wsdl.Definitions, codec *soap.Codec, tr transport.Transpor
 	return &Service{defs: defs, codec: codec, tr: tr, endpoint: endpoint, opts: cfg.Options}, nil
 }
 
-// Definitions returns the service's WSDL model.
-func (s *Service) Definitions() *wsdl.Definitions { return s.defs }
-
 // Call builds a Call for the named operation.
 func (s *Service) Call(operation string) (*Call, error) {
 	if _, ok := s.defs.Operation(operation); !ok {
