@@ -258,6 +258,8 @@ func sliceBudget(total, n, i int) int {
 }
 
 // Shards returns the number of shards the engine was built with.
+//
+//lint:ignore api core's TestShardedEvictionRespectsGlobalBound checks the rounding with it
 func (e *Engine[V]) Shards() int { return len(e.shards) }
 
 // Len returns the current number of entries, summed from the per-shard
