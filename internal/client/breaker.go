@@ -29,7 +29,7 @@ func (e *BreakerOpenError) Error() string {
 	return fmt.Sprintf("client: circuit breaker open for %s", e.Endpoint)
 }
 
-// Unwrap ties the error to ErrBreakerOpen.
+// Unwrap ties the error to errBreakerOpen.
 func (e *BreakerOpenError) Unwrap() error { return errBreakerOpen }
 
 // Transient marks breaker rejections retryable-later for the transport
@@ -64,7 +64,7 @@ func (s breakerState) String() string {
 	return fmt.Sprintf("BreakerState(%d)", int(s))
 }
 
-// BreakerConfig tunes a Breaker. The zero value is usable: a 10-call
+// BreakerConfig tunes a breaker. The zero value is usable: a 10-call
 // sliding window, open at ≥50% failures over ≥5 samples, 5s open
 // interval. A half-open breaker admits one probe at a time, and every
 // error counts as a failure except a *soap.Fault — a fault is an
@@ -123,7 +123,7 @@ type endpointBreaker struct {
 	probing  bool // a half-open probe is in flight
 }
 
-// NewBreaker builds a Breaker from cfg.
+// NewBreaker builds a breaker from cfg.
 func NewBreaker(cfg BreakerConfig) *breaker {
 	if cfg.Window < 1 {
 		cfg.Window = 10

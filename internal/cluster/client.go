@@ -27,7 +27,7 @@ type Config struct {
 	// are applied locally (staling this process's L1 entries). When nil
 	// the tier is TTL-only.
 	Inv *invalidate.Invalidator
-	// MaxPayload bounds response frames; ≤ 0 means DefaultMaxPayload.
+	// MaxPayload bounds response frames; ≤ 0 means defaultMaxPayload.
 	MaxPayload int
 	// PoolSize is the idle connections kept per daemon; default 2.
 	PoolSize int

@@ -98,7 +98,7 @@ func appendFrame(dst []byte, op opcode, payload []byte) []byte {
 }
 
 // finishFrame completes a frame built in place: frame starts with the
-// header AppendFrame(dst[:0], 0, nil) wrote, and the payload was
+// header appendFrame(dst[:0], 0, nil) wrote, and the payload was
 // appended after it. It sets the header's opcode and payload length.
 func finishFrame(frame []byte, op opcode) []byte {
 	frame[1] = byte(op)

@@ -25,7 +25,7 @@ type ServerConfig struct {
 	// checks stamps against (for engine.Tier, the one given to NewTier) or
 	// epoch bumps will not invalidate stored entries. Required.
 	Inv *invalidate.Invalidator
-	// MaxPayload bounds request frames; ≤ 0 means DefaultMaxPayload.
+	// MaxPayload bounds request frames; ≤ 0 means defaultMaxPayload.
 	MaxPayload int
 	// Obs receives daemon counters ("clusterd.*"). Optional.
 	Obs *obs.Registry

@@ -26,7 +26,7 @@ const (
 )
 
 // ItemKeyspacePrefix prefixes the per-item keyspaces in ItemGraph;
-// KeyspaceAllItems covers the listing.
+// keyspaceAllItems covers the listing.
 const (
 	ItemKeyspacePrefix = "item:"
 	keyspaceAllItems   = invalidate.Keyspace("items")

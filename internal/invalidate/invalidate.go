@@ -252,7 +252,7 @@ type change struct {
 }
 
 // stamp records the value one epoch cell had when an entry was filled.
-// The zero Stamp is invalid; stamps are only produced by ReadStamps and
+// The zero stamp is invalid; stamps are only produced by ReadStamps and
 // StampWith.
 type stamp struct {
 	cell *epoch
@@ -304,7 +304,7 @@ type Invalidator struct {
 
 	// cellsMu guards cells, the keyspace→cell table. A cell is never
 	// removed or replaced once created, so a *epoch handed out in a
-	// Stamp or a journal record is read without any lock (Stale,
+	// stamp or a journal record is read without any lock (Stale,
 	// Since). Lookups of an existing cell — a stamp snapshot on every
 	// miss, an adopted stamp on every daemon fill — far outnumber
 	// creations, hence the read lock.

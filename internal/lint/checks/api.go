@@ -64,8 +64,8 @@ type apiIndex struct {
 	pkgs  []*lint.Package
 	whole bool           // the run loaded every package of its tree
 	refs  map[string]int // by objKey, a set of ref* bits
-	// ifaces holds each distinct method-bearing interface as method
-	// name → signature.
+	// ifaces holds each method-bearing interface as method name →
+	// signature.
 	ifaces []map[string]string
 }
 

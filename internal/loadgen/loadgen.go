@@ -55,7 +55,7 @@ type Config struct {
 	Write func(query string) error
 
 	// Classify buckets a request error into a named class for
-	// Result.Classes — failure-scenario runs separate breaker
+	// result.Classes — failure-scenario runs separate breaker
 	// rejections from timeouts from injected faults. nil buckets every
 	// error as "error".
 	Classify func(error) string
@@ -95,7 +95,7 @@ func (r result) String() string {
 // RunContext executes the configured load, stopping early when ctx is
 // cancelled: no further requests are issued, in-flight requests finish,
 // and the partial result is returned alongside ctx's error. Requests
-// the schedule never issued are reported in Result.Skipped and excluded
+// the schedule never issued are reported in result.Skipped and excluded
 // from the latency aggregates.
 func RunContext(ctx context.Context, cfg Config) (result, error) {
 	if cfg.Concurrency <= 0 {
@@ -203,7 +203,7 @@ func mixedSchedule(requests int, hitRatio, writeRatio float64, hot []string, mis
 	return queries, writes
 }
 
-// aggregate folds per-request samples into a Result, counting only
+// aggregate folds per-request samples into a result, counting only
 // requests the run actually issued.
 func aggregate(latencies []time.Duration, errs []error, issued []bool, elapsed time.Duration, classify func(error) string) result {
 	res := result{Elapsed: elapsed}

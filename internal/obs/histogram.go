@@ -85,7 +85,7 @@ func (h *histogram) snapshot() histogramSnapshot {
 	return s
 }
 
-// histogramSnapshot is the JSON form of a Histogram: cumulative count
+// histogramSnapshot is the JSON form of a histogram: cumulative count
 // and sum, approximate quantiles, and the non-empty buckets.
 type histogramSnapshot struct {
 	Count   int64    `json:"count"`

@@ -15,9 +15,9 @@
 //
 // Two layers:
 //
-//   - Counter and Histogram are the lock-free primitives: a Counter is
+//   - Counter and histogram are the lock-free primitives: a Counter is
 //     sharded across cache lines so concurrent writers do not serialize;
-//     a Histogram is a fixed set of power-of-two latency buckets updated
+//     a histogram is a fixed set of power-of-two latency buckets updated
 //     with single atomic adds.
 //   - Registry aggregates them: per-operation counters, per-
 //     representation counters, per-(stage, representation) latency

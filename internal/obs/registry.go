@@ -23,8 +23,8 @@ import (
 // Recording methods are nil-receiver safe no-ops, so optional
 // instrumentation needs no call-site guards.
 type Registry struct {
-	ops         sync.Map // string -> *OpCounters
-	reps        sync.Map // string -> *RepCounters
+	ops         sync.Map // string -> *opCounters
+	reps        sync.Map // string -> *repCounters
 	stages      sync.Map // stageKey -> *stageRec
 	counters    sync.Map // string -> *Counter
 	breakers    sync.Map // string -> *breakerGauge

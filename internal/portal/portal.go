@@ -50,7 +50,7 @@ type site struct {
 	timed bool
 }
 
-// New builds a Site over its back ends.
+// New builds a site over its back ends.
 func New(backends ...Backend) *site {
 	return &site{backends: backends}
 }

@@ -13,7 +13,7 @@ import (
 // paper's Java-serialization key. Limitation: every parameter must be
 // serializable (registered bean types or primitives).
 //
-// GobKey is the encoding/gob variant of the same idea; it is retained
+// gobKey is the encoding/gob variant of the same idea; it is retained
 // for the ablation benchmarks, which show gob's per-message overhead
 // inverting the paper's ordering at these message sizes.
 type binserKey struct {

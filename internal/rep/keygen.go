@@ -88,7 +88,7 @@ func (k *xmlMessageKey) AppendKey(dst []byte, ictx *client.Context) ([]byte, err
 	return append(dst, doc...), nil
 }
 
-// gobBufPool recycles the gob scratch buffers GobKey encodes into. The
+// gobBufPool recycles the gob scratch buffers gobKey encodes into. The
 // encoder itself is deliberately built fresh per key: a gob stream's
 // first message carries the type definitions and later messages omit
 // them, so a pooled encoder would generate history-dependent bytes —

@@ -78,7 +78,7 @@ func (p *rawResponse) WriteTo(w io.Writer) (int64, error) {
 
 // rawStreamStore is the zero-copy streaming representation: Store
 // copies the response envelope once, Load returns the stored
-// *RawResponse itself. Safe as pass-by-reference because the payload
+// *rawResponse itself. Safe as pass-by-reference because the payload
 // is immutable; the registry additionally gates it behind
 // Context.AcceptStream so only consumers that declared they want bytes
 // ever see it.
@@ -129,7 +129,7 @@ func (rawStreamStore) DecodeWire(data []byte) (any, error) {
 	return &rawResponse{data: data}, nil
 }
 
-// spliceBufPool holds the replay buffers for TemplateResponse.WriteTo:
+// spliceBufPool holds the replay buffers for templateResponse.WriteTo:
 // the document is assembled in a pooled buffer and written once, so a
 // steady-state replay allocates nothing.
 var spliceBufPool = sync.Pool{
@@ -229,7 +229,7 @@ func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
 	}
 	// The entry is charged its holes, their offsets and its header; an
 	// interned skeleton is shared and accounted in
-	// TemplateStats.SkeletonBytes, a private one is the entry's own.
+	// templateStats.SkeletonBytes, a private one is the entry's own.
 	const header = 56
 	size := len(p.holes) + 4*len(p.cuts) + header
 	if !shared {
@@ -296,7 +296,7 @@ func (s *TemplateStore) Load(payload any) (any, error) {
 	if !ok {
 		return nil, errTemplatePayload
 	}
-	//lint:ignore aliascopy TemplateResponse is immutable (shared skeleton + this entry's holes); sharing it by reference is the whole point of the streaming hit
+	//lint:ignore aliascopy templateResponse is immutable (shared skeleton + this entry's holes); sharing it by reference is the whole point of the streaming hit
 	return p, nil
 }
 

@@ -199,7 +199,7 @@ func (s eventLoad) Load(payload any) (any, error) {
 	return result(s.codec.DecodeReplay(p.src.Replay))
 }
 
-// compactSAXStore is SAXEventsStore with the recorded sequence held in
+// compactSAXStore is saxEventsStore with the recorded sequence held in
 // the string-interned struct-of-arrays form (sax.CompactSequence). Same
 // semantics and applicability; a fraction of the memory (SOAP event
 // streams are highly repetitive) for slightly more replay work. Ledger

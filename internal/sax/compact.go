@@ -13,7 +13,7 @@ package sax
 // rep.store.compact-sax rows against its rep.store.sax rows quantify
 // the trade (memory vs replay cost of rebuilding attribute slices).
 type CompactSequence struct {
-	// ops is one byte per event (the EventKind).
+	// ops is one byte per event (the event kind).
 	ops []byte
 	// refs holds per-event string-table references, variable length:
 	//   StartElement: space, prefix, local, attrCount, then per

@@ -109,7 +109,7 @@ func wireLen(data []byte, max int) (int, []byte, error) {
 }
 
 // validateShape walks the ops/refs streams once, checking that every
-// event's refs are present and every op byte is a known EventKind, so
+// event's refs are present and every op byte is a known event kind, so
 // a later Replay cannot run off the refs array.
 func (c *CompactSequence) validateShape() error {
 	r := &compactReader{seq: c}

@@ -121,7 +121,7 @@ func (p *parser) flushText(h Handler) error {
 // parserPool holds the parsers Parse uses.
 var parserPool = sync.Pool{New: func() any { return NewParser() }}
 
-// Parse parses doc with a pooled Parser and delivers the events to h.
+// Parse parses doc with a pooled parser and delivers the events to h.
 func Parse(doc []byte, h Handler) error {
 	p := parserPool.Get().(*parser)
 	err := p.Parse(doc, h)

@@ -42,7 +42,7 @@ func isTransient(err error) bool {
 		return false
 	}
 	// A per-attempt timeout (the caller's deadline is checked
-	// separately by Retry.Send).
+	// separately by retry.Send).
 	if errors.Is(err, context.DeadlineExceeded) {
 		return true
 	}
@@ -53,9 +53,9 @@ func isTransient(err error) bool {
 	return errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF)
 }
 
-// RetryPolicy configures a Retry transport. The zero value is usable:
+// RetryPolicy configures a retry transport. The zero value is usable:
 // 3 attempts, 50ms base backoff capped at 2s, no per-attempt timeout.
-// IsTransient decides which errors are retried; any other error stops
+// isTransient decides which errors are retried; any other error stops
 // retrying and surfaces.
 type RetryPolicy struct {
 	// MaxAttempts is the total number of Send attempts (not re-tries);
@@ -94,7 +94,7 @@ type retry struct {
 
 var _ Transport = (*retry)(nil)
 
-// NewRetry builds a Retry transport over inner.
+// NewRetry builds a retry transport over inner.
 func NewRetry(inner Transport, policy RetryPolicy) *retry {
 	return &retry{Inner: inner, Policy: policy}
 }

@@ -116,7 +116,7 @@ type TypeInfo struct {
 	// between cache and application (paper Section 4.2.4).
 	IsImmutable bool
 
-	// Fields holds the serializable fields when Class is ClassStruct.
+	// Fields holds the serializable fields when Class is classStruct.
 	Fields []FieldInfo
 }
 

@@ -64,7 +64,7 @@ type Element struct {
 type Type struct {
 	Name     typemap.QName
 	Kind     kind
-	Elements []Element     // KindComplex
+	Elements []Element     // kindComplex
 	ArrayOf  typemap.QName // KindArray: the soapenc arrayType item type
 }
 
