@@ -15,5 +15,6 @@ func All() []*lint.Analyzer {
 		obsKey(),
 		xmlEscape(nil),
 		typeMapReg(),
+		api(),
 	}
 }
