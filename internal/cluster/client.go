@@ -180,7 +180,7 @@ func (r *Remote) Get(ctx context.Context, key tier.Key) (tier.Entry, bool, error
 	if err := r.flush(ctx, n); err != nil {
 		return tier.Entry{}, false, fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	res, err := r.roundTrip(ctx, n, opGet, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, request{op: opGet, payload: encodeKey(key)})
 	if err != nil {
 		return tier.Entry{}, false, err
 	}
@@ -223,8 +223,8 @@ func (r *Remote) PutStamps(key tier.Key, keyspaces []string) []tier.Stamp {
 // entry's stamps were snapshotted under (falling back to the node's
 // current one for stamp-less entries): the daemon drops fills from
 // another incarnation, and for stamp-less entries the freshest view is
-// the best available.
-
+// the best available. e.Value is copied once, into the request frame
+// (see request), and not kept.
 func (r *Remote) Put(ctx context.Context, key tier.Key, e tier.Entry) error {
 	n := r.nodeFor(key)
 	if err := r.flush(ctx, n); err != nil {
@@ -238,11 +238,7 @@ func (r *Remote) Put(ctx context.Context, key tier.Key, e tier.Entry) error {
 		bootID = n.bootID
 		n.epochMu.Unlock()
 	}
-	payload, err := encodePut(bootID, key, e)
-	if err != nil {
-		return err
-	}
-	res, err := r.roundTrip(ctx, n, opPut, payload)
+	res, err := r.roundTrip(ctx, n, request{op: opPut, bootID: bootID, key: key, entry: &e})
 	if err != nil {
 		return err
 	}
@@ -260,7 +256,7 @@ func (r *Remote) Delete(ctx context.Context, key tier.Key) error {
 	if err := r.flush(ctx, n); err != nil {
 		return fmt.Errorf("cluster: bump flush: %w", err)
 	}
-	res, err := r.roundTrip(ctx, n, opDel, encodeKey(key))
+	res, err := r.roundTrip(ctx, n, request{op: opDel, payload: encodeKey(key)})
 	if err != nil {
 		return err
 	}
@@ -365,7 +361,7 @@ func (r *Remote) flushChunkLocked(ctx context.Context, n *node, names []string) 
 	if err != nil {
 		return err
 	}
-	res, err := r.roundTrip(ctx, n, opBump, payload)
+	res, err := r.roundTrip(ctx, n, request{op: opBump, payload: payload})
 	if err != nil {
 		return err
 	}
@@ -416,7 +412,7 @@ func (r *Remote) afterMeta(ctx context.Context, n *node, m respMeta) {
 	if m.bootID == mirror.bootID && m.version <= mirror.version {
 		return
 	}
-	res, err := r.roundTrip(ctx, n, opSync, encodeMetaOnly(mirror))
+	res, err := r.roundTrip(ctx, n, request{op: opSync, payload: encodeMetaOnly(mirror)})
 	if err != nil || res.op != opTable {
 		// Leave the mirror stale: bootID/version were not updated, so the
 		// next response re-triggers the sync.
@@ -492,14 +488,42 @@ func (r *Remote) unexpected(verb string, res response) error {
 	return fmt.Errorf("cluster: %s: unexpected response opcode %#x", verb, byte(res.op))
 }
 
+// request is what one round trip sends. Every request but a put is op
+// around an encoded payload. A put is built from its fields in place,
+// in the connection's scratch (appendPut), the way the daemon builds
+// its responses: the value it borrows is copied once, straight into
+// the frame. A retry builds the same bytes again on its fresh
+// connection.
+type request struct {
+	op      opcode
+	payload []byte
+	// For opPut, instead of payload:
+	bootID uint64
+	key    tier.Key
+	entry  *tier.Entry
+}
+
+// frame builds the request's frame over buf's storage.
+func (q *request) frame(buf []byte) ([]byte, error) {
+	if q.op != opPut {
+		return appendFrame(buf[:0], q.op, q.payload), nil
+	}
+	frame, err := appendPut(appendFrame(buf[:0], 0, nil), q.bootID, q.key, q.entry)
+	if err != nil {
+		return nil, err
+	}
+	return finishFrame(frame, opPut), nil
+}
+
 // roundTrip sends one request on a pooled connection and reads and
 // decodes its response. One retry on an IO failure covers the common
 // pool staleness (daemon restarted, idle timeout): the retry dials
 // fresh because the failed connection was discarded, not repooled. All
 // requests are safe to retry — get/put/delete/sync are idempotent and a
 // duplicated bump only over-invalidates. A response that is framed but
-// does not decode is not retried: the connection is still in step.
-func (r *Remote) roundTrip(ctx context.Context, n *node, op opcode, payload []byte) (response, error) {
+// does not decode is not retried: the connection is still in step. A
+// request that does not encode is not sent.
+func (r *Remote) roundTrip(ctx context.Context, n *node, q request) (response, error) {
 	deadline := time.Now().Add(opTimeout)
 	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
 		deadline = d
@@ -514,10 +538,16 @@ func (r *Remote) roundTrip(ctx context.Context, n *node, op opcode, payload []by
 			lastErr = err
 			continue
 		}
+		frame, err := q.frame(pc.scratch)
+		if err != nil {
+			n.release(pc, r.cfg.PoolSize)
+			return response{}, err
+		}
+		pc.scratch = retain(frame)
 		// The deadline stays set when the connection goes back to the
 		// pool: every round trip sets its own before its first I/O.
 		pc.c.SetDeadline(deadline)
-		if err := writeFrame(pc.c, &pc.scratch, op, payload); err != nil {
+		if _, err := pc.c.Write(frame); err != nil {
 			pc.c.Close()
 			lastErr = err
 			continue

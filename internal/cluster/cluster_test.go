@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/invalidate"
 	"repro/internal/tier"
 )
@@ -65,6 +66,7 @@ func (f *fakeTier) PutStamps(_ tier.Key, keyspaces []string) []tier.Stamp {
 func (f *fakeTier) Put(_ context.Context, key tier.Key, e tier.Entry) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	e.Value = bytes.Clone(e.Value) // Put borrows the value (tier.Tier)
 	f.entries[key] = e
 	f.puts++
 	return nil
@@ -98,9 +100,9 @@ func (f *fakeTier) putCount() int {
 
 // startDaemon boots a Server over a loopback listener and returns it
 // with its address. The returned stop closes it (idempotent).
-func startDaemon(t *testing.T, ft *fakeTier, inv *invalidate.Invalidator) (*Server, string, func()) {
+func startDaemon(t *testing.T, tt tier.Tier, inv *invalidate.Invalidator) (*Server, string, func()) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{Tier: ft, Inv: inv})
+	srv, err := NewServer(ServerConfig{Tier: tt, Inv: inv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -547,12 +549,13 @@ func TestBumpFlushSplitsLargePendingSets(t *testing.T) {
 
 // TestDaemonCopiesPutValues: two puts of equal size, one after the
 // other on one connection, land in the same read buffer. Each stored
-// value must still be its own: the daemon keeps no reference into the
-// buffer it reads requests into.
+// value must still be its own, at exactly its length: decodePut hands
+// the tier a value aliasing the buffer it reads requests into, and
+// engine.Tier, the daemon's tier, copies what it keeps.
 func TestDaemonCopiesPutValues(t *testing.T) {
 	dinv := invalidate.New(nil, nil)
-	ft := newFakeTier(dinv)
-	srv, addr, _ := startDaemon(t, ft, dinv)
+	daemon := engine.NewTier(engine.Config{}, dinv, nil)
+	srv, addr, _ := startDaemon(t, daemon, dinv)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -578,7 +581,7 @@ func TestDaemonCopiesPutValues(t *testing.T) {
 		}
 	}
 	for key, want := range values {
-		e, ok, _ := ft.Get(context.Background(), key)
+		e, ok, _ := daemon.Get(context.Background(), key)
 		if !ok || !bytes.Equal(e.Value, want) {
 			t.Fatalf("stored value %.8q…, want %.8q…", e.Value, want)
 		}
@@ -592,9 +595,10 @@ func TestDaemonCopiesPutValues(t *testing.T) {
 // client and daemon together (AllocsPerRun counts the whole process).
 // A hit keeps the client's response payload, which the value aliases;
 // its rep name is interned. A miss keeps nothing: its meta-only
-// response is read into the connection's buffer. A put encodes its
-// request, and the daemon copies out the stamp slice, the stamp's
-// keyspace and the value; the rep name is interned there too. Framing,
+// response is read into the connection's buffer. A put builds its frame
+// in the connection's scratch; the daemon copies out the stamp slice
+// and the stamp's keyspace, and the tier keeps one copy of the value
+// (tier.Tier.Put borrows it); the rep name is interned there too. Framing,
 // headers and meta-only responses allocate nothing on either end. The
 // least of several runs is taken: the race detector's runtime adds
 // allocations now and then.
@@ -636,10 +640,73 @@ func TestRoundTripAllocs(t *testing.T) {
 	}{
 		{"get hit", get(hit), 1},
 		{"get miss", get(miss), 0},
-		{"put", put, 4},
+		{"put", put, 3},
 	} {
 		if got := least(tc.f); got > tc.max {
 			t.Errorf("%s: %v allocs per round trip, want ≤ %v", tc.name, got, tc.max)
+		}
+	}
+}
+
+// TestPutRetryResendsSameFrame: a put whose pooled connection fails
+// after the frame went out is retried on a fresh connection, and both
+// attempts carry appendFrame(opPut, encodePut(...)) byte for byte. The
+// first attempt builds the frame over a scratch buffer an earlier
+// request left behind, the retry over the new connection's empty one.
+func TestPutRetryResendsSameFrame(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := make(chan []byte, 2)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for attempt := 0; attempt < 2; attempt++ {
+			conn, err := lis.Accept()
+			if err != nil {
+				return
+			}
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			br := bufio.NewReader(conn)
+			if attempt == 0 { // a get first, answered, so the scratch is used
+				if _, _, err := readFrameInto(br, 0, nil); err != nil {
+					conn.Close()
+					return
+				}
+				writeFrame(conn, nil, opMiss, encodeMetaOnly(respMeta{}))
+			}
+			op, payload, err := readFrameInto(br, 0, nil)
+			if err == nil && op == opPut {
+				puts <- appendFrame(nil, op, payload)
+			}
+			if attempt == 1 {
+				writeFrame(conn, nil, opOK, encodeMetaOnly(respMeta{}))
+			}
+			conn.Close() // the first attempt's connection dies unanswered
+		}
+	}()
+	t.Cleanup(func() { lis.Close(); <-done })
+
+	r := newClient(t, lis.Addr().String(), nil)
+	ctx := context.Background()
+	key := tier.KeyOf([]byte("retried"))
+	if _, _, err := r.Get(ctx, key); err != nil {
+		t.Fatal(err)
+	}
+	e := tier.Entry{Rep: "binser", Value: bytes.Repeat([]byte("v"), 300), TTL: time.Minute,
+		Stamps: []tier.Stamp{{Keyspace: "items", Epoch: 3}}}
+	if err := r.Put(ctx, key, e); err != nil {
+		t.Fatal(err)
+	}
+	p, err := encodePut(0, key, e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := appendFrame(nil, opPut, p)
+	for attempt := 0; attempt < 2; attempt++ {
+		if got := <-puts; !bytes.Equal(got, want) {
+			t.Errorf("attempt %d sent\n%x\nwant\n%x", attempt+1, got, want)
 		}
 	}
 }

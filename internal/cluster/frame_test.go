@@ -16,6 +16,52 @@ import (
 	"repro/internal/tier"
 )
 
+// encodePut is the put payload built the way the client built it
+// before put frames were built in place: a fresh buffer of exactly the
+// payload's size, the fields, then a copy of the value. It stays as
+// the reference the in-place frame is compared with
+// (checkPutFrame), and as the tests' way to hand-build a put.
+func encodePut(bootID uint64, key tier.Key, e tier.Entry) ([]byte, error) {
+	b := make([]byte, 0, 24+8+1+len(e.Rep)+2+len(e.Stamps)*16+len(e.Value))
+	b = binary.BigEndian.AppendUint64(b, bootID)
+	b = binary.BigEndian.AppendUint64(b, key.Hi)
+	b = binary.BigEndian.AppendUint64(b, key.Lo)
+	b = binary.BigEndian.AppendUint64(b, uint64(e.TTL.Nanoseconds()))
+	var err error
+	if b, err = appendStr8(b, e.Rep, "rep name"); err != nil {
+		return nil, err
+	}
+	if len(e.Stamps) > 0xFFFF {
+		return nil, fmt.Errorf("%w: %d stamps", errMalformed, len(e.Stamps))
+	}
+	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Stamps)))
+	for _, st := range e.Stamps {
+		if b, err = appendStr16(b, st.Keyspace, "keyspace"); err != nil {
+			return nil, err
+		}
+		b = binary.BigEndian.AppendUint64(b, st.Epoch)
+	}
+	return append(b, e.Value...), nil
+}
+
+// checkPutFrame fails unless the put frame the client builds in place
+// is appendFrame(opPut, encodePut(...)) byte for byte, whatever the
+// scratch buffer it is built over held before.
+func checkPutFrame(t *testing.T, bootID uint64, key tier.Key, e tier.Entry) {
+	t.Helper()
+	p, err := encodePut(bootID, key, e)
+	if err != nil {
+		t.Fatalf("encodePut: %v", err)
+	}
+	want := appendFrame(nil, opPut, p)
+	scratch := bytes.Repeat([]byte{0xA5}, 64)
+	q := request{op: opPut, bootID: bootID, key: key, entry: &e}
+	got, err := q.frame(scratch)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("in-place put frame (err %v):\n got %x\nwant %x", err, got, want)
+	}
+}
+
 // typedDecodeErr reports whether err is one of the package's sentinel
 // decode errors — the contract every malformed input must satisfy.
 func typedDecodeErr(err error) bool {
@@ -237,8 +283,10 @@ func FuzzFrameRoundTrip(f *testing.F) {
 		streamFrames(t, data, 1<<16)
 
 		// The message decoders must be equally total.
-		if _, _, _, err := decodePut(data, new(interner)); err != nil && !errors.Is(err, errMalformed) {
+		if bootID, key, e, err := decodePut(data, new(interner)); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodePut: untyped error %v", err)
+		} else if err == nil {
+			checkPutFrame(t, bootID, key, e)
 		}
 		if _, err := decodeKey(data); err != nil && !errors.Is(err, errMalformed) {
 			t.Fatalf("decodeKey: untyped error %v", err)
@@ -482,8 +530,15 @@ func TestMessageRoundTrips(t *testing.T) {
 	})
 
 	t.Run("oversized strings refused at encode", func(t *testing.T) {
-		if _, err := encodePut(1, key, tier.Entry{Rep: strings.Repeat("r", 300)}); !errors.Is(err, errMalformed) {
-			t.Fatalf("300-byte rep name: %v", err)
+		for _, e := range []tier.Entry{
+			{Rep: strings.Repeat("r", 300)},
+			{Rep: "r", Stamps: []tier.Stamp{{Keyspace: strings.Repeat("k", 1<<17)}}},
+			{Rep: "r", Stamps: make([]tier.Stamp, 1<<16)},
+		} {
+			q := request{op: opPut, key: key, entry: &e}
+			if _, err := q.frame(nil); !errors.Is(err, errMalformed) {
+				t.Fatalf("put of %d-byte rep name, %d stamps: %v", len(e.Rep), len(e.Stamps), err)
+			}
 		}
 		if _, err := encodeBump(respMeta{}, []string{strings.Repeat("k", 1<<17)}); !errors.Is(err, errMalformed) {
 			t.Fatalf("128KiB keyspace: %v", err)

@@ -266,33 +266,36 @@ func decodeKey(payload []byte) (tier.Key, error) {
 
 // --- put ------------------------------------------------------------
 
-func encodePut(bootID uint64, key tier.Key, e tier.Entry) ([]byte, error) {
-	b := make([]byte, 0, 24+8+1+len(e.Rep)+2+len(e.Stamps)*16+len(e.Value))
-	b = binary.BigEndian.AppendUint64(b, bootID)
-	b = binary.BigEndian.AppendUint64(b, key.Hi)
-	b = binary.BigEndian.AppendUint64(b, key.Lo)
-	b = binary.BigEndian.AppendUint64(b, uint64(e.TTL.Nanoseconds()))
+// appendPut appends a put request's payload to dst: the fields, then
+// the value. The client builds the frame in place this way, so the
+// value is copied once, from the caller's buffer into the frame.
+func appendPut(dst []byte, bootID uint64, key tier.Key, e *tier.Entry) ([]byte, error) {
+	dst = binary.BigEndian.AppendUint64(dst, bootID)
+	dst = binary.BigEndian.AppendUint64(dst, key.Hi)
+	dst = binary.BigEndian.AppendUint64(dst, key.Lo)
+	dst = binary.BigEndian.AppendUint64(dst, uint64(e.TTL.Nanoseconds()))
 	var err error
-	if b, err = appendStr8(b, e.Rep, "rep name"); err != nil {
-		return nil, err
+	if dst, err = appendStr8(dst, e.Rep, "rep name"); err != nil {
+		return dst, err
 	}
 	if len(e.Stamps) > 0xFFFF {
-		return nil, fmt.Errorf("%w: %d stamps", errMalformed, len(e.Stamps))
+		return dst, fmt.Errorf("%w: %d stamps", errMalformed, len(e.Stamps))
 	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(e.Stamps)))
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(e.Stamps)))
 	for _, st := range e.Stamps {
-		if b, err = appendStr16(b, st.Keyspace, "keyspace"); err != nil {
-			return nil, err
+		if dst, err = appendStr16(dst, st.Keyspace, "keyspace"); err != nil {
+			return dst, err
 		}
-		b = binary.BigEndian.AppendUint64(b, st.Epoch)
+		dst = binary.BigEndian.AppendUint64(dst, st.Epoch)
 	}
-	return append(b, e.Value...), nil
+	return append(dst, e.Value...), nil
 }
 
-// decodePut decodes a put request into an entry the caller may keep:
-// nothing aliases payload — the rep name comes from reps, every other
-// field is copied out, the value at exactly its length — so the
-// daemon's read buffer can be reused for the next request.
+// decodePut decodes a put request. The entry's value aliases payload,
+// which tier.Tier.Put only borrows: the tier copies what it keeps, so
+// the daemon's read buffer can be reused for the next request, and a
+// put the daemon refuses copies nothing. The rep name comes from reps
+// and the stamps are copied out.
 func decodePut(payload []byte, reps *interner) (uint64, tier.Key, tier.Entry, error) {
 	c := cursor{b: payload}
 	bootID := c.u64("boot id")
@@ -312,12 +315,10 @@ func decodePut(payload []byte, reps *interner) (uint64, tier.Key, tier.Entry, er
 			e.Stamps = append(e.Stamps, tier.Stamp{Keyspace: ks, Epoch: c.u64("epoch")})
 		}
 	}
-	value := c.rest()
+	e.Value = c.rest()
 	if c.err != nil {
 		return 0, tier.Key{}, tier.Entry{}, c.err
 	}
-	e.Value = make([]byte, len(value))
-	copy(e.Value, value)
 	return bootID, k, e, nil
 }
 

@@ -160,8 +160,9 @@ func (s *Server) Close() error {
 // buffer reused from request to request; the response is built in
 // place in a write buffer reused the same way. Neither outlives the
 // request that filled it: the daemon never retains its read buffer
-// (everything a request leaves behind is copied out by the decoders),
-// and a buffer one large frame grew past maxRetainedBuf is dropped
+// (the decoders copy out everything a request leaves behind but a
+// put's value, which tier.Tier.Put borrows and the tier copies if it
+// keeps it), and a buffer one large frame grew past maxRetainedBuf is dropped
 // afterwards. A decode failure answers OpErr and then drops the
 // connection — after a malformed frame the stream offset can no longer
 // be trusted.

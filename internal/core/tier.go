@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,6 +115,16 @@ func (c *Cache) tierStamps(tk tier.Key, ictx *client.Context) [][]tier.Stamp {
 	return out
 }
 
+// wireScratch holds the buffers tierFill encodes wire values into. A
+// tier.Tier borrows Entry.Value only until Put returns, so a buffer
+// goes back to the pool once every tier has been written, and the
+// write-through allocates nothing for the value on this side. A buffer
+// one large value grew past maxPooledWire is dropped instead, as
+// binser's own scratch is, so it is not pinned for the process's life.
+var wireScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledWire = 64 << 10
+
 // tierFill writes a fresh origin response through to the remote tiers
 // in the selected wire representation. Failures are soft and counted;
 // the local fill already happened.
@@ -125,7 +136,14 @@ func (c *Cache) tierFill(tk tier.Key, op OperationPolicy, ictx *client.Context, 
 	if c.timed {
 		start = c.now()
 	}
-	repName, data, _, err := c.wire.StoreWire(ictx)
+	sp := wireScratch.Get().(*[]byte)
+	defer func() {
+		if cap(*sp) <= maxPooledWire {
+			wireScratch.Put(sp)
+		}
+	}()
+	repName, data, err := c.wire.AppendWire((*sp)[:0], ictx)
+	*sp = data[:0]
 	if c.timed {
 		c.reg.Stage(obs.StageTierPut, repName, c.now().Sub(start), err)
 	}

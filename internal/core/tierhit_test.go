@@ -12,21 +12,13 @@ import (
 	"repro/internal/tier"
 )
 
-// TestTierHitAllocs bounds an L1 miss the shared tier serves, the
-// client cache, its cluster.Remote and an in-process cluster.Server in
-// front of a daemon cache counted together. What is left is what the
-// client keeps: the value frame the promoted L1 entry aliases, the
-// entry, the payload decoded from the frame, and the copy handed to the
-// caller. The read-set stamp, the rep name and the daemon's side
-// allocate nothing.
-func TestTierHitAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("the race detector allocates on its own")
-	}
-	f := newFixture(t)
+// startTierDaemon serves a daemon cache over a loopback
+// cluster.Server and returns a cluster.Remote to it for a client whose
+// invalidator is inv, and the daemon cache; everything is stopped when
+// the test ends.
+func startTierDaemon(t *testing.T, f *fixture, inv *invalidate.Invalidator) (*cluster.Remote, *Cache) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
 	dinv := invalidate.New(nil, nil)
 	daemon := newCache(t, f, func(cfg *Config) { cfg.Invalidator = dinv })
 	srv, err := cluster.NewServer(cluster.ServerConfig{Tier: daemon, Inv: dinv})
@@ -39,19 +31,35 @@ func TestTierHitAllocs(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ctx, lis) }()
-	defer func() {
+	t.Cleanup(func() {
+		cancel()
 		srv.Close()
 		if err := <-done; err != nil {
 			t.Errorf("Serve: %v", err)
 		}
-	}()
-
-	inv := invalidate.New(testGraph(), nil)
+	})
 	remote, err := cluster.New(cluster.Config{Addrs: []string{lis.Addr().String()}, Inv: inv, BaseContext: ctx})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer remote.Close()
+	t.Cleanup(func() { remote.Close() })
+	return remote, daemon
+}
+
+// TestTierHitAllocs bounds an L1 miss the shared tier serves, the
+// client cache, its cluster.Remote and an in-process cluster.Server in
+// front of a daemon cache counted together. What is left is what the
+// client keeps: the value frame the promoted L1 entry aliases, the
+// entry, the payload decoded from the frame, and the copy handed to the
+// caller. The read-set stamp, the rep name and the daemon's side
+// allocate nothing.
+func TestTierHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f := newFixture(t)
+	inv := invalidate.New(testGraph(), nil)
+	remote, _ := startTierDaemon(t, f, inv)
 	// An L1 of one entry: alternating between two keys, every call
 	// misses L1 and is served by the tier.
 	c := newCache(t, f, func(cfg *Config) {
@@ -87,5 +95,45 @@ func TestTierHitAllocs(t *testing.T) {
 	}
 	if allocs > 5 {
 		t.Errorf("L1 miss, tier hit: %v allocs per call, want ≤ 5", allocs)
+	}
+}
+
+// TestTierFillAllocs bounds a warm fill's write-through to the shared
+// tier: tierFill over a cluster.Remote to an in-process daemon, both
+// ends counted. The client encodes the binser value into a pooled
+// buffer and builds the put frame around it in the connection's
+// scratch, so no allocation is left on the client side for the value;
+// building the payload, boxing it twice and copying it into a request
+// payload took four. What is left is the daemon's: the stamps it
+// decodes, the one copy of the value it keeps, and the entry.
+func TestTierFillAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	f := newFixture(t)
+	inv := invalidate.New(testGraph(), nil)
+	remote, daemon := startTierDaemon(t, f, inv)
+	c := newCache(t, f, func(cfg *Config) {
+		cfg.Store = nil
+		cfg.Rep = rep.NewRegistry(f.reg, f.codec)
+		cfg.Invalidator = inv
+		cfg.Tiers = []tier.Tier{remote}
+	})
+	ictx := f.ictx(t, opGet, &item{Name: "n", Score: 1, Tags: []string{"a", "b"}}, soap.Param{Name: "q", Value: "a"})
+	tk := tier.KeyOf([]byte("fill"))
+	if _, _, err := remote.Get(ictx.Ctx, tk); err != nil { // first contact: the stamps below carry the daemon's boot
+		t.Fatal(err)
+	}
+	stamps := c.tierStamps(tk, ictx)
+	fill := func() {
+		c.tierFill(tk, OperationPolicy{Cacheable: true}, ictx, stamps)
+		if _, ok, _ := daemon.Get(ictx.Ctx, tk); !ok {
+			t.Fatal("the daemon did not keep the fill")
+		}
+	}
+	fill()
+	allocs := testing.AllocsPerRun(200, fill)
+	if allocs > 4 {
+		t.Errorf("tier write-through: %v allocs per fill, want ≤ 4", allocs)
 	}
 }

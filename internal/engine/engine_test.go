@@ -751,3 +751,41 @@ func TestTierKeepsCoreSurface(t *testing.T) {
 		t.Errorf("Clear left %+v", st)
 	}
 }
+
+// TestTierPutCopiesBorrowedValue: tier.Tier.Put borrows the value, so
+// the buffer a caller hands it — the daemon's request buffer, a
+// client's pooled scratch — may be overwritten as soon as Put returns.
+// The stored entry must not change when it is, and must hold exactly
+// its bytes. A fill the stamps refuse copies nothing.
+func TestTierPutCopiesBorrowedValue(t *testing.T) {
+	inv := invalidate.New(nil, nil)
+	tr := NewTier(Config{}, inv, nil)
+	ctx := context.Background()
+	k := tier.KeyOf([]byte("borrowed"))
+
+	buf := make([]byte, 0, 64)
+	buf = append(buf, "the stored value"...)
+	if err := tr.Put(ctx, k, tier.Entry{Rep: "binser", Value: buf}); err != nil {
+		t.Fatal(err)
+	}
+	full := buf[:cap(buf)]
+	for i := range full {
+		full[i] = 'x'
+	}
+	got, ok, _ := tr.Get(ctx, k)
+	if !ok || string(got.Value) != "the stored value" {
+		t.Fatalf("after the caller reused its buffer the entry reads %q (found %v)", got.Value, ok)
+	}
+	if cap(got.Value) != len(got.Value) {
+		t.Errorf("stored value has capacity %d for %d bytes", cap(got.Value), len(got.Value))
+	}
+
+	stale := tr.PutStamps(k, []string{string(ksItem)})
+	if err := tr.BumpEpoch(ctx, []string{string(ksItem)}); err != nil {
+		t.Fatal(err)
+	}
+	refused := tier.Entry{Rep: "binser", Value: buf, Stamps: stale}
+	if allocs := testing.AllocsPerRun(100, func() { tr.Put(ctx, k, refused) }); allocs != 0 {
+		t.Errorf("a refused put made %v allocations, want 0", allocs)
+	}
+}

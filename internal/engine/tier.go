@@ -101,7 +101,9 @@ func (t *Tier) PutStamps(_ tier.Key, keyspaces []string) []tier.Stamp {
 // overtaken makes the entry born-stale — it is refused (silently;
 // refusal is the protocol working, not an error) rather than stored
 // and filtered later, so a daemon restart or slow client can never
-// park a stale value where the whole fleet would find it.
+// park a stale value where the whole fleet would find it. te.Value is
+// borrowed (tier.Tier): an entry that is kept gets its own copy, at
+// exactly its length, taken only once the stamps have let it in.
 func (t *Tier) Put(_ context.Context, k tier.Key, te tier.Entry) error {
 	var stamps invalidate.Stamps
 	if t.inv != nil && len(te.Stamps) > 0 {
@@ -113,9 +115,11 @@ func (t *Tier) Put(_ context.Context, k tier.Key, te tier.Entry) error {
 			return nil
 		}
 	}
+	data := make([]byte, len(te.Value))
+	copy(data, te.Value)
 	t.eng.Insert(Key(k), Item[wire]{
-		Value:  wire{Rep: te.Rep, Data: te.Value},
-		Size:   len(te.Value) + len(te.Rep),
+		Value:  wire{Rep: te.Rep, Data: data},
+		Size:   len(data) + len(te.Rep),
 		TTL:    te.TTL,
 		Stamps: stamps,
 	})

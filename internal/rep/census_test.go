@@ -26,7 +26,7 @@ const censusGolden = "testdata/census.golden"
 // the package's test fixtures — crossed with AcceptStream and with the
 // response XML captured or not. Each row lists the applicable
 // candidates in walk order and the winner, for the L1 order (what
-// Selector.Store picks) and the wire order (StoreWire's name); the last
+// Selector.Store picks) and the wire order (AppendWire's name); the last
 // line names the registered representations no row mentions. A change
 // to either order, to an applicability predicate or to what a store
 // accepts shows up as a diff against testdata/census.golden; rewrite it
@@ -87,7 +87,7 @@ func TestSelectorCensus(t *testing.T) {
 				}
 				wireCands := candidates(ictx, wire, seen)
 				wireWin := "none"
-				if name, _, _, err := sel.StoreWire(ictx); err == nil {
+				if name, _, err := sel.AppendWire(nil, ictx); err == nil {
 					wireWin = name
 				}
 				seen[l1Win], seen[wireWin] = true, true

@@ -37,7 +37,7 @@ const autoName = "Auto (optimal configuration)"
 // Selector is the one representation-selection mechanism (DESIGN.md
 // §5e): a ValueStore that decides, per fill, which registered
 // representation holds the result — for the in-process L1 (Store,
-// Load) and for byte-oriented remote tiers (StoreWire, LoadWire).
+// Load) and for byte-oriented remote tiers (AppendWire, LoadWire).
 //
 // Everything it knows is two orders over registry names, sectionSix
 // for L1 and wirePreference for tiers; whether a representation can
@@ -68,47 +68,31 @@ func NewStaticSelector(reg *Registry) *Selector {
 // Name implements ValueStore.
 func (s *Selector) Name() string { return autoName }
 
-// walk is the one selection loop: the first candidate in order that is
+// walk is the L1 selection loop: the first candidate in order that is
 // applicable to the invocation and whose Store accepts the concrete
-// value wins. The L1 walk (wire false) continues only past
-// ErrNotApplicable — applicability is a type-level prediction the
-// concrete value may refute, e.g. a value whose pointer type is the
-// Cloner — and aborts on any other error, wrapped with the
-// representation's name. The wire walk also flattens the payload (the
-// returned payload is the []byte) and keeps going past any error,
-// reporting the first: a tier write is best effort, so a later
-// candidate that can hold the result beats giving up on the first
-// one's failure.
+// value wins. It continues only past ErrNotApplicable — applicability
+// is a type-level prediction the concrete value may refute, e.g. a
+// value whose pointer type is the Cloner — and aborts on any other
+// error, wrapped with the representation's name. AppendWire is the
+// same walk over the wire order.
 //
 // Skipping an inapplicable candidate is the same as calling it only
 // because every representation in sectionSix returns ErrNotApplicable
 // whenever its predicate is false (DESIGN.md §5e lists the six).
-func (s *Selector) walk(order []*ValueSpec, ictx *client.Context, wire bool) (*ValueSpec, any, int, error) {
-	var first error
-	for _, spec := range order {
+func (s *Selector) walk(ictx *client.Context) (*ValueSpec, any, int, error) {
+	for _, spec := range s.l1 {
 		if !spec.Applicable(ictx) {
 			continue
 		}
 		payload, size, err := spec.Store.Store(ictx)
-		if err == nil && wire {
-			var data []byte
-			data, err = spec.Store.(WireStore).EncodeWire(payload)
-			payload, size = data, len(data)
-		}
 		if err == nil {
 			return spec, payload, size, nil
 		}
-		if !wire && !errors.Is(err, ErrNotApplicable) {
+		if !errors.Is(err, ErrNotApplicable) {
 			return nil, nil, 0, fmt.Errorf("rep: selector: %s: %w", spec.Store.Name(), err)
 		}
-		if first == nil {
-			first = err
-		}
 	}
-	if first == nil {
-		first = ErrNotApplicable
-	}
-	return nil, nil, 0, fmt.Errorf("rep: selector: no applicable representation: %w", first)
+	return nil, nil, 0, fmt.Errorf("rep: selector: no applicable representation: %w", ErrNotApplicable)
 }
 
 // Classify reports which representation the Section 6 order picks for
@@ -127,7 +111,7 @@ func (s *Selector) Classify(ictx *client.Context) string {
 // Store implements ValueStore: one walk over the Section 6 order. The
 // payload is wrapped so Load knows which representation produced it.
 func (s *Selector) Store(ictx *client.Context) (any, int, error) {
-	spec, payload, size, err := s.walk(s.l1, ictx, false)
+	spec, payload, size, err := s.walk(ictx)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -156,17 +140,34 @@ type selPayload struct {
 	payload any
 }
 
-// StoreWire encodes the invocation's result for remote tiers: one walk
-// over wirePreference, returning the chosen representation's short
-// registry name (what tier.Entry.Rep carries) and the wire bytes. The
-// chosen candidate must actually produce bytes for this concrete
-// value, so the walk falls through on errors.
-func (s *Selector) StoreWire(ictx *client.Context) (rep string, data []byte, size int, err error) {
-	spec, payload, size, err := s.walk(s.wire, ictx, true)
-	if err != nil {
-		return "", nil, 0, err
+// AppendWire encodes the invocation's result for remote tiers onto
+// dst: one walk over wirePreference, returning the chosen
+// representation's short registry name (what tier.Entry.Rep carries)
+// and dst extended by its wire bytes. The chosen candidate must
+// actually produce bytes for this concrete value, so the walk keeps
+// going past any error and reports the first: a tier write is best
+// effort, and a later candidate that can hold the result beats giving
+// up on the first one's failure. A store with an append form
+// (wireAppender) encodes straight into dst; any other goes through
+// Store and EncodeWire, and its bytes are copied in.
+func (s *Selector) AppendWire(dst []byte, ictx *client.Context) (string, []byte, error) {
+	var first error
+	for _, spec := range s.wire {
+		if !spec.Applicable(ictx) {
+			continue
+		}
+		out, err := appendWire(spec.Store.(WireStore), dst, ictx)
+		if err == nil {
+			return spec.Name, out, nil
+		}
+		if first == nil {
+			first = err
+		}
 	}
-	return spec.Name, payload.([]byte), size, nil
+	if first == nil {
+		first = ErrNotApplicable
+	}
+	return "", dst, fmt.Errorf("rep: selector: no applicable representation: %w", first)
 }
 
 // LoadWire reconstructs a payload from wire bytes produced under rep

@@ -118,7 +118,7 @@ func TestSelectorSectionSixTable(t *testing.T) {
 		ictx     *client.Context
 		classify string // Selector.Classify
 		stored   string // representation behind Store's payload
-		wire     string // registry name StoreWire reports
+		wire     string // registry name AppendWire reports
 	}{
 		{"immutable", full("text"), "Pass by reference", "Pass by reference", "binser"},
 		// nil is trivially immutable but no bean, so binser is out.
@@ -158,16 +158,16 @@ func TestSelectorSectionSixTable(t *testing.T) {
 				t.Errorf("%s: Load: %v", c.name, err)
 			}
 		}
-		rep, data, size, err := auto.StoreWire(c.ictx)
+		rep, data, err := auto.AppendWire(nil, c.ictx)
 		switch {
 		case c.wire == none:
 			if !errors.Is(err, ErrNotApplicable) {
-				t.Errorf("%s: StoreWire err = %v, want ErrNotApplicable", c.name, err)
+				t.Errorf("%s: AppendWire err = %v, want ErrNotApplicable", c.name, err)
 			}
 		case err != nil:
-			t.Errorf("%s: StoreWire: %v", c.name, err)
-		case rep != c.wire || size != len(data) || size == 0:
-			t.Errorf("%s: wire = %q (%d bytes, size %d), want %q", c.name, rep, len(data), size, c.wire)
+			t.Errorf("%s: AppendWire: %v", c.name, err)
+		case rep != c.wire || len(data) == 0:
+			t.Errorf("%s: wire = %q (%d bytes), want %q", c.name, rep, len(data), c.wire)
 		}
 	}
 }

@@ -3,6 +3,7 @@ package rep
 import (
 	"fmt"
 
+	"repro/internal/client"
 	"repro/internal/sax"
 )
 
@@ -27,6 +28,32 @@ type WireStore interface {
 	ValueStore
 	EncodeWire(payload any) ([]byte, error)
 	DecodeWire(data []byte) (any, error)
+}
+
+// wireAppender is the append form a WireStore may add: AppendWire
+// appends the wire encoding of the invocation's result to dst, with
+// the same errors Store would return, so a tier write makes no
+// payload of its own. Selector.AppendWire prefers it.
+type wireAppender interface {
+	AppendWire(dst []byte, ictx *client.Context) ([]byte, error)
+}
+
+// appendWire appends the invocation's result in ws's wire encoding to
+// dst: through the append form when ws has one, else Store, EncodeWire
+// and a copy.
+func appendWire(ws WireStore, dst []byte, ictx *client.Context) ([]byte, error) {
+	if a, ok := ws.(wireAppender); ok {
+		return a.AppendWire(dst, ictx)
+	}
+	payload, _, err := ws.Store(ictx)
+	if err != nil {
+		return dst, err
+	}
+	data, err := ws.EncodeWire(payload)
+	if err != nil {
+		return dst, err
+	}
+	return append(dst, data...), nil
 }
 
 // wirePreference is the static priority among wire-capable
@@ -77,6 +104,16 @@ func (s *xmlMessageStore) EncodeWire(payload any) ([]byte, error) {
 // DecodeWire implements WireStore.
 func (s *xmlMessageStore) DecodeWire(data []byte) (any, error) {
 	return data, nil
+}
+
+// AppendWire implements wireAppender: the binser encoding, appended
+// in place of Store's exact-size copy.
+func (s *binserStore) AppendWire(dst []byte, ictx *client.Context) ([]byte, error) {
+	out, err := s.codec.Append(dst, ictx.Result)
+	if err != nil {
+		return dst, fmt.Errorf("%w: %v", ErrNotApplicable, err)
+	}
+	return out, nil
 }
 
 // EncodeWire implements WireStore.
@@ -138,8 +175,9 @@ func (s *compactSAXStore) DecodeWire(data []byte) (any, error) {
 }
 
 var (
-	_ WireStore = (*xmlMessageStore)(nil)
-	_ WireStore = (*binserStore)(nil)
-	_ WireStore = (*gobStore)(nil)
-	_ WireStore = (*compactSAXStore)(nil)
+	_ WireStore    = (*xmlMessageStore)(nil)
+	_ WireStore    = (*binserStore)(nil)
+	_ wireAppender = (*binserStore)(nil)
+	_ WireStore    = (*gobStore)(nil)
+	_ WireStore    = (*compactSAXStore)(nil)
 )

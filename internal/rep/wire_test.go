@@ -110,16 +110,18 @@ func TestStaticWireSelection(t *testing.T) {
 	reg, f := wireFixtureRegistry(t)
 	w := NewStaticSelector(reg)
 	want := &item{Name: "beta", Score: 2}
-	rep, data, size, err := w.StoreWire(f.ictx(t, "doGetItem", want))
+	prefix := []byte("kept")
+	rep, data, err := w.AppendWire(prefix, f.ictx(t, "doGetItem", want))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep != "binser" {
 		t.Errorf("static choice = %q, want binser", rep)
 	}
-	if size != len(data) || size == 0 {
-		t.Errorf("size = %d, len(data) = %d", size, len(data))
+	if !bytes.HasPrefix(data, prefix) || len(data) == len(prefix) {
+		t.Fatalf("AppendWire returned %q, want %q and the value after it", data, prefix)
 	}
+	data = data[len(prefix):]
 	payload, store, err := w.LoadWire(rep, data)
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +143,9 @@ func TestStaticWireFallsThroughTypeLimits(t *testing.T) {
 	w := NewStaticSelector(reg)
 	ictx := f.ictx(t, "doGetOpaque", "plain string result")
 	ictx.Result = &opaqueResult{Name: "x", secret: 1}
-	rep, _, _, err := w.StoreWire(ictx)
+	rep, _, err := w.AppendWire(nil, ictx)
 	if err != nil {
-		t.Fatalf("StoreWire: %v", err)
+		t.Fatalf("AppendWire: %v", err)
 	}
 	if rep == "binser" {
 		t.Errorf("binser chosen for a non-bean result")

@@ -124,6 +124,9 @@ type Tier interface {
 	PutStamps(key Key, keyspaces []string) []Stamp
 	// Put stores an entry. A tier that owns epoch state refuses
 	// (without error) an entry whose stamps are already overtaken.
+	// Put borrows e.Value until it returns: the caller may reuse the
+	// buffer afterwards, so an implementation that keeps the value
+	// copies it, once and at exactly its length.
 	Put(ctx context.Context, key Key, e Entry) error
 	// Delete drops the entry under key, if present.
 	Delete(ctx context.Context, key Key) error
