@@ -1,7 +1,7 @@
 package googleapi
 
 import (
-	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -12,13 +12,27 @@ import (
 // traffic is realistic. Sizes are calibrated so the on-wire XML is
 // close to the paper's Table 9 (≈520 B spelling, ≈5.3 KB cached page,
 // ≈5.0 KB search result).
+//
+// They stand in for the origin on every miss the referee measures, so
+// each builds its result the cheap way: all of a result's text is
+// written end to end into one pre-grown builder and every string field
+// is sliced out of its one String(). Capitals are written in place,
+// integers appended with strconv, the seed is hashed without building
+// it, and the generator state is a value. TestGeneratorsGolden pins
+// every output to a digest recorded from the earlier fmt-based
+// generators, and TestSearchAllocs bounds a Search.
 
 // rng is a small deterministic generator seeded from a string.
 type rng struct{ state uint64 }
 
-func newRNG(seed string) *rng {
-	// FNV-1a over the seed.
+// newRNG seeds a generator with FNV-1a over prefix followed by seed:
+// the digest of their concatenation, without building it.
+func newRNG(prefix, seed string) rng {
 	h := uint64(14695981039346656037)
+	for i := 0; i < len(prefix); i++ {
+		h ^= uint64(prefix[i])
+		h *= 1099511628211
+	}
 	for i := 0; i < len(seed); i++ {
 		h ^= uint64(seed[i])
 		h *= 1099511628211
@@ -26,7 +40,7 @@ func newRNG(seed string) *rng {
 	if h == 0 {
 		h = 1
 	}
-	return &rng{state: h}
+	return rng{state: h}
 }
 
 func (r *rng) next() uint64 {
@@ -59,22 +73,29 @@ var _vocab = []string{
 }
 
 // SpellingSuggestion returns the suggestion for a phrase: a short
-// string, the "small and simple" return class.
+// string, the "small and simple" return class. Each word of the phrase
+// is kept or swapped for a vocabulary word.
 func SpellingSuggestion(phrase string) string {
-	r := newRNG("spell:" + phrase)
-	words := strings.Fields(phrase)
-	if len(words) == 0 {
-		words = []string{"web"}
-	}
-	out := make([]string, len(words))
-	for i, w := range words {
+	r := newRNG("spell:", phrase)
+	var b strings.Builder
+	b.Grow(len(phrase) + 32)
+	for w := range strings.FieldsSeq(phrase) {
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
 		if r.intn(2) == 0 {
-			out[i] = w
+			b.WriteString(w)
 		} else {
-			out[i] = _vocab[r.intn(len(_vocab))]
+			b.WriteString(_vocab[r.intn(len(_vocab))])
 		}
 	}
-	return strings.Join(out, " ")
+	if b.Len() == 0 { // no words: the suggestion for "web"
+		if r.intn(2) == 0 {
+			return "web"
+		}
+		return _vocab[r.intn(len(_vocab))]
+	}
+	return b.String()
 }
 
 // cachedPageSize is the size of generated cached pages, chosen so the
@@ -83,28 +104,25 @@ func SpellingSuggestion(phrase string) string {
 const cachedPageSize = 3600
 
 // CachedPage returns the cached page bytes for a URL: a single large
-// byte array, the "large and simple" return class.
+// byte array, the "large and simple" return class. The page is built
+// in the slice it is returned in.
 func CachedPage(url string) []byte {
-	r := newRNG("page:" + url)
-	var b strings.Builder
-	b.Grow(cachedPageSize + 256)
-	b.WriteString("<html><head><title>")
-	b.WriteString(url)
-	b.WriteString("</title></head><body>")
-	for b.Len() < cachedPageSize-16 {
-		b.WriteString("<p>")
+	r := newRNG("page:", url)
+	b := make([]byte, 0, cachedPageSize+256)
+	b = append(b, "<html><head><title>"...)
+	b = append(b, url...)
+	b = append(b, "</title></head><body>"...)
+	for len(b) < cachedPageSize-16 {
+		b = append(b, "<p>"...)
 		for i := 0; i < 8; i++ {
-			b.WriteString(r.pick(_vocab))
-			b.WriteByte(' ')
+			b = append(b, r.pick(_vocab)...)
+			b = append(b, ' ')
 		}
-		b.WriteString("</p>")
+		b = append(b, "</p>"...)
 	}
-	b.WriteString("</body></html>")
-	page := b.String()
-	if len(page) > cachedPageSize {
-		page = page[:cachedPageSize]
-	}
-	return []byte(page)
+	b = append(b, "</body></html>"...)
+	n := min(len(b), cachedPageSize)
+	return b[:n:n]
 }
 
 // searchResultCount is the number of ResultElement entries generated
@@ -112,76 +130,130 @@ func CachedPage(url string) []byte {
 // bytes (Table 9).
 const searchResultCount = 3
 
+// searchTextSize is what Search grows its builder by per element,
+// apart from the query its snippet repeats. An element's text is 41
+// vocabulary words with separators and markup: 429 to 585 bytes over
+// 200 000 queries, median 498. A rarer, longer one only makes the
+// builder grow once more.
+const searchTextSize = 600
+
+// searchBlock is one Search result with its slices' backing arrays, so
+// the whole object graph is one allocation and its text one more.
+type searchBlock struct {
+	result GoogleSearchResult
+	elems  [searchResultCount]ResultElement
+	cats   [1]DirectoryCategory
+}
+
 // Search returns the result object for a query: a deeply structured
 // object tree, the "large and complex" return class.
 func Search(query string, start, maxResults int) *GoogleSearchResult {
-	r := newRNG("search:" + query)
+	r := newRNG("search:", query)
 	n := searchResultCount
 	if maxResults > 0 && maxResults < n {
 		n = maxResults
 	}
-	elems := make([]ResultElement, n)
+	blk := new(searchBlock)
+	elems := blk.elems[:n:n]
+
+	// Every string field of every element goes into b, end to end in
+	// field order; ends[k] is where the k-th one ends. The rng is drawn
+	// in the order the fields were first specified in, which is not
+	// quite the order they are laid out in: the host's two words come
+	// before the summary, the URL's after it.
+	const fieldsPerElem = 7
+	var (
+		b       strings.Builder
+		ends    [searchResultCount * fieldsPerElem]int
+		hostLen [searchResultCount]int
+		k       int
+		num     [20]byte
+	)
+	b.Grow(n * (searchTextSize + len(query)))
+	end := func() { ends[k] = b.Len(); k++ }
 	for i := range elems {
-		host := fmt.Sprintf("www.%s-%s.example.com", r.pick(_vocab), r.pick(_vocab))
-		elems[i] = ResultElement{
-			Summary:                   sentence(r, 9),
-			URL:                       fmt.Sprintf("http://%s/%s/%d.html", host, r.pick(_vocab), r.intn(1000)),
-			Snippet:                   sentence(r, 14) + " <b>" + query + "</b> " + sentence(r, 9),
-			Title:                     titleCase(sentence(r, 4)),
-			CachedSize:                fmt.Sprintf("%dk", 4+r.intn(90)),
-			RelatedInformationPresent: r.intn(2) == 1,
-			HostName:                  host,
-			DirectoryCategory: DirectoryCategory{
-				FullViewableName: "Top/Computers/" + titleCase(r.pick(_vocab)),
-				SpecialEncoding:  "",
-			},
-			DirectoryTitle: titleCase(r.pick(_vocab)),
-			Language:       "en",
-		}
+		h1, h2 := r.pick(_vocab), r.pick(_vocab)
+		writeSentence(&b, &r, 9, false) // Summary
+		end()
+		b.WriteString("http://") // URL, with the HostName in it
+		from := b.Len()
+		b.WriteString("www.")
+		b.WriteString(h1)
+		b.WriteByte('-')
+		b.WriteString(h2)
+		b.WriteString(".example.com")
+		hostLen[i] = b.Len() - from
+		b.WriteByte('/')
+		b.WriteString(r.pick(_vocab))
+		b.WriteByte('/')
+		b.Write(strconv.AppendInt(num[:0], int64(r.intn(1000)), 10))
+		b.WriteString(".html")
+		end()
+		writeSentence(&b, &r, 14, false) // Snippet
+		b.WriteString(" <b>")
+		b.WriteString(query)
+		b.WriteString("</b> ")
+		writeSentence(&b, &r, 9, false)
+		end()
+		writeSentence(&b, &r, 4, true) // Title
+		end()
+		b.Write(strconv.AppendInt(num[:0], int64(4+r.intn(90)), 10)) // CachedSize
+		b.WriteByte('k')
+		end()
+		elems[i].RelatedInformationPresent = r.intn(2) == 1
+		b.WriteString("Top/Computers/") // FullViewableName
+		writeSentence(&b, &r, 1, true)
+		end()
+		writeSentence(&b, &r, 1, true) // DirectoryTitle
+		end()
 	}
-	cats := []DirectoryCategory{
-		{FullViewableName: "Top/Computers/Software", SpecialEncoding: ""},
+
+	text := b.String()
+	at := 0
+	k = 0
+	next := func() string {
+		from := at
+		at = ends[k]
+		k++
+		return text[from:at]
 	}
-	return &GoogleSearchResult{
-		DocumentFiltering:          false,
-		SearchComments:             "",
+	for i := range elems {
+		e := &elems[i]
+		e.Summary = next()
+		e.URL = next()
+		e.HostName = e.URL[len("http://") : len("http://")+hostLen[i]]
+		e.Snippet = next()
+		e.Title = next()
+		e.CachedSize = next()
+		e.DirectoryCategory.FullViewableName = next()
+		e.DirectoryTitle = next()
+		e.Language = "en"
+	}
+	blk.cats[0] = DirectoryCategory{FullViewableName: "Top/Computers/Software"}
+	blk.result = GoogleSearchResult{
 		EstimatedTotalResultsCount: 1000 + r.intn(4_000_000),
-		EstimateIsExact:            false,
 		ResultElements:             elems,
 		SearchQuery:                query,
 		StartIndex:                 start + 1,
 		EndIndex:                   start + n,
-		SearchTips:                 "",
-		DirectoryCategories:        cats,
+		DirectoryCategories:        blk.cats[:],
 		SearchTime:                 float64(50+r.intn(400)) / 1000.0,
 	}
+	return &blk.result
 }
 
-// sentence generates n space-separated vocabulary words.
-func sentence(r *rng, n int) string {
-	var b strings.Builder
+// writeSentence writes n space-separated vocabulary words to b, each
+// with its first letter upper-cased when title is set.
+func writeSentence(b *strings.Builder, r *rng, n int, title bool) {
 	for i := 0; i < n; i++ {
 		if i > 0 {
 			b.WriteByte(' ')
 		}
-		b.WriteString(r.pick(_vocab))
-	}
-	return b.String()
-}
-
-// titleCase upper-cases the first letter of each ASCII word.
-func titleCase(s string) string {
-	b := []byte(s)
-	up := true
-	for i, c := range b {
-		if c == ' ' {
-			up = true
-			continue
+		w := r.pick(_vocab)
+		if title && w[0] >= 'a' && w[0] <= 'z' {
+			b.WriteByte(w[0] - ('a' - 'A'))
+			w = w[1:]
 		}
-		if up && c >= 'a' && c <= 'z' {
-			b[i] = c - ('a' - 'A')
-		}
-		up = false
+		b.WriteString(w)
 	}
-	return string(b)
 }

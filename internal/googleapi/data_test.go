@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -48,5 +49,24 @@ func TestGeneratorsGolden(t *testing.T) {
 	}
 	if got := hex.EncodeToString(h.Sum(nil)); got != generatorsGolden {
 		t.Errorf("generator digest %s, want %s", got, generatorsGolden)
+	}
+}
+
+// TestSearchAllocs bounds one Search, the stand-in origin's work on
+// every referee origin miss: the result with its slices' backing
+// arrays, and the one string its text fields are sliced from. The
+// fmt-based generator it replaced made 94.
+func TestSearchAllocs(t *testing.T) {
+	queries := make([]string, 101)
+	for i := range queries {
+		queries[i] = "never repeating " + strconv.Itoa(i)
+	}
+	i := 0
+	allocs := testing.AllocsPerRun(100, func() {
+		Search(queries[i], 0, 10)
+		i++
+	})
+	if allocs > 4 {
+		t.Errorf("Search: %v allocs per call, want ≤ 4", allocs)
 	}
 }
