@@ -191,7 +191,9 @@ type Call struct {
 	namespace  string
 	operation  string
 	soapAction string
-	opts       Options
+	// actionHeader is soapAction's header value, built once.
+	actionHeader []string
+	opts         Options
 
 	// handlerNames label per-handler stage series, resolved once from
 	// the handler types. timed reports whether stage recording is on
@@ -229,6 +231,7 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		namespace:    namespace,
 		operation:    operation,
 		soapAction:   soapAction,
+		actionHeader: transport.SOAPActionHeader(soapAction),
 		opts:         opts,
 		handlerNames: names,
 		timed:        opts.Obs != nil,
@@ -325,12 +328,16 @@ func (c *Call) pivot(ictx *Context) error {
 	if c.timed {
 		start = clock.System()
 	}
-	resp, err := c.tr.Send(ictx.Ctx, &transport.Request{
+	treq := &transport.Request{
 		Endpoint:   ictx.Endpoint,
 		SOAPAction: ictx.SOAPAction,
 		Body:       reqXML,
 		Header:     ictx.RequestHeader,
-	})
+	}
+	if ictx.SOAPAction == c.soapAction {
+		treq.ActionHeader = c.actionHeader
+	}
+	resp, err := c.tr.Send(ictx.Ctx, treq)
 	if c.timed {
 		// Send time includes the retrying transport's attempts and
 		// backoff sleeps when Options.Retry is set.

@@ -25,6 +25,10 @@ type Request struct {
 	Endpoint string
 	// SOAPAction is the SOAP 1.1 action header value (unquoted).
 	SOAPAction string
+	// ActionHeader, when non-nil, is SOAPAction's quoted header value
+	// as SOAPActionHeader built it, once per caller; Send sets it as
+	// it is instead of quoting SOAPAction for each request.
+	ActionHeader []string
 	// Body is the request envelope.
 	Body []byte
 	// Header carries extra request headers; the cache's revalidation
@@ -194,7 +198,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
 	SetSOAPContentType(req.Header)
-	req.Header.Set("SOAPAction", `"`+treq.SOAPAction+`"`)
+	setSOAPAction(req.Header, treq)
 	copyHeader(req.Header, treq.Header)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
 	resp, err := client.Do(req)
@@ -265,7 +269,7 @@ func (t *InProcess) Send(ctx context.Context, treq *Request) (*Response, error) 
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
 	SetSOAPContentType(req.Header)
-	req.Header.Set("SOAPAction", `"`+treq.SOAPAction+`"`)
+	setSOAPAction(req.Header, treq)
 	copyHeader(req.Header, treq.Header)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
 	rw := &bufferResponseWriter{header: make(http.Header), status: http.StatusOK}
@@ -407,6 +411,24 @@ var soapContentType = []string{`text/xml; charset=utf-8`}
 // type. It allocates nothing, where Header.Set makes a one-element
 // slice per call.
 func SetSOAPContentType(h http.Header) { h["Content-Type"] = soapContentType }
+
+// SOAPActionHeader returns the SOAPAction header value for action:
+// the action quoted, as SOAP 1.1 requires, in a slice whose length
+// equals its capacity, so the requests that share it cannot write into
+// one another's (see soapContentType). A client builds it once and
+// hands it to every request in Request.ActionHeader.
+func SOAPActionHeader(action string) []string { return []string{`"` + action + `"`} }
+
+// setSOAPAction sets h's SOAPAction header for treq under the key
+// Header.Set would canonicalize it to, so the bytes on the wire are
+// the same; only a request without an ActionHeader builds one.
+func setSOAPAction(h http.Header, treq *Request) {
+	v := treq.ActionHeader
+	if v == nil {
+		v = SOAPActionHeader(treq.SOAPAction)
+	}
+	h["Soapaction"] = v
+}
 
 // SetValidators stamps a response with Last-Modified and Cache-Control
 // max-age headers, the server side of the HTTP consistency mechanism.

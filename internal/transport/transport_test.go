@@ -9,11 +9,17 @@ import (
 	"time"
 )
 
+// TestHTTPSend: a request reaches the server as a SOAP 1.1 POST. The
+// SOAPAction header reads back quoted through Header.Get, under its
+// canonical key, whether the request carries it prebuilt
+// (ActionHeader) or only the action.
 func TestHTTPSend(t *testing.T) {
 	var gotAction, gotCT string
+	var gotActions []string
 	var gotBody []byte
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		gotAction = r.Header.Get("SOAPAction")
+		gotActions = r.Header["Soapaction"]
 		gotCT = r.Header.Get("Content-Type")
 		buf := make([]byte, r.ContentLength)
 		_, _ = r.Body.Read(buf)
@@ -24,21 +30,23 @@ func TestHTTPSend(t *testing.T) {
 	defer srv.Close()
 
 	tr := &HTTP{}
-	resp, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL, SOAPAction: "urn:x#op", Body: []byte("<req/>")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(resp.Body) != "<resp/>" || resp.Status != 200 {
-		t.Errorf("resp = %+v", resp)
-	}
-	if gotAction != `"urn:x#op"` {
-		t.Errorf("SOAPAction = %q", gotAction)
-	}
-	if gotCT != "text/xml; charset=utf-8" {
-		t.Errorf("Content-Type = %q", gotCT)
-	}
-	if string(gotBody) != "<req/>" {
-		t.Errorf("body = %q", gotBody)
+	for _, header := range [][]string{nil, SOAPActionHeader("urn:x#op")} {
+		resp, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL, SOAPAction: "urn:x#op", ActionHeader: header, Body: []byte("<req/>")})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(resp.Body) != "<resp/>" || resp.Status != 200 {
+			t.Errorf("resp = %+v", resp)
+		}
+		if gotAction != `"urn:x#op"` || len(gotActions) != 1 {
+			t.Errorf("prebuilt %v: SOAPAction = %q (values %q)", header != nil, gotAction, gotActions)
+		}
+		if gotCT != "text/xml; charset=utf-8" {
+			t.Errorf("Content-Type = %q", gotCT)
+		}
+		if string(gotBody) != "<req/>" {
+			t.Errorf("body = %q", gotBody)
+		}
 	}
 }
 
