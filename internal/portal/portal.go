@@ -11,7 +11,6 @@ import (
 	"html"
 	"net/http"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/client"
@@ -35,17 +34,10 @@ type Backend struct {
 // site is the portal: an http.Handler rendering one page per request.
 type site struct {
 	backends []Backend
-	// failSoft switches the portal to degraded rendering: a failing
-	// back end yields an "unavailable" section instead of failing the
-	// whole page. Combined with the cache's StaleIfError, a section
-	// degrades to stale data first and to an apology only when nothing
-	// is cached. degraded counts the sections rendered that way.
-	failSoft bool
-	degraded atomic.Int64
 
 	// reg records per-backend invocation latencies (the backend stage,
-	// labelled by section name) and the portal.degraded counter; set
-	// via Instrument, nil until then. timed gates clock reads.
+	// labelled by section name); set via Instrument, nil until then.
+	// timed gates clock reads.
 	reg   *obs.Registry
 	timed bool
 }
@@ -57,10 +49,9 @@ func New(backends ...Backend) *site {
 
 // Instrument wires the site's observability: per-backend invocation
 // latencies land in reg's backend stage (representation = section
-// name) and degraded renders in the portal.degraded counter. Share reg
-// with the backends' client and cache configs for one coherent
-// /debug/wscache snapshot. Call before serving; not safe to call
-// concurrently with Render.
+// name). Share reg with the backends' client and cache configs for one
+// coherent /debug/wscache snapshot. Call before serving; not safe to
+// call concurrently with Render.
 func (s *site) Instrument(reg *obs.Registry) {
 	s.reg = reg
 	s.timed = reg != nil
@@ -68,7 +59,9 @@ func (s *site) Instrument(reg *obs.Registry) {
 
 // RenderContext produces the portal page for a query by invoking every
 // back end through the client middleware, under the caller's context:
-// cancelling ctx aborts the remaining back-end invocations.
+// cancelling ctx aborts the remaining back-end invocations. A back end
+// that fails fails the page (with the cache's StaleIfError, only once
+// nothing stale is left to serve).
 func (s *site) RenderContext(ctx context.Context, query string) (string, error) {
 	var b strings.Builder
 	b.Grow(4096)
@@ -87,15 +80,7 @@ func (s *site) RenderContext(ctx context.Context, query string) (string, error) 
 			s.reg.Stage(obs.StageBackend, be.Name, clock.System().Sub(start), err)
 		}
 		if err != nil {
-			if !s.failSoft {
-				return "", fmt.Errorf("portal: backend %s: %w", be.Name, err)
-			}
-			s.degraded.Add(1)
-			s.reg.Add("portal.degraded", 1)
-			b.WriteString(`<section class="degraded"><h2>`)
-			b.WriteString(html.EscapeString(be.Name))
-			b.WriteString("</h2><p>temporarily unavailable</p></section>")
-			continue
+			return "", fmt.Errorf("portal: backend %s: %w", be.Name, err)
 		}
 		b.WriteString("<section><h2>")
 		b.WriteString(html.EscapeString(be.Name))

@@ -139,20 +139,26 @@ func TestServeHTTPDefaultQuery(t *testing.T) {
 	}
 }
 
+// TestRenderBackendFailure: a portal with a back end whose transport
+// fails surfaces the error, alone or beside healthy back ends, and
+// serves it as a 502.
 func TestRenderBackendFailure(t *testing.T) {
-	// A portal whose backend transport fails must surface the error.
-	codec := soap.NewCodec(nil)
-	_ = codec
 	failing := client.NewCall(
 		soap.NewCodec(nil),
 		transportFailer{},
 		"ep", "urn:x", "op", "", client.Options{},
 	)
-	site := New(Backend{
+	broken := Backend{
 		Name:   "broken",
 		Call:   failing,
 		Params: func(string) []soap.Param { return nil },
-	})
+	}
+	healthy, _ := newPortal(t)
+	mixed := New(append(append([]Backend{}, healthy.backends...), broken)...)
+	if _, err := mixed.RenderContext(context.Background(), "q"); err == nil {
+		t.Error("a failing back end beside healthy ones: expected backend error")
+	}
+	site := New(broken)
 	if _, err := site.RenderContext(context.Background(), "q"); err == nil {
 		t.Error("expected backend error")
 	}
