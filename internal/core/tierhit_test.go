@@ -102,10 +102,9 @@ func TestTierHitAllocs(t *testing.T) {
 // tier: tierFill over a cluster.Remote to an in-process daemon, both
 // ends counted. The client encodes the binser value into a pooled
 // buffer and builds the put frame around it in the connection's
-// scratch, so no allocation is left on the client side for the value;
-// building the payload, boxing it twice and copying it into a request
-// payload took four. What is left is the daemon's: the stamps it
-// decodes, the one copy of the value it keeps, and the entry.
+// scratch, so no allocation is left on the client side for the value.
+// What is left is the daemon's: the stamps it decodes, the one copy of
+// the value it keeps, and the entry.
 func TestTierFillAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector allocates on its own")

@@ -19,8 +19,8 @@ import (
 // is sliced out of its one String(). Capitals are written in place,
 // integers appended with strconv, the seed is hashed without building
 // it, and the generator state is a value. TestGeneratorsGolden pins
-// every output to a digest recorded from the earlier fmt-based
-// generators, and TestSearchAllocs bounds a Search.
+// every output to a recorded digest, so any change to a generated byte
+// shows; TestSearchAllocs bounds a Search.
 
 // rng is a small deterministic generator seeded from a string.
 type rng struct{ state uint64 }

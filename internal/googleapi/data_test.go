@@ -54,8 +54,7 @@ func TestGeneratorsGolden(t *testing.T) {
 
 // TestSearchAllocs bounds one Search, the stand-in origin's work on
 // every referee origin miss: the result with its slices' backing
-// arrays, and the one string its text fields are sliced from. The
-// fmt-based generator it replaced made 94.
+// arrays, and the one string its text fields are sliced from.
 func TestSearchAllocs(t *testing.T) {
 	queries := make([]string, 101)
 	for i := range queries {

@@ -68,9 +68,9 @@ func NewStaticSelector(reg *Registry) *Selector {
 // Name implements ValueStore.
 func (s *Selector) Name() string { return autoName }
 
-// walk is the L1 selection loop: the first candidate in order that is
-// applicable to the invocation and whose Store accepts the concrete
-// value wins. It continues only past ErrNotApplicable — applicability
+// walk is the L1 selection loop: the first candidate in the Section 6
+// order that is applicable to the invocation and whose Store accepts
+// the concrete value wins. It continues only past ErrNotApplicable — applicability
 // is a type-level prediction the concrete value may refute, e.g. a
 // value whose pointer type is the Cloner — and aborts on any other
 // error, wrapped with the representation's name. AppendWire is the

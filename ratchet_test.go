@@ -31,9 +31,8 @@ import (
 // the count measured when it was last lowered; CHANGES.md records
 // every change to one.
 
-// Origin-miss ceilings. Twelve runs measured 125.1–125.8 allocs/op
-// and 25 283–25 348 B/op; the stack before the tier write-through and
-// the stand-in origin were put on a diet measured 223.8 and 33 060.
+// Origin-miss ceilings; twelve runs measured 125.1–125.8 allocs/op and
+// 25 283–25 348 B/op.
 const (
 	originMissMaxAllocs = 128
 	originMissMaxBytes  = 26_100
