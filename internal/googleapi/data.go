@@ -157,10 +157,10 @@ func Search(query string, start, maxResults int) *GoogleSearchResult {
 	elems := blk.elems[:n:n]
 
 	// Every string field of every element goes into b, end to end in
-	// field order; ends[k] is where the k-th one ends. The rng is drawn
-	// in the order the fields were first specified in, which is not
-	// quite the order they are laid out in: the host's two words come
-	// before the summary, the URL's after it.
+	// field order; ends[k] is where the k-th one ends. The rng draws keep
+	// the order TestGeneratorsGolden was recorded with, which is not
+	// quite the layout order: the host's two words are drawn before the
+	// summary and written after it, in the URL.
 	const fieldsPerElem = 7
 	var (
 		b       strings.Builder
@@ -209,24 +209,23 @@ func Search(query string, start, maxResults int) *GoogleSearchResult {
 	}
 
 	text := b.String()
-	at := 0
-	k = 0
-	next := func() string {
-		from := at
-		at = ends[k]
-		k++
-		return text[from:at]
+	field := func(k int) string { // the k-th field written
+		from := 0
+		if k > 0 {
+			from = ends[k-1]
+		}
+		return text[from:ends[k]]
 	}
 	for i := range elems {
-		e := &elems[i]
-		e.Summary = next()
-		e.URL = next()
+		e, f := &elems[i], i*fieldsPerElem
+		e.Summary = field(f)
+		e.URL = field(f + 1)
 		e.HostName = e.URL[len("http://") : len("http://")+hostLen[i]]
-		e.Snippet = next()
-		e.Title = next()
-		e.CachedSize = next()
-		e.DirectoryCategory.FullViewableName = next()
-		e.DirectoryTitle = next()
+		e.Snippet = field(f + 2)
+		e.Title = field(f + 3)
+		e.CachedSize = field(f + 4)
+		e.DirectoryCategory.FullViewableName = field(f + 5)
+		e.DirectoryTitle = field(f + 6)
 		e.Language = "en"
 	}
 	blk.cats[0] = DirectoryCategory{FullViewableName: "Top/Computers/Software"}
