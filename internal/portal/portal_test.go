@@ -139,26 +139,23 @@ func TestServeHTTPDefaultQuery(t *testing.T) {
 	}
 }
 
-// TestRenderBackendFailure: a portal with a back end whose transport
-// fails surfaces the error, alone or beside healthy back ends, and
-// serves it as a 502.
-func TestRenderBackendFailure(t *testing.T) {
-	failing := client.NewCall(
-		soap.NewCodec(nil),
-		transportFailer{},
-		"ep", "urn:x", "op", "", client.Options{},
-	)
-	broken := Backend{
-		Name:   "broken",
-		Call:   failing,
+// brokenBackend is a back end whose transport always fails.
+func brokenBackend() Backend {
+	return Backend{
+		Name: "broken",
+		Call: client.NewCall(
+			soap.NewCodec(nil),
+			transportFailer{},
+			"ep", "urn:x", "op", "", client.Options{},
+		),
 		Params: func(string) []soap.Param { return nil },
 	}
-	healthy, _ := newPortal(t)
-	mixed := New(append(append([]Backend{}, healthy.backends...), broken)...)
-	if _, err := mixed.RenderContext(context.Background(), "q"); err == nil {
-		t.Error("a failing back end beside healthy ones: expected backend error")
-	}
-	site := New(broken)
+}
+
+// TestRenderBackendFailure: a portal whose only back end fails surfaces
+// the error and serves it as a 502.
+func TestRenderBackendFailure(t *testing.T) {
+	site := New(brokenBackend())
 	if _, err := site.RenderContext(context.Background(), "q"); err == nil {
 		t.Error("expected backend error")
 	}
@@ -171,6 +168,16 @@ func TestRenderBackendFailure(t *testing.T) {
 	defer func() { _ = resp.Body.Close() }()
 	if resp.StatusCode != http.StatusBadGateway {
 		t.Errorf("status = %d, want 502", resp.StatusCode)
+	}
+}
+
+// TestFailHardRemainsDefault: a failing back end beside healthy ones
+// still fails the whole page.
+func TestFailHardRemainsDefault(t *testing.T) {
+	healthy, _ := newPortal(t)
+	site := New(append(append([]Backend{}, healthy.backends...), brokenBackend())...)
+	if _, err := site.RenderContext(context.Background(), "q"); err == nil {
+		t.Error("a failing back end beside healthy ones: expected backend error")
 	}
 }
 
