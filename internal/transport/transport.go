@@ -4,6 +4,17 @@
 // network cost, and the HTTP cache-validator utilities (Cache-Control,
 // Expires, If-Modified-Since / 304) the paper points to as the
 // standard, orthogonal consistency mechanism (Section 3.2).
+//
+// HTTP.Send hands each request straight to an http.RoundTripper (the
+// configured client's Transport, or http.DefaultTransport) rather than
+// to http.Client.Do, which would copy the request's header and fork
+// the request under a deadline on every call. Send bounds the exchange
+// itself, body read included, with one context deadline, and wraps a
+// failed round trip in a *url.Error as Client.Do does. Redirects are
+// not followed: SOAP 1.1's HTTP binding defines none, and Client.Do
+// would have re-sent a 301 or 302 POST as a bodiless GET. A 3xx comes
+// back as a status error like any other status that carries no
+// envelope.
 package transport
 
 import (
@@ -12,6 +23,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -155,19 +167,17 @@ func ReadBody(r io.Reader, declared, max int64) ([]byte, error) {
 	}
 }
 
-// defaultClient backs HTTP transports with no Client configured. Unlike
-// http.DefaultClient it times out, so a dead backend cannot hang an
-// invocation forever.
-var defaultClient = &http.Client{Timeout: DefaultTimeout}
-
-// HTTP is a Transport over net/http. The zero value uses a shared
-// client with DefaultTimeout and bounds response bodies at
-// DefaultMaxResponseBytes.
+// HTTP is a Transport over net/http. The zero value sends through
+// http.DefaultTransport, times out after DefaultTimeout and bounds
+// response bodies at DefaultMaxResponseBytes.
 type HTTP struct {
-	// Client overrides the HTTP client when non-nil.
+	// Client, when non-nil, supplies the round tripper (its Transport;
+	// nil means http.DefaultTransport) and, when positive, the timeout
+	// (its Timeout). Nothing else of it is used: Send does not call
+	// Client.Do, so neither CheckRedirect nor Jar applies.
 	Client *http.Client
-	// Timeout bounds the whole exchange when Client is nil; zero means
-	// DefaultTimeout.
+	// Timeout bounds the whole exchange, body read included, when
+	// Client sets none; zero means DefaultTimeout.
 	Timeout time.Duration
 	// MaxResponseBytes bounds the response body read. Zero means
 	// DefaultMaxResponseBytes; negative means unlimited.
@@ -185,14 +195,22 @@ var _ Transport = (*HTTP)(nil)
 // responses carry envelopes (500 carries the fault); 304 answers a
 // conditional request with no body.
 func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
-	client := t.Client
-	if client == nil {
-		if t.Timeout > 0 {
-			client = &http.Client{Timeout: t.Timeout}
-		} else {
-			client = defaultClient
+	rt, timeout := http.DefaultTransport, t.Timeout
+	if c := t.Client; c != nil {
+		if c.Transport != nil {
+			rt = c.Transport
+		}
+		if c.Timeout > 0 {
+			timeout = c.Timeout
 		}
 	}
+	if timeout <= 0 {
+		timeout = DefaultTimeout
+	}
+	// Cancelled on return, after the body read: the bound covers the
+	// whole exchange, as Client.Timeout does.
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, treq.Endpoint, bytes.NewReader(treq.Body))
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
@@ -201,9 +219,9 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 	setSOAPAction(req.Header, treq)
 	copyHeader(req.Header, treq.Header)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
-	resp, err := client.Do(req)
+	resp, err := rt.RoundTrip(req)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %w", err)
+		return nil, fmt.Errorf("transport: %w", &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err})
 	}
 	defer func() { _ = resp.Body.Close() }()
 	body, err := ReadBody(resp.Body, resp.ContentLength, t.MaxResponseBytes)

@@ -5,6 +5,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -91,6 +94,95 @@ func TestHTTPSendContextCancel(t *testing.T) {
 	tr := &HTTP{}
 	if _, err := tr.Send(ctx, &Request{Endpoint: srv.URL}); err == nil {
 		t.Error("expected context deadline error")
+	}
+}
+
+// TestHTTPClientTimeoutCoversBody: a configured Client.Timeout still
+// bounds the exchange after the headers have arrived. The server
+// declares a body, sends part of it and stalls; the read fails at the
+// deadline instead of waiting for the rest.
+func TestHTTPClientTimeoutCoversBody(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Length", "100")
+		_, _ = w.Write([]byte("<partial"))
+		w.(http.Flusher).Flush()
+		<-r.Context().Done() // stall until the client gives up
+	}))
+	defer srv.Close()
+
+	tr := &HTTP{Client: &http.Client{Timeout: 50 * time.Millisecond}}
+	start := time.Now()
+	_, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("err = %v, want the deadline mid-body", err)
+	}
+	if elapsed := time.Since(start); elapsed > 5*time.Second {
+		t.Errorf("gave up after %v, want ~50ms", elapsed)
+	}
+}
+
+// TestHTTPRedirectNotFollowed: a 302 and a 307 come back as status
+// errors, and the target they name is never requested.
+func TestHTTPRedirectNotFollowed(t *testing.T) {
+	var followed atomic.Int32
+	mux := http.NewServeMux()
+	mux.HandleFunc("/target", func(w http.ResponseWriter, r *http.Request) {
+		followed.Add(1)
+		_, _ = w.Write([]byte("<moved/>"))
+	})
+	for _, code := range []int{http.StatusFound, http.StatusTemporaryRedirect} {
+		mux.HandleFunc("/"+strconv.Itoa(code), func(w http.ResponseWriter, r *http.Request) {
+			http.Redirect(w, r, "/target", code)
+		})
+	}
+	srv := httptest.NewServer(mux)
+	defer srv.Close()
+
+	for _, code := range []int{http.StatusFound, http.StatusTemporaryRedirect} {
+		_, err := (&HTTP{}).Send(context.Background(), &Request{Endpoint: srv.URL + "/" + strconv.Itoa(code), Body: []byte("<req/>")})
+		var se *statusError
+		if !errors.As(err, &se) || se.Status != code {
+			t.Errorf("%d: err = %v, want a status error", code, err)
+		}
+	}
+	if n := followed.Load(); n != 0 {
+		t.Errorf("the redirect target was requested %d times", n)
+	}
+}
+
+// TestHTTPDroppedConnectionRetried: a server that hijacks the
+// connection and closes it without answering yields a *url.Error, as
+// Client.Do did, which the retrying transport treats as transient.
+func TestHTTPDroppedConnectionRetried(t *testing.T) {
+	var requests atomic.Int32
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		conn, _, err := w.(http.Hijacker).Hijack()
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		_ = conn.Close()
+	}))
+	defer srv.Close()
+
+	_, err := (&HTTP{}).Send(context.Background(), &Request{Endpoint: srv.URL, Body: []byte("<req/>")})
+	var ue *url.Error
+	if !errors.As(err, &ue) || ue.Op != "Post" {
+		t.Fatalf("err = %v, want a *url.Error from Post", err)
+	}
+	if !isTransient(err) {
+		t.Errorf("a dropped connection is not transient: %v", err)
+	}
+
+	requests.Store(0)
+	noSleep := func(context.Context, time.Duration) error { return nil }
+	rt := NewRetry(&HTTP{}, RetryPolicy{MaxAttempts: 3, Sleep: noSleep})
+	if _, err := rt.Send(context.Background(), &Request{Endpoint: srv.URL, Body: []byte("<req/>")}); !errors.As(err, &ue) {
+		t.Errorf("retried: err = %v, want the last attempt's *url.Error", err)
+	}
+	if n := requests.Load(); n != 3 {
+		t.Errorf("server saw %d requests over 3 attempts", n)
 	}
 }
 
