@@ -191,9 +191,10 @@ type Call struct {
 	namespace  string
 	operation  string
 	soapAction string
-	// actionHeader is soapAction's header value, built once.
-	actionHeader []string
-	opts         Options
+	// header is the request header of every invocation that adds none
+	// (transport.SOAPHeader), built once and never written.
+	header http.Header
+	opts   Options
 
 	// handlerNames label per-handler stage series, resolved once from
 	// the handler types. timed reports whether stage recording is on
@@ -231,7 +232,7 @@ func NewCall(codec *soap.Codec, tr transport.Transport, endpoint, namespace, ope
 		namespace:    namespace,
 		operation:    operation,
 		soapAction:   soapAction,
-		actionHeader: transport.SOAPActionHeader(soapAction),
+		header:       transport.SOAPHeader(soapAction),
 		opts:         opts,
 		handlerNames: names,
 		timed:        opts.Obs != nil,
@@ -328,14 +329,18 @@ func (c *Call) pivot(ictx *Context) error {
 	if c.timed {
 		start = clock.System()
 	}
+	header := c.header
+	if ictx.SOAPAction != c.soapAction {
+		header = transport.SOAPHeader(ictx.SOAPAction)
+	}
+	if len(ictx.RequestHeader) > 0 {
+		header = withHeader(header, ictx.RequestHeader)
+	}
 	treq := &transport.Request{
 		Endpoint:   ictx.Endpoint,
 		SOAPAction: ictx.SOAPAction,
 		Body:       reqXML,
-		Header:     ictx.RequestHeader,
-	}
-	if ictx.SOAPAction == c.soapAction {
-		treq.ActionHeader = c.actionHeader
+		Header:     header,
 	}
 	resp, err := c.tr.Send(ictx.Ctx, treq)
 	if c.timed {
@@ -372,4 +377,21 @@ func (c *Call) pivot(ictx *Context) error {
 	}
 	ictx.Result = msg.Result()
 	return nil
+}
+
+// withHeader returns a new header holding base's values and then
+// extra's. base may be the Call's shared header: it is only read, and
+// a key both carry gets a fresh slice rather than an append into
+// base's.
+func withHeader(base, extra http.Header) http.Header {
+	h := make(http.Header, len(base)+len(extra))
+	for k, vs := range base {
+		h[k] = vs
+	}
+	for k, vs := range extra {
+		k = http.CanonicalHeaderKey(k)
+		old := h[k]
+		h[k] = append(old[:len(old):len(old)], vs...)
+	}
+	return h
 }

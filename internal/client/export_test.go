@@ -1,6 +1,8 @@
 package client
 
 import (
+	"net/http"
+
 	"repro/internal/soap"
 	"repro/internal/wsdl"
 )
@@ -16,4 +18,5 @@ const BreakerClosed = breakerClosed
 func (c *Call) Codec() *soap.Codec                { return c.codec }
 func (c *Call) Operation() string                 { return c.operation }
 func (c *Call) Endpoint() string                  { return c.endpoint }
+func (c *Call) SharedHeader() http.Header         { return c.header }
 func (s *Service) Definitions() *wsdl.Definitions { return s.defs }

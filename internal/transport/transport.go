@@ -35,16 +35,17 @@ import (
 type Request struct {
 	// Endpoint is the target URL.
 	Endpoint string
-	// SOAPAction is the SOAP 1.1 action header value (unquoted).
+	// SOAPAction is the SOAP 1.1 action (unquoted). Send reads it only
+	// to build a header for a request without one.
 	SOAPAction string
-	// ActionHeader, when non-nil, is SOAPAction's quoted header value
-	// as SOAPActionHeader built it, once per caller; Send sets it as
-	// it is instead of quoting SOAPAction for each request.
-	ActionHeader []string
 	// Body is the request envelope.
 	Body []byte
-	// Header carries extra request headers; the cache's revalidation
-	// path sets If-Modified-Since here (paper Section 3.2).
+	// Header, when non-nil, is the request's complete header: what
+	// SOAPHeader builds, plus any extra header (the cache's
+	// revalidation path adds If-Modified-Since, paper Section 3.2).
+	// Send puts it on the request as it is. It is read-only: a client
+	// shares one across all its requests, so neither the transport nor
+	// a handler behind InProcess may write to it.
 	Header http.Header
 }
 
@@ -215,9 +216,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
-	SetSOAPContentType(req.Header)
-	setSOAPAction(req.Header, treq)
-	copyHeader(req.Header, treq.Header)
+	req.Header = requestHeader(treq)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
 	resp, err := rt.RoundTrip(req)
 	if err != nil {
@@ -242,15 +241,6 @@ func acceptableStatus(status int) bool {
 		return true
 	}
 	return false
-}
-
-// copyHeader merges src into dst.
-func copyHeader(dst, src http.Header) {
-	for k, vs := range src {
-		for _, v := range vs {
-			dst.Add(k, v)
-		}
-	}
 }
 
 // Func adapts a function to the Transport interface.
@@ -286,9 +276,7 @@ func (t *InProcess) Send(ctx context.Context, treq *Request) (*Response, error) 
 	if err != nil {
 		return nil, fmt.Errorf("transport: build request: %w", err)
 	}
-	SetSOAPContentType(req.Header)
-	setSOAPAction(req.Header, treq)
-	copyHeader(req.Header, treq.Header)
+	req.Header = requestHeader(treq)
 	t.Obs.Add("transport.bytes_sent", int64(len(treq.Body)))
 	rw := &bufferResponseWriter{header: make(http.Header), status: http.StatusOK}
 	t.Handler.ServeHTTP(rw, req)
@@ -430,22 +418,23 @@ var soapContentType = []string{`text/xml; charset=utf-8`}
 // slice per call.
 func SetSOAPContentType(h http.Header) { h["Content-Type"] = soapContentType }
 
-// SOAPActionHeader returns the SOAPAction header value for action:
-// the action quoted, as SOAP 1.1 requires, in a slice whose length
-// equals its capacity, so the requests that share it cannot write into
-// one another's (see soapContentType). A client builds it once and
-// hands it to every request in Request.ActionHeader.
-func SOAPActionHeader(action string) []string { return []string{`"` + action + `"`} }
+// SOAPHeader returns the header of a SOAP 1.1 request for action: the
+// text/xml Content-Type and the action quoted, as SOAP 1.1 requires,
+// under the key Header.Set would canonicalize SOAPAction to, so the
+// bytes on the wire are the same. Each value slice has length equal to
+// capacity (see soapContentType). A client builds it once and hands it
+// to every request in Request.Header.
+func SOAPHeader(action string) http.Header {
+	return http.Header{"Content-Type": soapContentType, "Soapaction": {`"` + action + `"`}}
+}
 
-// setSOAPAction sets h's SOAPAction header for treq under the key
-// Header.Set would canonicalize it to, so the bytes on the wire are
-// the same; only a request without an ActionHeader builds one.
-func setSOAPAction(h http.Header, treq *Request) {
-	v := treq.ActionHeader
-	if v == nil {
-		v = SOAPActionHeader(treq.SOAPAction)
+// requestHeader is treq's header, built from its action only when the
+// request carries none.
+func requestHeader(treq *Request) http.Header {
+	if treq.Header != nil {
+		return treq.Header
 	}
-	h["Soapaction"] = v
+	return SOAPHeader(treq.SOAPAction)
 }
 
 // SetValidators stamps a response with Last-Modified and Cache-Control

@@ -14,8 +14,8 @@ import (
 
 // TestHTTPSend: a request reaches the server as a SOAP 1.1 POST. The
 // SOAPAction header reads back quoted through Header.Get, under its
-// canonical key, whether the request carries it prebuilt
-// (ActionHeader) or only the action.
+// canonical key, whether the request carries its header prebuilt
+// (SOAPHeader) or only the action.
 func TestHTTPSend(t *testing.T) {
 	var gotAction, gotCT string
 	var gotActions []string
@@ -33,8 +33,8 @@ func TestHTTPSend(t *testing.T) {
 	defer srv.Close()
 
 	tr := &HTTP{}
-	for _, header := range [][]string{nil, SOAPActionHeader("urn:x#op")} {
-		resp, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL, SOAPAction: "urn:x#op", ActionHeader: header, Body: []byte("<req/>")})
+	for _, header := range []http.Header{nil, SOAPHeader("urn:x#op")} {
+		resp, err := tr.Send(context.Background(), &Request{Endpoint: srv.URL, SOAPAction: "urn:x#op", Header: header, Body: []byte("<req/>")})
 		if err != nil {
 			t.Fatal(err)
 		}
