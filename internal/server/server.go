@@ -179,6 +179,9 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 	// The request's Content-Length sizes the read, and a body past
 	// maxRequestBytes, declared or streamed, is refused.
 	body, err := transport.ReadBody(r.Body, r.ContentLength, maxRequestBytes)
+	// A body read to its end and closed spares net/http the discard
+	// read it makes after the handler for a request body left open.
+	_ = r.Body.Close()
 	if err != nil {
 		// Declared here, tooLarge goes to the heap (errors.As takes its
 		// address) only when a read fails.
