@@ -193,7 +193,9 @@ func (c *ResponseCache) fill(key engine.Key, request []byte) ([]byte, bool, erro
 // Dispatcher.ServeHTTP (including validator behaviour). Hits replay the
 // resident payload straight into the response writer.
 func (c *ResponseCache) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, lastMod, ttl, done := soapPreamble(w, r, c.inner)
+	buf := getBodyBuffer()
+	defer putBodyBuffer(buf)
+	body, lastMod, ttl, done := soapPreamble(w, r, c.inner, buf)
 	if done {
 		return
 	}

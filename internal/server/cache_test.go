@@ -205,10 +205,12 @@ func TestResponseCacheKeyIsDigest(t *testing.T) {
 
 // TestResponseCacheHitAllocs: sniffing the operation out of a request
 // allocates nothing, and a Handle hit adds nothing to it — in
-// particular no copy of the request to key the table with. The sniff
-// draws its scanner from a pool, which the race detector empties at
-// random, so each count is the least of many single runs: a run that
-// met an empty pool pays for a scanner, but not every run does.
+// particular no copy of the request to key the table with. A ServeHTTP
+// hit adds only the response's SOAP headers: the request body is read
+// into a pooled buffer. The sniff and the body read draw from pools,
+// which the race detector empties at random, so each count is the
+// least of many single runs: a run that met an empty pool pays for a
+// scanner or a buffer, but not every run does.
 func TestResponseCacheHitAllocs(t *testing.T) {
 	c, codec, _ := newCachedFixture(t, ResponseCacheConfig{})
 	req, _ := codec.EncodeRequest(ns, "search", []soap.Param{{Name: "q", Value: "x"}})
@@ -227,6 +229,14 @@ func TestResponseCacheHitAllocs(t *testing.T) {
 	}
 	if hit := least(func() { _, _, _ = c.Handle(req) }); hit != 0 {
 		t.Errorf("Handle hit = %v allocs, want 0: the cache layer must add none to the sniff", hit)
+	}
+	w := &discardWriter{h: make(http.Header)}
+	headers := least(func() {
+		clear(w.h)
+		setSOAPHeaders(w, 512, time.Time{}, 0)
+	})
+	if hit := least(replay(c, req)); hit > headers {
+		t.Errorf("ServeHTTP hit = %v allocs, its SOAP headers %v; want nothing more: the body buffer is pooled", hit, headers)
 	}
 }
 

@@ -128,7 +128,9 @@ func (d *Dispatcher) dispatch(request []byte) (op string, result any, fault *soa
 // first byte goes out, so encode errors still produce a 500, and its
 // length is known, so every response carries a Content-Length.
 func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	body, lastMod, ttl, done := soapPreamble(w, r, d)
+	buf := getBodyBuffer()
+	defer putBodyBuffer(buf)
+	body, lastMod, ttl, done := soapPreamble(w, r, d, buf)
 	if done {
 		return
 	}
@@ -156,12 +158,34 @@ func (d *Dispatcher) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the server hold more than this in memory for it.
 const maxRequestBytes = transport.DefaultMaxResponseBytes
 
+// bodyBuffers holds request body buffers between requests. A request
+// body is read into one and dies with the request: the decoders copy
+// what they keep (the memo its hole text, the full decode its strings)
+// and the response cache keeps only a digest of it.
+var bodyBuffers = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledBody is the largest buffer bodyBuffers keeps; a larger body
+// is read into a buffer of its own, which the collector takes.
+const maxPooledBody = 64 << 10
+
+func getBodyBuffer() *[]byte { return bodyBuffers.Get().(*[]byte) }
+
+// putBodyBuffer returns buf to the pool once nothing of the request it
+// held is in use, unless it outgrew maxPooledBody.
+func putBodyBuffer(buf *[]byte) {
+	if cap(*buf) <= maxPooledBody {
+		bodyBuffers.Put(buf)
+	}
+}
+
 // soapPreamble performs the HTTP boilerplate shared by every SOAP
 // endpoint: the POST-only check, the If-Modified-Since validator
-// answer, and the body read. done reports that the response is already
-// written; otherwise the caller serves body and stamps the returned
-// validator policy on its response.
-func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body []byte, lastMod time.Time, ttl time.Duration, done bool) {
+// answer, and the body read, into *buf. done reports that the response
+// is already written; otherwise the caller serves body and stamps the
+// returned validator policy on its response. body lives in *buf, so
+// the caller must be done with it before the buffer goes back to the
+// pool.
+func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher, buf *[]byte) (body []byte, lastMod time.Time, ttl time.Duration, done bool) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "SOAP endpoint: POST only", http.StatusMethodNotAllowed)
 		return nil, lastMod, 0, true
@@ -178,9 +202,10 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 	}
 	// The request's Content-Length sizes the read, and a body past
 	// maxRequestBytes, declared or streamed, is refused.
-	body, err := transport.ReadBody(r.Body, r.ContentLength, maxRequestBytes)
+	body, err := transport.AppendBody((*buf)[:0], r.Body, r.ContentLength, maxRequestBytes)
 	// A body read to its end and closed spares net/http the discard
 	// read it makes after the handler for a request body left open.
+	// Swapping r.Body for a wrapper would bring that read back.
 	_ = r.Body.Close()
 	if err != nil {
 		// Declared here, tooLarge goes to the heap (errors.As takes its
@@ -193,6 +218,7 @@ func soapPreamble(w http.ResponseWriter, r *http.Request, d *Dispatcher) (body [
 		}
 		return nil, lastMod, ttl, true
 	}
+	*buf = body
 	return body, lastMod, ttl, false
 }
 

@@ -38,12 +38,12 @@ func (failingReader) Read([]byte) (int, error) { return 0, errNoBody }
 func TestReadBodySized(t *testing.T) {
 	body := bytes.Repeat([]byte("0123456789abcdef"), 512) // 8 KiB
 	for _, declared := range []int64{int64(len(body)), -1} {
-		got, err := ReadBody(bytes.NewReader(body), declared, 0)
+		got, err := AppendBody(nil, bytes.NewReader(body), declared, 0)
 		if err != nil || !bytes.Equal(got, body) {
 			t.Errorf("declared %d: read %d bytes, %v; want the %d-byte body", declared, len(got), err, len(body))
 		}
 	}
-	if got, err := ReadBody(http.NoBody, 0, 0); err != nil || len(got) != 0 {
+	if got, err := AppendBody(nil, http.NoBody, 0, 0); err != nil || len(got) != 0 {
 		t.Errorf("empty declared body: %q, %v", got, err)
 	}
 }
@@ -59,7 +59,7 @@ func TestReadBodySizedAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		r.Reset(body)
 		var err error
-		if got, err = ReadBody(r, int64(len(body)), 0); err != nil {
+		if got, err = AppendBody(nil, r, int64(len(body)), 0); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -72,7 +72,7 @@ func TestReadBodySizedAllocs(t *testing.T) {
 // before the read, without allocating that length.
 func TestReadBodyDeclaredOverLimit(t *testing.T) {
 	var err error
-	n := allocatedBy(func() { _, err = ReadBody(failingReader{}, 1<<30, 1<<20) })
+	n := allocatedBy(func() { _, err = AppendBody(nil, failingReader{}, 1<<30, 1<<20) })
 	var tooLarge *ResponseTooLargeError
 	if !errors.As(err, &tooLarge) || tooLarge.Limit != 1<<20 {
 		t.Fatalf("err = %v, want ResponseTooLargeError{1 MiB}", err)
@@ -96,7 +96,7 @@ func TestReadBodyDeclaredOverLimit(t *testing.T) {
 // TestReadBodyShort: a body that ends before its declared length is an
 // error, not a short message.
 func TestReadBodyShort(t *testing.T) {
-	_, err := ReadBody(strings.NewReader(strings.Repeat("y", 50)), 100, 0)
+	_, err := AppendBody(nil, strings.NewReader(strings.Repeat("y", 50)), 100, 0)
 	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
 	}
@@ -106,15 +106,15 @@ func TestReadBodyShort(t *testing.T) {
 // old path: everything up to the limit, one byte more is an error.
 func TestReadBodyUndeclared(t *testing.T) {
 	body := strings.Repeat("z", 3000)
-	if got, err := ReadBody(strings.NewReader(body), -1, 3000); err != nil || string(got) != body {
+	if got, err := AppendBody(nil, strings.NewReader(body), -1, 3000); err != nil || string(got) != body {
 		t.Errorf("at the limit: read %d bytes, %v", len(got), err)
 	}
-	_, err := ReadBody(strings.NewReader(body+"!"), -1, 3000)
+	_, err := AppendBody(nil, strings.NewReader(body+"!"), -1, 3000)
 	var tooLarge *ResponseTooLargeError
 	if !errors.As(err, &tooLarge) || tooLarge.Limit != 3000 {
 		t.Errorf("one byte over the limit: err = %v, want ResponseTooLargeError{3000}", err)
 	}
-	if got, err := ReadBody(strings.NewReader(body), -1, -1); err != nil || string(got) != body {
+	if got, err := AppendBody(nil, strings.NewReader(body), -1, -1); err != nil || string(got) != body {
 		t.Errorf("unlimited: read %d bytes, %v", len(got), err)
 	}
 
@@ -137,11 +137,46 @@ func TestReadBodyUndeclared(t *testing.T) {
 // before failing with the reader's error.
 func TestReadBodyHostileLength(t *testing.T) {
 	var err error
-	n := allocatedBy(func() { _, err = ReadBody(failingReader{}, 64<<20, 0) })
+	n := allocatedBy(func() { _, err = AppendBody(nil, failingReader{}, 64<<20, 0) })
 	if !errors.Is(err, errNoBody) {
 		t.Fatalf("err = %v, want the reader's", err)
 	}
 	if maxPresize != 1<<20 || n > maxPresize+allocSlack {
 		t.Errorf("a 64 MiB declaration allocated %d bytes before any arrived; the cap is %d", n, maxPresize)
+	}
+}
+
+// TestAppendBody: a body appended to a buffer with room for it lands
+// after dst's bytes without an allocation, the limit counts the body's
+// bytes alone, and a buffer without the room is left as it was.
+func TestAppendBody(t *testing.T) {
+	body := bytes.Repeat([]byte("0123456789abcdef"), 64) // 1 KiB
+	buf := make([]byte, 0, 4<<10)
+	r := bytes.NewReader(body)
+	var got []byte
+	allocs := testing.AllocsPerRun(100, func() {
+		r.Reset(body)
+		var err error
+		if got, err = AppendBody(buf[:0], r, int64(len(body)), 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 || !bytes.Equal(got, body) || &got[0] != &buf[:1][0] {
+		t.Errorf("into a 4 KiB buffer: %v allocs, %d bytes, same memory %v; want the body in the buffer, 0 allocs", allocs, len(got), &got[0] == &buf[:1][0])
+	}
+
+	prefix := []byte("head:")
+	for _, declared := range []int64{int64(len(body)), -1} {
+		got, err := AppendBody(append(buf[:0], prefix...), bytes.NewReader(body), declared, int64(len(body)))
+		if err != nil || !bytes.Equal(got, append(prefix, body...)) {
+			t.Errorf("declared %d, limit exactly the body: %d bytes, %v; want the prefix and the body", declared, len(got), err)
+		}
+	}
+
+	small := make([]byte, 3, 8)
+	copy(small, "abc")
+	got, err := AppendBody(small, bytes.NewReader(body), int64(len(body)), 0)
+	if err != nil || string(got[:3]) != "abc" || !bytes.Equal(got[3:], body) || string(small) != "abc" {
+		t.Errorf("into an 8-byte buffer: %q…, %v", got[:min(len(got), 8)], err)
 	}
 }

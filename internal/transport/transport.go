@@ -109,36 +109,45 @@ func (e *ResponseTooLargeError) Error() string {
 	return fmt.Sprintf("transport: response body exceeds %d-byte limit", e.Limit)
 }
 
-// maxPresize caps how much ReadBody allocates on the strength of a
+// maxPresize caps how much AppendBody allocates on the strength of a
 // declared Content-Length alone, before the bytes arrive.
 const maxPresize = 1 << 20
 
-// ReadBody reads a message body under a size limit: max 0 applies
-// DefaultMaxResponseBytes, negative max disables the bound. declared is
+// AppendBody reads a message body under a size limit and appends it to
+// dst, returning the extended slice: dst nil reads the body into a new
+// slice, and a caller that reuses dst's memory passes dst[:0]. max 0 applies DefaultMaxResponseBytes, negative max
+// disables the bound; both count the body's bytes alone. declared is
 // the sender's Content-Length, negative when unknown (a chunked body).
 //
-// A declared length sizes the buffer up front, so a body arrives in one
-// allocation instead of a chain of doublings, but never more than
-// min(declared, max, 1 MiB) before the bytes are there: a body past
-// that grows as an undeclared one does, so a hostile header cannot make
-// the reader allocate what the sender never sends. A declared length
-// over max fails at once with ResponseTooLargeError, and a body shorter
-// than declared fails with io.ErrUnexpectedEOF.
-func ReadBody(r io.Reader, declared, max int64) ([]byte, error) {
+// A declared length makes room for the body up front, so a body
+// arrives in one allocation instead of a chain of doublings (in none
+// when dst has the room), but never more than min(declared, max, 1 MiB)
+// before the bytes are there: a body past that grows as an undeclared
+// one does, so a hostile header cannot make the reader allocate what
+// the sender never sends. A declared length over max fails at once with
+// ResponseTooLargeError, and a body shorter than declared fails with
+// io.ErrUnexpectedEOF. On error it returns nil.
+func AppendBody(dst []byte, r io.Reader, declared, max int64) ([]byte, error) {
 	if max == 0 {
 		max = DefaultMaxResponseBytes
 	}
 	if max > 0 && declared > max {
 		return nil, &ResponseTooLargeError{Limit: max}
 	}
-	size := int64(512) // io.ReadAll's first buffer
+	room := 512 // io.ReadAll's first buffer
 	if declared >= 0 {
-		size = min(declared, maxPresize)
+		room = int(min(declared, maxPresize))
 	}
-	b := make([]byte, 0, size)
+	b := dst
+	if cap(b)-len(b) < room {
+		b = make([]byte, len(dst), len(dst)+room)
+		copy(b, dst)
+	}
+	start := len(b)
 	for {
+		n := int64(len(b) - start) // body bytes so far
 		if len(b) == cap(b) {
-			if int64(len(b)) == declared {
+			if n == declared {
 				// Exactly the declared length: a zero-length read asks
 				// for the EOF without growing the buffer for it.
 				if _, err := r.Read(b[len(b):]); err == io.EOF {
@@ -148,16 +157,17 @@ func ReadBody(r io.Reader, declared, max int64) ([]byte, error) {
 			b = append(b, 0)[:len(b)]
 		}
 		p := b[len(b):cap(b)]
-		if room := max + 1 - int64(len(b)); max > 0 && int64(len(p)) > room {
-			p = p[:room] // one byte past max is enough to refuse the body
+		if left := max + 1 - n; max > 0 && int64(len(p)) > left {
+			p = p[:left] // one byte past max is enough to refuse the body
 		}
-		n, err := r.Read(p)
-		b = b[:len(b)+n]
-		if max > 0 && int64(len(b)) > max {
+		m, err := r.Read(p)
+		b = b[:len(b)+m]
+		n += int64(m)
+		if max > 0 && n > max {
 			return nil, &ResponseTooLargeError{Limit: max}
 		}
 		if err == io.EOF {
-			if declared >= 0 && int64(len(b)) < declared {
+			if declared >= 0 && n < declared {
 				return nil, io.ErrUnexpectedEOF
 			}
 			return b, nil
@@ -223,7 +233,7 @@ func (t *HTTP) Send(ctx context.Context, treq *Request) (*Response, error) {
 		return nil, fmt.Errorf("transport: %w", &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err})
 	}
 	defer func() { _ = resp.Body.Close() }()
-	body, err := ReadBody(resp.Body, resp.ContentLength, t.MaxResponseBytes)
+	body, err := AppendBody(nil, resp.Body, resp.ContentLength, t.MaxResponseBytes)
 	if err != nil {
 		return nil, fmt.Errorf("transport: read response: %w", err)
 	}
