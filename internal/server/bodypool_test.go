@@ -84,7 +84,11 @@ func TestPooledBodyNotRetained(t *testing.T) {
 				if changed > 3 {
 					t.Errorf("%d parameters changed in all", changed)
 				}
-				if shapes, wantShapes := d.memo.Shapes(), map[bool]int{false: 0, true: 1}[learnt]; shapes != wantShapes {
+				wantShapes := 0
+				if learnt {
+					wantShapes = 1
+				}
+				if shapes := d.memo.Shapes(); shapes != wantShapes {
 					t.Errorf("memo learnt %d shapes, want %d", shapes, wantShapes)
 				}
 			})

@@ -85,28 +85,28 @@ func TestDispatchAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		serve() // the first calls fill the pools
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < mallocRuns; i++ {
-		serve()
-	}
-	runtime.ReadMemStats(&after)
-	if served := float64(after.Mallocs-before.Mallocs) / mallocRuns; served > memo+1 {
+	if served := meanMallocs(func(int) { serve() }); served > memo+1 {
 		t.Errorf("a learnt search request costs %.1f allocations over ServeHTTP, %.1f through Handle; want at most one more", served, memo)
 	}
 }
 
-// mallocRuns is how many requests handleMallocs averages over.
+// mallocRuns is how many requests meanMallocs averages over.
 const mallocRuns = 50
 
 // handleMallocs returns the mean allocations of handling req through
 // d(i), for i in [0, mallocRuns).
 func handleMallocs(t *testing.T, req []byte, d func(i int) *server.Dispatcher) float64 {
 	t.Helper()
+	return meanMallocs(func(i int) { handle(t, d(i), req) })
+}
+
+// meanMallocs returns the mean allocations of f(i), for i in
+// [0, mallocRuns).
+func meanMallocs(f func(i int)) float64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < mallocRuns; i++ {
-		handle(t, d(i), req)
+		f(i)
 	}
 	runtime.ReadMemStats(&after)
 	return float64(after.Mallocs-before.Mallocs) / mallocRuns

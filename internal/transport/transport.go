@@ -115,9 +115,10 @@ const maxPresize = 1 << 20
 
 // AppendBody reads a message body under a size limit and appends it to
 // dst, returning the extended slice: dst nil reads the body into a new
-// slice, and a caller that reuses dst's memory passes dst[:0]. max 0 applies DefaultMaxResponseBytes, negative max
-// disables the bound; both count the body's bytes alone. declared is
-// the sender's Content-Length, negative when unknown (a chunked body).
+// slice, and a caller that reuses dst's memory passes dst[:0]. max 0
+// applies DefaultMaxResponseBytes, negative max disables the bound;
+// both count the body's bytes alone. declared is the sender's
+// Content-Length, negative when unknown (a chunked body).
 //
 // A declared length makes room for the body up front, so a body
 // arrives in one allocation instead of a chain of doublings (in none
