@@ -21,6 +21,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/server"
+	"repro/internal/soap"
 	"repro/internal/tier"
 	"repro/internal/transport"
 )
@@ -51,6 +52,15 @@ var originMissRow = ratchetRow{name: "origin miss", baseAllocs: 114.5, baseBytes
 // Twelve runs measured 89.1–89.5 allocs/op and 7 271–7 303 B/op.
 var serverHitRow = ratchetRow{name: "server hit", baseAllocs: 89.3, baseBytes: 7_285, maxAllocs: 91, maxBytes: 7_520}
 
+// Twelve runs measured 6.0 allocs/op and 504 B/op.
+var tierHitRow = ratchetRow{name: "tier hit", baseAllocs: 6, baseBytes: 504, maxAllocs: 6.12, maxBytes: 520}
+
+// Twelve runs measured 4.0 allocs/op and 928 B/op.
+var l1ObjectRow = ratchetRow{name: "L1 object hit", baseAllocs: 4, baseBytes: 928, maxAllocs: 4.08, maxBytes: 956}
+
+// Twelve runs measured 1.0 allocs/op and 240 B/op.
+var l1StreamRow = ratchetRow{name: "L1 stream hit", baseAllocs: 1, baseBytes: 240, maxAllocs: 1.02, maxBytes: 248}
+
 // check logs a row's measured counts and fails a count above its
 // ceiling or too far below its base.
 func (r ratchetRow) check(t *testing.T, allocs, bytes float64) {
@@ -64,7 +74,7 @@ func (r ratchetRow) check(t *testing.T, allocs, bytes float64) {
 		{"B/op", bytes, r.baseBytes, r.maxBytes},
 	} {
 		if c.got > c.max {
-			t.Errorf("%s: %.1f %s, ceiling %.0f", r.name, c.got, c.unit, c.max)
+			t.Errorf("%s: %.1f %s, ceiling %g", r.name, c.got, c.unit, c.max)
 		}
 		if c.got < c.base*(1-ratchetDrop) {
 			t.Errorf("%s: %.1f %s, more than %.0f %% below the base %.1f: measure the row again and lower it",
@@ -91,35 +101,9 @@ func TestRatchetOriginMiss(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 
-	disp, codec, err := googleapi.NewDispatcher()
-	if err != nil {
-		t.Fatal(err)
-	}
-	originURL := serveLoopback(t, disp)
-
+	o := startRatchetOrigin(t)
 	daemon := startClusterDaemon(t, "")
-	inv := invalidate.New(googleapi.ItemGraph(), nil)
-	remote, err := cluster.New(cluster.Config{Addrs: []string{daemon.addr}, Inv: inv, PoolSize: 1, BaseContext: ctx})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
-	cache := core.MustNew(core.Config{
-		KeyGen:      rep.NewStringKey(),
-		Rep:         rep.NewRegistry(codec.Registry(), codec),
-		DefaultTTL:  time.Hour,
-		MaxEntries:  1024,
-		Invalidator: inv,
-		Tiers:       []tier.Tier{remote},
-		Policy:      core.NewPolicy(0, googleapi.OpGoogleSearch, googleapi.OpGetItem),
-	})
-	reg := obs.NewRegistry()
-	httpTr := &http.Transport{MaxIdleConnsPerHost: 1}
-	defer httpTr.CloseIdleConnections()
-	search := client.NewCall(codec,
-		&transport.HTTP{Client: &http.Client{Transport: httpTr, Timeout: transport.DefaultTimeout}},
-		originURL, googleapi.Namespace, googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
-		client.Options{Handlers: []client.Handler{cache}, Retry: &transport.RetryPolicy{Obs: reg}})
+	cl := newRatchetClient(ctx, t, o, daemon.addr, 1024, false)
 
 	// Queries are drawn from a fixed seed and boxed up front, so the
 	// loop allocates nothing of its own.
@@ -132,7 +116,7 @@ func TestRatchetOriginMiss(t *testing.T) {
 	params := googleapi.SearchParams("ratchet-key", "", 0, 10, false, "", false, "")
 	call := func(i int) {
 		params[1].Value = queries[i]
-		ictx, err := search.InvokeContext(ctx, params...)
+		ictx, err := cl.search.InvokeContext(ctx, params...)
 		if err != nil || ictx.CacheHit {
 			t.Fatalf("call %d: err %v, hit %v", i, err, ictx != nil && ictx.CacheHit)
 		}
@@ -141,16 +125,146 @@ func TestRatchetOriginMiss(t *testing.T) {
 		call(i)
 	}
 
-	attempts := reg.Counter("transport.attempts")
-	attempts0, stores0 := attempts.Load(), remote.TierStats().Stores
+	attempts0, stores0 := cl.attempts.Load(), cl.remote.TierStats().Stores
 	allocs, bytes := perOp(ops, func(i int) { call(warm + i) })
 	originMissRow.check(t, allocs, bytes)
-	if d := attempts.Load() - attempts0; d != ops {
+	if d := cl.attempts.Load() - attempts0; d != ops {
 		t.Errorf("transport.attempts rose by %d over %d calls, want exactly one each", d, ops)
 	}
-	if d := remote.TierStats().Stores - stores0; d != ops {
+	if d := cl.remote.TierStats().Stores - stores0; d != ops {
 		t.Errorf("tier stores rose by %d over %d calls, want exactly one each", d, ops)
 	}
+}
+
+// TestRatchetTierHit drives the referee's l2_shared workload: doGetItem
+// over a key set another client process seeded into the daemon (an
+// in-process cluster.Server), read through a client whose L1 holds a
+// sixty-fourth of the keys. The reader scans the keys in order, so
+// every read misses L1 and is served by the daemon: one tier hit and
+// no origin request per call.
+func TestRatchetTierHit(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	o := startRatchetOrigin(t)
+	daemon := startClusterDaemon(t, "")
+	const nkeys, l1, ops = 4096, 64, 4096
+	rng := rand.New(rand.NewSource(7))
+	values := make([]string, nkeys)
+	plist := make([][]soap.Param, nkeys)
+	for k := range plist {
+		key := fmt.Sprintf("%x-%d", rng.Uint32(), k)
+		values[k] = "v:" + key
+		o.items.Put(key, values[k])
+		plist[k] = googleapi.GetItemParams(key)
+	}
+	seeder := newRatchetClient(ctx, t, o, daemon.addr, 0, false)
+	for k := range plist {
+		if _, err := seeder.getItem.InvokeContext(ctx, plist[k]...); err != nil {
+			t.Fatalf("seed %d: %v", k, err)
+		}
+	}
+
+	reader := newRatchetClient(ctx, t, o, daemon.addr, l1, false)
+	read := func(i int) {
+		k := i % nkeys
+		ictx, err := reader.getItem.InvokeContext(ctx, plist[k]...)
+		if err != nil || !ictx.CacheHit || ictx.Result != values[k] {
+			t.Fatalf("read %d: err %v, hit %v, result %v", i, err, ictx != nil && ictx.CacheHit, ictx.Result)
+		}
+	}
+	for i := 0; i < nkeys; i++ {
+		read(i)
+	}
+
+	hits0, attempts0 := reader.cache.Stats().TierHits, reader.attempts.Load()
+	allocs, bytes := perOp(ops, read)
+	tierHitRow.check(t, allocs, bytes)
+	if d := reader.cache.Stats().TierHits - hits0; d != ops {
+		t.Errorf("core.tier_hits rose by %d over %d calls, want exactly one each", d, ops)
+	}
+	if d := reader.attempts.Load() - attempts0; d != 0 {
+		t.Errorf("transport.attempts rose by %d over %d tier hits, want none", d, ops)
+	}
+}
+
+// TestRatchetL1Object and TestRatchetL1Stream drive the referee's
+// l1_obj and l1_stream workloads: 64 hot doGoogleSearch queries filled
+// once from the origin, then read in a fixed random order, every read
+// an L1 hit. The object consumer checks the decoded result; the stream
+// consumer replays the response into a sink.
+func TestRatchetL1Object(t *testing.T) { ratchetL1(t, false, l1ObjectRow) }
+
+func TestRatchetL1Stream(t *testing.T) { ratchetL1(t, true, l1StreamRow) }
+
+func ratchetL1(t *testing.T, stream bool, row ratchetRow) {
+	if raceEnabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+
+	o := startRatchetOrigin(t)
+	daemon := startClusterDaemon(t, "")
+	cl := newRatchetClient(ctx, t, o, daemon.addr, 0, stream)
+	const hot, warm, ops = 64, 1000, 4000
+	rng := rand.New(rand.NewSource(7))
+	queries := make([]string, hot)
+	plist := make([][]soap.Param, hot)
+	for k := range plist {
+		queries[k] = fmt.Sprintf("%x %x h%d", rng.Uint32(), rng.Uint32(), k)
+		plist[k] = googleapi.SearchParams("ratchet-key", queries[k], 0, 10, false, "", false, "")
+		if ictx, err := cl.search.InvokeContext(ctx, plist[k]...); err != nil || ictx.CacheHit {
+			t.Fatalf("fill %d: err %v, hit %v", k, err, ictx != nil && ictx.CacheHit)
+		}
+	}
+	seq := make([]int, warm+ops)
+	for i := range seq {
+		seq[i] = rng.Intn(hot)
+	}
+	var sink countingWriter
+	hit := func(i int) {
+		k := seq[i]
+		ictx, err := cl.search.InvokeContext(ctx, plist[k]...)
+		if err != nil || !ictx.CacheHit {
+			t.Fatalf("hit %d: err %v, hit %v", i, err, ictx != nil && ictx.CacheHit)
+		}
+		if !stream {
+			if r, ok := ictx.Result.(*googleapi.GoogleSearchResult); !ok || r.SearchQuery != queries[k] {
+				t.Fatalf("hit %d: result %T", i, ictx.Result)
+			}
+			return
+		}
+		wt, ok := ictx.Stream()
+		if !ok {
+			t.Fatalf("hit %d: result %T is no stream", i, ictx.Result)
+		}
+		if _, err := wt.WriteTo(&sink); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		hit(i)
+	}
+
+	hits0 := cl.cache.Stats().Hits
+	allocs, bytes := perOp(ops, func(i int) { hit(warm + i) })
+	row.check(t, allocs, bytes)
+	if d := cl.cache.Stats().Hits - hits0; d != ops {
+		t.Errorf("core.hits rose by %d over %d calls, want exactly one each", d, ops)
+	}
+}
+
+// countingWriter is the stream consumer's sink: it keeps the byte count
+// and nothing else.
+type countingWriter struct{ n int64 }
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.n += int64(len(p))
+	return len(p), nil
 }
 
 // TestRatchetServerHit drives the referee's server_hit workload: a
@@ -233,6 +347,76 @@ func TestRatchetServerHit(t *testing.T) {
 	serverHitRow.check(t, allocs, bytes)
 	if d := hits.Load() - hits0; d != ops {
 		t.Errorf("server.hits rose by %d over %d posts, want exactly one each", d, ops)
+	}
+}
+
+// ratchetOrigin is the origin service of the ratchet rows: the
+// googleapi dispatcher with an item store, on loopback HTTP.
+type ratchetOrigin struct {
+	url   string
+	codec *soap.Codec
+	items *googleapi.ItemStore
+}
+
+func startRatchetOrigin(t *testing.T) *ratchetOrigin {
+	t.Helper()
+	disp, codec, err := googleapi.NewDispatcher()
+	if err != nil {
+		t.Fatal(err)
+	}
+	items := googleapi.NewItemStore()
+	items.Register(disp)
+	return &ratchetOrigin{url: serveLoopback(t, disp), codec: codec, items: items}
+}
+
+// ratchetClient is one caching client process as the referee builds
+// it: its own invalidator and L1 (l1 entries; 0 is unbounded) in
+// front of a cluster.Remote to the daemon, and loopback HTTP to the
+// origin with one idle connection. The cache keeps a private metrics
+// registry, so no stage is timed; attempts counts the transport's
+// requests.
+type ratchetClient struct {
+	cache           *core.Cache
+	attempts        *obs.Counter
+	remote          *cluster.Remote
+	search, getItem *client.Call
+}
+
+func newRatchetClient(ctx context.Context, t *testing.T, o *ratchetOrigin, daemonAddr string, l1 int, stream bool) *ratchetClient {
+	t.Helper()
+	codec := o.codec
+	inv := invalidate.New(googleapi.ItemGraph(), nil)
+	remote, err := cluster.New(cluster.Config{Addrs: []string{daemonAddr}, Inv: inv, PoolSize: 1, BaseContext: ctx})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { remote.Close() })
+	reg := obs.NewRegistry()
+	cache := core.MustNew(core.Config{
+		KeyGen:      rep.NewStringKey(),
+		Rep:         rep.NewRegistry(codec.Registry(), codec),
+		DefaultTTL:  time.Hour,
+		MaxEntries:  l1,
+		Invalidator: inv,
+		Tiers:       []tier.Tier{remote},
+		Policy:      core.NewPolicy(0, googleapi.OpGoogleSearch, googleapi.OpGetItem),
+	})
+	httpTr := &http.Transport{MaxIdleConnsPerHost: 1}
+	t.Cleanup(httpTr.CloseIdleConnections)
+	tr := &transport.HTTP{Client: &http.Client{Transport: httpTr, Timeout: transport.DefaultTimeout}}
+	call := func(op, action string) *client.Call {
+		return client.NewCall(codec, tr, o.url, googleapi.Namespace, op, action, client.Options{
+			Handlers:     []client.Handler{cache},
+			Retry:        &transport.RetryPolicy{Obs: reg},
+			AcceptStream: stream,
+		})
+	}
+	return &ratchetClient{
+		cache:    cache,
+		attempts: reg.Counter("transport.attempts"),
+		remote:   remote,
+		search:   call(googleapi.OpGoogleSearch, "urn:GoogleSearchAction"),
+		getItem:  call(googleapi.OpGetItem, "urn:GoogleSearchAction"),
 	}
 }
 
