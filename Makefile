@@ -74,7 +74,11 @@ chaos:
 # the dummy backend and a wscached daemon, then point two wsclient
 # processes at them. The second process starts with a cold L1, so its
 # very first call saying hit=true proves the response crossed processes
-# through the shared tier (DESIGN.md §5h). One shell, and the EXIT trap
+# through the shared tier (DESIGN.md §5h). It calls twice with -obs: its
+# snapshot must count one core.tier_hits and one core.hits, and no
+# representation counter may name binary serialization — the wire form
+# the first process wrote — because a promotion fills L1 in L1's own
+# representation (copy by clone for the search result). One shell, and the EXIT trap
 # is installed before the two background starts, so both daemons are
 # killed and reaped however the recipe ends — a failing wsclient
 # included. /bin/sh may be dash, which skips the EXIT trap when a signal
@@ -96,9 +100,12 @@ cluster-smoke:
 	$(SMOKE_DIR)/wscached -addr 127.0.0.1:17070 -obs-addr 127.0.0.1:17071 & WC=$$!; \
 	sleep 1; \
 	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS); \
-	$(SMOKE_DIR)/wsclient $(SMOKE_ARGS) > $(SMOKE_DIR)/second.out; \
+	$(SMOKE_DIR)/wsclient -repeat 2 -obs $(SMOKE_ARGS) > $(SMOKE_DIR)/second.out; \
 	cat $(SMOKE_DIR)/second.out; \
-	grep -q 'hit=true' $(SMOKE_DIR)/second.out; \
+	test "$$(grep -c 'hit=true' $(SMOKE_DIR)/second.out)" = 2; \
+	test "$$(grep -cE '"core\.(tier_hits|hits)": 1,?$$' $(SMOKE_DIR)/second.out)" = 2; \
+	if sed -n '/^  "representations": {/,/^  }/p' $(SMOKE_DIR)/second.out | grep '"Binary serialization"'; then \
+		echo 'the promoted entry is still served as binser'; exit 1; fi; \
 	curl -sf http://127.0.0.1:17071/debug/wscache > $(SMOKE_DIR)/daemon.json; \
 	grep '"clusterd\.table_' $(SMOKE_DIR)/daemon.json; \
 	test "$$(grep -c '"clusterd\.table_\(delta\|full\)"' $(SMOKE_DIR)/daemon.json)" = 2

@@ -474,8 +474,7 @@ func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *
 	// response processing for this exact request.
 	haveTiers := len(c.tiers) > 0
 	if haveTiers {
-		if result, ok := c.tierServe(d, tk, ictx); ok {
-			ictx.Result = result
+		if c.tierServe(d, tk, op, ictx) {
 			ictx.CacheHit = true
 			return nil
 		}
@@ -547,7 +546,7 @@ func (c *Cache) invokeMiss(d engine.Key, tk tier.Key, op OperationPolicy, ictx *
 		}
 	}
 
-	c.fill(d, op, ictx, stamps)
+	c.fill(d, op, ictx, c.entryTTL(op, ictx), stamps, nil)
 	if haveTiers {
 		c.tierFill(tk, op, ictx, tstamps)
 	}
@@ -583,15 +582,15 @@ func (c *Cache) refreshStale(d engine.Key, op OperationPolicy, ictx *client.Cont
 		return nil, false
 	}
 	c.m.revalidations.Add(1)
-	return c.loadPayload(hit.Value, c.m.errors)
+	return c.loadPayload(hit.Value)
 }
 
 // loadPayload materializes a stored payload, timing the copy-out stage
 // and counting a per-representation hit (serve) or error; a failure is
-// also counted in errs, the caller's Stats counter for it.
+// also counted in Stats.Errors.
 //
 //lint:hotpath
-func (c *Cache) loadPayload(v value, errs *obs.Counter) (any, bool) {
+func (c *Cache) loadPayload(v value) (any, bool) {
 	store := v.store
 	var start time.Time
 	if c.timed {
@@ -611,7 +610,7 @@ func (c *Cache) loadPayload(v value, errs *obs.Counter) (any, bool) {
 		}
 	}
 	if err != nil {
-		errs.Add(1)
+		c.m.errors.Add(1)
 		return nil, false
 	}
 	return result, true
@@ -650,7 +649,7 @@ func (c *Cache) lookup(d engine.Key) (any, bool) {
 	}
 	// Materialize outside the shard lock: loads can be arbitrarily
 	// expensive (XML parse for the XML-message representation).
-	result, ok := c.loadPayload(hit.Value, c.m.errors)
+	result, ok := c.loadPayload(hit.Value)
 	if !ok {
 		// A payload that no longer loads is dropped and the hit re-booked
 		// as a miss, so the pivot refills the entry.
@@ -659,10 +658,16 @@ func (c *Cache) lookup(d engine.Key) (any, bool) {
 	return result, ok
 }
 
-// fill stores a completed invocation's response. stamps are the
-// dependency epochs snapshotted before the backend read (nil when no
-// invalidator is configured or the operation declares no read set).
-func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, stamps invalidate.Stamps) {
+// fill stores a completed invocation's response in L1 for ttl — an
+// origin response, or a tier entry tierServe materialized into ictx.
+// stamps are the dependency epochs snapshotted before the backend or
+// tier read (nil when no invalidator is configured or the operation
+// declares no read set). When the store is a rep.Selector, the entry
+// keeps the representation its walk picked, so a hit loads that
+// directly and every stage and counter names it. wire is the tier
+// entry of a promotion, nil otherwise: if the L1 store declines the
+// promoted result, L1 keeps the entry's wire payload instead.
+func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, ttl time.Duration, stamps invalidate.Stamps, wire *tier.Entry) {
 	store := c.store
 	if op.Store != nil {
 		store = op.Store
@@ -671,9 +676,23 @@ func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, sta
 	if c.timed {
 		start = c.now()
 	}
-	payload, size, err := store.Store(ictx)
+	var payload any
+	var size int
+	var err error
+	if sel, ok := store.(*rep.Selector); ok {
+		var held rep.ValueStore
+		if held, payload, size, err = sel.Pick(ictx); err == nil {
+			store = held
+		}
+	} else {
+		payload, size, err = store.Store(ictx)
+	}
 	if c.timed {
 		c.reg.Stage(obs.StageCopyIn, store.Name(), c.now().Sub(start), err)
+	}
+	if err != nil && wire != nil {
+		payload, store, err = c.wire.WirePayload(wire.Rep, wire.Value)
+		size = len(wire.Value)
 	}
 	if err != nil {
 		c.m.errors.Add(1)
@@ -694,7 +713,7 @@ func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, sta
 	c.eng.Insert(d, engine.Item[value]{
 		Value:        value{payload: payload, store: store},
 		Size:         size,
-		TTL:          c.entryTTL(op, ictx),
+		TTL:          ttl,
 		LastModified: lastModified,
 		Stamps:       stamps,
 	})

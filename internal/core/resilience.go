@@ -107,5 +107,5 @@ func (c *Cache) staleOnError(d engine.Key, err error) (any, bool) {
 		return nil, false
 	}
 	c.m.staleServes.Add(1)
-	return c.loadPayload(hit.Value, c.m.errors)
+	return c.loadPayload(hit.Value)
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/client"
 	"repro/internal/engine"
 	"repro/internal/googleapi"
+	"repro/internal/invalidate"
 	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/soap"
@@ -206,8 +207,9 @@ func TestDefaultSelectorGolden(t *testing.T) {
 }
 
 // TestDefaultSelectorFillAllocs: a doGoogleSearch fill through the
-// default selector allocates what the clone store's own Store does,
-// plus the one wrapper that routes Load back to it.
+// default selector allocates what the clone store's own Store does and
+// the L1 entry, and nothing that routes a hit back to the clone store:
+// the entry keeps the representation the walk picked.
 func TestDefaultSelectorFillAllocs(t *testing.T) {
 	disp, codec, err := googleapi.NewDispatcher()
 	if err != nil {
@@ -222,18 +224,22 @@ func TestDefaultSelectorFillAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := rep.NewRegistry(codec.Registry(), codec)
-	c := MustNew(Config{KeyGen: rep.NewStringKey(), Rep: reg})
 	clone, err := reg.Store("clone")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bare := testing.AllocsPerRun(100, func() { _, _, _ = clone.Store(ictx) })
-	fill := testing.AllocsPerRun(100, func() {
-		if _, _, err := c.store.Store(ictx); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if fill > bare+1 {
-		t.Errorf("default selector fill = %v allocs, want <= %v (clone store) + 1 wrapper", fill, bare)
+	fillAllocs := func(c *Cache) float64 {
+		op := OperationPolicy{Cacheable: true}
+		d := c.eng.Digest([]byte("alloc query"))
+		return testing.AllocsPerRun(100, func() { c.fill(d, op, ictx, time.Hour, invalidate.Stamps{}, nil) })
+	}
+	auto := MustNew(Config{KeyGen: rep.NewStringKey(), Rep: reg})
+	pinned := MustNew(Config{KeyGen: rep.NewStringKey(), Store: clone})
+	if got, want := fillAllocs(auto), fillAllocs(pinned); got != want {
+		t.Errorf("default selector fill = %v allocs, want %v (a fill pinned to the clone store)", got, want)
+	}
+	hit, st := auto.eng.Lookup(auto.eng.Digest([]byte("alloc query")), engine.Serve)
+	if st != engine.Found || hit.Value.store != clone {
+		t.Errorf("the entry is held by %v (%v), want the clone store", hit.Value.store, st)
 	}
 }

@@ -14,13 +14,17 @@ import (
 // This file is the cache's two tier roles (DESIGN.md §5h).
 //
 // Client side (Config.Tiers): between an L1 miss and the backend
-// invocation the cache consults remote tiers. A tier hit decodes the
-// wire representation, promotes the payload into L1, and serves it —
-// the response-processing cost is paid once per fleet instead of once
-// per process. A tier miss falls through to the origin, and the fill
-// then writes through to the tiers in the wire representation the
-// rep.Selector picks (per-tier representation selection: L1 keeps the
-// full Table 3 menu, remote tiers get the byte-oriented subset).
+// invocation the cache consults remote tiers. A tier hit materializes
+// the consumer's result from the wire bytes (rep.Selector.LoadWire),
+// serves it, and fills L1 with it exactly as an origin response is
+// filled — through the L1's own representation choice, so a promoted
+// entry is held in the representation an origin fill would pick, not
+// in the wire form. The response-processing cost is paid once per
+// fleet instead of once per process. A tier miss falls through to the
+// origin, and the fill then writes through to the tiers in the wire
+// representation the rep.Selector picks (per-tier representation
+// selection: L1 keeps the full Table 3 menu, remote tiers get the
+// byte-oriented subset).
 //
 // Server side: Cache embeds engine.Tier — the implementation
 // cmd/wscached serves — so a cluster.Server can expose an in-process
@@ -38,9 +42,12 @@ type tierCounters struct {
 	stores atomic.Uint64
 }
 
-// tierServe tries each remote tier in order. On a hit it decodes the
-// entry, promotes it into L1, and returns the materialized result. All
-// failures are soft: a broken tier behaves like a miss.
+// tierServe tries each remote tier in order. On a hit it fills ictx
+// from the entry as the pivot would have, fills L1 from it carrying
+// the entry's remaining TTL (zero = no expiry, matching the daemon),
+// and reports the materialized result, which is the caller's own. All
+// failures are soft: a broken tier or an entry that does not decode
+// behaves like a miss.
 //
 // The promotion stamps are snapshotted BEFORE the first tier contact —
 // the same snapshot-before-read ordering every fill path obeys. A
@@ -49,7 +56,7 @@ type tierCounters struct {
 // and the next lookup refetches; stamping after the Get instead would
 // mint fresh stamps onto a value the tier served before it learned of
 // that write. Conservative misses, never stale hits.
-func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any, bool) {
+func (c *Cache) tierServe(d engine.Key, tk tier.Key, op OperationPolicy, ictx *client.Context) bool {
 	ctx := ictx.Ctx
 	stamps := c.readStamps(ictx)
 	for i := range c.tiers {
@@ -71,28 +78,17 @@ func (c *Cache) tierServe(d engine.Key, tk tier.Key, ictx *client.Context) (any,
 			c.tierm[i].misses.Add(1)
 			continue
 		}
-		payload, store, err := c.wire.LoadWire(e.Rep, e.Value)
-		if err != nil {
+		if err := c.wire.LoadWire(e.Rep, e.Value, ictx); err != nil {
 			c.m.tierErrors.Add(1)
 			c.tierm[i].errors.Add(1)
 			continue
 		}
 		c.tierm[i].hits.Add(1)
 		c.m.tierHits.Add(1)
-		// Promote into L1 carrying the tier entry's remaining TTL (zero =
-		// no expiry, matching the daemon).
-		v := value{payload: payload, store: store}
-		c.eng.Insert(d, engine.Item[value]{
-			Value:  v,
-			Size:   len(e.Value),
-			TTL:    e.TTL,
-			Stamps: stamps,
-		})
-		if result, ok := c.loadPayload(v, c.m.tierErrors); ok {
-			return result, true
-		}
+		c.fill(d, op, ictx, e.TTL, stamps, &e)
+		return true
 	}
-	return nil, false
+	return false
 }
 
 // tierStamps snapshots, per configured tier, the epochs that tier is

@@ -92,7 +92,7 @@ func (s *binserStore) Load(payload any) (any, error) {
 	}
 	v, err := s.codec.Unmarshal(data)
 	if err != nil {
-		return nil, fmt.Errorf("rep: binser store: %w", err)
+		return nil, corrupt("binser store", err)
 	}
 	return v, nil
 }

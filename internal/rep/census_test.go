@@ -32,22 +32,8 @@ const censusGolden = "testdata/census.golden"
 // accepts shows up as a diff against testdata/census.golden; rewrite it
 // with -update and say why in the change.
 func TestSelectorCensus(t *testing.T) {
-	types, fixtures := rep.FixtureResults(t)
-	if err := googleapi.RegisterTypes(types); err != nil {
-		t.Fatal(err)
-	}
-	codec := soap.NewCodec(types)
-	reg := rep.NewRegistry(types, codec)
-	sel := rep.NewStaticSelector(reg)
+	codec, reg, sel, results := census(t)
 	l1, wire := sel.Orders()
-
-	results := append([]any{
-		googleapi.SpellingSuggestion("census"),
-		googleapi.CachedPage("http://example.com/census"),
-		googleapi.Search("census", 0, 3),
-		&googleapi.ResultElement{Title: "census"},
-		&googleapi.DirectoryCategory{FullViewableName: "census"},
-	}, fixtures...)
 
 	seen := map[string]bool{}
 	var out bytes.Buffer
@@ -123,6 +109,26 @@ func TestSelectorCensus(t *testing.T) {
 	}
 }
 
+// census returns the census's codec, registry and selector, over the
+// googleapi types and the fixture's, and its results: googleapi's and
+// one of every fixture class.
+func census(t *testing.T) (*soap.Codec, *rep.Registry, *rep.Selector, []any) {
+	types, fixtures := rep.FixtureResults(t)
+	if err := googleapi.RegisterTypes(types); err != nil {
+		t.Fatal(err)
+	}
+	codec := soap.NewCodec(types)
+	reg := rep.NewRegistry(types, codec)
+	results := append([]any{
+		googleapi.SpellingSuggestion("census"),
+		googleapi.CachedPage("http://example.com/census"),
+		googleapi.Search("census", 0, 3),
+		&googleapi.ResultElement{Title: "census"},
+		&googleapi.DirectoryCategory{FullViewableName: "census"},
+	}, fixtures...)
+	return codec, reg, rep.NewStaticSelector(reg), results
+}
+
 // candidates lists, space-separated, the specs of order whose
 // applicability predicate holds, marking each seen.
 func candidates(ictx *client.Context, order []*rep.ValueSpec, seen map[string]bool) string {
@@ -149,4 +155,76 @@ func specName(t *testing.T, reg *rep.Registry, store rep.ValueStore) string {
 	}
 	t.Fatalf("store %q is not registered", store.Name())
 	return ""
+}
+
+// TestPromotionKeepsCensusChoice: an entry promoted from a remote tier
+// is held in L1 by the representation an origin fill picks. For every
+// TestSelectorCensus row the wire order gives a representation, the
+// row's wire bytes are loaded (Selector.LoadWire) by an object consumer
+// and by a stream consumer and filled through Pick; the origin fill it
+// is compared with is the reader's own — the result the row's envelope
+// decodes to, the envelope when the row captured it. The one exception
+// is documented on LoadWire: an entry with no envelope (binser,
+// compact-sax) read by a stream consumer whose origin fill would replay
+// raw bytes lands where an object consumer's origin fill does.
+func TestPromotionKeepsCensusChoice(t *testing.T) {
+	codec, reg, sel, results := census(t)
+	pick := func(ictx *client.Context) string {
+		store, _, _, err := sel.Pick(ictx)
+		if err != nil {
+			return "none"
+		}
+		return specName(t, reg, store)
+	}
+
+	promotions, exceptions := 0, 0
+	for _, result := range results {
+		doc, err := codec.EncodeResponse(googleapi.Namespace, "census", result)
+		if err != nil {
+			if doc, err = codec.EncodeResponse(googleapi.Namespace, "census", "carrier"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, writerStreams := range []bool{false, true} {
+			for _, captured := range []bool{false, true} {
+				row := fmt.Sprintf("%T stream=%t xml=%t", result, writerStreams, captured)
+				writer := &client.Context{Ctx: context.Background(), AcceptStream: writerStreams, Result: result}
+				if captured {
+					writer.ResponseXML = doc
+				}
+				wire, data, err := sel.AppendWire(nil, writer)
+				if err != nil {
+					continue
+				}
+				for _, readerStreams := range []bool{false, true} {
+					origin := &client.Context{Ctx: context.Background(), AcceptStream: readerStreams, Result: result}
+					if captured {
+						msg, err := codec.DecodeEnvelope(doc)
+						if err != nil {
+							t.Fatalf("%s: %v", row, err)
+						}
+						origin.ResponseXML, origin.Result = doc, msg.Result()
+					}
+					promoted := &client.Context{Ctx: context.Background(), AcceptStream: readerStreams}
+					if err := sel.LoadWire(wire, append([]byte(nil), data...), promoted); err != nil {
+						t.Fatalf("%s: LoadWire(%s): %v", row, wire, err)
+					}
+					want, got := pick(origin), pick(promoted)
+					if readerStreams && want == "raw" && (wire == "binser" || wire == "compact-sax") {
+						origin.AcceptStream = false
+						want = pick(origin)
+						exceptions++
+					}
+					if got != want {
+						t.Errorf("%s, %s entry read by stream=%t: promoted into %s, an origin fill picks %s", row, wire, readerStreams, got, want)
+					}
+					promotions++
+				}
+			}
+		}
+	}
+	t.Logf("%d promotions, %d of them the documented exception", promotions, exceptions)
+	if promotions == 0 || exceptions == 0 {
+		t.Fatal("the census no longer covers promotions and the exception")
+	}
 }

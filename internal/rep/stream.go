@@ -97,6 +97,14 @@ func (rawStreamStore) Store(ictx *client.Context) (any, int, error) {
 	if len(ictx.ResponseXML) == 0 {
 		return nil, 0, fmt.Errorf("rep: raw stream store: %w: invocation captured no response XML", ErrNotApplicable)
 	}
+	// A result that already is this representation's payload over the
+	// context's response bytes — a raw tier entry promoted for a stream
+	// consumer (Selector.LoadWire), whose bytes were handed over — is
+	// kept as received: it is immutable, and a copy would only duplicate
+	// it.
+	if p, ok := ictx.Result.(*rawResponse); ok && len(p.data) == len(ictx.ResponseXML) && &p.data[0] == &ictx.ResponseXML[0] {
+		return p, len(p.data), nil
+	}
 	// Copy: the context's buffer belongs to the transport.
 	data := make([]byte, len(ictx.ResponseXML))
 	copy(data, ictx.ResponseXML)
@@ -316,7 +324,7 @@ func (s *TemplateStore) EncodeWire(payload any) ([]byte, error) {
 func (s *TemplateStore) DecodeWire(data []byte) (any, error) {
 	p, _, err := s.split(data)
 	if err != nil {
-		return nil, err
+		return nil, corrupt("template store", err)
 	}
 	return p, nil
 }

@@ -76,11 +76,12 @@ func (s *xmlMessageStore) Load(payload any) (any, error) {
 	return result(s.codec.DecodeEnvelope(doc))
 }
 
-// result is the message-level stores' common tail: a decoded fault is
-// the call's error, anything else yields the result.
+// result is the message-level stores' common tail: a message that
+// does not decode is corrupt, a decoded fault is the call's error,
+// anything else yields the result.
 func result(msg *soap.DecodedMessage, err error) (any, error) {
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrCorruptWire, err)
 	}
 	if msg.Fault != nil {
 		return nil, msg.Fault
@@ -272,7 +273,7 @@ func (s *gobStore) Load(payload any) (any, error) {
 	}
 	v, err := gobDecode(data)
 	if err != nil {
-		return nil, fmt.Errorf("rep: gob store: %w", err)
+		return nil, corrupt("gob store", err)
 	}
 	return v, nil
 }

@@ -1,6 +1,7 @@
 package rep
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/client"
@@ -16,6 +17,12 @@ import (
 // compact SAX sequence, each able to flatten its payload to a wire form
 // and back. gob and the xmltmpl template are wire-capable too, and a
 // peer's entry under either still decodes, but no order selects them.
+//
+// The wire form is a transport form, not an L1 one. A tier hit is
+// materialized from it (Selector.LoadWire) into what the pivot would
+// have handed the cache — the result, and the envelope or events the
+// bytes carry — and filled into L1 through the Section 6 walk, so the
+// in-process menu holds for promoted entries too.
 
 // WireStore is the optional ValueStore extension a representation
 // implements when its payloads can cross a process boundary.
@@ -36,6 +43,28 @@ type WireStore interface {
 // payload of its own. Selector.AppendWire prefers it.
 type wireAppender interface {
 	AppendWire(dst []byte, ictx *client.Context) ([]byte, error)
+}
+
+// wireLoader is the read side of wireAppender, for a WireStore whose
+// bytes are the result itself rather than an envelope: LoadWire
+// decodes them straight to the result, with the errors Load would
+// return, where DecodeWire and Load would first box the bytes as a
+// payload. Selector.LoadWire prefers it.
+type wireLoader interface {
+	LoadWire(data []byte) (any, error)
+}
+
+// ErrCorruptWire reports a payload whose bytes do not decode back to a
+// result — above all a remote tier entry, which another process wrote.
+// Every wire decode failure wraps it, and so does Selector.LoadWire; a
+// decoded SOAP fault is not corrupt and is returned as itself.
+//
+//lint:ignore api FuzzDecodeWire and core's TestTierCorruptEntryIsAMiss match it
+var ErrCorruptWire = errors.New("rep: corrupt wire payload")
+
+// corrupt wraps a decode failure of the named store in ErrCorruptWire.
+func corrupt(store string, err error) error {
+	return fmt.Errorf("rep: %s: %w: %w", store, ErrCorruptWire, err)
 }
 
 // appendWire appends the invocation's result in ws's wire encoding to
@@ -70,6 +99,11 @@ func appendWire(ws WireStore, dst []byte, ictx *client.Context) ([]byte, error) 
 // what binser holds (the bean predicate), at a higher per-message cost
 // (the ledger's rep.store.gob.* rows).
 var wirePreference = []string{"raw", "binser", "compact-sax", "xml"}
+
+// envelopeWire names the wire representations whose bytes are the
+// response envelope itself: raw replay, the rendered template and the
+// XML message. Selector.LoadWire hands them on as ResponseXML.
+var envelopeWire = []string{"raw", "xmltmpl", "xml"}
 
 // WireSpecs returns every registered wire-capable value spec, the
 // static preference order first, any further registered WireStores
@@ -130,6 +164,15 @@ func (s *binserStore) DecodeWire(data []byte) (any, error) {
 	return data, nil
 }
 
+// LoadWire implements wireLoader: the binser decoding of data.
+func (s *binserStore) LoadWire(data []byte) (any, error) {
+	v, err := s.codec.Unmarshal(data)
+	if err != nil {
+		return nil, corrupt("binser store", err)
+	}
+	return v, nil
+}
+
 // EncodeWire implements WireStore.
 func (s *gobStore) EncodeWire(payload any) ([]byte, error) {
 	data, ok := payload.([]byte)
@@ -165,19 +208,22 @@ func (s *compactSAXStore) EncodeWire(payload any) ([]byte, error) {
 // DecodeWire implements WireStore.
 func (s *compactSAXStore) DecodeWire(data []byte) (any, error) {
 	if len(data) < 1 || data[0] > 1 {
-		return nil, fmt.Errorf("rep: compact sax store: malformed wire payload")
+		return nil, corrupt("compact sax store", errBadFlag)
 	}
 	seq, err := sax.DecodeCompactSequence(data[1:])
 	if err != nil {
-		return nil, fmt.Errorf("rep: compact sax store: %w", err)
+		return nil, corrupt("compact sax store", err)
 	}
 	return &eventPayload{src: seq, multiRef: data[0] == 1}, nil
 }
+
+var errBadFlag = errors.New("the multiref flag byte is missing or not 0 or 1")
 
 var (
 	_ WireStore    = (*xmlMessageStore)(nil)
 	_ WireStore    = (*binserStore)(nil)
 	_ wireAppender = (*binserStore)(nil)
+	_ wireLoader   = (*binserStore)(nil)
 	_ WireStore    = (*gobStore)(nil)
 	_ WireStore    = (*compactSAXStore)(nil)
 )

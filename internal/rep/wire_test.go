@@ -2,6 +2,7 @@ package rep
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
 	"testing"
 )
@@ -122,16 +123,12 @@ func TestStaticWireSelection(t *testing.T) {
 		t.Fatalf("AppendWire returned %q, want %q and the value after it", data, prefix)
 	}
 	data = data[len(prefix):]
-	payload, store, err := w.LoadWire(rep, data)
-	if err != nil {
+	got := f.reqCtx("doGetItem")
+	if err := w.LoadWire(rep, data, got); err != nil {
 		t.Fatal(err)
 	}
-	got, err := store.Load(payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("LoadWire round trip: got %+v, want %+v", got, want)
+	if !reflect.DeepEqual(got.Result, want) {
+		t.Errorf("LoadWire round trip: got %+v, want %+v", got.Result, want)
 	}
 }
 
@@ -153,14 +150,17 @@ func TestStaticWireFallsThroughTypeLimits(t *testing.T) {
 }
 
 // TestLoadWireRejectsNonWireRep: asking to decode under an
-// object-graph representation is an error, not a panic.
+// object-graph representation, or one nothing is registered under, is
+// a corrupt entry, not a panic.
 func TestLoadWireRejectsNonWireRep(t *testing.T) {
-	reg, _ := wireFixtureRegistry(t)
+	reg, f := wireFixtureRegistry(t)
 	w := NewStaticSelector(reg)
-	if _, _, err := w.LoadWire("ref", []byte("x")); err == nil {
-		t.Fatal("LoadWire(ref) succeeded")
-	}
-	if _, _, err := w.LoadWire("nonesuch", []byte("x")); err == nil {
-		t.Fatal("LoadWire(nonesuch) succeeded")
+	for _, name := range []string{"ref", "nonesuch"} {
+		if err := w.LoadWire(name, []byte("x"), f.reqCtx("doGetItem")); !errors.Is(err, ErrCorruptWire) {
+			t.Errorf("LoadWire(%s) = %v, want ErrCorruptWire", name, err)
+		}
+		if _, _, err := w.WirePayload(name, []byte("x")); err == nil {
+			t.Errorf("WirePayload(%s) succeeded", name)
+		}
 	}
 }
