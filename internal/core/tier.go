@@ -43,9 +43,9 @@ type tierCounters struct {
 }
 
 // tierServe tries each remote tier in order. On a hit it fills ictx
-// from the entry as the pivot would have, fills L1 from it carrying
-// the entry's remaining TTL (zero = no expiry, matching the daemon),
-// and reports the materialized result, which is the caller's own. All
+// from the entry as the pivot would have — ictx.Result is then the
+// caller's own — fills L1 from it carrying the entry's remaining TTL
+// (zero = no expiry, matching the daemon), and reports true. All
 // failures are soft: a broken tier or an entry that does not decode
 // behaves like a miss.
 //
