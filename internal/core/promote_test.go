@@ -74,7 +74,8 @@ func searchResult() any { return googleapi.Search("promote", 0, 3) }
 // decoded search result, not as replayable bytes. An object process
 // writes binser; a stream process reads it as the object (binser
 // carries no envelope to replay). Either way the reader's next call is
-// an L1 hit of the same kind.
+// an L1 hit of the same kind. A stream process reading the raw
+// envelope keeps it as received, as its L1 entry.
 func TestTierPromotionCrossConsumer(t *testing.T) {
 	f := promoteFixture(t)
 	want := searchResult()
@@ -85,6 +86,7 @@ func TestTierPromotionCrossConsumer(t *testing.T) {
 	}{
 		{"stream writes, object reads", true, false, "Copy by clone"},
 		{"object writes, stream reads", false, true, "Copy by clone"},
+		{"stream writes, stream reads", true, true, "Raw response replay"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			shared := sharedTier()
@@ -98,6 +100,13 @@ func TestTierPromotionCrossConsumer(t *testing.T) {
 				ictx := reader.call(t, "x")
 				if !ictx.CacheHit || reader.origin() != 0 || reader.c.Stats().TierHits != 1 {
 					t.Fatalf("read %d: hit %v, origin calls %d, tier hits %d", i, ictx.CacheHit, reader.origin(), reader.c.Stats().TierHits)
+				}
+				if c.wantL1 == "Raw response replay" {
+					st, ok := ictx.Result.(rep.Streamed)
+					if !ok || !reflect.DeepEqual(st.Bytes(), f.ictx(t, opGet, want).ResponseXML) {
+						t.Fatalf("read %d: result %T, want the writer's envelope as a stream", i, ictx.Result)
+					}
+					continue
 				}
 				got, ok := ictx.Result.(*googleapi.GoogleSearchResult)
 				if !ok || !reflect.DeepEqual(got, want) {
