@@ -97,14 +97,6 @@ func (rawStreamStore) Store(ictx *client.Context) (any, int, error) {
 	if len(ictx.ResponseXML) == 0 {
 		return nil, 0, fmt.Errorf("rep: raw stream store: %w: invocation captured no response XML", ErrNotApplicable)
 	}
-	// A result that already is this representation's payload over the
-	// context's response bytes — a raw tier entry promoted for a stream
-	// consumer (Selector.LoadWire), whose bytes were handed over — is
-	// kept as received: it is immutable, and a copy would only duplicate
-	// it.
-	if p, ok := ictx.Result.(*rawResponse); ok && len(p.data) == len(ictx.ResponseXML) && &p.data[0] == &ictx.ResponseXML[0] {
-		return p, len(p.data), nil
-	}
 	// Copy: the context's buffer belongs to the transport.
 	data := make([]byte, len(ictx.ResponseXML))
 	copy(data, ictx.ResponseXML)

@@ -201,31 +201,3 @@ func TestAutoStorePrefersRawForStreamConsumers(t *testing.T) {
 		t.Error("non-stream consumer classified to raw replay")
 	}
 }
-
-// TestRawStoreKeepsPromotedPayload: a raw tier entry a stream consumer
-// reads is the one promotion whose wire form is the L1 form, and the
-// raw store keeps the received payload instead of copying it. A
-// *rawResponse result over other bytes than the context's response is
-// still copied.
-func TestRawStoreKeepsPromotedPayload(t *testing.T) {
-	f := newFixture(t)
-	sel := NewStaticSelector(NewRegistry(f.reg, f.codec))
-	data := f.ictx(t, "doGetItem", &item{Name: "kept"}).ResponseXML
-	ictx := f.reqCtx("doGetItem")
-	ictx.AcceptStream = true
-	if err := sel.LoadWire("raw", data, ictx); err != nil {
-		t.Fatal(err)
-	}
-	store, payload, size, err := sel.Pick(ictx)
-	if err != nil || store.Name() != "Raw response replay" {
-		t.Fatalf("Pick: %v, %v", store, err)
-	}
-	if payload != ictx.Result || size != len(data) {
-		t.Errorf("the promoted raw entry was copied (payload %p, result %p, size %d)", payload, ictx.Result, size)
-	}
-
-	ictx.ResponseXML = append([]byte(nil), data...)
-	if _, payload, _, _ := sel.Pick(ictx); payload == ictx.Result {
-		t.Error("a result over other bytes than the response was kept, not copied")
-	}
-}
