@@ -666,7 +666,9 @@ func (c *Cache) lookup(d engine.Key) (any, bool) {
 // keeps the representation its walk picked, so a hit loads that
 // directly and every stage and counter names it. wire is the tier
 // entry of a promotion, nil otherwise: if the L1 store declines the
-// promoted result, L1 keeps the entry's wire payload instead.
+// promoted result, L1 keeps the entry's wire payload instead, and the
+// copy-in stage names the wire representation. If that decode fails
+// too, nothing is stored and the store's own error is counted.
 func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, ttl time.Duration, stamps invalidate.Stamps, wire *tier.Entry) {
 	store := c.store
 	if op.Store != nil {
@@ -687,12 +689,13 @@ func (c *Cache) fill(d engine.Key, op OperationPolicy, ictx *client.Context, ttl
 	} else {
 		payload, size, err = store.Store(ictx)
 	}
+	if err != nil && wire != nil {
+		if p, ws, werr := c.wire.WirePayload(wire.Rep, wire.Value); werr == nil {
+			payload, store, size, err = p, ws, len(wire.Value), nil
+		}
+	}
 	if c.timed {
 		c.reg.Stage(obs.StageCopyIn, store.Name(), c.now().Sub(start), err)
-	}
-	if err != nil && wire != nil {
-		payload, store, err = c.wire.WirePayload(wire.Rep, wire.Value)
-		size = len(wire.Value)
 	}
 	if err != nil {
 		c.m.errors.Add(1)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/client"
@@ -42,12 +43,16 @@ type process struct {
 
 // newProcess builds a process over shared whose origin answers result
 // and whose L1 representation is store (nil: the Section 6 selector).
-func newProcess(t *testing.T, f *fixture, shared tier.Tier, stream bool, store rep.ValueStore, result func() any) *process {
+// mutate, if any, adjusts the configuration last.
+func newProcess(t *testing.T, f *fixture, shared tier.Tier, stream bool, store rep.ValueStore, result func() any, mutate ...func(*Config)) *process {
 	t.Helper()
 	c := newCache(t, f, func(cfg *Config) {
 		cfg.Store = store
 		cfg.Rep = rep.NewRegistry(f.reg, f.codec)
 		cfg.Tiers = []tier.Tier{shared}
+		for _, m := range mutate {
+			m(cfg)
+		}
 	})
 	next, calls := countingNext(f, t, result)
 	return &process{f: f, c: c, stream: stream, next: next, origin: calls.Load}
@@ -75,7 +80,7 @@ func searchResult() any { return googleapi.Search("promote", 0, 3) }
 // writes binser; a stream process reads it as the object (binser
 // carries no envelope to replay). Either way the reader's next call is
 // an L1 hit of the same kind. A stream process reading the raw
-// envelope keeps it as received, as its L1 entry.
+// envelope holds it as raw bytes in its L1 too.
 func TestTierPromotionCrossConsumer(t *testing.T) {
 	f := promoteFixture(t)
 	want := searchResult()
@@ -223,7 +228,9 @@ func TestTierPromotionCallByCopy(t *testing.T) {
 // TestTierPromotionDeclinedKeepsWirePayload: an L1 pinned to a
 // representation that cannot hold the promoted result — the DOM tree
 // needs a message, and a binser entry carries none — keeps the wire
-// payload instead, so the next call is still an L1 hit.
+// payload instead, so the next call is still an L1 hit. The cache is
+// instrumented: the copy-in stage names the wire representation that
+// holds the entry, and records no error.
 func TestTierPromotionDeclinedKeepsWirePayload(t *testing.T) {
 	f := promoteFixture(t)
 	shared := sharedTier()
@@ -232,7 +239,8 @@ func TestTierPromotionDeclinedKeepsWirePayload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reader := newProcess(t, f, shared, false, dom, searchResult)
+	reg := obs.NewRegistry()
+	reader := newProcess(t, f, shared, false, dom, searchResult, func(cfg *Config) { cfg.Obs = reg })
 	for i := 0; i < 2; i++ {
 		ictx := reader.call(t, "x")
 		if !ictx.CacheHit || !reflect.DeepEqual(ictx.Result, searchResult()) {
@@ -245,6 +253,54 @@ func TestTierPromotionDeclinedKeepsWirePayload(t *testing.T) {
 	}
 	if got := heldBy(t, reader.c, f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})); got != "Binary serialization" {
 		t.Errorf("declined promotion held by %q, want the wire representation", got)
+	}
+	for _, st := range reg.Snapshot().Stages {
+		if st.Stage != obs.StageCopyIn {
+			continue
+		}
+		if st.Representation != "Binary serialization" || st.Errors != 0 {
+			t.Errorf("copy-in stage %q recorded %d errors, want only the wire representation's, with none", st.Representation, st.Errors)
+		}
+	}
+}
+
+// TestTierPromotionDeclinedTwiceStoresNothing: an xmltmpl entry whose
+// envelope decodes but splits into no template (it holds a comment)
+// serves an object consumer its result. An L1 pinned to xmltmpl then
+// declines the result, and the wire payload fails to split too, so L1
+// stores nothing and counts one error. The cache is instrumented, so
+// the error lands on the pinned representation's counters.
+func TestTierPromotionDeclinedTwiceStoresNothing(t *testing.T) {
+	f := promoteFixture(t)
+	shared := sharedTier()
+	reg := obs.NewRegistry()
+	tmpl, err := rep.NewRegistry(f.reg, f.codec).Store("xmltmpl")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader := newProcess(t, f, shared, false, tmpl, searchResult, func(cfg *Config) { cfg.Obs = reg })
+	ictx := f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})
+	key, err := reader.c.keygen.Key(ictx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(f.ictx(t, opGet, searchResult()).ResponseXML)
+	end := strings.LastIndex(doc, "</")
+	doc = doc[:end] + "<!-- not a template -->" + doc[end:]
+	if err := shared.Put(ictx.Ctx, tier.KeyOf([]byte(key)), tier.Entry{Rep: "xmltmpl", Value: []byte(doc)}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 2; i++ {
+		got := reader.call(t, "x")
+		if !got.CacheHit || !reflect.DeepEqual(got.Result, searchResult()) {
+			t.Fatalf("read %d: hit %v, result %T; want the decoded search result", i, got.CacheHit, got.Result)
+		}
+		if s := reader.c.Stats(); s.TierHits != int64(i) || s.Hits != 0 || s.Errors != int64(i) || reader.origin() != 0 {
+			t.Fatalf("read %d: stats %+v, origin calls %d; want every read a tier hit with one fill error", i, s, reader.origin())
+		}
+	}
+	if got := reg.Snapshot().Representations[tmpl.Name()].Errors; got != 2 {
+		t.Errorf("%s errors %d, want 2", tmpl.Name(), got)
 	}
 }
 
