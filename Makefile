@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all check build vet fmt lint lint-fix depguard test race cover referee bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
+.PHONY: all check build vet fmt lint depguard test race cover referee bench-smoke chaos cluster-smoke leftovers tables figures fuzz generate clean
 
 all: build vet lint test
 
@@ -38,12 +38,6 @@ vet:
 # finding with //lint:ignore <check> <reason> on or above the line.
 lint:
 	$(GO) run ./cmd/wscachelint ./...
-
-# Apply the analyzers' suggested fixes in place (atomicmix atomic
-# rewrites, epochgraph constant substitution, hotpath Sprintf folding),
-# then print what remains for hand repair.
-lint-fix:
-	$(GO) run ./cmd/wscachelint -fix ./...
 
 test:
 	$(GO) test ./...

@@ -12,9 +12,7 @@
 //
 // Output formats (-format): "text" (default, file:line:col lines),
 // "json" (a JSON array of diagnostics), and "sarif" (a SARIF 2.1.0
-// log for code-scanning upload). -fix applies every suggested fix to
-// the files in place and reports what changed; diagnostics without a
-// mechanical fix still print.
+// log for code-scanning upload).
 //
 // Diagnostics can be suppressed per line with
 //
@@ -43,7 +41,6 @@ func run(argv []string, stdout, stderr *os.File) int {
 	fs.SetOutput(stderr)
 	jsonOut := fs.Bool("json", false, "emit diagnostics as a JSON array (alias for -format json)")
 	format := fs.String("format", "text", "output format: text, json, or sarif")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the files in place")
 	only := fs.String("checks", "", "comma-separated list of checks to run (default: all)")
 	list := fs.Bool("list", false, "list available checks and exit")
 	all := checks.All()
@@ -120,26 +117,6 @@ func run(argv []string, stdout, stderr *os.File) int {
 	}
 
 	diags := lint.Run(cwd, pkgs, analyzers, known)
-
-	if *fix {
-		changed, err := lint.ApplyFixes(cwd, diags)
-		if err != nil {
-			fmt.Fprintf(stderr, "wscachelint: %v\n", err)
-			return 2
-		}
-		for _, file := range changed {
-			fmt.Fprintf(stdout, "fixed: %s\n", file)
-		}
-		// What remains after fixing is what still needs a human; report
-		// only diagnostics that carried no fix.
-		unfixed := diags[:0]
-		for _, d := range diags {
-			if d.Fix == nil {
-				unfixed = append(unfixed, d)
-			}
-		}
-		diags = unfixed
-	}
 
 	switch *format {
 	case "json":

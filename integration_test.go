@@ -136,14 +136,14 @@ func TestIntegrationHTTPRevalidation(t *testing.T) {
 	srv := httptest.NewServer(backend)
 	defer srv.Close()
 
-	nowSec := new(int64)
-	atomic.StoreInt64(nowSec, time.Now().Unix())
+	var nowSec atomic.Int64
+	nowSec.Store(time.Now().Unix())
 	cache := core.MustNew(core.Config{
 		KeyGen:     rep.NewStringKey(),
 		Rep:        rep.NewRegistry(codec.Registry(), codec),
 		DefaultTTL: time.Minute,
 		Revalidate: true,
-		Clock:      func() time.Time { return time.Unix(atomic.LoadInt64(nowSec), 0) },
+		Clock:      func() time.Time { return time.Unix(nowSec.Load(), 0) },
 	})
 	call := client.NewCall(codec, &transport.HTTP{}, srv.URL, googleapi.Namespace,
 		googleapi.OpGoogleSearch, "urn:GoogleSearchAction",
@@ -153,7 +153,7 @@ func TestIntegrationHTTPRevalidation(t *testing.T) {
 	if _, err := call.Invoke(context.Background(), params...); err != nil {
 		t.Fatal(err)
 	}
-	atomic.AddInt64(nowSec, 120)
+	nowSec.Add(120)
 	ictx, err := call.InvokeContext(context.Background(), params...)
 	if err != nil {
 		t.Fatal(err)

@@ -19,7 +19,7 @@ import (
 )
 
 // The keyspaces the cluster tests bump and stamp; package-level so
-// every spelling has one source of truth (epochgraph).
+// every spelling has one source of truth.
 const (
 	ksItems  = invalidate.Keyspace("items")
 	ksUsers  = invalidate.Keyspace("users")

@@ -17,7 +17,7 @@ import (
 
 // Operation and keyspace names shared by the core test suite. The
 // values follow the WSDL do* convention, and the per-item keyspace
-// prefix lives here once, as the epochgraph analyzer demands.
+// prefix lives here once, so every spelling has one source of truth.
 const (
 	opGet = "doGet"
 	opPut = "doPut"

@@ -77,19 +77,19 @@ func BenchmarkAblationRevalidation(b *testing.B) {
 			b.Fatal(err)
 		}
 		disp.SetValidatorPolicy(time.Now().Add(-24*time.Hour), time.Minute)
-		nowSec := new(int64)
-		atomic.StoreInt64(nowSec, time.Now().Unix())
+		var nowSec atomic.Int64
+		nowSec.Store(time.Now().Unix())
 		cache := core.MustNew(core.Config{
 			KeyGen:     rep.NewStringKey(),
 			Rep:        rep.NewRegistry(codec.Registry(), codec),
 			DefaultTTL: time.Minute,
 			Revalidate: revalidate,
-			Clock:      func() time.Time { return time.Unix(atomic.LoadInt64(nowSec), 0) },
+			Clock:      func() time.Time { return time.Unix(nowSec.Load(), 0) },
 		})
 		call := client.NewCall(codec, &transport.InProcess{Handler: disp},
 			googleapi.Endpoint, googleapi.Namespace, googleapi.OpGoogleSearch, "",
 			client.Options{Handlers: []client.Handler{cache}})
-		expire := func() { atomic.AddInt64(nowSec, 120) }
+		expire := func() { nowSec.Add(120) }
 		return call, expire
 	}
 	for _, mode := range []struct {

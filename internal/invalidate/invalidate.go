@@ -30,6 +30,7 @@ package invalidate
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -218,6 +219,25 @@ func (g *Graph) Declared(op string) bool {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return len(g.reads[op]) > 0 || len(g.writes[op]) > 0
+}
+
+// Operations returns the sorted names of the operations with a
+// declared read or write set.
+//
+//lint:ignore api googleapi's TestItemGraphCoversEveryDependency checks that the dispatcher serves each
+func (g *Graph) Operations() []string {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var ops []string
+	for _, sets := range []map[string]set{g.reads, g.writes} {
+		for op, s := range sets {
+			if len(s) > 0 && !slices.Contains(ops, op) {
+				ops = append(ops, op)
+			}
+		}
+	}
+	sort.Strings(ops)
+	return ops
 }
 
 // writesDeclared reports whether op has a declared write set.

@@ -12,7 +12,7 @@ import (
 
 // Operation and keyspace names for the item-store shape the tests
 // model. Values follow the WSDL do* convention; the keyspace prefix is
-// declared once, per the epochgraph analyzer's rules.
+// declared once, so every spelling has one source of truth.
 const (
 	opGetItem   = "doGetItem"
 	opListItems = "doListItems"

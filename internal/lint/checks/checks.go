@@ -6,13 +6,10 @@ import "repro/internal/lint"
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		aliasCopy(),
-		atomicMix(),
 		lockGuard(),
 		ctxFlow(),
 		clockInject(nil),
-		epochGraph(),
 		hotPath(),
-		obsKey(),
 		xmlEscape(nil),
 		typeMapReg(),
 		api(),

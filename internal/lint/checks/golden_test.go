@@ -114,10 +114,7 @@ func runGolden(t *testing.T, a *lint.Analyzer) {
 func fixtureScope(string) bool { return true }
 
 func TestAliasCopyGolden(t *testing.T)   { runGolden(t, aliasCopy()) }
-func TestAtomicMixGolden(t *testing.T)   { runGolden(t, atomicMix()) }
-func TestEpochGraphGolden(t *testing.T)  { runGolden(t, epochGraph()) }
 func TestHotPathGolden(t *testing.T)     { runGolden(t, hotPath()) }
-func TestObsKeyGolden(t *testing.T)      { runGolden(t, obsKey()) }
 func TestLockGuardGolden(t *testing.T)   { runGolden(t, lockGuard()) }
 func TestCtxFlowGolden(t *testing.T)     { runGolden(t, ctxFlow()) }
 func TestClockInjectGolden(t *testing.T) { runGolden(t, clockInject(fixtureScope)) }

@@ -13,8 +13,7 @@ import (
 // constructs that allocate or otherwise defeat the repository's
 // 0 allocs/op budget on those routes:
 //
-//   - any call into fmt (reflection-driven formatting; Sprintf of a
-//     lone constant carries a fix replacing the call with the string);
+//   - any call into fmt (reflection-driven formatting);
 //   - non-constant string concatenation (each + allocates);
 //   - boxing a non-pointer concrete value into an interface, whether
 //     by conversion or by argument passing (the value escapes to the
@@ -49,12 +48,12 @@ func runHotPath(pass *lint.Pass) {
 			if !ok || fn.Body == nil || !lint.HasDirective(fn, "hotpath") {
 				continue
 			}
-			checkHotFunc(pass, file, fn)
+			checkHotFunc(pass, fn)
 		}
 	}
 }
 
-func checkHotFunc(pass *lint.Pass, file *ast.File, fn *ast.FuncDecl) {
+func checkHotFunc(pass *lint.Pass, fn *ast.FuncDecl) {
 	info := pass.Pkg.Info
 
 	// Loop body ranges, so defers can be flagged only inside them, and
@@ -93,7 +92,7 @@ func checkHotFunc(pass *lint.Pass, file *ast.File, fn *ast.FuncDecl) {
 	ast.Inspect(fn.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			checkHotCall(pass, file, fn, n)
+			checkHotCall(pass, fn, n)
 		case *ast.BinaryExpr:
 			if isStringConcat(info, n) && !innerConcat[n] {
 				pass.Reportf(n.OpPos,
@@ -124,7 +123,7 @@ func checkHotFunc(pass *lint.Pass, file *ast.File, fn *ast.FuncDecl) {
 
 // checkHotCall flags fmt calls and interface-boxing arguments or
 // conversions in one call expression.
-func checkHotCall(pass *lint.Pass, file *ast.File, fn *ast.FuncDecl, call *ast.CallExpr) {
+func checkHotCall(pass *lint.Pass, fn *ast.FuncDecl, call *ast.CallExpr) {
 	info := pass.Pkg.Info
 
 	if obj := calleeObject(info, call); obj != nil {
@@ -138,16 +137,7 @@ func checkHotCall(pass *lint.Pass, file *ast.File, fn *ast.FuncDecl, call *ast.C
 		// dynamic type's own code.
 		if fobj, ok := obj.(*types.Func); ok && fobj.Pkg() != nil && fobj.Pkg().Path() == "fmt" &&
 			fobj.Type().(*types.Signature).Recv() == nil {
-			var fix *lint.SuggestedFix
-			if fobj.Name() == "Sprintf" && len(call.Args) == 1 {
-				if lit, ok := ast.Unparen(call.Args[0]).(*ast.BasicLit); ok && lit.Kind == token.STRING {
-					fix = &lint.SuggestedFix{
-						Message: "the format string has no verbs; use it directly",
-						Edits:   []lint.TextEdit{pass.Replace(call.Pos(), call.End(), lit.Value)},
-					}
-				}
-			}
-			pass.ReportfFix(call.Pos(), fix,
+			pass.Reportf(call.Pos(),
 				"fmt.%s in hot-path function %s formats through reflection and allocates; restrict fmt to error paths under //lint:ignore", fobj.Name(), fn.Name.Name)
 			return
 		}

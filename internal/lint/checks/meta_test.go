@@ -3,16 +3,23 @@ package checks
 import (
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
 
-// TestAnalyzerCoverage keeps the suite honest as it grows: every
-// analyzer wired into All() must ship a golden fixture that actually
-// asserts something (at least one // want comment) and must be
-// documented in the README's lint section. An analyzer failing this
-// test exists only nominally — nothing proves it fires and nobody can
-// discover it.
+// readmeCheckRe matches an analyzer's entry in the README's lint
+// section: a list item opening with the backticked check name.
+var readmeCheckRe = regexp.MustCompile("(?m)^- `([a-z]+)` —")
+
+// TestAnalyzerCoverage keeps the suite and its records in step, both
+// ways. Every analyzer wired into All() must ship a golden fixture that
+// actually asserts something (at least one // want comment) and must be
+// documented in the README's lint section: otherwise it exists only
+// nominally — nothing proves it fires and nobody can discover it. And
+// every check the README's lint section lists, and every fixture
+// directory, must belong to an analyzer All() returns: otherwise it
+// describes or tests a check that no longer runs.
 func TestAnalyzerCoverage(t *testing.T) {
 	root, err := repoRoot()
 	if err != nil {
@@ -23,7 +30,15 @@ func TestAnalyzerCoverage(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	_, section, ok := strings.Cut(string(readme), "\n## Static analysis\n")
+	if !ok {
+		t.Fatal("README.md has no \"## Static analysis\" section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+
+	run := make(map[string]bool)
 	for _, a := range All() {
+		run[a.Name] = true
 		dir := filepath.Join("testdata", "src", a.Name)
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -47,8 +62,23 @@ func TestAnalyzerCoverage(t *testing.T) {
 		if !hasWant {
 			t.Errorf("analyzer %s fixture has no // want comments; it cannot prove the analyzer fires", a.Name)
 		}
-		if !strings.Contains(string(readme), a.Name) {
-			t.Errorf("analyzer %s is not mentioned in README.md", a.Name)
+		if !strings.Contains(section, "`"+a.Name+"`") {
+			t.Errorf("analyzer %s is not listed in README.md's lint section", a.Name)
+		}
+	}
+
+	for _, m := range readmeCheckRe.FindAllStringSubmatch(section, -1) {
+		if !run[m[1]] {
+			t.Errorf("README.md's lint section lists %s, which All() does not return", m[1])
+		}
+	}
+	fixtures, err := os.ReadDir(filepath.Join("testdata", "src"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range fixtures {
+		if f.IsDir() && !run[f.Name()] {
+			t.Errorf("fixture directory testdata/src/%s belongs to no analyzer All() returns", f.Name())
 		}
 	}
 }

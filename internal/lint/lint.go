@@ -7,15 +7,15 @@
 // the Go type system and `go vet` knows nothing about it. The analyzers
 // in internal/lint/checks turn those conventions into machine-checked
 // invariants; cmd/wscachelint is the driver that `make lint` and CI
-// run over ./...
+// run over ./... A convention that a type, `go vet` or a test can hold
+// (typed atomics, obs.Name, the item graph's oracle) gets no analyzer.
 //
 // Model: a Package is one type-checked package, _test.go files
 // included; an Analyzer inspects one Package through a Pass and
 // reports Diagnostics. Packages are analyzed in parallel by a bounded
-// worker pool; Diagnostics carry file:line:col positions, optional
-// machine-applicable SuggestedFixes, are sorted and deduplicated, and
-// serialize to a stable JSON array for tooling. Individual findings
-// are silenced in source with
+// worker pool; Diagnostics carry file:line:col positions, are sorted
+// and deduplicated, and serialize to a stable JSON array for tooling.
+// Individual findings are silenced in source with
 //
 //	//lint:ignore <check> <reason>
 //
@@ -45,32 +45,11 @@ type Diagnostic struct {
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Message string `json:"message"`
-	// Fix, when non-nil, is a machine-applicable edit that resolves
-	// the finding (applied by wscachelint -fix).
-	Fix *SuggestedFix `json:"fix,omitempty"`
 }
 
 // String renders the conventional file:line:col form.
 func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.File, d.Line, d.Col, d.Check, d.Message)
-}
-
-// SuggestedFix is one way to resolve a diagnostic: a short description
-// and the text edits that implement it. Edits within one fix must not
-// overlap.
-type SuggestedFix struct {
-	Message string     `json:"message"`
-	Edits   []TextEdit `json:"edits"`
-}
-
-// TextEdit replaces the half-open byte range [Offset, End) of File
-// with NewText. File uses the same base-relative slash-separated form
-// as Diagnostic.File.
-type TextEdit struct {
-	File    string `json:"file"`
-	Offset  int    `json:"offset"`
-	End     int    `json:"end"`
-	NewText string `json:"new_text"`
 }
 
 // Analyzer is one named check. Run inspects the Pass's package and
@@ -97,12 +76,6 @@ type Pass struct {
 
 // Reportf records a finding at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.ReportfFix(pos, nil, format, args...)
-}
-
-// ReportfFix records a finding at pos carrying an optional suggested
-// fix (nil for none).
-func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args ...any) {
 	position := p.Pkg.Fset.Position(pos)
 	*p.diags = append(*p.diags, Diagnostic{
 		Check:   p.Analyzer.Name,
@@ -110,21 +83,7 @@ func (p *Pass) ReportfFix(pos token.Pos, fix *SuggestedFix, format string, args 
 		Line:    position.Line,
 		Col:     position.Column,
 		Message: fmt.Sprintf(format, args...),
-		Fix:     fix,
 	})
-}
-
-// Replace builds the TextEdit that substitutes newText for the source
-// range [pos, end), for use in a SuggestedFix.
-func (p *Pass) Replace(pos, end token.Pos, newText string) TextEdit {
-	from := p.Pkg.Fset.Position(pos)
-	to := p.Pkg.Fset.Position(end)
-	return TextEdit{
-		File:    from.Filename,
-		Offset:  from.Offset,
-		End:     to.Offset,
-		NewText: newText,
-	}
 }
 
 // Run executes the analyzers over the packages — in parallel, one
@@ -167,11 +126,6 @@ func Run(base string, pkgs []*Package, analyzers []*Analyzer, known []string) []
 	}
 	for i := range all {
 		all[i].File = relPath(base, all[i].File)
-		if all[i].Fix != nil {
-			for j := range all[i].Fix.Edits {
-				all[i].Fix.Edits[j].File = relPath(base, all[i].Fix.Edits[j].File)
-			}
-		}
 	}
 	sort.Slice(all, func(i, j int) bool {
 		a, b := all[i], all[j]
@@ -230,24 +184,15 @@ func relPath(base, file string) string {
 }
 
 // dedupe drops duplicates from a sorted slice (one analyzer can
-// legitimately reach the same finding along two paths). Two
-// diagnostics are duplicates when their positional fields and message
-// agree; fixes are not compared, and the first (which sorts with its
-// fix, if any) wins.
+// legitimately reach the same finding along two paths).
 func dedupe(ds []Diagnostic) []Diagnostic {
 	out := ds[:0]
 	for i, d := range ds {
-		if i == 0 || !sameFinding(d, ds[i-1]) {
+		if i == 0 || d != ds[i-1] {
 			out = append(out, d)
 		}
 	}
 	return out
-}
-
-// sameFinding reports positional-and-message equality.
-func sameFinding(a, b Diagnostic) bool {
-	return a.Check == b.Check && a.File == b.File && a.Line == b.Line &&
-		a.Col == b.Col && a.Message == b.Message
 }
 
 // ignorePrefix is the magic comment prefix for suppressions.

@@ -8,8 +8,7 @@ import (
 // SARIF renders diagnostics as a SARIF 2.1.0 log, the interchange
 // format GitHub code scanning ingests: one run, one rule per analyzer
 // (so findings group and link to the invariant's description), one
-// result per diagnostic, and suggested fixes carried as byte-offset
-// replacements. File URIs are the base-relative slash-separated paths
+// result per diagnostic. File URIs are the base-relative slash-separated paths
 // Run already produced, anchored at %SRCROOT% so the consumer resolves
 // them against the checkout.
 func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
@@ -38,7 +37,7 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 
 	results := make([]sarifResult, 0, len(diags))
 	for _, d := range diags {
-		r := sarifResult{
+		results = append(results, sarifResult{
 			RuleID:  d.Check,
 			Level:   "error",
 			Message: sarifText{Text: d.Message},
@@ -48,29 +47,7 @@ func SARIF(diags []Diagnostic, analyzers []*Analyzer) ([]byte, error) {
 					Region:           sarifRegion{StartLine: d.Line, StartColumn: d.Col},
 				},
 			}},
-		}
-		if d.Fix != nil {
-			fix := sarifFix{Description: sarifText{Text: d.Fix.Message}}
-			byFile := make(map[string][]sarifReplacement)
-			var order []string
-			for _, e := range d.Fix.Edits {
-				if _, ok := byFile[e.File]; !ok {
-					order = append(order, e.File)
-				}
-				byFile[e.File] = append(byFile[e.File], sarifReplacement{
-					DeletedRegion:   sarifByteRegion{ByteOffset: e.Offset, ByteLength: e.End - e.Offset},
-					InsertedContent: &sarifContent{Text: e.NewText},
-				})
-			}
-			for _, file := range order {
-				fix.ArtifactChanges = append(fix.ArtifactChanges, sarifArtifactChange{
-					ArtifactLocation: sarifArtifactLocation{URI: file, URIBaseID: "%SRCROOT%"},
-					Replacements:     byFile[file],
-				})
-			}
-			r.Fixes = []sarifFix{fix}
-		}
-		results = append(results, r)
+		})
 	}
 
 	log := sarifLog{
@@ -120,7 +97,6 @@ type sarifResult struct {
 	Level     string          `json:"level"`
 	Message   sarifText       `json:"message"`
 	Locations []sarifLocation `json:"locations"`
-	Fixes     []sarifFix      `json:"fixes,omitempty"`
 }
 
 type sarifLocation struct {
@@ -140,28 +116,4 @@ type sarifArtifactLocation struct {
 type sarifRegion struct {
 	StartLine   int `json:"startLine"`
 	StartColumn int `json:"startColumn,omitempty"`
-}
-
-type sarifFix struct {
-	Description     sarifText             `json:"description"`
-	ArtifactChanges []sarifArtifactChange `json:"artifactChanges"`
-}
-
-type sarifArtifactChange struct {
-	ArtifactLocation sarifArtifactLocation `json:"artifactLocation"`
-	Replacements     []sarifReplacement    `json:"replacements"`
-}
-
-type sarifReplacement struct {
-	DeletedRegion   sarifByteRegion `json:"deletedRegion"`
-	InsertedContent *sarifContent   `json:"insertedContent,omitempty"`
-}
-
-type sarifByteRegion struct {
-	ByteOffset int `json:"byteOffset"`
-	ByteLength int `json:"byteLength"`
-}
-
-type sarifContent struct {
-	Text string `json:"text"`
 }

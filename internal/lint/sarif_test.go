@@ -9,19 +9,15 @@ import (
 // scanning keys on: schema/version, driver name, one rule per
 // analyzer (sorted, with synthesized rules for checks not in the
 // run's analyzer list), and results carrying %SRCROOT%-anchored
-// locations and byte-offset fix replacements.
+// locations.
 func TestSARIFShape(t *testing.T) {
 	diags := []Diagnostic{
-		{Check: "atomicmix", File: "internal/a/a.go", Line: 3, Col: 5, Message: "mixed access",
-			Fix: &SuggestedFix{
-				Message: "read atomically",
-				Edits:   []TextEdit{{File: "internal/a/a.go", Offset: 10, End: 14, NewText: "atomic.LoadInt64(&x)"}},
-			}},
+		{Check: "aliascopy", File: "internal/a/a.go", Line: 3, Col: 5, Message: "aliased payload"},
 		{Check: "lint", File: "internal/b/b.go", Line: 9, Col: 1, Message: "malformed directive"},
 	}
 	analyzers := []*Analyzer{
 		{Name: "hotpath", Doc: "hot-path hygiene"},
-		{Name: "atomicmix", Doc: "no mixed atomic access"},
+		{Name: "aliascopy", Doc: "no aliased payloads"},
 	}
 	raw, err := SARIF(diags, analyzers)
 	if err != nil {
@@ -54,19 +50,6 @@ func TestSARIFShape(t *testing.T) {
 						} `json:"region"`
 					} `json:"physicalLocation"`
 				} `json:"locations"`
-				Fixes []struct {
-					ArtifactChanges []struct {
-						Replacements []struct {
-							DeletedRegion struct {
-								ByteOffset int `json:"byteOffset"`
-								ByteLength int `json:"byteLength"`
-							} `json:"deletedRegion"`
-							InsertedContent struct {
-								Text string `json:"text"`
-							} `json:"insertedContent"`
-						} `json:"replacements"`
-					} `json:"artifactChanges"`
-				} `json:"fixes"`
 			} `json:"results"`
 		} `json:"runs"`
 	}
@@ -89,14 +72,14 @@ func TestSARIFShape(t *testing.T) {
 	}
 	// Sorted, and including a synthesized rule for the framework's own
 	// "lint" check even though no analyzer carries that name.
-	if len(ids) != 3 || ids[0] != "atomicmix" || ids[1] != "hotpath" || ids[2] != "lint" {
-		t.Errorf("rule ids = %v, want [atomicmix hotpath lint]", ids)
+	if len(ids) != 3 || ids[0] != "aliascopy" || ids[1] != "hotpath" || ids[2] != "lint" {
+		t.Errorf("rule ids = %v, want [aliascopy hotpath lint]", ids)
 	}
 	if len(run.Results) != 2 {
 		t.Fatalf("want 2 results, got %d", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "atomicmix" || first.Level != "error" {
+	if first.RuleID != "aliascopy" || first.Level != "error" {
 		t.Errorf("result ruleId/level = %q/%q", first.RuleID, first.Level)
 	}
 	loc := first.Locations[0].PhysicalLocation
@@ -105,18 +88,5 @@ func TestSARIFShape(t *testing.T) {
 	}
 	if loc.Region.StartLine != 3 {
 		t.Errorf("startLine = %d, want 3", loc.Region.StartLine)
-	}
-	if len(first.Fixes) != 1 || len(first.Fixes[0].ArtifactChanges) != 1 {
-		t.Fatalf("fixes shape = %+v", first.Fixes)
-	}
-	repl := first.Fixes[0].ArtifactChanges[0].Replacements[0]
-	if repl.DeletedRegion.ByteOffset != 10 || repl.DeletedRegion.ByteLength != 4 {
-		t.Errorf("deleted region = %+v, want offset 10 length 4", repl.DeletedRegion)
-	}
-	if repl.InsertedContent.Text != "atomic.LoadInt64(&x)" {
-		t.Errorf("inserted content = %q", repl.InsertedContent.Text)
-	}
-	if len(run.Results[1].Fixes) != 0 {
-		t.Errorf("fixless diagnostic grew fixes: %+v", run.Results[1].Fixes)
 	}
 }

@@ -58,7 +58,7 @@ func TestScheduleInterleaved(t *testing.T) {
 }
 
 func TestRunCountsAndThroughput(t *testing.T) {
-	var calls int64
+	var calls atomic.Int64
 	res, err := RunContext(context.Background(), Config{
 		Concurrency: 4,
 		Requests:    200,
@@ -66,15 +66,15 @@ func TestRunCountsAndThroughput(t *testing.T) {
 		HotQueries:  []string{"hot"},
 		MissQuery:   func(i int) string { return fmt.Sprintf("m%d", i) },
 		Do: func(string) error {
-			atomic.AddInt64(&calls, 1)
+			calls.Add(1)
 			return nil
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if atomic.LoadInt64(&calls) != 200 || res.Requests != 200 {
-		t.Errorf("calls = %d, requests = %d", atomic.LoadInt64(&calls), res.Requests)
+	if calls.Load() != 200 || res.Requests != 200 {
+		t.Errorf("calls = %d, requests = %d", calls.Load(), res.Requests)
 	}
 	if res.Throughput <= 0 || res.Elapsed <= 0 {
 		t.Errorf("throughput = %v, elapsed = %v", res.Throughput, res.Elapsed)
@@ -232,7 +232,7 @@ func TestMixedScheduleWriteRatio(t *testing.T) {
 }
 
 func TestRunMixedWrites(t *testing.T) {
-	var reads, writes int64
+	var reads, writes atomic.Int64
 	res, err := RunContext(context.Background(), Config{
 		Concurrency: 4,
 		Requests:    200,
@@ -240,8 +240,8 @@ func TestRunMixedWrites(t *testing.T) {
 		WriteRatio:  0.25,
 		HotQueries:  []string{"h1", "h2", "h3"},
 		MissQuery:   func(i int) string { return fmt.Sprintf("m%d", i) },
-		Do:          func(string) error { atomic.AddInt64(&reads, 1); return nil },
-		Write:       func(string) error { atomic.AddInt64(&writes, 1); return nil },
+		Do:          func(string) error { reads.Add(1); return nil },
+		Write:       func(string) error { writes.Add(1); return nil },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -249,11 +249,11 @@ func TestRunMixedWrites(t *testing.T) {
 	if res.Requests != 200 {
 		t.Errorf("Requests = %d, want 200", res.Requests)
 	}
-	if res.Writes != 50 || atomic.LoadInt64(&writes) != 50 {
-		t.Errorf("Writes = %d (func saw %d), want 50", res.Writes, atomic.LoadInt64(&writes))
+	if res.Writes != 50 || writes.Load() != 50 {
+		t.Errorf("Writes = %d (func saw %d), want 50", res.Writes, writes.Load())
 	}
-	if atomic.LoadInt64(&reads) != 150 {
-		t.Errorf("reads = %d, want 150", atomic.LoadInt64(&reads))
+	if reads.Load() != 150 {
+		t.Errorf("reads = %d, want 150", reads.Load())
 	}
 	if !strings.Contains(res.String(), "50 writes") {
 		t.Errorf("String() = %q, missing write count", res.String())

@@ -1,10 +1,35 @@
 package obs
 
 import (
+	"regexp"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 )
+
+// Name is a registration name for Counter, Add and SetInspection:
+// dotted lower_snake segments ("core.hits", "transport.bytes_sent").
+// Dashboards, the inspection endpoint and the benchmark join on these
+// exact spellings. An untyped string constant converts implicitly; a
+// string variable needs a visible Name(...) conversion, so a name
+// built at run time stands out at its call site. The registry checks
+// the spelling when it first creates a name and panics on a malformed
+// one, as regexp.MustCompile does on a bad pattern.
+//
+//lint:ignore api the parameter type of Counter, Add and SetInspection; every caller passes an untyped constant
+type Name string
+
+// namePattern is the spelling every Name must match.
+var namePattern = regexp.MustCompile(`^[a-z][a-z0-9_]*(\.[a-z0-9_]+)*$`)
+
+// mustValid panics unless name matches namePattern.
+func mustValid(name Name) string {
+	if !namePattern.MatchString(string(name)) {
+		panic("obs: malformed name " + strconv.Quote(string(name)) + ": want dotted lower_snake, e.g. \"core.hits\"")
+	}
+	return string(name)
+}
 
 // Registry aggregates the process's cache observability: per-operation
 // and per-representation hit/miss counters, per-(stage, representation)
@@ -26,9 +51,9 @@ type Registry struct {
 	ops         sync.Map // string -> *opCounters
 	reps        sync.Map // string -> *repCounters
 	stages      sync.Map // stageKey -> *stageRec
-	counters    sync.Map // string -> *Counter
+	counters    sync.Map // Name as string -> *Counter
 	breakers    sync.Map // string -> *breakerGauge
-	inspections sync.Map // string -> func() any
+	inspections sync.Map // Name as string -> func() any
 }
 
 // NewRegistry returns an empty registry.
@@ -115,20 +140,21 @@ func (r *Registry) Rep(name string) *repCounters {
 
 // Counter returns (creating if needed) a named event counter. Returns
 // nil when r is nil — and a nil *Counter's Add is itself a no-op, so
-// r.Counter("x").Add(1) is safe throughout.
-func (r *Registry) Counter(name string) *Counter {
+// r.Counter("x").Add(1) is safe throughout. Creating a counter under a
+// malformed name panics; a lookup of an existing one checks nothing.
+func (r *Registry) Counter(name Name) *Counter {
 	if r == nil {
 		return nil
 	}
-	if v, ok := r.counters.Load(name); ok {
+	if v, ok := r.counters.Load(string(name)); ok {
 		return v.(*Counter)
 	}
-	v, _ := r.counters.LoadOrStore(name, &Counter{})
+	v, _ := r.counters.LoadOrStore(mustValid(name), &Counter{})
 	return v.(*Counter)
 }
 
 // Add increments a named event counter; a no-op on a nil registry.
-func (r *Registry) Add(name string, n int64) {
+func (r *Registry) Add(name Name, n int64) {
 	r.Counter(name).Add(n)
 }
 
@@ -178,12 +204,12 @@ func (r *Registry) SetBreaker(endpoint, state string) {
 // through /debug/wscache without the registry knowing their types. The
 // callback must be safe for concurrent use and must return a
 // JSON-serializable value; registering the same name again replaces the
-// previous callback. A no-op on a nil registry.
-func (r *Registry) SetInspection(name string, f func() any) {
+// previous callback. A malformed name panics. A no-op on a nil registry.
+func (r *Registry) SetInspection(name Name, f func() any) {
 	if r == nil || f == nil {
 		return
 	}
-	r.inspections.Store(name, f)
+	r.inspections.Store(mustValid(name), f)
 }
 
 // Snapshot captures the registry as a JSON-serializable value.

@@ -190,3 +190,30 @@ func TestSnapshotWithoutInspectionsOmitsMap(t *testing.T) {
 		t.Error("empty registry must not allocate an inspections map")
 	}
 }
+
+// TestMalformedNamePanics: a name off the dotted lower_snake spelling
+// panics the first time the registry would create it, through every
+// registration method.
+func TestMalformedNamePanics(t *testing.T) {
+	for _, name := range []Name{"Core.Hits", "core..hits", "core.hits.", ".core", "core-hits", ""} {
+		for method, register := range map[string]func(*Registry){
+			"Counter":       func(r *Registry) { r.Counter(name) },
+			"Add":           func(r *Registry) { r.Add(name, 1) },
+			"SetInspection": func(r *Registry) { r.SetInspection(name, func() any { return nil }) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%q) did not panic", method, name)
+					}
+				}()
+				register(NewRegistry())
+			}()
+		}
+	}
+	r := NewRegistry()
+	for _, name := range []Name{"core.hits", "transport.bytes_sent", "invalidation", "a1.b_2.c"} {
+		r.Counter(name).Add(1)
+		r.SetInspection(name, func() any { return nil })
+	}
+}

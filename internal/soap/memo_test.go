@@ -310,7 +310,10 @@ func TestMemoUnrepeatedShapesCostNothing(t *testing.T) {
 		}
 		docs = append(docs, doc)
 	}
+	// One P, as testing.AllocsPerRun runs: a goroutine that migrates
+	// between Ps misses the parser pool's per-P cache and allocates.
 	mallocs := func(decode func([]byte) (*soap.DecodedMessage, error)) uint64 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		for _, doc := range docs {
