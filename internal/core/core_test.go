@@ -4,12 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"repro/internal/rep"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/googleapi"
+	"repro/internal/rep"
 	"repro/internal/sax"
 	"repro/internal/soap"
 	"repro/internal/typemap"
@@ -173,42 +175,75 @@ func TestCacheDifferentParamsMiss(t *testing.T) {
 	}
 }
 
+// callByCopyClass is a census result class the call-by-copy tests
+// drive through the Section 6 selector: a result, how a client writes
+// into its copy, and the representation that holds it in L1.
+type callByCopyClass struct {
+	name, held string
+	result     func() any
+	mutate     func(any)
+}
+
+var callByCopyClasses = []callByCopyClass{
+	{"clone", "Copy by clone", searchResult, func(v any) {
+		r := v.(*googleapi.GoogleSearchResult)
+		r.SearchQuery = "mutated"
+		r.ResultElements[0].Title = "mutated"
+	}},
+	{"reflect", "Copy by reflection", func() any { return &item{Name: "n", Score: 1, Tags: []string{"a"}} }, func(v any) {
+		it := v.(*item)
+		it.Name = "mutated"
+		it.Tags[0] = "mutated"
+	}},
+	{"bytes", "Copy by reflection", func() any { return []byte("bytes") }, func(v any) { v.([]byte)[0] = 'Z' }},
+	{"sax", "SAX events sequence", func() any { return &opaqueResult{Name: "o"} }, func(v any) { v.(*opaqueResult).Name = "mutated" }},
+}
+
+// callByCopyFixture is promoteFixture with opaqueResult registered too:
+// its envelope carries the exported field, and the unexported one keeps
+// it from being a bean, so the selector holds it as SAX events.
+func callByCopyFixture(t *testing.T) *fixture {
+	t.Helper()
+	f := promoteFixture(t)
+	if err := f.reg.Register(typemap.QName{Space: testNS, Local: "Opaque"}, opaqueResult{}); err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestCallByCopySemantics: paper Section 3.1, mutations by the client
+// must not leak into the cache, in either direction, for each class
+// the Section 6 selector copies in its own way.
 func TestCallByCopySemantics(t *testing.T) {
-	// Paper Section 3.1: mutations by the client must not leak into the
-	// cache, in either direction.
-	f := newFixture(t)
-	c := newCache(t, f, nil)
-	orig := &item{Name: "original", Tags: []string{"t1"}}
-	next, _ := countingNext(f, t, func() any { return orig })
-
-	ictx1 := f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})
-	if err := c.HandleInvoke(ictx1, next); err != nil {
-		t.Fatal(err)
-	}
-	// Client mutates the object it received on the miss path.
-	ictx1.Result.(*item).Name = "mutated-by-client"
-	ictx1.Result.(*item).Tags[0] = "mutated"
-
-	ictx2 := f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})
-	if err := c.HandleInvoke(ictx2, next); err != nil {
-		t.Fatal(err)
-	}
-	got := ictx2.Result.(*item)
-	if got.Name != "original" || got.Tags[0] != "t1" {
-		t.Errorf("cache corrupted by client mutation: %+v", got)
-	}
-
-	// Mutating the hit result must not affect later hits either.
-	got.Name = "mutated-again"
-	ictx3 := f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})
-	if err := c.HandleInvoke(ictx3, next); err != nil {
-		t.Fatal(err)
-	}
-	if ictx3.Result.(*item).Name != "original" {
-		t.Error("cache corrupted by mutation of a hit result")
-	}
-	if ictx3.Result == ictx2.Result {
-		t.Error("hits share an object")
+	f := callByCopyFixture(t)
+	for _, cl := range callByCopyClasses {
+		t.Run(cl.name, func(t *testing.T) {
+			c := newCache(t, f, func(cfg *Config) {
+				cfg.Store, cfg.Rep = nil, rep.NewRegistry(f.reg, f.codec)
+			})
+			next, _ := countingNext(f, t, cl.result)
+			call := func() *client.Context {
+				ictx := f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})
+				if err := c.HandleInvoke(ictx, next); err != nil {
+					t.Fatal(err)
+				}
+				return ictx
+			}
+			// The client mutates the object it received on the miss path.
+			cl.mutate(call().Result)
+			hit := call()
+			if !hit.CacheHit || !reflect.DeepEqual(hit.Result, cl.result()) {
+				t.Errorf("cache corrupted by client mutation: hit %v, %+v", hit.CacheHit, hit.Result)
+			}
+			// Mutating the hit result must not affect later hits either.
+			cl.mutate(hit.Result)
+			if again := call(); !reflect.DeepEqual(again.Result, cl.result()) {
+				t.Errorf("cache corrupted by mutation of a hit result: %+v", again.Result)
+			}
+			if got := heldBy(t, c, f.reqCtx(opGet, soap.Param{Name: "q", Value: "x"})); got != cl.held {
+				t.Errorf("held by %q, want %q", got, cl.held)
+			}
+		})
 	}
 }
 

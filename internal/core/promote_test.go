@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -177,27 +178,13 @@ func TestPromotedHitAllocsMatchOriginFill(t *testing.T) {
 }
 
 // TestTierPromotionCallByCopy: the caller of a tier hit owns its result
-// — mutating it changes neither the next L1 hit nor the tier — for a
-// clone class, a reflect class and a ref class.
+// — mutating it changes neither the next L1 hit nor the tier — for each
+// of the call-by-copy classes and a ref class.
 func TestTierPromotionCallByCopy(t *testing.T) {
-	f := promoteFixture(t)
-	for _, c := range []struct {
-		name, held string
-		result     func() any
-		mutate     func(any)
-	}{
-		{"clone", "Copy by clone", searchResult, func(v any) {
-			r := v.(*googleapi.GoogleSearchResult)
-			r.SearchQuery = "mutated"
-			r.ResultElements[0].Title = "mutated"
-		}},
-		{"reflect", "Copy by reflection", func() any { return &item{Name: "n", Score: 1, Tags: []string{"a"}} }, func(v any) {
-			it := v.(*item)
-			it.Name = "mutated"
-			it.Tags[0] = "mutated"
-		}},
-		{"ref", "Pass by reference", func() any { return "immutable" }, func(any) {}},
-	} {
+	f := callByCopyFixture(t)
+	classes := append(slices.Clone(callByCopyClasses),
+		callByCopyClass{"ref", "Pass by reference", func() any { return "immutable" }, func(any) {}})
+	for _, c := range classes {
 		t.Run(c.name, func(t *testing.T) {
 			shared := sharedTier()
 			newProcess(t, f, shared, false, nil, c.result).call(t, "x")

@@ -35,7 +35,6 @@ func (s *fakeStore) Store(*client.Context) (any, int, error) {
 }
 
 func (s *fakeStore) Load(payload any) (any, error) {
-	//lint:ignore aliascopy scripted fake: payloads are immutable strings, so aliasing cannot leak mutable cache state
 	return payload, nil
 }
 

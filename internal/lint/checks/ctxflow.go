@@ -84,7 +84,7 @@ func checkCtxPropagation(pass *lint.Pass, fn *ast.FuncDecl) {
 	// "Derived from ctx" is the taint relation seeded at the parameter;
 	// context.WithCancel/WithTimeout results inherit it through the
 	// call-argument rule.
-	derived := newTaint(info, nil, ctxParam)
+	derived := newTaint(info, ctxParam)
 	derived.propagate(fn.Body)
 
 	ast.Inspect(fn.Body, func(n ast.Node) bool {

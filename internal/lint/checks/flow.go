@@ -1,9 +1,9 @@
 // Package checks holds the repository's domain analyzers: the
-// invariants behind the cache's call-by-copy correctness argument
-// (aliascopy, typemapreg), the concurrency discipline of the resilience
-// layer (lockguard, clockinject), context propagation (ctxflow), and
-// XML output hygiene (xmlescape). All() returns the suite the
-// wscachelint driver runs.
+// concurrency discipline of the resilience layer (lockguard,
+// clockinject), context propagation (ctxflow), XML output hygiene
+// (xmlescape), the hit path's allocation budget (hotpath) and the
+// exported surface (api). All() returns the suite the wscachelint
+// driver runs.
 package checks
 
 import (
@@ -13,21 +13,16 @@ import (
 
 // taint is a conservative intraprocedural value-flow analysis: starting
 // from seed objects (typically function parameters), it marks every
-// local that may alias or be derived from a seed. Analyzers configure
-// which calls launder taint (a deep copy, a decoder producing fresh
-// objects) — and, for ctxflow, the same machinery answers the inverse
-// question "is this value derived from the context parameter".
+// local that may alias or be derived from a seed. ctxflow uses it to
+// answer "is this value derived from the context parameter".
 type taint struct {
-	info *types.Info
-	// launders reports that a call's results are clean regardless of
-	// its arguments (nil means no call launders).
-	launders func(*ast.CallExpr) bool
-	tainted  map[types.Object]bool
+	info    *types.Info
+	tainted map[types.Object]bool
 }
 
 // newTaint seeds the analysis.
-func newTaint(info *types.Info, launders func(*ast.CallExpr) bool, seeds ...types.Object) *taint {
-	t := &taint{info: info, launders: launders, tainted: make(map[types.Object]bool)}
+func newTaint(info *types.Info, seeds ...types.Object) *taint {
+	t := &taint{info: info, tainted: make(map[types.Object]bool)}
 	for _, s := range seeds {
 		if s != nil {
 			t.tainted[s] = true
@@ -167,9 +162,6 @@ func (t *taint) call(call *ast.CallExpr) bool {
 			// append, copy, etc: fall through to argument scan.
 		}
 	}
-	if t.launders != nil && t.launders(call) {
-		return false
-	}
 	// A call with a tainted argument or receiver may return something
 	// reachable from it.
 	if sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr); ok && t.expr(sel.X) {
@@ -202,15 +194,6 @@ func objOf(info *types.Info, id *ast.Ident) types.Object {
 		return obj
 	}
 	return info.Defs[id]
-}
-
-// recvObject returns the receiver variable object of a method
-// declaration, or nil.
-func recvObject(info *types.Info, fn *ast.FuncDecl) types.Object {
-	if fn.Recv == nil || len(fn.Recv.List) == 0 || len(fn.Recv.List[0].Names) == 0 {
-		return nil
-	}
-	return info.Defs[fn.Recv.List[0].Names[0]]
 }
 
 // refFree reports whether values of type t cannot carry a mutable

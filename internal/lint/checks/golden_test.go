@@ -113,13 +113,11 @@ func runGolden(t *testing.T, a *lint.Analyzer) {
 // default scopes still exercise the scoped analyzers.
 func fixtureScope(string) bool { return true }
 
-func TestAliasCopyGolden(t *testing.T)   { runGolden(t, aliasCopy()) }
 func TestHotPathGolden(t *testing.T)     { runGolden(t, hotPath()) }
 func TestLockGuardGolden(t *testing.T)   { runGolden(t, lockGuard()) }
 func TestCtxFlowGolden(t *testing.T)     { runGolden(t, ctxFlow()) }
 func TestClockInjectGolden(t *testing.T) { runGolden(t, clockInject(fixtureScope)) }
 func TestXMLEscapeGolden(t *testing.T)   { runGolden(t, xmlEscape(fixtureScope)) }
-func TestTypeMapRegGolden(t *testing.T)  { runGolden(t, typeMapReg()) }
 func TestAPIGolden(t *testing.T)         { runGolden(t, api()) }
 
 // TestAPIPartialLoad: a run that loaded only part of a tree cannot see

@@ -12,12 +12,12 @@ import (
 // locations.
 func TestSARIFShape(t *testing.T) {
 	diags := []Diagnostic{
-		{Check: "aliascopy", File: "internal/a/a.go", Line: 3, Col: 5, Message: "aliased payload"},
+		{Check: "lockguard", File: "internal/a/a.go", Line: 3, Col: 5, Message: "guarded field read without its mutex"},
 		{Check: "lint", File: "internal/b/b.go", Line: 9, Col: 1, Message: "malformed directive"},
 	}
 	analyzers := []*Analyzer{
 		{Name: "hotpath", Doc: "hot-path hygiene"},
-		{Name: "aliascopy", Doc: "no aliased payloads"},
+		{Name: "lockguard", Doc: "guarded fields only under their mutex"},
 	}
 	raw, err := SARIF(diags, analyzers)
 	if err != nil {
@@ -72,14 +72,14 @@ func TestSARIFShape(t *testing.T) {
 	}
 	// Sorted, and including a synthesized rule for the framework's own
 	// "lint" check even though no analyzer carries that name.
-	if len(ids) != 3 || ids[0] != "aliascopy" || ids[1] != "hotpath" || ids[2] != "lint" {
-		t.Errorf("rule ids = %v, want [aliascopy hotpath lint]", ids)
+	if len(ids) != 3 || ids[0] != "hotpath" || ids[1] != "lint" || ids[2] != "lockguard" {
+		t.Errorf("rule ids = %v, want [hotpath lint lockguard]", ids)
 	}
 	if len(run.Results) != 2 {
 		t.Fatalf("want 2 results, got %d", len(run.Results))
 	}
 	first := run.Results[0]
-	if first.RuleID != "aliascopy" || first.Level != "error" {
+	if first.RuleID != "lockguard" || first.Level != "error" {
 		t.Errorf("result ruleId/level = %q/%q", first.RuleID, first.Level)
 	}
 	loc := first.Locations[0].PhysicalLocation

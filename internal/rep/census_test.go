@@ -43,14 +43,7 @@ func TestSelectorCensus(t *testing.T) {
 # Regenerate with: go test ./internal/rep -run TestSelectorCensus -update
 `)
 	for _, result := range results {
-		doc, err := codec.EncodeResponse(googleapi.Namespace, "census", result)
-		if err != nil {
-			// A result the codec cannot encode still arrives in some
-			// envelope; its candidates do not depend on which.
-			if doc, err = codec.EncodeResponse(googleapi.Namespace, "census", "carrier"); err != nil {
-				t.Fatal(err)
-			}
-		}
+		doc := censusDoc(t, codec, result)
 		for _, stream := range []bool{false, true} {
 			for _, captured := range []bool{false, true} {
 				ictx := &client.Context{
@@ -129,6 +122,21 @@ func census(t *testing.T) (*soap.Codec, *rep.Registry, *rep.Selector, []any) {
 	return codec, reg, rep.NewStaticSelector(reg), results
 }
 
+// censusDoc is the response envelope a census row captures: the
+// result's own, or a carrier's for a result the codec cannot encode. A
+// result the codec cannot encode still arrives in some envelope; its
+// candidates do not depend on which.
+func censusDoc(t *testing.T, codec *soap.Codec, result any) []byte {
+	t.Helper()
+	doc, err := codec.EncodeResponse(googleapi.Namespace, "census", result)
+	if err != nil {
+		if doc, err = codec.EncodeResponse(googleapi.Namespace, "census", "carrier"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return doc
+}
+
 // candidates lists, space-separated, the specs of order whose
 // applicability predicate holds, marking each seen.
 func candidates(ictx *client.Context, order []*rep.ValueSpec, seen map[string]bool) string {
@@ -179,12 +187,7 @@ func TestPromotionKeepsCensusChoice(t *testing.T) {
 
 	promotions, exceptions := 0, 0
 	for _, result := range results {
-		doc, err := codec.EncodeResponse(googleapi.Namespace, "census", result)
-		if err != nil {
-			if doc, err = codec.EncodeResponse(googleapi.Namespace, "census", "carrier"); err != nil {
-				t.Fatal(err)
-			}
-		}
+		doc := censusDoc(t, codec, result)
 		for _, writerStreams := range []bool{false, true} {
 			for _, captured := range []bool{false, true} {
 				row := fmt.Sprintf("%T stream=%t xml=%t", result, writerStreams, captured)

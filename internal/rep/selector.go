@@ -126,7 +126,6 @@ func (s *Selector) Store(ictx *client.Context) (any, int, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	//lint:ignore aliascopy the payload comes from a registered representation's Store, which already enforces the copy discipline; the wrapper only routes Load back to it
 	return &selPayload{store: store, payload: payload}, size, nil
 }
 

@@ -29,7 +29,6 @@ func (s *fakeChainStore) Store(ictx *client.Context) (any, int, error) {
 
 func (s *fakeChainStore) Load(payload any) (any, error) {
 	s.loaded++
-	//lint:ignore aliascopy scripted fake: payloads are immutable strings, so aliasing cannot leak mutable cache state
 	return payload, nil
 }
 

@@ -235,7 +235,8 @@ func (s *TemplateStore) Store(ictx *client.Context) (any, int, error) {
 	if !shared {
 		size += p.skel.Size()
 	}
-	//lint:ignore aliascopy split copies the holes out of the context's buffer; the skeleton is immutable
+	// split copied the holes out of the context's buffer; the skeleton
+	// is immutable.
 	return p, size, nil
 }
 
@@ -296,7 +297,6 @@ func (s *TemplateStore) Load(payload any) (any, error) {
 	if !ok {
 		return nil, errTemplatePayload
 	}
-	//lint:ignore aliascopy templateResponse is immutable (shared skeleton + this entry's holes); sharing it by reference is the whole point of the streaming hit
 	return p, nil
 }
 

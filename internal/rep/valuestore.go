@@ -28,7 +28,9 @@ type ValueStore interface {
 	// Load materializes an application object from a payload. Each
 	// call must honor call-by-copy semantics: the returned object must
 	// be safe for the client to mutate (unless the store is the
-	// explicit pass-by-reference store).
+	// explicit pass-by-reference store), and so must what Store read
+	// from the invocation. TestEveryRepresentationIsCallByCopy holds
+	// every registered representation to it.
 	Load(payload any) (any, error)
 }
 
@@ -115,8 +117,21 @@ func (s *saxEventsStore) Store(ictx *client.Context) (any, int, error) {
 	if len(events) == 0 {
 		return nil, 0, fmt.Errorf("rep: sax store: %w: invocation captured neither events nor XML", ErrNotApplicable)
 	}
+	// Copy the attribute lists too, into one array: the context's
+	// recording may be written after the fill.
 	seq := make([]sax.Event, len(events))
 	copy(seq, events)
+	n := 0
+	for i := range seq {
+		n += len(seq[i].Attrs)
+	}
+	attrs := make([]sax.Attribute, 0, n)
+	for i := range seq {
+		if a := seq[i].Attrs; len(a) > 0 {
+			attrs = append(attrs, a...)
+			seq[i].Attrs = attrs[len(attrs)-len(a) : len(attrs) : len(attrs)]
+		}
+	}
 	return seq, sax.SequenceMemSize(seq), nil
 }
 

@@ -116,7 +116,9 @@ func (c *ResponseCache) caches(request []byte) bool {
 }
 
 // Handle serves a request, from cache when possible. Faults are never
-// cached.
+// cached. A hit's response may be the cached payload itself
+// (rep.Streamed.Bytes of a raw entry): callers must treat it as
+// read-only, or a write into it changes every later hit.
 func (c *ResponseCache) Handle(request []byte) ([]byte, bool, error) {
 	if !c.caches(request) {
 		return c.inner.Handle(request)
