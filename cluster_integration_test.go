@@ -24,6 +24,7 @@ import (
 	"repro/internal/googleapi"
 	"repro/internal/invalidate"
 	"repro/internal/loadgen"
+	"repro/internal/obs"
 	"repro/internal/rep"
 	"repro/internal/soap"
 	"repro/internal/tier"
@@ -32,11 +33,13 @@ import (
 
 // clusterDaemon is an in-test wscached: a core.Cache holding wire
 // entries behind a cluster.Server, bindable to a fixed address so a
-// restart can reuse it.
+// restart can reuse it. requests counts the protocol requests it
+// served (clusterd.requests).
 type clusterDaemon struct {
-	srv  *cluster.Server
-	addr string
-	stop func()
+	srv      *cluster.Server
+	addr     string
+	requests *obs.Counter
+	stop     func()
 }
 
 // startClusterDaemon boots a daemon the way cmd/wscached does. addr ""
@@ -51,7 +54,8 @@ func startClusterDaemon(t testing.TB, addr string) *clusterDaemon {
 		DefaultTTL:  time.Hour,
 		Invalidator: dinv,
 	})
-	srv, err := cluster.NewServer(cluster.ServerConfig{Tier: cache, Inv: dinv})
+	reg := obs.NewRegistry()
+	srv, err := cluster.NewServer(cluster.ServerConfig{Tier: cache, Inv: dinv, Obs: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +78,7 @@ func startClusterDaemon(t testing.TB, addr string) *clusterDaemon {
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(context.Background(), lis) }()
 	var once sync.Once
-	d := &clusterDaemon{srv: srv, addr: lis.Addr().String()}
+	d := &clusterDaemon{srv: srv, addr: lis.Addr().String(), requests: reg.Counter("clusterd.requests")}
 	d.stop = func() {
 		once.Do(func() {
 			srv.Close()

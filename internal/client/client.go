@@ -54,14 +54,19 @@ type Context struct {
 	// pivot): Cache-Control and Last-Modified validators live here.
 	ResponseHeader http.Header
 
-	// NotModified reports that the server answered a conditional
-	// request with 304: the response has no body and the caller's
-	// cached representation is still valid.
-	NotModified bool
-
 	// ResponseEvents is the recorded SAX event sequence of the response,
 	// set by the first call to Events. The pivot never records.
 	ResponseEvents []sax.Event
+
+	// Result is the response application object — or, when AcceptStream
+	// is set and a streaming representation served the hit, an
+	// io.WriterTo over the serialized response. Use Stream to consume
+	// either form uniformly.
+	Result any
+
+	// The four flags below share one word. Every hit allocates a
+	// Context, so its size class is part of every hit's cost
+	// (TestContextSize).
 
 	// AcceptStream declares that this invocation's consumer can handle
 	// Result being a byte-stream payload (an io.WriterTo such as
@@ -71,11 +76,10 @@ type Context struct {
 	// rebuilding objects. Copied from Options.AcceptStream by Invoke.
 	AcceptStream bool
 
-	// Result is the response application object — or, when AcceptStream
-	// is set and a streaming representation served the hit, an
-	// io.WriterTo over the serialized response. Use Stream to consume
-	// either form uniformly.
-	Result any
+	// NotModified reports that the server answered a conditional
+	// request with 304: the response has no body and the caller's
+	// cached representation is still valid.
+	NotModified bool
 
 	// CacheHit reports that a cache handler satisfied the invocation.
 	CacheHit bool

@@ -7,6 +7,7 @@ import (
 	"io"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/client"
 	"repro/internal/server"
@@ -383,5 +384,17 @@ func TestContextStreamAbsent(t *testing.T) {
 	ictx := &client.Context{Result: &quote{Symbol: "GOOG"}}
 	if _, ok := ictx.Stream(); ok {
 		t.Error("Stream reported ok with no streamable source")
+	}
+}
+
+// TestContextSize pins the size of client.Context. Every hit, object or
+// stream, allocates one, so its size class is part of every hit's
+// cost: 216 bytes is the 224 B class on a 64-bit platform. A field that
+// pushes it past 216 moves every hit to the 240 B class; the change
+// that adds it says so and raises this bound and the cost ratchet's
+// rows together.
+func TestContextSize(t *testing.T) {
+	if n := unsafe.Sizeof(client.Context{}); n > 216 {
+		t.Errorf("client.Context is %d bytes, want ≤ 216 (the 224 B size class)", n)
 	}
 }

@@ -137,8 +137,10 @@ const searchResultCount = 3
 // builder grow once more.
 const searchTextSize = 600
 
-// searchBlock is one Search result with its slices' backing arrays, so
-// the whole object graph is one allocation and its text one more.
+// searchBlock is one search result with its slices' backing arrays, so
+// the whole object graph is one allocation. Search builds its result in
+// one (its text is one more allocation), and
+// GoogleSearchResult.CloneDeep copies a result that fits into another.
 type searchBlock struct {
 	result GoogleSearchResult
 	elems  [searchResultCount]ResultElement

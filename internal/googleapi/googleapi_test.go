@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -87,19 +88,93 @@ func TestCloneDeepSubTypes(t *testing.T) {
 	}
 }
 
+// overBlock is a result past searchBlock's bound: four elements and
+// two categories, one more of each than Search makes, so CloneDeep
+// copies it in three allocations.
+func overBlock() *GoogleSearchResult {
+	r := *Search("clone me", 0, 10)
+	r.ResultElements = append(slices.Clone(r.ResultElements), r.ResultElements[0])
+	r.DirectoryCategories = append(slices.Clone(r.DirectoryCategories), DirectoryCategory{FullViewableName: "Top/Science"})
+	return &r
+}
+
+// TestCloneDeepIndependence mutates a clone and its original, on the
+// one-block path and on the three-allocation one, and requires that
+// neither write reaches the other.
 func TestCloneDeepIndependence(t *testing.T) {
-	orig := Search("clone me", 0, 10)
-	cp := orig.CloneDeep().(*GoogleSearchResult)
-	if !reflect.DeepEqual(orig, cp) {
-		t.Fatal("clone differs")
+	for _, tc := range []struct {
+		name string
+		orig *GoogleSearchResult
+	}{
+		{"block", Search("clone me", 0, 10)},
+		{"part of a block", Search("clone me", 0, 2)},
+		{"over block", overBlock()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			orig := tc.orig
+			cp := orig.CloneDeep().(*GoogleSearchResult)
+			if !reflect.DeepEqual(orig, cp) {
+				t.Fatal("clone differs")
+			}
+			cp.ResultElements[0].Title = "mutated"
+			cp.ResultElements[len(cp.ResultElements)-1].DirectoryCategory.FullViewableName = "mutated"
+			cp.DirectoryCategories[0].FullViewableName = "mutated"
+			cp.SearchQuery = "mutated"
+			if orig.ResultElements[0].Title == "mutated" ||
+				orig.ResultElements[len(orig.ResultElements)-1].DirectoryCategory.FullViewableName == "mutated" ||
+				orig.DirectoryCategories[0].FullViewableName == "mutated" ||
+				orig.SearchQuery == "mutated" {
+				t.Error("clone aliased the original")
+			}
+			orig.DirectoryCategories[len(orig.DirectoryCategories)-1].SpecialEncoding = "mutated"
+			if cp.DirectoryCategories[len(cp.DirectoryCategories)-1].SpecialEncoding == "mutated" {
+				t.Error("original aliased the clone")
+			}
+			// Neither slice has room to grow into the other's array.
+			if cap(cp.ResultElements) != len(cp.ResultElements) || cap(cp.DirectoryCategories) != len(cp.DirectoryCategories) {
+				t.Errorf("clone caps %d and %d, lens %d and %d", cap(cp.ResultElements), cap(cp.DirectoryCategories),
+					len(cp.ResultElements), len(cp.DirectoryCategories))
+			}
+		})
 	}
-	cp.ResultElements[0].Title = "mutated"
-	cp.DirectoryCategories[0].FullViewableName = "mutated"
-	cp.SearchQuery = "mutated"
-	if orig.ResultElements[0].Title == "mutated" ||
-		orig.DirectoryCategories[0].FullViewableName == "mutated" ||
-		orig.SearchQuery == "mutated" {
-		t.Error("clone aliased the original")
+}
+
+// TestCloneDeepKeepsNilAndEmpty clones every mix of nil and empty
+// slices, on both sides of searchBlock's bound: a nil slice must come
+// back nil and an empty one empty, or the clone is not an equal copy,
+// and neither may have room to grow into the block.
+func TestCloneDeepKeepsNilAndEmpty(t *testing.T) {
+	over := overBlock()
+	for _, elems := range [][]ResultElement{nil, {}, over.ResultElements} {
+		for _, cats := range [][]DirectoryCategory{nil, {}, over.DirectoryCategories} {
+			orig := &GoogleSearchResult{SearchQuery: "q", ResultElements: elems, DirectoryCategories: cats}
+			cp := orig.CloneDeep().(*GoogleSearchResult)
+			if !reflect.DeepEqual(orig, cp) ||
+				(cp.ResultElements == nil) != (elems == nil) || (cp.DirectoryCategories == nil) != (cats == nil) ||
+				cap(cp.ResultElements) != len(elems) || cap(cp.DirectoryCategories) != len(cats) {
+				t.Errorf("%d elements (nil %v) and %d categories (nil %v): clone has %#v (cap %d) and %#v (cap %d)",
+					len(elems), elems == nil, len(cats), cats == nil,
+					cp.ResultElements, cap(cp.ResultElements), cp.DirectoryCategories, cap(cp.DirectoryCategories))
+			}
+		}
+	}
+}
+
+// TestCloneDeepAllocs holds the copy-out of every L1 object hit on a
+// search result to one allocation, and a result past searchBlock's
+// bound to the result and its two slices.
+func TestCloneDeepAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		orig *GoogleSearchResult
+		want float64
+	}{
+		{"Search result", Search("clone me", 0, 10), 1},
+		{"over block", overBlock(), 3},
+	} {
+		if got := testing.AllocsPerRun(100, func() { tc.orig.CloneDeep() }); got != tc.want {
+			t.Errorf("%s: %v allocs per CloneDeep, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 

@@ -96,8 +96,23 @@ type GoogleSearchResult struct {
 
 // CloneDeep implements typemap.Cloner: the deep clone method the paper
 // says a WSDL compiler should generate for its classes (Section
-// 4.2.3-C).
+// 4.2.3-C). A result no larger than Search makes is copied into one
+// searchBlock, slices and all; a larger one takes three allocations.
+// Either way a nil slice stays nil and an empty one stays empty.
 func (g *GoogleSearchResult) CloneDeep() any {
+	if len(g.ResultElements) <= searchResultCount && len(g.DirectoryCategories) <= 1 {
+		blk := new(searchBlock)
+		blk.result = *g
+		if g.ResultElements != nil {
+			n := copy(blk.elems[:], g.ResultElements)
+			blk.result.ResultElements = blk.elems[:n:n]
+		}
+		if g.DirectoryCategories != nil {
+			n := copy(blk.cats[:], g.DirectoryCategories)
+			blk.result.DirectoryCategories = blk.cats[:n:n]
+		}
+		return &blk.result
+	}
 	out := *g
 	if g.ResultElements != nil {
 		out.ResultElements = make([]ResultElement, len(g.ResultElements))

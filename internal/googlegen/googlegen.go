@@ -7,6 +7,7 @@ package googlegen
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/client"
 	"repro/internal/soap"
@@ -54,8 +55,8 @@ var _ typemap.Cloner = (*GoogleSearchResult)(nil)
 // copy-by-clone representation relies on it.
 func (v *GoogleSearchResult) CloneDeep() any {
 	out := *v
-	out.ResultElements = append([]ResultElement(nil), v.ResultElements...)
-	out.DirectoryCategories = append([]DirectoryCategory(nil), v.DirectoryCategories...)
+	out.ResultElements = slices.Clone(v.ResultElements)
+	out.DirectoryCategories = slices.Clone(v.DirectoryCategories)
 	return &out
 }
 

@@ -102,6 +102,20 @@ func TestGeneratedCloneDeep(t *testing.T) {
 	}
 }
 
+// TestGeneratedCloneDeepKeepsEmpty clones a result whose slices are
+// empty but not nil: an equal copy keeps them so, as it keeps nil ones
+// nil.
+func TestGeneratedCloneDeepKeepsEmpty(t *testing.T) {
+	for _, orig := range []*GoogleSearchResult{
+		{SearchQuery: "q", ResultElements: []ResultElement{}, DirectoryCategories: []DirectoryCategory{}},
+		{SearchQuery: "q"},
+	} {
+		if cp := orig.CloneDeep().(*GoogleSearchResult); !reflect.DeepEqual(orig, cp) {
+			t.Errorf("clone of %#v is %#v", orig, cp)
+		}
+	}
+}
+
 func TestGeneratedTypesWithCache(t *testing.T) {
 	// The generated types implement Cloner, so the Section 6 classifier
 	// picks copy-by-clone for them automatically.

@@ -15,9 +15,20 @@ func (g *generator) emit() ([]byte, error) {
 	fmt.Fprintf(&b, "package %s\n\n", g.opts.Package)
 
 	b.WriteString("import (\n")
+	var std []string
 	if !g.opts.SkipClient {
-		b.WriteString("\t\"context\"\n")
-		b.WriteString("\t\"fmt\"\n\n")
+		std = append(std, "context", "fmt")
+	}
+	if g.clonesSlices() {
+		std = append(std, "slices")
+	}
+	for _, path := range std {
+		fmt.Fprintf(&b, "\t%q\n", path)
+	}
+	if len(std) > 0 {
+		b.WriteString("\n")
+	}
+	if !g.opts.SkipClient {
 		b.WriteString("\t\"repro/internal/client\"\n")
 		b.WriteString("\t\"repro/internal/soap\"\n")
 		b.WriteString("\t\"repro/internal/transport\"\n")
@@ -40,6 +51,19 @@ func (g *generator) emit() ([]byte, error) {
 		}
 	}
 	return []byte(b.String()), nil
+}
+
+// clonesSlices reports whether some CloneDeep copies a slice of
+// reference-free values, which it does with slices.Clone.
+func (g *generator) clonesSlices() bool {
+	for i := range g.types {
+		for _, f := range g.types[i].Fields {
+			if f.refKind == refBytes || f.refKind == refSliceSimple {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // emitType renders one struct with its CloneDeep method.
@@ -66,11 +90,9 @@ func (g *generator) emitType(b *strings.Builder, t *genType) {
 	b.WriteString("\tout := *v\n")
 	for _, f := range t.Fields {
 		switch f.refKind {
-		case refBytes:
-			fmt.Fprintf(b, "\tout.%s = append([]byte(nil), v.%s...)\n", f.GoName, f.GoName)
-		case refSliceSimple:
-			elem := strings.TrimPrefix(f.GoType, "[]")
-			fmt.Fprintf(b, "\tout.%s = append([]%s(nil), v.%s...)\n", f.GoName, elem, f.GoName)
+		case refBytes, refSliceSimple:
+			// slices.Clone keeps a nil slice nil and an empty one empty.
+			fmt.Fprintf(b, "\tout.%s = slices.Clone(v.%s)\n", f.GoName, f.GoName)
 		case refSliceDeep:
 			elem := strings.TrimPrefix(f.GoType, "[]")
 			fmt.Fprintf(b, "\tif v.%s != nil {\n", f.GoName)

@@ -46,20 +46,22 @@ type ratchetRow struct {
 // row must be lowered.
 const ratchetDrop = 0.05
 
-// Twelve runs measured 113.1–113.9 allocs/op and 23 093–23 163 B/op.
-var originMissRow = ratchetRow{name: "origin miss", baseAllocs: 113.3, baseBytes: 23_110, maxAllocs: 116.2, maxBytes: 23_860}
+// Twelve runs measured 111.1–111.7 allocs/op and 23 092–23 147 B/op.
+var originMissRow = ratchetRow{name: "origin miss", baseAllocs: 111.2, baseBytes: 23_100, maxAllocs: 114, maxBytes: 23_850}
 
-// Twelve runs measured 89.1–89.5 allocs/op and 7 271–7 303 B/op.
-var serverHitRow = ratchetRow{name: "server hit", baseAllocs: 89.3, baseBytes: 7_285, maxAllocs: 91, maxBytes: 7_520}
+// Twelve runs measured 89.0–89.7 allocs/op and 7 262–7 317 B/op. The
+// ceilings are those of the 89.1–89.5 and 7 271–7 303 runs before
+// them, which the highest of these runs stays under.
+var serverHitRow = ratchetRow{name: "server hit", baseAllocs: 89.1, baseBytes: 7_270, maxAllocs: 91, maxBytes: 7_520}
 
-// Twelve runs measured 5.0 allocs/op and 480 B/op.
-var tierHitRow = ratchetRow{name: "tier hit", baseAllocs: 5, baseBytes: 480, maxAllocs: 5.1, maxBytes: 495}
+// Twelve runs measured 5.0 allocs/op and 464 B/op.
+var tierHitRow = ratchetRow{name: "tier hit", baseAllocs: 5, baseBytes: 464, maxAllocs: 5.1, maxBytes: 478}
 
-// Twelve runs measured 4.0 allocs/op and 928 B/op.
-var l1ObjectRow = ratchetRow{name: "L1 object hit", baseAllocs: 4, baseBytes: 928, maxAllocs: 4.08, maxBytes: 956}
+// Twelve runs measured 2.0 allocs/op and 928 B/op.
+var l1ObjectRow = ratchetRow{name: "L1 object hit", baseAllocs: 2, baseBytes: 928, maxAllocs: 2.04, maxBytes: 956}
 
-// Twelve runs measured 1.0 allocs/op and 240 B/op.
-var l1StreamRow = ratchetRow{name: "L1 stream hit", baseAllocs: 1, baseBytes: 240, maxAllocs: 1.02, maxBytes: 248}
+// Twelve runs measured 1.0 allocs/op and 224 B/op.
+var l1StreamRow = ratchetRow{name: "L1 stream hit", baseAllocs: 1, baseBytes: 224, maxAllocs: 1.02, maxBytes: 231}
 
 // check logs a row's measured counts and fails a count above its
 // ceiling or too far below its base.
@@ -125,15 +127,13 @@ func TestRatchetOriginMiss(t *testing.T) {
 		call(i)
 	}
 
-	attempts0, stores0 := cl.attempts.Load(), cl.remote.TierStats().Stores
-	allocs, bytes := perOp(ops, func(i int) { call(warm + i) })
-	originMissRow.check(t, allocs, bytes)
-	if d := cl.attempts.Load() - attempts0; d != ops {
-		t.Errorf("transport.attempts rose by %d over %d calls, want exactly one each", d, ops)
-	}
-	if d := cl.remote.TierStats().Stores - stores0; d != ops {
-		t.Errorf("tier stores rose by %d over %d calls, want exactly one each", d, ops)
-	}
+	checkDeltas(t, ops, []counterDelta{
+		{"transport.attempts", cl.attempts.Load, 1},
+		{"tier stores", func() int64 { return cl.remote.TierStats().Stores }, 1},
+	}, func() {
+		allocs, bytes := perOp(ops, func(i int) { call(warm + i) })
+		originMissRow.check(t, allocs, bytes)
+	})
 }
 
 // TestRatchetTierHit drives the referee's l2_shared workload: doGetItem
@@ -180,15 +180,16 @@ func TestRatchetTierHit(t *testing.T) {
 		read(i)
 	}
 
-	hits0, attempts0 := reader.cache.Stats().TierHits, reader.attempts.Load()
-	allocs, bytes := perOp(ops, read)
-	tierHitRow.check(t, allocs, bytes)
-	if d := reader.cache.Stats().TierHits - hits0; d != ops {
-		t.Errorf("core.tier_hits rose by %d over %d calls, want exactly one each", d, ops)
-	}
-	if d := reader.attempts.Load() - attempts0; d != 0 {
-		t.Errorf("transport.attempts rose by %d over %d tier hits, want none", d, ops)
-	}
+	checkDeltas(t, ops, []counterDelta{
+		{"core.tier_hits", func() int64 { return reader.cache.Stats().TierHits }, 1},
+		{"clusterd.requests", daemon.requests.Load, 1},
+		{"transport.attempts", reader.attempts.Load, 0},
+		{"transport.bytes_sent", reader.sent.Load, 0},
+		{"transport.bytes_received", reader.received.Load, 0},
+	}, func() {
+		allocs, bytes := perOp(ops, read)
+		tierHitRow.check(t, allocs, bytes)
+	})
 }
 
 // TestRatchetL1Object and TestRatchetL1Stream drive the referee's
@@ -250,12 +251,15 @@ func ratchetL1(t *testing.T, stream bool, row ratchetRow) {
 		hit(i)
 	}
 
-	hits0 := cl.cache.Stats().Hits
-	allocs, bytes := perOp(ops, func(i int) { hit(warm + i) })
-	row.check(t, allocs, bytes)
-	if d := cl.cache.Stats().Hits - hits0; d != ops {
-		t.Errorf("core.hits rose by %d over %d calls, want exactly one each", d, ops)
-	}
+	checkDeltas(t, ops, []counterDelta{
+		{"core.hits", func() int64 { return cl.cache.Stats().Hits }, 1},
+		{"clusterd.requests", daemon.requests.Load, 0},
+		{"transport.bytes_sent", cl.sent.Load, 0},
+		{"transport.bytes_received", cl.received.Load, 0},
+	}, func() {
+		allocs, bytes := perOp(ops, func(i int) { hit(warm + i) })
+		row.check(t, allocs, bytes)
+	})
 }
 
 // countingWriter is the stream consumer's sink: it keeps the byte count
@@ -341,13 +345,12 @@ func TestRatchetServerHit(t *testing.T) {
 		hit(i)
 	}
 
-	hits := reg.Counter("server.hits")
-	hits0 := hits.Load()
-	allocs, bytes := perOp(ops, func(i int) { hit(warm + i) })
-	serverHitRow.check(t, allocs, bytes)
-	if d := hits.Load() - hits0; d != ops {
-		t.Errorf("server.hits rose by %d over %d posts, want exactly one each", d, ops)
-	}
+	checkDeltas(t, ops, []counterDelta{
+		{"server.hits", reg.Counter("server.hits").Load, 1},
+	}, func() {
+		allocs, bytes := perOp(ops, func(i int) { hit(warm + i) })
+		serverHitRow.check(t, allocs, bytes)
+	})
 }
 
 // ratchetOrigin is the origin service of the ratchet rows: the
@@ -374,12 +377,12 @@ func startRatchetOrigin(t *testing.T) *ratchetOrigin {
 // front of a cluster.Remote to the daemon, and loopback HTTP to the
 // origin with one idle connection. The cache keeps a private metrics
 // registry, so no stage is timed; attempts counts the transport's
-// requests.
+// requests, sent and received the envelope bytes it moved.
 type ratchetClient struct {
-	cache           *core.Cache
-	attempts        *obs.Counter
-	remote          *cluster.Remote
-	search, getItem *client.Call
+	cache                    *core.Cache
+	attempts, sent, received *obs.Counter
+	remote                   *cluster.Remote
+	search, getItem          *client.Call
 }
 
 func newRatchetClient(ctx context.Context, t *testing.T, o *ratchetOrigin, daemonAddr string, l1 int, stream bool) *ratchetClient {
@@ -403,7 +406,7 @@ func newRatchetClient(ctx context.Context, t *testing.T, o *ratchetOrigin, daemo
 	})
 	httpTr := &http.Transport{MaxIdleConnsPerHost: 1}
 	t.Cleanup(httpTr.CloseIdleConnections)
-	tr := &transport.HTTP{Client: &http.Client{Transport: httpTr, Timeout: transport.DefaultTimeout}}
+	tr := &transport.HTTP{Client: &http.Client{Transport: httpTr, Timeout: transport.DefaultTimeout}, Obs: reg}
 	call := func(op, action string) *client.Call {
 		return client.NewCall(codec, tr, o.url, googleapi.Namespace, op, action, client.Options{
 			Handlers:     []client.Handler{cache},
@@ -414,6 +417,8 @@ func newRatchetClient(ctx context.Context, t *testing.T, o *ratchetOrigin, daemo
 	return &ratchetClient{
 		cache:    cache,
 		attempts: reg.Counter("transport.attempts"),
+		sent:     reg.Counter("transport.bytes_sent"),
+		received: reg.Counter("transport.bytes_received"),
 		remote:   remote,
 		search:   call(googleapi.OpGoogleSearch, "urn:GoogleSearchAction"),
 		getItem:  call(googleapi.OpGetItem, "urn:GoogleSearchAction"),
@@ -436,6 +441,31 @@ func serveLoopback(t *testing.T, h http.Handler) string {
 		<-served
 	})
 	return "http://" + lis.Addr().String() + "/"
+}
+
+// counterDelta is a counter a row holds to an exact rise per
+// operation: perOp is 1 where every operation must take the path it
+// counts, and 0 where none may.
+type counterDelta struct {
+	name  string
+	read  func() int64
+	perOp int64
+}
+
+// checkDeltas runs measure, which performs ops operations, and fails
+// each counter that did not rise by exactly its perOp for each.
+func checkDeltas(t *testing.T, ops int, counters []counterDelta, measure func()) {
+	t.Helper()
+	before := make([]int64, len(counters))
+	for i, c := range counters {
+		before[i] = c.read()
+	}
+	measure()
+	for i, c := range counters {
+		if d := c.read() - before[i]; d != c.perOp*int64(ops) {
+			t.Errorf("%s rose by %d over %d operations, want %d each", c.name, d, ops, c.perOp)
+		}
+	}
 }
 
 // perOp runs op(0) … op(ops-1) with the collector off, so no pool is
